@@ -13,6 +13,7 @@ standard exact sequences below come out exact.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -224,54 +225,60 @@ class PresentedQuotient:
     cycles: tuple
     boundaries: tuple
     reps: tuple
+    # Echelon data derived from the fields on first use; presentations
+    # that are only asked for their dim never build it.
+
+    @functools.cached_property
+    def _cycle_basis(self) -> la.EchelonBasis:
+        return la.EchelonBasis.from_rref(self.cycles, self.width)
+
+    @functools.cached_property
+    def _boundary_basis(self) -> la.EchelonBasis:
+        return la.EchelonBasis.from_rref(self.boundaries, self.width)
+
+    @functools.cached_property
+    def _rep_transform(self) -> la.EchelonBasis:
+        """Echelon basis of [reps | I]; see coords."""
+        ident = la.identity(self.dim)
+        return la.EchelonBasis(
+            [tuple(r) + e for r, e in zip(self.reps, ident)], self.width + self.dim
+        )
 
     @property
     def dim(self) -> int:
         return len(self.reps)
 
     def normal_form(self, v: la.Vec) -> la.Vec:
-        if not la.in_span(self.cycles, v):
+        if not self._cycle_basis.contains(v):
             raise ValueError("vector is not a cycle of this presentation")
-        out = list(v)
-        for row in self.boundaries:
-            pivot = next(i for i, x in enumerate(row) if x)
-            c = out[pivot]
-            if c:
-                for i in range(self.width):
-                    out[i] -= c * row[i]
-        return tuple(out)
+        return self._boundary_basis.reduce(v)
 
     def same_class(self, u: la.Vec, v: la.Vec) -> bool:
         return self.normal_form(u) == self.normal_form(v)
 
     def coords(self, v: la.Vec) -> la.Vec:
         """Coefficients of the class of v over the representatives."""
-        if not self.reps:
-            nf = self.normal_form(v)
-            if any(nf):
-                raise ValueError("nonzero class in a zero quotient")
-            return ()
-        rows = la.mat([self.normal_form(r) for r in self.reps])
-        out = la.solve_vec(la.transpose(rows), self.normal_form(v))
-        if out is None:
+        # The rows of rref([reps | I]) are E | T with E = T reps, so
+        # reducing (nf | 0) leaves (nf - c E | -c T) for c = the pivot
+        # entries of nf: the head vanishes exactly when nf is in the
+        # span of the reps, and then nf = c T reps.
+        nf = self.normal_form(v)
+        out = self._rep_transform.reduce(nf + (Fraction(0),) * self.dim)
+        if any(out[: self.width]):
             raise ValueError("class does not lie in the quotient")
-        return out
+        return tuple(-x for x in out[self.width:])
 
 
 def quotient_presentation(cycle_rows, boundary_rows, width: int) -> PresentedQuotient:
     cycles = la.canon_span(cycle_rows, width)
     boundaries = la.canon_span(boundary_rows, width)
-    for row in boundaries:
-        if not la.in_span(cycles, row):
-            raise ValueError("boundaries must lie inside cycles")
-    spanning = list(boundaries)
-    reps = []
-    for row in cycles:
-        if not la.in_span(spanning, row):
-            spanning.append(row)
-            reps.append(row)
-    q = PresentedQuotient(width, cycles, boundaries, ())
-    reduced = tuple(q.normal_form(r) for r in reps)
+    cycle_basis = la.EchelonBasis.from_rref(cycles, width)
+    if not all(cycle_basis.contains(row) for row in boundaries):
+        raise ValueError("boundaries must lie inside cycles")
+    spanning = la.EchelonBasis.from_rref(boundaries, width)
+    reps = [row for row in cycles if spanning.add(row)]
+    boundary_basis = la.EchelonBasis.from_rref(boundaries, width)
+    reduced = tuple(boundary_basis.reduce(r) for r in reps)
     return PresentedQuotient(width, cycles, boundaries, reduced)
 
 
@@ -339,6 +346,7 @@ def modified_maps(f: ChainMap, n: int) -> ModifiedMaps:
     hat = modified_homology(f, n)
     forms = forms_modulo_exact(b, n + 1)
     zb = la.canon_span(la.nullspace(b.diff(n), width=b.dim(n)), b.dim(n))
+    zb_basis = la.EchelonBasis.from_rref(zb, b.dim(n))
     ha = homology(a, n)
 
     cols_from_form = [
@@ -350,13 +358,10 @@ def modified_maps(f: ChainMap, n: int) -> ModifiedMaps:
     for rep in hat.reps:
         avec, bvec = rep[:wa], rep[wa:]
         val = la.add_vec(la.matvec(fm, avec), la.scale_vec(la.matvec(dbm, bvec), -1))
-        if zb:
-            coords = la.solve_vec(la.transpose(la.mat(zb)), val)
-        else:
-            coords = () if not any(val) else None
-        if coords is None:
-            raise AssertionError("structure map must land in the cycle space")
-        cols_rho.append(coords)
+        try:
+            cols_rho.append(zb_basis.coords(val))
+        except ValueError:
+            raise AssertionError("structure map must land in the cycle space") from None
     return ModifiedMaps(
         hat,
         forms,
@@ -394,15 +399,17 @@ def verify_modified_sequences(f: ChainMap) -> list[tuple[str, bool]]:
     if not degrees:
         return [("empty", True)]
     cn = cone(f)
+    # neighbouring degrees share H_n(s(f)) and H_n(A)
+    hom = functools.cache(homology)
     out = []
     for n in range(degrees[0] - 1, degrees[-1] + 2):
         wa = a.dim(n)
         mm = modified_maps(f, n)
         hat, forms, zb = mm.hat, mm.forms, mm.cycles_b
-        hcone_n = homology(cn, n)
-        hcone_prev = homology(cn, n - 1)
-        ha_n = homology(a, n)
-        ha_next = homology(a, n + 1)
+        hcone_n = hom(cn, n)
+        hcone_prev = hom(cn, n - 1)
+        ha_n = hom(a, n)
+        ha_next = hom(a, n + 1)
 
         # sequence (a)
         cols_m1 = [hat.coords(rep) for rep in hcone_n.reps]
@@ -547,10 +554,12 @@ def cone_les_check(f: ChainMap) -> bool:
     degrees = sorted(set(a.dims) | set(b.dims))
     if not degrees:
         return True
+    # degree n + 1 of one step is degree n of the next
+    hom = functools.cache(homology)
     for n in range(degrees[0] - 1, degrees[-1] + 2):
-        ha_n, hb_n = homology(a, n), homology(b, n)
-        ha_next, hb_next = homology(a, n + 1), homology(b, n + 1)
-        hc = homology(cn, n)
+        ha_n, hb_n = hom(a, n), hom(b, n)
+        ha_next, hb_next = hom(a, n + 1), hom(b, n + 1)
+        hc = hom(cn, n)
         wa = a.dim(n)
 
         cols_in = [

@@ -15,7 +15,7 @@ from fractions import Fraction
 from . import linalg as la
 from .core import MetrizedSpace, standard_space
 from .cubes import Flag
-from .homology import ChainComplex, ChainMap
+from .homology import ChainComplex, ChainMap, _shaped
 
 __all__ = [
     "sub_seed",
@@ -117,12 +117,6 @@ def random_complex(
             cols.append(tuple(v))
         diffs[n] = la.transpose(la.mat(cols))
     return ChainComplex(dims, diffs)
-
-
-def _shaped(m: la.Mat, rows: int, cols: int) -> la.Mat:
-    if la.shape(m) == (rows, cols):
-        return m
-    return la.zeros(rows, cols)
 
 
 def _homotopy_built_map(

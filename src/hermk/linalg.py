@@ -9,6 +9,7 @@ backends can assume nonempty rectangular input. Everything is exact.
 
 from __future__ import annotations
 
+import bisect
 from fractions import Fraction
 from typing import Iterable, Sequence
 
@@ -301,14 +302,99 @@ def canon_span(vectors: Sequence[Vec], width: int | None = None) -> tuple[Vec, .
     return rref(mat(vectors))[0]
 
 
+class EchelonBasis:
+    """A subspace of Q^width held as the nonzero rows of its unique
+    reduced row echelon form, plus their pivot columns.
+
+    Because every pivot column is zero outside its own row, a vector v
+    lies in the span exactly when v - sum_i v[pivots[i]] * rows[i] is
+    zero, and the v[pivots[i]] are then its coordinates over rows. So
+    membership and coordinates cost one pass over the rows and no
+    elimination; add() keeps the form reduced as the span grows.
+    """
+
+    __slots__ = ("width", "rows", "pivots")
+
+    def __init__(self, vectors: Sequence[Vec], width: int):
+        """Basis of the span of arbitrary vectors: one rref."""
+        m = mat(vectors)
+        if m and len(m[0]) != width:
+            raise ValueError(f"vectors of length {len(m[0])} in a basis of width {width}")
+        self.width = width
+        self.rows, self.pivots = rref(m)
+
+    @classmethod
+    def from_rref(cls, rows: Sequence[Vec], width: int) -> "EchelonBasis":
+        """Adopt rows that are already the nonzero rows of an RREF (as
+        canon_span returns them) without elimination; the pivots are
+        their first nonzero entries. Raises if the rows are not in that
+        form."""
+        rows = tuple(rows)
+        pivots = []
+        for row in rows:
+            if len(row) != width:
+                raise ValueError(f"row of length {len(row)} in a basis of width {width}")
+            p = next((i for i, x in enumerate(row) if x), None)
+            if p is None or row[p] != 1 or (pivots and p <= pivots[-1]):
+                raise ValueError("rows are not in reduced row echelon form")
+            pivots.append(p)
+        for p in pivots:
+            if sum(1 for row in rows if row[p]) != 1:
+                raise ValueError("rows are not in reduced row echelon form")
+        basis = cls.__new__(cls)
+        basis.width, basis.rows, basis.pivots = width, rows, tuple(pivots)
+        return basis
+
+    def reduce(self, v: Vec) -> Vec:
+        """v minus sum_i v[pivots[i]] * rows[i]: zero at every pivot, and
+        zero everywhere exactly when v is in the span."""
+        if len(v) != self.width:
+            raise ValueError(f"vector of length {len(v)} against a basis of width {self.width}")
+        out = list(v)
+        for row, p in zip(self.rows, self.pivots):
+            c = out[p]
+            if c:
+                # entries left of the pivot are zero in an echelon row
+                for i in range(p, self.width):
+                    if row[i]:
+                        out[i] -= c * row[i]
+        return tuple(out)
+
+    def contains(self, v: Vec) -> bool:
+        return not any(self.reduce(v))
+
+    def coords(self, v: Vec) -> Vec:
+        """Coefficients of v over rows; ValueError when v is not in the span."""
+        if not self.contains(v):
+            raise ValueError("vector is not in the span")
+        return tuple(Fraction(v[p]) for p in self.pivots)
+
+    def add(self, v: Vec) -> bool:
+        """Grow the span by v. Returns whether it grew; when it did not,
+        nothing changes."""
+        r = self.reduce(v)
+        p = next((i for i, x in enumerate(r) if x), None)
+        if p is None:
+            return False
+        inv = 1 / Fraction(r[p])
+        new = tuple(x * inv for x in r)
+        # clear the new pivot column from the existing rows
+        rows = []
+        for row in self.rows:
+            c = row[p]
+            rows.append(tuple(x - c * y for x, y in zip(row, new)) if c else row)
+        k = bisect.bisect(self.pivots, p)
+        rows.insert(k, new)
+        self.rows = tuple(rows)
+        self.pivots = self.pivots[:k] + (p,) + self.pivots[k:]
+        return True
+
+
 def in_span(vectors: Sequence[Vec], v: Vec) -> bool:
     """Is v in the span of the given row vectors?"""
     if not any(v):
         return True
-    if not vectors:
-        return False
-    m = transpose(mat(vectors))
-    return solve_vec(m, v) is not None
+    return EchelonBasis(vectors, len(v)).contains(v)
 
 
 def span_eq(u: Sequence[Vec], v: Sequence[Vec], width: int) -> bool:
@@ -317,4 +403,8 @@ def span_eq(u: Sequence[Vec], v: Sequence[Vec], width: int) -> bool:
 
 def span_le(u: Sequence[Vec], v: Sequence[Vec]) -> bool:
     """Is span(u) contained in span(v)?"""
-    return all(in_span(v, x) for x in u)
+    u = [x for x in u if any(x)]
+    if not u:
+        return True
+    basis = EchelonBasis(v, len(u[0]))
+    return all(basis.contains(x) for x in u)
