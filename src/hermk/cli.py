@@ -300,12 +300,12 @@ def _quasi_iso_invariance(f: ChainMap, rng, n: int) -> bool:
     u = inst.random_quasi_iso(rng, a)
     x = inst.random_complex(rng, 4, 4)
     proj = dsum_complex_projection(a, cone(identity_chain_map(x)))
+    h2 = modified_homology(f, n)
     for f1 in (u, proj):
         if not is_quasi_iso(f1):
             return False
         rho2 = compose_chain_maps(f, f1)
         h1 = modified_homology(rho2, n)
-        h2 = modified_homology(f, n)
         m = induced_modified_map(f1, idb, rho2, f, n)
         if h1.dim != h2.dim or la.rank(m) != h1.dim:
             return False

@@ -2,9 +2,9 @@
 
 Matrices are immutable tuples of row tuples with Fraction entries.
 Vectors are plain tuples of Fractions. The heavy kernels are delegated
-to hermk._qkernels, which picks the compiled backend when available;
+to hermk._qkernels, one fraction-free plain-Python implementation;
 this module owns all degenerate shapes (empty rows or columns) so the
-backends can assume nonempty rectangular input. Everything is exact.
+kernels can assume nonempty rectangular input. Everything is exact.
 """
 
 from __future__ import annotations
@@ -18,7 +18,8 @@ from . import _qkernels
 Mat = tuple  # tuple[tuple[Fraction, ...], ...]
 Vec = tuple  # tuple[Fraction, ...]
 
-BACKEND = _qkernels.BACKEND
+# stamped by verifybench/worker.py; compare.py refuses runs whose stamps differ
+BACKEND = "pure"
 
 
 def q(x) -> Fraction:

@@ -1,0 +1,275 @@
+"""The fraction-free kernels against fixed values and a Fraction oracle.
+
+Fixed expected values below are hand-computed (cofactor and Ryser
+expansions) and cross-checked with sympy. The oracle is plain Fraction
+Gaussian elimination, the reference the fraction-free kernels replaced;
+every kernel must agree with it exactly, entry types included.
+"""
+
+from __future__ import annotations
+
+import copy
+import random
+from fractions import Fraction
+
+from hermk import _qkernels
+
+INT_M = [[1, 2, 3], [4, 5, 6], [7, 8, 10]]
+FRAC_M = [
+    [Fraction(1, 2), Fraction(1, 3)],
+    [Fraction(1, 4), Fraction(1, 5)],
+]
+
+
+def test_det_fixed():
+    assert _qkernels.det(INT_M) == -3
+    assert _qkernels.det(FRAC_M) == Fraction(1, 60)
+
+
+def test_permanent_fixed():
+    assert _qkernels.permanent(INT_M) == 463
+    assert _qkernels.permanent(FRAC_M) == Fraction(11, 60)
+
+
+def test_rref_fixed():
+    rows, pivots = _qkernels.rref([[2, 4, 1, 3], [1, 2, 0, 1], [3, 6, 2, 5]])
+    assert [list(map(Fraction, r)) for r in rows] == [
+        [1, 2, 0, 1],
+        [0, 0, 1, 1],
+    ]
+    assert list(pivots) == [0, 2]
+
+
+def test_matmul_fixed():
+    got = _qkernels.matmul([[1, 2], [3, 4], [5, 6]], [[1, 0, 2], [0, 1, 3]])
+    assert [list(map(Fraction, r)) for r in got] == [
+        [1, 2, 8],
+        [3, 4, 18],
+        [5, 6, 28],
+    ]
+
+
+# -- oracle: plain Fraction Gaussian elimination ----------------------
+
+
+def oracle_matmul(a, b):
+    m = len(b)
+    if len(a[0]) != m:
+        raise ValueError("matmul shape mismatch")
+    cols = range(len(b[0]))
+    out = []
+    for row in a:
+        acc = [Fraction(0)] * len(b[0])
+        for k in range(m):
+            x = row[k]
+            if x:
+                brow = b[k]
+                for j in cols:
+                    if brow[j]:
+                        acc[j] += x * brow[j]
+        out.append(acc)
+    return out
+
+
+def oracle_rref(a):
+    rows = [[Fraction(x) for x in row] for row in a]
+    nr, nc = len(rows), len(rows[0])
+    pivots = []
+    r = 0
+    for c in range(nc):
+        p = next((i for i in range(r, nr) if rows[i][c]), None)
+        if p is None:
+            continue
+        rows[r], rows[p] = rows[p], rows[r]
+        inv = 1 / rows[r][c]
+        rows[r] = [x * inv for x in rows[r]]
+        for i in range(nr):
+            if i != r and rows[i][c]:
+                f = rows[i][c]
+                piv = rows[r]
+                rows[i] = [x - f * y for x, y in zip(rows[i], piv)]
+        pivots.append(c)
+        r += 1
+        if r == nr:
+            break
+    return rows[:r], pivots
+
+
+def oracle_det(a):
+    n = len(a)
+    rows = [[Fraction(x) for x in row] for row in a]
+    sign = 1
+    d = Fraction(1)
+    for c in range(n):
+        p = next((i for i in range(c, n) if rows[i][c]), None)
+        if p is None:
+            return Fraction(0)
+        if p != c:
+            rows[c], rows[p] = rows[p], rows[c]
+            sign = -sign
+        piv = rows[c][c]
+        d *= piv
+        inv = 1 / piv
+        for i in range(c + 1, n):
+            if rows[i][c]:
+                f = rows[i][c] * inv
+                rows[i] = [x - f * y for x, y in zip(rows[i], rows[c])]
+    return d if sign > 0 else -d
+
+
+def oracle_permanent(a):
+    n = len(a)
+    total = Fraction(0)
+    sums = [Fraction(0)] * n
+    prev = 0
+    npar = n & 1
+    for g in range(1, 1 << n):
+        gray = g ^ (g >> 1)
+        bit = gray ^ prev
+        j = bit.bit_length() - 1
+        if gray & bit:
+            for i in range(n):
+                sums[i] += a[i][j]
+        else:
+            for i in range(n):
+                sums[i] -= a[i][j]
+        prev = gray
+        prod = Fraction(1)
+        for s in sums:
+            if not s:
+                prod = Fraction(0)
+                break
+            prod *= s
+        if prod:
+            if (gray.bit_count() & 1) == npar:
+                total += prod
+            else:
+                total -= prod
+    return total
+
+
+# -- seeded cases ------------------------------------------------------
+
+INT_ONLY = (1,)
+MIXED = (1, 1, 2, 3, 4, 7)
+
+
+def _entry(rng, dens):
+    x = rng.randrange(-6, 7)
+    return x if dens == INT_ONLY else Fraction(x, rng.choice(dens))
+
+
+def _matrix(rng, r, c, dens):
+    return [[_entry(rng, dens) for _ in range(c)] for _ in range(r)]
+
+
+def _degrade(rng, m):
+    """Zero a row half the time; with three or more rows, also replace
+    one row by a combination of two others."""
+    rows = [list(row) for row in m]
+    if len(rows) > 1 and rng.random() < 0.5:
+        rows[rng.randrange(len(rows))] = [0] * len(rows[0])
+    if len(rows) > 2:
+        i, j, k = rng.sample(range(len(rows)), 3)
+        s = rng.randrange(-3, 4)
+        rows[k] = [x + s * y for x, y in zip(rows[i], rows[j])]
+    return rows
+
+
+def _low_rank(rng, r, c, dens):
+    k = rng.randrange(1, min(r, c) + 1)
+    return oracle_matmul(_matrix(rng, r, k, dens), _matrix(rng, k, c, dens))
+
+
+def _sparse(rng, r, c, dens):
+    """Half the entries zero, so eliminations meet zero pivots and swap."""
+    return [[_entry(rng, dens) if rng.random() < 0.5 else 0 for _ in range(c)] for _ in range(r)]
+
+
+def _cases(seed=20260816, count=160):
+    """(a, b, square) triples: shapes 1-7, int-only and mixed entries,
+    with zero rows, rank-deficient rectangles, singular squares and
+    sparse matrices."""
+    rng = random.Random(seed)
+    out = []
+    for t in range(count):
+        dens = INT_ONLY if t % 2 else MIXED
+        r, c, c2 = (rng.randrange(1, 8) for _ in range(3))
+        kind = t // 2 % 4
+        if kind == 0:
+            a, sq = _matrix(rng, r, c, dens), _matrix(rng, r, r, dens)
+        elif kind == 1:
+            a, sq = _degrade(rng, _matrix(rng, r, c, dens)), _degrade(rng, _matrix(rng, r, r, dens))
+        elif kind == 2:
+            a, sq = _low_rank(rng, r, c, dens), _low_rank(rng, r, r, dens)
+        else:
+            a, sq = _sparse(rng, r, c, dens), _sparse(rng, r, r, dens)
+        out.append((a, _matrix(rng, c, c2, dens), sq))
+    return out
+
+
+def _same(x, y) -> bool:
+    return type(x) is type(y) is Fraction and x == y
+
+
+def _same_rows(xs, ys) -> bool:
+    return len(xs) == len(ys) and all(
+        len(rx) == len(ry) and all(map(_same, rx, ry)) for rx, ry in zip(xs, ys)
+    )
+
+
+def mismatches(cases) -> list[tuple[str, int]]:
+    """(kernel, case index) for every result that differs from the oracle."""
+    bad = []
+    for n, (a, b, sq) in enumerate(cases):
+        if not _same_rows(_qkernels.matmul(a, b), oracle_matmul(a, b)):
+            bad.append(("matmul", n))
+        rows, pivots = _qkernels.rref(a)
+        orows, opivots = oracle_rref(a)
+        if list(pivots) != opivots or not _same_rows(rows, orows):
+            bad.append(("rref", n))
+        if not _same(_qkernels.det(sq), oracle_det(sq)):
+            bad.append(("det", n))
+        if not _same(_qkernels.permanent(sq), oracle_permanent(sq)):
+            bad.append(("permanent", n))
+    return bad
+
+
+def test_cases_cover_the_hard_shapes():
+    cases = _cases()
+    shapes = {(len(a), len(a[0])) for a, _, _ in cases}
+    assert {r for r, _ in shapes} == set(range(1, 8))
+    assert {c for _, c in shapes} == set(range(1, 8))
+    assert any(all(isinstance(x, int) for row in a for x in row) for a, _, _ in cases)
+    assert any(isinstance(x, Fraction) and x.denominator > 1 for a, _, _ in cases for row in a for x in row)
+    assert any(not any(row) for a, _, _ in cases for row in a)
+    assert any(len(sq) > 1 and oracle_det(sq) == 0 for _, _, sq in cases)
+    assert any(sq[0][0] == 0 and oracle_det(sq) != 0 for _, _, sq in cases)
+    assert any(len(oracle_rref(a)[1]) < min(len(a), len(a[0])) for a, _, _ in cases)
+
+
+def test_kernels_match_the_oracle():
+    assert mismatches(_cases()) == []
+
+
+def test_inputs_are_not_mutated():
+    for a, b, sq in _cases(count=12):
+        before = copy.deepcopy((a, b, sq))
+        _qkernels.matmul(a, b)
+        _qkernels.rref(a)
+        _qkernels.det(sq)
+        _qkernels.permanent(sq)
+        assert (a, b, sq) == before
+
+
+def test_oracle_comparison_catches_a_dropped_denominator(monkeypatch):
+    clear = _qkernels._clear
+
+    def drop_denominator(a):
+        rows, _ = clear(a)
+        return rows, 1
+
+    monkeypatch.setattr(_qkernels, "_clear", drop_denominator)
+    bad = {kernel for kernel, _ in mismatches(_cases())}
+    # rref ignores the common scale, so only the other three must break
+    assert {"matmul", "det", "permanent"} <= bad
