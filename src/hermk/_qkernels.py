@@ -1,11 +1,12 @@
 """Exact rational kernels: matmul, rref, det and permanent.
 
 Contract: a matrix is a rectangular list (or tuple) of rows with int or
-Fraction entries. Inputs are never mutated and are assumed nonempty in
-both dimensions; hermk.linalg owns the degenerate shapes. Every result
-entry is a Fraction, and results are exact: the RREF rows are the
-unique reduced echelon form, the determinant and the permanent are the
-exact values.
+Fraction entries. Inputs are never mutated. rref, det and permanent
+take matrices with at least one row and one column; matmul reads the
+width of the product from a row of b, so b needs one. hermk.linalg
+answers the other shapes. Every result entry is a Fraction, and results
+are exact: the RREF rows are the unique reduced echelon form, the
+determinant and the permanent are the exact values.
 
 Each kernel first clears denominators (_clear), so its inner loops run
 on Python ints. Fraction arithmetic pays a gcd on every operation;
@@ -41,7 +42,7 @@ def _clear(a):
 def matmul(a, b):
     """Exact product of an r x m and an m x c matrix."""
     m, nc = len(b), len(b[0])
-    if len(a[0]) != m:
+    if any(len(row) != m for row in a):
         raise ValueError("matmul shape mismatch")
     ai, da = _clear(a)
     bi, db = _clear(b)

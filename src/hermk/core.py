@@ -51,18 +51,18 @@ class ScaledMatrix:
     __slots__ = ("entries", "scale_sq")
 
     def __init__(self, entries, scale_sq=1):
-        self.entries = la.mat(entries)
+        self.entries = entries if isinstance(entries, Mat) else la.mat(entries)
         self.scale_sq = la.q(scale_sq)
         if self.scale_sq <= 0:
             raise ValueError("scale_sq must be positive")
 
     @property
     def nrows(self) -> int:
-        return la.shape(self.entries)[0]
+        return len(self.entries)
 
     @property
     def ncols(self) -> int:
-        return la.shape(self.entries)[1]
+        return self.entries.ncols
 
     def canonical(self) -> "ScaledMatrix":
         """Move every rational-square factor of scale_sq into the entries.
@@ -156,7 +156,7 @@ class MetrizedSpace:
 
     def __init__(self, labels, gram, *, check: bool = True):
         self.labels = tuple(labels)
-        self.gram = la.mat(gram)
+        self.gram = gram if isinstance(gram, Mat) else la.mat(gram)
         n = len(self.labels)
         if la.shape(self.gram) != (n, n):
             raise ValueError("gram shape does not match label count")
@@ -218,8 +218,7 @@ class SpaceMap:
         elif scale_sq is not None:
             raise ValueError("scale_sq belongs inside the ScaledMatrix")
         got = la.shape(matrix.entries)
-        # A 0-row matrix is always () and cannot carry its width.
-        if got != (codomain.dim, domain.dim) and not (codomain.dim == 0 and got == (0, 0)):
+        if got != (codomain.dim, domain.dim):
             raise ValueError(f"matrix is {got}, need {codomain.dim}x{domain.dim}")
         self.domain = domain
         self.codomain = codomain
@@ -247,22 +246,16 @@ class SpaceMap:
         """self after other."""
         if other.codomain != self.domain:
             raise ValueError("compose: domain/codomain mismatch")
-        matrix = self.matrix.compose(other.matrix)
-        want = (self.codomain.dim, other.domain.dim)
-        if la.shape(matrix.entries) != want:
-            # a zero-dimensional middle space loses the width; the
-            # product is zero there
-            matrix = ScaledMatrix(la.zeros(*want), 1)
-        return SpaceMap(other.domain, self.codomain, matrix)
+        return SpaceMap(other.domain, self.codomain, self.matrix.compose(other.matrix))
 
     def is_zero(self) -> bool:
         return self.matrix.is_zero()
 
-    def kernel_basis(self) -> tuple[Vec, ...]:
+    def kernel_basis(self) -> Mat:
         """Canonical basis of the kernel; the scale never matters."""
-        return la.nullspace(self.matrix.entries, width=self.domain.dim)
+        return la.nullspace(self.matrix.entries)
 
-    def image_basis(self) -> tuple[Vec, ...]:
+    def image_basis(self) -> Mat:
         """Canonical (RREF) basis of the image, in codomain coordinates."""
         return la.canon_span(la.transpose(self.matrix.entries), self.codomain.dim)
 
@@ -299,12 +292,10 @@ def zero_map(domain: MetrizedSpace, codomain: MetrizedSpace) -> SpaceMap:
     return SpaceMap(domain, codomain, la.zeros(codomain.dim, domain.dim))
 
 
-def _require_independent(vectors, dim: int):
-    m = la.mat(vectors)
-    if m and la.rank(m) != len(vectors):
+def _require_independent(vectors, dim: int) -> Mat:
+    m = la.stack(vectors, dim)
+    if la.rank(m) != len(m):
         raise ValueError("basis vectors must be independent")
-    if any(len(v) != dim for v in m):
-        raise ValueError("vector length does not match ambient dimension")
     return m
 
 
@@ -324,15 +315,14 @@ def induced_subspace_metric(ambient: MetrizedSpace, basis) -> MetrizedSpace:
 def subspace_object(ambient: MetrizedSpace, basis) -> tuple[MetrizedSpace, SpaceMap]:
     """Subspace with induced metric plus its inclusion into the ambient."""
     sub = induced_subspace_metric(ambient, basis)
-    incl = SpaceMap(sub, ambient, la.transpose(la.mat(basis)) if basis else la.zeros(ambient.dim, 0))
+    # the labels of the subspace are its basis rows
+    incl = SpaceMap(sub, ambient, la.transpose(Mat(sub.labels, ambient.dim)))
     return sub, incl
 
 
-def orthogonal_complement(ambient: MetrizedSpace, basis) -> tuple[Vec, ...]:
+def orthogonal_complement(ambient: MetrizedSpace, basis) -> Mat:
     """Canonical basis of {v : <b, v> = 0 for all given b}."""
     rows = _require_independent(basis, ambient.dim)
-    if not rows:
-        return tuple(la.identity(ambient.dim))
     return la.nullspace(la.matmul(rows, ambient.gram))
 
 
@@ -348,8 +338,7 @@ def quotient_metric(f: SpaceMap) -> MetrizedSpace:
         raise ValueError("quotient_metric needs a surjective map")
     if f.codomain.dim == 0:
         return f.codomain
-    comp = orthogonal_complement(f.domain, f.kernel_basis())
-    cols = la.transpose(la.mat(comp)) if comp else la.zeros(f.domain.dim, 0)
+    cols = la.transpose(orthogonal_complement(f.domain, f.kernel_basis()))
     mc = la.matmul(f.matrix.entries, cols)
     x = la.solve(mc, la.identity(f.codomain.dim))
     if x is None:
@@ -485,11 +474,10 @@ def is_hermitian_split(ses: ShortExactMetrized) -> bool:
     """
     if ses.inject.matrix.pullback(ses.total.gram) != ses.sub.gram:
         return False
-    image = [tuple(col) for col in la.transpose(ses.inject.matrix.entries)]
-    comp = orthogonal_complement(ses.total, image)
-    if len(comp) != ses.quot.dim:
+    image = la.transpose(ses.inject.matrix.entries)
+    cols = la.transpose(orthogonal_complement(ses.total, image))
+    if cols.ncols != ses.quot.dim:
         raise AssertionError("complement dimension must match the quotient")
-    cols = la.transpose(la.mat(comp)) if comp else la.zeros(ses.total.dim, 0)
     pc = la.matmul(ses.project.matrix.entries, cols)
     lhs = la.scale(
         la.matmul(la.matmul(la.transpose(pc), ses.quot.gram), pc),

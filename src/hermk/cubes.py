@@ -332,10 +332,7 @@ class Flag:
 
     def __init__(self, ambient: MetrizedSpace, chain, check: bool = True):
         self.ambient = ambient
-        self.chain = tuple(
-            la.canon_span(tuple(tuple(v) for v in basis), ambient.dim)
-            for basis in chain
-        )
+        self.chain = tuple(la.canon_span(basis, ambient.dim) for basis in chain)
         if check:
             for small, big in zip(self.chain, self.chain[1:]):
                 if not la.span_le(small, big):
@@ -392,16 +389,9 @@ class Flag:
 
 def _ortho_in(ambient: MetrizedSpace, small, big):
     """Canonical basis of the orthogonal complement of span(small)
-    inside span(big), both given by bases in ambient coordinates."""
-    if not small:
-        return la.canon_span(big, ambient.dim)
-    if not big:
-        return ()
-    rel = la.matmul(la.matmul(la.mat(small), ambient.gram), la.transpose(la.mat(big)))
-    coeffs = la.nullspace(rel, width=len(big))
-    if not coeffs:
-        return ()
-    return la.canon_span(la.matmul(la.mat(coeffs), la.mat(big)), ambient.dim)
+    inside span(big), both given by bases in ambient coordinates (Mats)."""
+    rel = la.matmul(la.matmul(small, ambient.gram), la.transpose(big))
+    return la.canon_span(la.matmul(la.nullspace(rel), big), ambient.dim)
 
 
 @lru_cache(maxsize=None)
@@ -428,21 +418,14 @@ def _cub_tags(n: int):
 
 
 def _inclusion_map(sub_basis, sup_basis, sub_space, sup_space) -> SpaceMap:
-    if sub_space.dim == 0:
-        return zero_map(sub_space, sup_space)
-    cols = la.solve(
-        la.transpose(la.mat(sup_basis)), la.transpose(la.mat(sub_basis))
-    )
+    cols = la.solve(la.transpose(sup_basis), la.transpose(sub_basis))
     return SpaceMap(sub_space, sup_space, cols)
 
 
 def _orthoprojection_map(src_basis, dst_basis, src_space, dst_space, gram) -> SpaceMap:
-    if dst_space.dim == 0 or src_space.dim == 0:
-        return zero_map(src_space, dst_space)
-    b2 = la.mat(dst_basis)
-    b1 = la.mat(src_basis)
-    g2 = la.matmul(la.matmul(b2, gram), la.transpose(b2))
-    rhs = la.matmul(la.matmul(b2, gram), la.transpose(b1))
+    b2g = la.matmul(dst_basis, gram)
+    g2 = la.matmul(b2g, la.transpose(dst_basis))
+    rhs = la.matmul(b2g, la.transpose(src_basis))
     return SpaceMap(src_space, dst_space, la.solve(g2, rhs))
 
 
@@ -655,7 +638,7 @@ def _summand_matching_map(src_parts, src_space, dst_parts, dst_space) -> SpaceMa
             for r in range(s.dim):
                 entries[off + r][so + r] = Fraction(1)
         off += s.dim
-    return SpaceMap(src_space, dst_space, tuple(tuple(row) for row in entries))
+    return SpaceMap(src_space, dst_space, la.Mat(tuple(map(tuple, entries)), src_space.dim))
 
 
 def associated_sum_cube(c: Cube) -> Cube:
@@ -705,13 +688,8 @@ def canonical_kernel_rebuild(c: Cube):
         big = c.vertices[cur]
         img = comp.image_basis()
         sub = induced_subspace_metric(big, img)
-        if sub.dim:
-            coords = la.solve(la.transpose(la.mat(img)), comp.matrix.entries)
-            isos[j] = SpaceMap(
-                c.vertices[j], sub, ScaledMatrix(coords, comp.matrix.scale_sq)
-            )
-        else:
-            isos[j] = zero_map(c.vertices[j], sub)
+        coords = la.solve(la.transpose(img), comp.matrix.entries)
+        isos[j] = SpaceMap(c.vertices[j], sub, ScaledMatrix(coords, comp.matrix.scale_sq))
         verts[j] = sub
     arrows = {}
     for src, dst in _adjacent(c.n):
@@ -724,8 +702,6 @@ def canonical_kernel_rebuild(c: Cube):
 def _inverse_map(m: SpaceMap) -> SpaceMap:
     if m.domain.dim != m.codomain.dim or not m.is_injective():
         raise ValueError("only bijective maps invert")
-    if m.domain.dim == 0:
-        return zero_map(m.codomain, m.domain)
     inv = la.solve(m.matrix.entries, la.identity(m.domain.dim))
     return SpaceMap(
         m.codomain, m.domain, ScaledMatrix(inv, Fraction(1, 1) / m.matrix.scale_sq)

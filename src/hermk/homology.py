@@ -46,24 +46,17 @@ __all__ = [
 ]
 
 
-def _shaped(m: la.Mat, rows: int, cols: int) -> la.Mat:
-    # a zero-dimensional factor yields a zero product with a lost width;
-    # restore the intended shape
-    if la.shape(m) == (rows, cols):
-        return m
-    return la.zeros(rows, cols)
-
-
 class ChainComplex:
     """Finitely supported dims per degree plus differentials d_n:
-    C_n -> C_{n-1}; d composed with d is zero."""
+    C_n -> C_{n-1}; d composed with d is zero. Raw differentials are
+    coerced to Mats."""
 
     __slots__ = ("dims", "diffs")
 
     def __init__(self, dims, diffs, check: bool = True):
         self.dims = {n: d for n, d in dict(dims).items() if d}
         self.diffs = {
-            n: m
+            n: m if isinstance(m, la.Mat) else la.mat(m)
             for n, m in dict(diffs).items()
             if self.dims.get(n) and self.dims.get(n - 1)
         }
@@ -99,7 +92,8 @@ ZERO_COMPLEX = ChainComplex({}, {})
 
 
 class ChainMap:
-    """Degreewise matrices commuting with the differentials."""
+    """Degreewise matrices commuting with the differentials. Raw
+    components are coerced to Mats."""
 
     __slots__ = ("source", "target", "maps")
 
@@ -107,7 +101,7 @@ class ChainMap:
         self.source = source
         self.target = target
         self.maps = {
-            n: m
+            n: m if isinstance(m, la.Mat) else la.mat(m)
             for n, m in dict(maps).items()
             if source.dim(n) and target.dim(n)
         }
@@ -117,13 +111,8 @@ class ChainMap:
                     raise ValueError(f"component at {n} has the wrong shape")
             degrees = set(source.dims) | set(target.dims)
             for n in degrees:
-                rows, cols = target.dim(n - 1), source.dim(n)
-                lhs = _shaped(
-                    la.matmul(self.target.diff(n), self.map_at(n)), rows, cols
-                )
-                rhs = _shaped(
-                    la.matmul(self.map_at(n - 1), self.source.diff(n)), rows, cols
-                )
+                lhs = la.matmul(self.target.diff(n), self.map_at(n))
+                rhs = la.matmul(self.map_at(n - 1), self.source.diff(n))
                 if lhs != rhs:
                     raise ValueError(f"does not commute with d at degree {n}")
 
@@ -142,11 +131,10 @@ def compose_chain_maps(g: ChainMap, f: ChainMap) -> ChainMap:
     """g after f."""
     if g.source is not f.target and g.source.dims != f.target.dims:
         raise ValueError("compose: middle complexes differ")
-    maps = {}
-    for n in set(f.source.dims) & set(g.target.dims):
-        rows, cols = g.target.dim(n), f.source.dim(n)
-        if rows and cols:
-            maps[n] = _shaped(la.matmul(g.map_at(n), f.map_at(n)), rows, cols)
+    maps = {
+        n: la.matmul(g.map_at(n), f.map_at(n))
+        for n in set(f.source.dims) & set(g.target.dims)
+    }
     return ChainMap(f.source, g.target, maps, check=False)
 
 
@@ -284,17 +272,15 @@ def quotient_presentation(cycle_rows, boundary_rows, width: int) -> PresentedQuo
 
 def homology(c: ChainComplex, n: int) -> PresentedQuotient:
     """ker d_n modulo im d_{n+1}."""
-    cycles = la.nullspace(c.diff(n), width=c.dim(n))
-    boundaries = la.transpose(c.diff(n + 1)) if c.dim(n + 1) else ()
+    cycles = la.nullspace(c.diff(n))
+    boundaries = la.transpose(c.diff(n + 1))
     return quotient_presentation(cycles, boundaries, c.dim(n))
 
 
 def forms_modulo_exact(c: ChainComplex, n: int) -> PresentedQuotient:
     """C_n modulo im d_{n+1} (no cycle condition)."""
     width = c.dim(n)
-    ambient = tuple(la.identity(width))
-    boundaries = la.transpose(c.diff(n + 1)) if c.dim(n + 1) else ()
-    return quotient_presentation(ambient, boundaries, width)
+    return quotient_presentation(la.identity(width), la.transpose(c.diff(n + 1)), width)
 
 
 def _pair(avec, bvec) -> tuple:
@@ -307,7 +293,7 @@ def modified_homology(f: ChainMap, n: int) -> PresentedQuotient:
     a, b = f.source, f.target
     wa, wb = a.dim(n), b.dim(n + 1)
     width = wa + wb
-    cycles = [_pair(z, (0,) * wb) for z in la.nullspace(a.diff(n), width=wa)]
+    cycles = [_pair(z, (0,) * wb) for z in la.nullspace(a.diff(n))]
     cycles += [_pair((0,) * wa, e) for e in la.identity(wb)]
     rel = []
     da, fa = a.diff(n + 1), f.map_at(n + 1)
@@ -341,13 +327,17 @@ class ModifiedMaps:
 
 
 def modified_maps(f: ChainMap, n: int) -> ModifiedMaps:
+    return _modified_maps(f, n, homology(f.source, n))
+
+
+def _modified_maps(f: ChainMap, n: int, ha: PresentedQuotient) -> ModifiedMaps:
+    """modified_maps, given ha = H_n(A)."""
     a, b = f.source, f.target
     wa = a.dim(n)
     hat = modified_homology(f, n)
     forms = forms_modulo_exact(b, n + 1)
-    zb = la.canon_span(la.nullspace(b.diff(n), width=b.dim(n)), b.dim(n))
+    zb = la.canon_span(la.nullspace(b.diff(n)), b.dim(n))
     zb_basis = la.EchelonBasis.from_rref(zb, b.dim(n))
-    ha = homology(a, n)
 
     cols_from_form = [
         hat.coords(_pair((0,) * wa, tuple(-x for x in t))) for t in forms.reps
@@ -373,17 +363,9 @@ def modified_maps(f: ChainMap, n: int) -> ModifiedMaps:
 
 
 def _cols_to_mat(cols, height: int) -> la.Mat:
-    if not cols:
-        return la.zeros(height, 0)
-    return la.transpose(la.mat(cols))
-
-
-def _im_rows(m: la.Mat) -> tuple:
-    return la.transpose(m) if la.shape(m)[1] else ()
-
-
-def _ker_rows(m: la.Mat, width: int) -> tuple:
-    return la.nullspace(m, width=width)
+    """The matrix with the given columns, coordinate vectors of length
+    height."""
+    return la.transpose(la.Mat(tuple(cols), height))
 
 
 def verify_modified_sequences(f: ChainMap) -> list[tuple[str, bool]]:
@@ -403,13 +385,12 @@ def verify_modified_sequences(f: ChainMap) -> list[tuple[str, bool]]:
     hom = functools.cache(homology)
     out = []
     for n in range(degrees[0] - 1, degrees[-1] + 2):
-        wa = a.dim(n)
-        mm = modified_maps(f, n)
+        ha_n = hom(a, n)
+        ha_next = hom(a, n + 1)
+        mm = _modified_maps(f, n, ha_n)
         hat, forms, zb = mm.hat, mm.forms, mm.cycles_b
         hcone_n = hom(cn, n)
         hcone_prev = hom(cn, n - 1)
-        ha_n = hom(a, n)
-        ha_next = hom(a, n + 1)
 
         # sequence (a)
         cols_m1 = [hat.coords(rep) for rep in hcone_n.reps]
@@ -422,17 +403,13 @@ def verify_modified_sequences(f: ChainMap) -> list[tuple[str, bool]]:
         out.append(
             (
                 f"a-exact-hat n={n}",
-                la.span_eq(_im_rows(m1), _ker_rows(mm.to_form_cycle, hat.dim), hat.dim),
+                la.span_eq(la.transpose(m1), la.nullspace(mm.to_form_cycle), hat.dim),
             )
         )
         out.append(
             (
                 f"a-exact-forms n={n}",
-                la.span_eq(
-                    _im_rows(mm.to_form_cycle),
-                    _ker_rows(m3, len(zb)),
-                    len(zb),
-                ),
+                la.span_eq(la.transpose(mm.to_form_cycle), la.nullspace(m3), len(zb)),
             )
         )
 
@@ -443,20 +420,14 @@ def verify_modified_sequences(f: ChainMap) -> list[tuple[str, bool]]:
         out.append(
             (
                 f"b-exact-forms n={n}",
-                la.span_eq(
-                    _im_rows(m1b),
-                    _ker_rows(mm.from_form, forms.dim),
-                    forms.dim,
-                ),
+                la.span_eq(la.transpose(m1b), la.nullspace(mm.from_form), forms.dim),
             )
         )
         out.append(
             (
                 f"b-exact-hat n={n}",
                 la.span_eq(
-                    _im_rows(mm.from_form),
-                    _ker_rows(mm.to_cycle_class, hat.dim),
-                    hat.dim,
+                    la.transpose(mm.from_form), la.nullspace(mm.to_cycle_class), hat.dim
                 ),
             )
         )
@@ -466,7 +437,7 @@ def verify_modified_sequences(f: ChainMap) -> list[tuple[str, bool]]:
         out.append(
             (
                 f"kernel-iso n={n}",
-                hcone_n.dim == len(_ker_rows(mm.to_form_cycle, hat.dim))
+                hcone_n.dim == len(la.nullspace(mm.to_form_cycle))
                 and la.rank(m1) == hcone_n.dim,
             )
         )
@@ -517,9 +488,8 @@ def induced_modified_map(
         raise ValueError("f1 must start at the source of rho")
     degrees = set(rho.source.dims) | set(rho.target.dims) | set(rho2.source.dims)
     for r in degrees:
-        rows, cols = rho2.target.dim(r), f1.source.dim(r)
-        lhs = _shaped(la.matmul(rho2.map_at(r), f1.map_at(r)), rows, cols)
-        rhs = _shaped(la.matmul(f2.map_at(r), rho.map_at(r)), rows, cols)
+        lhs = la.matmul(rho2.map_at(r), f1.map_at(r))
+        rhs = la.matmul(f2.map_at(r), rho.map_at(r))
         if lhs != rhs:
             raise ValueError(f"square does not commute at degree {r}")
     hat1 = modified_homology(rho, n)
@@ -574,14 +544,10 @@ def cone_les_check(f: ChainMap) -> bool:
         m_f_n = induced_on_quotients(f.map_at(n), ha_n, hb_n)
         m_f_next = induced_on_quotients(f.map_at(n + 1), ha_next, hb_next)
 
-        if not la.span_eq(
-            _im_rows(m_f_next), _ker_rows(m_in, hb_next.dim), hb_next.dim
-        ):
+        if not la.span_eq(la.transpose(m_f_next), la.nullspace(m_in), hb_next.dim):
             return False
-        if not la.span_eq(_im_rows(m_in), _ker_rows(m_proj, hc.dim), hc.dim):
+        if not la.span_eq(la.transpose(m_in), la.nullspace(m_proj), hc.dim):
             return False
-        if not la.span_eq(
-            _im_rows(m_proj), _ker_rows(m_f_n, ha_n.dim), ha_n.dim
-        ):
+        if not la.span_eq(la.transpose(m_proj), la.nullspace(m_f_n), ha_n.dim):
             return False
     return True

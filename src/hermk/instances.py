@@ -15,7 +15,7 @@ from fractions import Fraction
 from . import linalg as la
 from .core import MetrizedSpace, standard_space
 from .cubes import Flag
-from .homology import ChainComplex, ChainMap, _shaped
+from .homology import ChainComplex, ChainMap
 
 __all__ = [
     "sub_seed",
@@ -57,7 +57,7 @@ def random_vector(rng: random.Random, dim: int) -> la.Vec:
 
 def random_spd_gram(rng: random.Random, dim: int) -> la.Mat:
     """M^T M + I with small integer M: symmetric positive definite."""
-    m = la.mat([random_vector(rng, dim) for _ in range(dim)])
+    m = la.Mat(tuple(random_vector(rng, dim) for _ in range(dim)), dim)
     return la.add(la.matmul(la.transpose(m), m), la.identity(dim))
 
 
@@ -76,7 +76,7 @@ def random_flag(rng: random.Random, ambient: MetrizedSpace, length: int) -> Flag
         while len(space) < d:
             v = random_vector(rng, ambient.dim)
             cand = space + [v]
-            if la.rank(la.mat(cand)) == len(cand):
+            if la.rank(la.Mat(tuple(cand), ambient.dim)) == len(cand):
                 space = cand
         chain.append(tuple(space))
     return Flag(ambient, chain)
@@ -101,12 +101,9 @@ def random_complex(
             continue
         prev, cur = dims[n - 1], dims[n]
         if n - 1 in diffs:
-            basis = la.nullspace(diffs[n - 1], prev)
+            basis = la.nullspace(diffs[n - 1])
         else:
-            basis = tuple(la.identity(prev))
-        if not basis:
-            diffs[n] = la.zeros(prev, cur)
-            continue
+            basis = la.identity(prev)
         cols = []
         for _ in range(cur):
             v = [Fraction(0)] * prev
@@ -115,7 +112,7 @@ def random_complex(
                 if c:
                     v = [x + c * y for x, y in zip(v, b)]
             cols.append(tuple(v))
-        diffs[n] = la.transpose(la.mat(cols))
+        diffs[n] = la.transpose(la.Mat(tuple(cols), prev))
     return ChainComplex(dims, diffs)
 
 
@@ -125,23 +122,19 @@ def _homotopy_built_map(
     # d h + h d + ident * id commutes with d whatever h is
     degrees = sorted(set(a.dims) | set(b.dims))
     h = {
-        n: tuple(
-            random_vector(rng, a.dim(n)) for _ in range(b.dim(n + 1))
+        n: la.Mat(
+            tuple(random_vector(rng, a.dim(n)) for _ in range(b.dim(n + 1))), a.dim(n)
         )
         for n in degrees
     }
     maps = {}
     for n in degrees:
-        rows, cols = b.dim(n), a.dim(n)
-        t = la.zeros(rows, cols)
-        if b.dim(n + 1):
-            t = la.add(t, _shaped(la.matmul(b.diff(n + 1), h[n]), rows, cols))
-        if a.dim(n - 1):
-            t = la.add(t, _shaped(la.matmul(h[n - 1], a.diff(n)), rows, cols))
-        if ident and rows and cols:
-            t = la.add(t, la.scale(la.identity(cols), ident))
-        if rows and cols:
-            maps[n] = t
+        t = la.matmul(b.diff(n + 1), h[n])
+        if n - 1 in h:
+            t = la.add(t, la.matmul(h[n - 1], a.diff(n)))
+        if ident:
+            t = la.add(t, la.scale(la.identity(a.dim(n)), ident))
+        maps[n] = t
     return ChainMap(a, b, maps)
 
 

@@ -25,6 +25,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from math import factorial
 
 from . import linalg as la
 from .core import (
@@ -41,6 +42,7 @@ from .core import (
     zero_map,
 )
 from .multilinear import (
+    PowerBasisWord,
     ext_power,
     iota_map,
     j_map,
@@ -78,13 +80,6 @@ __all__ = [
     "psicomp_tree",
     "TraceNode",
 ]
-
-
-def _fact(n: int) -> int:
-    out = 1
-    for i in range(2, n + 1):
-        out *= i
-    return out
 
 
 class HermitianComplex:
@@ -161,7 +156,7 @@ def koszul_object(v: MetrizedSpace, k: int, p: int) -> MetrizedSpace:
 def _koszul_map_entries(v: MetrizedSpace, k: int, p: int) -> la.Mat:
     left = la.kron(pi_map(v, p + 1).matrix.entries, rho_map(v, k - p - 1).matrix.entries)
     right = la.kron(iota_map(v, p).matrix.entries, j_map(v, k - p).matrix.entries)
-    return la.scale(la.matmul(left, right), Fraction(1, _fact(p) * _fact(k - p - 1)))
+    return la.scale(la.matmul(left, right), Fraction(1, factorial(p) * factorial(k - p - 1)))
 
 
 def koszul_complex(v: MetrizedSpace, k: int) -> HermitianComplex:
@@ -188,7 +183,7 @@ def koszul_section(v: MetrizedSpace, k: int, p: int) -> SpaceMap:
     left = la.kron(pi_map(v, p).matrix.entries, rho_map(v, k - p).matrix.entries)
     right = la.kron(iota_map(v, p + 1).matrix.entries, j_map(v, k - p - 1).matrix.entries)
     entries = la.scale(
-        la.matmul(left, right), Fraction(1, k * _fact(p) * _fact(k - p - 1))
+        la.matmul(left, right), Fraction(1, k * factorial(p) * factorial(k - p - 1))
     )
     return SpaceMap(koszul_object(v, k, p + 1), koszul_object(v, k, p), entries)
 
@@ -253,7 +248,7 @@ def koszul_norms(v: MetrizedSpace, k: int, p: int, e: la.Vec) -> tuple[Fraction,
         raise ValueError("e lies in the kernel; the ratio is undefined")
     i_sq = c.objects[p + 1].norm_sq(w)
     comp = orthogonal_complement(c.objects[p], f.kernel_basis())
-    cols = la.transpose(la.mat(comp))
+    cols = la.transpose(comp)
     x = la.solve_vec(la.matmul(f.matrix.entries, cols), w)
     if x is None:
         raise AssertionError("image vector must be reachable from the complement")
@@ -274,7 +269,7 @@ def norm_ratio_all(v: MetrizedSpace, k: int, p: int):
     f = c.maps[p]
     m = f.matrix.entries
     comp = orthogonal_complement(c.objects[p], f.kernel_basis())
-    cols = la.transpose(la.mat(comp))
+    cols = la.transpose(comp)
     x = la.solve(la.matmul(m, cols), m)
     if x is None:
         raise AssertionError("every image vector is reachable from the complement")
@@ -651,8 +646,6 @@ def _sum_matching(v_dim: int, lhs_obj: MetrizedSpace, rhs_obj: MetrizedSpace):
         xs, xw = _split_word(ext_word.indices, v_dim)
         p = len(us) + len(xs)
         a, b = len(us), len(uw)
-        from .multilinear import PowerBasisWord
-
         label = (
             p,
             (
@@ -724,7 +717,7 @@ def _swap_map(v: MetrizedSpace, k: int, p: int) -> SpaceMap:
     rows = [[Fraction(0)] * src.dim for _ in range(dst.dim)]
     for c, (slab, elab) in enumerate(src.labels):
         rows[dst_index[(elab, slab)]][c] = Fraction(1)
-    return SpaceMap(src, dst, la.mat(rows) if rows else ())
+    return SpaceMap(src, dst, la.Mat(tuple(map(tuple, rows)), src.dim))
 
 
 def transposed_koszul(v: MetrizedSpace, k: int):

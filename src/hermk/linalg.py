@@ -1,10 +1,20 @@
 """Exact linear algebra over the rationals.
 
-Matrices are immutable tuples of row tuples with Fraction entries.
-Vectors are plain tuples of Fractions. The heavy kernels are delegated
-to hermk._qkernels, one fraction-free plain-Python implementation;
-this module owns all degenerate shapes (empty rows or columns) so the
-kernels can assume nonempty rectangular input. Everything is exact.
+A matrix is a Mat: an immutable tuple of row tuples with Fraction
+entries that also knows its column count, so a matrix with no rows or
+no columns keeps its exact shape and callers need no special case for
+empty matrices. Vectors are plain tuples of Fractions.
+
+Raw input is coerced once: by mat() for a matrix, by stack() for
+vectors of a known length, by vec() for one vector. mat() and stack()
+hand a Mat back as it is, and every function here builds its results
+as Mats directly, so a built matrix is never coerced again.
+
+The heavy kernels are delegated to hermk._qkernels, one fraction-free
+plain-Python implementation that needs at least one row; the calls
+that could have none (a product with no inner dimension, the rref of a
+matrix without a nonzero entry, det and permanent of 0 x 0) are
+answered here. Everything is exact.
 """
 
 from __future__ import annotations
@@ -15,11 +25,35 @@ from typing import Iterable, Sequence
 
 from . import _qkernels
 
-Mat = tuple  # tuple[tuple[Fraction, ...], ...]
 Vec = tuple  # tuple[Fraction, ...]
 
 # stamped by verifybench/worker.py; compare.py refuses runs whose stamps differ
 BACKEND = "pure"
+
+
+class Mat(tuple):
+    """An r x c matrix: a tuple of r row tuples of Fractions that also
+    knows c when r is 0.
+
+    Mat(rows, ncols) adopts a tuple of row tuples as it is, without
+    looking at the entries; ncols is read from the rows when there are
+    any. mat() is the constructor for raw input. Indexing, iteration,
+    == and hash are the tuple's, so two matrices without rows compare
+    equal whatever their widths.
+    """
+
+    def __new__(cls, rows, ncols: int):
+        m = tuple.__new__(cls, rows)
+        if not m:
+            m._ncols = ncols
+        return m
+
+    def __getnewargs__(self):
+        return tuple(self), self.ncols
+
+    @property
+    def ncols(self) -> int:
+        return len(self[0]) if self else self._ncols
 
 
 def q(x) -> Fraction:
@@ -34,28 +68,44 @@ def vec(entries: Iterable) -> Vec:
 
 
 def mat(rows: Iterable[Iterable]) -> Mat:
+    """rows as a Mat. A Mat is returned as it is; raw rows are coerced
+    entry by entry and must all have one length. Raw input without rows
+    has no width to give, so it is 0 x 0."""
+    if isinstance(rows, Mat):
+        return rows
     out = tuple(vec(row) for row in rows)
-    if out and any(len(row) != len(out[0]) for row in out):
+    ncols = len(out[0]) if out else 0
+    if any(len(row) != ncols for row in out):
         raise ValueError("ragged matrix")
-    return out
+    return Mat(out, ncols)
+
+
+def stack(vectors: Sequence, width: int) -> Mat:
+    """The vectors, all of the given length, as the rows of a Mat of that
+    width; unlike mat() this keeps the width when there are no vectors.
+    A Mat is taken as it is, raw vectors are coerced."""
+    m = vectors if isinstance(vectors, Mat) else Mat(tuple(map(vec, vectors)), width)
+    if m.ncols != width or any(len(row) != width for row in m):
+        raise ValueError(f"vectors of length other than {width}")
+    return m
 
 
 def shape(a: Mat) -> tuple[int, int]:
-    return (len(a), len(a[0]) if a else 0)
+    return (len(a), a.ncols)
 
 
 def zeros(r: int, c: int) -> Mat:
-    zero = Fraction(0)
-    return tuple(tuple(zero for _ in range(c)) for _ in range(r))
+    return Mat(((Fraction(0),) * c,) * r, c)
 
 
 def identity(n: int) -> Mat:
     one, zero = Fraction(1), Fraction(0)
-    return tuple(tuple(one if i == j else zero for j in range(n)) for i in range(n))
+    return Mat(tuple(tuple(one if i == j else zero for j in range(n)) for i in range(n)), n)
 
 
 def transpose(a: Mat) -> Mat:
-    return tuple(zip(*a)) if a else ()
+    # zip sees no columns when a has no rows
+    return Mat(tuple(zip(*a)) or ((),) * a.ncols, len(a))
 
 
 def is_zero(a: Mat) -> bool:
@@ -65,39 +115,33 @@ def is_zero(a: Mat) -> bool:
 def add(a: Mat, b: Mat) -> Mat:
     if shape(a) != shape(b):
         raise ValueError("add shape mismatch")
-    return tuple(tuple(x + y for x, y in zip(ra, rb)) for ra, rb in zip(a, b))
+    return Mat(tuple(tuple(x + y for x, y in zip(ra, rb)) for ra, rb in zip(a, b)), a.ncols)
 
 
 def sub(a: Mat, b: Mat) -> Mat:
     if shape(a) != shape(b):
         raise ValueError("sub shape mismatch")
-    return tuple(tuple(x - y for x, y in zip(ra, rb)) for ra, rb in zip(a, b))
+    return Mat(tuple(tuple(x - y for x, y in zip(ra, rb)) for ra, rb in zip(a, b)), a.ncols)
 
 
 def scale(a: Mat, s) -> Mat:
     s = q(s)
-    return tuple(tuple(s * x for x in row) for row in a)
+    return Mat(tuple(tuple(s * x for x in row) for row in a), a.ncols)
 
 
 def matmul(a: Mat, b: Mat) -> Mat:
     ra, ca = shape(a)
     rb, cb = shape(b)
-    # An empty matrix cannot carry its other dimension in this
-    # representation, so inner-dim consistency is only checkable (and
-    # only matters) when both operands are nonempty.
-    if ra == 0 or cb == 0 or ca == 0 or rb == 0:
-        return zeros(ra, cb)
     if ca != rb:
         raise ValueError(f"matmul shape mismatch: {ra}x{ca} @ {rb}x{cb}")
-    return tuple(tuple(row) for row in _qkernels.matmul(a, b))
+    if not b:
+        # an empty sum; the kernel reads the width from a row of b
+        return zeros(ra, cb)
+    return Mat(tuple(map(tuple, _qkernels.matmul(a, b))), cb)
 
 
 def matvec(a: Mat, v: Vec) -> Vec:
-    # 0-row matrices are () and lose their width; accept any v there
-    if not a:
-        return ()
-    r, c = shape(a)
-    if len(v) != c:
+    if len(v) != a.ncols:
         raise ValueError("matvec shape mismatch")
     return tuple(sum((x * y for x, y in zip(row, v) if x and y), Fraction(0)) for row in a)
 
@@ -126,61 +170,47 @@ def bilinear(g: Mat, u: Vec, v: Vec) -> Fraction:
 
 def kron(a: Mat, b: Mat) -> Mat:
     """Kronecker product; row/col index = (i_a * rows_b + i_b, ...)."""
-    ra, ca = shape(a)
-    rb, cb = shape(b)
+    ca, cb = a.ncols, b.ncols
     out = []
-    for i in range(ra):
-        arow = a[i]
-        for k in range(rb):
-            brow = b[k]
+    for arow in a:
+        for brow in b:
             out.append(tuple(arow[j] * brow[m] for j in range(ca) for m in range(cb)))
-    return tuple(out)
+    return Mat(tuple(out), ca * cb)
 
 
 def hstack(*ms: Mat) -> Mat:
-    ms = tuple(m for m in ms if shape(m)[1] > 0)
-    if not ms:
-        return ()
     if len({len(m) for m in ms}) != 1:
         raise ValueError("hstack row mismatch")
-    return tuple(tuple(x for m in ms for x in m[i]) for i in range(len(ms[0])))
+    return Mat(tuple(sum(rows, ()) for rows in zip(*ms)), sum(m.ncols for m in ms))
 
 
 def vstack(*ms: Mat) -> Mat:
-    ms = tuple(m for m in ms if len(m) > 0)
-    if not ms:
-        return ()
-    if len({shape(m)[1] for m in ms}) != 1:
+    if len({m.ncols for m in ms}) != 1:
         raise ValueError("vstack column mismatch")
-    return tuple(row for m in ms for row in m)
+    return Mat(tuple(row for m in ms for row in m), ms[0].ncols)
 
 
 def block_diag(*ms: Mat) -> Mat:
-    rs = [shape(m)[0] for m in ms]
-    cs = [shape(m)[1] for m in ms]
+    total = sum(m.ncols for m in ms)
+    zero = Fraction(0)
     out = []
-    for i, m in enumerate(ms):
-        left = sum(cs[:i])
-        right = sum(cs[i + 1:])
-        zero = Fraction(0)
-        for row in m:
-            out.append(tuple([zero] * left) + row + tuple([zero] * right))
-    total_c = sum(cs)
-    if not out and total_c == 0:
-        return ()
-    return tuple(out) if out else zeros(0, total_c)
+    left = 0
+    for m in ms:
+        right = total - left - m.ncols
+        out.extend((zero,) * left + row + (zero,) * right for row in m)
+        left += m.ncols
+    return Mat(tuple(out), total)
 
 
 def submatrix(a: Mat, rows: Sequence[int], cols: Sequence[int]) -> Mat:
-    return tuple(tuple(a[i][j] for j in cols) for i in rows)
+    return Mat(tuple(tuple(a[i][j] for j in cols) for i in rows), len(cols))
 
 
 def block_matrix(row_dims: Sequence[int], col_dims: Sequence[int], blocks) -> Mat:
-    """Assemble a matrix from blocks without losing degenerate shapes.
+    """Assemble a matrix from blocks.
 
     blocks maps (i, j) to a row_dims[i] x col_dims[j] matrix; missing
-    entries are zero. Unlike hstack/vstack this keeps explicit widths,
-    so zero-dimensional strips are safe.
+    entries are zero.
     """
     zero = Fraction(0)
     total_c = sum(col_dims)
@@ -190,7 +220,7 @@ def block_matrix(row_dims: Sequence[int], col_dims: Sequence[int], blocks) -> Ma
         off = 0
         for j, cd in enumerate(col_dims):
             blk = blocks.get((i, j))
-            if blk is not None and rd and cd:
+            if blk is not None:
                 if shape(blk) != (rd, cd):
                     raise ValueError(f"block ({i},{j}) is {shape(blk)}, need {(rd, cd)}")
                 for r in range(rd):
@@ -201,16 +231,16 @@ def block_matrix(row_dims: Sequence[int], col_dims: Sequence[int], blocks) -> Ma
                             row[off + c] = brow[c]
             off += cd
         out.extend(tuple(r) for r in rows)
-    return tuple(out)
+    return Mat(tuple(out), total_c)
 
 
 def rref(a: Mat) -> tuple[Mat, tuple[int, ...]]:
-    """Nonzero rows of the unique reduced row echelon form, plus pivot columns."""
-    r, c = shape(a)
-    if r == 0 or c == 0 or is_zero(a):
-        return ((), ())
+    """Nonzero rows of the unique reduced row echelon form, as a Mat of
+    a's width, plus pivot columns."""
+    if is_zero(a):
+        return Mat((), a.ncols), ()
     rows, pivots = _qkernels.rref(a)
-    return tuple(tuple(row) for row in rows), tuple(pivots)
+    return Mat(tuple(map(tuple, rows)), a.ncols), tuple(pivots)
 
 
 def rank(a: Mat) -> int:
@@ -235,20 +265,15 @@ def permanent(a: Mat) -> Fraction:
     return Fraction(_qkernels.permanent(a))
 
 
-def nullspace(a: Mat, width: int | None = None) -> tuple[Vec, ...]:
-    """Canonical basis of {v : a v = 0}, one vector per free column.
+def nullspace(a: Mat) -> Mat:
+    """Canonical basis of {v : a v = 0}, as the rows of a Mat of a's
+    width, one row per free column.
 
-    Vector for free column f has 1 there, minus the reduced coefficients
-    at the pivot columns, 0 at other free columns; ordered by f. width
-    recovers the column count when a has no rows.
+    The row for free column f has 1 there, minus the reduced
+    coefficients at the pivot columns, 0 at other free columns; ordered
+    by f.
     """
-    r, c = shape(a)
-    if r == 0 and width is not None:
-        c = width
-    if c == 0:
-        return ()
-    if r == 0:
-        return tuple(identity(c))
+    c = a.ncols
     rows, pivots = rref(a)
     pivset = set(pivots)
     out = []
@@ -261,7 +286,7 @@ def nullspace(a: Mat, width: int | None = None) -> tuple[Vec, ...]:
         for i, p in enumerate(pivots):
             v[p] = -rows[i][f]
         out.append(tuple(v))
-    return tuple(out)
+    return Mat(tuple(out), c)
 
 
 def solve(a: Mat, b: Mat) -> Mat | None:
@@ -274,10 +299,6 @@ def solve(a: Mat, b: Mat) -> Mat | None:
     rb, cb = shape(b)
     if ra != rb:
         raise ValueError("solve shape mismatch")
-    if cb == 0:
-        return zeros(ca, 0)
-    if ca == 0:
-        return None if not is_zero(b) else zeros(0, cb)
     rows, pivots = rref(hstack(a, b))
     if any(p >= ca for p in pivots):
         return None
@@ -286,21 +307,18 @@ def solve(a: Mat, b: Mat) -> Mat | None:
     for i, p in enumerate(pivots):
         for j in range(cb):
             x[p][j] = rows[i][ca + j]
-    return tuple(tuple(row) for row in x)
+    return Mat(tuple(map(tuple, x)), cb)
 
 
 def solve_vec(a: Mat, v: Vec) -> Vec | None:
-    x = solve(a, tuple((y,) for y in v))
+    x = solve(a, Mat(tuple((y,) for y in v), 1))
     return None if x is None else tuple(row[0] for row in x)
 
 
-def canon_span(vectors: Sequence[Vec], width: int | None = None) -> tuple[Vec, ...]:
-    """Canonical (RREF) basis of the span of the given row vectors."""
-    if not vectors:
-        if width is None:
-            raise ValueError("canon_span of nothing needs an explicit width")
-        return ()
-    return rref(mat(vectors))[0]
+def canon_span(vectors: Sequence[Vec], width: int) -> Mat:
+    """Canonical (RREF) basis of the span of the given row vectors, as
+    a Mat of the given width."""
+    return rref(stack(vectors, width))[0]
 
 
 class EchelonBasis:
@@ -318,11 +336,8 @@ class EchelonBasis:
 
     def __init__(self, vectors: Sequence[Vec], width: int):
         """Basis of the span of arbitrary vectors: one rref."""
-        m = mat(vectors)
-        if m and len(m[0]) != width:
-            raise ValueError(f"vectors of length {len(m[0])} in a basis of width {width}")
         self.width = width
-        self.rows, self.pivots = rref(m)
+        self.rows, self.pivots = rref(stack(vectors, width))
 
     @classmethod
     def from_rref(cls, rows: Sequence[Vec], width: int) -> "EchelonBasis":

@@ -22,6 +22,7 @@ import itertools
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import reduce
+from math import factorial
 
 from . import linalg as la
 from .core import MetrizedSpace, SpaceMap, ZERO_SPACE
@@ -108,7 +109,7 @@ def _power_gram(g: la.Mat, words, minor) -> la.Mat:
             val = minor(la.submatrix(g, words[i], words[j]))
             rows[i][j] = val
             rows[j][i] = val
-    return tuple(tuple(r) for r in rows)
+    return la.Mat(tuple(map(tuple, rows)), n)
 
 
 def power_space(v: MetrizedSpace, k: int, kind: str) -> PowerSpace:
@@ -123,13 +124,6 @@ def _perm_sign(word) -> int:
         if word[a] > word[b]
     )
     return -1 if inv & 1 else 1
-
-
-def _factorial(n: int) -> int:
-    out = 1
-    for i in range(2, n + 1):
-        out *= i
-    return out
 
 
 def iota_map(v: MetrizedSpace, p: int, normalized: bool = False) -> SpaceMap:
@@ -147,8 +141,8 @@ def iota_map(v: MetrizedSpace, p: int, normalized: bool = False) -> SpaceMap:
     for c, w in enumerate(sp.words):
         for perm in itertools.permutations(w.indices):
             rows[tindex[perm]][c] += 1
-    scale = Fraction(1, _factorial(p)) if normalized else Fraction(1)
-    return SpaceMap(sp.space, tp.space, la.mat(rows), scale_sq=scale)
+    scale = Fraction(1, factorial(p)) if normalized else Fraction(1)
+    return SpaceMap(sp.space, tp.space, la.Mat(tuple(map(tuple, rows)), cols), scale_sq=scale)
 
 
 def j_map(v: MetrizedSpace, p: int, normalized: bool = False) -> SpaceMap:
@@ -162,8 +156,8 @@ def j_map(v: MetrizedSpace, p: int, normalized: bool = False) -> SpaceMap:
         for perm in itertools.permutations(range(p)):
             target = tuple(base[s] for s in perm)
             rows[tindex[target]][c] += _perm_sign(perm)
-    scale = Fraction(1, _factorial(p)) if normalized else Fraction(1)
-    return SpaceMap(ep.space, tp.space, la.mat(rows), scale_sq=scale)
+    scale = Fraction(1, factorial(p)) if normalized else Fraction(1)
+    return SpaceMap(ep.space, tp.space, la.Mat(tuple(map(tuple, rows)), cols), scale_sq=scale)
 
 
 def pi_map(v: MetrizedSpace, p: int) -> SpaceMap:
@@ -173,7 +167,7 @@ def pi_map(v: MetrizedSpace, p: int) -> SpaceMap:
     rows = [[Fraction(0)] * len(tp.words) for _ in range(len(sp.words))]
     for c, w in enumerate(tp.words):
         rows[sindex[tuple(sorted(w.indices))]][c] += 1
-    return SpaceMap(tp.space, sp.space, la.mat(rows))
+    return SpaceMap(tp.space, sp.space, la.Mat(tuple(map(tuple, rows)), len(tp.words)))
 
 
 def rho_map(v: MetrizedSpace, p: int) -> SpaceMap:
@@ -185,7 +179,7 @@ def rho_map(v: MetrizedSpace, p: int) -> SpaceMap:
         if len(set(w.indices)) != len(w.indices):
             continue
         rows[eindex[tuple(sorted(w.indices))]][c] += _perm_sign(w.indices)
-    return SpaceMap(tp.space, ep.space, la.mat(rows))
+    return SpaceMap(tp.space, ep.space, la.Mat(tuple(map(tuple, rows)), len(tp.words)))
 
 
 def tensor_of_spaces(v: MetrizedSpace, w: MetrizedSpace) -> MetrizedSpace:

@@ -104,9 +104,18 @@ def test_compose_through_zero_space_keeps_shape():
     b = standard_space(2, tag="b")
     f = zero_map(a, ZERO_SPACE)
     g = zero_map(ZERO_SPACE, b)
+    assert la.shape(f.matrix.entries) == (0, 2)
+    assert la.shape(g.matrix.entries) == (2, 0)
     h = g.compose(f)
     assert la.shape(h.matrix.entries) == (2, 2)
     assert h.is_zero()
+    # maps into and out of the zero space keep (codomain.dim, domain.dim)
+    assert la.shape(f.compose(identity_map(a)).matrix.entries) == (0, 2)
+    assert la.shape(identity_map(b).compose(g).matrix.entries) == (2, 0)
+    assert la.shape(f.compose(zero_map(ZERO_SPACE, a)).matrix.entries) == (0, 0)
+    # a matrix without rows still has to have the domain's width
+    with pytest.raises(ValueError):
+        SpaceMap(a, ZERO_SPACE, la.zeros(0, 3))
 
 
 def test_orthogonal_complement_standard_and_skew():

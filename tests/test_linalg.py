@@ -1,16 +1,21 @@
 """Exact matrix utilities: fixed values cross-checked with sympy, plus
 seeded structural properties.
 
-Degenerate-shape conventions under test: a matrix with zero rows is ()
-and loses its width; zeros(r, 0) is a tuple of r empty rows; a product
-with a zero inner or outer dimension collapses to the zeros of the
-shape the representation can still express.
+Shape convention under test: every Mat knows its (nrows, ncols), also
+when one of them is 0, and every constructor returns the exact shape of
+its result; inconsistent shapes raise whatever the dimensions. mat()
+coerces raw rows once and hands a Mat back as it is.
 """
 
 from __future__ import annotations
 
+import copy
+import itertools
+import pickle
 import random
 from fractions import Fraction
+
+import pytest
 
 from hermk import linalg as la
 
@@ -37,7 +42,7 @@ def test_rank_and_det_fixed():
 
 
 def test_nullspace_matches_sympy_span():
-    null = la.nullspace(A, width=4)
+    null = la.nullspace(A)
     expected = (la.vec([-2, 1, 0, 0]), la.vec([-1, 0, -1, 1]))
     assert la.span_eq(null, expected, 4)
     for v in null:
@@ -95,15 +100,91 @@ def test_kron_fixed():
     assert got == la.mat([[3, 6], [4, 8]])
 
 
+def _ones(r, c):
+    return la.mat([[1] * c for _ in range(r)]) if r else la.zeros(0, c)
+
+
+DIMS = (0, 1, 2)
+SHAPES = [(r, c) for r in DIMS for c in DIMS if 0 in (r, c)]
+
+
 def test_degenerate_shapes():
-    assert la.zeros(0, 3) == ()
-    assert la.zeros(2, 0) == ((), ())
-    assert la.mat(()) == ()
-    assert la.shape(la.zeros(2, 0)) == (2, 0)
-    # zeros(0, 3) is (), so the width 3 is unrecoverable downstream
-    prod = la.matmul(la.zeros(2, 0), la.zeros(0, 3))
-    assert prod == la.zeros(2, 0)
-    assert la.matvec((), la.vec([1, 2])) == ()
+    for r, c in SHAPES:
+        z = la.zeros(r, c)
+        assert la.shape(z) == (r, c)
+        assert la.shape(la.transpose(z)) == (c, r)
+        assert la.shape(la.transpose(la.transpose(z))) == (r, c)
+        assert la.shape(la.scale(z, 2)) == (r, c)
+        assert la.shape(la.add(z, z)) == (r, c)
+        assert la.shape(la.submatrix(z, range(r), range(c))) == (r, c)
+        assert la.shape(la.nullspace(z)) == (c, c)
+        assert la.nullspace(z) == la.identity(c)
+        rows, pivots = la.rref(z)
+        assert la.shape(rows) == (0, c) and pivots == ()
+        assert la.shape(la.solve(z, la.zeros(r, 3))) == (c, 3)
+        assert la.shape(la.solve(z, la.zeros(r, 0))) == (c, 0)
+        assert la.shape(la.hstack(z, _ones(r, 2))) == (r, c + 2)
+        assert la.shape(la.vstack(z, _ones(2, c))) == (r + 2, c)
+        assert la.shape(la.block_diag(z, _ones(2, 1), z)) == (2 * r + 2, 2 * c + 1)
+        assert la.shape(la.block_matrix((r, 1), (c, 2), {(0, 0): z})) == (r + 1, c + 2)
+        for r2, c2 in itertools.product(DIMS, DIMS):
+            assert la.shape(la.kron(z, _ones(r2, c2))) == (r * r2, c * c2)
+            assert la.shape(la.kron(_ones(r2, c2), z)) == (r2 * r, c2 * c)
+    for r, k, c in itertools.product(DIMS, DIMS, DIMS):
+        if 0 not in (r, k, c):
+            continue
+        prod = la.matmul(_ones(r, k), _ones(k, c))
+        assert la.shape(prod) == (r, c) and prod == la.zeros(r, c)
+    # a nonzero right-hand side has no solution with no unknowns
+    assert la.solve(la.zeros(2, 0), _ones(2, 1)) is None
+    assert la.matvec(la.zeros(0, 2), la.vec([1, 2])) == ()
+    assert la.shape(la.mat(())) == (0, 0)
+
+
+def test_shape_mismatch_raises_for_empty_operands():
+    # the inner dimensions differ (0 against 3) although no entry
+    # would be summed
+    with pytest.raises(ValueError):
+        la.matmul(la.zeros(2, 0), la.zeros(3, 4))
+    with pytest.raises(ValueError):
+        la.matmul(la.zeros(0, 2), la.zeros(3, 0))
+    with pytest.raises(ValueError):
+        la.matvec(la.zeros(0, 2), la.vec([1, 2, 3]))
+    with pytest.raises(ValueError):
+        la.vstack(la.zeros(0, 2), la.zeros(0, 3))
+    with pytest.raises(ValueError):
+        la.hstack(la.zeros(2, 0), la.zeros(3, 0))
+    with pytest.raises(ValueError):
+        la.block_matrix((1,), (2,), {(0, 0): la.zeros(0, 2)})
+    with pytest.raises(ValueError):
+        la.canon_span(la.zeros(0, 2), 3)
+
+
+def test_mat_coerces_raw_rows_once():
+    m = la.mat([[1, "1/2"], [Fraction(2, 3), 0]])
+    assert all(type(x) is Fraction for row in m for x in row)
+    assert la.mat(m) is m
+    z = la.zeros(0, 3)
+    assert la.mat(z) is z and la.shape(la.mat(z)) == (0, 3)
+    for built in (la.identity(2), la.transpose(m), la.matmul(m, m), la.rref(m)[0]):
+        assert isinstance(built, la.Mat) and la.mat(built) is built
+    with pytest.raises(TypeError):
+        la.mat([[1, 0.5]])
+    with pytest.raises(TypeError):
+        la.mat(((Fraction(1), 2.0),))
+    with pytest.raises(ValueError):
+        la.mat([[1, 2], [3]])
+    # stack knows the width of an empty list of vectors
+    assert la.shape(la.stack((), 3)) == (0, 3) and la.stack(m, 2) is m
+    assert la.stack([(1, 2)], 2) == la.mat([[1, 2]])
+    with pytest.raises(ValueError):
+        la.stack([(1, 2)], 3)
+    with pytest.raises(ValueError):
+        la.stack(z, 2)
+    # a copy or a pickle keeps the shape
+    for x in (m, z, la.zeros(2, 0)):
+        for y in (copy.deepcopy(x), pickle.loads(pickle.dumps(x))):
+            assert isinstance(y, la.Mat) and y == x and la.shape(y) == la.shape(x)
 
 
 def test_bilinear_and_transpose():
@@ -129,7 +210,7 @@ def test_nullspace_rank_nullity_random():
     for _ in range(20):
         r, c = rng.randrange(1, 6), rng.randrange(1, 6)
         m = la.mat([[rng.randrange(-4, 5) for _ in range(c)] for _ in range(r)])
-        null = la.nullspace(m, width=c)
+        null = la.nullspace(m)
         assert len(null) == c - la.rank(m)
         for v in null:
             assert not any(la.matvec(m, v))
