@@ -1,15 +1,22 @@
 """Degree-k Koszul transform complexes with metrics, and their algebra.
 
 For a metrized space V the degree-k transform complex has objects
-A^p = S^p V (x) Lambda^{k-p} V for p = 0..k and maps
+A^p = S^p V (x) Lambda^{k-p} V for p = 0..k. Its maps phi_p and their
+rational sections psi_p are defined through T^k V by the composites
 
-    phi_p = (1 / (p! (k-p-1)!)) (pi_{p+1} (x) rho_{k-p-1}) . (iota_p (x) j_{k-p})
+    phi_p = (pi_{p+1} (x) rho_{k-p-1}) . (iota_p (x) j_{k-p}) / (p! (k-p-1)!)
+    psi_p = (pi_p (x) rho_{k-p}) . (iota_{p+1} (x) j_{k-p-1}) / (k p! (k-p-1)!)
 
-which act on a basis vector (sym word, ext word) by moving one exterior
-letter into the symmetric side with alternating signs. The complex is
-exact. Because tensor words are ordered lexicographically, regrouping
-T^p (x) T^{k-p} = T^k is the identity on indices and the composites
-above are literal matrix products.
+which the tests keep as the oracle. The factorials cancel, and both are
+built from their rules on basis words (s, e): phi_p moves the exterior
+letter at position i (from 0) to the symmetric side, psi_p moves back a
+letter x of s not in e, with multiplicity m_s(x) in s and position t in
+sorted(e + x):
+
+    phi_p(s, e) = sum_i (-1)^i (sorted(s + e_i), e without e_i)
+    psi_p(s, e) = (1/k) sum_x m_s(x) (-1)^t (s - x, sorted(e + x))
+
+The complex is exact.
 
 This module also builds: the rational section of phi_p; the 1/sqrt(k)
 rescale; the canonical kernel sequences mu^j with induced metrics and
@@ -25,7 +32,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import factorial
 
 from . import linalg as la
 from .core import (
@@ -44,13 +50,10 @@ from .core import (
 from .multilinear import (
     PowerBasisWord,
     ext_power,
-    iota_map,
-    j_map,
-    pi_map,
-    rho_map,
     sym_power,
     tensor_of_maps,
     tensor_of_spaces,
+    word_map,
 )
 
 __all__ = [
@@ -153,10 +156,23 @@ def koszul_object(v: MetrizedSpace, k: int, p: int) -> MetrizedSpace:
     return tensor_of_spaces(sym_power(v, p).space, ext_power(v, k - p).space)
 
 
-def _koszul_map_entries(v: MetrizedSpace, k: int, p: int) -> la.Mat:
-    left = la.kron(pi_map(v, p + 1).matrix.entries, rho_map(v, k - p - 1).matrix.entries)
-    right = la.kron(iota_map(v, p).matrix.entries, j_map(v, k - p).matrix.entries)
-    return la.scale(la.matmul(left, right), Fraction(1, factorial(p) * factorial(k - p - 1)))
+def _phi_images(label):
+    """phi_p on one basis word (s, e)."""
+    s, e = label
+    for i, x in enumerate(e.indices):
+        sym = PowerBasisWord("sym", tuple(sorted(s.indices + (x,))))
+        ext = PowerBasisWord("ext", e.indices[:i] + e.indices[i + 1 :])
+        yield (sym, ext), -1 if i % 2 else 1
+
+
+def _psi_images(label, k: int):
+    """psi_p on one basis word (s, e) of the degree-k complex."""
+    s, e = label
+    for x in set(s.indices) - set(e.indices):
+        i, ext = s.indices.index(x), tuple(sorted(e.indices + (x,)))
+        sym = PowerBasisWord("sym", s.indices[:i] + s.indices[i + 1 :])
+        coeff = Fraction(s.indices.count(x) * (-1) ** ext.index(x), k)
+        yield (sym, PowerBasisWord("ext", ext)), coeff
 
 
 def koszul_complex(v: MetrizedSpace, k: int) -> HermitianComplex:
@@ -169,10 +185,7 @@ def koszul_complex(v: MetrizedSpace, k: int) -> HermitianComplex:
     if k < 0:
         raise ValueError("degree must be >= 0")
     objects = [koszul_object(v, k, p) for p in range(k + 1)]
-    maps = [
-        SpaceMap(objects[p], objects[p + 1], _koszul_map_entries(v, k, p))
-        for p in range(k)
-    ]
+    maps = [SpaceMap(a, b, word_map(a, b, _phi_images)) for a, b in zip(objects, objects[1:])]
     return HermitianComplex(objects, maps, acyclic=k >= 1)
 
 
@@ -180,12 +193,8 @@ def koszul_section(v: MetrizedSpace, k: int, p: int) -> SpaceMap:
     """The rational section psi_p of phi_p: phi_p psi_p phi_p = phi_p."""
     if not 0 <= p <= k - 1:
         raise ValueError("need 0 <= p <= k-1")
-    left = la.kron(pi_map(v, p).matrix.entries, rho_map(v, k - p).matrix.entries)
-    right = la.kron(iota_map(v, p + 1).matrix.entries, j_map(v, k - p - 1).matrix.entries)
-    entries = la.scale(
-        la.matmul(left, right), Fraction(1, k * factorial(p) * factorial(k - p - 1))
-    )
-    return SpaceMap(koszul_object(v, k, p + 1), koszul_object(v, k, p), entries)
+    src, dst = koszul_object(v, k, p + 1), koszul_object(v, k, p)
+    return SpaceMap(src, dst, word_map(src, dst, lambda label: _psi_images(label, k)))
 
 
 def lambda_rescale(c: HermitianComplex, k: int) -> HermitianComplex:
@@ -709,15 +718,15 @@ def koszul_sum_isometry(
 
 def _swap_map(v: MetrizedSpace, k: int, p: int) -> SpaceMap:
     """The factor-swap isometry S^p (x) Lambda^(k-p) -> Lambda^(k-p) (x) S^p."""
-    src = koszul_object(v, k, p)
-    sspace = sym_power(v, p).space
-    espace = ext_power(v, k - p).space
-    dst = tensor_of_spaces(espace, sspace)
-    dst_index = {lab: i for i, lab in enumerate(dst.labels)}
-    rows = [[Fraction(0)] * src.dim for _ in range(dst.dim)]
-    for c, (slab, elab) in enumerate(src.labels):
-        rows[dst_index[(elab, slab)]][c] = Fraction(1)
-    return SpaceMap(src, dst, la.Mat(tuple(map(tuple, rows)), src.dim))
+    sspace, espace = sym_power(v, p).space, ext_power(v, k - p).space
+    src, dst = tensor_of_spaces(sspace, espace), tensor_of_spaces(espace, sspace)
+    return SpaceMap(src, dst, word_map(src, dst, lambda lab: ((lab[::-1], 1),)))
+
+
+def _swapped_phi_images(label):
+    """phi_p on one basis word (e, s) of the transposed complex."""
+    for (s, e), coeff in _phi_images(label[::-1]):
+        yield (e, s), coeff
 
 
 def transposed_koszul(v: MetrizedSpace, k: int):
@@ -726,17 +735,11 @@ def transposed_koszul(v: MetrizedSpace, k: int):
     Returns (complex, swaps): swaps[p] is the isometry conjugating
     degree p; the new maps are swap_{p+1} . phi_p . swap_p^{-1}.
     """
-    c = koszul_complex(v, k)
     swaps = [_swap_map(v, k, p) for p in range(k + 1)]
     objects = [s.codomain for s in swaps]
-    maps = []
-    for p in range(k):
-        # swap matrices are permutations: inverse = transpose
-        inv = la.transpose(swaps[p].matrix.entries)
-        entries = la.matmul(
-            la.matmul(swaps[p + 1].matrix.entries, c.maps[p].matrix.entries), inv
-        )
-        maps.append(SpaceMap(objects[p], objects[p + 1], entries))
+    maps = [
+        SpaceMap(a, b, word_map(a, b, _swapped_phi_images)) for a, b in zip(objects, objects[1:])
+    ]
     return HermitianComplex(objects, maps, acyclic=True), swaps
 
 

@@ -10,7 +10,8 @@ normalization their Grams come out as the permanent, respectively the
 determinant, of the submatrices G[I, J] of the underlying Gram. For an
 orthonormal underlying basis the symmetric Gram is diagonal with entry
 prod_i m_i! (m_i = multiplicity of i in the word) and the exterior
-basis is orthonormal.
+basis is orthonormal. Maps given by their values on basis words, here
+and in koszul, are built by word_map.
 
 Permanents go through Ryser enumeration: exponential in k, fine at the
 k <= 6 scales this package targets.
@@ -50,19 +51,6 @@ class PowerSpace:
     def words(self) -> tuple[PowerBasisWord, ...]:
         return self.space.labels
 
-    def index(self, indices) -> int:
-        return self.space.labels.index(PowerBasisWord(self.kind, tuple(indices)))
-
-
-def _words(kind: str, dim: int, k: int):
-    if kind == "tensor":
-        return list(itertools.product(range(dim), repeat=k))
-    if kind == "sym":
-        return list(itertools.combinations_with_replacement(range(dim), k))
-    if kind == "ext":
-        return list(itertools.combinations(range(dim), k))
-    raise ValueError(kind)
-
 
 def _labels(kind: str, words) -> tuple[PowerBasisWord, ...]:
     return tuple(PowerBasisWord(kind, w) for w in words)
@@ -72,7 +60,7 @@ def tensor_power(v: MetrizedSpace, k: int) -> PowerSpace:
     """T^k v with the k-fold Kronecker power metric."""
     if k < 0:
         raise ValueError("power degree must be >= 0")
-    words = _words("tensor", v.dim, k)
+    words = list(itertools.product(range(v.dim), repeat=k))
     gram = reduce(la.kron, [v.gram] * k, la.identity(1))
     space = MetrizedSpace(_labels("tensor", words), gram, check=False)
     return PowerSpace(v, k, "tensor", space)
@@ -82,7 +70,7 @@ def sym_power(v: MetrizedSpace, k: int) -> PowerSpace:
     """S^k v; Gram entry (I, J) = permanent of G[I, J]."""
     if k < 0:
         raise ValueError("power degree must be >= 0")
-    words = _words("sym", v.dim, k)
+    words = list(itertools.combinations_with_replacement(range(v.dim), k))
     gram = _power_gram(v.gram, words, la.permanent)
     space = MetrizedSpace(_labels("sym", words), gram, check=False)
     return PowerSpace(v, k, "sym", space)
@@ -95,7 +83,7 @@ def ext_power(v: MetrizedSpace, k: int) -> PowerSpace:
     """
     if k < 0:
         raise ValueError("power degree must be >= 0")
-    words = _words("ext", v.dim, k)
+    words = list(itertools.combinations(range(v.dim), k))
     gram = _power_gram(v.gram, words, la.det)
     space = MetrizedSpace(_labels("ext", words), gram, check=False) if words else ZERO_SPACE
     return PowerSpace(v, k, "ext", space)
@@ -112,10 +100,6 @@ def _power_gram(g: la.Mat, words, minor) -> la.Mat:
     return la.Mat(tuple(map(tuple, rows)), n)
 
 
-def power_space(v: MetrizedSpace, k: int, kind: str) -> PowerSpace:
-    return {"tensor": tensor_power, "sym": sym_power, "ext": ext_power}[kind](v, k)
-
-
 def _perm_sign(word) -> int:
     inv = sum(
         1
@@ -126,6 +110,20 @@ def _perm_sign(word) -> int:
     return -1 if inv & 1 else 1
 
 
+def word_map(src: MetrizedSpace, dst: MetrizedSpace, images) -> la.Mat:
+    """The matrix of the linear map src -> dst given on basis labels.
+
+    images(label) yields (dst label, coeff) pairs for one src label;
+    repeated targets add up.
+    """
+    index = {lab: i for i, lab in enumerate(dst.labels)}
+    rows = [[Fraction(0)] * src.dim for _ in range(dst.dim)]
+    for c, lab in enumerate(src.labels):
+        for target, coeff in images(lab):
+            rows[index[target]][c] += coeff
+    return la.Mat(tuple(map(tuple, rows)), src.dim)
+
+
 def iota_map(v: MetrizedSpace, p: int, normalized: bool = False) -> SpaceMap:
     """S^p v -> T^p v, a word mapping to the sum of its permutations.
 
@@ -134,52 +132,47 @@ def iota_map(v: MetrizedSpace, p: int, normalized: bool = False) -> SpaceMap:
     m_i!) distinct targets. With scale_sq = 1/p! (normalized=True) this
     is an isometry onto its image.
     """
-    sp, tp = sym_power(v, p), tensor_power(v, p)
-    tindex = {w.indices: i for i, w in enumerate(tp.words)}
-    cols = len(sp.words)
-    rows = [[Fraction(0)] * cols for _ in range(len(tp.words))]
-    for c, w in enumerate(sp.words):
-        for perm in itertools.permutations(w.indices):
-            rows[tindex[perm]][c] += 1
+    sp, tp = sym_power(v, p).space, tensor_power(v, p).space
+
+    def images(w):
+        for t in itertools.permutations(w.indices):
+            yield PowerBasisWord("tensor", t), 1
+
     scale = Fraction(1, factorial(p)) if normalized else Fraction(1)
-    return SpaceMap(sp.space, tp.space, la.Mat(tuple(map(tuple, rows)), cols), scale_sq=scale)
+    return SpaceMap(sp, tp, word_map(sp, tp, images), scale_sq=scale)
 
 
 def j_map(v: MetrizedSpace, p: int, normalized: bool = False) -> SpaceMap:
     """Lambda^p v -> T^p v, the signed sum of permutations."""
-    ep, tp = ext_power(v, p), tensor_power(v, p)
-    tindex = {w.indices: i for i, w in enumerate(tp.words)}
-    cols = len(ep.space.labels)
-    rows = [[Fraction(0)] * cols for _ in range(len(tp.words))]
-    for c, w in enumerate(ep.space.labels):
-        base = w.indices
-        for perm in itertools.permutations(range(p)):
-            target = tuple(base[s] for s in perm)
-            rows[tindex[target]][c] += _perm_sign(perm)
+    ep, tp = ext_power(v, p).space, tensor_power(v, p).space
+
+    def images(w):
+        for t in itertools.permutations(w.indices):
+            yield PowerBasisWord("tensor", t), _perm_sign(t)
+
     scale = Fraction(1, factorial(p)) if normalized else Fraction(1)
-    return SpaceMap(ep.space, tp.space, la.Mat(tuple(map(tuple, rows)), cols), scale_sq=scale)
+    return SpaceMap(ep, tp, word_map(ep, tp, images), scale_sq=scale)
 
 
 def pi_map(v: MetrizedSpace, p: int) -> SpaceMap:
     """T^p v -> S^p v: sort the word, coefficient 1. pi . iota = p! id."""
-    sp, tp = sym_power(v, p), tensor_power(v, p)
-    sindex = {w.indices: i for i, w in enumerate(sp.words)}
-    rows = [[Fraction(0)] * len(tp.words) for _ in range(len(sp.words))]
-    for c, w in enumerate(tp.words):
-        rows[sindex[tuple(sorted(w.indices))]][c] += 1
-    return SpaceMap(tp.space, sp.space, la.Mat(tuple(map(tuple, rows)), len(tp.words)))
+    sp, tp = sym_power(v, p).space, tensor_power(v, p).space
+
+    def images(w):
+        yield PowerBasisWord("sym", tuple(sorted(w.indices))), 1
+
+    return SpaceMap(tp, sp, word_map(tp, sp, images))
 
 
 def rho_map(v: MetrizedSpace, p: int) -> SpaceMap:
     """T^p v -> Lambda^p v: sign of the sorting shuffle, 0 on repeats."""
-    ep, tp = ext_power(v, p), tensor_power(v, p)
-    eindex = {w.indices: i for i, w in enumerate(ep.space.labels)}
-    rows = [[Fraction(0)] * len(tp.words) for _ in range(len(ep.space.labels))]
-    for c, w in enumerate(tp.words):
-        if len(set(w.indices)) != len(w.indices):
-            continue
-        rows[eindex[tuple(sorted(w.indices))]][c] += _perm_sign(w.indices)
-    return SpaceMap(tp.space, ep.space, la.Mat(tuple(map(tuple, rows)), len(tp.words)))
+    ep, tp = ext_power(v, p).space, tensor_power(v, p).space
+
+    def images(w):
+        if len(set(w.indices)) == len(w.indices):
+            yield PowerBasisWord("ext", tuple(sorted(w.indices))), _perm_sign(w.indices)
+
+    return SpaceMap(tp, ep, word_map(tp, ep, images))
 
 
 def tensor_of_spaces(v: MetrizedSpace, w: MetrizedSpace) -> MetrizedSpace:

@@ -4,7 +4,9 @@ Frozen matrices are hand-derived from the generating rules
 e_a ^ e_b -> e_a (x) e_b - e_b (x) e_a (antisymmetrization into the
 tensor factor) and e_a (x) e_b -> e_a e_b (multiplication into the
 symmetric factor); norms cross-check the product-of-factorials closed
-form against the Gram computation.
+form against the Gram computation. The maps phi_p and psi_p, built from
+their rules on basis words, are compared exactly with their defining
+composites through the tensor power T^k.
 """
 
 from __future__ import annotations
@@ -16,6 +18,7 @@ from fractions import Fraction
 
 import pytest
 
+from hermk import koszul
 from hermk import linalg as la
 from hermk.core import (
     MetrizedSpace,
@@ -31,6 +34,7 @@ from hermk.koszul import (
     alternating_object_sum,
     koszul_complex,
     koszul_iterated,
+    koszul_object,
     koszul_section,
     koszul_sum_isometry,
     koszul_sum_rhs,
@@ -44,6 +48,7 @@ from hermk.koszul import (
     ses_boundary,
     transposed_koszul,
 )
+from hermk.multilinear import iota_map, j_map, pi_map, rho_map
 
 F = Fraction
 
@@ -113,6 +118,101 @@ def test_section_identity():
                     assert psi.domain == c.objects[p + 1]
                     assert psi.codomain == c.objects[p]
                     assert phi.compose(psi).compose(phi).matrix == phi.matrix
+
+
+def _through_tensor_power(v, k, q, r) -> la.Mat:
+    """(pi_q (x) rho_{k-q}) . (iota_r (x) j_{k-r}), regrouped on T^k."""
+    left = la.kron(pi_map(v, q).matrix.entries, rho_map(v, k - q).matrix.entries)
+    right = la.kron(iota_map(v, r).matrix.entries, j_map(v, k - r).matrix.entries)
+    return la.matmul(left, right)
+
+
+def _oracle_phi(v, k, p) -> SpaceMap:
+    """phi_p by its defining composite through T^k."""
+    entries = _through_tensor_power(v, k, p + 1, p)
+    scale = F(1, math.factorial(p) * math.factorial(k - p - 1))
+    return SpaceMap(koszul_object(v, k, p), koszul_object(v, k, p + 1), la.scale(entries, scale))
+
+
+def _oracle_psi(v, k, p) -> SpaceMap:
+    """psi_p by its defining composite through T^k."""
+    entries = _through_tensor_power(v, k, p, p + 1)
+    scale = F(1, k * math.factorial(p) * math.factorial(k - p - 1))
+    return SpaceMap(koszul_object(v, k, p + 1), koszul_object(v, k, p), la.scale(entries, scale))
+
+
+def _differences(got: SpaceMap, want: SpaceMap) -> list[str]:
+    out = []
+    if (got.domain, got.codomain) != (want.domain, want.codomain):
+        out.append("spaces")
+    if got.matrix.entries.ncols != want.matrix.entries.ncols:
+        out.append("ncols")
+    if got.matrix.scale_sq != want.matrix.scale_sq:
+        out.append("scale_sq")
+    if got.matrix.entries != want.matrix.entries:
+        out.append("entries")
+    if any(type(x) is not Fraction for row in got.matrix.entries for x in row):
+        out.append("entry types")
+    return out
+
+
+def _oracle_mismatches(spaces, degrees) -> list[tuple]:
+    """(map, dim, k, p, what) wherever koszul_complex or koszul_section
+    differs from the tensor-power composite."""
+    out = []
+    for v in spaces:
+        for k in degrees:
+            c = koszul_complex(v, k)
+            for p in range(k):
+                for name, got, want in (
+                    ("phi", c.maps[p], _oracle_phi(v, k, p)),
+                    ("psi", koszul_section(v, k, p), _oracle_psi(v, k, p)),
+                ):
+                    out += [(name, v.dim, k, p, d) for d in _differences(got, want)]
+    return out
+
+
+def test_maps_equal_their_tensor_power_composites():
+    rng = random.Random(47)
+    spaces = [standard_space(0)]
+    for dim in (1, 2, 3, 4):
+        spaces += [standard_space(dim), _random_space(rng, dim)]
+    assert _oracle_mismatches(spaces, (1, 2, 3, 4)) == []
+
+
+def test_oracle_comparison_catches_doctored_rules(monkeypatch):
+    spaces = [standard_space(3)]
+    phi_rule, psi_rule = koszul._phi_images, koszul._psi_images
+    # phi negated: still an exact complex, so only the oracle can tell
+    monkeypatch.setattr(koszul, "_phi_images", lambda lab: ((t, -c) for t, c in phi_rule(lab)))
+    assert koszul_complex(standard_space(3), 3).acyclic
+    bad = _oracle_mismatches(spaces, (1, 2, 3))
+    assert {(m, k, p) for m, _, k, p, _ in bad} == {
+        ("phi", k, p) for k in (1, 2, 3) for p in range(k)
+    }
+    # the sign dropped from phi: maps no longer compose to zero
+    monkeypatch.setattr(koszul, "_phi_images", lambda lab: ((t, abs(c)) for t, c in phi_rule(lab)))
+    with pytest.raises(ValueError):
+        koszul_complex(standard_space(3), 2)
+    # the sign dropped from psi: koszul_section has no check of its own
+    monkeypatch.setattr(koszul, "_phi_images", phi_rule)
+    monkeypatch.setattr(
+        koszul, "_psi_images", lambda lab, k: ((t, abs(c)) for t, c in psi_rule(lab, k))
+    )
+    bad = _oracle_mismatches(spaces, (1, 2, 3))
+    assert bad and all(m == "psi" and d == "entries" for m, _, _, _, d in bad)
+    assert {k for _, _, k, _, _ in bad} == {2, 3}
+
+
+def test_dim4_degree5_is_exact_with_sections():
+    # too large for the tensor-power composites (1024 x 1024 on T^5)
+    v = standard_space(4)
+    c = koszul_complex(v, 5)  # the constructor checks exactness
+    assert c.acyclic
+    assert [o.dim for o in c.objects] == [0, 4, 40, 120, 140, 56]
+    for p in range(5):
+        phi = c.maps[p]
+        assert phi.compose(koszul_section(v, 5, p)).compose(phi).matrix == phi.matrix
 
 
 def test_section_degree_bounds():
@@ -256,6 +356,20 @@ def test_transposed_complex_is_exact_with_isometric_swaps():
             assert c.acyclic
             assert len(swaps) == k + 1
             assert all(s.is_isometry() for s in swaps)
+
+
+def test_transposed_maps_conjugate_phi_by_the_swaps():
+    rng = random.Random(59)
+    for v in (standard_space(3), _random_space(rng, 2)):
+        for k in (1, 2, 3):
+            c, swaps = transposed_koszul(v, k)
+            phi = koszul_complex(v, k).maps
+            for p, f in enumerate(c.maps):
+                # swap matrices are permutations: inverse = transpose
+                inv = la.transpose(swaps[p].matrix.entries)
+                want = la.matmul(la.matmul(swaps[p + 1].matrix.entries, phi[p].matrix.entries), inv)
+                assert f.matrix.entries == want
+                assert f.matrix.scale_sq == phi[p].matrix.scale_sq
 
 
 def test_recursion_trace_witnesses():

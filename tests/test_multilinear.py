@@ -10,8 +10,10 @@ from __future__ import annotations
 import math
 from fractions import Fraction
 
+import pytest
+
 from hermk import linalg as la
-from hermk.core import MetrizedSpace, standard_space
+from hermk.core import ZERO_SPACE, MetrizedSpace, standard_space
 from hermk.multilinear import (
     ext_power,
     iota_map,
@@ -22,6 +24,7 @@ from hermk.multilinear import (
     tensor_of_maps,
     tensor_of_spaces,
     tensor_power,
+    word_map,
 )
 
 F = Fraction
@@ -132,3 +135,31 @@ def test_tensor_of_spaces_and_maps():
         rho_map(b, 1),
     )
     assert f.matrix.entries == la.identity(2)
+
+
+def test_word_map_adds_repeated_targets():
+    a, b = standard_space(2, tag="a"), standard_space(3, tag="b")
+
+    def images(label):
+        yield ("b", 0), 1
+        yield ("b", 0), F(1, 2)
+        yield ("b", label[1] + 1), -1
+
+    m = word_map(a, b, images)
+    assert m == ((F(3, 2), F(3, 2)), (-1, 0), (0, -1))
+    assert m.ncols == 2
+    assert all(type(x) is Fraction for row in m for x in row)
+
+
+def test_word_map_keeps_the_shape_of_empty_spaces():
+    b = standard_space(3, tag="b")
+    into = word_map(ZERO_SPACE, b, lambda label: ())
+    assert (len(into), into.ncols) == (3, 0)
+    out = word_map(b, ZERO_SPACE, lambda label: ())
+    assert (len(out), out.ncols) == (0, 3)
+
+
+def test_word_map_rejects_targets_outside_the_codomain():
+    a = standard_space(1, tag="a")
+    with pytest.raises(KeyError):
+        word_map(a, a, lambda label: ((("z", 0), 1),))
