@@ -134,8 +134,8 @@ def matmul(a: Mat, b: Mat) -> Mat:
     rb, cb = shape(b)
     if ca != rb:
         raise ValueError(f"matmul shape mismatch: {ra}x{ca} @ {rb}x{cb}")
-    if not b:
-        # an empty sum; the kernel reads the width from a row of b
+    if not (ra and rb and cb):
+        # no entry, or every entry an empty sum
         return zeros(ra, cb)
     return Mat(tuple(map(tuple, _qkernels.matmul(a, b))), cb)
 
@@ -299,6 +299,9 @@ def solve(a: Mat, b: Mat) -> Mat | None:
     rb, cb = shape(b)
     if ra != rb:
         raise ValueError("solve shape mismatch")
+    if not cb:
+        # no right-hand side: the empty x solves it, whatever a is
+        return zeros(ca, 0)
     rows, pivots = rref(hstack(a, b))
     if any(p >= ca for p in pivots):
         return None

@@ -1,8 +1,12 @@
 """Symmetric-function identities behind the graded Adams operations.
 
 Polynomials in the elementary (e), complete homogeneous (h), and power
-sum (p) generators, with full monomial expansion in n underlying
-variables as the equality oracle. The classical recurrences convert
+sum (p) generators. Equality in n underlying variables is decided on
+the expansion in the monomial symmetric basis m_lam (PartitionPoly):
+a symmetric polynomial is fixed by its coefficients at the partitions
+lam, and products of generators keep integer coordinates there. The
+Chern-character part carries non-symmetric root data and stays on
+exponent vectors (MonoPoly). The classical recurrences convert
 between the bases; the alternating composition expansion rewrites h_k
 in elementary terms; and the signed sum matching the secondary Euler
 characteristic of the degree-k transform complex reproduces the k-th
@@ -16,16 +20,14 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from itertools import combinations, combinations_with_replacement
+from itertools import product
 
 __all__ = [
     "MonoPoly",
+    "PartitionPoly",
     "SymPoly",
     "sym_gen",
     "sym_one",
-    "e_monomials",
-    "h_monomials",
-    "p_monomials",
     "compositions",
     "newton_power_sum",
     "complete_from_compositions",
@@ -43,7 +45,7 @@ __all__ = [
 
 class MonoPoly:
     """Polynomial over Q in nvars commuting variables, keyed by
-    exponent tuples. The canonical expansion target for equality."""
+    exponent tuples: the coefficients of the formal Chern character."""
 
     __slots__ = ("nvars", "terms")
 
@@ -98,37 +100,105 @@ def _expo(nvars: int, pairs) -> tuple:
     return tuple(out)
 
 
-@lru_cache(maxsize=None)
-def e_monomials(k: int, n: int) -> MonoPoly:
-    """Elementary symmetric polynomial e_k in n variables."""
-    if k == 0:
-        return MonoPoly.unit(n)
-    if k > n:
-        return MonoPoly(n)
-    terms = {_expo(n, ((i, 1) for i in sel)): Fraction(1) for sel in combinations(range(n), k)}
-    return MonoPoly(n, terms)
+def _partition_of(expo) -> tuple:
+    """The parts of an exponent vector in descending order, zeros dropped."""
+    return tuple(sorted((x for x in expo if x), reverse=True))
 
 
 @lru_cache(maxsize=None)
-def h_monomials(k: int, n: int) -> MonoPoly:
-    """Complete homogeneous symmetric polynomial h_k in n variables."""
-    if k == 0:
-        return MonoPoly.unit(n)
-    terms: dict = {}
-    for sel in combinations_with_replacement(range(n), k):
-        terms[_expo(n, ((i, 1) for i in sel))] = Fraction(1)
-    return MonoPoly(n, terms)
+def _partitions(d: int, maxparts: int, largest: int | None = None) -> tuple:
+    """Partitions of d with at most maxparts parts, each part at most
+    largest, as descending tuples."""
+    if d == 0:
+        return ((),)
+    if maxparts == 0:
+        return ()
+    top = d if largest is None else min(d, largest)
+    return tuple(
+        (first,) + rest
+        for first in range(top, 0, -1)
+        for rest in _partitions(d - first, maxparts - 1, first)
+    )
 
 
 @lru_cache(maxsize=None)
-def p_monomials(k: int, n: int) -> MonoPoly:
-    """Power sum p_k in n variables."""
-    if k == 0:
-        return MonoPoly(n, {(0,) * n: Fraction(n)})
-    return MonoPoly(n, {_expo(n, ((i, k),)): Fraction(1) for i in range(n)})
+def _splits(lam: tuple) -> tuple:
+    """The exponent vectors alpha <= lam, coordinate by coordinate,
+    grouped as (sort(alpha), sort(lam - alpha), how many alpha) triples."""
+    acc: dict = {}
+    for alpha in product(*(range(x + 1) for x in lam)):
+        key = (_partition_of(alpha), _partition_of(x - a for x, a in zip(lam, alpha)))
+        acc[key] = acc.get(key, 0) + 1
+    return tuple((mu, nu, count) for (mu, nu), count in acc.items())
 
 
-_GEN_MONOMIALS = {"e": e_monomials, "h": h_monomials, "p": p_monomials}
+class PartitionPoly:
+    """Symmetric polynomial in nvars variables, held by its coordinates
+    in the monomial symmetric basis: coeffs maps a partition lam (a
+    descending tuple of positive parts, at most nvars of them) to the
+    coefficient of m_lam, which is the coefficient of every monomial
+    whose exponents sort to lam. Equal coordinates mean equal
+    polynomials (Macdonald, Symmetric Functions and Hall Polynomials,
+    ch. I, section 2)."""
+
+    __slots__ = ("nvars", "coeffs")
+
+    def __init__(self, nvars: int, coeffs=()):
+        self.nvars = nvars
+        self.coeffs = {lam: c for lam, c in dict(coeffs).items() if c}
+        for lam in self.coeffs:
+            if len(lam) > nvars or any(x < y for x, y in zip(lam, lam[1:])) or 0 in lam:
+                raise ValueError(f"{lam} is not a partition with at most {nvars} parts")
+
+    def add(self, other: "PartitionPoly") -> "PartitionPoly":
+        acc = dict(self.coeffs)
+        for lam, c in other.coeffs.items():
+            acc[lam] = acc.get(lam, 0) + c
+        return PartitionPoly(self.nvars, acc)
+
+    def scaled(self, c) -> "PartitionPoly":
+        return PartitionPoly(self.nvars, {lam: c * v for lam, v in self.coeffs.items()})
+
+    def mul(self, other: "PartitionPoly") -> "PartitionPoly":
+        """(fg)[lam] = sum over exponent vectors alpha <= lam of
+        f[sort(alpha)] g[sort(lam - alpha)]."""
+        f, g = self.coeffs, other.coeffs
+        degrees = {a + b for a in {sum(mu) for mu in f} for b in {sum(nu) for nu in g}}
+        out = {}
+        for d in degrees:
+            for lam in _partitions(d, self.nvars):
+                c = 0
+                for mu, nu, count in _splits(lam):
+                    a = f.get(mu)
+                    if a:
+                        b = g.get(nu)
+                        if b:
+                            c += count * a * b
+                out[lam] = c
+        return PartitionPoly(self.nvars, out)
+
+    def __eq__(self, other):
+        if not isinstance(other, PartitionPoly):
+            return NotImplemented
+        return self.nvars == other.nvars and self.coeffs == other.coeffs
+
+    def __repr__(self):
+        return f"PartitionPoly(nvars={self.nvars}, terms={len(self.coeffs)})"
+
+
+def _generator(basis: str, d: int, n: int) -> PartitionPoly:
+    """e_d, h_d or p_d in n variables: e_d = m_(1^d), zero when d > n;
+    h_d is the sum of every m_lam with lam a partition of d; p_d = m_(d)."""
+    if basis == "e":
+        lams = [(1,) * d] if d <= n else []
+    elif basis == "h":
+        lams = _partitions(d, n)
+    else:
+        lams = [(d,)]
+    return PartitionPoly(n, dict.fromkeys(lams, 1))
+
+
+_BASES = ("e", "h", "p")
 
 
 @dataclass(frozen=True)
@@ -145,7 +215,7 @@ class SymPoly:
 
     @staticmethod
     def make(basis: str, terms) -> "SymPoly":
-        if basis not in _GEN_MONOMIALS:
+        if basis not in _BASES:
             raise ValueError(f"unknown basis {basis!r}")
         acc: dict = {}
         for degs, coeff in dict(terms).items():
@@ -180,19 +250,25 @@ class SymPoly:
     def scaled(self, c) -> "SymPoly":
         return SymPoly.make(self.basis, {d: c * v for d, v in self.terms})
 
-    def expand(self, n: int) -> MonoPoly:
-        """Monomial expansion in n variables: the equality oracle."""
-        out = MonoPoly(n)
+    def expand(self, n: int) -> PartitionPoly:
+        """The symmetric polynomial in n variables, in the monomial
+        symmetric basis: equal expansions mean equal polynomials.
+        Products of generators have integer coordinates; each term's
+        coefficient scales its product once, and terms that share a
+        prefix of generator degrees share its product."""
+        prods = {(): PartitionPoly(n, {(): 1})}
+        out = PartitionPoly(n)
         for degs, coeff in self.terms:
-            prod = MonoPoly.unit(n)
-            for d in degs:
-                prod = prod.mul(_GEN_MONOMIALS[self.basis](d, n))
-            out = out.add(prod.scaled(coeff))
+            for i, d in enumerate(degs):
+                if degs[: i + 1] not in prods:
+                    gen = _generator(self.basis, d, n)
+                    prods[degs[: i + 1]] = prods[degs[:i]].mul(gen)
+            out = out.add(prods[degs].scaled(coeff))
         return out
 
     def rewrite(self, target: str) -> "SymPoly":
         """Express the same symmetric function in another basis."""
-        if target not in _GEN_MONOMIALS:
+        if target not in _BASES:
             raise ValueError(f"unknown basis {target!r}")
         if target == self.basis:
             return self
@@ -305,11 +381,16 @@ def koszul_euler_identity(k: int, n: int) -> bool:
     computing the k-th Adams operation."""
     if not 1 <= k <= n:
         raise ValueError("need 1 <= k <= n")
-    acc = MonoPoly(n)
+    acc = PartitionPoly(n)
     for p in range(k):
-        term = h_monomials(p, n).mul(e_monomials(k - p, n))
-        acc = acc.add(term.scaled((-1) ** (k - p + 1) * (k - p)))
-    return acc == p_monomials(k, n)
+        term = _generator("h", p, n).mul(_generator("e", k - p, n))
+        acc = acc.add(term.scaled(_euler_coeff(k, p)))
+    return acc == _generator("p", k, n)
+
+
+def _euler_coeff(k: int, p: int) -> int:
+    """The coefficient of h_p e_(k-p) in the secondary Euler sum."""
+    return (-1) ** (k - p + 1) * (k - p)
 
 
 # -- graded classes and the Chern character --------------------------------

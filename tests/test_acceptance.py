@@ -153,7 +153,7 @@ def test_criterion_4_direct_sum_isometry():
 
 
 def test_criterion_5_symmetric_function_identities():
-    for n in range(1, 9):
+    for n in range(1, 11):
         for k in range(1, n + 1):
             assert newton_power_sum(k).expand(n) == sym_gen("p", k).expand(n)
             assert (
@@ -161,7 +161,7 @@ def test_criterion_5_symmetric_function_identities():
                 == sym_gen("h", k).expand(n)
             )
             assert koszul_euler_identity(k, n)
-    print("criterion 5: PASS (symmetric-function identities, 1<=k<=n<=8)")
+    print("criterion 5: PASS (symmetric-function identities, 1<=k<=n<=10)")
 
 
 def test_criterion_6_graded_adams_and_chern_character():

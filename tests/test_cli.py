@@ -12,7 +12,7 @@ import re
 
 import pytest
 
-from hermk import cli
+from hermk import cli, symfun
 from hermk.cli import (
     Report,
     SUITE_NAMES,
@@ -216,3 +216,44 @@ def test_env_seed_reaches_report(tmp_path, monkeypatch):
         == 0
     )
     assert json.loads(out.read_text())["seed"] == 777
+
+
+def _symfun_failures() -> set:
+    report = run_suite(SuiteConfig("symfun", max_dim=1, max_k=6, max_n=1, trials=1))
+    return {(c.claim_ref, c.instance) for c in report.checks if not c.ok}
+
+
+def test_symfun_catches_a_doctored_newton_coefficient(monkeypatch):
+    honest = symfun._p_in_e
+
+    def doctored(k):
+        # only the run's top degree: no lower degree the recurrence
+        # caches is then built from the doctored one
+        terms = honest(k).term_dict()
+        if k == 6:
+            terms[(6,)] += 1
+        return symfun.SymPoly.make("e", terms)
+
+    monkeypatch.setattr(symfun, "_p_in_e", doctored)
+    assert _symfun_failures() == {("newton-power-sum-identity", "k=6 nvars=6")}
+
+
+def test_symfun_catches_a_flipped_composition_sign(monkeypatch):
+    honest = cli.complete_from_compositions
+
+    def doctored(k):
+        terms = honest(k).term_dict()
+        if k == 5:
+            terms[(1, 4)] = -terms[(1, 4)]
+        return symfun.SymPoly.make("e", terms)
+
+    monkeypatch.setattr(cli, "complete_from_compositions", doctored)
+    assert _symfun_failures() == {("complete-by-compositions-identity", "k=5 nvars=6")}
+
+
+def test_symfun_catches_a_doctored_euler_coefficient(monkeypatch):
+    honest = symfun._euler_coeff
+    monkeypatch.setattr(
+        symfun, "_euler_coeff", lambda k, p: honest(k, p) + ((k, p) == (4, 1))
+    )
+    assert _symfun_failures() == {("secondary-euler-symfun-identity", "k=4 nvars=6")}

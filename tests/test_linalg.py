@@ -160,6 +160,38 @@ def test_shape_mismatch_raises_for_empty_operands():
         la.canon_span(la.zeros(0, 2), 3)
 
 
+def test_degenerate_products_and_solves_skip_the_kernels(monkeypatch):
+    from hermk import _qkernels
+
+    # a with no rows, or b with no columns: the kernel path's answers
+    # first, then the same calls with the kernels refusing to run
+    products = [
+        (la.zeros(0, 3), _ones(3, 2)),
+        (_ones(2, 3), la.Mat(((),) * 3, 0)),
+        (la.zeros(0, 0), la.zeros(0, 4)),
+    ]
+    kernel = [la.Mat(tuple(map(tuple, _qkernels.matmul(a, b))), b.ncols) for a, b in products[:2]]
+    # no right-hand side: rref(a | b) has its pivots inside a, so the
+    # kernel path returned a's width of empty rows
+    solves = [
+        (_ones(3, 2), la.zeros(3, 0)),
+        (la.mat([[1, 2], [3, 4]]), la.zeros(2, 0)),
+        (la.zeros(0, 2), la.zeros(0, 0)),
+    ]
+
+    def refuse(*args):
+        raise AssertionError("kernel called on a degenerate shape")
+
+    monkeypatch.setattr(_qkernels, "matmul", refuse)
+    monkeypatch.setattr(_qkernels, "rref", refuse)
+    got = [la.matmul(a, b) for a, b in products]
+    assert got[:2] == kernel and got[2] == la.zeros(0, 4)
+    assert [la.shape(m) for m in got] == [(0, 2), (2, 0), (0, 4)]
+    for a, b in solves:
+        x = la.solve(a, b)
+        assert x == la.Mat(((),) * a.ncols, 0) and la.shape(x) == (a.ncols, 0)
+
+
 def test_mat_coerces_raw_rows_once():
     m = la.mat([[1, "1/2"], [Fraction(2, 3), 0]])
     assert all(type(x) is Fraction for row in m for x in row)

@@ -2,32 +2,39 @@
 
 Frozen rewrites (p2, p3, h2, h3 in the elementary basis) are the
 classical Newton expansions, cross-checked against a computer-algebra
-expansion before freezing. Identity tests compare full monomial
-expansions, the module's own equality oracle.
+expansion before freezing. Identity tests compare expansions in the
+monomial symmetric basis (PartitionPoly), the module's equality test.
+
+The oracle for those expansions is the full expansion over every
+exponent vector of n variables (MonoPoly products of e_monomials,
+h_monomials and p_monomials below, the module's former construction):
+restricted to descending exponent vectors, it must give the same
+coordinates for every generator product and identity side, n <= 5.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
+from functools import lru_cache
+from itertools import combinations, combinations_with_replacement, product
 
 import pytest
 
+from hermk import symfun
 from hermk.symfun import (
     ChernRootBundle,
     GradedElement,
     MonoPoly,
+    PartitionPoly,
     SymPoly,
     adams_chern_commute,
     complete_from_compositions,
     compositions,
-    e_monomials,
     formal_chern_character,
     graded_adams,
     graded_mul,
-    h_monomials,
     koszul_euler_identity,
     newton_power_sum,
-    p_monomials,
     plain_roots,
     scale_roots,
     sym_gen,
@@ -37,12 +44,147 @@ from hermk.symfun import (
 F = Fraction
 
 
+def _expo(n: int, letters) -> tuple:
+    out = [0] * n
+    for i in letters:
+        out[i] += 1
+    return tuple(out)
+
+
+@lru_cache(maxsize=None)
+def e_monomials(k: int, n: int) -> MonoPoly:
+    """Elementary symmetric polynomial e_k in n variables."""
+    if k == 0:
+        return MonoPoly.unit(n)
+    return MonoPoly(n, {_expo(n, sel): F(1) for sel in combinations(range(n), k)})
+
+
+@lru_cache(maxsize=None)
+def h_monomials(k: int, n: int) -> MonoPoly:
+    """Complete homogeneous symmetric polynomial h_k in n variables."""
+    if k == 0:
+        return MonoPoly.unit(n)
+    return MonoPoly(
+        n, {_expo(n, sel): F(1) for sel in combinations_with_replacement(range(n), k)}
+    )
+
+
+@lru_cache(maxsize=None)
+def p_monomials(k: int, n: int) -> MonoPoly:
+    """Power sum p_k in n variables."""
+    if k == 0:
+        return MonoPoly(n, {(0,) * n: F(n)})
+    return MonoPoly(n, {_expo(n, (i,) * k): F(1) for i in range(n)})
+
+
+_MONOMIALS = {"e": e_monomials, "h": h_monomials, "p": p_monomials}
+
+
+def monomial_expand(poly: SymPoly, n: int) -> MonoPoly:
+    """Expansion over every exponent vector of n variables."""
+    out = MonoPoly(n)
+    for degs, coeff in poly.terms:
+        prod = MonoPoly.unit(n)
+        for d in degs:
+            prod = prod.mul(_MONOMIALS[poly.basis](d, n))
+        out = out.add(prod.scaled(coeff))
+    return out
+
+
+def monomial_euler_identity(k: int, n: int) -> bool:
+    acc = MonoPoly(n)
+    for p in range(k):
+        term = h_monomials(p, n).mul(e_monomials(k - p, n))
+        acc = acc.add(term.scaled((-1) ** (k - p + 1) * (k - p)))
+    return acc == p_monomials(k, n)
+
+
+def restricted(poly: MonoPoly) -> PartitionPoly:
+    """The coefficients at descending exponent vectors, as partitions."""
+    return PartitionPoly(
+        poly.nvars,
+        {
+            tuple(x for x in e if x): c
+            for e, c in poly.terms.items()
+            if list(e) == sorted(e, reverse=True)
+        },
+    )
+
+
+def product_mismatches(top_n: int, top_degree: int) -> list:
+    """The pairs of e/h/p generators up to top_degree, in n <= top_n
+    variables, whose partition product differs from the oracle's."""
+    gens = [(basis, d) for basis in ("e", "h", "p") for d in range(1, top_degree + 1)]
+    out = []
+    for n in range(1, top_n + 1):
+        for (ba, da), (bb, db) in combinations_with_replacement(gens, 2):
+            fast = sym_gen(ba, da).expand(n).mul(sym_gen(bb, db).expand(n))
+            slow = _MONOMIALS[ba](da, n).mul(_MONOMIALS[bb](db, n))
+            if fast != restricted(slow):
+                out.append((ba, da, bb, db, n))
+    return out
+
+
 def test_generator_monomials_in_two_variables():
     assert e_monomials(2, 2).terms == {(1, 1): 1}
     assert h_monomials(2, 2).terms == {(2, 0): 1, (1, 1): 1, (0, 2): 1}
     assert p_monomials(2, 2).terms == {(2, 0): 1, (0, 2): 1}
     assert p_monomials(3, 2).terms == {(3, 0): 1, (0, 3): 1}
     assert e_monomials(3, 2).is_zero()  # e_k vanishes beyond nvars
+
+
+def test_generator_coordinates_in_the_monomial_symmetric_basis():
+    assert sym_gen("e", 2).expand(3).coeffs == {(1, 1): 1}
+    assert sym_gen("h", 2).expand(2).coeffs == {(2,): 1, (1, 1): 1}
+    assert sym_gen("h", 3).expand(2).coeffs == {(3,): 1, (2, 1): 1}
+    assert sym_gen("p", 3).expand(2).coeffs == {(3,): 1}
+    assert sym_gen("e", 3).expand(2) == PartitionPoly(2)
+    assert sym_one("p").expand(4).coeffs == {(): 1}
+
+
+def test_partition_keys_must_be_partitions_within_nvars():
+    # a symmetric polynomial has no coordinate at x_2 alone, and none
+    # at a monomial with more parts than variables
+    for key in ((0, 1), (1, 2), (1, 0), (1, 1, 1)):
+        with pytest.raises(ValueError):
+            PartitionPoly(2, {key: 1})
+    assert PartitionPoly(2, {(2, 1): 0}) == PartitionPoly(2)
+
+
+def test_partition_products_match_monomial_oracle():
+    assert product_mismatches(5, 5) == []
+
+
+def test_identity_sides_match_monomial_oracle():
+    for n in range(1, 6):
+        for k in range(1, n + 1):
+            for side in (
+                newton_power_sum(k),
+                sym_gen("p", k),
+                complete_from_compositions(k),
+                sym_gen("h", k),
+                sym_gen("p", k).rewrite("h"),
+            ):
+                assert side.expand(n) == restricted(monomial_expand(side, n))
+            assert koszul_euler_identity(k, n) == monomial_euler_identity(k, n)
+
+
+def _sorted_alpha_splits(lam):
+    # the doctored product: only descending alpha <= lam, so each pair
+    # of partitions counts once instead of once per placement
+    acc = {}
+    for alpha in product(*(range(x + 1) for x in lam)):
+        if list(alpha) == sorted(alpha, reverse=True):
+            rest = [x - a for x, a in zip(lam, alpha)]
+            key = (symfun._partition_of(alpha), symfun._partition_of(rest))
+            acc[key] = acc.get(key, 0) + 1
+    return tuple((mu, nu, count) for (mu, nu), count in acc.items())
+
+
+def test_sorted_alpha_product_is_caught_by_the_oracle(monkeypatch):
+    monkeypatch.setattr(symfun, "_splits", _sorted_alpha_splits)
+    assert product_mismatches(3, 3)
+    assert not koszul_euler_identity(3, 3)
 
 
 def test_newton_rewrites_are_frozen():
