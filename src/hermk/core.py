@@ -414,9 +414,8 @@ def dsum_projection(parts, tag) -> SpaceMap:
 class ShortExactMetrized:
     """0 -> sub -> total -> quot -> 0 with metrized terms.
 
-    Construction validates exactness: inject injective, project
-    surjective, project . inject = 0, and dim sub + dim quot =
-    dim total (which pins im(inject) = ker(project)).
+    Construction validates exactness at all three terms by one
+    la.is_exact call on the chain with its zero ends.
     """
 
     __slots__ = ("inject", "project")
@@ -424,14 +423,13 @@ class ShortExactMetrized:
     def __init__(self, inject: SpaceMap, project: SpaceMap):
         if inject.codomain != project.domain:
             raise ValueError("inject and project must share the middle space")
-        if not inject.is_injective():
-            raise ValueError("inject must be injective")
-        if not project.is_surjective():
-            raise ValueError("project must be surjective")
-        if not project.compose(inject).is_zero():
-            raise ValueError("project . inject must vanish")
-        if inject.domain.dim + project.codomain.dim != inject.codomain.dim:
-            raise ValueError("dimensions violate exactness")
+        if not la.is_exact(
+            la.zeros(inject.domain.dim, 0),
+            inject.matrix.entries,
+            project.matrix.entries,
+            la.zeros(0, project.codomain.dim),
+        ):
+            raise ValueError("sequence is not exact")
         self.inject = inject
         self.project = project
 

@@ -169,13 +169,15 @@ def bilinear(g: Mat, u: Vec, v: Vec) -> Fraction:
 
 
 def kron(a: Mat, b: Mat) -> Mat:
-    """Kronecker product; row/col index = (i_a * rows_b + i_b, ...)."""
-    ca, cb = a.ncols, b.ncols
+    """Kronecker product; row/col index = (i_a * rows_b + i_b, ...).
+    Zero factors are not multiplied: power-space Grams over an
+    orthonormal basis are diagonal."""
+    zero = Fraction(0)
     out = []
     for arow in a:
         for brow in b:
-            out.append(tuple(arow[j] * brow[m] for j in range(ca) for m in range(cb)))
-    return Mat(tuple(out), ca * cb)
+            out.append(tuple(x * y if x and y else zero for x in arow for y in brow))
+    return Mat(tuple(out), a.ncols * b.ncols)
 
 
 def hstack(*ms: Mat) -> Mat:
@@ -318,6 +320,23 @@ def solve_vec(a: Mat, v: Vec) -> Vec | None:
     return None if x is None else tuple(row[0] for row in x)
 
 
+def is_exact(*mats: Mat) -> bool:
+    """Is the chain exact at every inner space?
+
+    mats[i] maps space i to space i + 1 (its columns are the images),
+    so the chain is exact at space i + 1 exactly when mats[i + 1] @
+    mats[i] is zero and the ranks of the two add up to the dimension of
+    that space. A zeros(d, 0) in front makes the check cover
+    injectivity, a zeros(0, d) at the back surjectivity; neither costs
+    any arithmetic.
+    """
+    # every product is formed, so a chain of the wrong shape always raises
+    if not all([is_zero(matmul(g, f)) for f, g in zip(mats, mats[1:])]):
+        return False
+    ranks = [rank(m) for m in mats]
+    return all(r + s == len(f) for f, r, s in zip(mats, ranks, ranks[1:]))
+
+
 def canon_span(vectors: Sequence[Vec], width: int) -> Mat:
     """Canonical (RREF) basis of the span of the given row vectors, as
     a Mat of the given width."""
@@ -414,10 +433,6 @@ def in_span(vectors: Sequence[Vec], v: Vec) -> bool:
     if not any(v):
         return True
     return EchelonBasis(vectors, len(v)).contains(v)
-
-
-def span_eq(u: Sequence[Vec], v: Sequence[Vec], width: int) -> bool:
-    return canon_span(u, width) == canon_span(v, width)
 
 
 def span_le(u: Sequence[Vec], v: Sequence[Vec]) -> bool:

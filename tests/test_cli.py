@@ -7,12 +7,14 @@ elapsed_ms line, which is the only wall-clock field.
 
 from __future__ import annotations
 
+import hashlib
 import json
 import re
+from pathlib import Path
 
 import pytest
 
-from hermk import cli, symfun
+from hermk import cli, koszul, symfun
 from hermk.cli import (
     Report,
     SUITE_NAMES,
@@ -43,6 +45,19 @@ def test_every_suite_passes_at_small_bounds():
         ids = [c.id for c in report.checks]
         assert len(set(ids)) == len(ids)
         assert all(i.startswith(f"{suite}-") for i in ids)
+
+
+def test_reports_match_recorded_digests():
+    # a change that alters a report on purpose shows as a diff to this file
+    recorded = json.loads((Path(__file__).parent / "data" / "report_digests.json").read_text())
+    assert set(recorded["digests"]) == set(SUITE_NAMES)
+    differ = []
+    for suite, want in recorded["digests"].items():
+        text = emit_report(run_suite(SuiteConfig(suite, seed=recorded["seed"])), "json")
+        kept = "".join(l for l in text.splitlines(keepends=True) if '"elapsed_ms"' not in l)
+        if hashlib.sha256(kept.encode()).hexdigest() != want:
+            differ.append(suite)
+    assert differ == []
 
 
 def test_suite_and_bound_validation():
@@ -257,3 +272,20 @@ def test_symfun_catches_a_doctored_euler_coefficient(monkeypatch):
         symfun, "_euler_coeff", lambda k, p: honest(k, p) + ((k, p) == (4, 1))
     )
     assert _symfun_failures() == {("secondary-euler-symfun-identity", "k=4 nvars=6")}
+
+
+def test_koszul_exactness_claim_catches_a_doctored_section(monkeypatch):
+    cfg = SuiteConfig("koszul-section", max_dim=2, max_k=2, max_n=1, trials=1)
+    assert run_suite(cfg).failed == 0
+    honest = koszul._psi_images
+    monkeypatch.setattr(
+        koszul, "_psi_images", lambda lab, k: ((t, abs(c)) for t, c in honest(lab, k))
+    )
+    failing = {(c.claim_ref, c.instance) for c in run_suite(cfg).checks if not c.ok}
+    # the sign only shows from two letters in degree 2 on; phi is
+    # untouched, so a check by ranks and spans alone would still pass
+    assert failing == {
+        (ref, f"dim=2 k=2 metric={metric}")
+        for ref in ("koszul-complex-exact", "koszul-section-identity")
+        for metric in ("standard", "random")
+    }

@@ -7,11 +7,13 @@ itself, so H_0 vanishes and H_{-1} is the one-dimensional cokernel.
 
 from __future__ import annotations
 
+import dataclasses
 import random
 from fractions import Fraction
 
 import pytest
 
+from hermk import homology as hom
 from hermk import linalg as la
 from hermk.homology import (
     ChainComplex,
@@ -204,7 +206,7 @@ def test_source_quasi_iso_preserves_modified_homology():
                 h1 = modified_homology(rho2, n)
                 h2 = modified_homology(rho, n)
                 assert h1.dim == h2.dim
-                m = induced_modified_map(f1, idb, rho2, rho, n)
+                m = induced_modified_map(f1, idb, rho2, rho, n, h1, h2)
                 assert la.rank(m) == h1.dim
                 hits += h1.dim
     assert hits > 0  # the loop saw nonzero groups
@@ -213,10 +215,9 @@ def test_source_quasi_iso_preserves_modified_homology():
 def test_induced_map_rejects_noncommuting_square():
     rho = INCLUDE
     bad_f2 = ChainMap(PLANE, PLANE, {0: ((0, 1), (1, 0))})
+    hat = modified_homology(rho, 0)
     with pytest.raises(ValueError):
-        induced_modified_map(
-            identity_chain_map(LINE), bad_f2, rho, rho, 0
-        )
+        induced_modified_map(identity_chain_map(LINE), bad_f2, rho, rho, 0, hat, hat)
 
 
 def test_compose_and_direct_sum_helpers():
@@ -259,3 +260,109 @@ def test_quasi_iso_detection():
     # collapsing a loop to nothing is not a quasi-isomorphism
     loop = ChainComplex({0: 1}, {})
     assert not is_quasi_iso(zero_chain_map(loop, ChainComplex({}, {})))
+
+
+def test_induced_map_checks_presentation_widths():
+    rho = INCLUDE
+    ida, idb = identity_chain_map(LINE), identity_chain_map(PLANE)
+    hat = modified_homology(rho, 0)
+    assert la.rank(induced_modified_map(ida, idb, rho, rho, 0, hat, hat)) == hat.dim
+    # the degree -1 group lives on A_-1 (+) B_0 = Q^2, not A_0 (+) B_1 = Q
+    wrong = modified_homology(rho, -1)
+    with pytest.raises(ValueError):
+        induced_modified_map(ida, idb, rho, rho, 0, wrong, hat)
+    with pytest.raises(ValueError):
+        induced_modified_map(ida, idb, rho, rho, 0, hat, wrong)
+
+
+def _span_exact(*mats) -> bool:
+    """The span oracle for la.is_exact: at every inner space the image of
+    the incoming map equals the kernel of the outgoing one, compared by
+    canonical spans."""
+    return all(
+        la.canon_span(la.transpose(f), len(f)) == la.canon_span(la.nullspace(g), len(f))
+        for f, g in zip(mats, mats[1:])
+    )
+
+
+def _bump(m: la.Mat, i: int, j: int) -> la.Mat:
+    """m with 1 added to the entry (i, j)."""
+    rows = [list(row) for row in m]
+    rows[i][j] += 1
+    return la.Mat(tuple(map(tuple, rows)), m.ncols)
+
+
+def _instances(seed: int, count: int):
+    rng = random.Random(seed)
+    for _ in range(count):
+        a = random_complex(rng, 4, 4)
+        b = random_complex(rng, 4, 4)
+        yield random_chain_map(rng, a, b)
+
+
+def test_exactness_decisions_agree_with_the_span_oracle(monkeypatch):
+    honest = la.is_exact
+    seen = []
+
+    def spy(*mats):
+        got = honest(*mats)
+        assert got == _span_exact(*mats)
+        seen.append(got)
+        return got
+
+    monkeypatch.setattr(la, "is_exact", spy)
+    for f in _instances(101, 10):
+        verify_modified_sequences(f)
+        cone_les_check(f)
+    assert seen and all(seen)
+
+
+def _corrupted_cycle_class(seed: int):
+    """A seeded map and a degree at which to_cycle_class can be corrupted
+    in one entry so that it no longer kills the image of from_form: the
+    column is one where from_form has a nonzero row."""
+    for f in _instances(seed, 20):
+        for n in _all_degrees(f.source, f.target):
+            mm = modified_maps(f, n)
+            rows = [j for j, row in enumerate(mm.from_form) if any(row)]
+            if rows and mm.to_cycle_class:
+                return f, n, rows[0]
+    raise AssertionError("no seeded instance has the entry")
+
+
+def test_one_entry_corruption_breaks_the_modified_sequences(monkeypatch):
+    f, n, j = _corrupted_cycle_class(103)
+    assert all(ok for _, ok in verify_modified_sequences(f))
+    honest = hom._modified_maps
+
+    def doctored(g, m, ha):
+        mm = honest(g, m, ha)
+        if m != n:
+            return mm
+        return dataclasses.replace(mm, to_cycle_class=_bump(mm.to_cycle_class, 0, j))
+
+    monkeypatch.setattr(hom, "_modified_maps", doctored)
+    failing = {name for name, ok in verify_modified_sequences(f) if not ok}
+    assert f"b-exact-hat n={n}" in failing
+
+
+def test_one_entry_corruption_breaks_the_cone_sequence(monkeypatch):
+    # the first seeded map with a degree where both homologies are nonzero
+    f, n = next(
+        (f, n)
+        for f in _instances(107, 20)
+        for n in sorted(f.maps)
+        if homology(f.source, n).dim and homology(f.target, n).dim
+    )
+    assert cone_les_check(f)
+    honest = hom.induced_on_quotients
+
+    def doctored(m, src, dst):
+        out = honest(m, src, dst)
+        # random_chain_map draws null-homotopic maps, so the honest
+        # H_n(f) is zero and one nonzero entry makes it miss the image
+        # of the cone
+        return _bump(out, 0, 0) if m is f.maps[n] else out
+
+    monkeypatch.setattr(hom, "induced_on_quotients", doctored)
+    assert not cone_les_check(f)

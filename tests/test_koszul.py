@@ -106,6 +106,27 @@ def test_complexes_are_exact_for_any_metric():
     assert koszul_complex(SKEW, 3).acyclic
 
 
+def test_acyclic_flag_is_checked_by_exactness():
+    line, plane, end = (standard_space(d, tag=t) for d, t in ((1, "a"), (2, "b"), (1, "c")))
+    f = SpaceMap(line, plane, ((F(1),), (F(0),)))
+    g = SpaceMap(plane, end, ((F(0), F(1)),))
+    assert HermitianComplex([line, plane, end], [f, g], acyclic=True).acyclic
+    # the ranks add up (1 + 1 = 2) but the maps do not compose to zero
+    bad_g = SpaceMap(plane, end, ((F(1), F(0)),))
+    for acyclic in (True, False):
+        with pytest.raises(ValueError):
+            HermitianComplex([line, plane, end], [f, bad_g], acyclic=acyclic)
+    # a complex, but with a rank deficit in the middle and at the front
+    zero_f = SpaceMap(line, plane, ((F(0),), (F(0),)))
+    assert not HermitianComplex([line, plane, end], [zero_f, g]).acyclic
+    with pytest.raises(ValueError):
+        HermitianComplex([line, plane, end], [zero_f, g], acyclic=True)
+    # one object is exact exactly when it is zero
+    assert HermitianComplex([ZERO_SPACE], [], acyclic=True).acyclic
+    with pytest.raises(ValueError):
+        HermitianComplex([line], [], acyclic=True)
+
+
 def test_section_identity():
     rng = random.Random(37)
     for dim in (1, 2, 3):

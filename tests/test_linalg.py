@@ -19,6 +19,8 @@ import pytest
 
 from hermk import linalg as la
 
+F = Fraction
+
 A = la.mat([[2, 4, 1, 3], [1, 2, 0, 1], [3, 6, 2, 5]])
 
 
@@ -44,7 +46,7 @@ def test_rank_and_det_fixed():
 def test_nullspace_matches_sympy_span():
     null = la.nullspace(A)
     expected = (la.vec([-2, 1, 0, 0]), la.vec([-1, 0, -1, 1]))
-    assert la.span_eq(null, expected, 4)
+    assert la.canon_span(null, 4) == la.canon_span(expected, 4)
     for v in null:
         assert not any(la.matvec(A, v))
 
@@ -72,7 +74,7 @@ def test_canon_span_is_rref_and_span_stable():
             for _ in range(rng.randrange(0, 5))
         ]
         canon = la.canon_span(tuple(vecs), width)
-        assert la.span_eq(canon, tuple(vecs), width)
+        assert la.canon_span(canon, width) == la.canon_span(tuple(vecs), width)
         # canonical: re-canonicalizing shuffled scalar multiples is stable
         scaled = [la.scale_vec(v, Fraction(3, 2)) for v in reversed(vecs)]
         assert la.canon_span(tuple(scaled), width) == canon
@@ -84,6 +86,57 @@ def test_in_span_and_span_le():
     assert not la.in_span(basis, la.vec([1, 0, 0]))
     assert la.span_le((la.vec([1, 1, 1]),), basis)
     assert not la.span_le(basis, (la.vec([1, 1, 1]),))
+
+
+def _span_exact(f, g) -> bool:
+    """The span oracle: the image of f equals the kernel of g, compared
+    by canonical spans."""
+    return la.canon_span(la.transpose(f), len(f)) == la.canon_span(la.nullspace(g), len(f))
+
+
+def _random_mat(rng, r, c):
+    return la.Mat(tuple(tuple(F(rng.randrange(-2, 3)) for _ in range(c)) for _ in range(r)), c)
+
+
+def test_is_exact_matches_the_span_oracle_on_random_pairs():
+    rng = random.Random(19)
+    outcomes = set()
+    for _ in range(150):
+        a, b, c = (rng.randrange(0, 5) for _ in range(3))
+        g = _random_mat(rng, c, b)
+        if rng.randrange(3):
+            # f maps onto a random part of ker g, all of it or less:
+            # g f = 0, exact or not
+            null = la.transpose(la.nullspace(g))
+            f = la.matmul(null, _random_mat(rng, null.ncols, a))
+        else:
+            f = _random_mat(rng, b, a)
+        got = la.is_exact(f, g)
+        assert got == _span_exact(f, g)
+        outcomes.add((got, la.is_zero(la.matmul(g, f))))
+    # exact pairs, pairs with g f = 0 that are not exact, and g f != 0
+    assert outcomes == {(True, True), (False, True), (False, False)}
+
+
+def test_is_exact_hand_cases():
+    e1 = la.mat([[1], [0]])
+    e1t = la.mat([[1, 0]])
+    # the ranks add up (1 + 1 = 2) but g f != 0
+    assert not la.is_exact(e1, e1t) and not _span_exact(e1, e1t)
+    # g f = 0 with a rank deficit (0 + 1 < 2)
+    assert not la.is_exact(la.zeros(2, 1), e1t) and not _span_exact(la.zeros(2, 1), e1t)
+    assert la.is_exact(la.mat([[0], [1]]), e1t)
+    # zero-width ends: injectivity in front, surjectivity at the back
+    assert la.is_exact(la.zeros(0, 0), la.zeros(0, 0))
+    assert la.is_exact(la.zeros(1, 0), e1) and not la.is_exact(la.zeros(1, 0), la.zeros(2, 1))
+    assert la.is_exact(e1t, la.zeros(0, 1)) and not la.is_exact(la.zeros(1, 2), la.zeros(0, 1))
+    assert la.is_exact(la.zeros(2, 0), la.zeros(0, 2)) is False
+    assert la.is_exact(la.zeros(1, 0), la.mat([[0], [1]]), e1t, la.zeros(0, 1))
+    assert not la.is_exact(la.zeros(1, 0), e1, e1t, la.zeros(0, 1))
+    # nothing between: no inner space to be exact at
+    assert la.is_exact() and la.is_exact(e1)
+    with pytest.raises(ValueError):
+        la.is_exact(e1, la.zeros(1, 3))
 
 
 def test_block_matrix_layout():
@@ -190,6 +243,9 @@ def test_degenerate_products_and_solves_skip_the_kernels(monkeypatch):
     for a, b in solves:
         x = la.solve(a, b)
         assert x == la.Mat(((),) * a.ncols, 0) and la.shape(x) == (a.ncols, 0)
+    # zero ends of an exactness test cost no arithmetic either
+    assert la.is_exact(la.zeros(0, 0), la.zeros(0, 0))
+    assert not la.is_exact(la.zeros(3, 0), la.zeros(0, 3))
 
 
 def test_mat_coerces_raw_rows_once():
