@@ -27,9 +27,15 @@ from math import lcm
 
 def _clear(a):
     """Return (integer rows, common denominator den) with a == rows / den."""
-    # an int is its own numerator over the denominator 1
-    den = lcm(*{x.denominator for row in a for x in row})
-    rows = [[x.numerator * (den // x.denominator) for x in row] for row in a]
+    den = 1
+    for row in a:
+        for x in row:
+            if not isinstance(x, int):
+                den = lcm(den, x.denominator)
+    rows = [
+        [x * den if isinstance(x, int) else x.numerator * (den // x.denominator) for x in row]
+        for row in a
+    ]
     return rows, den
 
 

@@ -196,19 +196,17 @@ def _suite_koszul_split(run: _SuiteRun) -> None:
 
 def _contracted(c, sections) -> bool:
     """The homotopy certificate of exactness: phi_{p-1} psi_{p-1} +
-    psi_p phi_p = id on every object A^p, the terms outside 0..top
-    absent. Every cycle z is then the boundary phi(psi z)."""
-    phis = [f.matrix.entries for f in c.maps]
-    psis = [s.matrix.entries for s in sections]
-    for p, obj in enumerate(c.objects):
-        total = la.zeros(obj.dim, obj.dim)
-        if p > 0:
-            total = la.add(total, la.matmul(phis[p - 1], psis[p - 1]))
-        if p < c.top:
-            total = la.add(total, la.matmul(psis[p], phis[p]))
-        if total != la.identity(obj.dim):
-            return False
-    return True
+    psi_p phi_p = id on every object A^p, with zero maps outside
+    0..top. Every cycle z is then the boundary phi(psi z)."""
+    d0, dk = c.objects[0].dim, c.objects[-1].dim
+    # phis[p] is phi_{p-1} and psis[p] is psi_{p-1}, zero-width at the ends
+    phis = (la.zeros(d0, 0), *(f.matrix.entries for f in c.maps), la.zeros(0, dk))
+    psis = (la.zeros(0, d0), *(s.matrix.entries for s in sections), la.zeros(dk, 0))
+    return all(
+        la.add(la.matmul(phis[p], psis[p]), la.matmul(psis[p + 1], phis[p + 1]))
+        == la.identity(obj.dim)
+        for p, obj in enumerate(c.objects)
+    )
 
 
 def _suite_koszul_section(run: _SuiteRun) -> None:

@@ -415,7 +415,8 @@ class ShortExactMetrized:
     """0 -> sub -> total -> quot -> 0 with metrized terms.
 
     Construction validates exactness at all three terms by one
-    la.is_exact call on the chain with its zero ends.
+    la.is_exact call on the chain with its zero ends; a failure names
+    the term and the test (product or ranks) that fails there.
     """
 
     __slots__ = ("inject", "project")
@@ -423,13 +424,12 @@ class ShortExactMetrized:
     def __init__(self, inject: SpaceMap, project: SpaceMap):
         if inject.codomain != project.domain:
             raise ValueError("inject and project must share the middle space")
-        if not la.is_exact(
-            la.zeros(inject.domain.dim, 0),
-            inject.matrix.entries,
-            project.matrix.entries,
-            la.zeros(0, project.codomain.dim),
-        ):
-            raise ValueError("sequence is not exact")
+        a, c = inject.domain.dim, project.codomain.dim
+        chain = (la.zeros(a, 0), inject.matrix.entries, project.matrix.entries, la.zeros(0, c))
+        if not la.is_exact(*chain):
+            i, why = la.exactness_defect(*chain)
+            term = ("sub", "total", "quot")[i - 1]
+            raise ValueError(f"sequence is not exact at {term}: the {why} test fails")
         self.inject = inject
         self.project = project
 

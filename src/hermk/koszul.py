@@ -91,9 +91,10 @@ class HermitianComplex:
     maps[p] goes from objects[p] to objects[p+1]. Construction checks
     that consecutive maps compose to zero; with acyclic=True it checks
     exactness everywhere instead, ends included, by one la.is_exact
-    call on the maps between zero ends. check=False skips revalidation
-    for complexes produced by transformations that preserve the
-    invariants.
+    call on the maps between zero ends, whose failure names the pair
+    of maps that does not compose to zero or else the degree where the
+    ranks do not add up. check=False skips revalidation for complexes
+    produced by transformations that preserve the invariants.
     """
 
     __slots__ = ("objects", "maps", "acyclic")
@@ -113,8 +114,12 @@ class HermitianComplex:
             entries = [f.matrix.entries for f in self.maps]
             if acyclic:
                 first, last = self.objects[0].dim, self.objects[-1].dim
-                if not la.is_exact(la.zeros(first, 0), *entries, la.zeros(0, last)):
-                    raise ValueError("complex flagged acyclic is not exact")
+                chain = (la.zeros(first, 0), *entries, la.zeros(0, last))
+                if not la.is_exact(*chain):
+                    i, why = la.exactness_defect(*chain)
+                    if why == "product":
+                        raise ValueError(f"maps {i - 2}, {i - 1} do not compose to zero")
+                    raise ValueError(f"complex flagged acyclic is not exact at degree {i - 1}")
             else:
                 for p in range(len(entries) - 1):
                     if not la.is_zero(la.matmul(entries[p + 1], entries[p])):

@@ -169,15 +169,13 @@ def bilinear(g: Mat, u: Vec, v: Vec) -> Fraction:
 
 
 def kron(a: Mat, b: Mat) -> Mat:
-    """Kronecker product; row/col index = (i_a * rows_b + i_b, ...).
-    Zero factors are not multiplied: power-space Grams over an
-    orthonormal basis are diagonal."""
-    zero = Fraction(0)
+    """Kronecker product; row/col index = (i_a * rows_b + i_b, ...)."""
+    ca, cb = a.ncols, b.ncols
     out = []
     for arow in a:
         for brow in b:
-            out.append(tuple(x * y if x and y else zero for x in arow for y in brow))
-    return Mat(tuple(out), a.ncols * b.ncols)
+            out.append(tuple(arow[j] * brow[m] for j in range(ca) for m in range(cb)))
+    return Mat(tuple(out), ca * cb)
 
 
 def hstack(*ms: Mat) -> Mat:
@@ -330,11 +328,21 @@ def is_exact(*mats: Mat) -> bool:
     injectivity, a zeros(0, d) at the back surjectivity; neither costs
     any arithmetic.
     """
+    return exactness_defect(*mats) is None
+
+
+def exactness_defect(*mats: Mat) -> tuple[int, str] | None:
+    """Where is_exact fails: (i, "product") for the first space i at
+    which mats[i] @ mats[i - 1] is not zero, else (i, "ranks") for the
+    first space i at which the ranks of those two do not add up to its
+    dimension; None when the chain is exact."""
     # every product is formed, so a chain of the wrong shape always raises
-    if not all([is_zero(matmul(g, f)) for f, g in zip(mats, mats[1:])]):
-        return False
+    zero = [is_zero(matmul(g, f)) for f, g in zip(mats, mats[1:])]
+    if not all(zero):
+        return zero.index(False) + 1, "product"
     ranks = [rank(m) for m in mats]
-    return all(r + s == len(f) for f, r, s in zip(mats, ranks, ranks[1:]))
+    bad = [i for i, (f, r, s) in enumerate(zip(mats, ranks, ranks[1:]), 1) if r + s != len(f)]
+    return (bad[0], "ranks") if bad else None
 
 
 def canon_span(vectors: Sequence[Vec], width: int) -> Mat:

@@ -191,8 +191,17 @@ def test_short_exact_validation_and_split():
     prj = SpaceMap(plane, quo, ((F(0), F(1)),))
     ses = ShortExactMetrized(inj, prj)
     assert is_hermitian_split(ses)
-    with pytest.raises(ValueError):
-        ShortExactMetrized(inj, SpaceMap(plane, quo, ((F(1), F(0)),)))
+    # each failure names the term and the test that fails there
+    quo2 = standard_space(2, tag="q")
+    cases = (
+        (SpaceMap(sub, plane, ((F(0),), (F(0),))), prj, "at sub: the ranks"),
+        (inj, SpaceMap(plane, quo, ((F(1), F(0)),)), "at total: the product"),
+        (inj, SpaceMap(plane, quo, ((F(0), F(0)),)), "at total: the ranks"),
+        (inj, SpaceMap(plane, quo2, ((F(0), F(1)), (F(0), F(0)))), "at quot: the ranks"),
+    )
+    for i, p, msg in cases:
+        with pytest.raises(ValueError, match=msg):
+            ShortExactMetrized(i, p)
 
 
 def test_skew_extension_is_not_split():

@@ -39,6 +39,7 @@ from hermk.homology import (
     zero_chain_map,
 )
 from hermk.instances import random_chain_map, random_complex, random_quasi_iso
+from test_linalg import _span_exact
 
 LINE = ChainComplex({0: 1}, {})
 PLANE = ChainComplex({0: 2}, {})
@@ -273,16 +274,6 @@ def test_induced_map_checks_presentation_widths():
         induced_modified_map(ida, idb, rho, rho, 0, wrong, hat)
     with pytest.raises(ValueError):
         induced_modified_map(ida, idb, rho, rho, 0, hat, wrong)
-
-
-def _span_exact(*mats) -> bool:
-    """The span oracle for la.is_exact: at every inner space the image of
-    the incoming map equals the kernel of the outgoing one, compared by
-    canonical spans."""
-    return all(
-        la.canon_span(la.transpose(f), len(f)) == la.canon_span(la.nullspace(g), len(f))
-        for f, g in zip(mats, mats[1:])
-    )
 
 
 def _bump(m: la.Mat, i: int, j: int) -> la.Mat:

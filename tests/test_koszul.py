@@ -114,16 +114,20 @@ def test_acyclic_flag_is_checked_by_exactness():
     # the ranks add up (1 + 1 = 2) but the maps do not compose to zero
     bad_g = SpaceMap(plane, end, ((F(1), F(0)),))
     for acyclic in (True, False):
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="maps 0, 1 do not compose to zero"):
             HermitianComplex([line, plane, end], [f, bad_g], acyclic=acyclic)
     # a complex, but with a rank deficit in the middle and at the front
     zero_f = SpaceMap(line, plane, ((F(0),), (F(0),)))
     assert not HermitianComplex([line, plane, end], [zero_f, g]).acyclic
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="not exact at degree 0"):
         HermitianComplex([line, plane, end], [zero_f, g], acyclic=True)
+    # exact at degree 0 but not at the end
+    zero_g = SpaceMap(plane, end, ((F(0), F(0)),))
+    with pytest.raises(ValueError, match="not exact at degree 1"):
+        HermitianComplex([line, plane, end], [f, zero_g], acyclic=True)
     # one object is exact exactly when it is zero
     assert HermitianComplex([ZERO_SPACE], [], acyclic=True).acyclic
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="not exact at degree 0"):
         HermitianComplex([line], [], acyclic=True)
 
 

@@ -88,10 +88,14 @@ def test_in_span_and_span_le():
     assert not la.span_le(basis, (la.vec([1, 1, 1]),))
 
 
-def _span_exact(f, g) -> bool:
-    """The span oracle: the image of f equals the kernel of g, compared
-    by canonical spans."""
-    return la.canon_span(la.transpose(f), len(f)) == la.canon_span(la.nullspace(g), len(f))
+def _span_exact(*mats) -> bool:
+    """The span oracle for la.is_exact: at every inner space the image of
+    the incoming map equals the kernel of the outgoing one, compared by
+    canonical spans."""
+    return all(
+        la.canon_span(la.transpose(f), len(f)) == la.canon_span(la.nullspace(g), len(f))
+        for f, g in zip(mats, mats[1:])
+    )
 
 
 def _random_mat(rng, r, c):
@@ -135,6 +139,13 @@ def test_is_exact_hand_cases():
     assert not la.is_exact(la.zeros(1, 0), e1, e1t, la.zeros(0, 1))
     # nothing between: no inner space to be exact at
     assert la.is_exact() and la.is_exact(e1)
+    # exactness_defect names the first failing space and condition
+    assert la.exactness_defect(e1, e1t) == (1, "product")
+    assert la.exactness_defect(la.zeros(2, 1), e1t) == (1, "ranks")
+    assert la.exactness_defect(la.zeros(1, 0), la.mat([[0], [1]]), e1t) is None
+    assert la.exactness_defect(la.zeros(1, 0), la.zeros(2, 1), e1t) == (1, "ranks")
+    assert la.exactness_defect(la.zeros(1, 0), e1, e1t) == (2, "product")
+    assert la.exactness_defect(e1t, la.zeros(1, 1), la.zeros(0, 1)) == (2, "ranks")
     with pytest.raises(ValueError):
         la.is_exact(e1, la.zeros(1, 3))
 
