@@ -257,7 +257,7 @@ class SpaceMap:
 
     def image_basis(self) -> Mat:
         """Canonical (RREF) basis of the image, in codomain coordinates."""
-        return la.canon_span(la.transpose(self.matrix.entries), self.codomain.dim)
+        return la.EchelonBasis(la.transpose(self.matrix.entries), self.codomain.dim).rows
 
     def rank(self) -> int:
         return la.rank(self.matrix.entries)

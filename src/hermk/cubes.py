@@ -324,23 +324,32 @@ def cube_differential(x) -> CubeSum:
 
 class Flag:
     """A chain of nested subspaces 0 <= E_1 <= ... <= E_n inside a
-    metrized ambient space; repeated entries are allowed. Bases are
-    normalized to reduced echelon form so equal subspace chains give
-    equal flags."""
+    metrized ambient space; repeated entries are allowed. Each entry is
+    held as its EchelonBasis (built once: faces and degeneracies pass
+    the bases along), so equal subspace chains give equal flags, and
+    nesting is checked by containment of each entry's rows in the next
+    entry's basis. chain reads the entries' rows."""
 
-    __slots__ = ("ambient", "chain")
+    __slots__ = ("ambient", "bases")
 
     def __init__(self, ambient: MetrizedSpace, chain, check: bool = True):
         self.ambient = ambient
-        self.chain = tuple(la.canon_span(basis, ambient.dim) for basis in chain)
+        self.bases = tuple(
+            b if isinstance(b, la.EchelonBasis) else la.EchelonBasis(b, ambient.dim)
+            for b in chain
+        )
         if check:
-            for small, big in zip(self.chain, self.chain[1:]):
-                if not la.span_le(small, big):
+            for small, big in zip(self.bases, self.bases[1:]):
+                if not all(big.contains(row) for row in small.rows):
                     raise ValueError("flag entries must be nested")
 
     @property
+    def chain(self) -> tuple:
+        return tuple(b.rows for b in self.bases)
+
+    @property
     def length(self) -> int:
-        return len(self.chain)
+        return len(self.bases)
 
     def key(self):
         return (self.ambient.key(), self.chain)
@@ -362,14 +371,14 @@ class Flag:
         if not 0 <= i <= self.length:
             raise ValueError("face index out of range")
         if i == 0:
-            first = self.chain[0]
+            first = self.bases[0]
             rest = tuple(
-                _ortho_in(self.ambient, first, big) for big in self.chain[1:]
+                _ortho_in(self.ambient, first, big) for big in self.bases[1:]
             )
             return Flag(self.ambient, rest, check=False)
         return Flag(
             self.ambient,
-            self.chain[: i - 1] + self.chain[i:],
+            self.bases[: i - 1] + self.bases[i:],
             check=False,
         )
 
@@ -379,19 +388,19 @@ class Flag:
         if not 0 <= i <= self.length:
             raise ValueError("degeneracy index out of range")
         if i == 0:
-            return Flag(self.ambient, ((),) + self.chain, check=False)
+            return Flag(self.ambient, ((),) + self.bases, check=False)
         return Flag(
             self.ambient,
-            self.chain[:i] + (self.chain[i - 1],) + self.chain[i:],
+            self.bases[:i] + (self.bases[i - 1],) + self.bases[i:],
             check=False,
         )
 
 
-def _ortho_in(ambient: MetrizedSpace, small, big):
-    """Canonical basis of the orthogonal complement of span(small)
-    inside span(big), both given by bases in ambient coordinates (Mats)."""
-    rel = la.matmul(la.matmul(small, ambient.gram), la.transpose(big))
-    return la.canon_span(la.matmul(la.nullspace(rel), big), ambient.dim)
+def _ortho_in(ambient: MetrizedSpace, small: la.EchelonBasis, big: la.EchelonBasis):
+    """Echelon basis of the orthogonal complement of span(small) inside
+    span(big), both echelon bases in ambient coordinates."""
+    rel = la.matmul(la.matmul(small.rows, ambient.gram), la.transpose(big.rows))
+    return la.EchelonBasis(la.matmul(la.nullspace(rel), big.rows), ambient.dim)
 
 
 @lru_cache(maxsize=None)
@@ -417,9 +426,12 @@ def _cub_tags(n: int):
     return tags
 
 
-def _inclusion_map(sub_basis, sup_basis, sub_space, sup_space) -> SpaceMap:
-    cols = la.solve(la.transpose(sup_basis), la.transpose(sub_basis))
-    return SpaceMap(sub_space, sup_space, cols)
+def _inclusion_map(sub, sup, sub_space, sup_space) -> SpaceMap:
+    """The inclusion of span(sub) into span(sup), echelon bases with
+    sub inside sup: column j holds the coordinates of sub's row j over
+    sup's rows, read at sup's pivots."""
+    cols = la.Mat(tuple(sup.coords(row) for row in sub.rows), len(sup.rows))
+    return SpaceMap(sub_space, sup_space, la.transpose(cols))
 
 
 def _orthoprojection_map(src_basis, dst_basis, src_space, dst_space, gram) -> SpaceMap:
@@ -429,7 +441,7 @@ def _orthoprojection_map(src_basis, dst_basis, src_space, dst_space, gram) -> Sp
     return SpaceMap(src_space, dst_space, la.solve(g2, rhs))
 
 
-def cub(f: Flag, check: bool = True) -> Cube:
+def cub(f: Flag) -> Cube:
     """The (n-1)-cube of a length-n flag.
 
     Vertices realize complements W(a, b) of E_a inside E_b with the
@@ -449,14 +461,14 @@ def cub(f: Flag, check: bool = True) -> Cube:
         if t not in bases:
             a, b = t
             if a == 0:
-                bases[t] = f.chain[b - 1]
+                bases[t] = f.bases[b - 1]
             else:
-                bases[t] = _ortho_in(f.ambient, f.chain[a - 1], f.chain[b - 1])
+                bases[t] = _ortho_in(f.ambient, f.bases[a - 1], f.bases[b - 1])
         return bases[t]
 
     for t in set(tags.values()):
         if t is not None:
-            spaces[t] = induced_subspace_metric(f.ambient, basis_of(t))
+            spaces[t] = induced_subspace_metric(f.ambient, basis_of(t).rows)
 
     verts = {j: spaces[tags[j]] for j in tags}
     arrow_cache: dict = {}
@@ -472,7 +484,7 @@ def cub(f: Flag, check: bool = True) -> Cube:
             m = _inclusion_map(basis_of(t1), basis_of(t2), spaces[t1], spaces[t2])
         elif t1[1] == t2[1] and t1[0] < t2[0]:
             m = _orthoprojection_map(
-                basis_of(t1), basis_of(t2), spaces[t1], spaces[t2], f.ambient.gram
+                basis_of(t1).rows, basis_of(t2).rows, spaces[t1], spaces[t2], f.ambient.gram
             )
         else:
             raise AssertionError(f"unexpected tag step {t1} -> {t2}")
@@ -482,7 +494,7 @@ def cub(f: Flag, check: bool = True) -> Cube:
     arrows = {
         (s, d): arrow_for(tags[s], tags[d]) for s, d in _adjacent(n - 1)
     }
-    return Cube(n - 1, verts, arrows, check=check)
+    return Cube(n - 1, verts, arrows)
 
 
 def cub_chain_property(f: Flag) -> bool:
@@ -589,7 +601,7 @@ def homotopy_check(f: Flag, i: int) -> bool:
     )
 
 
-def direct_sum_cube(parts, check: bool = True) -> Cube:
+def direct_sum_cube(parts) -> Cube:
     """The cube of orthogonal direct sums built from spaces indexed by
     {0,2}^n: a vertex sums the given spaces over all ways of resolving
     its 1-coordinates to 0 or 2, and arrows match summands by index
@@ -621,7 +633,7 @@ def direct_sum_cube(parts, check: bool = True) -> Cube:
         (s, d): _summand_matching_map(sums[s], spaces[s], sums[d], spaces[d])
         for s, d in _adjacent(n)
     }
-    return Cube(n, spaces, arrows, check=check)
+    return Cube(n, spaces, arrows)
 
 
 def _summand_matching_map(src_parts, src_space, dst_parts, dst_space) -> SpaceMap:

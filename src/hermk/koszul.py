@@ -386,32 +386,31 @@ class TwoIteratedComplex:
 
     __slots__ = ("vtop", "htop", "objects", "vmaps", "hmaps")
 
-    def __init__(self, vtop, htop, objects, vmaps, hmaps, check: bool = True):
+    def __init__(self, vtop, htop, objects, vmaps, hmaps):
         self.vtop, self.htop = vtop, htop
         self.objects = dict(objects)
         self.vmaps = dict(vmaps)
         self.hmaps = dict(hmaps)
-        if check:
-            for a in range(vtop + 1):
-                for b in range(htop + 1):
-                    if (a, b) not in self.objects:
-                        raise ValueError(f"missing object {(a, b)}")
-            for (a, b), f in self.vmaps.items():
-                if f.domain != self.objects[(a, b)] or f.codomain != self.objects[(a + 1, b)]:
-                    raise ValueError(f"vertical map {(a, b)} mismatched")
-            for (a, b), f in self.hmaps.items():
-                if f.domain != self.objects[(a, b)] or f.codomain != self.objects[(a, b + 1)]:
-                    raise ValueError(f"horizontal map {(a, b)} mismatched")
-            for a in range(vtop):
-                for b in range(htop):
-                    lhs = self.vmaps[(a, b + 1)].compose(self.hmaps[(a, b)])
-                    rhs = self.hmaps[(a + 1, b)].compose(self.vmaps[(a, b)])
-                    if lhs != rhs:
-                        raise ValueError(f"square at {(a, b)} does not commute")
+        for a in range(vtop + 1):
             for b in range(htop + 1):
-                self.column(b)
-            for a in range(vtop + 1):
-                self.row(a)
+                if (a, b) not in self.objects:
+                    raise ValueError(f"missing object {(a, b)}")
+        for (a, b), f in self.vmaps.items():
+            if f.domain != self.objects[(a, b)] or f.codomain != self.objects[(a + 1, b)]:
+                raise ValueError(f"vertical map {(a, b)} mismatched")
+        for (a, b), f in self.hmaps.items():
+            if f.domain != self.objects[(a, b)] or f.codomain != self.objects[(a, b + 1)]:
+                raise ValueError(f"horizontal map {(a, b)} mismatched")
+        for a in range(vtop):
+            for b in range(htop):
+                lhs = self.vmaps[(a, b + 1)].compose(self.hmaps[(a, b)])
+                rhs = self.hmaps[(a + 1, b)].compose(self.vmaps[(a, b)])
+                if lhs != rhs:
+                    raise ValueError(f"square at {(a, b)} does not commute")
+        for b in range(htop + 1):
+            self.column(b)
+        for a in range(vtop + 1):
+            self.row(a)
 
     def column(self, b: int) -> HermitianComplex:
         """The vertical complex at horizontal position b (acyclic)."""

@@ -345,12 +345,6 @@ def exactness_defect(*mats: Mat) -> tuple[int, str] | None:
     return (bad[0], "ranks") if bad else None
 
 
-def canon_span(vectors: Sequence[Vec], width: int) -> Mat:
-    """Canonical (RREF) basis of the span of the given row vectors, as
-    a Mat of the given width."""
-    return rref(stack(vectors, width))[0]
-
-
 class EchelonBasis:
     """A subspace of Q^width held as the nonzero rows of its unique
     reduced row echelon form, plus their pivot columns.
@@ -360,6 +354,10 @@ class EchelonBasis:
     zero, and the v[pivots[i]] are then its coordinates over rows. So
     membership and coordinates cost one pass over the rows and no
     elimination; add() keeps the form reduced as the span grows.
+
+    This is the one representation of a canonical span: equal spans
+    have equal rows, so a span is built once and passed along, and
+    callers that need the basis as a matrix read rows.
     """
 
     __slots__ = ("width", "rows", "pivots")
@@ -368,28 +366,6 @@ class EchelonBasis:
         """Basis of the span of arbitrary vectors: one rref."""
         self.width = width
         self.rows, self.pivots = rref(stack(vectors, width))
-
-    @classmethod
-    def from_rref(cls, rows: Sequence[Vec], width: int) -> "EchelonBasis":
-        """Adopt rows that are already the nonzero rows of an RREF (as
-        canon_span returns them) without elimination; the pivots are
-        their first nonzero entries. Raises if the rows are not in that
-        form."""
-        rows = tuple(rows)
-        pivots = []
-        for row in rows:
-            if len(row) != width:
-                raise ValueError(f"row of length {len(row)} in a basis of width {width}")
-            p = next((i for i, x in enumerate(row) if x), None)
-            if p is None or row[p] != 1 or (pivots and p <= pivots[-1]):
-                raise ValueError("rows are not in reduced row echelon form")
-            pivots.append(p)
-        for p in pivots:
-            if sum(1 for row in rows if row[p]) != 1:
-                raise ValueError("rows are not in reduced row echelon form")
-        basis = cls.__new__(cls)
-        basis.width, basis.rows, basis.pivots = width, rows, tuple(pivots)
-        return basis
 
     def reduce(self, v: Vec) -> Vec:
         """v minus sum_i v[pivots[i]] * rows[i]: zero at every pivot, and
@@ -441,12 +417,3 @@ def in_span(vectors: Sequence[Vec], v: Vec) -> bool:
     if not any(v):
         return True
     return EchelonBasis(vectors, len(v)).contains(v)
-
-
-def span_le(u: Sequence[Vec], v: Sequence[Vec]) -> bool:
-    """Is span(u) contained in span(v)?"""
-    u = [x for x in u if any(x)]
-    if not u:
-        return True
-    basis = EchelonBasis(v, len(u[0]))
-    return all(basis.contains(x) for x in u)

@@ -14,7 +14,7 @@ from pathlib import Path
 
 import pytest
 
-from hermk import cli, koszul, symfun
+from hermk import cli, cubes, koszul, symfun
 from hermk.cli import (
     Report,
     SUITE_NAMES,
@@ -288,4 +288,33 @@ def test_koszul_exactness_claim_catches_a_doctored_section(monkeypatch):
         (ref, f"dim=2 k=2 metric={metric}")
         for ref in ("koszul-complex-exact", "koszul-section-identity")
         for metric in ("standard", "random")
+    }
+
+
+def test_squares_zero_claim_catches_a_dropped_direction_sign(monkeypatch):
+    def unsigned(x):
+        # cube_differential with every direction weighted +1
+        if isinstance(x, cubes.Cube):
+            x = cubes.CubeSum.single(x)
+        out = cubes.CubeSum(x.n - 1)
+        for coeff, cube in x.summands():
+            for i in range(1, cube.n + 1):
+                for k, s in ((0, 1), (1, -1), (2, 1)):
+                    out._add(coeff * s, cubes.face(cube, i, k))
+        return out
+
+    cfg = SuiteConfig("cub-relations", seed=1)
+    assert run_suite(cfg).failed == 0
+    monkeypatch.setattr(cli, "cube_differential", unsigned)
+    monkeypatch.setattr(cubes, "cube_differential", unsigned)
+    checks = run_suite(cfg).checks
+    failing = {(c.claim_ref, c.instance) for c in checks if not c.ok}
+    # a 1-cube (flag length 2) has no dd to check
+    length3 = {c.instance for c in checks if c.instance.endswith("n=3")}
+    assert length3
+    squares = {i for ref, i in failing if ref == "cube-differential-squares-zero"}
+    assert squares == length3
+    assert {ref for ref, _ in failing} == {
+        "cube-differential-squares-zero",
+        "cub-chain-property",
     }

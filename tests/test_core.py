@@ -30,6 +30,7 @@ from hermk.core import (
     subspace_object,
     zero_map,
 )
+from test_linalg import _canon_span
 
 F = Fraction
 
@@ -139,7 +140,7 @@ def test_induced_subspace_labels_are_basis_vectors():
     # canonical basis, as the flag calculus does
     other = induced_subspace_metric(plane, (la.vec([2, 2]),))
     assert other.key() != sub.key()
-    canon = induced_subspace_metric(plane, la.canon_span((la.vec([2, 2]),), 2))
+    canon = induced_subspace_metric(plane, _canon_span((la.vec([2, 2]),), 2))
     assert canon.key() == sub.key()
 
 

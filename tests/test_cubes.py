@@ -13,6 +13,7 @@ from fractions import Fraction
 
 import pytest
 
+from hermk import cubes
 from hermk import linalg as la
 from hermk.core import (
     MetrizedSpace,
@@ -140,6 +141,18 @@ def test_degenerate_flag_relations():
         assert cub_degeneracy_relations(f)
         for i in range(1, f.length):
             assert paired_faces_agree(f, i)
+
+
+def test_flag_entries_must_be_nested():
+    amb = standard_space(3)
+    e1, e2, e3 = la.identity(3)
+    f = Flag(amb, [(e1,), (e2, e1), (e1, e2)])
+    assert f.chain == ((e1,), (e1, e2), (e1, e2))
+    assert f == Flag(amb, [(la.scale_vec(e1, 2),), (e1, e2), (e2, la.add_vec(e1, e2))])
+    with pytest.raises(ValueError):
+        Flag(amb, [(e1, e2), (e3,)])
+    with pytest.raises(ValueError):
+        Flag(amb, [(e1,), (e2, e3)])
 
 
 def test_generic_cube_is_not_tau_symmetric():
@@ -289,3 +302,59 @@ def test_canonical_kernel_rebuild():
             assert got == la.transpose(la.mat(rb.vertices[src].labels))
             assert m.matrix.scale_sq == 1
     Cube(rb.n, rb.vertices, rb.arrows)  # revalidates all triples
+
+
+def _oracle_inclusion_map(sub, sup, sub_space, sup_space) -> SpaceMap:
+    """The solve-based inclusion that cub used before it read
+    coordinates at the pivots of the target's echelon basis."""
+    cols = la.solve(la.transpose(sup.rows), la.transpose(sub.rows))
+    return SpaceMap(sub_space, sup_space, cols)
+
+
+def _seeded_flags(seed: int) -> list:
+    """Flags of lengths 1-4 in a 5-dimensional ambient space, with zero,
+    repeated and full entries among them."""
+    rng = random.Random(seed)
+    amb = _ambient(rng, 5)
+    flags = []
+    for length in (1, 2, 3, 4):
+        for _ in range(4):
+            flags.append(_flag(rng, amb, sorted(rng.choice(range(6)) for _ in range(length))))
+        flags.append(_flag(rng, amb, (1, 3, 4)[: length - 1] + (5,)))
+        flags.append(_flag(rng, amb, (0,) + (2,) * (length - 1)))
+    return flags
+
+
+def _cub_outcome(f):
+    try:
+        return cub(f).key()
+    except ValueError as err:
+        return ("raises", str(err))
+
+
+def _inclusion_mismatches(monkeypatch, flags) -> list:
+    """Indices of the flags whose cube differs when the inclusions are
+    built by the solve oracle."""
+    new = [_cub_outcome(f) for f in flags]
+    with monkeypatch.context() as m:
+        m.setattr(cubes, "_inclusion_map", _oracle_inclusion_map)
+        old = [_cub_outcome(f) for f in flags]
+    return [i for i, (x, y) in enumerate(zip(new, old)) if x != y]
+
+
+def test_inclusions_match_the_solve_oracle(monkeypatch):
+    flags = _seeded_flags(47)
+    assert len(flags) >= 20
+    dims = [tuple(len(rows) for rows in f.chain) for f in flags]
+    assert {len(d) for d in dims} == {1, 2, 3, 4}
+    assert any(0 in d for d in dims) and any(len(set(d)) < len(d) for d in dims)
+    assert _inclusion_mismatches(monkeypatch, flags) == []
+
+
+def test_inclusion_oracle_catches_doctored_coords(monkeypatch):
+    flags = _seeded_flags(47)
+    honest = la.EchelonBasis.coords
+    monkeypatch.setattr(
+        la.EchelonBasis, "coords", lambda self, v: tuple(2 * x for x in honest(self, v))
+    )
+    assert _inclusion_mismatches(monkeypatch, flags)

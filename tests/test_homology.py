@@ -139,8 +139,8 @@ def test_two_routes_agree_on_random_instances():
             direct = modified_homology(f, n)
             via = modified_homology_via_cone(f, n)
             assert direct.dim == via.dim
-            assert direct.cycles == via.cycles
-            assert direct.boundaries == via.boundaries
+            assert direct.cycles.rows == via.cycles.rows
+            assert direct.boundaries.rows == via.boundaries.rows
 
 
 def test_sequences_exact_on_random_instances():
@@ -263,6 +263,16 @@ def test_quasi_iso_detection():
     assert not is_quasi_iso(zero_chain_map(loop, ChainComplex({}, {})))
 
 
+def test_induced_map_must_send_relations_into_relations():
+    # Q^2 modulo the first axis, mapped by the identity onto Q^2 with no
+    # relations: the relation e1 would have to become zero
+    src = quotient_presentation(la.identity(2), ((1, 0),), 2)
+    dst = quotient_presentation(la.identity(2), (), 2)
+    assert hom.induced_on_quotients(la.identity(2), dst, src) == ((0, 1),)
+    with pytest.raises(ValueError):
+        hom.induced_on_quotients(la.identity(2), src, dst)
+
+
 def test_induced_map_checks_presentation_widths():
     rho = INCLUDE
     ida, idb = identity_chain_map(LINE), identity_chain_map(PLANE)
@@ -308,6 +318,64 @@ def test_exactness_decisions_agree_with_the_span_oracle(monkeypatch):
     assert seen and all(seen)
 
 
+def _per_node_oracle(f) -> list[tuple[str, bool]]:
+    """The seven per-node checks that verify_modified_sequences made
+    before each sequence became one is_exact call: injectivity and
+    surjectivity by ranks, exactness at each inner node by a separate
+    two-map is_exact, and the kernel description of the cone by a
+    nullspace."""
+    a, b = f.source, f.target
+    degrees = sorted(set(a.dims) | set(b.dims))
+    if not degrees:
+        return [("empty", True)]
+    cn = cone(f)
+    out = []
+    for n in range(degrees[0] - 1, degrees[-1] + 2):
+        ha_n, ha_next = homology(a, n), homology(a, n + 1)
+        mm = hom._modified_maps(f, n, ha_n)
+        hat, forms = mm.hat, mm.forms
+        hcone_n, hcone_prev = homology(cn, n), homology(cn, n - 1)
+        m1 = hom._cols_to_mat([hat.coords(rep) for rep in hcone_n.reps], hat.dim)
+        m3 = hom._cols_to_mat(
+            [hcone_prev.coords((0,) * a.dim(n - 1) + tuple(z)) for z in mm.cycles_b],
+            hcone_prev.dim,
+        )
+        out.append((f"a-inject n={n}", la.rank(m1) == hcone_n.dim))
+        out.append((f"a-exact-hat n={n}", la.is_exact(m1, mm.to_form_cycle)))
+        out.append((f"a-exact-forms n={n}", la.is_exact(mm.to_form_cycle, m3)))
+        fm_next = f.map_at(n + 1)
+        m1b = hom._cols_to_mat(
+            [forms.coords(la.matvec(fm_next, rep)) for rep in ha_next.reps], forms.dim
+        )
+        out.append((f"b-exact-forms n={n}", la.is_exact(m1b, mm.from_form)))
+        out.append((f"b-exact-hat n={n}", la.is_exact(mm.from_form, mm.to_cycle_class)))
+        out.append((f"b-surject n={n}", la.rank(mm.to_cycle_class) == ha_n.dim))
+        out.append(
+            (
+                f"kernel-iso n={n}",
+                hcone_n.dim == len(la.nullspace(mm.to_form_cycle))
+                and la.rank(m1) == hcone_n.dim,
+            )
+        )
+    return out
+
+
+def _verdicts_agree(f) -> bool:
+    new = verify_modified_sequences(f)
+    old = _per_node_oracle(f)
+    return all(ok for _, ok in new) == all(ok for _, ok in old)
+
+
+def test_sequence_verdict_matches_the_per_node_oracle():
+    maps = list(_instances(109, 12))
+    rng = random.Random(113)
+    a = random_complex(rng, 4, 4)
+    maps += [zero_chain_map(a, random_complex(rng, 4, 4)), identity_chain_map(a), INCLUDE]
+    for f in maps:
+        assert all(ok for _, ok in verify_modified_sequences(f))
+        assert _verdicts_agree(f)
+
+
 def _corrupted_cycle_class(seed: int):
     """A seeded map and a degree at which to_cycle_class can be corrupted
     in one entry so that it no longer kills the image of from_form: the
@@ -335,6 +403,40 @@ def test_one_entry_corruption_breaks_the_modified_sequences(monkeypatch):
     monkeypatch.setattr(hom, "_modified_maps", doctored)
     failing = {name for name, ok in verify_modified_sequences(f) if not ok}
     assert f"b-exact-hat n={n}" in failing
+    assert _verdicts_agree(f)
+
+
+def _corrupted_form_cycle(seed: int):
+    """A seeded map, a degree and a column of to_form_cycle at which m1,
+    the map H_n(s(f)) -> hat H_n, has a nonzero row, so that bumping one
+    entry of that column makes to_form_cycle miss the kernel."""
+    for f in _instances(seed, 20):
+        cn = cone(f)
+        for n in _all_degrees(f.source, f.target):
+            mm = modified_maps(f, n)
+            hcone = homology(cn, n)
+            m1 = hom._cols_to_mat([mm.hat.coords(r) for r in hcone.reps], mm.hat.dim)
+            rows = [j for j, row in enumerate(m1) if any(row)]
+            if rows and mm.to_form_cycle:
+                return f, n, rows[0]
+    raise AssertionError("no seeded instance has the entry")
+
+
+def test_one_entry_corruption_breaks_sequence_a(monkeypatch):
+    f, n, j = _corrupted_form_cycle(103)
+    assert all(ok for _, ok in verify_modified_sequences(f))
+    honest = hom._modified_maps
+
+    def doctored(g, m, ha):
+        mm = honest(g, m, ha)
+        if m != n:
+            return mm
+        return dataclasses.replace(mm, to_form_cycle=_bump(mm.to_form_cycle, 0, j))
+
+    monkeypatch.setattr(hom, "_modified_maps", doctored)
+    failing = {name for name, ok in verify_modified_sequences(f) if not ok}
+    assert f"a-exact-hat n={n}" in failing
+    assert _verdicts_agree(f)
 
 
 def test_one_entry_corruption_breaks_the_cone_sequence(monkeypatch):

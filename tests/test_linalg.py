@@ -24,6 +24,11 @@ F = Fraction
 A = la.mat([[2, 4, 1, 3], [1, 2, 0, 1], [3, 6, 2, 5]])
 
 
+def _canon_span(vectors, width) -> la.Mat:
+    """Canonical (RREF) basis of the span of the given row vectors."""
+    return la.rref(la.stack(vectors, width))[0]
+
+
 def test_rref_fixed():
     rows, pivots = la.rref(A)
     assert rows == la.mat([[1, 2, 0, 1], [0, 0, 1, 1]])
@@ -46,7 +51,7 @@ def test_rank_and_det_fixed():
 def test_nullspace_matches_sympy_span():
     null = la.nullspace(A)
     expected = (la.vec([-2, 1, 0, 0]), la.vec([-1, 0, -1, 1]))
-    assert la.canon_span(null, 4) == la.canon_span(expected, 4)
+    assert _canon_span(null, 4) == _canon_span(expected, 4)
     for v in null:
         assert not any(la.matvec(A, v))
 
@@ -73,19 +78,22 @@ def test_canon_span_is_rref_and_span_stable():
             la.vec([rng.randrange(-3, 4) for _ in range(width)])
             for _ in range(rng.randrange(0, 5))
         ]
-        canon = la.canon_span(tuple(vecs), width)
-        assert la.canon_span(canon, width) == la.canon_span(tuple(vecs), width)
+        canon = _canon_span(tuple(vecs), width)
+        assert la.EchelonBasis(vecs, width).rows == canon
+        assert _canon_span(canon, width) == _canon_span(tuple(vecs), width)
         # canonical: re-canonicalizing shuffled scalar multiples is stable
         scaled = [la.scale_vec(v, Fraction(3, 2)) for v in reversed(vecs)]
-        assert la.canon_span(tuple(scaled), width) == canon
+        assert _canon_span(tuple(scaled), width) == canon
 
 
 def test_in_span_and_span_le():
     basis = (la.vec([1, 0, 1]), la.vec([0, 1, 0]))
     assert la.in_span(basis, la.vec([2, 3, 2]))
     assert not la.in_span(basis, la.vec([1, 0, 0]))
-    assert la.span_le((la.vec([1, 1, 1]),), basis)
-    assert not la.span_le(basis, (la.vec([1, 1, 1]),))
+    # containment of spans: every row of one is in the other's basis
+    assert la.EchelonBasis(basis, 3).contains(la.vec([1, 1, 1]))
+    line = la.EchelonBasis((la.vec([1, 1, 1]),), 3)
+    assert not all(line.contains(v) for v in basis)
 
 
 def _span_exact(*mats) -> bool:
@@ -93,7 +101,7 @@ def _span_exact(*mats) -> bool:
     the incoming map equals the kernel of the outgoing one, compared by
     canonical spans."""
     return all(
-        la.canon_span(la.transpose(f), len(f)) == la.canon_span(la.nullspace(g), len(f))
+        _canon_span(la.transpose(f), len(f)) == _canon_span(la.nullspace(g), len(f))
         for f, g in zip(mats, mats[1:])
     )
 
@@ -221,7 +229,7 @@ def test_shape_mismatch_raises_for_empty_operands():
     with pytest.raises(ValueError):
         la.block_matrix((1,), (2,), {(0, 0): la.zeros(0, 2)})
     with pytest.raises(ValueError):
-        la.canon_span(la.zeros(0, 2), 3)
+        _canon_span(la.zeros(0, 2), 3)
 
 
 def test_degenerate_products_and_solves_skip_the_kernels(monkeypatch):
