@@ -304,8 +304,13 @@ def induced_subspace_metric(ambient: MetrizedSpace, basis) -> MetrizedSpace:
 
     Labels are the coordinate vectors themselves, so equal bases give
     equal objects. Gram = B^T G B with the vectors as columns of B.
+    Raw vectors are checked for independence (one rank); an
+    EchelonBasis is independent by construction and is taken as it is.
     """
-    rows = _require_independent(basis, ambient.dim)
+    if isinstance(basis, la.EchelonBasis):
+        rows = la.stack(basis.rows, ambient.dim)
+    else:
+        rows = _require_independent(basis, ambient.dim)
     if not rows:
         return ZERO_SPACE
     gram = la.matmul(la.matmul(rows, ambient.gram), la.transpose(rows))

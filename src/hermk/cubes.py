@@ -14,6 +14,13 @@ homotopy, direct-sum cubes, and split-cube detection follow the same
 structural-equality discipline: identities that hold only modulo
 degenerate cubes are checked by expanding both sides and testing each
 residual summand for structural degeneracy.
+
+A flag and every flag its faces and degeneracies reach form one
+family, and the family shares one table of what cub builds: cubes,
+complements, vertex spaces, inclusions and projections. A relation
+check draws one flag and evaluates cub on many of its relatives, so
+each piece is built once per family. The table lives and dies with
+the family's flags; nothing is cached across families.
 """
 
 from __future__ import annotations
@@ -254,7 +261,8 @@ def is_normalized(c: Cube) -> bool:
 
 class CubeSum:
     """Formal integer combination of equal-dimension cubes, merged by
-    structural identity."""
+    structural identity: the terms are keyed by the cubes themselves,
+    which cache their hashes."""
 
     __slots__ = ("n", "_terms")
 
@@ -267,13 +275,12 @@ class CubeSum:
     def _add(self, coeff: int, cube: Cube):
         if cube.n != self.n:
             raise ValueError("mixed cube dimensions in one sum")
-        k = cube.key()
-        prev = self._terms.get(k)
+        prev = self._terms.get(cube)
         total = coeff + (prev[0] if prev else 0)
         if total:
-            self._terms[k] = (total, cube)
+            self._terms[cube] = (total, cube)
         elif prev:
-            del self._terms[k]
+            del self._terms[cube]
 
     @staticmethod
     def single(cube: Cube, coeff: int = 1) -> "CubeSum":
@@ -283,7 +290,7 @@ class CubeSum:
         return tuple(self._terms.values())
 
     def coefficient(self, cube: Cube) -> int:
-        entry = self._terms.get(cube.key())
+        entry = self._terms.get(cube)
         return entry[0] if entry else 0
 
     def add(self, other: "CubeSum") -> "CubeSum":
@@ -328,9 +335,17 @@ class Flag:
     held as its EchelonBasis (built once: faces and degeneracies pass
     the bases along), so equal subspace chains give equal flags, and
     nesting is checked by containment of each entry's rows in the next
-    entry's basis. chain reads the entries' rows."""
+    entry's basis. chain reads the entries' rows.
 
-    __slots__ = ("ambient", "bases")
+    A constructed flag starts a family with a fresh private table
+    (_cubes); face and degeneracy hand the same table to the flags they
+    derive. cub looks its cubes up there by chain, and its complements,
+    vertex spaces and arrows by the EchelonBasis objects involved. Those
+    identity keys are sound because a flag never grows its bases
+    (EchelonBasis.add is not called on them), so one basis object
+    stands for one subspace for as long as the table holds it."""
+
+    __slots__ = ("ambient", "bases", "_cubes")
 
     def __init__(self, ambient: MetrizedSpace, chain, check: bool = True):
         self.ambient = ambient
@@ -342,6 +357,15 @@ class Flag:
             for small, big in zip(self.bases, self.bases[1:]):
                 if not all(big.contains(row) for row in small.rows):
                     raise ValueError("flag entries must be nested")
+        self._cubes: dict = {}
+
+    def _derive(self, bases: tuple) -> "Flag":
+        """The flag of nested bases in this flag's family."""
+        g = object.__new__(Flag)
+        g.ambient = self.ambient
+        g.bases = bases
+        g._cubes = self._cubes
+        return g
 
     @property
     def chain(self) -> tuple:
@@ -367,20 +391,15 @@ class Flag:
 
     def face(self, i: int) -> "Flag":
         """Simplicial face: i = 0 passes to complements modulo the first
-        entry, i >= 1 deletes the i-th entry."""
-        if not 0 <= i <= self.length:
+        entry, i >= 1 deletes the i-th entry. The empty flag has none."""
+        if not 0 <= i <= self.length or not self.bases:
             raise ValueError("face index out of range")
         if i == 0:
             first = self.bases[0]
-            rest = tuple(
-                _ortho_in(self.ambient, first, big) for big in self.bases[1:]
+            return self._derive(
+                tuple(_ortho_in(self, first, big) for big in self.bases[1:])
             )
-            return Flag(self.ambient, rest, check=False)
-        return Flag(
-            self.ambient,
-            self.bases[: i - 1] + self.bases[i:],
-            check=False,
-        )
+        return self._derive(self.bases[: i - 1] + self.bases[i:])
 
     def degeneracy(self, i: int) -> "Flag":
         """Simplicial degeneracy: i = 0 prepends the zero subspace,
@@ -388,19 +407,38 @@ class Flag:
         if not 0 <= i <= self.length:
             raise ValueError("degeneracy index out of range")
         if i == 0:
-            return Flag(self.ambient, ((),) + self.bases, check=False)
-        return Flag(
-            self.ambient,
-            self.bases[:i] + (self.bases[i - 1],) + self.bases[i:],
-            check=False,
-        )
+            return self._derive((la.EchelonBasis((), self.ambient.dim),) + self.bases)
+        return self._derive(self.bases[:i] + (self.bases[i - 1],) + self.bases[i:])
 
 
-def _ortho_in(ambient: MetrizedSpace, small: la.EchelonBasis, big: la.EchelonBasis):
+def _memo(table: dict, key, build):
+    """table[key], made by build() on a miss. A build that raises
+    stores nothing: the entries it added for its parts go too, since
+    they may be what made it fail."""
+    value = table.get(key)
+    if value is None:
+        mark = len(table)
+        try:
+            value = build()
+        except BaseException:
+            for k in list(table)[mark:]:
+                del table[k]
+            raise
+        table[key] = value
+    return value
+
+
+def _ortho_in(f: Flag, small: la.EchelonBasis, big: la.EchelonBasis):
     """Echelon basis of the orthogonal complement of span(small) inside
-    span(big), both echelon bases in ambient coordinates."""
-    rel = la.matmul(la.matmul(small.rows, ambient.gram), la.transpose(big.rows))
-    return la.EchelonBasis(la.matmul(la.nullspace(rel), big.rows), ambient.dim)
+    span(big), both entries or complements in f's family, in ambient
+    coordinates; built once per family."""
+
+    def build():
+        amb = f.ambient
+        rel = la.matmul(la.matmul(small.rows, amb.gram), la.transpose(big.rows))
+        return la.EchelonBasis(la.matmul(la.nullspace(rel), big.rows), amb.dim)
+
+    return _memo(f._cubes, ("ortho", small, big), build)
 
 
 @lru_cache(maxsize=None)
@@ -434,11 +472,12 @@ def _inclusion_map(sub, sup, sub_space, sup_space) -> SpaceMap:
     return SpaceMap(sub_space, sup_space, la.transpose(cols))
 
 
-def _orthoprojection_map(src_basis, dst_basis, src_space, dst_space, gram) -> SpaceMap:
-    b2g = la.matmul(dst_basis, gram)
-    g2 = la.matmul(b2g, la.transpose(dst_basis))
-    rhs = la.matmul(b2g, la.transpose(src_basis))
-    return SpaceMap(src_space, dst_space, la.solve(g2, rhs))
+def _orthoprojection_map(src, dst, src_space, dst_space, gram) -> SpaceMap:
+    """The orthogonal projection of span(src) onto span(dst), echelon
+    bases in ambient coordinates with metric gram. dst_space carries the
+    induced Gram B G B^T of dst's rows B."""
+    rhs = la.matmul(la.matmul(dst.rows, gram), la.transpose(src.rows))
+    return SpaceMap(src_space, dst_space, la.solve(dst_space.gram, rhs))
 
 
 def cub(f: Flag) -> Cube:
@@ -449,26 +488,33 @@ def cub(f: Flag) -> Cube:
     orthoprojections (a grows), identities, or zero. Quotients are
     represented by orthogonal complements, so the three kinds of faces
     of the construction agree with flag faces structurally.
+
+    The cube and its pieces are stored in the table of f's family (see
+    Flag), so each is built and validated once per family. A build that
+    raises leaves nothing in the table.
     """
-    n = f.length
-    if n < 1:
+    if f.length < 1:
         raise ValueError("cub needs a flag with at least one entry")
+    return _memo(f._cubes, ("cub", f.chain), lambda: _build_cub(f))
+
+
+def _build_cub(f: Flag) -> Cube:
+    n = f.length
+    table = f._cubes
     tags = _cub_tags(n)
     bases: dict = {}
     spaces: dict = {None: ZERO_SPACE}
-
-    def basis_of(t):
-        if t not in bases:
-            a, b = t
-            if a == 0:
-                bases[t] = f.bases[b - 1]
-            else:
-                bases[t] = _ortho_in(f.ambient, f.bases[a - 1], f.bases[b - 1])
-        return bases[t]
-
     for t in set(tags.values()):
         if t is not None:
-            spaces[t] = induced_subspace_metric(f.ambient, basis_of(t).rows)
+            a, b = t
+            big = f.bases[b - 1]
+            basis = big if a == 0 else _ortho_in(f, f.bases[a - 1], big)
+            bases[t] = basis
+            spaces[t] = _memo(
+                table,
+                ("space", basis),
+                lambda: induced_subspace_metric(f.ambient, basis),
+            )
 
     verts = {j: spaces[tags[j]] for j in tags}
     arrow_cache: dict = {}
@@ -481,10 +527,18 @@ def cub(f: Flag) -> Cube:
         elif t1 == t2:
             m = identity_map(spaces[t1])
         elif t1[0] == t2[0] and t1[1] < t2[1]:
-            m = _inclusion_map(basis_of(t1), basis_of(t2), spaces[t1], spaces[t2])
+            m = _memo(
+                table,
+                ("incl", bases[t1], bases[t2]),
+                lambda: _inclusion_map(bases[t1], bases[t2], spaces[t1], spaces[t2]),
+            )
         elif t1[1] == t2[1] and t1[0] < t2[0]:
-            m = _orthoprojection_map(
-                basis_of(t1).rows, basis_of(t2).rows, spaces[t1], spaces[t2], f.ambient.gram
+            m = _memo(
+                table,
+                ("proj", bases[t1], bases[t2]),
+                lambda: _orthoprojection_map(
+                    bases[t1], bases[t2], spaces[t1], spaces[t2], f.ambient.gram
+                ),
             )
         else:
             raise AssertionError(f"unexpected tag step {t1} -> {t2}")
@@ -592,12 +646,9 @@ def homotopy_check(f: Flag, i: int) -> bool:
             ((-1) ** m) * hsign, cub(f.face(m).degeneracy(i).degeneracy(i))
         )
     total._add(-1, cub(si))
-    lower = {
-        cub(f.face(j).degeneracy(i - 1).degeneracy(i - 1)).key() for j in range(i)
-    }
+    lower = {cub(f.face(j).degeneracy(i - 1).degeneracy(i - 1)) for j in range(i)}
     return all(
-        is_structurally_degenerate(c) or c.key() in lower
-        for _, c in total.summands()
+        is_structurally_degenerate(c) or c in lower for _, c in total.summands()
     )
 
 

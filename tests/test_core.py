@@ -10,6 +10,7 @@ from fractions import Fraction
 
 import pytest
 
+from hermk import core
 from hermk import linalg as la
 from hermk.core import (
     ZERO_SPACE,
@@ -142,6 +143,29 @@ def test_induced_subspace_labels_are_basis_vectors():
     assert other.key() != sub.key()
     canon = induced_subspace_metric(plane, _canon_span((la.vec([2, 2]),), 2))
     assert canon.key() == sub.key()
+
+
+def test_induced_subspace_takes_an_echelon_basis_as_it_is(monkeypatch):
+    space = standard_space(3, la.mat([[2, 1, 0], [1, 2, 1], [0, 1, 2]]))
+    u, v = la.vec([1, 2, 0]), la.vec([0, 1, 1])
+    basis = la.EchelonBasis((u, v), 3)
+    checked = induced_subspace_metric(space, basis.rows)
+    # raw rows are still checked: dependent ones are refused
+    with pytest.raises(ValueError, match="independent"):
+        induced_subspace_metric(space, (u, v, la.add_vec(u, v)))
+    calls = []
+    honest = core._require_independent
+    monkeypatch.setattr(
+        core, "_require_independent", lambda *a: calls.append(a) or honest(*a)
+    )
+    fast = induced_subspace_metric(space, basis)
+    assert calls == []
+    assert fast == checked and fast.key() == checked.key()
+    assert induced_subspace_metric(space, la.EchelonBasis((), 3)) is ZERO_SPACE
+    with pytest.raises(ValueError):
+        induced_subspace_metric(standard_space(2), basis)
+    induced_subspace_metric(space, basis.rows)
+    assert len(calls) == 1
 
 
 def test_quotient_metric_skew():
