@@ -1,24 +1,30 @@
-"""Exact rational kernels: matmul, rref, det and permanent.
+"""Exact rational kernels: matmul, rref, rank, det and permanent.
 
 Contract: a matrix is a rectangular list (or tuple) of rows with int or
-Fraction entries. Inputs are never mutated. rref, det and permanent
-take matrices with at least one row and one column; matmul reads the
-width of the product from a row of b, so b needs one. hermk.linalg
-answers the other shapes. Every result entry is a Fraction, and results
-are exact: the RREF rows are the unique reduced echelon form, the
-determinant and the permanent are the exact values.
+Fraction entries. Inputs are never mutated. rref, rank, det and
+permanent take matrices with at least one row and one column; matmul
+reads the width of the product from a row of b, so b needs one.
+hermk.linalg answers the other shapes. rank returns an int; every other
+result entry is a Fraction, and results are exact: the RREF rows are
+the unique reduced echelon form, the determinant and the permanent are
+the exact values.
 
-Each kernel first clears denominators (_clear), so its inner loops run
-on Python ints. Fraction arithmetic pays a gcd on every operation;
-integer arithmetic does not, and the one division by the common
-denominator happens when the result is built. Elimination is the
-one-step fraction-free scheme of Bareiss (Math. Comp. 22, 1968): every
-division is exact, so entries stay integral and grow only as fast as
-the minors they are. rref runs the same step on the rows above the
-pivot too (fraction-free Gauss-Jordan). That leaves the last pivot d
-in the pivot column of every echelon row and zeros elsewhere in the
-pivot columns, so the RREF is those rows over d, with no Fraction
-back-substitution.
+Each kernel first clears denominators (_clear): one lcm over the
+distinct denominators of the input, and no rescale when that is 1. So
+the inner loops run on Python ints. Fraction arithmetic pays a gcd on
+every operation; integer arithmetic does not, and the one division by
+the common denominator happens when the result is built. A result
+matrix gets one Fraction per distinct value (_over): Fractions are
+immutable, so equal entries can share one.
+
+Elimination is the one-step fraction-free scheme of Bareiss (Math.
+Comp. 22, 1968): every division is exact, so entries stay integral and
+grow only as fast as the minors they are. rank and det stop at echelon
+form and eliminate below the pivots only; rank builds no Fraction at
+all. rref runs the same step on the rows above the pivot too
+(fraction-free Gauss-Jordan). That leaves the last pivot d in the pivot
+column of every echelon row and zeros elsewhere in the pivot columns,
+so the RREF is those rows over d, with no Fraction back-substitution.
 """
 
 from fractions import Fraction
@@ -26,17 +32,21 @@ from math import lcm
 
 
 def _clear(a):
-    """Return (integer rows, common denominator den) with a == rows / den."""
-    den = 1
-    for row in a:
-        for x in row:
-            if not isinstance(x, int):
-                den = lcm(den, x.denominator)
-    rows = [
-        [x * den if isinstance(x, int) else x.numerator * (den // x.denominator) for x in row]
-        for row in a
-    ]
-    return rows, den
+    """Return (integer rows, common denominator den) with a == rows / den;
+    den is the least one, the lcm of the distinct entry denominators."""
+    # int and Fraction both give (numerator, denominator) in one call
+    pairs = [[x.as_integer_ratio() for x in row] for row in a]
+    den = lcm(*{d for row in pairs for _, d in row})
+    if den == 1:
+        return [[n for n, _ in row] for row in pairs], 1
+    return [[n * (den // d) for n, d in row] for row in pairs], den
+
+
+def _over(rows, den):
+    """The integer rows over den, as rows of Fractions: one Fraction per
+    distinct value."""
+    frac = {v: Fraction(v, den) for v in {v for row in rows for v in row}}
+    return [list(map(frac.__getitem__, row)) for row in rows]
 
 
 def matmul(a, b):
@@ -46,7 +56,6 @@ def matmul(a, b):
         raise ValueError("matmul shape mismatch")
     ai, da = _clear(a)
     bi, db = _clear(b)
-    dab = da * db
     cols = range(nc)
     out = []
     for arow in ai:
@@ -57,8 +66,8 @@ def matmul(a, b):
                     y = brow[j]
                     if y:
                         acc[j] += x * y
-        out.append([Fraction(v, dab) for v in acc])
-    return out
+        out.append(acc)
+    return _over(out, da * db)
 
 
 def rref(a):
@@ -94,7 +103,34 @@ def rref(a):
         if r == nr:
             break
     # every pivot row now carries the last pivot on its diagonal
-    return [[Fraction(x, prev) for x in row] for row in rows[:r]], pivots
+    return _over(rows[:r], prev), pivots
+
+
+def rank(a):
+    """Rank, by fraction-free forward elimination to echelon form."""
+    rows, _ = _clear(a)
+    nr, nc = len(rows), len(rows[0])
+    prev = 1
+    r = 0
+    for c in range(nc):
+        p = next((i for i in range(r, nr) if rows[i][c]), None)
+        if p is None:
+            continue
+        rows[r], rows[p] = rows[p], rows[r]
+        prow = rows[r]
+        piv = prow[c]
+        for i in range(r + 1, nr):
+            row = rows[i]
+            f = row[c]
+            if f:
+                rows[i] = [(piv * x - f * y) // prev for x, y in zip(row, prow)]
+            elif prev != piv:
+                rows[i] = [piv * x // prev for x in row]
+        prev = piv
+        r += 1
+        if r == nr:
+            break
+    return r
 
 
 def det(a):

@@ -12,9 +12,9 @@ as Mats directly, so a built matrix is never coerced again.
 
 The heavy kernels are delegated to hermk._qkernels, one fraction-free
 plain-Python implementation that needs at least one row; the calls
-that could have none (a product with no inner dimension, the rref of a
-matrix without a nonzero entry, det and permanent of 0 x 0) are
-answered here. Everything is exact.
+that could have none (a product with no inner dimension, the rref and
+rank of a matrix without a nonzero entry, det and permanent of 0 x 0)
+are answered here. Everything is exact.
 """
 
 from __future__ import annotations
@@ -244,7 +244,9 @@ def rref(a: Mat) -> tuple[Mat, tuple[int, ...]]:
 
 
 def rank(a: Mat) -> int:
-    return len(rref(a)[1])
+    if is_zero(a):
+        return 0
+    return _qkernels.rank(a)
 
 
 def det(a: Mat) -> Fraction:
@@ -253,7 +255,7 @@ def det(a: Mat) -> Fraction:
         raise ValueError("det needs a square matrix")
     if r == 0:
         return Fraction(1)
-    return Fraction(_qkernels.det(a))
+    return _qkernels.det(a)
 
 
 def permanent(a: Mat) -> Fraction:
@@ -262,7 +264,7 @@ def permanent(a: Mat) -> Fraction:
         raise ValueError("permanent needs a square matrix")
     if r == 0:
         return Fraction(1)
-    return Fraction(_qkernels.permanent(a))
+    return _qkernels.permanent(a)
 
 
 def nullspace(a: Mat) -> Mat:

@@ -256,12 +256,16 @@ def test_degenerate_products_and_solves_skip_the_kernels(monkeypatch):
 
     monkeypatch.setattr(_qkernels, "matmul", refuse)
     monkeypatch.setattr(_qkernels, "rref", refuse)
+    monkeypatch.setattr(_qkernels, "rank", refuse)
     got = [la.matmul(a, b) for a, b in products]
     assert got[:2] == kernel and got[2] == la.zeros(0, 4)
     assert [la.shape(m) for m in got] == [(0, 2), (2, 0), (0, 4)]
     for a, b in solves:
         x = la.solve(a, b)
         assert x == la.Mat(((),) * a.ncols, 0) and la.shape(x) == (a.ncols, 0)
+    # a matrix without a nonzero entry has rank 0, whatever its shape
+    for m in (la.zeros(3, 4), la.zeros(0, 5), la.Mat(((),) * 5, 0)):
+        assert la.rank(m) == 0
     # zero ends of an exactness test cost no arithmetic either
     assert la.is_exact(la.zeros(0, 0), la.zeros(0, 0))
     assert not la.is_exact(la.zeros(3, 0), la.zeros(0, 3))

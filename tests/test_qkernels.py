@@ -3,7 +3,8 @@
 Fixed expected values below are hand-computed (cofactor and Ryser
 expansions) and cross-checked with sympy. The oracle is plain Fraction
 Gaussian elimination, the reference the fraction-free kernels replaced;
-every kernel must agree with it exactly, entry types included.
+every kernel must agree with it exactly, entry types included, and
+the rank kernel with the oracle's pivot count.
 """
 
 from __future__ import annotations
@@ -232,6 +233,10 @@ def mismatches(cases) -> list[tuple[str, int]]:
             bad.append(("det", n))
         if not _same(_qkernels.permanent(sq), oracle_permanent(sq)):
             bad.append(("permanent", n))
+        for m in (a, sq):
+            got = _qkernels.rank(m)
+            if type(got) is not int or got != len(oracle_rref(m)[1]):
+                bad.append(("rank", n))
     return bad
 
 
@@ -257,6 +262,8 @@ def test_inputs_are_not_mutated():
         before = copy.deepcopy((a, b, sq))
         _qkernels.matmul(a, b)
         _qkernels.rref(a)
+        _qkernels.rank(a)
+        _qkernels.rank(sq)
         _qkernels.det(sq)
         _qkernels.permanent(sq)
         assert (a, b, sq) == before
@@ -271,5 +278,51 @@ def test_oracle_comparison_catches_a_dropped_denominator(monkeypatch):
 
     monkeypatch.setattr(_qkernels, "_clear", drop_denominator)
     bad = {kernel for kernel, _ in mismatches(_cases())}
-    # rref ignores the common scale, so only the other three must break
+    # rref and rank ignore the common scale, so only the other three must break
     assert {"matmul", "det", "permanent"} <= bad
+
+
+# -- the int/Fraction boundary ----------------------------------------
+
+
+def test_clear_gives_the_least_denominator_and_exact_integers():
+    f = Fraction
+    cases = [
+        # int-only
+        ([[1, -2], [0, 3]], [[1, -2], [0, 3]], 1),
+        # Fractions with denominator 1
+        ([[f(4), f(0)], [f(-5), f(6)]], [[4, 0], [-5, 6]], 1),
+        # mixed: lcm(2, 3, 4) = 12, not the product 24
+        ([[f(1, 2), 3], [f(-2, 3), f(5, 4)]], [[6, 36], [-8, 15]], 12),
+        # one 1/7 among ints
+        ([[0, 1, 2], [3, f(1, 7), 0]], [[0, 7, 14], [21, 1, 0]], 7),
+    ]
+    for a, rows, den in cases:
+        got_rows, got_den = _qkernels._clear(a)
+        assert (got_rows, got_den) == (rows, den)
+        assert all(type(x) is int for row in got_rows for x in row)
+
+
+def test_every_result_entry_is_a_fraction():
+    # int-only input whose product, echelon rows, det and permanent hold zeros
+    ints = [[1, 0, 2], [0, 0, 0], [3, 0, 6]]
+    b = [[0, 1], [0, 0], [2, 0]]
+    assert _qkernels.matmul(ints, b)[1] == [0, 0] and _qkernels.rref(ints)[0] == [[1, 0, 2]]
+    assert _qkernels.det(ints) == _qkernels.permanent(ints) == 0
+    for a, b, sq in [(ints, b, ints)] + _cases(count=24):
+        rows, _ = _qkernels.rref(a)
+        entries = [x for row in _qkernels.matmul(a, b) + rows for x in row]
+        entries += [_qkernels.det(sq), _qkernels.permanent(sq)]
+        assert all(type(x) is Fraction for x in entries)
+
+
+def test_oracle_comparison_catches_a_result_built_without_its_denominator(monkeypatch):
+    over = _qkernels._over
+
+    def ignore_denominator(rows, den):
+        return over(rows, 1)
+
+    monkeypatch.setattr(_qkernels, "_over", ignore_denominator)
+    bad = {kernel for kernel, _ in mismatches(_cases())}
+    # det and permanent divide by their denominator themselves
+    assert {"matmul", "rref"} <= bad
