@@ -9,6 +9,17 @@ computed both from that presentation and as H_n of the cone of rho
 followed by the truncation that kills degrees <= n. The cone sign is
 fixed as d(a, b) = (d a, rho(a) - d b), the choice under which the two
 standard exact sequences below come out exact.
+
+Each presentation is built once per object. A ChainComplex keeps its
+H_n and its C_n / im d in per-degree tables, and a ChainMap keeps its
+cone, its truncations and its direct modified homology groups; the
+methods of the same names read these tables and fill them on a miss
+from the module-level functions, which always build from scratch (and
+are the oracle the tables are tested against). A table lives and dies
+with its object, so one verification trial shares its presentations
+and the next starts empty. The tables rely on one contract: a complex
+or map is not mutated after construction; only the constructors assign
+dims, diffs, source, target and maps.
 """
 
 from __future__ import annotations
@@ -47,12 +58,23 @@ __all__ = [
 ]
 
 
+def _kept(table: dict, key, build):
+    """table[key], from build() when it is missing."""
+    got = table.get(key)
+    if got is None:
+        got = table[key] = build()
+    return got
+
+
 class ChainComplex:
     """Finitely supported dims per degree plus differentials d_n:
     C_n -> C_{n-1}; d composed with d is zero. Raw differentials are
-    coerced to Mats."""
+    coerced to Mats.
 
-    __slots__ = ("dims", "diffs")
+    homology(n) and forms_modulo_exact(n) are built once per degree and
+    kept, so dims and diffs must not change after construction."""
+
+    __slots__ = ("dims", "diffs", "_homology", "_forms")
 
     def __init__(self, dims, diffs, check: bool = True):
         self.dims = {n: d for n, d in dict(dims).items() if d}
@@ -69,6 +91,17 @@ class ChainComplex:
                 if n + 1 in self.diffs:
                     if not la.is_zero(la.matmul(self.diffs[n], self.diffs[n + 1])):
                         raise ValueError(f"d.d != 0 at degree {n + 1}")
+        self._homology: dict[int, PresentedQuotient] = {}
+        self._forms: dict[int, PresentedQuotient] = {}
+
+    def homology(self, n: int) -> PresentedQuotient:
+        """H_n, built by the module-level homology on first use."""
+        return _kept(self._homology, n, lambda: homology(self, n))
+
+    def forms_modulo_exact(self, n: int) -> PresentedQuotient:
+        """C_n / im d, built by the module-level forms_modulo_exact on
+        first use."""
+        return _kept(self._forms, n, lambda: forms_modulo_exact(self, n))
 
     def dim(self, n: int) -> int:
         return self.dims.get(n, 0)
@@ -89,14 +122,15 @@ class ChainComplex:
         return f"ChainComplex(dims={dict(sorted(self.dims.items()))})"
 
 
-ZERO_COMPLEX = ChainComplex({}, {})
-
-
 class ChainMap:
     """Degreewise matrices commuting with the differentials. Raw
-    components are coerced to Mats."""
+    components are coerced to Mats.
 
-    __slots__ = ("source", "target", "maps")
+    cone(), truncated_map(n) and modified_homology(n) are built once and
+    kept, so source, target and maps must not change after
+    construction."""
+
+    __slots__ = ("source", "target", "maps", "_cone", "_truncated", "_modified")
 
     def __init__(self, source, target, maps, check: bool = True):
         self.source = source
@@ -116,6 +150,25 @@ class ChainMap:
                 rhs = la.matmul(self.map_at(n - 1), self.source.diff(n))
                 if lhs != rhs:
                     raise ValueError(f"does not commute with d at degree {n}")
+        self._cone: ChainComplex | None = None
+        self._truncated: dict[int, ChainMap] = {}
+        self._modified: dict[int, PresentedQuotient] = {}
+
+    def cone(self) -> ChainComplex:
+        """The mapping cone, built by the module-level cone on first use."""
+        if self._cone is None:
+            self._cone = cone(self)
+        return self._cone
+
+    def truncated_map(self, n: int) -> ChainMap:
+        """The truncation above n, built by the module-level
+        truncated_map on first use."""
+        return _kept(self._truncated, n, lambda: truncated_map(self, n))
+
+    def modified_homology(self, n: int) -> PresentedQuotient:
+        """The direct presentation, built by the module-level
+        modified_homology on first use."""
+        return _kept(self._modified, n, lambda: modified_homology(self, n))
 
     def map_at(self, n: int) -> la.Mat:
         m = self.maps.get(n)
@@ -302,8 +355,9 @@ def modified_homology(f: ChainMap, n: int) -> PresentedQuotient:
 
 def modified_homology_via_cone(f: ChainMap, n: int) -> PresentedQuotient:
     """The same group as H_n of the cone of the truncated map; the cone
-    coordinates at degree n are literally A_n (+) B_{n+1}."""
-    return homology(cone(truncated_map(f, n)), n)
+    coordinates at degree n are literally A_n (+) B_{n+1}. Read from the
+    tables of f, its truncation and that cone."""
+    return f.truncated_map(n).cone().homology(n)
 
 
 @dataclass(frozen=True)
@@ -320,16 +374,16 @@ class ModifiedMaps:
 
 
 def modified_maps(f: ChainMap, n: int) -> ModifiedMaps:
-    return _modified_maps(f, n, homology(f.source, n))
+    return _modified_maps(f, n, f.source.homology(n))
 
 
 def _modified_maps(f: ChainMap, n: int, ha: PresentedQuotient) -> ModifiedMaps:
     """modified_maps, given ha = H_n(A)."""
     a, b = f.source, f.target
     wa = a.dim(n)
-    hat = modified_homology(f, n)
-    forms = forms_modulo_exact(b, n + 1)
-    zb_basis = la.EchelonBasis(la.nullspace(b.diff(n)), b.dim(n))
+    hat = f.modified_homology(n)
+    forms = b.forms_modulo_exact(n + 1)
+    zb_basis = b.homology(n).cycles
     zb = zb_basis.rows
 
     cols_from_form = [
@@ -396,17 +450,15 @@ def verify_modified_sequences(f: ChainMap) -> list[tuple[str, bool]]:
     degrees = sorted(set(a.dims) | set(b.dims))
     if not degrees:
         return [("empty", True)]
-    cn = cone(f)
-    # neighbouring degrees share H_n(s(f)) and H_n(A)
-    hom = functools.cache(homology)
+    cn = f.cone()
     out = []
     for n in range(degrees[0] - 1, degrees[-1] + 2):
-        ha_n = hom(a, n)
-        ha_next = hom(a, n + 1)
+        ha_n = a.homology(n)
+        ha_next = a.homology(n + 1)
         mm = _modified_maps(f, n, ha_n)
         hat, forms, zb = mm.hat, mm.forms, mm.cycles_b
-        hcone_n = hom(cn, n)
-        hcone_prev = hom(cn, n - 1)
+        hcone_n = cn.homology(n)
+        hcone_prev = cn.homology(n - 1)
 
         cols_m1 = [hat.coords(rep) for rep in hcone_n.reps]
         m1 = _cols_to_mat(cols_m1, hat.dim)
@@ -431,19 +483,19 @@ def truncated_cone_cases(f: ChainMap, n: int) -> bool:
     """Dimension check of the three regimes of the truncated cone:
     above n it matches the full cone, at n the modified homology, and
     below n the homology of the source."""
-    cn_full = cone(f)
-    cn_trunc = cone(truncated_map(f, n))
+    cn_full = f.cone()
+    cn_trunc = f.truncated_map(n).cone()
     degrees = sorted(set(cn_full.dims) | set(cn_trunc.dims) | set(f.source.dims))
     if not degrees:
         return True
     for r in range(degrees[0] - 1, degrees[-1] + 2):
-        got = homology(cn_trunc, r).dim
+        got = cn_trunc.homology(r).dim
         if r > n:
-            want = homology(cn_full, r).dim
+            want = cn_full.homology(r).dim
         elif r == n:
-            want = modified_homology(f, n).dim
+            want = f.modified_homology(n).dim
         else:
-            want = homology(f.source, r).dim
+            want = f.source.homology(r).dim
         if got != want:
             return False
     return True
@@ -494,7 +546,7 @@ def induced_modified_map(
 def is_quasi_iso(f: ChainMap) -> bool:
     degrees = set(f.source.dims) | set(f.target.dims)
     for n in degrees:
-        hs, ht = homology(f.source, n), homology(f.target, n)
+        hs, ht = f.source.homology(n), f.target.homology(n)
         if hs.dim != ht.dim:
             return False
         m = induced_on_quotients(f.map_at(n), hs, ht)
@@ -507,16 +559,14 @@ def cone_les_check(f: ChainMap) -> bool:
     """Exactness of ... -> H_{n+1}(A) -> H_{n+1}(B) -> H_n(s(f)) ->
     H_n(A) -> H_n(B) -> ... at every node, by la.is_exact."""
     a, b = f.source, f.target
-    cn = cone(f)
+    cn = f.cone()
     degrees = sorted(set(a.dims) | set(b.dims))
     if not degrees:
         return True
-    # degree n + 1 of one step is degree n of the next
-    hom = functools.cache(homology)
     for n in range(degrees[0] - 1, degrees[-1] + 2):
-        ha_n, hb_n = hom(a, n), hom(b, n)
-        ha_next, hb_next = hom(a, n + 1), hom(b, n + 1)
-        hc = hom(cn, n)
+        ha_n, hb_n = a.homology(n), b.homology(n)
+        ha_next, hb_next = a.homology(n + 1), b.homology(n + 1)
+        hc = cn.homology(n)
         wa = a.dim(n)
 
         cols_in = [

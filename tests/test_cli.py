@@ -7,14 +7,19 @@ elapsed_ms line, which is the only wall-clock field.
 
 from __future__ import annotations
 
+import dataclasses
 import hashlib
 import json
 import re
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
 
 from hermk import cli, cubes, koszul, symfun
+from hermk import homology as hom
+from hermk import instances as inst
+from hermk import linalg as la
 from hermk.cli import (
     Report,
     SUITE_NAMES,
@@ -24,6 +29,7 @@ from hermk.cli import (
     main,
     run_suite,
 )
+from test_homology import _bump
 
 SMALL = dict(max_dim=2, max_k=2, max_n=2, trials=2, seed=1)
 
@@ -318,3 +324,99 @@ def test_squares_zero_claim_catches_a_dropped_direction_sign(monkeypatch):
         "cube-differential-squares-zero",
         "cub-chain-property",
     }
+
+
+# The modified-homology claims: each doctored input below must fail
+# exactly its own claim, so that presentations shared through the
+# per-object tables cannot make a checker vacuous.
+MODIFIED = SuiteConfig("modified-homology", seed=1)
+
+
+def _modified_failures() -> set:
+    return {c.claim_ref for c in run_suite(MODIFIED).checks if not c.ok}
+
+
+def test_sequences_claim_catches_a_zeroed_cycle_class_map(monkeypatch):
+    honest = hom._modified_maps
+
+    def doctored(f, n, ha):
+        # hat H_n -> H_n(A) sent to zero: sequence (b) is then not onto
+        # wherever H_n(A) is nonzero
+        mm = honest(f, n, ha)
+        return dataclasses.replace(mm, to_cycle_class=la.zeros(*la.shape(mm.to_cycle_class)))
+
+    monkeypatch.setattr(hom, "_modified_maps", doctored)
+    assert _modified_failures() == {"modified-sequences-exact"}
+
+
+def test_two_routes_claim_catches_a_flipped_cone_sign(monkeypatch):
+    def via_flipped_cone(f, n):
+        # H_n of the cone with d(a, b) = (d a, -f(a) - d b): the same
+        # dimension as the honest group, but other boundaries on
+        # A_n (+) B_{n+1}, so only a comparison of spans sees it
+        t = hom.truncated_map(f, n)
+        neg = hom.ChainMap(t.source, t.target, {r: la.scale(m, -1) for r, m in t.maps.items()})
+        return hom.homology(hom.cone(neg), n)
+
+    dims_agree = []
+    honest_same = cli._same_presentation
+
+    def spy(direct, via):
+        dims_agree.append(direct.dim == via.dim)
+        return honest_same(direct, via)
+
+    monkeypatch.setattr(cli, "modified_homology_via_cone", via_flipped_cone)
+    monkeypatch.setattr(cli, "_same_presentation", spy)
+    assert _modified_failures() == {"modified-homology-two-routes"}
+    assert all(dims_agree)
+
+
+def test_cone_sequence_claim_catches_a_doctored_induced_map(monkeypatch):
+    trial_maps = []
+    honest_checks = cli._modified_checks
+
+    def recording(run, desc, f, rng):
+        trial_maps.append(f)
+        honest_checks(run, desc, f, rng)
+
+    honest = hom.induced_on_quotients
+
+    def doctored(m, src, dst):
+        # only cone_les_check induces a trial map's own components on
+        # homology; random trial maps are null-homotopic, so one nonzero
+        # entry makes H_n(f) miss the image of the cone
+        out = honest(m, src, dst)
+        own = any(m is c for f in trial_maps for c in f.maps.values())
+        return _bump(out, 0, 0) if own and out and out[0] else out
+
+    monkeypatch.setattr(cli, "_modified_checks", recording)
+    monkeypatch.setattr(hom, "induced_on_quotients", doctored)
+    assert _modified_failures() == {"cone-long-exact"}
+
+
+class _TruncatedOneLow(hom.ChainMap):
+    """A chain map whose truncation above n keeps degree n."""
+
+    __slots__ = ()
+
+    def truncated_map(self, n):
+        return super().truncated_map(n - 1)
+
+
+def test_truncated_cone_claim_catches_an_off_by_one_truncation(monkeypatch):
+    honest = cli.truncated_cone_cases
+
+    def doctored(f, n):
+        return honest(_TruncatedOneLow(f.source, f.target, f.maps, check=False), n)
+
+    monkeypatch.setattr(cli, "truncated_cone_cases", doctored)
+    assert _modified_failures() == {"truncated-cone-three-regimes"}
+
+
+def test_quasi_iso_claim_catches_a_map_that_kills_homology(monkeypatch):
+    # d h + h d with no identity part induces zero on homology, so it is
+    # no quasi-isomorphism wherever the source has homology
+    monkeypatch.setattr(
+        inst, "random_quasi_iso", lambda rng, a: inst._homotopy_built_map(rng, a, a, Fraction(0))
+    )
+    assert _modified_failures() == {"modified-quasi-iso-invariance"}

@@ -13,6 +13,7 @@ from fractions import Fraction
 
 import pytest
 
+from hermk import cli
 from hermk import homology as hom
 from hermk import linalg as la
 from hermk.homology import (
@@ -459,3 +460,115 @@ def test_one_entry_corruption_breaks_the_cone_sequence(monkeypatch):
 
     monkeypatch.setattr(hom, "induced_on_quotients", doctored)
     assert not cone_les_check(f)
+
+
+def _same_quotient(p, q) -> bool:
+    return (
+        p.cycles.rows == q.cycles.rows
+        and p.boundaries.rows == q.boundaries.rows
+        and p.reps == q.reps
+    )
+
+
+def _same_complex(c, d) -> bool:
+    return c.dims == d.dims and c.diffs == d.diffs
+
+
+def _filled_tables(seed: int, count: int):
+    """Seeded maps after every check of the suite has filled their
+    tables and those of the complexes they reach."""
+    rng = random.Random(seed)
+    for _ in range(count):
+        a = random_complex(rng, 4, 4)
+        b = random_complex(rng, 4, 4)
+        f = random_chain_map(rng, a, b)
+        verify_modified_sequences(f)
+        cone_les_check(f)
+        for n in _all_degrees(a, b):
+            truncated_cone_cases(f, n)
+            modified_homology_via_cone(f, n)
+        yield f
+
+
+def _complexes_of(f):
+    yield f.source
+    yield f.target
+    if f._cone is not None:
+        yield f._cone
+    for t in f._truncated.values():
+        yield t.target
+        if t._cone is not None:
+            yield t._cone
+
+
+def test_table_entries_equal_fresh_builds():
+    entries = 0
+    for f in _filled_tables(131, 12):
+        assert _same_complex(f._cone, cone(f))
+        for n, t in f._truncated.items():
+            fresh = truncated_map(f, n)
+            assert t.source is f.source
+            assert _same_complex(t.target, fresh.target) and t.maps == fresh.maps
+            assert _same_complex(t._cone, cone(fresh))
+        for n, hat in f._modified.items():
+            assert _same_quotient(hat, modified_homology(f, n))
+            entries += 1
+        for c in _complexes_of(f):
+            for n, h in c._homology.items():
+                assert _same_quotient(h, homology(c, n))
+                entries += 1
+            for n, forms in c._forms.items():
+                assert _same_quotient(forms, forms_modulo_exact(c, n))
+                entries += 1
+    assert entries > 100
+
+
+def test_tables_hand_back_the_object_they_built():
+    f = next(_filled_tables(137, 1))
+    n = min(f.source.dims, default=0)
+    assert f.cone() is f.cone()
+    assert f.truncated_map(n) is f.truncated_map(n)
+    assert f.modified_homology(n) is f.modified_homology(n)
+    assert f.source.homology(n) is f.source.homology(n)
+    assert f.target.forms_modulo_exact(n) is f.target.forms_modulo_exact(n)
+
+
+def test_each_presentation_is_built_once_per_object(monkeypatch):
+    # the modified-homology suite builds H_n of one complex object once
+    built, kept = [], []
+    honest = hom.homology
+
+    def counting(c, n):
+        kept.append(c)  # keeps ids from being reused
+        built.append((id(c), n))
+        return honest(c, n)
+
+    monkeypatch.setattr(hom, "homology", counting)
+    assert cli.run_suite(cli.SuiteConfig("modified-homology", seed=1)).failed == 0
+    assert built and len(set(built)) == len(built)
+
+
+def test_two_route_claims_compare_distinct_objects(monkeypatch):
+    routes, squares = [], []
+    honest_same = cli._same_presentation
+    honest_induced = cli.induced_modified_map
+
+    def same_spy(direct, via):
+        routes.append((direct, via))
+        return honest_same(direct, via)
+
+    def induced_spy(f1, f2, rho, rho2, n, hat1, hat2):
+        squares.append((rho, rho2, hat1, hat2))
+        return honest_induced(f1, f2, rho, rho2, n, hat1, hat2)
+
+    monkeypatch.setattr(cli, "_same_presentation", same_spy)
+    monkeypatch.setattr(cli, "induced_modified_map", induced_spy)
+    assert cli.run_suite(cli.SuiteConfig("modified-homology", seed=1)).failed == 0
+    assert routes and squares
+    for direct, via in routes:
+        assert direct is not via
+        assert direct.cycles is not via.cycles
+        assert direct.boundaries is not via.boundaries
+    for rho, rho2, hat1, hat2 in squares:
+        assert rho is not rho2 and hat1 is not hat2
+        assert hat1.cycles is not hat2.cycles
