@@ -164,15 +164,17 @@ class Cube:
         return self.key() == other.key()
 
     def __hash__(self):
+        # the shape only: hashing the whole key hashed every Gram and
+        # arrow entry, while == still compares the full key
         if self._hash is None:
-            self._hash = hash(self.key())
+            self._hash = hash((self.n, self._dims()))
         return self._hash
 
+    def _dims(self) -> tuple:
+        return tuple(self.vertices[j].dim for j in sorted(self.vertices))
+
     def __repr__(self):
-        dims = tuple(
-            self.vertices[j].dim for j in sorted(self.vertices)
-        )
-        return f"Cube(n={self.n}, dims={dims})"
+        return f"Cube(n={self.n}, dims={self._dims()})"
 
 
 def face(c: Cube, i: int, k: int) -> Cube:
@@ -262,7 +264,7 @@ def is_normalized(c: Cube) -> bool:
 class CubeSum:
     """Formal integer combination of equal-dimension cubes, merged by
     structural identity: the terms are keyed by the cubes themselves,
-    which cache their hashes."""
+    hashed by their shape and compared by their full keys."""
 
     __slots__ = ("n", "_terms")
 

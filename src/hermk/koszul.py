@@ -16,7 +16,12 @@ sorted(e + x):
     phi_p(s, e) = sum_i (-1)^i (sorted(s + e_i), e without e_i)
     psi_p(s, e) = (1/k) sum_x m_s(x) (-1)^t (s - x, sorted(e + x))
 
-The complex is exact.
+The complex is exact, and koszul_complex certifies it so on basis
+words: phi_{p+1} phi_p = 0 and phi_{p-1} psi_{p-1} + psi_p phi_p = id,
+composed from the same two rules in integers (k psi has integer
+coefficients), with no rank or matrix product. Every other complex
+flagged acyclic is checked by ranks (la.is_exact); that check, rerun on
+a certified complex, is the oracle in the tests.
 
 This module also builds: the rational section of phi_p; the 1/sqrt(k)
 rescale; the canonical kernel sequences mu^j with induced metrics and
@@ -50,6 +55,7 @@ from .core import (
 from .multilinear import (
     PowerBasisWord,
     ext_power,
+    power_tower,
     sym_power,
     tensor_of_maps,
     tensor_of_spaces,
@@ -94,7 +100,8 @@ class HermitianComplex:
     call on the maps between zero ends, whose failure names the pair
     of maps that does not compose to zero or else the degree where the
     ranks do not add up. check=False skips revalidation for complexes
-    produced by transformations that preserve the invariants.
+    produced by transformations that preserve the invariants, or
+    certified otherwise, as koszul_complex certifies its own.
     """
 
     __slots__ = ("objects", "maps", "acyclic")
@@ -177,15 +184,64 @@ def _psi_images(label, k: int):
 def koszul_complex(v: MetrizedSpace, k: int) -> HermitianComplex:
     """The exact degree-k transform complex of v.
 
-    k = 0 yields the single-object complex on S^0 (x) Lambda^0 (not
-    acyclic); it exists so direct-sum decompositions have their edge
-    terms.
+    Every S^p and Lambda^(k-p) comes from one power_tower per kind.
+    Exactness is certified on basis words by _certify, from the same
+    phi images the maps are built from, so the rank test of
+    HermitianComplex is skipped. k = 0 yields the single-object complex
+    on S^0 (x) Lambda^0 (not acyclic); it exists so direct-sum
+    decompositions have their edge terms.
     """
     if k < 0:
         raise ValueError("degree must be >= 0")
-    objects = [koszul_object(v, k, p) for p in range(k + 1)]
-    maps = [SpaceMap(a, b, word_map(a, b, _phi_images)) for a, b in zip(objects, objects[1:])]
-    return HermitianComplex(objects, maps, acyclic=k >= 1)
+    syms, exts = power_tower(v, "sym", k), power_tower(v, "ext", k)
+    objects = [tensor_of_spaces(syms[p].space, exts[k - p].space) for p in range(k + 1)]
+    phis = [{lab: tuple(_phi_images(lab)) for lab in a.labels} for a in objects[:-1]]
+    psis = [
+        {lab: tuple((t, _times(c, k)) for t, c in _psi_images(lab, k)) for lab in b.labels}
+        for b in objects[1:]
+    ]
+    if k:
+        _certify(objects, phis, psis, k)
+    maps = [
+        SpaceMap(a, b, word_map(a, b, phi.__getitem__))
+        for a, b, phi in zip(objects, objects[1:], phis)
+    ]
+    return HermitianComplex(objects, maps, acyclic=k >= 1, check=False)
+
+
+def _times(c, k: int):
+    """k c, as an int when it is one: every coefficient of psi lies in
+    Z / k, so k psi is integral."""
+    kc = Fraction(c) * k
+    return kc.numerator if kc.denominator == 1 else kc
+
+
+def _certify(objects, phis, psis, k: int) -> None:
+    """Raise unless phi_{p+1} phi_p = 0 and phi_{p-1} psi_{p-1} +
+    psi_p phi_p = id on every A^p, composed on basis words.
+
+    phis[p] and psis[p] give the images of each basis word under phi_p,
+    respectively k psi_p, so the identity reads k on every word. The
+    two identities make the complex exact, ends included: a cycle z is
+    the boundary phi(psi z)."""
+    for p, obj in enumerate(objects):
+        for w in obj.labels:
+            square, homotopy = {}, {}
+            if p < k:
+                for t, c in phis[p][w]:
+                    for u, d in psis[p][t]:
+                        homotopy[u] = homotopy.get(u, 0) + c * d
+                    if p + 1 < k:
+                        for u, d in phis[p + 1][t]:
+                            square[u] = square.get(u, 0) + c * d
+            if p:
+                for t, c in psis[p - 1][w]:
+                    for u, d in phis[p - 1][t]:
+                        homotopy[u] = homotopy.get(u, 0) + c * d
+            if any(square.values()):
+                raise ValueError(f"maps {p}, {p + 1} do not compose to zero")
+            if {u: c for u, c in homotopy.items() if c} != {w: k}:
+                raise ValueError(f"phi psi + psi phi is not the identity at degree {p}")
 
 
 def koszul_section(v: MetrizedSpace, k: int, p: int) -> SpaceMap:

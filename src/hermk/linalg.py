@@ -169,13 +169,40 @@ def bilinear(g: Mat, u: Vec, v: Vec) -> Fraction:
 
 
 def kron(a: Mat, b: Mat) -> Mat:
-    """Kronecker product; row/col index = (i_a * rows_b + i_b, ...)."""
-    ca, cb = a.ncols, b.ncols
+    """Kronecker product; row/col index = (i_a * rows_b + i_b, ...).
+
+    The products are taken in integers over the two common denominators
+    (_qkernels._clear), and each distinct product becomes one Fraction.
+    A zero entry of a contributes one shared block of zeros instead of
+    a row of b's worth of products."""
+    cb = b.ncols
+    ai, da = _qkernels._clear(a)
+    bi, db = _qkernels._clear(b)
+    frac = _Fractions(da * db)
+    zero = (Fraction(0),) * cb
     out = []
-    for arow in a:
-        for brow in b:
-            out.append(tuple(arow[j] * brow[m] for j in range(ca) for m in range(cb)))
-    return Mat(tuple(out), ca * cb)
+    for arow in ai:
+        for brow in bi:
+            row = []
+            for x in arow:
+                if x:
+                    row.extend([frac[x * y] for y in brow])
+                else:
+                    row.extend(zero)
+            out.append(tuple(row))
+    return Mat(tuple(out), a.ncols * cb)
+
+
+class _Fractions(dict):
+    """int v -> Fraction(v, den), each built on its first lookup."""
+
+    def __init__(self, den: int):
+        super().__init__()
+        self.den = den
+
+    def __missing__(self, v: int) -> Fraction:
+        f = self[v] = Fraction(v, self.den)
+        return f
 
 
 def hstack(*ms: Mat) -> Mat:

@@ -13,8 +13,18 @@ prod_i m_i! (m_i = multiplicity of i in the word) and the exterior
 basis is orthonormal. Maps given by their values on basis words, here
 and in koszul, are built by word_map.
 
-Permanents go through Ryser enumeration: exponential in k, fine at the
-k <= 6 scales this package targets.
+No permanent or determinant is computed one minor at a time. The Grams
+of S^d and Lambda^d come from those of degree d - 1 by expansion along
+the first letter (Laplace expansion along the first row): for words I,
+J with first letter i_1 of I,
+
+    perm G[I, J] = sum_{j in set(J)} m_J(j) G[i_1, j] perm G[I - i_1, J - j]
+    det G[I, J]  = sum_c (-1)^c G[i_1, J_c] det G[I - i_1, J - J_c]
+
+(J - j drops one copy of j, c runs over the positions of J). So
+power_tower builds every degree 0..d of one kind in one pass, in
+integers over den^d where den clears the denominators of G, skipping the
+zero entries G[i_1, j]; sym_power and ext_power read its top level.
 """
 
 from __future__ import annotations
@@ -25,6 +35,7 @@ from fractions import Fraction
 from functools import reduce
 from math import factorial
 
+from . import _qkernels
 from . import linalg as la
 from .core import MetrizedSpace, SpaceMap, ZERO_SPACE
 
@@ -68,12 +79,7 @@ def tensor_power(v: MetrizedSpace, k: int) -> PowerSpace:
 
 def sym_power(v: MetrizedSpace, k: int) -> PowerSpace:
     """S^k v; Gram entry (I, J) = permanent of G[I, J]."""
-    if k < 0:
-        raise ValueError("power degree must be >= 0")
-    words = list(itertools.combinations_with_replacement(range(v.dim), k))
-    gram = _power_gram(v.gram, words, la.permanent)
-    space = MetrizedSpace(_labels("sym", words), gram, check=False)
-    return PowerSpace(v, k, "sym", space)
+    return _powers(v, "sym", k, k)[0]
 
 
 def ext_power(v: MetrizedSpace, k: int) -> PowerSpace:
@@ -81,23 +87,70 @@ def ext_power(v: MetrizedSpace, k: int) -> PowerSpace:
 
     k > dim v yields the zero-dimensional space.
     """
-    if k < 0:
+    return _powers(v, "ext", k, k)[0]
+
+
+def power_tower(v: MetrizedSpace, kind: str, top: int) -> tuple[PowerSpace, ...]:
+    """(S^0 v, ..., S^top v) for kind "sym", the exterior powers for
+    kind "ext": entry d equals sym_power(v, d), respectively
+    ext_power(v, d), and all of them come from one expansion."""
+    return _powers(v, kind, top, 0)
+
+
+_WORDS = {"sym": itertools.combinations_with_replacement, "ext": itertools.combinations}
+
+
+def _powers(v: MetrizedSpace, kind: str, top: int, low: int) -> tuple[PowerSpace, ...]:
+    """The power spaces of degrees low..top, built level by level from
+    degree 0 by expansion along the first letter."""
+    if top < 0:
         raise ValueError("power degree must be >= 0")
-    words = list(itertools.combinations(range(v.dim), k))
-    gram = _power_gram(v.gram, words, la.det)
-    space = MetrizedSpace(_labels("ext", words), gram, check=False) if words else ZERO_SPACE
-    return PowerSpace(v, k, "ext", space)
+    if kind not in _WORDS:
+        raise ValueError(f"unknown power kind {kind!r}")
+    h, den = _qkernels._clear(v.gram)
+    out = []
+    index, gram = {(): 0}, [[1]]
+    for d in range(top + 1):
+        if d:
+            index, gram = _next_level(h, kind, d, index, gram)
+        if d >= low:
+            words = list(index)
+            if not words:
+                space = ZERO_SPACE
+            else:
+                rows = la.Mat(tuple(map(tuple, _qkernels._over(gram, den**d))), len(words))
+                space = MetrizedSpace(_labels(kind, words), rows, check=False)
+            out.append(PowerSpace(v, d, kind, space))
+    return tuple(out)
 
 
-def _power_gram(g: la.Mat, words, minor) -> la.Mat:
+def _next_level(h, kind: str, d: int, prev_index: dict, prev: list):
+    """Words of degree d, in order, as a dict to their positions, and
+    the integer Gram over den^d from degree d - 1's.
+
+    Entry (I, J) sums coeff * h[I[0]][j] * prev[I[1:]][J - j] over the
+    letters j of J (each distinct letter once, coeff its multiplicity,
+    for "sym"; each position c, coeff (-1)^c, for "ext")."""
+    words = list(_WORDS[kind](range(len(h)), d))
+    drops = []
+    for w in words:
+        if kind == "sym":
+            cut = [(w.count(j), c) for c, j in enumerate(w) if not c or w[c - 1] != j]
+        else:
+            cut = [(-1 if c & 1 else 1, c) for c in range(d)]
+        drops.append([(w[c], m, prev_index[w[:c] + w[c + 1 :]]) for m, c in cut])
+    # per first letter a: the terms of every word J with h[a][j] != 0
+    terms = [[[(m * ha[j], x) for j, m, x in drop if ha[j]] for drop in drops] for ha in h]
     n = len(words)
-    rows = [[Fraction(0)] * n for _ in range(n)]
-    for i in range(n):
+    rows = [[0] * n for _ in range(n)]
+    for i, w in enumerate(words):
+        sub, by_j, row = prev[prev_index[w[1:]]], terms[w[0]], rows[i]
         for j in range(i, n):
-            val = minor(la.submatrix(g, words[i], words[j]))
-            rows[i][j] = val
-            rows[j][i] = val
-    return la.Mat(tuple(map(tuple, rows)), n)
+            val = 0
+            for c, x in by_j[j]:
+                val += c * sub[x]
+            row[j] = rows[j][i] = val
+    return {w: i for i, w in enumerate(words)}, rows
 
 
 def _perm_sign(word) -> int:

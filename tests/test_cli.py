@@ -20,6 +20,7 @@ from hermk import cli, cubes, koszul, symfun
 from hermk import homology as hom
 from hermk import instances as inst
 from hermk import linalg as la
+from hermk.core import MetrizedSpace, SpaceMap
 from hermk.cli import (
     Report,
     SUITE_NAMES,
@@ -283,10 +284,14 @@ def test_symfun_catches_a_doctored_euler_coefficient(monkeypatch):
 def test_koszul_exactness_claim_catches_a_doctored_section(monkeypatch):
     cfg = SuiteConfig("koszul-section", max_dim=2, max_k=2, max_n=1, trials=1)
     assert run_suite(cfg).failed == 0
-    honest = koszul._psi_images
-    monkeypatch.setattr(
-        koszul, "_psi_images", lambda lab, k: ((t, abs(c)) for t, c in honest(lab, k))
-    )
+    honest = cli.koszul_section
+
+    def unsigned(v, k, p):
+        s = honest(v, k, p)
+        rows = tuple(tuple(abs(x) for x in row) for row in s.matrix.entries)
+        return SpaceMap(s.domain, s.codomain, la.Mat(rows, s.matrix.entries.ncols))
+
+    monkeypatch.setattr(cli, "koszul_section", unsigned)
     failing = {(c.claim_ref, c.instance) for c in run_suite(cfg).checks if not c.ok}
     # the sign only shows from two letters in degree 2 on; phi is
     # untouched, so a check by ranks and spans alone would still pass
@@ -295,6 +300,41 @@ def test_koszul_exactness_claim_catches_a_doctored_section(monkeypatch):
         for ref in ("koszul-complex-exact", "koszul-section-identity")
         for metric in ("standard", "random")
     }
+    # the same sign dropped from the rule psi is built from: koszul_complex
+    # certifies itself with that rule, so the suite stops at construction
+    monkeypatch.setattr(cli, "koszul_section", honest)
+    rule = koszul._psi_images
+    monkeypatch.setattr(
+        koszul, "_psi_images", lambda lab, k: ((t, abs(c)) for t, c in rule(lab, k))
+    )
+    with pytest.raises(ValueError, match="not the identity"):
+        run_suite(cfg)
+
+
+def test_sum_isometry_claim_catches_a_perturbed_gram(monkeypatch):
+    cfg = SuiteConfig("koszul-sum", max_dim=2, max_k=2, max_n=1, trials=1)
+    honest_report = run_suite(cfg)
+    assert honest_report.failed == 0
+    honest = koszul.koszul_sum_rhs
+
+    def perturbed(v, w, k):
+        # the split side built from w with the norm of its second basis
+        # vector doubled, which keeps the Gram positive definite
+        if w.dim < 2:
+            return honest(v, w, k)
+        rows = [list(row) for row in w.gram]
+        rows[1][1] *= 2
+        return honest(v, MetrizedSpace(w.labels, la.mat(rows)), k)
+
+    monkeypatch.setattr(koszul, "koszul_sum_rhs", perturbed)
+    report = run_suite(cfg)
+    failing = {(c.claim_ref, c.instance) for c in report.checks if not c.ok}
+    assert failing == {
+        ("koszul-sum-isometry", c.instance)
+        for c in honest_report.checks
+        if "dim_w=2" in c.instance
+    }
+    assert len(failing) == 8
 
 
 def test_squares_zero_claim_catches_a_dropped_direction_sign(monkeypatch):

@@ -17,6 +17,7 @@ from hermk import cubes
 from hermk import linalg as la
 from hermk.core import (
     MetrizedSpace,
+    ScaledMatrix,
     SpaceMap,
     ZERO_SPACE,
     standard_space,
@@ -90,6 +91,36 @@ def test_one_cube_differential_signs():
     assert d.coefficient(face(c, 1, 0)) == -1
     assert d.coefficient(face(c, 1, 1)) == 1
     assert d.coefficient(face(c, 1, 2)) == -1
+
+
+def test_equal_cubes_built_apart_merge_in_a_sum():
+    rng = random.Random(7)
+    f = _flag(rng, _ambient(rng, 4), (1, 3))
+    c = cub(f)
+    again = Cube(c.n, dict(c.vertices), dict(c.arrows))
+    assert again is not c and again == c and hash(again) == hash(c)
+    total = cubes.CubeSum(1, ((2, c), (3, again)))
+    assert len(total.summands()) == 1
+    assert total.coefficient(c) == 5
+    assert cubes.CubeSum(1, ((1, c), (-1, again))).is_zero()
+
+
+def test_cubes_differing_in_one_arrow_entry_stay_apart():
+    rng = random.Random(7)
+    f = _flag(rng, _ambient(rng, 4), (1, 3))
+    c = cub(f)
+    pair = ((0,), (1,))
+    m = c.arrows[pair]
+    rows = [list(row) for row in m.matrix.entries]
+    rows[0][0] += 1
+    arrows = dict(c.arrows)
+    arrows[pair] = SpaceMap(m.domain, m.codomain, ScaledMatrix(la.mat(rows), m.matrix.scale_sq))
+    other = Cube(c.n, dict(c.vertices), arrows, check=False)
+    # same shape, so the same hash, but not the same cube
+    assert hash(other) == hash(c) and other != c
+    total = cubes.CubeSum(1, ((1, c), (1, other)))
+    assert len(total.summands()) == 2
+    assert total.coefficient(c) == 1 and total.coefficient(other) == 1
 
 
 def test_degeneracy_shapes_and_recovery():

@@ -206,27 +206,60 @@ def test_maps_equal_their_tensor_power_composites():
 
 
 def test_oracle_comparison_catches_doctored_rules(monkeypatch):
-    spaces = [standard_space(3)]
+    v = standard_space(3)
     phi_rule, psi_rule = koszul._phi_images, koszul._psi_images
-    # phi negated: still an exact complex, so only the oracle can tell
+    # phi negated alone: phi psi + psi phi = -id, so construction refuses it
     monkeypatch.setattr(koszul, "_phi_images", lambda lab: ((t, -c) for t, c in phi_rule(lab)))
-    assert koszul_complex(standard_space(3), 3).acyclic
-    bad = _oracle_mismatches(spaces, (1, 2, 3))
+    for k in (1, 2, 3):
+        with pytest.raises(ValueError, match="not the identity at degree 0"):
+            koszul_complex(v, k)
+    # phi and psi both negated: still certified, so only the oracle can tell
+    monkeypatch.setattr(
+        koszul, "_psi_images", lambda lab, k: ((t, -c) for t, c in psi_rule(lab, k))
+    )
+    assert koszul_complex(v, 3).acyclic
+    bad = _oracle_mismatches([v], (1, 2, 3))
     assert {(m, k, p) for m, _, k, p, _ in bad} == {
-        ("phi", k, p) for k in (1, 2, 3) for p in range(k)
+        (m, k, p) for m in ("phi", "psi") for k in (1, 2, 3) for p in range(k)
     }
+    assert {d for *_, d in bad} == {"entries"}
     # the sign dropped from phi: maps no longer compose to zero
+    monkeypatch.setattr(koszul, "_psi_images", psi_rule)
     monkeypatch.setattr(koszul, "_phi_images", lambda lab: ((t, abs(c)) for t, c in phi_rule(lab)))
-    with pytest.raises(ValueError):
-        koszul_complex(standard_space(3), 2)
-    # the sign dropped from psi: koszul_section has no check of its own
+    with pytest.raises(ValueError, match="maps 0, 1 do not compose to zero"):
+        koszul_complex(v, 2)
+    # the sign dropped from psi: it only shows from two letters on, where
+    # the certificate refuses it; koszul_section has no check of its
+    # own, and the oracle catches it there
     monkeypatch.setattr(koszul, "_phi_images", phi_rule)
     monkeypatch.setattr(
         koszul, "_psi_images", lambda lab, k: ((t, abs(c)) for t, c in psi_rule(lab, k))
     )
-    bad = _oracle_mismatches(spaces, (1, 2, 3))
-    assert bad and all(m == "psi" and d == "entries" for m, _, _, _, d in bad)
-    assert {k for _, _, k, _, _ in bad} == {2, 3}
+    assert koszul_complex(v, 1).acyclic
+    for k in (2, 3):
+        with pytest.raises(ValueError, match="not the identity"):
+            koszul_complex(v, k)
+    bad = [
+        (k, p, d)
+        for k in (1, 2, 3)
+        for p in range(k)
+        for d in _differences(koszul_section(v, k, p), _oracle_psi(v, k, p))
+    ]
+    assert bad and {d for *_, d in bad} == {"entries"}
+    assert {k for k, _, _ in bad} == {2, 3}
+
+
+def test_rank_check_accepts_every_certified_complex():
+    # koszul_complex certifies itself on words and skips the rank test;
+    # the rank test, rerun on its output, must agree
+    rng = random.Random(59)
+    spaces = [standard_space(0), SKEW]
+    for dim in (1, 2, 3, 4):
+        spaces += [standard_space(dim), _random_space(rng, dim)]
+    for v in spaces:
+        for k in range(1, 6):
+            c = koszul_complex(v, k)
+            assert HermitianComplex(c.objects, c.maps, acyclic=True).acyclic
 
 
 def test_dim4_degree5_is_exact_with_sections():

@@ -172,6 +172,37 @@ def test_kron_fixed():
     assert got == la.mat([[3, 6], [4, 8]])
 
 
+def _dense_kron(a: la.Mat, b: la.Mat) -> la.Mat:
+    """The oracle: every product a[i][j] * b[r][s], zero factors included."""
+    ra, ca, rb, cb = len(a), a.ncols, len(b), b.ncols
+    rows = tuple(
+        tuple(a[i][j] * b[r][s] for j in range(ca) for s in range(cb))
+        for i in range(ra)
+        for r in range(rb)
+    )
+    return la.Mat(rows, ca * cb)
+
+
+def test_kron_matches_the_dense_product():
+    rng = random.Random(61)
+    values = (0, 0, 0, 1, -2, F(1, 3), F(-5, 6), F(7, 4))
+
+    def rand(r, c):
+        return la.Mat(tuple(tuple(F(rng.choice(values)) for _ in range(c)) for _ in range(r)), c)
+
+    shapes = [(0, 0), (0, 3), (2, 0), (1, 1), (2, 3), (3, 2), (4, 4)]
+    for (ra, ca), (rb, cb) in itertools.product(shapes, shapes):
+        a, b = rand(ra, ca), rand(rb, cb)
+        got = la.kron(a, b)
+        assert got == _dense_kron(a, b)
+        assert la.shape(got) == (ra * rb, ca * cb)
+        assert all(type(x) is Fraction for row in got for x in row)
+    # a zero factor on either side, and a matrix of zeros
+    a, b = la.mat([[0, F(2, 3)], [F(-1, 2), 0]]), la.mat([[F(3, 4), 0, 5]])
+    assert la.kron(a, b) == _dense_kron(a, b)
+    assert la.kron(la.zeros(2, 2), b) == la.zeros(2, 6)
+
+
 def _ones(r, c):
     return la.mat([[1] * c for _ in range(r)]) if r else la.zeros(0, c)
 

@@ -2,23 +2,28 @@
 
 Fixed Grams are hand-computed permanents/determinants of the minor
 matrices <e_i, e_j>; the skew metric [[1, 1/2], [1/2, 1]] exercises
-off-diagonal terms.
+off-diagonal terms. The power towers are compared exactly with the
+Grams built one permanent or determinant per entry.
 """
 
 from __future__ import annotations
 
+import itertools
 import math
+import random
 from fractions import Fraction
 
 import pytest
 
 from hermk import linalg as la
 from hermk.core import ZERO_SPACE, MetrizedSpace, standard_space
+from hermk.instances import random_spd_gram
 from hermk.multilinear import (
     ext_power,
     iota_map,
     j_map,
     pi_map,
+    power_tower,
     rho_map,
     sym_power,
     tensor_of_maps,
@@ -59,6 +64,62 @@ def test_skew_metric_grams():
     )
     e2 = ext_power(SKEW, 2).space
     assert e2.gram == ((F(3, 4),),)
+
+
+def _minor_gram(g: la.Mat, words, minor) -> la.Mat:
+    """The oracle: the Gram of a power space one minor at a time, entry
+    (I, J) = minor(G[I, J]), with la.permanent for S^d and la.det for
+    Lambda^d."""
+    n = len(words)
+    rows = [[Fraction(0)] * n for _ in range(n)]
+    for i in range(n):
+        for j in range(i, n):
+            val = minor(la.submatrix(g, words[i], words[j]))
+            rows[i][j] = val
+            rows[j][i] = val
+    return la.Mat(tuple(map(tuple, rows)), n)
+
+
+KINDS = (
+    ("sym", itertools.combinations_with_replacement, la.permanent, sym_power),
+    ("ext", itertools.combinations, la.det, ext_power),
+)
+
+
+def test_towers_equal_the_minor_oracle():
+    rng = random.Random(53)
+    spaces = [standard_space(0), SKEW]
+    for dim in (1, 2, 3, 4):
+        labels = tuple(f"v{i}" for i in range(dim))
+        spaces += [standard_space(dim), MetrizedSpace(labels, random_spd_gram(rng, dim))]
+    for v in spaces:
+        for kind, words_of, minor, single in KINDS:
+            tower = power_tower(v, kind, 5)
+            assert [(p.kind, p.degree, p.underlying) for p in tower] == [
+                (kind, d, v) for d in range(6)
+            ]
+            for d, p in enumerate(tower):
+                words = list(words_of(range(v.dim), d))
+                assert [w.indices for w in p.words] == words
+                assert p.space.gram == _minor_gram(v.gram, words, minor)
+                assert all(type(x) is Fraction for row in p.space.gram for x in row)
+                assert p == single(v, d)
+                if not words:
+                    # Lambda^d for d > dim, S^d of the zero space for d > 0
+                    assert p.space == ZERO_SPACE
+
+
+def test_tower_degree_zero_and_bad_arguments():
+    for kind, *_ in KINDS:
+        (unit,) = power_tower(SKEW, kind, 0)
+        assert unit.space.gram == la.identity(1)
+        assert [w.indices for w in unit.words] == [()]
+        with pytest.raises(ValueError):
+            power_tower(SKEW, kind, -1)
+    with pytest.raises(ValueError):
+        power_tower(SKEW, "tensor", 2)
+    with pytest.raises(ValueError):
+        sym_power(SKEW, -1)
 
 
 def test_word_enumeration_orders():
