@@ -22,6 +22,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 
+from . import _qkernels
 from . import linalg as la
 from .linalg import Mat, Vec
 
@@ -92,6 +93,9 @@ class ScaledMatrix:
     def __eq__(self, other):
         if not isinstance(other, ScaledMatrix):
             return NotImplemented
+        if self.scale_sq == other.scale_sq:
+            # one scale: the canonical forms agree exactly when the entries do
+            return self.entries == other.entries
         return self.key() == other.key()
 
     def __hash__(self):
@@ -129,17 +133,22 @@ class ScaledMatrix:
 
 
 def _is_positive_definite(g: Mat) -> bool:
-    """Exact PD test: Gaussian pivots without row exchange all positive."""
-    n = len(g)
-    rows = [list(r) for r in g]
-    for c in range(n):
-        piv = rows[c][c]
+    """Exact PD test of a symmetric matrix by Sylvester's criterion:
+    every leading principal minor is positive. One lcm clears g to
+    integers, which scales the k-th minor by den^k > 0 and keeps its
+    sign. Fraction-free Bareiss elimination without row exchange then
+    leaves the leading (k+1)-minor as the k-th pivot, with every
+    division by the previous pivot exact (see _qkernels)."""
+    rows, _ = _qkernels._clear(g)
+    prev = 1
+    while rows:
+        head, *rest = rows
+        piv = head[0]
         if piv <= 0:
             return False
-        for i in range(c + 1, n):
-            f = rows[i][c] / piv
-            if f:
-                rows[i] = [x - f * y for x, y in zip(rows[i], rows[c])]
+        tail = head[1:]
+        rows = [[(piv * x - r[0] * y) // prev for x, y in zip(r[1:], tail)] for r in rest]
+        prev = piv
     return True
 
 

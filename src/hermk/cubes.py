@@ -17,9 +17,11 @@ residual summand for structural degeneracy.
 
 A flag and every flag its faces and degeneracies reach form one
 family, and the family shares one table of what cub builds: cubes,
-complements, vertex spaces, inclusions and projections. A relation
-check draws one flag and evaluates cub on many of its relatives, so
-each piece is built once per family. The table lives and dies with
+complements, vertex spaces, inclusions and projections, and the
+certificates of the direction triples and squares it has validated. A
+relation check draws one flag and evaluates cub on many of its
+relatives, so each piece is built, and each distinct triple and square
+checked, once per family. The table lives and dies with
 the family's flags; nothing is cached across families.
 """
 
@@ -89,16 +91,20 @@ def _adjacent(n: int):
 class Cube:
     """An n-cube of metrized spaces: vertices over {0,1,2}^n, one map
     per adjacent pair, every direction triple short exact and every
-    square commuting. check=False skips validation for cubes obtained
-    by restricting or permuting an already validated one."""
+    square commuting.
 
-    __slots__ = ("n", "vertices", "arrows", "_key", "_hash")
+    check=True (the default) validates all of that at construction.
+    check=False skips it: faces, degeneracies and swaps of a validated
+    cube need none, and cub builds its cubes unchecked and then runs
+    _validate against its family's table of certificates, which checks
+    each distinct triple and square once per flag family."""
+
+    __slots__ = ("n", "vertices", "arrows", "_hash")
 
     def __init__(self, n: int, vertices, arrows, check: bool = True):
         self.n = n
         self.vertices = dict(vertices)
         self.arrows = dict(arrows)
-        self._key = None
         self._hash = None
         expected = set(product(_VERT, repeat=n))
         if set(self.vertices) != expected:
@@ -108,13 +114,28 @@ class Cube:
         if check:
             self._validate()
 
-    def _validate(self):
+    def _validate(self, certified=None, vertex_key=None):
+        """Check that every arrow matches its endpoints, every direction
+        triple is short exact and every square commutes.
+
+        A triple or square is named by the vertex_key of its vertices
+        (by default the vertex index itself, so all are distinct), and
+        one whose name is in the table certified is skipped: the caller
+        vouches that the vertex keys fix the spaces and arrows involved.
+        Each one that passes is entered there, and only then."""
+        if certified is None:
+            certified, vertex_key = {}, (lambda j: j)
         for (src, dst), m in self.arrows.items():
             if m.domain != self.vertices[src] or m.codomain != self.vertices[dst]:
                 raise ValueError(f"arrow {src}->{dst} does not match its endpoints")
         for i in range(1, self.n + 1):
             for bj in product(_VERT, repeat=self.n - 1):
-                self.triple(i, bj)
+                name = ("triple",) + tuple(
+                    vertex_key(_insert(bj, i - 1, v)) for v in _VERT
+                )
+                if name not in certified:
+                    self.triple(i, bj)
+                    certified[name] = True
         for j in product(_VERT, repeat=self.n):
             for i1 in range(self.n):
                 if j[i1] == 2:
@@ -124,6 +145,9 @@ class Cube:
                         continue
                     a, b = _bump(j, i1), _bump(j, i2)
                     ab = _bump(a, i2)
+                    name = ("square",) + tuple(map(vertex_key, (j, a, b, ab)))
+                    if name in certified:
+                        continue
                     left = self.arrows[(a, ab)].compose(self.arrows[(j, a)])
                     right = self.arrows[(b, ab)].compose(self.arrows[(j, b)])
                     if left != right:
@@ -131,6 +155,7 @@ class Cube:
                             f"square at {j} in directions {i1 + 1},{i2 + 1} "
                             "does not commute"
                         )
+                    certified[name] = True
 
     def vertex(self, j) -> MetrizedSpace:
         return self.vertices[tuple(j)]
@@ -150,22 +175,29 @@ class Cube:
         return all(s.dim == 0 for s in self.vertices.values())
 
     def key(self):
-        if self._key is None:
-            vs = tuple((j, self.vertices[j].key()) for j in sorted(self.vertices))
-            ars = tuple(
-                (pair, self.arrows[pair].matrix.key()) for pair in sorted(self.arrows)
-            )
-            self._key = (self.n, vs, ars)
-        return self._key
+        """The full structural data, in sorted index order."""
+        vs = tuple((j, self.vertices[j].key()) for j in sorted(self.vertices))
+        ars = tuple(
+            (pair, self.arrows[pair].matrix.key()) for pair in sorted(self.arrows)
+        )
+        return (self.n, vs, ars)
 
     def __eq__(self, other):
+        # the verdict of comparing key()s (for cubes whose arrows match
+        # their vertices) without building them: dict comparison skips
+        # the vertex and arrow objects that faces, degeneracies and
+        # swaps share, and compares the rest by value
         if not isinstance(other, Cube):
             return NotImplemented
-        return self.key() == other.key()
+        return (
+            self.n == other.n
+            and self.vertices == other.vertices
+            and self.arrows == other.arrows
+        )
 
     def __hash__(self):
         # the shape only: hashing the whole key hashed every Gram and
-        # arrow entry, while == still compares the full key
+        # arrow entry, while == still compares the full structure
         if self._hash is None:
             self._hash = hash((self.n, self._dims()))
         return self._hash
@@ -264,7 +296,7 @@ def is_normalized(c: Cube) -> bool:
 class CubeSum:
     """Formal integer combination of equal-dimension cubes, merged by
     structural identity: the terms are keyed by the cubes themselves,
-    hashed by their shape and compared by their full keys."""
+    hashed by their shape and compared by their full structure."""
 
     __slots__ = ("n", "_terms")
 
@@ -341,11 +373,13 @@ class Flag:
 
     A constructed flag starts a family with a fresh private table
     (_cubes); face and degeneracy hand the same table to the flags they
-    derive. cub looks its cubes up there by chain, and its complements,
-    vertex spaces and arrows by the EchelonBasis objects involved. Those
-    identity keys are sound because a flag never grows its bases
-    (EchelonBasis.add is not called on them), so one basis object
-    stands for one subspace for as long as the table holds it."""
+    derive, and degeneracy(0) prepends the family's one zero basis. cub
+    looks its cubes, complements, vertex spaces, arrows and certificates
+    up there by the EchelonBasis objects involved (a cube by the tuple of
+    its flag's bases). Those identity keys are sound because a flag
+    never grows its bases (EchelonBasis.add is not called on them), so
+    one basis object stands for one subspace for as long as the table
+    holds it."""
 
     __slots__ = ("ambient", "bases", "_cubes")
 
@@ -409,7 +443,7 @@ class Flag:
         if not 0 <= i <= self.length:
             raise ValueError("degeneracy index out of range")
         if i == 0:
-            return self._derive((la.EchelonBasis((), self.ambient.dim),) + self.bases)
+            return self._derive((_zero_basis(self),) + self.bases)
         return self._derive(self.bases[:i] + (self.bases[i - 1],) + self.bases[i:])
 
 
@@ -430,10 +464,20 @@ def _memo(table: dict, key, build):
     return value
 
 
+def _zero_basis(f: Flag) -> la.EchelonBasis:
+    """The zero subspace of f's ambient space, one object per family."""
+    return _memo(f._cubes, ("zero",), lambda: la.EchelonBasis.zero(f.ambient.dim))
+
+
 def _ortho_in(f: Flag, small: la.EchelonBasis, big: la.EchelonBasis):
     """Echelon basis of the orthogonal complement of span(small) inside
     span(big), both entries or complements in f's family, in ambient
-    coordinates; built once per family."""
+    coordinates; built once per family. The complement of 0 is big
+    itself, and that of big in big the family's zero basis."""
+    if not small.rows:
+        return big
+    if small is big:
+        return _zero_basis(f)
 
     def build():
         amb = f.ambient
@@ -492,12 +536,15 @@ def cub(f: Flag) -> Cube:
     of the construction agree with flag faces structurally.
 
     The cube and its pieces are stored in the table of f's family (see
-    Flag), so each is built and validated once per family. A build that
-    raises leaves nothing in the table.
+    Flag), so each is built once per family. The cube is validated
+    there too: each direction triple and square is named by the bases
+    of its vertices, checked the first time the family meets that name,
+    and certified in the table only once it has passed. A build that
+    raises leaves nothing in the table, certificates included.
     """
     if f.length < 1:
         raise ValueError("cub needs a flag with at least one entry")
-    return _memo(f._cubes, ("cub", f.chain), lambda: _build_cub(f))
+    return _memo(f._cubes, ("cub", f.bases), lambda: _build_cub(f))
 
 
 def _build_cub(f: Flag) -> Cube:
@@ -550,7 +597,19 @@ def _build_cub(f: Flag) -> Cube:
     arrows = {
         (s, d): arrow_for(tags[s], tags[d]) for s, d in _adjacent(n - 1)
     }
-    return Cube(n - 1, verts, arrows)
+    c = Cube(n - 1, verts, arrows, check=False)
+    # A triple or square is named in the table by the echelon bases of
+    # its vertices, None for a zero vertex whatever basis it came from.
+    # The name fixes everything it checks: each vertex is the induced
+    # metric on its basis (the zero space for None), and each arrow from
+    # basis B1 to basis B2 is the orthogonal projection of span(B1) onto
+    # span(B2) written over the two bases. An inclusion is that
+    # projection when span(B1) lies in span(B2), an identity is it when
+    # B1 is B2, and a map from or to a zero vertex is the empty matrix.
+    # So a name certified once in the family holds for every cube that
+    # has it.
+    c._validate(table, lambda j: bases[tags[j]] if spaces[tags[j]].dim else None)
+    return c
 
 
 def cub_chain_property(f: Flag) -> bool:

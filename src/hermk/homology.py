@@ -305,7 +305,17 @@ class PresentedQuotient:
         return tuple(-x for x in out[self.width:])
 
 
+def _zero_presentation() -> PresentedQuotient:
+    """The presentation of the zero group, the only subquotient of Q^0."""
+    return PresentedQuotient(la.EchelonBasis.zero(0), la.EchelonBasis.zero(0), ())
+
+
 def quotient_presentation(cycle_rows, boundary_rows, width: int) -> PresentedQuotient:
+    if not width:
+        # Q^0 has no subspace but 0: nothing to eliminate
+        if any(map(len, cycle_rows)) or any(map(len, boundary_rows)):
+            raise ValueError("vectors of length other than 0")
+        return _zero_presentation()
     cycle_basis = la.EchelonBasis(cycle_rows, width)
     boundary_basis = la.EchelonBasis(boundary_rows, width)
     if not all(cycle_basis.contains(row) for row in boundary_basis.rows):
@@ -318,6 +328,8 @@ def quotient_presentation(cycle_rows, boundary_rows, width: int) -> PresentedQuo
 
 def homology(c: ChainComplex, n: int) -> PresentedQuotient:
     """ker d_n modulo im d_{n+1}."""
+    if not c.dim(n):
+        return _zero_presentation()
     cycles = la.nullspace(c.diff(n))
     boundaries = la.transpose(c.diff(n + 1))
     return quotient_presentation(cycles, boundaries, c.dim(n))
@@ -339,6 +351,8 @@ def modified_homology(f: ChainMap, n: int) -> PresentedQuotient:
     a, b = f.source, f.target
     wa, wb = a.dim(n), b.dim(n + 1)
     width = wa + wb
+    if not width:
+        return _zero_presentation()
     cycles = [_pair(z, (0,) * wb) for z in la.nullspace(a.diff(n))]
     cycles += [_pair((0,) * wa, e) for e in la.identity(wb)]
     rel = []

@@ -396,6 +396,13 @@ class EchelonBasis:
         self.width = width
         self.rows, self.pivots = rref(stack(vectors, width))
 
+    @classmethod
+    def zero(cls, width: int) -> "EchelonBasis":
+        """The zero subspace of Q^width, with no elimination."""
+        b = object.__new__(cls)
+        b.width, b.rows, b.pivots = width, Mat((), width), ()
+        return b
+
     def reduce(self, v: Vec) -> Vec:
         """v minus sum_i v[pivots[i]] * rows[i]: zero at every pivot, and
         zero everywhere exactly when v is in the span."""

@@ -366,6 +366,28 @@ def test_squares_zero_claim_catches_a_dropped_direction_sign(monkeypatch):
     }
 
 
+def test_face_and_degeneracy_claims_catch_swapped_degeneracy_kinds(monkeypatch):
+    cfg = SuiteConfig("cub-relations", seed=1)
+    honest_checks = run_suite(cfg).checks
+    assert all(c.ok for c in honest_checks)
+    honest = cubes.degeneracy
+    monkeypatch.setattr(cubes, "degeneracy", lambda c, i, kind: honest(c, i, 1 - kind))
+    checks = run_suite(cfg).checks
+    failing = {(c.claim_ref, c.instance) for c in checks if not c.ok}
+    every = {c.instance for c in honest_checks}
+    length3 = {i for i in every if i.endswith("n=3")}
+    assert length3 and length3 != every
+    # every degeneracy relation compares against a degenerate cube; the
+    # face relations of a 1-cube (flag length 2) need no degeneracy; the
+    # chain property reads the same function when it tests residues for
+    # degeneracy, and a length-3 flag leaves residues to test
+    assert failing == (
+        {("cub-degeneracy-relations", i) for i in every}
+        | {("cub-face-relations", i) for i in length3}
+        | {("cub-chain-property", i) for i in length3}
+    )
+
+
 # The modified-homology claims: each doctored input below must fail
 # exactly its own claim, so that presentations shared through the
 # per-object tables cannot make a checker vacuous.

@@ -6,6 +6,7 @@ metrics follow from solving <b, v> = 0 and projecting off the kernel.
 
 from __future__ import annotations
 
+import random
 from fractions import Fraction
 
 import pytest
@@ -64,6 +65,78 @@ def test_scaled_matrix_rejects_nonpositive_scale():
         ScaledMatrix(((F(1),),), 0)
     with pytest.raises(ValueError):
         ScaledMatrix(((F(1),),), -2)
+
+
+def _fraction_pivot_pd(g) -> bool:
+    """The oracle: Gaussian pivots in Fractions, without row exchange,
+    all positive."""
+    n = len(g)
+    rows = [list(r) for r in g]
+    for c in range(n):
+        piv = rows[c][c]
+        if piv <= 0:
+            return False
+        for i in range(c + 1, n):
+            f = rows[i][c] / piv
+            if f:
+                rows[i] = [x - f * y for x, y in zip(rows[i], rows[c])]
+    return True
+
+
+def _random_symmetric(rng: random.Random, n: int, kind: str) -> la.Mat:
+    """A symmetric n x n matrix with denominators up to 6: M^T D M for a
+    random M and a diagonal D that is positive ("pd"), positive with
+    one zero ("psd": singular), or has one negative entry ("indefinite",
+    or negative definite when n is 1); "any" is a symmetric matrix with
+    independent entries."""
+    def entry():
+        return F(rng.randrange(-6, 7), rng.randrange(1, 7))
+
+    if kind == "any":
+        rows = [[None] * n for _ in range(n)]
+        for i in range(n):
+            for j in range(i, n):
+                rows[i][j] = rows[j][i] = entry()
+        return la.mat(rows)
+    m = la.mat([[entry() for _ in range(n)] for _ in range(n)])
+    d = [F(rng.randrange(1, 7), rng.randrange(1, 7)) for _ in range(n)]
+    if kind == "psd":
+        d[rng.randrange(n)] = F(0)
+    elif kind == "indefinite":
+        d[rng.randrange(n)] = -d[0]
+    diag = la.mat([[d[i] if i == j else 0 for j in range(n)] for i in range(n)])
+    return la.matmul(la.matmul(la.transpose(m), diag), m)
+
+
+def test_integer_pd_test_agrees_with_the_fraction_pivot_oracle():
+    rng = random.Random(20260)
+    verdicts = {True: 0, False: 0}
+    kinds = ("pd", "psd", "indefinite", "any")
+    for t in range(240):
+        kind = kinds[t % 4]
+        g = _random_symmetric(rng, rng.randrange(1, 6), kind)
+        got = core._is_positive_definite(g)
+        assert got == _fraction_pivot_pd(g), (kind, g)
+        if kind != "pd":
+            # singular and indefinite Grams are never positive definite
+            assert kind == "any" or not got
+        verdicts[got] += 1
+    assert verdicts[True] >= 40 and verdicts[False] >= 100
+
+
+def test_integer_pd_test_edge_cases():
+    pd = core._is_positive_definite
+    assert pd(la.zeros(0, 0)) and _fraction_pivot_pd(la.zeros(0, 0))
+    assert not pd(la.mat([[-1]])) and not pd(la.mat([[0]]))
+    assert pd(la.mat([[F(1, 6)]]))
+    # det = 1/6 - 1/9 > 0: positive definite, while the numerators
+    # alone, [[1, 1], [1, 1]], are singular
+    g = la.mat([[F(1, 6), F(1, 3)], [F(1, 3), 1]])
+    assert pd(g) and _fraction_pivot_pd(g)
+    assert not pd(la.mat([[1, 1], [1, 1]]))
+    # a positive leading entry with a negative 2x2 minor
+    assert not pd(la.mat([[1, 2], [2, 1]]))
+    assert pd(SKEW)
 
 
 def test_metrized_space_validation():

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import random
 from fractions import Fraction
+from itertools import product
 
 import pytest
 
@@ -462,18 +463,297 @@ def test_cub_is_built_once_per_chain_in_a_homotopy_check(monkeypatch):
     assert set(built) == set(asked)
 
 
+class _WatchedTable(dict):
+    """A family table that logs the keys entered into it and the
+    certificate names a validation finds there already."""
+
+    def __init__(self):
+        super().__init__()
+        self.entered: list = []
+        self.found: list = []
+
+    def __setitem__(self, key, value):
+        self.entered.append(key)
+        super().__setitem__(key, value)
+
+    def __contains__(self, key):
+        hit = super().__contains__(key)
+        if hit:
+            self.found.append(key)
+        return hit
+
+
+def _certificates(keys) -> list:
+    return [k for k in keys if k[0] in ("triple", "square")]
+
+
+def _watched_flag(rng, ambient, dims) -> Flag:
+    f = _flag(rng, ambient, dims)
+    f._cubes = _WatchedTable()
+    return f
+
+
 def test_failed_cub_leaves_nothing_behind(monkeypatch):
     rng = random.Random(61)
-    f = _flag(rng, _ambient(rng, 5), (1, 3, 5))
+    f = _watched_flag(rng, _ambient(rng, 5), (1, 3, 5))
     cub(f.face(0))  # honest entries made before the failure stay
     before = dict(f._cubes)
+    assert _certificates(before)
+    mark = len(f._cubes.entered)
     with monkeypatch.context() as m:
         _doctor_coords(m)
         with pytest.raises(ValueError, match="does not commute"):
             cub(f)
+    # the failed build certified triples and squares before it failed,
+    # and none of them stayed
+    assert _certificates(f._cubes.entered[mark:])
     assert list(f._cubes) == list(before)
     assert all(f._cubes[k] is v for k, v in before.items())
     assert cub(f).key() == cub(Flag(f.ambient, f.chain)).key()
+
+
+def _cubs_made(monkeypatch, run) -> list:
+    """Every cube cub hands out while run() executes."""
+    honest = cubes.cub
+    made = []
+
+    def recording(g):
+        c = honest(g)
+        made.append(c)
+        return c
+
+    with monkeypatch.context() as m:
+        m.setattr(cubes, "cub", recording)
+        assert run()
+    return made
+
+
+def _checks_of(c: Cube) -> int:
+    """The number of direction triples and squares of a cube."""
+    squares = sum(
+        1
+        for j in product(range(3), repeat=c.n)
+        for i1 in range(c.n)
+        for i2 in range(i1 + 1, c.n)
+        if j[i1] < 2 and j[i2] < 2
+    )
+    return c.n * 3 ** (c.n - 1) + squares
+
+
+def test_cubes_certified_once_per_family_pass_full_validation(monkeypatch):
+    """Full validation stays the oracle: every cube that cub hands out
+    in a homotopy check and a face-relation check, rebuilt with
+    check=True, is valid, though each family checked every distinct
+    triple and square only once."""
+    rng = random.Random(67)
+    amb = _ambient(rng, 6)
+    f = _watched_flag(rng, amb, (1, 3, 5))
+    g = _watched_flag(rng, amb, (1, 2, 4, 5))
+    made = _cubs_made(monkeypatch, lambda: homotopy_check(f, 1) and homotopy_check(f, 2))
+    made += _cubs_made(monkeypatch, lambda: cub_face_relations(g))
+    distinct = {id(c): c for c in made}.values()
+    assert len(distinct) > 20 and max(c.n for c in distinct) >= 3
+    for c in distinct:
+        again = Cube(c.n, c.vertices, c.arrows, check=True)
+        assert again == c
+    certified = len(_certificates(f._cubes)) + len(_certificates(g._cubes))
+    assert certified < sum(_checks_of(c) for c in distinct) / 2
+    # each family met some names again and skipped their checks
+    assert _certificates(f._cubes.found) and _certificates(g._cubes.found)
+
+
+def _checked_values(c: Cube):
+    """The vertex spaces and arrow matrices of each direction triple and
+    then each square of c, in the order _validate checks them."""
+
+    def value(*js):
+        spaces = tuple(c.vertices[j].key() for j in js)
+        maps = tuple(c.arrows[p].matrix.key() for p in zip(js, js[1:]))
+        return spaces, maps
+
+    for i in range(c.n):
+        for bj in product(range(3), repeat=c.n - 1):
+            yield value(*(bj[:i] + (v,) + bj[i:] for v in range(3)))
+    for j in product(range(3), repeat=c.n):
+        for i1 in range(c.n):
+            for i2 in range(i1 + 1, c.n):
+                if j[i1] < 2 and j[i2] < 2:
+                    a = j[:i1] + (j[i1] + 1,) + j[i1 + 1 :]
+                    b = j[:i2] + (j[i2] + 1,) + j[i2 + 1 :]
+                    ab = a[:i2] + (a[i2] + 1,) + a[i2 + 1 :]
+                    yield value(j, a, ab), value(j, b, ab)
+
+
+class _NamesInOrder(dict):
+    """A table that holds no certificate and lists the names entered."""
+
+    def __init__(self):
+        super().__init__()
+        self.names: list = []
+
+    def __contains__(self, key):
+        return False
+
+    def __setitem__(self, key, value):
+        self.names.append(key)
+
+
+def test_a_certificate_name_fixes_what_it_certifies(monkeypatch):
+    """Triples or squares that cub names alike in one family have equal
+    vertex spaces and arrows, so a certificate holds for every cube that
+    meets its name: the argument next to the names in _build_cub. Each
+    cube is validated once more against a table that skips nothing, to
+    learn the name of every check."""
+    honest = Cube._validate
+    first: dict = {}
+    tables = []
+
+    def watching(self, certified=None, vertex_key=None):
+        if certified is not None:
+            tables.append(certified)
+            every = _NamesInOrder()
+            honest(self, every, vertex_key)
+            values = list(_checked_values(self))
+            assert len(every.names) == len(values)
+            for name, value in zip(every.names, values):
+                assert first.setdefault((id(certified), name), value) == value, name
+        return honest(self, certified, vertex_key)
+
+    monkeypatch.setattr(Cube, "_validate", watching)
+    flags = _seeded_flags(79)
+    assert all(_relatives_checked(f) for f in flags)
+    assert len(first) > 1000
+    # zero vertices, of every origin, share one name
+    assert any(None in name[1:] for _, name in first)
+
+
+def _doctor_projection(m):
+    """_orthoprojection_map with its (0, 0) entry raised by 1."""
+    honest = cubes._orthoprojection_map
+
+    def doctored(src, dst, src_space, dst_space, gram):
+        p = honest(src, dst, src_space, dst_space, gram)
+        if not p.matrix.entries:
+            return p
+        return SpaceMap(p.domain, p.codomain, _raised(p.matrix.entries))
+
+    m.setattr(cubes, "_orthoprojection_map", doctored)
+
+
+def _raised(entries) -> la.Mat:
+    rows = [list(row) for row in entries]
+    rows[0][0] += 1
+    return la.Mat(tuple(map(tuple, rows)), entries.ncols)
+
+
+@pytest.mark.parametrize("doctor", [_doctor_coords, _doctor_projection])
+def test_a_doctored_arrow_raises_in_fresh_and_certified_families(monkeypatch, doctor):
+    rng = random.Random(71)
+    amb = _ambient(rng, 6)
+    f = _watched_flag(rng, amb, (1, 3, 5))
+    fresh = Flag(f.ambient, f.chain)
+    with monkeypatch.context() as m:
+        doctor(m)
+        with pytest.raises(ValueError):
+            cub(fresh)
+    assert not fresh._cubes
+    # an honest sibling fills the family's table with certificates, some
+    # of which the doctored build of f meets again; it also shares the
+    # inclusion E2 -> E3 with f, so doubling all of f's other inclusions
+    # does not give a consistently rescaled, and so valid, cube
+    cub(f.face(1))
+    assert _certificates(f._cubes)
+    before = dict(f._cubes)
+    with monkeypatch.context() as m:
+        doctor(m)
+        with pytest.raises(ValueError):
+            cub(f)
+    assert list(f._cubes) == list(before)
+    # the honest build of f skips checks the sibling certified
+    f._cubes.found.clear()
+    cub(f)
+    assert set(_certificates(f._cubes.found)) & set(_certificates(before))
+
+
+def _relatives(f: Flag) -> list:
+    """f's faces, then f, its degeneracies and their faces: every flag
+    of length at least 1 among them."""
+    out = [f.face(i) for i in range(f.length + 1)]
+    for g in [f] + [f.degeneracy(i) for i in range(f.length + 1)]:
+        out += [g] + [g.face(i) for i in range(g.length + 1)]
+    return [g for g in out if g.length]
+
+
+@pytest.mark.parametrize("doctor", [_doctor_coords, _doctor_projection])
+def test_cub_hands_out_only_valid_cubes_under_a_doctored_arrow(monkeypatch, doctor):
+    """With one kind of arrow doctored after honest relatives have filled
+    the family's certificates, every cube cub still hands out passes
+    full validation: a certificate never covers a check it did not make."""
+    handed, raised = [], 0
+    for f in _seeded_flags(83):
+        relatives = _relatives(f)
+        for g in relatives[: len(relatives) // 2]:
+            cub(g)
+        with monkeypatch.context() as m:
+            doctor(m)
+            for g in relatives[len(relatives) // 2 :]:
+                try:
+                    handed.append(cub(g))
+                except ValueError:
+                    raised += 1
+    for c in handed:
+        Cube(c.n, c.vertices, c.arrows, check=True)
+    assert raised > 10 and len(handed) > 10
+
+
+def test_cube_equality_agrees_with_the_full_key():
+    rng = random.Random(73)
+    amb = _ambient(rng, 5)
+    f = _flag(rng, amb, (1, 3, 4))
+    c = cub(f)
+    pairs = [(c, c), (c, cub(Flag(f.ambient, f.chain)))]
+    # one arrow entry changed
+    pair = next(p for p, m in c.arrows.items() if m.matrix.entries and m.matrix.entries[0])
+    m = c.arrows[pair]
+    arrows = dict(c.arrows)
+    arrows[pair] = SpaceMap(m.domain, m.codomain, _raised(m.matrix.entries))
+    pairs.append((c, Cube(c.n, c.vertices, arrows, check=False)))
+    # one Gram entry changed, with the arrows at that vertex rewired
+    j = next(j for j, s in c.vertices.items() if s.dim)
+    old = c.vertices[j]
+    new = MetrizedSpace(old.labels, _raised(old.gram), check=False)
+    vertices = dict(c.vertices)
+    vertices[j] = new
+    arrows = {
+        (s, d): SpaceMap(
+            new if s == j else a.domain, new if d == j else a.codomain, a.matrix
+        )
+        for (s, d), a in c.arrows.items()
+    }
+    pairs.append((c, Cube(c.n, vertices, arrows, check=False)))
+    # a 0-cube has no arrows: only its vertex tells
+    pairs.append((Cube(0, {(): old}, {}), Cube(0, {(): new}, {})))
+    # equal vertex spaces everywhere, different n
+    zero = {1: None, 2: None}
+    for n in zero:
+        zero[n] = Cube(
+            n,
+            {j: ZERO_SPACE for j in product(range(3), repeat=n)},
+            {p: zero_map(ZERO_SPACE, ZERO_SPACE) for p in cubes._adjacent(n)},
+        )
+    pairs.append((zero[1], zero[2]))
+    # the pairs that is_structurally_degenerate and tau_symmetric compare
+    for g in (f, f.degeneracy(0), f.degeneracy(1), f.degeneracy(3), f.degeneracy(1).degeneracy(1)):
+        x = cub(g)
+        for i in range(1, x.n + 1):
+            pairs.append((x, degeneracy(face(x, i, 0), i, 0)))
+            pairs.append((x, degeneracy(face(x, i, 1), i, 1)))
+        for i in range(1, x.n):
+            pairs.append((cube_swap(x, i), x))
+    verdicts = [(a == b) for a, b in pairs]
+    assert verdicts == [(a.key() == b.key()) for a, b in pairs]
+    assert verdicts[:2] == [True, True] and verdicts[2:6] == [False] * 4
+    assert verdicts.count(True) > 4 and verdicts.count(False) > 10
 
 
 def test_empty_flag_has_no_faces():

@@ -572,3 +572,58 @@ def test_two_route_claims_compare_distinct_objects(monkeypatch):
     for rho, rho2, hat1, hat2 in squares:
         assert rho is not rho2 and hat1 is not hat2
         assert hat1.cycles is not hat2.cycles
+
+
+def _zero_degrees(seed: int, count: int):
+    """(map, complex, degree) for the degrees at which a complex of a
+    seeded map, its cone or the target is zero, within one step of the
+    supports."""
+    for f in _instances(seed, count):
+        for c in (f.source, f.target, cone(f)):
+            for n in _all_degrees(c):
+                if not c.dim(n):
+                    yield f, c, n
+
+
+def test_zero_degrees_present_the_zero_group_without_elimination(monkeypatch):
+    cases = list(_zero_degrees(139, 8))
+    assert len(cases) >= 20
+    # from scratch: the echelon bases of the empty cycle and boundary spans
+    scratch = [
+        (
+            la.EchelonBasis(la.nullspace(c.diff(n)), 0),
+            la.EchelonBasis(la.transpose(c.diff(n + 1)), 0),
+        )
+        for _, c, n in cases
+    ]
+    built = []
+    with monkeypatch.context() as m:
+
+        def refuse(*args):
+            raise AssertionError("elimination at a zero degree")
+
+        m.setattr(la, "rref", refuse)
+        m.setattr(la, "nullspace", refuse)
+        for f, c, n in cases:
+            built.append(homology(c, n))
+            built.append(forms_modulo_exact(c, n))
+            if not f.source.dim(n) and not f.target.dim(n + 1):
+                built.append(modified_homology(f, n))
+    assert len(built) > 2 * len(cases)
+    cyc, bnd = scratch[0]
+    assert all(x.rows == cyc.rows and y.rows == bnd.rows for x, y in scratch)
+    for p in built:
+        assert p.width == p.cycles.width == p.boundaries.width == 0
+        assert p.cycles.rows == cyc.rows and p.cycles.rows.ncols == 0
+        assert p.boundaries.rows == bnd.rows and p.boundaries.rows.ncols == 0
+        assert p.cycles.pivots == cyc.pivots == p.boundaries.pivots == ()
+        assert p.reps == () and p.dim == 0
+        assert p.cycles is not p.boundaries
+        assert p.normal_form(()) == () and p.coords(()) == ()
+    # the cycles and boundaries of distinct presentations are never shared
+    assert len({id(p.cycles) for p in built}) == len(built)
+    with pytest.raises(ValueError):
+        hom.quotient_presentation([(Fraction(1),)], [], 0)
+    with pytest.raises(ValueError):
+        hom.quotient_presentation([], [(Fraction(0),)], 0)
+
