@@ -1,11 +1,13 @@
-"""Exact rational kernels: matmul, rref, rank, det and permanent.
+"""Exact rational kernels: matmul, rref (and its integer form
+rref_int), rank, det and permanent.
 
 Contract: a matrix is a rectangular list (or tuple) of rows with int or
-Fraction entries. Inputs are never mutated. rref, rank, det and
-permanent take matrices with at least one row and one column; matmul
-reads the width of the product from a row of b, so b needs one.
-hermk.linalg answers the other shapes. rank returns an int; every other
-result entry is a Fraction, and results are exact: the RREF rows are
+Fraction entries. Inputs are never mutated. rref, rref_int, rank, det
+and permanent take matrices with at least one row and one column;
+matmul reads the width of the product from a row of b, so b needs one.
+hermk.linalg answers the other shapes. rank returns an int and rref_int
+integer rows over a positive int; every other result entry is a
+Fraction, and results are exact: the RREF rows are
 the unique reduced echelon form, the determinant and the permanent are
 the exact values.
 
@@ -25,6 +27,8 @@ all. rref runs the same step on the rows above the pivot too
 (fraction-free Gauss-Jordan). That leaves the last pivot d in the pivot
 column of every echelon row and zeros elsewhere in the pivot columns,
 so the RREF is those rows over d, with no Fraction back-substitution.
+rref_int hands out exactly that integer form, with d made positive;
+rref is its _over.
 """
 
 from fractions import Fraction
@@ -70,11 +74,14 @@ def matmul(a, b):
     return _over(out, da * db)
 
 
-def rref(a):
-    """Reduced row echelon form.
+def rref_int(a):
+    """Reduced row echelon form in integers.
 
-    Returns (rows, pivots): the nonzero rows of the unique RREF and the
-    pivot column indices. len(rows) == len(pivots) == rank.
+    Returns (rows, den, pivots): integer rows whose quotients by den > 0
+    are the nonzero rows of the unique RREF, and the pivot column
+    indices. den is the last pivot of the elimination up to sign, so it
+    sits in the pivot column of every row; it need not be the least
+    common denominator. len(rows) == len(pivots) == rank.
     """
     rows, _ = _clear(a)  # a common scale does not change the row space
     nr, nc = len(rows), len(rows[0])
@@ -103,7 +110,21 @@ def rref(a):
         if r == nr:
             break
     # every pivot row now carries the last pivot on its diagonal
-    return _over(rows[:r], prev), pivots
+    rows = rows[:r]
+    if prev < 0:
+        rows = [[-x for x in row] for row in rows]
+        prev = -prev
+    return rows, prev, pivots
+
+
+def rref(a):
+    """Reduced row echelon form.
+
+    Returns (rows, pivots): the nonzero rows of the unique RREF and the
+    pivot column indices. len(rows) == len(pivots) == rank.
+    """
+    rows, den, pivots = rref_int(a)
+    return _over(rows, den), pivots
 
 
 def rank(a):

@@ -24,10 +24,9 @@ dims, diffs, source, target and maps.
 
 from __future__ import annotations
 
-import copy
 import functools
 from dataclasses import dataclass
-from fractions import Fraction
+from math import gcd
 
 from . import linalg as la
 
@@ -262,7 +261,9 @@ class PresentedQuotient:
     deterministic representatives. cycles and boundaries are the echelon
     bases of the two spans, built once by quotient_presentation, so
     membership and normal forms need no further elimination; classes
-    are canonicalized by clearing the boundary pivots."""
+    are canonicalized by clearing the boundary pivots. Both run on the
+    integer rows of the bases, and only the values handed out become
+    Fractions; vectors with float entries raise TypeError."""
 
     cycles: la.EchelonBasis
     boundaries: la.EchelonBasis
@@ -276,18 +277,23 @@ class PresentedQuotient:
     def _rep_transform(self) -> la.EchelonBasis:
         """Echelon basis of [reps | I]; see coords."""
         ident = la.identity(self.dim)
-        return la.EchelonBasis(
-            [tuple(r) + e for r, e in zip(self.reps, ident)], self.width + self.dim
-        )
+        rows = tuple(tuple(r) + e for r, e in zip(self.reps, ident))
+        return la.EchelonBasis(la.Mat(rows, self.width + self.dim), self.width + self.dim)
 
     @property
     def dim(self) -> int:
         return len(self.reps)
 
-    def normal_form(self, v: la.Vec) -> la.Vec:
-        if not self.cycles.contains(v):
+    def _normal_numerators(self, v: la.Vec) -> tuple[list[int], int]:
+        """(n, d) with normal_form(v) == n / d in integers."""
+        w, dv = self.cycles._cleared(v)
+        if not self.cycles._contains_int(w):
             raise ValueError("vector is not a cycle of this presentation")
-        return self.boundaries.reduce(v)
+        return self.boundaries._residue(w), self.boundaries.den * dv
+
+    def normal_form(self, v: la.Vec) -> la.Vec:
+        n, d = self._normal_numerators(v)
+        return tuple(map(la._Fractions(d).__getitem__, n))
 
     def same_class(self, u: la.Vec, v: la.Vec) -> bool:
         return self.normal_form(u) == self.normal_form(v)
@@ -298,11 +304,13 @@ class PresentedQuotient:
         # reducing (nf | 0) leaves (nf - c E | -c T) for c = the pivot
         # entries of nf: the head vanishes exactly when nf is in the
         # span of the reps, and then nf = c T reps.
-        nf = self.normal_form(v)
-        out = self._rep_transform.reduce(nf + (Fraction(0),) * self.dim)
+        n, d = self._normal_numerators(v)
+        t = self._rep_transform
+        out = t._residue(n + [0] * self.dim)
         if any(out[: self.width]):
             raise ValueError("class does not lie in the quotient")
-        return tuple(-x for x in out[self.width:])
+        frac = la._Fractions(t.den * d)
+        return tuple(frac[-x] for x in out[self.width:])
 
 
 def _zero_presentation() -> PresentedQuotient:
@@ -310,20 +318,53 @@ def _zero_presentation() -> PresentedQuotient:
     return PresentedQuotient(la.EchelonBasis.zero(0), la.EchelonBasis.zero(0), ())
 
 
+def _independent(vectors) -> list[int]:
+    """Indices of the integer vectors that are not in the span of the
+    ones before them, by fraction-free forward elimination. Each kept
+    vector is reduced against the kept ones before it, so it is zero at
+    their pivots, and a new vector is reduced against the kept ones in
+    the order they were kept."""
+    kept = []
+    picked = []
+    for i, v in enumerate(vectors):
+        for p, row in kept:
+            c = v[p]
+            if c:
+                e = row[p]
+                v = [e * x - c * y for x, y in zip(v, row)]
+        p = next((j for j, x in enumerate(v) if x), None)
+        if p is not None:
+            g = gcd(*v)
+            kept.append((p, [x // g for x in v] if g != 1 else v))
+            picked.append(i)
+    return picked
+
+
 def quotient_presentation(cycle_rows, boundary_rows, width: int) -> PresentedQuotient:
+    """span(cycle_rows) / span(boundary_rows) in Q^width. The
+    representatives are the cycle echelon rows not in the span of the
+    boundaries and the rows before them, reduced over the boundaries;
+    ValueError when a boundary is not a cycle."""
     if not width:
         # Q^0 has no subspace but 0: nothing to eliminate
         if any(map(len, cycle_rows)) or any(map(len, boundary_rows)):
             raise ValueError("vectors of length other than 0")
         return _zero_presentation()
-    cycle_basis = la.EchelonBasis(cycle_rows, width)
-    boundary_basis = la.EchelonBasis(boundary_rows, width)
-    if not all(cycle_basis.contains(row) for row in boundary_basis.rows):
+    cycles = la.EchelonBasis(cycle_rows, width)
+    boundaries = la.EchelonBasis(boundary_rows, width)
+    # One integer pass. Reducing over the boundaries is linear with
+    # kernel span(B). So a cycle row is independent of the boundaries
+    # and the cycle rows before it exactly when its residue (over
+    # cycles.den * boundaries.den) is independent of theirs, and the
+    # residues span dim (Z + B) - dim B dimensions, which is dim Z -
+    # dim B exactly when B lies inside Z.
+    residues = [boundaries._residue(row) for row in cycles.int_rows]
+    picked = _independent(residues)
+    if len(picked) != len(cycles.pivots) - len(boundaries.pivots):
         raise ValueError("boundaries must lie inside cycles")
-    spanning = copy.copy(boundary_basis)
-    reps = [row for row in cycle_basis.rows if spanning.add(row)]
-    reduced = tuple(boundary_basis.reduce(r) for r in reps)
-    return PresentedQuotient(cycle_basis, boundary_basis, reduced)
+    frac = la._Fractions(cycles.den * boundaries.den)
+    reps = tuple(tuple(map(frac.__getitem__, residues[i])) for i in picked)
+    return PresentedQuotient(cycles, boundaries, reps)
 
 
 def homology(c: ChainComplex, n: int) -> PresentedQuotient:
@@ -353,17 +394,15 @@ def modified_homology(f: ChainMap, n: int) -> PresentedQuotient:
     width = wa + wb
     if not width:
         return _zero_presentation()
-    cycles = [_pair(z, (0,) * wb) for z in la.nullspace(a.diff(n))]
-    cycles += [_pair((0,) * wa, e) for e in la.identity(wb)]
-    rel = []
-    da, fa = a.diff(n + 1), f.map_at(n + 1)
-    for j in range(a.dim(n + 1)):
-        rel.append(
-            _pair(tuple(row[j] for row in da), tuple(row[j] for row in fa))
+    cycles = la.block_diag(la.nullspace(a.diff(n)), la.identity(wb))
+    # (d a', f a') for each basis vector a' of A_{n+1}, then (0, d b')
+    rel = la.transpose(
+        la.block_matrix(
+            (wa, wb),
+            (a.dim(n + 1), b.dim(n + 2)),
+            {(0, 0): a.diff(n + 1), (1, 0): f.map_at(n + 1), (1, 1): b.diff(n + 2)},
         )
-    db = b.diff(n + 2)
-    for j in range(b.dim(n + 2)):
-        rel.append(_pair((0,) * wa, tuple(row[j] for row in db)))
+    )
     return quotient_presentation(cycles, rel, width)
 
 
@@ -521,8 +560,8 @@ def induced_on_quotients(
     """Matrix of the map induced by m on presented subquotients.
     Raises when m is not well defined on the classes."""
     for row in src.boundaries.rows:
-        img = la.matvec(m, row)
-        if any(dst.normal_form(img)):
+        nf, _ = dst._normal_numerators(la.matvec(m, row))
+        if any(nf):
             raise ValueError("relations do not map into relations")
     cols = [dst.coords(la.matvec(m, rep)) for rep in src.reps]
     return _cols_to_mat(cols, dst.dim)

@@ -72,12 +72,12 @@ def random_flag(rng: random.Random, ambient: MetrizedSpace, length: int) -> Flag
     dims = sorted(rng.sample(range(ambient.dim + 1), length))
     chain = []
     space: list[la.Vec] = []
+    span = la.EchelonBasis.zero(ambient.dim)
     for d in dims:
         while len(space) < d:
             v = random_vector(rng, ambient.dim)
-            cand = space + [v]
-            if la.rank(la.Mat(tuple(cand), ambient.dim)) == len(cand):
-                space = cand
+            if span.add(v):  # grows exactly when v is independent of space
+                space.append(v)
         chain.append(tuple(space))
     return Flag(ambient, chain)
 

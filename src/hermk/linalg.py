@@ -15,12 +15,20 @@ plain-Python implementation that needs at least one row; the calls
 that could have none (a product with no inner dimension, the rref and
 rank of a matrix without a nonzero entry, det and permanent of 0 x 0)
 are answered here. Everything is exact.
+
+EchelonBasis, the span type, keeps the kernel's integer RREF rather
+than Fractions: its rows are integers over one positive common
+denominator, and membership, reduction, coordinates and growth run in
+integers, building a Fraction only for a value they hand out. Vectors
+passed to it need int or Fraction entries; floats raise TypeError, as
+they do in q().
 """
 
 from __future__ import annotations
 
 import bisect
 from fractions import Fraction
+from math import gcd, lcm
 from typing import Iterable, Sequence
 
 from . import _qkernels
@@ -374,82 +382,149 @@ def exactness_defect(*mats: Mat) -> tuple[int, str] | None:
     return (bad[0], "ranks") if bad else None
 
 
+def _numerators(v) -> tuple[list[int], int]:
+    """(w, d) with v == w / d: d the least common denominator of the
+    entries and w their integer numerators over it. Entries must be int
+    or Fraction; a float (which has no numerator) raises TypeError."""
+    try:
+        den = lcm(*{x.denominator for x in v})
+        if den == 1:
+            return [x.numerator for x in v], 1
+        return [x.numerator * (den // x.denominator) for x in v], den
+    except AttributeError:
+        raise TypeError("entries must be int or Fraction; floats are not exact") from None
+
+
 class EchelonBasis:
     """A subspace of Q^width held as the nonzero rows of its unique
     reduced row echelon form, plus their pivot columns.
+
+    The rows are kept in integers: int_rows over one positive common
+    denominator den, with no factor common to den and every entry, so
+    this form is unique as well and den is the least common denominator
+    of the RREF. rows, the same rows as a Mat of Fractions, is built
+    from it on first use.
 
     Because every pivot column is zero outside its own row, a vector v
     lies in the span exactly when v - sum_i v[pivots[i]] * rows[i] is
     zero, and the v[pivots[i]] are then its coordinates over rows. So
     membership and coordinates cost one pass over the rows and no
-    elimination; add() keeps the form reduced as the span grows.
+    elimination. With v = w / d in integers that pass is den * w -
+    sum_i w[pivots[i]] * int_rows[i], over den * d: no Fraction is
+    built unless a result is handed out. add() keeps the form reduced
+    and primitive as the span grows. Vectors handed in must have int or
+    Fraction entries; floats raise TypeError.
 
     This is the one representation of a canonical span: equal spans
     have equal rows, so a span is built once and passed along, and
     callers that need the basis as a matrix read rows.
     """
 
-    __slots__ = ("width", "rows", "pivots")
+    __slots__ = ("width", "pivots", "int_rows", "den", "_rows")
 
     def __init__(self, vectors: Sequence[Vec], width: int):
-        """Basis of the span of arbitrary vectors: one rref."""
+        """Basis of the span of arbitrary vectors: one integer rref."""
+        a = stack(vectors, width)
         self.width = width
-        self.rows, self.pivots = rref(stack(vectors, width))
+        self._rows = None
+        if a and width:
+            rows, den, pivots = _qkernels.rref_int(a)
+            self._set(rows, den, tuple(pivots))
+        else:
+            self.int_rows, self.den, self.pivots = (), 1, ()
 
     @classmethod
     def zero(cls, width: int) -> "EchelonBasis":
         """The zero subspace of Q^width, with no elimination."""
         b = object.__new__(cls)
-        b.width, b.rows, b.pivots = width, Mat((), width), ()
+        b.width, b.int_rows, b.den, b.pivots, b._rows = width, (), 1, (), None
         return b
+
+    def _set(self, rows, den: int, pivots: tuple) -> None:
+        """Adopt integer RREF rows over den > 0, divided by their common
+        factor with den."""
+        g = gcd(den, *(x for row in rows for x in row))
+        if g != 1:
+            rows = [[x // g for x in row] for row in rows]
+            den //= g
+        self.int_rows = tuple(map(tuple, rows))
+        self.den = den
+        self.pivots = pivots
+
+    @property
+    def rows(self) -> Mat:
+        """The RREF rows as a Mat of Fractions."""
+        if self._rows is None:
+            frac = _qkernels._over(self.int_rows, self.den)
+            self._rows = Mat(tuple(map(tuple, frac)), self.width)
+        return self._rows
+
+    def _cleared(self, v: Vec) -> tuple[list[int], int]:
+        """_numerators(v), for a v of the basis' width."""
+        if len(v) != self.width:
+            raise ValueError(f"vector of length {len(v)} against a basis of width {self.width}")
+        return _numerators(v)
+
+    def _residue(self, w: Sequence[int]) -> list[int]:
+        """den * w - sum_i w[pivots[i]] * int_rows[i] for an integer w:
+        the numerators of reduce(w / d) over den * d."""
+        den = self.den
+        out = list(w) if den == 1 else [den * x for x in w]
+        for row, p in zip(self.int_rows, self.pivots):
+            c = w[p]
+            if c:
+                out = [x - c * y for x, y in zip(out, row)]
+        return out
+
+    def _contains_int(self, w: Sequence[int]) -> bool:
+        """Is the integer vector w in the span?"""
+        return not any(self._residue(w))
 
     def reduce(self, v: Vec) -> Vec:
         """v minus sum_i v[pivots[i]] * rows[i]: zero at every pivot, and
         zero everywhere exactly when v is in the span."""
-        if len(v) != self.width:
-            raise ValueError(f"vector of length {len(v)} against a basis of width {self.width}")
-        out = list(v)
-        for row, p in zip(self.rows, self.pivots):
-            c = out[p]
-            if c:
-                # entries left of the pivot are zero in an echelon row
-                for i in range(p, self.width):
-                    if row[i]:
-                        out[i] -= c * row[i]
-        return tuple(out)
+        w, d = self._cleared(v)
+        return tuple(map(_Fractions(self.den * d).__getitem__, self._residue(w)))
 
     def contains(self, v: Vec) -> bool:
-        return not any(self.reduce(v))
+        w, _ = self._cleared(v)
+        return self._contains_int(w)
 
     def coords(self, v: Vec) -> Vec:
         """Coefficients of v over rows; ValueError when v is not in the span."""
-        if not self.contains(v):
+        w, d = self._cleared(v)
+        if not self._contains_int(w):
             raise ValueError("vector is not in the span")
-        return tuple(Fraction(v[p]) for p in self.pivots)
+        return tuple(Fraction(w[p], d) for p in self.pivots)
 
     def add(self, v: Vec) -> bool:
         """Grow the span by v. Returns whether it grew; when it did not,
         nothing changes."""
-        r = self.reduce(v)
+        w, _ = self._cleared(v)
+        r = self._residue(w)
         p = next((i for i, x in enumerate(r) if x), None)
         if p is None:
             return False
-        inv = 1 / Fraction(r[p])
-        new = tuple(x * inv for x in r)
-        # clear the new pivot column from the existing rows
+        g = gcd(*r) if r[p] > 0 else -gcd(*r)
+        r = [x // g for x in r]
+        # over den * e, the new row r / e is den * r, and each row R
+        # loses R[p] / e times r to clear the new pivot column
+        e, den = r[p], self.den
         rows = []
-        for row in self.rows:
+        for row in self.int_rows:
             c = row[p]
-            rows.append(tuple(x - c * y for x, y in zip(row, new)) if c else row)
+            if c:
+                rows.append([e * x - c * y for x, y in zip(row, r)])
+            else:
+                rows.append(row if e == 1 else [e * x for x in row])
         k = bisect.bisect(self.pivots, p)
-        rows.insert(k, new)
-        self.rows = tuple(rows)
-        self.pivots = self.pivots[:k] + (p,) + self.pivots[k:]
+        rows.insert(k, r if den == 1 else [den * x for x in r])
+        self._set(rows, den * e, self.pivots[:k] + (p,) + self.pivots[k:])
+        self._rows = None
         return True
 
 
 def in_span(vectors: Sequence[Vec], v: Vec) -> bool:
     """Is v in the span of the given row vectors?"""
-    if not any(v):
-        return True
-    return EchelonBasis(vectors, len(v)).contains(v)
+    w, _ = _numerators(v)
+    return not any(w) or EchelonBasis(vectors, len(v))._contains_int(w)

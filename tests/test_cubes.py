@@ -47,7 +47,7 @@ from hermk.cubes import (
     ses_as_cube,
     tau_symmetric,
 )
-from hermk.instances import random_spd_gram, random_vector
+from hermk.instances import random_flag, random_spd_gram, random_vector
 from hermk.koszul import koszul_complex, lambda_rescale, mu_decompose
 
 F = Fraction
@@ -162,6 +162,23 @@ def test_face_relations_on_random_flags():
         for _ in range(2):
             dims = sorted(rng.sample(range(1, 7), length))
             assert cub_face_relations(_flag(rng, amb, dims))
+
+
+def test_random_flag_draws_as_the_rank_test_did():
+    # random_flag decides independence by EchelonBasis.add; the rank of
+    # each candidate list (_flag) must give the same flags from the same
+    # draws. Low dimensions make dependent draws common.
+    for seed in range(30):
+        for dim in (1, 2, 3, 4):
+            amb = standard_space(dim)
+            for length in range(1, dim + 2):
+                mine, theirs = random.Random(seed), random.Random(seed)
+                got = random_flag(mine, amb, length)
+                dims = sorted(theirs.sample(range(dim + 1), length))
+                want = _flag(theirs, amb, dims)
+                assert got.chain == want.chain
+                assert [len(b.rows) for b in got.bases] == dims
+                assert mine.getstate() == theirs.getstate()
 
 
 def test_degenerate_flag_relations():

@@ -1,17 +1,23 @@
 """EchelonBasis and the presentations built on it, against the
-solve-based constructions they replaced.
+constructions they replaced.
 
-The oracles below are the previous implementations, kept verbatim in
-spirit: span membership by solving a linear system, presentation
-representatives by re-testing membership on a growing spanning list,
-normal forms by scanning for each boundary pivot, and class
-coordinates by one solve per vector. Every comparison is exact
+Two generations of oracles are kept. The solve-based ones: span
+membership by solving a linear system, presentation representatives by
+re-testing membership on a growing spanning list, normal forms by
+scanning for each boundary pivot, and class coordinates by one solve
+per vector. And the Fraction EchelonBasis and quotient_presentation,
+which held and reduced their rows in Fractions before both moved to
+integer rows over a common denominator. Every comparison is exact
 equality, including which calls raise.
 """
 
 from __future__ import annotations
 
+import bisect
+import copy
+import functools
 import random
+from math import gcd
 from fractions import Fraction
 from types import SimpleNamespace
 
@@ -89,6 +95,93 @@ def oracle_reps(cycle_rows, boundary_rows, width):
     return tuple(oracle_normal_form(q, r) for r in picked)
 
 
+class FractionEchelonBasis:
+    """The EchelonBasis before integer rows: RREF rows of Fractions,
+    reduced, grown and read in Fraction arithmetic."""
+
+    def __init__(self, vectors, width):
+        self.width = width
+        self.rows, self.pivots = la.rref(la.stack(vectors, width))
+
+    def reduce(self, v):
+        if len(v) != self.width:
+            raise ValueError("vector of the wrong length")
+        out = list(v)
+        for row, p in zip(self.rows, self.pivots):
+            c = out[p]
+            if c:
+                for i in range(p, self.width):
+                    if row[i]:
+                        out[i] -= c * row[i]
+        return tuple(out)
+
+    def contains(self, v):
+        return not any(self.reduce(v))
+
+    def coords(self, v):
+        if not self.contains(v):
+            raise ValueError("vector is not in the span")
+        return tuple(Fraction(v[p]) for p in self.pivots)
+
+    def add(self, v):
+        r = self.reduce(v)
+        p = next((i for i, x in enumerate(r) if x), None)
+        if p is None:
+            return False
+        inv = 1 / Fraction(r[p])
+        new = tuple(x * inv for x in r)
+        rows = []
+        for row in self.rows:
+            c = row[p]
+            rows.append(tuple(x - c * y for x, y in zip(row, new)) if c else row)
+        k = bisect.bisect(self.pivots, p)
+        rows.insert(k, new)
+        self.rows = tuple(rows)
+        self.pivots = self.pivots[:k] + (p,) + self.pivots[k:]
+        return True
+
+
+class FractionPresentation:
+    """PresentedQuotient before integer rows, on FractionEchelonBasis."""
+
+    def __init__(self, cycles, boundaries, reps):
+        self.cycles, self.boundaries, self.reps = cycles, boundaries, reps
+        self.width, self.dim = cycles.width, len(reps)
+
+    @functools.cached_property
+    def _rep_transform(self):
+        ident = la.identity(self.dim)
+        return FractionEchelonBasis(
+            [tuple(r) + e for r, e in zip(self.reps, ident)], self.width + self.dim
+        )
+
+    def normal_form(self, v):
+        if not self.cycles.contains(v):
+            raise ValueError("vector is not a cycle of this presentation")
+        return self.boundaries.reduce(v)
+
+    def coords(self, v):
+        nf = self.normal_form(v)
+        out = self._rep_transform.reduce(nf + (Fraction(0),) * self.dim)
+        if any(out[: self.width]):
+            raise ValueError("class does not lie in the quotient")
+        return tuple(-x for x in out[self.width:])
+
+
+def fraction_quotient_presentation(cycle_rows, boundary_rows, width):
+    """quotient_presentation before integer rows: the boundary check by
+    membership, the representatives by growing a copy of the boundary
+    basis, and one reduction per representative, all in Fractions."""
+    cycle_basis = FractionEchelonBasis(cycle_rows, width)
+    boundary_basis = FractionEchelonBasis(boundary_rows, width)
+    if not all(cycle_basis.contains(row) for row in boundary_basis.rows):
+        raise ValueError("boundaries must lie inside cycles")
+    spanning = copy.copy(boundary_basis)
+    reps = [row for row in cycle_basis.rows if spanning.add(row)]
+    reduced = tuple(boundary_basis.reduce(r) for r in reps)
+    return FractionPresentation(cycle_basis, boundary_basis, reduced)
+
+
 def oracle_coords_over(basis_rows, v):
     """Coefficients of v over independent rows, or None."""
     if not basis_rows:
@@ -136,6 +229,110 @@ def _probes(rng, rows, width):
     probes += [_combination(rng, rows, width) for _ in range(2)]
     probes += [random_vector(rng, width) for _ in range(2)]
     return probes
+
+
+def _rational(rng):
+    """An entry with denominator 1-7, either sign and a numerator up to
+    10^6 in size; zero one time in eight."""
+    if rng.random() < 0.125:
+        return Fraction(0)
+    return Fraction(rng.randint(-(10**6), 10**6), rng.randint(1, 7))
+
+
+def _rational_vectors(rng, width, count):
+    """count rational vectors; some zero, some rational combinations of
+    earlier ones."""
+    out = []
+    for _ in range(count):
+        kind = rng.random()
+        if kind < 0.1:
+            out.append((Fraction(0),) * width)
+        elif kind < 0.4 and out:
+            out.append(_rational_combination(rng, out, width))
+        else:
+            out.append(tuple(_rational(rng) for _ in range(width)))
+    return out
+
+
+def _rational_combination(rng, rows, width):
+    v = [Fraction(0)] * width
+    for row in rows:
+        c = _rational(rng)
+        v = [x + c * y for x, y in zip(v, row)]
+    return tuple(v)
+
+
+def _integer_form_faults(b) -> list:
+    """How b's integer rows break their contract: over a positive den,
+    primitive, den in every pivot, and equal to rows."""
+    bad = []
+    flat = [x for row in b.int_rows for x in row]
+    if type(b.den) is not int or b.den <= 0 or any(type(x) is not int for x in flat):
+        bad.append("types")
+    if gcd(b.den, *flat) != 1:
+        bad.append("not primitive")
+    if any(row[p] != b.den for row, p in zip(b.int_rows, b.pivots)):
+        bad.append("pivot")
+    if [[Fraction(x, b.den) for x in row] for row in b.int_rows] != [list(r) for r in b.rows]:
+        bad.append("rows")
+    return bad
+
+
+def _rational_mismatches(seed: int, trials: int) -> list:
+    """Every disagreement between EchelonBasis, quotient_presentation
+    and their Fraction oracles on seeded random rational input (widths
+    1-6), plus every broken integer form, including after each add."""
+    rng = random.Random(seed)
+    bad = []
+    for t in range(trials):
+        width = rng.randrange(1, 7)
+        vecs = _rational_vectors(rng, width, rng.randrange(0, width + 2))
+        basis, oracle = la.EchelonBasis(vecs, width), FractionEchelonBasis(vecs, width)
+        if (basis.rows, basis.pivots) != (oracle.rows, oracle.pivots):
+            bad.append((t, "rows", vecs))
+        bad += [(t, fault, vecs) for fault in _integer_form_faults(basis)]
+        probes = [_rational_combination(rng, vecs, width) for _ in range(2)]
+        probes += _rational_vectors(rng, width, 2) + [(Fraction(0),) * width]
+        for v in probes:
+            for name in ("reduce", "contains", "coords"):
+                got = _outcome(getattr(basis, name), v)
+                if got != _outcome(getattr(oracle, name), v):
+                    bad.append((t, name, vecs, v))
+        grown, ograwn = la.EchelonBasis.zero(width), FractionEchelonBasis((), width)
+        for i, v in enumerate(vecs + probes):
+            if grown.add(v) != ograwn.add(v):
+                bad.append((t, "add", vecs, i))
+            if (grown.rows, grown.pivots) != (ograwn.rows, ograwn.pivots):
+                bad.append((t, "add rows", vecs, i))
+            if (grown.rows, grown.pivots) != la.rref(la.mat((vecs + probes)[: i + 1])):
+                bad.append((t, "add rref", vecs, i))
+            bad += [(t, "add " + fault, vecs, i) for fault in _integer_form_faults(grown)]
+        # a presentation: boundaries drawn from the cycles' span, now
+        # and then one from outside it
+        cycles = _rational_vectors(rng, width, rng.randrange(0, width + 2))
+        bounds = [_rational_combination(rng, cycles, width) for _ in range(rng.randrange(0, 3))]
+        if rng.random() < 0.15:
+            bounds.append(tuple(_rational(rng) for _ in range(width)))
+        got = _outcome(quotient_presentation, cycles, bounds, width)
+        want = _outcome(fraction_quotient_presentation, cycles, bounds, width)
+        if got[0] != want[0]:
+            bad.append((t, "presentation raises", cycles, bounds))
+            continue
+        if got[0] == "raises":
+            continue
+        q, oq = got[1], want[1]
+        for mine, theirs in ((q.cycles, oq.cycles), (q.boundaries, oq.boundaries)):
+            if (mine.rows, mine.pivots) != (theirs.rows, theirs.pivots):
+                bad.append((t, "presentation bases", cycles, bounds))
+        if q.reps != oq.reps:
+            bad.append((t, "reps", cycles, bounds))
+        probes = [_rational_combination(rng, cycles, width) for _ in range(2)]
+        probes += _rational_vectors(rng, width, 2) + list(q.reps) + bounds
+        for v in probes:
+            for name in ("normal_form", "coords"):
+                if _outcome(getattr(q, name), v) != _outcome(getattr(oq, name), v):
+                    bad.append((t, name, cycles, bounds, v))
+    return bad
 
 
 def _span_mismatches(seed: int, trials: int) -> list:
@@ -224,6 +421,10 @@ def test_span_functions_match_solve_oracle():
     assert _span_mismatches(seed=71, trials=150) == []
 
 
+def test_integer_echelon_matches_fraction_oracle_on_rational_entries():
+    assert _rational_mismatches(seed=83, trials=120) == []
+
+
 def test_presentations_match_oracle_on_random_complexes():
     assert _homology_mismatches(seed=73, trials=12) == []
 
@@ -299,4 +500,57 @@ def test_boundary_outside_cycles_raises():
 def test_oracle_comparison_catches_an_always_yes_checker(monkeypatch):
     monkeypatch.setattr(la.EchelonBasis, "contains", lambda self, v: True)
     assert _span_mismatches(seed=71, trials=40)
+    monkeypatch.undo()
+    # presentations test membership on integer numerators, below contains
+    monkeypatch.setattr(la.EchelonBasis, "_contains_int", lambda self, w: True)
+    assert _span_mismatches(seed=71, trials=40)
     assert _homology_mismatches(seed=73, trials=3)
+
+
+def _doctored_residue(scale_by_den: bool, den_sign: int):
+    """EchelonBasis._residue with one fault: v left unscaled by the
+    basis denominator, or that denominator's sign flipped."""
+
+    def residue(self, w):
+        den = den_sign * self.den
+        out = [den * x for x in w] if scale_by_den else list(w)
+        for row, p in zip(self.int_rows, self.pivots):
+            c = w[p]
+            if c:
+                out = [x - c * y for x, y in zip(out, row)]
+        return out
+
+    return residue
+
+
+@pytest.mark.parametrize(
+    "scale_by_den, den_sign", [(False, 1), (True, -1)], ids=["unscaled", "sign-flipped"]
+)
+def test_oracle_comparison_catches_a_doctored_integer_reduce(monkeypatch, scale_by_den, den_sign):
+    monkeypatch.setattr(la.EchelonBasis, "_residue", _doctored_residue(scale_by_den, den_sign))
+    assert _rational_mismatches(seed=83, trials=40)
+
+
+def test_doctored_residue_is_honest_when_undoctored(monkeypatch):
+    # the doctoring above differs from the real _residue in its fault only
+    monkeypatch.setattr(la.EchelonBasis, "_residue", _doctored_residue(True, 1))
+    assert _rational_mismatches(seed=83, trials=40) == []
+
+
+def test_float_entries_raise_type_error():
+    b = la.EchelonBasis([(1, 2, 0), (0, 1, 1)], 3)
+    rows = b.rows
+    for method in (b.reduce, b.contains, b.coords, b.add):
+        with pytest.raises(TypeError):
+            method((0.5, 1, 0))
+    assert b.rows is rows
+    for v in ((0.5, 0), (0.0, 0)):
+        with pytest.raises(TypeError):
+            la.in_span([(1, 0)], v)
+    q = quotient_presentation([(1, 0), (0, 1)], [(1, 0)], 2)
+    for method in (q.normal_form, q.coords):
+        with pytest.raises(TypeError):
+            method((0.5, 0.25))
+    # exact entries of every accepted kind still work
+    assert q.coords((Fraction(1, 2), 3)) == (3,)
+    assert b.coords((1, Fraction(5, 2), Fraction(1, 2))) == (1, Fraction(5, 2))

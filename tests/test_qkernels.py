@@ -41,6 +41,18 @@ def test_rref_fixed():
     assert list(pivots) == [0, 2]
 
 
+def test_rref_int_fixed():
+    assert _qkernels.rref_int([[2, 4, 1, 3], [1, 2, 0, 1], [3, 6, 2, 5]]) == (
+        [[1, 2, 0, 1], [0, 0, 1, 1]],
+        1,
+        [0, 2],
+    )
+    # a negative last pivot (-3, then -2) is made positive with its rows
+    assert _qkernels.rref_int([[0, -3]]) == ([[0, 3]], 3, [1])
+    assert _qkernels.rref_int([[1, 1], [1, -1]]) == ([[2, 0], [0, 2]], 2, [0, 1])
+    assert _qkernels.rref_int([[0, 0], [0, 0]]) == ([], 1, [])
+
+
 def test_matmul_fixed():
     got = _qkernels.matmul([[1, 2], [3, 4], [5, 6]], [[1, 0, 2], [0, 1, 3]])
     assert [list(map(Fraction, r)) for r in got] == [
@@ -229,6 +241,15 @@ def mismatches(cases) -> list[tuple[str, int]]:
         orows, opivots = oracle_rref(a)
         if list(pivots) != opivots or not _same_rows(rows, orows):
             bad.append(("rref", n))
+        irows, den, ipivots = _qkernels.rref_int(a)
+        if (
+            ipivots != opivots
+            or type(den) is not int
+            or den <= 0
+            or any(type(x) is not int for row in irows for x in row)
+            or [[Fraction(x, den) for x in row] for row in irows] != orows
+        ):
+            bad.append(("rref_int", n))
         if not _same(_qkernels.det(sq), oracle_det(sq)):
             bad.append(("det", n))
         if not _same(_qkernels.permanent(sq), oracle_permanent(sq)):
@@ -262,6 +283,7 @@ def test_inputs_are_not_mutated():
         before = copy.deepcopy((a, b, sq))
         _qkernels.matmul(a, b)
         _qkernels.rref(a)
+        _qkernels.rref_int(a)
         _qkernels.rank(a)
         _qkernels.rank(sq)
         _qkernels.det(sq)
