@@ -16,22 +16,34 @@ distinct denominators of the input, and no rescale when that is 1. So
 the inner loops run on Python ints. Fraction arithmetic pays a gcd on
 every operation; integer arithmetic does not, and the one division by
 the common denominator happens when the result is built. A result
-matrix gets one Fraction per distinct value (_over): Fractions are
-immutable, so equal entries can share one.
+gets one Fraction per distinct value (_Fractions, which linalg,
+homology and multilinear use too): Fractions are immutable, so equal
+entries can share one.
 
-Elimination is the one-step fraction-free scheme of Bareiss (Math.
-Comp. 22, 1968): every division is exact, so entries stay integral and
-grow only as fast as the minors they are. rank and det stop at echelon
-form and eliminate below the pivots only; rank builds no Fraction at
-all. rref runs the same step on the rows above the pivot too
+There is one elimination, _bareiss: the one-step fraction-free scheme
+of Bareiss (Math. Comp. 22, 1968). Every division is exact, so entries
+stay integral and grow only as fast as the minors they are. Its
+forward form eliminates below each pivot and stops at echelon form;
+the rank, the determinant, the positive-definiteness test of
+hermk.core and the representatives of hermk.homology's quotient
+presentations are all read from it:
+- rank is the number of pivots, and builds no Fraction;
+- det is the last pivot, signed by the number of row exchanges, over
+  den^n when the rank is n, and 0 otherwise;
+- with no row exchange, the k-th pivot is the leading (k+1)-minor, so
+  Sylvester's criterion reads it off the diagonal;
+- the pivot columns are the columns independent of the columns before
+  them.
+Its full form runs the same step on the rows above the pivot too
 (fraction-free Gauss-Jordan). That leaves the last pivot d in the pivot
 column of every echelon row and zeros elsewhere in the pivot columns,
 so the RREF is those rows over d, with no Fraction back-substitution.
-rref_int hands out exactly that integer form, with d made positive;
-rref is its _over.
+rref_int hands out exactly that integer form, with d made positive, and
+rref builds its Fractions.
 """
 
 from fractions import Fraction
+from itertools import chain
 from math import lcm
 
 
@@ -46,11 +58,17 @@ def _clear(a):
     return [[n * (den // d) for n, d in row] for row in pairs], den
 
 
-def _over(rows, den):
-    """The integer rows over den, as rows of Fractions: one Fraction per
-    distinct value."""
-    frac = {v: Fraction(v, den) for v in {v for row in rows for v in row}}
-    return [list(map(frac.__getitem__, row)) for row in rows]
+class _Fractions(dict):
+    """int v -> Fraction(v, den), each built on its first lookup: one
+    Fraction per distinct value."""
+
+    def __init__(self, den):
+        super().__init__()
+        self.den = den
+
+    def __missing__(self, v):
+        f = self[v] = Fraction(v, self.den)
+        return f
 
 
 def matmul(a, b):
@@ -61,6 +79,7 @@ def matmul(a, b):
     ai, da = _clear(a)
     bi, db = _clear(b)
     cols = range(nc)
+    frac = _Fractions(da * db).__getitem__
     out = []
     for arow in ai:
         acc = [0] * nc
@@ -70,8 +89,52 @@ def matmul(a, b):
                     y = brow[j]
                     if y:
                         acc[j] += x * y
-        out.append(acc)
-    return _over(out, da * db)
+        out.append(list(map(frac, acc)))
+    return out
+
+
+def _bareiss(rows, full):
+    """Fraction-free elimination of a list of integer rows, in place.
+
+    Forward (full false): each pivot row eliminates the rows below it,
+    leaving echelon form. Full: it eliminates the rows above it too,
+    leaving every echelon row with the last pivot in its pivot column
+    and zeros in the other pivot columns. Returns (r, pivots, swaps,
+    prev): the rank, the pivot columns, the number of row exchanges and
+    the last pivot (1 when r == 0); rows[:r] are the echelon rows. No
+    rows, or rows of width 0, have rank 0.
+    """
+    nr = len(rows)
+    nc = len(rows[0]) if nr else 0
+    pivots = []
+    swaps = 0
+    prev = 1
+    r = 0
+    for c in range(nc):
+        for p in range(r, nr):
+            if rows[p][c]:
+                break
+        else:
+            continue
+        if p != r:
+            rows[r], rows[p] = rows[p], rows[r]
+            swaps += 1
+        prow = rows[r]
+        piv = prow[c]
+        below = range(r + 1, nr)
+        for i in chain(range(r), below) if full else below:
+            row = rows[i]
+            f = row[c]
+            if f:
+                rows[i] = [(piv * x - f * y) // prev for x, y in zip(row, prow)]
+            elif prev != piv:
+                rows[i] = [piv * x // prev for x in row]
+        prev = piv
+        pivots.append(c)
+        r += 1
+        if r == nr:
+            break
+    return r, pivots, swaps, prev
 
 
 def rref_int(a):
@@ -84,32 +147,7 @@ def rref_int(a):
     common denominator. len(rows) == len(pivots) == rank.
     """
     rows, _ = _clear(a)  # a common scale does not change the row space
-    nr, nc = len(rows), len(rows[0])
-    pivots = []
-    prev = 1
-    r = 0
-    for c in range(nc):
-        p = next((i for i in range(r, nr) if rows[i][c]), None)
-        if p is None:
-            continue
-        rows[r], rows[p] = rows[p], rows[r]
-        prow = rows[r]
-        piv = prow[c]
-        for i in range(nr):
-            if i == r:
-                continue
-            row = rows[i]
-            f = row[c]
-            if f:
-                rows[i] = [(piv * x - f * y) // prev for x, y in zip(row, prow)]
-            elif prev != piv:
-                rows[i] = [piv * x // prev for x in row]
-        prev = piv
-        pivots.append(c)
-        r += 1
-        if r == nr:
-            break
-    # every pivot row now carries the last pivot on its diagonal
+    r, pivots, _, prev = _bareiss(rows, True)
     rows = rows[:r]
     if prev < 0:
         rows = [[-x for x in row] for row in rows]
@@ -124,58 +162,25 @@ def rref(a):
     pivot column indices. len(rows) == len(pivots) == rank.
     """
     rows, den, pivots = rref_int(a)
-    return _over(rows, den), pivots
+    frac = _Fractions(den).__getitem__
+    return [list(map(frac, row)) for row in rows], pivots
 
 
 def rank(a):
-    """Rank, by fraction-free forward elimination to echelon form."""
-    rows, _ = _clear(a)
-    nr, nc = len(rows), len(rows[0])
-    prev = 1
-    r = 0
-    for c in range(nc):
-        p = next((i for i in range(r, nr) if rows[i][c]), None)
-        if p is None:
-            continue
-        rows[r], rows[p] = rows[p], rows[r]
-        prow = rows[r]
-        piv = prow[c]
-        for i in range(r + 1, nr):
-            row = rows[i]
-            f = row[c]
-            if f:
-                rows[i] = [(piv * x - f * y) // prev for x, y in zip(row, prow)]
-            elif prev != piv:
-                rows[i] = [piv * x // prev for x in row]
-        prev = piv
-        r += 1
-        if r == nr:
-            break
-    return r
+    """Rank: the number of pivots of the forward elimination."""
+    return _bareiss(_clear(a)[0], False)[0]
 
 
 def det(a):
-    """Determinant of a square matrix, fraction-free Bareiss elimination."""
+    """Determinant of a square matrix: with full rank, the last pivot of
+    the forward elimination, signed by the row exchanges, over den^n."""
     n = len(a)
     rows, den = _clear(a)
-    negate = False
-    prev = 1
-    for c in range(n):
-        p = next((i for i in range(c, n) if rows[i][c]), None)
-        if p is None:
-            return Fraction(0)
-        if p != c:
-            rows[c], rows[p] = rows[p], rows[c]
-            negate = not negate
-        prow = rows[c]
-        piv = prow[c]
-        for i in range(c + 1, n):
-            row = rows[i]
-            f = row[c]
-            rows[i] = [(piv * x - f * y) // prev for x, y in zip(row, prow)]
-        prev = piv
+    r, _, swaps, prev = _bareiss(rows, False)
+    if r < n:
+        return Fraction(0)
     d = Fraction(prev, den**n)
-    return -d if negate else d
+    return -d if swaps & 1 else d
 
 
 def permanent(a):

@@ -136,20 +136,13 @@ def _is_positive_definite(g: Mat) -> bool:
     """Exact PD test of a symmetric matrix by Sylvester's criterion:
     every leading principal minor is positive. One lcm clears g to
     integers, which scales the k-th minor by den^k > 0 and keeps its
-    sign. Fraction-free Bareiss elimination without row exchange then
-    leaves the leading (k+1)-minor as the k-th pivot, with every
-    division by the previous pivot exact (see _qkernels)."""
+    sign. When the forward elimination (_qkernels._bareiss) reaches
+    full rank with no row exchange, its k-th pivot rows[k][k] is the
+    leading (k+1)-minor; a zero leading minor forces an exchange or
+    leaves a column without a pivot."""
     rows, _ = _qkernels._clear(g)
-    prev = 1
-    while rows:
-        head, *rest = rows
-        piv = head[0]
-        if piv <= 0:
-            return False
-        tail = head[1:]
-        rows = [[(piv * x - r[0] * y) // prev for x, y in zip(r[1:], tail)] for r in rest]
-        prev = piv
-    return True
+    r, _, swaps, _ = _qkernels._bareiss(rows, False)
+    return r == len(rows) and not swaps and all(rows[k][k] > 0 for k in range(r))
 
 
 class MetrizedSpace:

@@ -26,8 +26,8 @@ from __future__ import annotations
 
 import functools
 from dataclasses import dataclass
-from math import gcd
 
+from . import _qkernels
 from . import linalg as la
 
 __all__ = [
@@ -293,7 +293,7 @@ class PresentedQuotient:
 
     def normal_form(self, v: la.Vec) -> la.Vec:
         n, d = self._normal_numerators(v)
-        return tuple(map(la._Fractions(d).__getitem__, n))
+        return tuple(map(_qkernels._Fractions(d).__getitem__, n))
 
     def same_class(self, u: la.Vec, v: la.Vec) -> bool:
         return self.normal_form(u) == self.normal_form(v)
@@ -309,35 +309,13 @@ class PresentedQuotient:
         out = t._residue(n + [0] * self.dim)
         if any(out[: self.width]):
             raise ValueError("class does not lie in the quotient")
-        frac = la._Fractions(t.den * d)
+        frac = _qkernels._Fractions(t.den * d)
         return tuple(frac[-x] for x in out[self.width:])
 
 
 def _zero_presentation() -> PresentedQuotient:
     """The presentation of the zero group, the only subquotient of Q^0."""
     return PresentedQuotient(la.EchelonBasis.zero(0), la.EchelonBasis.zero(0), ())
-
-
-def _independent(vectors) -> list[int]:
-    """Indices of the integer vectors that are not in the span of the
-    ones before them, by fraction-free forward elimination. Each kept
-    vector is reduced against the kept ones before it, so it is zero at
-    their pivots, and a new vector is reduced against the kept ones in
-    the order they were kept."""
-    kept = []
-    picked = []
-    for i, v in enumerate(vectors):
-        for p, row in kept:
-            c = v[p]
-            if c:
-                e = row[p]
-                v = [e * x - c * y for x, y in zip(v, row)]
-        p = next((j for j, x in enumerate(v) if x), None)
-        if p is not None:
-            g = gcd(*v)
-            kept.append((p, [x // g for x in v] if g != 1 else v))
-            picked.append(i)
-    return picked
 
 
 def quotient_presentation(cycle_rows, boundary_rows, width: int) -> PresentedQuotient:
@@ -355,15 +333,17 @@ def quotient_presentation(cycle_rows, boundary_rows, width: int) -> PresentedQuo
     # One integer pass. Reducing over the boundaries is linear with
     # kernel span(B). So a cycle row is independent of the boundaries
     # and the cycle rows before it exactly when its residue (over
-    # cycles.den * boundaries.den) is independent of theirs, and the
-    # residues span dim (Z + B) - dim B dimensions, which is dim Z -
-    # dim B exactly when B lies inside Z.
+    # cycles.den * boundaries.den) is independent of theirs, that is,
+    # when its column is a pivot column of the matrix whose columns are
+    # the residues; and the residues span dim (Z + B) - dim B
+    # dimensions, which is dim Z - dim B exactly when B lies inside Z.
     residues = [boundaries._residue(row) for row in cycles.int_rows]
-    picked = _independent(residues)
+    # the rows of that matrix, less the zero ones, which hold no pivot
+    _, picked, _, _ = _qkernels._bareiss([r for r in zip(*residues) if any(r)], False)
     if len(picked) != len(cycles.pivots) - len(boundaries.pivots):
         raise ValueError("boundaries must lie inside cycles")
-    frac = la._Fractions(cycles.den * boundaries.den)
-    reps = tuple(tuple(map(frac.__getitem__, residues[i])) for i in picked)
+    frac = _qkernels._Fractions(cycles.den * boundaries.den).__getitem__
+    reps = tuple(tuple(map(frac, residues[i])) for i in picked)
     return PresentedQuotient(cycles, boundaries, reps)
 
 
@@ -559,7 +539,8 @@ def induced_on_quotients(
 ) -> la.Mat:
     """Matrix of the map induced by m on presented subquotients.
     Raises when m is not well defined on the classes."""
-    for row in src.boundaries.rows:
+    # membership is scale-free, so the integer rows serve
+    for row in src.boundaries.int_rows:
         nf, _ = dst._normal_numerators(la.matvec(m, row))
         if any(nf):
             raise ValueError("relations do not map into relations")

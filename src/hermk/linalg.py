@@ -180,13 +180,14 @@ def kron(a: Mat, b: Mat) -> Mat:
     """Kronecker product; row/col index = (i_a * rows_b + i_b, ...).
 
     The products are taken in integers over the two common denominators
-    (_qkernels._clear), and each distinct product becomes one Fraction.
+    (_qkernels._clear), and each distinct product becomes one Fraction
+    (_qkernels._Fractions).
     A zero entry of a contributes one shared block of zeros instead of
     a row of b's worth of products."""
     cb = b.ncols
     ai, da = _qkernels._clear(a)
     bi, db = _qkernels._clear(b)
-    frac = _Fractions(da * db)
+    frac = _qkernels._Fractions(da * db)
     zero = (Fraction(0),) * cb
     out = []
     for arow in ai:
@@ -199,18 +200,6 @@ def kron(a: Mat, b: Mat) -> Mat:
                     row.extend(zero)
             out.append(tuple(row))
     return Mat(tuple(out), a.ncols * cb)
-
-
-class _Fractions(dict):
-    """int v -> Fraction(v, den), each built on its first lookup."""
-
-    def __init__(self, den: int):
-        super().__init__()
-        self.den = den
-
-    def __missing__(self, v: int) -> Fraction:
-        f = self[v] = Fraction(v, self.den)
-        return f
 
 
 def hstack(*ms: Mat) -> Mat:
@@ -455,8 +444,8 @@ class EchelonBasis:
     def rows(self) -> Mat:
         """The RREF rows as a Mat of Fractions."""
         if self._rows is None:
-            frac = _qkernels._over(self.int_rows, self.den)
-            self._rows = Mat(tuple(map(tuple, frac)), self.width)
+            frac = _qkernels._Fractions(self.den).__getitem__
+            self._rows = Mat(tuple(tuple(map(frac, row)) for row in self.int_rows), self.width)
         return self._rows
 
     def _cleared(self, v: Vec) -> tuple[list[int], int]:
@@ -484,7 +473,7 @@ class EchelonBasis:
         """v minus sum_i v[pivots[i]] * rows[i]: zero at every pivot, and
         zero everywhere exactly when v is in the span."""
         w, d = self._cleared(v)
-        return tuple(map(_Fractions(self.den * d).__getitem__, self._residue(w)))
+        return tuple(map(_qkernels._Fractions(self.den * d).__getitem__, self._residue(w)))
 
     def contains(self, v: Vec) -> bool:
         w, _ = self._cleared(v)

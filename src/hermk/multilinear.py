@@ -118,7 +118,8 @@ def _powers(v: MetrizedSpace, kind: str, top: int, low: int) -> tuple[PowerSpace
             if not words:
                 space = ZERO_SPACE
             else:
-                rows = la.Mat(tuple(map(tuple, _qkernels._over(gram, den**d))), len(words))
+                frac = _qkernels._Fractions(den**d).__getitem__
+                rows = la.Mat(tuple(tuple(map(frac, row)) for row in gram), len(words))
                 space = MetrizedSpace(_labels(kind, words), rows, check=False)
             out.append(PowerSpace(v, d, kind, space))
     return tuple(out)

@@ -11,7 +11,7 @@ from fractions import Fraction
 
 import pytest
 
-from hermk import core
+from hermk import _qkernels, core
 from hermk import linalg as la
 from hermk.core import (
     ZERO_SPACE,
@@ -137,6 +137,25 @@ def test_integer_pd_test_edge_cases():
     # a positive leading entry with a negative 2x2 minor
     assert not pd(la.mat([[1, 2], [2, 1]]))
     assert pd(SKEW)
+    # a zero leading minor that a row exchange would get past, negative
+    # pivots after positive ones, and a positive definite 3 x 3
+    cases = [
+        ([[0, 1], [1, 0]], False),
+        ([[0, 0], [0, 1]], False),
+        ([[1, 0, 0], [0, 0, 1], [0, 1, 0]], False),
+        ([[1, 2, 0], [2, 1, 0], [0, 0, 1]], False),
+        ([[2, 1, 1], [1, 2, 1], [1, 1, F(1, 2)]], False),
+        ([[-1, 0], [0, -1]], False),
+        ([[2, 1, 0], [1, 2, 1], [0, 1, F(5, 3)]], True),
+    ]
+    for rows, expected in cases:
+        g = la.mat(rows)
+        assert pd(g) is _fraction_pivot_pd(g) is expected, rows
+    # with the exchange, [[0, 1], [1, 0]] reaches full rank with a
+    # positive diagonal: only the exchange count refuses it
+    rescued = [[0, 1], [1, 0]]
+    r, _, swaps, _ = _qkernels._bareiss(rescued, False)
+    assert (r, swaps) == (2, 1) and rescued[0][0] > 0 and rescued[1][1] > 0
 
 
 def test_metrized_space_validation():

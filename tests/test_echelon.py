@@ -452,6 +452,26 @@ def test_degenerate_inputs_match_oracle():
     assert q.normal_form(la.vec([0, 0, 0])) == (0, 0, 0)
 
 
+def test_zero_and_repeated_residues_match_oracle():
+    """Cycle rows whose residues over the boundaries are zero or repeat
+    an earlier one are passed over, as the Fraction construction does."""
+    f = Fraction
+    cases = [
+        # e0 and e1 both reduce to e1, e2 to zero and e3 to itself
+        (la.identity(4), [(1, -1, 0, 0), (0, 0, 1, 0)], 4),
+        (la.identity(3), [(1, 0, 0)], 3),
+        (la.identity(3), [(f(1, 2), f(-1, 3), 0), (0, 1, f(2, 5))], 3),
+        # every residue zero, and every residue equal
+        (la.identity(2), [(1, 0), (0, 1)], 2),
+        ([(1, 1, 0), (0, 0, 1)], [(0, 0, f(3, 7))], 3),
+    ]
+    for cycles, boundaries, width in cases:
+        q = quotient_presentation(cycles, boundaries, width)
+        oracle = fraction_quotient_presentation(cycles, boundaries, width)
+        assert q.reps == oracle.reps, (cycles, boundaries)
+    assert quotient_presentation(*cases[0]).dim == 2
+
+
 # -- negative controls ---------------------------------------------------
 
 

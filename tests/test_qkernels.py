@@ -4,7 +4,9 @@ Fixed expected values below are hand-computed (cofactor and Ryser
 expansions) and cross-checked with sympy. The oracle is plain Fraction
 Gaussian elimination, the reference the fraction-free kernels replaced;
 every kernel must agree with it exactly, entry types included, and
-the rank kernel with the oracle's pivot count.
+the rank kernel with the oracle's pivot count. The last tests pin the
+one elimination loop, _bareiss: its pivot columns against an in-order
+prefix-rank oracle, and which of its forms each caller runs.
 """
 
 from __future__ import annotations
@@ -13,7 +15,9 @@ import copy
 import random
 from fractions import Fraction
 
-from hermk import _qkernels
+from hermk import _qkernels, core
+from hermk import linalg as la
+from hermk.homology import quotient_presentation
 
 INT_M = [[1, 2, 3], [4, 5, 6], [7, 8, 10]]
 FRAC_M = [
@@ -25,6 +29,20 @@ FRAC_M = [
 def test_det_fixed():
     assert _qkernels.det(INT_M) == -3
     assert _qkernels.det(FRAC_M) == Fraction(1, 60)
+    f = Fraction
+    odd = [[0, 2, 0], [3, 0, 0], [0, 0, 1]]
+    even = [[0, 2, 0], [0, 0, f(1, 2)], [3, 0, 0]]
+    # exchanges before a zero column in the middle, full rank after it
+    zero_col = [[0, 1, 0, 2], [1, 0, 0, 3], [4, 5, 0, 6], [7, 8, 0, f(9, 7)]]
+    assert (_swaps(odd), _swaps(even)) == (1, 2) and _swaps(zero_col) >= 1
+    assert _qkernels.rank(zero_col) == 3
+    for m, value in ((odd, -6), (even, 3), (zero_col, 0), ([[1, 0, 2], [3, 0, 4], [5, 0, 6]], 0)):
+        assert _same(_qkernels.det(m), oracle_det(m)) and _qkernels.det(m) == value
+
+
+def _swaps(m) -> int:
+    """The number of row exchanges of the forward elimination of m."""
+    return _qkernels._bareiss(_qkernels._clear(m)[0], False)[2]
 
 
 def test_permanent_fixed():
@@ -339,12 +357,86 @@ def test_every_result_entry_is_a_fraction():
 
 
 def test_oracle_comparison_catches_a_result_built_without_its_denominator(monkeypatch):
-    over = _qkernels._over
+    fractions = _qkernels._Fractions
 
-    def ignore_denominator(rows, den):
-        return over(rows, 1)
+    def ignore_denominator(den):
+        return fractions(1)
 
-    monkeypatch.setattr(_qkernels, "_over", ignore_denominator)
+    monkeypatch.setattr(_qkernels, "_Fractions", ignore_denominator)
     bad = {kernel for kernel, _ in mismatches(_cases())}
     # det and permanent divide by their denominator themselves
     assert {"matmul", "rref"} <= bad
+
+
+# -- the one elimination loop ---------------------------------------------
+
+
+def _prefix_rank_picks(vectors) -> list[int]:
+    """The oracle: i is picked when the first i + 1 vectors have higher
+    rank (Fraction elimination) than the first i."""
+    picks, rank = [], 0
+    for i in range(len(vectors)):
+        r = len(oracle_rref(vectors[: i + 1])[1])
+        if r > rank:
+            picks.append(i)
+            rank = r
+    return picks
+
+
+def test_pivot_columns_pick_the_vectors_independent_of_the_ones_before():
+    rng = random.Random(20261019)
+    skipped = {"zero": 0, "repeat": 0, "combination": 0}
+    for _ in range(120):
+        width = rng.randrange(1, 6)
+        vectors, kinds = [], []
+        for _ in range(rng.randrange(1, 8)):
+            kind = rng.choice(("zero", "repeat", "combination", "random", "random"))
+            if kind == "zero":
+                v = [0] * width
+            elif kind == "repeat" and vectors:
+                v = list(rng.choice(vectors))
+            elif kind == "combination" and vectors:
+                s, t = (_entry(rng, MIXED) for _ in range(2))
+                u, w = rng.choice(vectors), rng.choice(vectors)
+                v = [s * x + t * y for x, y in zip(u, w)]
+            else:
+                kind, v = "random", [_entry(rng, MIXED) for _ in range(width)]
+            vectors.append(v)
+            kinds.append(kind)
+        columns, _ = _qkernels._clear([list(c) for c in zip(*vectors)])
+        _, pivots, _, _ = _qkernels._bareiss(columns, False)
+        expected = _prefix_rank_picks(vectors)
+        assert pivots == expected, vectors
+        for i, kind in enumerate(kinds):
+            if kind in skipped and i not in expected:
+                skipped[kind] += 1
+    # zero, repeated and dependent vectors all occur and are passed over
+    assert min(skipped.values()) >= 10
+
+
+def test_every_elimination_runs_through_the_one_bareiss_loop(monkeypatch):
+    honest = _qkernels._bareiss
+    calls = []
+
+    def counting(rows, full):
+        calls.append(full)
+        return honest(rows, full)
+
+    monkeypatch.setattr(_qkernels, "_bareiss", counting)
+    g = la.mat([[2, 1], [1, 2]])
+    runs = {
+        "rank": (lambda: la.rank(g), 2, [False]),
+        "det": (lambda: la.det(g), 3, [False]),
+        "pd": (lambda: core._is_positive_definite(g), True, [False]),
+        "rref": (lambda: la.rref(g)[1], (0, 1), [True]),
+        # the cycle and boundary bases, then the pick over the residues
+        "presentation": (
+            lambda: quotient_presentation(la.identity(3), [(1, 1, 0)], 3).dim,
+            2,
+            [True, True, False],
+        ),
+    }
+    for name, (run, value, forms) in runs.items():
+        calls.clear()
+        assert run() == value, name
+        assert calls == forms, name
