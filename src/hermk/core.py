@@ -358,16 +358,35 @@ def quotient_metric(f: SpaceMap) -> MetrizedSpace:
     return MetrizedSpace(f.codomain.labels, gram, check=False)
 
 
+class KernelObject(tuple):
+    """The pair (ker f, its inclusion) that kernel_object returns, which
+    also keeps the free columns of the elimination that built the
+    kernel, one per basis vector: the inclusion's rows at them form the
+    identity, so a vector of ker f has its coordinates there."""
+
+    def __new__(cls, sub: MetrizedSpace, incl: SpaceMap, free):
+        pair = super().__new__(cls, (sub, incl))
+        pair.free = tuple(free)
+        return pair
+
+    @classmethod
+    def whole(cls, space: MetrizedSpace) -> "KernelObject":
+        """The space as its own kernel, included by the identity."""
+        return cls(space, identity_map(space), range(space.dim))
+
+
 def kernel_object(f: SpaceMap) -> tuple[MetrizedSpace, SpaceMap]:
-    """ker f with the induced metric, plus its inclusion.
+    """ker f with the induced metric, plus its inclusion, as a
+    KernelObject.
 
     A zero map short-circuits to the literal domain object (identity
     inclusion): downstream bookkeeping wants "the kernel of nothing" to
     BE the space, not an isomorphic copy with coordinate-vector labels.
     """
     if f.is_zero():
-        return f.domain, identity_map(f.domain)
-    return subspace_object(f.domain, f.kernel_basis())
+        return KernelObject.whole(f.domain)
+    basis, free = la.nullspace_free(f.matrix.entries)
+    return KernelObject(*subspace_object(f.domain, basis), free)
 
 
 def direct_sum_space(parts) -> MetrizedSpace:
@@ -439,6 +458,22 @@ class ShortExactMetrized:
             raise ValueError(f"sequence is not exact at {term}: the {why} test fails")
         self.inject = inject
         self.project = project
+
+    def _rescaled(self, scale_sq) -> "ShortExactMetrized":
+        """This sequence with project's scale_sq replaced, unchecked.
+
+        Exactness reads only the entries of inject and project, and a
+        ScaledMatrix has scale_sq > 0, so the result is exact because
+        this one is. Only mu_decompose uses this: a rescaled complex
+        shares its checked kernel sequences.
+        """
+        p = self.project
+        if scale_sq == p.matrix.scale_sq:
+            return self
+        out = object.__new__(ShortExactMetrized)
+        out.inject = self.inject
+        out.project = SpaceMap(p.domain, p.codomain, ScaledMatrix(p.matrix.entries, scale_sq))
+        return out
 
     @property
     def sub(self) -> MetrizedSpace:

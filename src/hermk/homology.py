@@ -71,9 +71,10 @@ class ChainComplex:
     coerced to Mats.
 
     homology(n) and forms_modulo_exact(n) are built once per degree and
-    kept, so dims and diffs must not change after construction."""
+    kept, as is the zero diff(n) of a degree without a stored matrix, so
+    dims and diffs must not change after construction."""
 
-    __slots__ = ("dims", "diffs", "_homology", "_forms")
+    __slots__ = ("dims", "diffs", "_homology", "_forms", "_zeros")
 
     def __init__(self, dims, diffs, check: bool = True):
         self.dims = {n: d for n, d in dict(dims).items() if d}
@@ -92,6 +93,7 @@ class ChainComplex:
                         raise ValueError(f"d.d != 0 at degree {n + 1}")
         self._homology: dict[int, PresentedQuotient] = {}
         self._forms: dict[int, PresentedQuotient] = {}
+        self._zeros: dict[int, la.Mat] = {}
 
     def homology(self, n: int) -> PresentedQuotient:
         """H_n, built by the module-level homology on first use."""
@@ -109,7 +111,7 @@ class ChainComplex:
         m = self.diffs.get(n)
         if m is not None:
             return m
-        return la.zeros(self.dim(n - 1), self.dim(n))
+        return _kept(self._zeros, n, lambda: la.zeros(self.dim(n - 1), self.dim(n)))
 
     def support(self):
         return sorted(self.dims)
@@ -126,10 +128,10 @@ class ChainMap:
     components are coerced to Mats.
 
     cone(), truncated_map(n) and modified_homology(n) are built once and
-    kept, so source, target and maps must not change after
-    construction."""
+    kept, as is the zero map_at(n) of a degree without a stored matrix,
+    so source, target and maps must not change after construction."""
 
-    __slots__ = ("source", "target", "maps", "_cone", "_truncated", "_modified")
+    __slots__ = ("source", "target", "maps", "_cone", "_truncated", "_modified", "_zeros")
 
     def __init__(self, source, target, maps, check: bool = True):
         self.source = source
@@ -139,6 +141,7 @@ class ChainMap:
             for n, m in dict(maps).items()
             if source.dim(n) and target.dim(n)
         }
+        self._zeros: dict[int, la.Mat] = {}
         if check:
             for n, m in self.maps.items():
                 if la.shape(m) != (target.dim(n), source.dim(n)):
@@ -173,7 +176,7 @@ class ChainMap:
         m = self.maps.get(n)
         if m is not None:
             return m
-        return la.zeros(self.target.dim(n), self.source.dim(n))
+        return _kept(self._zeros, n, lambda: la.zeros(self.target.dim(n), self.source.dim(n)))
 
 
 def zero_chain_map(a: ChainComplex, b: ChainComplex) -> ChainMap:

@@ -40,6 +40,7 @@ from fractions import Fraction
 
 from . import linalg as la
 from .core import (
+    KernelObject,
     MetrizedSpace,
     ScaledMatrix,
     ShortExactMetrized,
@@ -102,14 +103,19 @@ class HermitianComplex:
     ranks do not add up. check=False skips revalidation for complexes
     produced by transformations that preserve the invariants, or
     certified otherwise, as koszul_complex certifies its own.
+
+    _sequences is the table of checked kernel sequences that
+    mu_decompose fills on first use and lambda_rescale shares, so
+    objects and maps must not change after construction.
     """
 
-    __slots__ = ("objects", "maps", "acyclic")
+    __slots__ = ("objects", "maps", "acyclic", "_sequences")
 
     def __init__(self, objects, maps, acyclic: bool = False, check: bool = True):
         self.objects = tuple(objects)
         self.maps = tuple(maps)
         self.acyclic = acyclic
+        self._sequences: list[ShortExactMetrized] = []
         if not self.objects:
             raise ValueError("a complex needs at least one object")
         if len(self.maps) != len(self.objects) - 1:
@@ -253,7 +259,12 @@ def koszul_section(v: MetrizedSpace, k: int, p: int) -> SpaceMap:
 
 
 def lambda_rescale(c: HermitianComplex, k: int) -> HermitianComplex:
-    """Divide every map's scale_sq by k; objects untouched."""
+    """Divide every map's scale_sq by k; objects untouched.
+
+    The result has the objects and map entries of c, so it shares the
+    kernel sequence table of c (see mu_decompose): whichever of the two
+    is decomposed first builds the sequences for both. k = 1 returns c.
+    """
     if k < 1:
         raise ValueError("rescale degree must be >= 1")
     if k == 1:
@@ -266,7 +277,9 @@ def lambda_rescale(c: HermitianComplex, k: int) -> HermitianComplex:
         )
         for f in c.maps
     ]
-    return HermitianComplex(c.objects, maps, acyclic=c.acyclic, check=False)
+    out = HermitianComplex(c.objects, maps, acyclic=c.acyclic, check=False)
+    out._sequences = c._sequences
+    return out
 
 
 def mu_decompose(c: HermitianComplex) -> list[tuple[int, ShortExactMetrized]]:
@@ -276,25 +289,46 @@ def mu_decompose(c: HermitianComplex) -> list[tuple[int, ShortExactMetrized]]:
     with sign (-1)^(j-1). Kernels carry the metric induced from their
     ambient object; the kernel at the top is the top object itself.
     The zero complex decomposes into nothing.
+
+    The sequences are built once per complex up to scale, into the
+    table c shares with its rescalings (lambda_rescale). Kernels and
+    coordinates depend only on the map entries, which a rescaling
+    keeps; only the project of sequence j reads the scale_sq of f^j.
+    Exactness depends only on the entries too, and every scale_sq is
+    positive, so the first call checks each sequence in full and later
+    calls, on c or a rescaling, swap their scale into the checked
+    sequence (ShortExactMetrized._rescaled) without checking again.
     """
     if not c.acyclic:
         raise ValueError("mu decomposition needs an acyclic complex")
     if c.is_zero():
         return []
+    if not c._sequences:
+        c._sequences.extend(_kernel_sequences(c))
+    return [
+        (-1 if j % 2 == 0 else 1, ses._rescaled(f.matrix.scale_sq))
+        for j, (f, ses) in enumerate(zip(c.maps, c._sequences))
+    ]
+
+
+def _kernel_sequences(c: HermitianComplex) -> list[ShortExactMetrized]:
+    """The checked sequences ker f^j -> A^j -> ker f^{j+1} of c.
+
+    The coordinates of f^j over ker f^{j+1} are the rows of f^j at the
+    free columns of that kernel, where its inclusion is the identity;
+    one exact product certifies that they reproduce f^j.
+    """
     kernels = [kernel_object(f) for f in c.maps]
-    kernels.append((c.objects[-1], identity_map(c.objects[-1])))
+    kernels.append(KernelObject.whole(c.objects[-1]))
     out = []
-    for j, f in enumerate(c.maps):
-        sub, inject = kernels[j]
-        knext, kincl = kernels[j + 1]
-        coords = la.solve(kincl.matrix.entries, f.matrix.entries)
-        if coords is None:
+    for f, (_, inject), kernel in zip(c.maps, kernels, kernels[1:]):
+        knext, kincl = kernel
+        m = f.matrix.entries
+        coords = la.Mat(tuple(m[i] for i in kernel.free), m.ncols)
+        if la.matmul(kincl.matrix.entries, coords) != m:
             raise AssertionError("image must land in the next kernel")
-        project = SpaceMap(
-            c.objects[j], knext, ScaledMatrix(coords, f.matrix.scale_sq)
-        )
-        sign = -1 if j % 2 == 0 else 1
-        out.append((sign, ShortExactMetrized(inject, project)))
+        project = SpaceMap(f.domain, knext, ScaledMatrix(coords, f.matrix.scale_sq))
+        out.append(ShortExactMetrized(inject, project))
     return out
 
 

@@ -102,13 +102,15 @@ def shape(a: Mat) -> tuple[int, int]:
     return (len(a), a.ncols)
 
 
+_ZERO, _ONE = Fraction(0), Fraction(1)
+
+
 def zeros(r: int, c: int) -> Mat:
-    return Mat(((Fraction(0),) * c,) * r, c)
+    return Mat(((_ZERO,) * c,) * r, c)
 
 
 def identity(n: int) -> Mat:
-    one, zero = Fraction(1), Fraction(0)
-    return Mat(tuple(tuple(one if i == j else zero for j in range(n)) for i in range(n)), n)
+    return Mat(tuple(tuple(_ONE if i == j else _ZERO for j in range(n)) for i in range(n)), n)
 
 
 def transpose(a: Mat) -> Mat:
@@ -299,20 +301,27 @@ def nullspace(a: Mat) -> Mat:
     coefficients at the pivot columns, 0 at other free columns; ordered
     by f.
     """
+    return nullspace_free(a)[0]
+
+
+def nullspace_free(a: Mat) -> tuple[Mat, tuple[int, ...]]:
+    """nullspace(a) and its free columns, from one elimination.
+
+    Restricted to the free columns the basis is the identity, so the
+    coordinates of a kernel vector over it are its entries there.
+    """
     c = a.ncols
     rows, pivots = rref(a)
     pivset = set(pivots)
+    free = tuple(f for f in range(c) if f not in pivset)
     out = []
-    zero, one = Fraction(0), Fraction(1)
-    for f in range(c):
-        if f in pivset:
-            continue
-        v = [zero] * c
-        v[f] = one
+    for f in free:
+        v = [_ZERO] * c
+        v[f] = _ONE
         for i, p in enumerate(pivots):
             v[p] = -rows[i][f]
         out.append(tuple(v))
-    return Mat(tuple(out), c)
+    return Mat(tuple(out), c), free
 
 
 def solve(a: Mat, b: Mat) -> Mat | None:

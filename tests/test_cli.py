@@ -311,6 +311,44 @@ def test_koszul_exactness_claim_catches_a_doctored_section(monkeypatch):
         run_suite(cfg)
 
 
+@pytest.mark.parametrize(
+    "verdict, claim",
+    [(True, "unrescaled-koszul-not-split"), (False, "rescaled-koszul-splits-orthogonally")],
+)
+def test_split_claims_catch_a_constant_splitting_test(monkeypatch, verdict, claim):
+    cfg = SuiteConfig("koszul-split", max_dim=2, max_k=3, max_n=1, trials=1)
+    honest = run_suite(cfg)
+    assert honest.failed == 0
+    monkeypatch.setattr(cli, "is_hermitian_split", lambda ses: verdict)
+    failing = {(c.claim_ref, c.instance) for c in run_suite(cfg).checks if not c.ok}
+    assert failing == {(c.claim_ref, c.instance) for c in honest.checks if c.claim_ref == claim}
+    assert failing
+
+
+def test_split_suite_builds_each_kernel_sequence_once(monkeypatch):
+    # a complex and its rescaling share one kernel per map and one
+    # exactness check per sequence, and no coordinate is solved for
+    calls = dict.fromkeys(("kernel_object", "is_exact", "solve"), 0)
+
+    def count(owner, name):
+        honest = getattr(owner, name)
+
+        def counted(*args):
+            calls[name] += 1
+            return honest(*args)
+
+        monkeypatch.setattr(owner, name, counted)
+
+    count(koszul, "kernel_object")
+    count(la, "is_exact")
+    count(la, "solve")
+    cfg = SuiteConfig("koszul-split", max_dim=2, max_k=3, max_n=1, trials=1)
+    assert run_suite(cfg).failed == 0
+    # two metrics per dimension, k maps in the degree-k complex
+    maps = 2 * cfg.max_dim * sum(range(1, cfg.max_k + 1))
+    assert calls == {"kernel_object": maps, "is_exact": maps, "solve": 0}
+
+
 def test_sum_isometry_claim_catches_a_perturbed_gram(monkeypatch):
     cfg = SuiteConfig("koszul-sum", max_dim=2, max_k=2, max_n=1, trials=1)
     honest_report = run_suite(cfg)

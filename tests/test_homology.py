@@ -531,6 +531,10 @@ def test_tables_hand_back_the_object_they_built():
     assert f.modified_homology(n) is f.modified_homology(n)
     assert f.source.homology(n) is f.source.homology(n)
     assert f.target.forms_modulo_exact(n) is f.target.forms_modulo_exact(n)
+    # so do the zero blocks of degrees without a stored matrix
+    top = max(f.source.dims, default=0) + 1
+    assert f.source.diff(top) is f.source.diff(top)
+    assert f.map_at(top) is f.map_at(top)
 
 
 def test_each_presentation_is_built_once_per_object(monkeypatch):

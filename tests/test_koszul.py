@@ -22,11 +22,15 @@ from hermk import koszul
 from hermk import linalg as la
 from hermk.core import (
     MetrizedSpace,
+    ScaledMatrix,
     ShortExactMetrized,
     SpaceMap,
     ZERO_SPACE,
+    identity_map,
     is_hermitian_split,
+    kernel_object,
     standard_space,
+    zero_map,
 )
 from hermk.instances import random_spd_gram
 from hermk.koszul import (
@@ -46,6 +50,7 @@ from hermk.koszul import (
     secondary_euler,
     secondary_euler_pair_identity,
     ses_boundary,
+    total_complex,
     transposed_koszul,
 )
 from hermk.multilinear import iota_map, j_map, pi_map, rho_map
@@ -348,7 +353,73 @@ def test_rescaled_mu_splits_and_unrescaled_does_not():
 def test_mu_of_zero_complex_is_empty():
     zero = SpaceMap(ZERO_SPACE, ZERO_SPACE, la.zeros(0, 0))
     c = HermitianComplex((ZERO_SPACE, ZERO_SPACE), (zero,), acyclic=True)
-    assert mu_decompose(c) == []
+    assert mu_decompose(c) == [] == _mu_from_scratch(c)
+
+
+def _mu_from_scratch(c: HermitianComplex):
+    """mu_decompose as built before the shared table, the oracle: every
+    kernel afresh, coordinates by la.solve, every sequence checked."""
+    if c.is_zero():
+        return []
+    kernels = [kernel_object(f) for f in c.maps]
+    kernels.append((c.objects[-1], identity_map(c.objects[-1])))
+    out = []
+    for j, f in enumerate(c.maps):
+        _, inject = kernels[j]
+        knext, kincl = kernels[j + 1]
+        coords = la.solve(kincl.matrix.entries, f.matrix.entries)
+        assert coords is not None
+        project = SpaceMap(c.objects[j], knext, ScaledMatrix(coords, f.matrix.scale_sq))
+        out.append((-1 if j % 2 == 0 else 1, ShortExactMetrized(inject, project)))
+    return out
+
+
+def _acyclic_complexes():
+    """Fresh acyclic complexes, each with a rescale degree: Koszul
+    complexes over standard and random metrics (k = 1 included, where
+    lambda_rescale hands back the complex itself), a transposed one, a
+    total complex and one with a zero map."""
+    rng = random.Random(47)
+    for dim in (1, 2, 3):
+        for v in (standard_space(dim), _random_space(rng, dim)):
+            for k in (1, 2, 3):
+                yield koszul_complex(v, k), k
+    yield transposed_koszul(SKEW, 3)[0], 3
+    b = koszul_iterated(standard_space(1, tag="v"), standard_space(2, tag="w"), 1, 3)
+    yield total_complex(b), 2
+    line, end = standard_space(1, tag="a"), standard_space(1, tag="b")
+    maps = [SpaceMap(line, end, ((F(2),),)), zero_map(end, ZERO_SPACE)]
+    yield HermitianComplex([line, end, ZERO_SPACE], maps, acyclic=True), 5
+
+
+def _keys(parts):
+    return [(sign, ses.key(), ses.project.matrix.scale_sq) for sign, ses in parts]
+
+
+@pytest.mark.parametrize("rescaled_first", [True, False])
+def test_shared_sequences_match_the_from_scratch_oracle(rescaled_first):
+    for plain, k in _acyclic_complexes():
+        scaled = lambda_rescale(plain, k)
+        assert scaled._sequences is plain._sequences
+        for c in (scaled, plain) if rescaled_first else (plain, scaled):
+            got = mu_decompose(c)
+            assert _keys(got) == _keys(_mu_from_scratch(c))
+            assert mu_decompose(c) == got
+            for _, ses in got:
+                # a derived sequence passes the full check as well
+                assert ShortExactMetrized(ses.inject, ses.project) == ses
+
+
+def test_an_image_outside_the_next_kernel_is_refused():
+    # flagged acyclic unchecked: g f is not zero, so the image of f
+    # misses ker g, and the coordinates read at its free column fail
+    # the product check
+    line, plane, end = (standard_space(d, tag=t) for d, t in ((1, "a"), (2, "b"), (1, "c")))
+    f = SpaceMap(line, plane, ((F(1),), (F(0),)))
+    g = SpaceMap(plane, end, ((F(1), F(0)),))
+    c = HermitianComplex([line, plane, end], [f, g], acyclic=True, check=False)
+    with pytest.raises(AssertionError, match="image must land in the next kernel"):
+        mu_decompose(c)
 
 
 def test_sum_isometry():

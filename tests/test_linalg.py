@@ -212,6 +212,9 @@ SHAPES = [(r, c) for r in DIMS for c in DIMS if 0 in (r, c)]
 
 
 def test_degenerate_shapes():
+    # every zero block holds the one module-level zero
+    zero = la.zeros(1, 1)[0][0]
+    assert all(x is zero for row in la.zeros(2, 3) for x in row)
     for r, c in SHAPES:
         z = la.zeros(r, c)
         assert la.shape(z) == (r, c)
@@ -356,3 +359,9 @@ def test_nullspace_rank_nullity_random():
         assert len(null) == c - la.rank(m)
         for v in null:
             assert not any(la.matvec(m, v))
+        # the free columns are those of the elimination, and the basis
+        # is the identity there
+        basis, free = la.nullspace_free(m)
+        assert basis == null
+        assert free == tuple(f for f in range(c) if f not in la.rref(m)[1])
+        assert la.submatrix(basis, range(len(basis)), free) == la.identity(len(free))
