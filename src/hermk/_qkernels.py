@@ -24,18 +24,17 @@ There is one elimination, _bareiss: the one-step fraction-free scheme
 of Bareiss (Math. Comp. 22, 1968). Every division is exact, so entries
 stay integral and grow only as fast as the minors they are. Its
 forward form eliminates below each pivot and stops at echelon form;
-the rank, the determinant, the positive-definiteness test of
-hermk.core and the representatives of hermk.homology's quotient
-presentations are all read from it:
+the rank, the determinant and the positive-definiteness test of
+hermk.core are read from it:
 - rank is the number of pivots, and builds no Fraction;
 - det is the last pivot, signed by the number of row exchanges, over
   den^n when the rank is n, and 0 otherwise;
 - with no row exchange, the k-th pivot is the leading (k+1)-minor, so
-  Sylvester's criterion reads it off the diagonal;
-- the pivot columns are the columns independent of the columns before
-  them.
-Its full form runs the same step on the rows above the pivot too
-(fraction-free Gauss-Jordan). That leaves the last pivot d in the pivot
+  Sylvester's criterion reads it off the diagonal.
+Its pivot columns are the columns independent of the columns before
+them; no caller reads them from the forward form. Its full form runs
+the same step on the rows above the pivot too (fraction-free
+Gauss-Jordan). That leaves the last pivot d in the pivot
 column of every echelon row and zeros elsewhere in the pivot columns,
 so the RREF is those rows over d, with no Fraction back-substitution.
 rref_int hands out exactly that integer form, with d made positive, and

@@ -313,6 +313,11 @@ def induced_subspace_metric(ambient: MetrizedSpace, basis) -> MetrizedSpace:
         rows = la.stack(basis.rows, ambient.dim)
     else:
         rows = _require_independent(basis, ambient.dim)
+    return _span_metric(ambient, rows)
+
+
+def _span_metric(ambient: MetrizedSpace, rows: Mat) -> MetrizedSpace:
+    """induced_subspace_metric of rows already known to be independent."""
     if not rows:
         return ZERO_SPACE
     gram = la.matmul(la.matmul(rows, ambient.gram), la.transpose(rows))
@@ -386,7 +391,9 @@ def kernel_object(f: SpaceMap) -> tuple[MetrizedSpace, SpaceMap]:
     if f.is_zero():
         return KernelObject.whole(f.domain)
     basis, free = la.nullspace_free(f.matrix.entries)
-    return KernelObject(*subspace_object(f.domain, basis), free)
+    # independent without a rank: its rows at free are the identity
+    sub = _span_metric(f.domain, basis)
+    return KernelObject(sub, SpaceMap(sub, f.domain, la.transpose(basis)), free)
 
 
 def direct_sum_space(parts) -> MetrizedSpace:

@@ -260,32 +260,41 @@ def truncated_map(f: ChainMap, n: int) -> ChainMap:
 
 @dataclass(frozen=True, eq=False)
 class PresentedQuotient:
-    """Subquotient span(cycles)/span(boundaries) of Q^width with
-    deterministic representatives. cycles and boundaries are the echelon
-    bases of the two spans, built once by quotient_presentation, so
-    membership and normal forms need no further elimination; classes
-    are canonicalized by clearing the boundary pivots. Both run on the
-    integer rows of the bases, and only the values handed out become
-    Fractions; vectors with float entries raise TypeError."""
+    """Subquotient span(cycles)/span(boundaries) of Q^width, read off the
+    echelon bases of the two spans, which quotient_presentation builds
+    once; the boundaries must lie inside the cycles. Then the boundary
+    pivots are cycle pivots, and the cycle echelon rows at the other
+    cycle pivots, the pivots of the presentation, are zero at every
+    boundary pivot: they are the representatives, a basis of the
+    quotient. Classes are canonicalized by clearing the boundary pivots,
+    and a class's coordinates over the representatives are its normal
+    form at their pivots, so membership, normal forms and coordinates
+    need no further elimination. All of them run on the integer rows of
+    the bases, and only the values handed out become Fractions; vectors
+    with float entries raise TypeError."""
 
     cycles: la.EchelonBasis
     boundaries: la.EchelonBasis
-    reps: tuple
 
     @property
     def width(self) -> int:
         return self.cycles.width
 
     @functools.cached_property
-    def _rep_transform(self) -> la.EchelonBasis:
-        """Echelon basis of [reps | I]; see coords."""
-        ident = la.identity(self.dim)
-        rows = tuple(tuple(r) + e for r, e in zip(self.reps, ident))
-        return la.EchelonBasis(la.Mat(rows, self.width + self.dim), self.width + self.dim)
+    def pivots(self) -> tuple:
+        """The cycle pivots that are not boundary pivots, in order."""
+        bound = set(self.boundaries.pivots)
+        return tuple(p for p in self.cycles.pivots if p not in bound)
+
+    @functools.cached_property
+    def reps(self) -> tuple:
+        """The cycle echelon rows at pivots."""
+        keep = set(self.pivots)
+        return tuple(r for r, p in zip(self.cycles.rows, self.cycles.pivots) if p in keep)
 
     @property
     def dim(self) -> int:
-        return len(self.reps)
+        return len(self.pivots)
 
     def _normal_numerators(self, v: la.Vec) -> tuple[list[int], int]:
         """(n, d) with normal_form(v) == n / d in integers."""
@@ -303,51 +312,28 @@ class PresentedQuotient:
 
     def coords(self, v: la.Vec) -> la.Vec:
         """Coefficients of the class of v over the representatives."""
-        # The rows of rref([reps | I]) are E | T with E = T reps, so
-        # reducing (nf | 0) leaves (nf - c E | -c T) for c = the pivot
-        # entries of nf: the head vanishes exactly when nf is in the
-        # span of the reps, and then nf = c T reps.
+        # the normal form is a cycle that is zero at every boundary
+        # pivot, so it is the sum of the reps weighted by its entries at
+        # their pivots, where each rep is 1 and the others are 0
         n, d = self._normal_numerators(v)
-        t = self._rep_transform
-        out = t._residue(n + [0] * self.dim)
-        if any(out[: self.width]):
-            raise ValueError("class does not lie in the quotient")
-        frac = _qkernels._Fractions(t.den * d)
-        return tuple(frac[-x] for x in out[self.width:])
+        frac = _qkernels._Fractions(d)
+        return tuple(frac[n[p]] for p in self.pivots)
 
 
 def _zero_presentation() -> PresentedQuotient:
     """The presentation of the zero group, the only subquotient of Q^0."""
-    return PresentedQuotient(la.EchelonBasis.zero(0), la.EchelonBasis.zero(0), ())
+    return PresentedQuotient(la.EchelonBasis.zero(0), la.EchelonBasis.zero(0))
 
 
 def quotient_presentation(cycle_rows, boundary_rows, width: int) -> PresentedQuotient:
-    """span(cycle_rows) / span(boundary_rows) in Q^width. The
-    representatives are the cycle echelon rows not in the span of the
-    boundaries and the rows before them, reduced over the boundaries;
-    ValueError when a boundary is not a cycle."""
-    if not width:
-        # Q^0 has no subspace but 0: nothing to eliminate
-        if any(map(len, cycle_rows)) or any(map(len, boundary_rows)):
-            raise ValueError("vectors of length other than 0")
-        return _zero_presentation()
+    """span(cycle_rows) / span(boundary_rows) in Q^width, with the cycle
+    echelon rows at the cycle pivots that are not boundary pivots as
+    representatives; ValueError when a boundary is not a cycle."""
     cycles = la.EchelonBasis(cycle_rows, width)
     boundaries = la.EchelonBasis(boundary_rows, width)
-    # One integer pass. Reducing over the boundaries is linear with
-    # kernel span(B). So a cycle row is independent of the boundaries
-    # and the cycle rows before it exactly when its residue (over
-    # cycles.den * boundaries.den) is independent of theirs, that is,
-    # when its column is a pivot column of the matrix whose columns are
-    # the residues; and the residues span dim (Z + B) - dim B
-    # dimensions, which is dim Z - dim B exactly when B lies inside Z.
-    residues = [boundaries._residue(row) for row in cycles.int_rows]
-    # the rows of that matrix, less the zero ones, which hold no pivot
-    _, picked, _, _ = _qkernels._bareiss([r for r in zip(*residues) if any(r)], False)
-    if len(picked) != len(cycles.pivots) - len(boundaries.pivots):
+    if not all(map(cycles._contains_int, boundaries.int_rows)):
         raise ValueError("boundaries must lie inside cycles")
-    frac = _qkernels._Fractions(cycles.den * boundaries.den).__getitem__
-    reps = tuple(tuple(map(frac, residues[i])) for i in picked)
-    return PresentedQuotient(cycles, boundaries, reps)
+    return PresentedQuotient(cycles, boundaries)
 
 
 def homology(c: ChainComplex, n: int) -> PresentedQuotient:

@@ -281,6 +281,33 @@ def test_symfun_catches_a_doctored_euler_coefficient(monkeypatch):
     assert _symfun_failures() == {("secondary-euler-symfun-identity", "k=4 nvars=6")}
 
 
+def test_gs_commute_claims_catch_a_wrong_degree_two_power(monkeypatch):
+    honest = symfun.graded_adams
+
+    def doctored(x, k):
+        # degree 2 scaled by k^3 instead of k^2
+        parts = dict(honest(x, k).parts)
+        if 2 in parts:
+            c = parts[2]
+            parts[2] = c.scaled(Fraction(k)) if isinstance(c, symfun.MonoPoly) else c * k
+        return symfun.GradedElement(parts)
+
+    monkeypatch.setattr(symfun, "graded_adams", doctored)
+    monkeypatch.setattr(cli, "graded_adams", doctored)
+    report = run_suite(SuiteConfig("gs-commute", seed=0))
+    failing = {(c.claim_ref, c.instance) for c in report.checks if not c.ok}
+    desc = "k={} roots={} truncation=6"
+    # k = 1 is untouched; at k = 3 with one or two roots the second
+    # bundle draws only zero roots, and a product with a degree-0
+    # element is multiplicative under any degreewise scaling fixing
+    # degree 0
+    assert failing == (
+        {("chern-character-adams-commute", desc.format(k, r)) for k in (2, 3) for r in (1, 2, 3)}
+        | {("graded-adams-multiplicative", desc.format(2, r)) for r in (1, 2, 3)}
+        | {("graded-adams-multiplicative", desc.format(3, 3))}
+    )
+
+
 def test_koszul_exactness_claim_catches_a_doctored_section(monkeypatch):
     cfg = SuiteConfig("koszul-section", max_dim=2, max_k=2, max_n=1, trials=1)
     assert run_suite(cfg).failed == 0

@@ -288,6 +288,32 @@ def test_kernel_object_of_zero_map_is_the_domain():
     assert proj.compose(incl).is_zero()
 
 
+def test_kernel_object_equals_the_checked_subspace_without_a_rank(monkeypatch):
+    # kernel_object skips the independence rank because the nullspace
+    # basis is the identity at its free columns
+    rng = random.Random(29)
+    cases = []
+    for _ in range(40):
+        r, c = rng.randrange(1, 5), rng.randrange(1, 7)
+        rows = [[F(rng.randrange(-3, 4), rng.randrange(1, 4)) for _ in range(c)] for _ in range(r)]
+        if rng.random() < 0.3:
+            rows.append([sum(col) for col in zip(*rows)])
+        m = la.mat(rows)
+        if la.is_zero(m):
+            continue  # the whole domain, with no nullspace
+        basis, free = la.nullspace_free(m)
+        assert la.submatrix(basis, range(len(basis)), free) == la.identity(len(free))
+        space = standard_space(c, la.add(la.identity(c), la.identity(c)))
+        cases.append((SpaceMap(space, standard_space(len(rows), tag="t"), m), basis))
+    assert sum(bool(basis) for _, basis in cases) >= 20
+    checked = [subspace_object(f.domain, basis) for f, basis in cases]
+    monkeypatch.setattr(la, "rank", lambda a: pytest.fail("rank in kernel_object"))
+    for (f, basis), (sub, incl) in zip(cases, checked):
+        ker, kincl = kernel_object(f)
+        assert ker == sub and ker.key() == sub.key() and kincl == incl
+        assert kincl.matrix.entries.ncols == len(basis)
+
+
 def test_direct_sum_space_layout():
     a = standard_space(1, tag="a")
     b = MetrizedSpace((("b", 0),), ((F(4),),))

@@ -2,19 +2,21 @@
 constructions they replaced.
 
 Two generations of oracles are kept. The solve-based ones: span
-membership by solving a linear system, presentation representatives by
-re-testing membership on a growing spanning list, normal forms by
-scanning for each boundary pivot, and class coordinates by one solve
-per vector. And the Fraction EchelonBasis and quotient_presentation,
-which held and reduced their rows in Fractions before both moved to
-integer rows over a common denominator. Every comparison is exact
-equality, including which calls raise.
+membership by solving a linear system, presentation representatives
+re-tested for being a basis of the quotient on a growing spanning list,
+normal forms by scanning for each boundary pivot, and class coordinates
+by one solve per vector. And the Fraction EchelonBasis and
+quotient_presentation, which held and reduced their rows in Fractions
+before both moved to integer rows over a common denominator, and whose
+coordinates come from an elimination of [reps | I]. Both pick as
+representatives the cycle echelon rows whose pivots are not boundary
+pivots. Every comparison is exact equality, including which calls
+raise.
 """
 
 from __future__ import annotations
 
 import bisect
-import copy
 import functools
 import random
 from math import gcd
@@ -23,9 +25,10 @@ from types import SimpleNamespace
 
 import pytest
 
+from hermk import homology as hom
 from hermk import linalg as la
+from hermk.cli import SuiteConfig, run_suite
 from hermk.homology import (
-    PresentedQuotient,
     homology,
     modified_homology,
     modified_maps,
@@ -79,18 +82,26 @@ def oracle_coords(q, v):
     return out
 
 
+def _pivot(row):
+    return next(i for i, x in enumerate(row) if x)
+
+
 def oracle_reps(cycle_rows, boundary_rows, width):
+    """The cycle RREF rows at the pivots that are not boundary pivots,
+    reduced over the boundaries, after checking on a growing spanning
+    list that they extend the boundaries to a basis of the cycles."""
     cycles = _canon_span(cycle_rows, width)
     boundaries = _canon_span(boundary_rows, width)
     for row in boundaries:
         if not oracle_in_span(cycles, row):
             raise ValueError("boundaries must lie inside cycles")
+    bound = {_pivot(row) for row in boundaries}
+    picked = [row for row in cycles if _pivot(row) not in bound]
     spanning = list(boundaries)
-    picked = []
-    for row in cycles:
-        if not oracle_in_span(spanning, row):
-            spanning.append(row)
-            picked.append(row)
+    for row in picked:
+        assert not oracle_in_span(spanning, row), "representatives are dependent"
+        spanning.append(row)
+    assert all(oracle_in_span(spanning, row) for row in cycles), "representatives miss a class"
     q = SimpleNamespace(width=width, cycles=cycles, boundaries=boundaries)
     return tuple(oracle_normal_form(q, r) for r in picked)
 
@@ -170,14 +181,15 @@ class FractionPresentation:
 
 def fraction_quotient_presentation(cycle_rows, boundary_rows, width):
     """quotient_presentation before integer rows: the boundary check by
-    membership, the representatives by growing a copy of the boundary
-    basis, and one reduction per representative, all in Fractions."""
+    membership, the representatives picked at the cycle pivots that are
+    not boundary pivots, and one reduction per representative, all in
+    Fractions."""
     cycle_basis = FractionEchelonBasis(cycle_rows, width)
     boundary_basis = FractionEchelonBasis(boundary_rows, width)
     if not all(cycle_basis.contains(row) for row in boundary_basis.rows):
         raise ValueError("boundaries must lie inside cycles")
-    spanning = copy.copy(boundary_basis)
-    reps = [row for row in cycle_basis.rows if spanning.add(row)]
+    bound = set(boundary_basis.pivots)
+    reps = [r for r, p in zip(cycle_basis.rows, cycle_basis.pivots) if p not in bound]
     reduced = tuple(boundary_basis.reduce(r) for r in reps)
     return FractionPresentation(cycle_basis, boundary_basis, reduced)
 
@@ -453,23 +465,35 @@ def test_degenerate_inputs_match_oracle():
 
 
 def test_zero_and_repeated_residues_match_oracle():
-    """Cycle rows whose residues over the boundaries are zero or repeat
-    an earlier one are passed over, as the Fraction construction does."""
+    """The representatives are the cycle echelon rows at the pivots that
+    are not boundary pivots, whatever the residues of the cycle rows
+    over the boundaries: zero, repeated, or another vector of the class
+    (which a pick over the residues would have taken)."""
     f = Fraction
     cases = [
+        # e0 reduces to -e1 and e1 to itself: the rep is e1, not -e1
+        (la.identity(2), [(1, 1)], 2, ((0, 1),)),
         # e0 and e1 both reduce to e1, e2 to zero and e3 to itself
-        (la.identity(4), [(1, -1, 0, 0), (0, 0, 1, 0)], 4),
-        (la.identity(3), [(1, 0, 0)], 3),
-        (la.identity(3), [(f(1, 2), f(-1, 3), 0), (0, 1, f(2, 5))], 3),
-        # every residue zero, and every residue equal
-        (la.identity(2), [(1, 0), (0, 1)], 2),
-        ([(1, 1, 0), (0, 0, 1)], [(0, 0, f(3, 7))], 3),
+        (la.identity(4), [(1, -1, 0, 0), (0, 0, 1, 0)], 4, ((0, 1, 0, 0), (0, 0, 0, 1))),
+        # rational boundaries: e0 reduces to (0, 0, -4/15), the rep is e2
+        (la.identity(3), [(f(1, 2), f(-1, 3), 0), (0, 1, f(2, 5))], 3, ((0, 0, 1),)),
+        # rational cycles: the rep is the second cycle echelon row
+        ([(2, 1, f(1, 3)), (0, 3, 1)], [(2, 4, f(4, 3))], 3, ((0, 1, f(1, 3)),)),
+        ([(1, 1, 0), (0, 0, 1)], [(0, 0, f(3, 7))], 3, ((1, 1, 0),)),
+        # B = 0: every cycle echelon row
+        ([(1, 2, 0), (0, 3, 3)], [], 3, ((1, 0, -2), (0, 1, 1))),
+        # B = Z: every residue zero
+        (la.identity(2), [(1, 0), (0, 1)], 2, ()),
+        ([(1, 1, 0), (0, 0, 1)], [(1, 1, 1), (0, 0, 2)], 3, ()),
     ]
-    for cycles, boundaries, width in cases:
+    for cycles, boundaries, width, want in cases:
         q = quotient_presentation(cycles, boundaries, width)
         oracle = fraction_quotient_presentation(cycles, boundaries, width)
-        assert q.reps == oracle.reps, (cycles, boundaries)
-    assert quotient_presentation(*cases[0]).dim == 2
+        assert q.reps == oracle.reps == oracle_reps(cycles, boundaries, width), cycles
+        assert q.reps == tuple(map(la.vec, want)), (cycles, boundaries)
+        assert q.dim == len(want)
+        for v in list(q.cycles.rows) + list(q.boundaries.rows) + list(q.reps):
+            assert q.coords(v) == oracle.coords(v) == oracle_coords(_rows_view(q), v)
 
 
 # -- negative controls ---------------------------------------------------
@@ -486,14 +510,6 @@ def test_non_cycles_raise():
             q.coords(v)
     with pytest.raises(ValueError):
         la.EchelonBasis([(1, 0)], 2).coords((0, 1))
-    # a cycle outside the span of the reps can only come from a
-    # presentation built by hand; coords still refuses it
-    short = PresentedQuotient(
-        la.EchelonBasis(la.identity(2), 2), la.EchelonBasis((), 2), ((1, 0),)
-    )
-    assert _outcome(short.coords, (0, 1)) == _outcome(oracle_coords, _rows_view(short), (0, 1))
-    with pytest.raises(ValueError):
-        short.coords((0, 1))
 
 
 def test_add_of_member_changes_nothing():
@@ -555,6 +571,24 @@ def test_doctored_residue_is_honest_when_undoctored(monkeypatch):
     # the doctoring above differs from the real _residue in its fault only
     monkeypatch.setattr(la.EchelonBasis, "_residue", _doctored_residue(True, 1))
     assert _rational_mismatches(seed=83, trials=40) == []
+
+
+def test_oracle_comparison_catches_a_kept_boundary_pivot(monkeypatch):
+    honest = hom.quotient_presentation
+
+    def doctored(cycle_rows, boundary_rows, width):
+        # one boundary pivot kept among the presentation's pivots: its
+        # cycle row joins the reps, though its class is a combination
+        # of theirs
+        q = honest(cycle_rows, boundary_rows, width)
+        if q.boundaries.pivots:
+            q.__dict__["pivots"] = tuple(sorted(q.pivots + q.boundaries.pivots[:1]))
+        return q
+
+    monkeypatch.setattr(hom, "quotient_presentation", doctored)
+    assert _homology_mismatches(seed=73, trials=3)
+    report = run_suite(SuiteConfig("modified-homology", seed=1))
+    assert any(not c.ok for c in report.checks)
 
 
 def test_float_entries_raise_type_error():

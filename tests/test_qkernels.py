@@ -429,11 +429,16 @@ def test_every_elimination_runs_through_the_one_bareiss_loop(monkeypatch):
         "det": (lambda: la.det(g), 3, [False]),
         "pd": (lambda: core._is_positive_definite(g), True, [False]),
         "rref": (lambda: la.rref(g)[1], (0, 1), [True]),
-        # the cycle and boundary bases, then the pick over the residues
+        # the cycle and boundary bases, and nothing else
         "presentation": (
             lambda: quotient_presentation(la.identity(3), [(1, 1, 0)], 3).dim,
             2,
-            [True, True, False],
+            [True, True],
+        ),
+        "coords": (
+            lambda: quotient_presentation(la.identity(3), [(1, 1, 0)], 3).coords((1, 2, 3)),
+            (1, 3),
+            [True, True],
         ),
     }
     for name, (run, value, forms) in runs.items():
