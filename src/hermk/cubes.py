@@ -15,6 +15,13 @@ structural-equality discipline: identities that hold only modulo
 degenerate cubes are checked by expanding both sides and testing each
 residual summand for structural degeneracy.
 
+Faces, degeneracies, swaps and cub build their cubes by one rule
+(_assemble): each vertex index names a source, or None for a zero
+vertex, and an arrow is the given arrow between distinct sources, the
+identity between equal ones and a zero map at a zero vertex. The
+sources of a face, degeneracy or swap are vertices of the cube it
+reindexes; those of cub are the tags W(a, b) of its flag.
+
 A flag and every flag its faces and degeneracies reach form one
 family, and the family shares one table of what cub builds: cubes,
 complements, vertex spaces, inclusions and projections, and the
@@ -77,27 +84,31 @@ def _insert(j: tuple, pos: int, v: int) -> tuple:
     return j[:pos] + (v,) + j[pos:]
 
 
-def _bump(j: tuple, pos: int) -> tuple:
-    return j[:pos] + (j[pos] + 1,) + j[pos + 1 :]
-
-
-def _adjacent(n: int):
-    for j in product(_VERT, repeat=n):
-        for i in range(n):
-            if j[i] < 2:
-                yield j, _bump(j, i)
+@lru_cache(maxsize=None)
+def _shape(n: int) -> tuple:
+    """The index data of every n-cube, made once per n: up maps each
+    index j of {0,1,2}^n, in product order, to its successors j + e_i
+    (None where j[i] is 2), pairs lists the adjacent pairs (j, j + e_i)
+    by j and then i, and pair_set holds them."""
+    up = {
+        j: tuple(j[:i] + (j[i] + 1,) + j[i + 1 :] if j[i] < 2 else None for i in range(n))
+        for j in product(_VERT, repeat=n)
+    }
+    pairs = tuple((j, b) for j, bs in up.items() for b in bs if b is not None)
+    return up, pairs, frozenset(pairs)
 
 
 class Cube:
     """An n-cube of metrized spaces: vertices over {0,1,2}^n, one map
     per adjacent pair, every direction triple short exact and every
-    square commuting.
+    square commuting. Any other vertex or arrow index set is refused.
 
-    check=True (the default) validates all of that at construction.
+    check=True (the default) validates the rest at construction.
     check=False skips it: faces, degeneracies and swaps of a validated
-    cube need none, and cub builds its cubes unchecked and then runs
-    _validate against its family's table of certificates, which checks
-    each distinct triple and square once per flag family."""
+    cube need none (all three, and cub, are built by _assemble), and cub
+    builds its cubes unchecked and then runs _validate against its
+    family's table of certificates, which checks each distinct triple
+    and square once per flag family."""
 
     __slots__ = ("n", "vertices", "arrows", "_hash")
 
@@ -106,10 +117,10 @@ class Cube:
         self.vertices = dict(vertices)
         self.arrows = dict(arrows)
         self._hash = None
-        expected = set(product(_VERT, repeat=n))
-        if set(self.vertices) != expected:
+        up, _, pair_set = _shape(n)
+        if self.vertices.keys() != up.keys():
             raise ValueError("vertex index set must be all of {0,1,2}^n")
-        if set(self.arrows) != set(_adjacent(n)):
+        if self.arrows.keys() != pair_set:
             raise ValueError("arrows must cover exactly the adjacent pairs")
         if check:
             self._validate()
@@ -128,23 +139,22 @@ class Cube:
         for (src, dst), m in self.arrows.items():
             if m.domain != self.vertices[src] or m.codomain != self.vertices[dst]:
                 raise ValueError(f"arrow {src}->{dst} does not match its endpoints")
-        for i in range(1, self.n + 1):
-            for bj in product(_VERT, repeat=self.n - 1):
-                name = ("triple",) + tuple(
-                    vertex_key(_insert(bj, i - 1, v)) for v in _VERT
-                )
-                if name not in certified:
-                    self.triple(i, bj)
-                    certified[name] = True
-        for j in product(_VERT, repeat=self.n):
-            for i1 in range(self.n):
-                if j[i1] == 2:
-                    continue
+        up = _shape(self.n)[0]
+        for i in range(self.n):
+            for j in up:
+                if j[i] == 0:
+                    j1 = up[j][i]
+                    name = ("triple",) + tuple(map(vertex_key, (j, j1, up[j1][i])))
+                    if name not in certified:
+                        self.triple(i + 1, j[:i] + j[i + 1 :])
+                        certified[name] = True
+        for j, succ in up.items():
+            for i1, a in enumerate(succ):
                 for i2 in range(i1 + 1, self.n):
-                    if j[i2] == 2:
+                    b = succ[i2]
+                    if a is None or b is None:
                         continue
-                    a, b = _bump(j, i1), _bump(j, i2)
-                    ab = _bump(a, i2)
+                    ab = up[a][i2]
                     name = ("square",) + tuple(map(vertex_key, (j, a, b, ab)))
                     if name in certified:
                         continue
@@ -209,6 +219,38 @@ class Cube:
         return f"Cube(n={self.n}, dims={self._dims()})"
 
 
+def _assemble(m: int, source, vertex, arrow) -> Cube:
+    """The m-cube of the one construction rule (see the module
+    docstring): vertex j is vertex(source(j)), or the zero space where
+    source(j) is None; the arrow between distinct sources a and b is
+    arrow((a, b)). The identity and zero maps are made once per pair of
+    vertex spaces and shared. The cube is not validated."""
+    up, pairs, _ = _shape(m)
+    src = {j: source(j) for j in up}
+    vertices = {j: ZERO_SPACE if s is None else vertex(s) for j, s in src.items()}
+    shared: dict = {}
+    arrows = {}
+    for pair in pairs:
+        a, b = pair
+        sa, sb = src[a], src[b]
+        if sa is not None and sb is not None and sa != sb:
+            arrows[pair] = arrow((sa, sb))
+            continue
+        va, vb = vertices[a], vertices[b]
+        zero = sa is None or sb is None
+        key = (id(va), id(vb), zero)
+        mp = shared.get(key)
+        if mp is None:
+            mp = shared[key] = zero_map(va, vb) if zero else identity_map(va)
+        arrows[pair] = mp
+    return Cube(m, vertices, arrows, check=False)
+
+
+def _sliced(c: Cube, m: int, source) -> Cube:
+    """The m-cube whose vertex j is c's vertex source(j)."""
+    return _assemble(m, source, c.vertices.__getitem__, c.arrows.__getitem__)
+
+
 def face(c: Cube, i: int, k: int) -> Cube:
     """The (n-1)-cube obtained by fixing coordinate i (1-based) to k."""
     if not 1 <= i <= c.n:
@@ -216,14 +258,7 @@ def face(c: Cube, i: int, k: int) -> Cube:
     if k not in _VERT:
         raise ValueError("face value must be 0, 1 or 2")
     pos = i - 1
-    verts = {
-        bj: c.vertices[_insert(bj, pos, k)] for bj in product(_VERT, repeat=c.n - 1)
-    }
-    arrows = {
-        (s, d): c.arrows[(_insert(s, pos, k), _insert(d, pos, k))]
-        for s, d in _adjacent(c.n - 1)
-    }
-    return Cube(c.n - 1, verts, arrows, check=False)
+    return _sliced(c, c.n - 1, lambda bj: _insert(bj, pos, k))
 
 
 def degeneracy(c: Cube, i: int, kind: int) -> Cube:
@@ -237,26 +272,10 @@ def degeneracy(c: Cube, i: int, kind: int) -> Cube:
     if kind not in (0, 1):
         raise ValueError("degeneracy kind must be 0 or 1")
     pos = i - 1
-    live = (0, 1) if kind == 0 else (1, 2)
-    verts = {}
-    for j in product(_VERT, repeat=c.n + 1):
-        rest = j[:pos] + j[pos + 1 :]
-        verts[j] = c.vertices[rest] if j[pos] in live else ZERO_SPACE
-    arrows = {}
-    for src, dst in _adjacent(c.n + 1):
-        vs, vd = src[pos], dst[pos]
-        rs = src[:pos] + src[pos + 1 :]
-        rd = dst[:pos] + dst[pos + 1 :]
-        if vs == vd:
-            if vs in live:
-                arrows[(src, dst)] = c.arrows[(rs, rd)]
-            else:
-                arrows[(src, dst)] = zero_map(ZERO_SPACE, ZERO_SPACE)
-        elif vs in live and vd in live:
-            arrows[(src, dst)] = identity_map(c.vertices[rs])
-        else:
-            arrows[(src, dst)] = zero_map(verts[src], verts[dst])
-    return Cube(c.n + 1, verts, arrows, check=False)
+    dead = 2 if kind == 0 else 0
+    return _sliced(
+        c, c.n + 1, lambda j: None if j[pos] == dead else j[:pos] + j[pos + 1 :]
+    )
 
 
 def cube_swap(c: Cube, i: int) -> Cube:
@@ -264,13 +283,7 @@ def cube_swap(c: Cube, i: int) -> Cube:
     if not 1 <= i <= c.n - 1:
         raise ValueError("swap needs two adjacent directions")
     pos = i - 1
-
-    def sw(j):
-        return j[:pos] + (j[pos + 1], j[pos]) + j[pos + 2 :]
-
-    verts = {j: c.vertices[sw(j)] for j in product(_VERT, repeat=c.n)}
-    arrows = {(s, d): c.arrows[(sw(s), sw(d))] for s, d in _adjacent(c.n)}
-    return Cube(c.n, verts, arrows, check=False)
+    return _sliced(c, c.n, lambda j: j[:pos] + (j[pos + 1], j[pos]) + j[pos + 2 :])
 
 
 def tau_symmetric(c: Cube, i: int) -> bool:
@@ -373,27 +386,30 @@ class Flag:
 
     A constructed flag starts a family with a fresh private table
     (_cubes); face and degeneracy hand the same table to the flags they
-    derive, and degeneracy(0) prepends the family's one zero basis. cub
+    derive. A zero entry is the family's one zero basis, which
+    degeneracy(0) prepends. cub
     looks its cubes, complements, vertex spaces, arrows and certificates
     up there by the EchelonBasis objects involved (a cube by the tuple of
     its flag's bases). Those identity keys are sound because a flag
     never grows its bases (EchelonBasis.add is not called on them), so
     one basis object stands for one subspace for as long as the table
-    holds it."""
+    holds it. Complements are interned by their integer form, so a span
+    reached two ways is one object."""
 
     __slots__ = ("ambient", "bases", "_cubes")
 
     def __init__(self, ambient: MetrizedSpace, chain, check: bool = True):
         self.ambient = ambient
-        self.bases = tuple(
+        self._cubes: dict = {}
+        bases = (
             b if isinstance(b, la.EchelonBasis) else la.EchelonBasis(b, ambient.dim)
             for b in chain
         )
+        self.bases = tuple(b if b.int_rows else _zero_basis(self) for b in bases)
         if check:
             for small, big in zip(self.bases, self.bases[1:]):
                 if not all(big.contains(row) for row in small.rows):
                     raise ValueError("flag entries must be nested")
-        self._cubes: dict = {}
 
     def _derive(self, bases: tuple) -> "Flag":
         """The flag of nested bases in this flag's family."""
@@ -464,16 +480,23 @@ def _memo(table: dict, key, build):
     return value
 
 
+def _interned(f: Flag, basis: la.EchelonBasis) -> la.EchelonBasis:
+    """The family's one basis object for span(basis), by its unique
+    integer form; basis itself when the family has none yet."""
+    return _memo(f._cubes, ("span", basis.int_rows, basis.den), lambda: basis)
+
+
 def _zero_basis(f: Flag) -> la.EchelonBasis:
     """The zero subspace of f's ambient space, one object per family."""
-    return _memo(f._cubes, ("zero",), lambda: la.EchelonBasis.zero(f.ambient.dim))
+    return _interned(f, la.EchelonBasis.zero(f.ambient.dim))
 
 
 def _ortho_in(f: Flag, small: la.EchelonBasis, big: la.EchelonBasis):
     """Echelon basis of the orthogonal complement of span(small) inside
     span(big), both entries or complements in f's family, in ambient
-    coordinates; built once per family. The complement of 0 is big
-    itself, and that of big in big the family's zero basis."""
+    coordinates; built once per (small, big) pair and interned (see
+    Flag). The complement of 0 is big itself, and that of big in big the
+    family's zero basis."""
     if not small.rows:
         return big
     if small is big:
@@ -482,7 +505,8 @@ def _ortho_in(f: Flag, small: la.EchelonBasis, big: la.EchelonBasis):
     def build():
         amb = f.ambient
         rel = la.matmul(la.matmul(small.rows, amb.gram), la.transpose(big.rows))
-        return la.EchelonBasis(la.matmul(la.nullspace(rel), big.rows), amb.dim)
+        rows = la.matmul(la.nullspace(rel), big.rows)
+        return _interned(f, la.EchelonBasis(rows, amb.dim))
 
     return _memo(f._cubes, ("ortho", small, big), build)
 
@@ -565,39 +589,19 @@ def _build_cub(f: Flag) -> Cube:
                 lambda: induced_subspace_metric(f.ambient, basis),
             )
 
-    verts = {j: spaces[tags[j]] for j in tags}
-    arrow_cache: dict = {}
-
-    def arrow_for(t1, t2) -> SpaceMap:
-        if (t1, t2) in arrow_cache:
-            return arrow_cache[(t1, t2)]
-        if t1 is None or t2 is None:
-            m = zero_map(spaces[t1], spaces[t2])
-        elif t1 == t2:
-            m = identity_map(spaces[t1])
-        elif t1[0] == t2[0] and t1[1] < t2[1]:
-            m = _memo(
-                table,
-                ("incl", bases[t1], bases[t2]),
-                lambda: _inclusion_map(bases[t1], bases[t2], spaces[t1], spaces[t2]),
-            )
+    def arrow(step) -> SpaceMap:
+        t1, t2 = step
+        b1, b2, s1, s2 = bases[t1], bases[t2], spaces[t1], spaces[t2]
+        if t1[0] == t2[0] and t1[1] < t2[1]:
+            build, kind = (lambda: _inclusion_map(b1, b2, s1, s2)), "incl"
         elif t1[1] == t2[1] and t1[0] < t2[0]:
-            m = _memo(
-                table,
-                ("proj", bases[t1], bases[t2]),
-                lambda: _orthoprojection_map(
-                    bases[t1], bases[t2], spaces[t1], spaces[t2], f.ambient.gram
-                ),
-            )
+            gram = f.ambient.gram
+            build, kind = (lambda: _orthoprojection_map(b1, b2, s1, s2, gram)), "proj"
         else:
             raise AssertionError(f"unexpected tag step {t1} -> {t2}")
-        arrow_cache[(t1, t2)] = m
-        return m
+        return _memo(table, (kind, b1, b2), build)
 
-    arrows = {
-        (s, d): arrow_for(tags[s], tags[d]) for s, d in _adjacent(n - 1)
-    }
-    c = Cube(n - 1, verts, arrows, check=False)
+    c = _assemble(n - 1, tags.__getitem__, spaces.__getitem__, arrow)
     # A triple or square is named in the table by the echelon bases of
     # its vertices, None for a zero vertex whatever basis it came from.
     # The name fixes everything it checks: each vertex is the induced
@@ -608,7 +612,8 @@ def _build_cub(f: Flag) -> Cube:
     # B1 is B2, and a map from or to a zero vertex is the empty matrix.
     # So a name certified once in the family holds for every cube that
     # has it.
-    c._validate(table, lambda j: bases[tags[j]] if spaces[tags[j]].dim else None)
+    names = {j: bases[t] if spaces[t].dim else None for j, t in tags.items()}
+    c._validate(table, names.__getitem__)
     return c
 
 
@@ -736,33 +741,26 @@ def direct_sum_cube(parts) -> Cube:
             out.append((tag, parts[tag]))
         return out
 
-    sums = {j: summands(j) for j in product(_VERT, repeat=n)}
+    up, pairs, _ = _shape(n)
+    sums = {j: summands(j) for j in up}
     spaces = {
         j: ss[0][1] if len(ss) == 1 else direct_sum_space(ss)
         for j, ss in sums.items()
     }
     arrows = {
         (s, d): _summand_matching_map(sums[s], spaces[s], sums[d], spaces[d])
-        for s, d in _adjacent(n)
+        for s, d in pairs
     }
     return Cube(n, spaces, arrows)
 
 
 def _summand_matching_map(src_parts, src_space, dst_parts, dst_space) -> SpaceMap:
-    entries = [[Fraction(0)] * src_space.dim for _ in range(dst_space.dim)]
-    src_off = {}
-    off = 0
-    for tag, s in src_parts:
-        src_off[tag] = off
-        off += s.dim
-    off = 0
-    for tag, s in dst_parts:
-        if tag in src_off:
-            so = src_off[tag]
-            for r in range(s.dim):
-                entries[off + r][so + r] = Fraction(1)
-        off += s.dim
-    return SpaceMap(src_space, dst_space, la.Mat(tuple(map(tuple, entries)), src_space.dim))
+    """1 where a row and a column stand for the same coordinate of the
+    same summand, 0 elsewhere."""
+    cols = [(tag, r) for tag, s in src_parts for r in range(s.dim)]
+    rows = [(tag, r) for tag, s in dst_parts for r in range(s.dim)]
+    entries = tuple(tuple(Fraction(x == y) for x in cols) for y in rows)
+    return SpaceMap(src_space, dst_space, la.Mat(entries, len(cols)))
 
 
 def associated_sum_cube(c: Cube) -> Cube:
@@ -801,12 +799,13 @@ def canonical_kernel_rebuild(c: Cube):
     """
     verts = {}
     isos = {}
-    for j in product(_VERT, repeat=c.n):
+    up, pairs, _ = _shape(c.n)
+    for j in up:
         comp = identity_map(c.vertices[j])
         cur = j
         for pos in range(c.n):
             if j[pos] == 0:
-                nxt = _bump(cur, pos)
+                nxt = up[cur][pos]
                 comp = c.arrows[(cur, nxt)].compose(comp)
                 cur = nxt
         big = c.vertices[cur]
@@ -816,7 +815,7 @@ def canonical_kernel_rebuild(c: Cube):
         isos[j] = SpaceMap(c.vertices[j], sub, ScaledMatrix(coords, comp.matrix.scale_sq))
         verts[j] = sub
     arrows = {}
-    for src, dst in _adjacent(c.n):
+    for src, dst in pairs:
         old = c.arrows[(src, dst)]
         inv = _inverse_map(isos[src])
         arrows[(src, dst)] = isos[dst].compose(old).compose(inv)

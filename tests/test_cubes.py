@@ -21,6 +21,7 @@ from hermk.core import (
     ScaledMatrix,
     SpaceMap,
     ZERO_SPACE,
+    identity_map,
     standard_space,
     zero_map,
 )
@@ -756,7 +757,7 @@ def test_cube_equality_agrees_with_the_full_key():
         zero[n] = Cube(
             n,
             {j: ZERO_SPACE for j in product(range(3), repeat=n)},
-            {p: zero_map(ZERO_SPACE, ZERO_SPACE) for p in cubes._adjacent(n)},
+            {p: zero_map(ZERO_SPACE, ZERO_SPACE) for p in cubes._shape(n)[1]},
         )
     pairs.append((zero[1], zero[2]))
     # the pairs that is_structurally_degenerate and tau_symmetric compare
@@ -779,3 +780,169 @@ def test_empty_flag_has_no_faces():
         with pytest.raises(ValueError):
             empty.face(i)
     assert empty.degeneracy(0).chain == ((),)
+
+
+# The dict-building face, degeneracy and swap that the one construction
+# rule (cubes._assemble) replaced, kept as oracles: each decides in its
+# own code which arrow is copied, which is an identity and which a zero
+# map, and builds a fresh identity or zero map for every arrow.
+
+
+def _oracle_adjacent(n: int):
+    for j in product(range(3), repeat=n):
+        for i in range(n):
+            if j[i] < 2:
+                yield j, j[:i] + (j[i] + 1,) + j[i + 1 :]
+
+
+def _oracle_face(c: Cube, i: int, k: int) -> Cube:
+    pos = i - 1
+
+    def ins(j):
+        return j[:pos] + (k,) + j[pos:]
+
+    verts = {bj: c.vertices[ins(bj)] for bj in product(range(3), repeat=c.n - 1)}
+    arrows = {(s, d): c.arrows[(ins(s), ins(d))] for s, d in _oracle_adjacent(c.n - 1)}
+    return Cube(c.n - 1, verts, arrows, check=False)
+
+
+def _oracle_degeneracy(c: Cube, i: int, kind: int) -> Cube:
+    pos = i - 1
+    live = (0, 1) if kind == 0 else (1, 2)
+    verts = {}
+    for j in product(range(3), repeat=c.n + 1):
+        rest = j[:pos] + j[pos + 1 :]
+        verts[j] = c.vertices[rest] if j[pos] in live else ZERO_SPACE
+    arrows = {}
+    for src, dst in _oracle_adjacent(c.n + 1):
+        vs, vd = src[pos], dst[pos]
+        rs = src[:pos] + src[pos + 1 :]
+        rd = dst[:pos] + dst[pos + 1 :]
+        if vs == vd:
+            if vs in live:
+                arrows[(src, dst)] = c.arrows[(rs, rd)]
+            else:
+                arrows[(src, dst)] = zero_map(ZERO_SPACE, ZERO_SPACE)
+        elif vs in live and vd in live:
+            arrows[(src, dst)] = identity_map(c.vertices[rs])
+        else:
+            arrows[(src, dst)] = zero_map(verts[src], verts[dst])
+    return Cube(c.n + 1, verts, arrows, check=False)
+
+
+def _oracle_swap(c: Cube, i: int) -> Cube:
+    pos = i - 1
+
+    def sw(j):
+        return j[:pos] + (j[pos + 1], j[pos]) + j[pos + 2 :]
+
+    verts = {j: c.vertices[sw(j)] for j in product(range(3), repeat=c.n)}
+    arrows = {(s, d): c.arrows[(sw(s), sw(d))] for s, d in _oracle_adjacent(c.n)}
+    return Cube(c.n, verts, arrows, check=False)
+
+
+def _reindexings(c: Cube):
+    """Every face, degeneracy and adjacent swap of c, each with the
+    oracle's cube for it."""
+    for i in range(1, c.n + 1):
+        for k in range(3):
+            yield face(c, i, k), _oracle_face(c, i, k)
+    for i in range(1, c.n + 2):
+        for kind in (0, 1):
+            yield degeneracy(c, i, kind), _oracle_degeneracy(c, i, kind)
+    for i in range(1, c.n):
+        yield cube_swap(c, i), _oracle_swap(c, i)
+
+
+def test_reindexings_match_the_dict_building_oracles():
+    rng = random.Random(89)
+    cubes_seen = []
+    for length in range(1, 6):
+        f = random_flag(rng, _ambient(rng, length), length)
+        # every degeneracy up to length 4; at length 5, whose degenerate
+        # cubes reindex to 6-cubes, a leading, an inner and a trailing one
+        kept = range(length + 1) if length < 5 else (0, 3, 5)
+        for g in [f] + [f.degeneracy(i) for i in kept]:
+            cubes_seen.append(cub(g))
+    point = MetrizedSpace(("p",), ((F(3),),))
+    cubes_seen += [Cube(0, {(): point}, {}), Cube(0, {(): ZERO_SPACE}, {})]
+    assert {c.n for c in cubes_seen} == {0, 1, 2, 3, 4, 5}
+    compared = 0
+    for c in cubes_seen:
+        for new, old in _reindexings(c):
+            assert new == old and new.key() == old.key()
+            assert list(new.vertices) == list(old.vertices)
+            assert list(new.arrows) == list(old.arrows)
+            compared += 1
+    assert compared > 400
+
+
+def test_the_oracles_tell_a_wrong_reindexing():
+    """The oracle comparison fails a degeneracy of the other kind and a
+    face at the wrong value, so it is not vacuous."""
+    rng = random.Random(97)
+    c = cub(_flag(rng, _ambient(rng, 5), (1, 3, 4)))
+    assert degeneracy(c, 1, 1) != _oracle_degeneracy(c, 1, 0)
+    assert face(c, 2, 0).key() != _oracle_face(c, 2, 2).key()
+
+
+def test_cube_constructor_refuses_wrong_index_sets():
+    rng = random.Random(101)
+    c = cub(_flag(rng, _ambient(rng, 5), (1, 3, 4)))
+    j = (1, 1)
+    pair = ((0, 1), (1, 1))
+    missing_vertex = {k: v for k, v in c.vertices.items() if k != j}
+    extra_vertex = {**c.vertices, (3, 0): ZERO_SPACE}
+    missing_arrow = {p: m for p, m in c.arrows.items() if p != pair}
+    extra_arrow = {**c.arrows, ((0, 0), (1, 1)): zero_map(ZERO_SPACE, ZERO_SPACE)}
+    for check in (True, False):
+        for verts in (missing_vertex, extra_vertex):
+            with pytest.raises(ValueError, match="vertex index set"):
+                Cube(c.n, verts, c.arrows, check=check)
+        for arrows in (missing_arrow, extra_arrow):
+            with pytest.raises(ValueError, match="adjacent pairs"):
+                Cube(c.n, c.vertices, arrows, check=check)
+        with pytest.raises(ValueError, match="vertex index set"):
+            Cube(c.n + 1, c.vertices, c.arrows, check=check)
+    assert Cube(c.n, c.vertices, c.arrows) == c
+
+
+def test_cube_constructor_refuses_an_arrow_off_its_source_vertex():
+    rng = random.Random(103)
+    c = cub(_flag(rng, _ambient(rng, 5), (1, 3, 4)))
+    pair = next(p for p, m in c.arrows.items() if m.domain.dim)
+    m = c.arrows[pair]
+    other = MetrizedSpace(m.domain.labels, la.scale(m.domain.gram, 2))
+    arrows = {**c.arrows, pair: SpaceMap(other, m.codomain, m.matrix)}
+    with pytest.raises(ValueError, match="does not match its endpoints"):
+        Cube(c.n, c.vertices, arrows)
+
+
+def test_a_span_reached_as_two_complements_is_one_basis_object():
+    """W(2,3), the complement of E2 in E3, is also the complement of
+    W(1,2) in W(1,3): the second face(0) of the flag. The family holds
+    one basis object for it, whichever way it meets it first, so cub of
+    either one-entry flag is one cube."""
+    rng = random.Random(107)
+    amb = _ambient(rng, 6)
+    chain = _flag(rng, amb, (1, 3, 5)).chain
+    for w23_first in (True, False):
+        f = Flag(amb, chain)
+        if w23_first:
+            w23 = cubes._ortho_in(f, f.bases[1], f.bases[2])
+            twice = f.face(0).face(0)
+        else:
+            twice = f.face(0).face(0)
+            w23 = cubes._ortho_in(f, f.bases[1], f.bases[2])
+        assert twice.bases[0] is w23
+        assert f.face(1).face(0).bases[0] is w23
+        assert cub(twice) is cub(f.face(1).face(0))
+        assert twice.bases[0] is not f.face(0).bases[0]
+    # a zero entry is the family's zero basis, so the zero that
+    # degeneracy(0) prepends is that entry, and flags equal by value
+    # are one flag and have one cube
+    h = Flag(amb, ((), chain[0]))
+    assert h.degeneracy(0).bases == h.degeneracy(1).bases
+    assert cub(h.degeneracy(0)) is cub(h.degeneracy(1))
+    assert h.face(1).degeneracy(0).bases == h.bases
+    assert cub(h.face(1).degeneracy(0).degeneracy(1)) is cub(h.degeneracy(1))
