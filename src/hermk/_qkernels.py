@@ -77,8 +77,16 @@ def matmul(a, b):
         raise ValueError("matmul shape mismatch")
     ai, da = _clear(a)
     bi, db = _clear(b)
-    cols = range(nc)
     frac = _Fractions(da * db).__getitem__
+    return [list(map(frac, row)) for row in _matmul_int(ai, bi, nc)]
+
+
+def _matmul_int(ai, bi, nc):
+    """The integer rows of ai @ bi, for integer rows ai and integer rows
+    bi of width nc, one per entry of a row of ai. Each row of the
+    product sums the rows of bi weighted by the nonzero entries of a row
+    of ai."""
+    cols = range(nc)
     out = []
     for arow in ai:
         acc = [0] * nc
@@ -88,7 +96,7 @@ def matmul(a, b):
                     y = brow[j]
                     if y:
                         acc[j] += x * y
-        out.append(list(map(frac, acc)))
+        out.append(acc)
     return out
 
 

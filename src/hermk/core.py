@@ -178,6 +178,8 @@ class MetrizedSpace:
         return (self.labels, self.gram)
 
     def __eq__(self, other):
+        if self is other:
+            return True
         if not isinstance(other, MetrizedSpace):
             return NotImplemented
         return self.labels == other.labels and self.gram == other.gram
@@ -230,6 +232,8 @@ class SpaceMap:
         return (self.domain.key(), self.codomain.key(), self.matrix.key())
 
     def __eq__(self, other):
+        if self is other:
+            return True
         if not isinstance(other, SpaceMap):
             return NotImplemented
         return (

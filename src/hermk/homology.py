@@ -292,31 +292,43 @@ class PresentedQuotient:
         keep = set(self.pivots)
         return tuple(r for r, p in zip(self.cycles.rows, self.cycles.pivots) if p in keep)
 
+    @functools.cached_property
+    def _int_reps(self) -> tuple:
+        """reps in integers: the rows of cycles.int_rows at pivots, over
+        cycles.den."""
+        keep = set(self.pivots)
+        return tuple(r for r, p in zip(self.cycles.int_rows, self.cycles.pivots) if p in keep)
+
     @property
     def dim(self) -> int:
         return len(self.pivots)
 
-    def _normal_numerators(self, v: la.Vec) -> tuple[list[int], int]:
-        """(n, d) with normal_form(v) == n / d in integers."""
-        w, dv = self.cycles._cleared(v)
+    def _normal_int(self, w) -> list[int]:
+        """The numerators of normal_form(w) over boundaries.den, for an
+        integer vector w of the width."""
         if not self.cycles._contains_int(w):
             raise ValueError("vector is not a cycle of this presentation")
-        return self.boundaries._residue(w), self.boundaries.den * dv
+        return self.boundaries._residue(w)
 
     def normal_form(self, v: la.Vec) -> la.Vec:
-        n, d = self._normal_numerators(v)
-        return tuple(map(_qkernels._Fractions(d).__getitem__, n))
+        w, d = self.cycles._cleared(v)
+        frac = _qkernels._Fractions(self.boundaries.den * d)
+        return tuple(map(frac.__getitem__, self._normal_int(w)))
 
     def same_class(self, u: la.Vec, v: la.Vec) -> bool:
         return self.normal_form(u) == self.normal_form(v)
 
     def coords(self, v: la.Vec) -> la.Vec:
         """Coefficients of the class of v over the representatives."""
+        return self._coords_int(*self.cycles._cleared(v))
+
+    def _coords_int(self, w, d: int) -> la.Vec:
+        """coords(w / d) for an integer vector w of the width."""
         # the normal form is a cycle that is zero at every boundary
         # pivot, so it is the sum of the reps weighted by its entries at
         # their pivots, where each rep is 1 and the others are 0
-        n, d = self._normal_numerators(v)
-        frac = _qkernels._Fractions(d)
+        n = self._normal_int(w)
+        frac = _qkernels._Fractions(self.boundaries.den * d)
         return tuple(frac[n[p]] for p in self.pivots)
 
 
@@ -325,11 +337,15 @@ def _zero_presentation() -> PresentedQuotient:
     return PresentedQuotient(la.EchelonBasis.zero(0), la.EchelonBasis.zero(0))
 
 
-def quotient_presentation(cycle_rows, boundary_rows, width: int) -> PresentedQuotient:
-    """span(cycle_rows) / span(boundary_rows) in Q^width, with the cycle
+def quotient_presentation(cycles, boundary_rows, width: int) -> PresentedQuotient:
+    """span(cycles) / span(boundary_rows) in Q^width, with the cycle
     echelon rows at the cycle pivots that are not boundary pivots as
-    representatives; ValueError when a boundary is not a cycle."""
-    cycles = la.EchelonBasis(cycle_rows, width)
+    representatives; ValueError when a boundary is not a cycle. cycles
+    is an EchelonBasis of that width, taken as it is, or rows."""
+    if not isinstance(cycles, la.EchelonBasis):
+        cycles = la.EchelonBasis(cycles, width)
+    elif cycles.width != width:
+        raise ValueError(f"cycles of width {cycles.width} in Q^{width}")
     boundaries = la.EchelonBasis(boundary_rows, width)
     if not all(map(cycles._contains_int, boundaries.int_rows)):
         raise ValueError("boundaries must lie inside cycles")
@@ -340,7 +356,7 @@ def homology(c: ChainComplex, n: int) -> PresentedQuotient:
     """ker d_n modulo im d_{n+1}."""
     if not c.dim(n):
         return _zero_presentation()
-    cycles = la.nullspace(c.diff(n))
+    cycles = la.EchelonBasis.kernel(c.diff(n))
     boundaries = la.transpose(c.diff(n + 1))
     return quotient_presentation(cycles, boundaries, c.dim(n))
 
@@ -348,11 +364,9 @@ def homology(c: ChainComplex, n: int) -> PresentedQuotient:
 def forms_modulo_exact(c: ChainComplex, n: int) -> PresentedQuotient:
     """C_n modulo im d_{n+1} (no cycle condition)."""
     width = c.dim(n)
-    return quotient_presentation(la.identity(width), la.transpose(c.diff(n + 1)), width)
-
-
-def _pair(avec, bvec) -> tuple:
-    return tuple(avec) + tuple(bvec)
+    # the kernel of a map to Q^0 is all of C_n, with no elimination
+    cycles = la.EchelonBasis.kernel(la.zeros(0, width))
+    return quotient_presentation(cycles, la.transpose(c.diff(n + 1)), width)
 
 
 def modified_homology(f: ChainMap, n: int) -> PresentedQuotient:
@@ -363,7 +377,8 @@ def modified_homology(f: ChainMap, n: int) -> PresentedQuotient:
     width = wa + wb
     if not width:
         return _zero_presentation()
-    cycles = la.block_diag(la.nullspace(a.diff(n)), la.identity(wb))
+    # pairs with d a = 0: the kernel of [d_n | 0]
+    cycles = la.EchelonBasis.kernel(la.hstack(a.diff(n), la.zeros(a.dim(n - 1), wb)))
     # (d a', f a') for each basis vector a' of A_{n+1}, then (0, d b')
     rel = la.transpose(
         la.block_matrix(
@@ -405,30 +420,39 @@ def _modified_maps(f: ChainMap, n: int, ha: PresentedQuotient) -> ModifiedMaps:
     wa = a.dim(n)
     hat = f.modified_homology(n)
     forms = b.forms_modulo_exact(n + 1)
-    zb_basis = b.homology(n).cycles
-    zb = zb_basis.rows
+    zb = b.homology(n).cycles
 
+    pad = [0] * wa
     cols_from_form = [
-        hat.coords(_pair((0,) * wa, tuple(-x for x in t))) for t in forms.reps
+        hat._coords_int(pad + [-x for x in t], forms.cycles.den) for t in forms._int_reps
     ]
-    cols_zeta = [ha.coords(rep[:wa]) for rep in hat.reps]
+    cols_zeta = [ha._coords_int(w[:wa], hat.cycles.den) for w in hat._int_reps]
+    # (a, b) |-> f(a) - d(b) is the matrix [f_n | -d_{n+1}]
+    rho = la.hstack(f.map_at(n), la.scale(b.diff(n + 1), -1))
+    images, den = _images(rho, hat._int_reps)
+    den *= hat.cycles.den
     cols_rho = []
-    fm, dbm = f.map_at(n), b.diff(n + 1)
-    for rep in hat.reps:
-        avec, bvec = rep[:wa], rep[wa:]
-        val = la.add_vec(la.matvec(fm, avec), la.scale_vec(la.matvec(dbm, bvec), -1))
+    for w in images:
         try:
-            cols_rho.append(zb_basis.coords(val))
+            cols_rho.append(zb._coords_int(w, den))
         except ValueError:
             raise AssertionError("structure map must land in the cycle space") from None
     return ModifiedMaps(
         hat,
         forms,
-        zb,
+        zb.rows,
         _cols_to_mat(cols_from_form, hat.dim),
         _cols_to_mat(cols_zeta, ha.dim),
-        _cols_to_mat(cols_rho, len(zb)),
+        _cols_to_mat(cols_rho, len(zb.pivots)),
     )
+
+
+def _images(m: la.Mat, rows) -> tuple[list[list[int]], int]:
+    """(images, den): m @ (row / e) == image / (den * e) for each integer
+    row and its image, whatever e is. m is cleared once and the products
+    stay in integers."""
+    mt, den = _qkernels._clear(la.transpose(m))
+    return _qkernels._matmul_int(rows, mt, len(m)), den
 
 
 def _cols_to_mat(cols, height: int) -> la.Mat:
@@ -478,22 +502,22 @@ def verify_modified_sequences(f: ChainMap) -> list[tuple[str, bool]]:
         ha_n = a.homology(n)
         ha_next = a.homology(n + 1)
         mm = _modified_maps(f, n, ha_n)
-        hat, forms, zb = mm.hat, mm.forms, mm.cycles_b
+        hat, forms = mm.hat, mm.forms
         hcone_n = cn.homology(n)
         hcone_prev = cn.homology(n - 1)
 
-        cols_m1 = [hat.coords(rep) for rep in hcone_n.reps]
-        m1 = _cols_to_mat(cols_m1, hat.dim)
-        cols_m3 = [
-            hcone_prev.coords(_pair((0,) * a.dim(n - 1), z)) for z in zb
-        ]
+        den = hcone_n.cycles.den
+        m1 = _cols_to_mat([hat._coords_int(w, den) for w in hcone_n._int_reps], hat.dim)
+        # Z(B_n) -> H_{n-1}(s(f)), z |-> [(0, z)]
+        pad, zb = [0] * a.dim(n - 1), b.homology(n).cycles
+        cols_m3 = [hcone_prev._coords_int(pad + list(z), zb.den) for z in zb.int_rows]
         m3 = _cols_to_mat(cols_m3, hcone_prev.dim)
         zero_in = la.zeros(hcone_n.dim, 0)
         out.append(_sequence_verdict("a", n, zero_in, m1, mm.to_form_cycle, m3))
 
-        fm_next = f.map_at(n + 1)
-        cols_m1b = [forms.coords(la.matvec(fm_next, rep)) for rep in ha_next.reps]
-        m1b = _cols_to_mat(cols_m1b, forms.dim)
+        images, den = _images(f.map_at(n + 1), ha_next._int_reps)
+        den *= ha_next.cycles.den
+        m1b = _cols_to_mat([forms._coords_int(w, den) for w in images], forms.dim)
         zero_out = la.zeros(0, ha_n.dim)
         out.append(
             _sequence_verdict("b", n, m1b, mm.from_form, mm.to_cycle_class, zero_out)
@@ -527,13 +551,18 @@ def induced_on_quotients(
     m: la.Mat, src: PresentedQuotient, dst: PresentedQuotient
 ) -> la.Mat:
     """Matrix of the map induced by m on presented subquotients.
-    Raises when m is not well defined on the classes."""
-    # membership is scale-free, so the integer rows serve
-    for row in src.boundaries.int_rows:
-        nf, _ = dst._normal_numerators(la.matvec(m, row))
-        if any(nf):
-            raise ValueError("relations do not map into relations")
-    cols = [dst.coords(la.matvec(m, rep)) for rep in src.reps]
+    Raises when m is not well defined on the classes. The integer
+    boundary and representative rows of src go through m in one integer
+    product, and only the coordinates handed out become Fractions."""
+    if la.shape(m) != (dst.width, src.width):
+        raise ValueError(f"a {la.shape(m)} matrix between widths {src.width} and {dst.width}")
+    bounds = src.boundaries.int_rows
+    images, den = _images(m, bounds + src._int_reps)
+    # membership is scale-free, so the integer boundary rows serve
+    if any(any(dst._normal_int(w)) for w in images[: len(bounds)]):
+        raise ValueError("relations do not map into relations")
+    den *= src.cycles.den
+    cols = [dst._coords_int(w, den) for w in images[len(bounds) :]]
     return _cols_to_mat(cols, dst.dim)
 
 
@@ -592,9 +621,9 @@ def cone_les_check(f: ChainMap) -> bool:
         hc = cn.homology(n)
         wa = a.dim(n)
 
-        cols_in = [
-            hc.coords(_pair((0,) * wa, rep)) for rep in hb_next.reps
-        ]
+        # H_{n+1}(B) -> H_n(s(f)), [b] |-> [(0, b)]
+        pad, den = [0] * wa, hb_next.cycles.den
+        cols_in = [hc._coords_int(pad + list(w), den) for w in hb_next._int_reps]
         m_in = _cols_to_mat(cols_in, hc.dim)
         m_proj = induced_on_quotients(
             la.block_matrix([wa], [wa, b.dim(n + 1)], {(0, 0): la.identity(wa)}),

@@ -21,7 +21,9 @@ than Fractions: its rows are integers over one positive common
 denominator, and membership, reduction, coordinates and growth run in
 integers, building a Fraction only for a value they hand out. Vectors
 passed to it need int or Fraction entries; floats raise TypeError, as
-they do in q().
+they do in q(). EchelonBasis.kernel builds the basis of a kernel from
+one elimination; nullspace stays for callers that need the canonical
+basis as a matrix.
 """
 
 from __future__ import annotations
@@ -438,6 +440,41 @@ class EchelonBasis:
         b.width, b.int_rows, b.den, b.pivots, b._rows = width, (), 1, (), None
         return b
 
+    @classmethod
+    def kernel(cls, a: Mat) -> "EchelonBasis":
+        """Basis of {v : a v = 0}, from one elimination of a with its
+        columns reversed.
+
+        Reversed, each echelon row's pivot is its rightmost nonzero in
+        a's column order. So the kernel vector of a free column f, den
+        there and minus the row's entry at f at each row's pivot, is
+        zero left of f and at every other free column: these vectors are
+        the kernel's RREF over den, pivoted at the free columns, and
+        equal EchelonBasis(nullspace(a), a.ncols). A matrix without a
+        nonzero entry has the identity as its kernel, with no
+        elimination.
+        """
+        c = a.ncols
+        if is_zero(a):
+            rows, den, pivots = (), 1, ()
+        else:
+            rows, den, pivots = _qkernels.rref_int([row[::-1] for row in a])
+        # each echelon row (indexed from a's last column) and its pivot in a's order
+        held = [(c - 1 - p, row) for p, row in zip(pivots, rows)]
+        taken = {p for p, _ in held}
+        free = tuple(f for f in range(c) if f not in taken)
+        out = []
+        for f in free:
+            v = [0] * c
+            v[f] = den
+            for p, row in held:
+                v[p] = -row[c - 1 - f]
+            out.append(v)
+        b = object.__new__(cls)
+        b.width, b._rows = c, None
+        b._set(out, den, free)
+        return b
+
     def _set(self, rows, den: int, pivots: tuple) -> None:
         """Adopt integer RREF rows over den > 0, divided by their common
         factor with den."""
@@ -490,7 +527,10 @@ class EchelonBasis:
 
     def coords(self, v: Vec) -> Vec:
         """Coefficients of v over rows; ValueError when v is not in the span."""
-        w, d = self._cleared(v)
+        return self._coords_int(*self._cleared(v))
+
+    def _coords_int(self, w: Sequence[int], d: int) -> Vec:
+        """coords(w / d) for an integer vector w of the basis' width."""
         if not self._contains_int(w):
             raise ValueError("vector is not in the span")
         return tuple(Fraction(w[p], d) for p in self.pivots)

@@ -29,6 +29,8 @@ from hermk import homology as hom
 from hermk import linalg as la
 from hermk.cli import SuiteConfig, run_suite
 from hermk.homology import (
+    cone,
+    forms_modulo_exact,
     homology,
     modified_homology,
     modified_maps,
@@ -589,6 +591,110 @@ def test_oracle_comparison_catches_a_kept_boundary_pivot(monkeypatch):
     assert _homology_mismatches(seed=73, trials=3)
     report = run_suite(SuiteConfig("modified-homology", seed=1))
     assert any(not c.ok for c in report.checks)
+
+
+# -- kernels from one elimination ------------------------------------------
+
+
+def _same_basis(p, q) -> bool:
+    return (p.width, p.int_rows, p.den, p.pivots) == (q.width, q.int_rows, q.den, q.pivots)
+
+
+def _kernel_faults(a) -> list:
+    """How EchelonBasis.kernel(a) differs from the echelon basis of the
+    canonical nullspace, plus how its integer form breaks its contract."""
+    got = la.EchelonBasis.kernel(a)
+    bad = [(a, f) for f in _integer_form_faults(got)]
+    if not _same_basis(got, la.EchelonBasis(la.nullspace(a), a.ncols)):
+        bad.append((a, "kernel"))
+    return bad
+
+
+def _rational_matrices(seed: int, count: int):
+    """Seeded rational matrices of 0-5 rows and width 0-6: one in ten
+    all zero, the others rows from _rational_vectors (zero rows and
+    combinations of earlier rows among them)."""
+    rng = random.Random(seed)
+    for _ in range(count):
+        width, height = rng.randrange(0, 7), rng.randrange(0, 6)
+        if rng.random() < 0.1:
+            rows = [(Fraction(0),) * width] * height
+        else:
+            rows = _rational_vectors(rng, width, height)
+        yield la.stack(rows, width)
+
+
+def test_kernel_basis_matches_the_nullspace_oracle_on_rational_matrices():
+    mats = list(_rational_matrices(163, 320))
+    # the degenerate shapes are all there
+    assert sum(not a for a in mats) >= 10
+    assert sum(not a.ncols for a in mats) >= 10
+    assert sum(bool(a) and a.ncols and la.is_zero(a) for a in mats) >= 10
+    assert sum(any(not any(row) for row in a) and not la.is_zero(a) for a in mats) >= 10
+    assert sum(0 < la.rank(a) < a.ncols for a in mats) >= 100
+    bad = [x for a in mats for x in _kernel_faults(a)]
+    assert bad == []
+
+
+def test_kernel_basis_matches_the_nullspace_oracle_on_complexes():
+    rng = random.Random(167)
+    count = 0
+    for _ in range(16):
+        a = random_complex(rng, 4, 4)
+        b = random_complex(rng, 4, 4)
+        for c in (a, b, cone(random_chain_map(rng, a, b))):
+            degrees = sorted(c.dims) or [0]
+            for n in range(degrees[0] - 1, degrees[-1] + 2):
+                assert _kernel_faults(c.diff(n)) == []
+                count += 1
+    assert count > 200
+
+
+def test_presentation_cycles_equal_their_nullspace_oracles():
+    rng = random.Random(173)
+    seen = 0
+    for _ in range(30):
+        a = random_complex(rng, 4, 4)
+        b = random_complex(rng, 4, 4)
+        f = random_chain_map(rng, a, b)
+        degrees = sorted(set(a.dims) | set(b.dims)) or [0]
+        for n in range(degrees[0] - 1, degrees[-1] + 2):
+            wa, wb = a.dim(n), b.dim(n + 1)
+            # the cycles of the modified presentation: block_diag(nullspace, I)
+            oracle = la.block_diag(la.nullspace(a.diff(n)), la.identity(wb))
+            want = la.EchelonBasis(oracle, wa + wb)
+            assert _same_basis(modified_homology(f, n).cycles, want)
+            # and of C_n / im d: all of C_n
+            want = la.EchelonBasis(la.identity(b.dim(n)), b.dim(n))
+            assert _same_basis(forms_modulo_exact(b, n).cycles, want)
+            if wa and wb:
+                seen += 1
+    assert seen > 10
+
+
+def test_kernel_basis_of_a_zero_matrix_needs_no_elimination(monkeypatch):
+    def refuse(*args):
+        raise AssertionError("elimination of a zero matrix")
+
+    monkeypatch.setattr(hom._qkernels, "_bareiss", refuse)
+    for r, c in ((0, 0), (0, 3), (2, 0), (2, 3)):
+        k = la.EchelonBasis.kernel(la.zeros(r, c))
+        assert k.rows == la.identity(c) and k.rows.ncols == c
+        assert k.den == 1 and k.pivots == tuple(range(c))
+    with pytest.raises(AssertionError):
+        la.EchelonBasis.kernel(la.mat([[1, 2]]))
+
+
+def test_quotient_presentation_takes_a_ready_cycle_basis():
+    cycles = la.EchelonBasis([(1, 0, 0), (0, 1, 1)], 3)
+    q = quotient_presentation(cycles, [(1, 1, 1)], 3)
+    assert q.cycles is cycles
+    p = quotient_presentation(cycles.rows, [(1, 1, 1)], 3)
+    assert _same_basis(q.cycles, p.cycles) and _same_basis(q.boundaries, p.boundaries)
+    with pytest.raises(ValueError):
+        quotient_presentation(cycles, (), 4)
+    with pytest.raises(ValueError):
+        quotient_presentation(cycles, [(0, 0, 1)], 3)
 
 
 def test_float_entries_raise_type_error():

@@ -13,7 +13,7 @@ from fractions import Fraction
 
 import pytest
 
-from hermk import cli
+from hermk import _qkernels, cli
 from hermk import homology as hom
 from hermk import linalg as la
 from hermk.homology import (
@@ -287,6 +287,149 @@ def test_induced_map_checks_presentation_widths():
         induced_modified_map(ida, idb, rho, rho, 0, hat, wrong)
 
 
+def fraction_induced_on_quotients(m, src, dst):
+    """induced_on_quotients as it was before its integer products: each
+    boundary row and each Fraction representative pushed through
+    la.matvec, then normal forms and coords."""
+    for row in src.boundaries.int_rows:
+        if any(dst.normal_form(la.matvec(m, row))):
+            raise ValueError("relations do not map into relations")
+    cols = [dst.coords(la.matvec(m, rep)) for rep in src.reps]
+    return hom._cols_to_mat(cols, dst.dim)
+
+
+def fraction_modified_maps(f, n):
+    """(from_form, to_cycle_class, to_form_cycle) of modified_maps as
+    they were before the integer products: coords of the Fraction
+    representatives, and f(a) - d(b) through la.matvec for each
+    representative (a, b) of hat H_n."""
+    a, b = f.source, f.target
+    wa = a.dim(n)
+    hat, forms, ha = modified_homology(f, n), forms_modulo_exact(b, n + 1), homology(a, n)
+    zb = homology(b, n).cycles
+    from_form = [hat.coords((0,) * wa + tuple(-x for x in t)) for t in forms.reps]
+    zeta = [ha.coords(rep[:wa]) for rep in hat.reps]
+    rho = []
+    for rep in hat.reps:
+        val = la.add_vec(
+            la.matvec(f.map_at(n), rep[:wa]),
+            la.scale_vec(la.matvec(b.diff(n + 1), rep[wa:]), -1),
+        )
+        try:
+            rho.append(zb.coords(val))
+        except ValueError:
+            raise AssertionError("structure map must land in the cycle space") from None
+    return (
+        hom._cols_to_mat(from_form, hat.dim),
+        hom._cols_to_mat(zeta, ha.dim),
+        hom._cols_to_mat(rho, len(zb.pivots)),
+    )
+
+
+def _result(fn, *args):
+    """("ok", value) or ("raises", exception type, message)."""
+    try:
+        return ("ok", fn(*args))
+    except (ValueError, AssertionError) as e:
+        return ("raises", type(e), str(e))
+
+
+def test_integer_pushes_equal_the_fraction_oracles(monkeypatch):
+    chains, exact = [], []
+    honest_verdict, honest_exact = hom._sequence_verdict, la.is_exact
+
+    def verdict_spy(seq, n, *mats):
+        chains.append((seq, n, mats))
+        return honest_verdict(seq, n, *mats)
+
+    def exact_spy(*mats):
+        exact.append(mats)
+        return honest_exact(*mats)
+
+    monkeypatch.setattr(hom, "_sequence_verdict", verdict_spy)
+    rng = random.Random(179)
+    nonzero = 0
+    for f in _instances(179, 12):
+        a, b = f.source, f.target
+        cn = cone(f)
+        chains.clear()
+        verify_modified_sequences(f)
+        for seq, n, mats in chains:
+            m1, m3, m1b = _fraction_sequence_maps(f, n, cn)
+            assert ((mats[1], mats[3]) if seq == "a" else (mats[0],)) == (
+                (m1, m3) if seq == "a" else (m1b,)
+            )
+        exact.clear()
+        with monkeypatch.context() as m:
+            m.setattr(la, "is_exact", exact_spy)
+            assert cone_les_check(f)
+        degrees = _all_degrees(a, b)
+        assert len(exact) == len(degrees)
+        for n, (m_f_next, m_in, m_proj, m_f_n) in zip(degrees, exact):
+            hc, ha_n, hb_next = homology(cn, n), homology(a, n), homology(b, n + 1)
+            wa = a.dim(n)
+            proj = la.block_matrix([wa], [wa, b.dim(n + 1)], {(0, 0): la.identity(wa)})
+            assert m_proj == fraction_induced_on_quotients(proj, hc, ha_n)
+            cols = [hc.coords((0,) * wa + tuple(rep)) for rep in hb_next.reps]
+            assert m_in == hom._cols_to_mat(cols, hc.dim)
+        for n in degrees:
+            ha, hb = homology(a, n), homology(b, n)
+            got = hom.induced_on_quotients(f.map_at(n), ha, hb)
+            assert got == fraction_induced_on_quotients(f.map_at(n), ha, hb)
+            mm = modified_maps(f, n)
+            assert (mm.from_form, mm.to_cycle_class, mm.to_form_cycle) == fraction_modified_maps(
+                f, n
+            )
+            # the quasi-isomorphism square of the modified-homology suite
+            u = random_quasi_iso(rng, a)
+            rho2 = compose_chain_maps(f, u)
+            hat1, hat2 = modified_homology(rho2, n), modified_homology(f, n)
+            got = induced_modified_map(u, identity_chain_map(b), rho2, f, n, hat1, hat2)
+            blk = la.block_diag(u.map_at(n), la.identity(b.dim(n + 1)))
+            assert got == fraction_induced_on_quotients(blk, hat1, hat2)
+            nonzero += not la.is_zero(got) and not la.is_zero(mm.to_form_cycle)
+    assert nonzero >= 10
+
+
+def test_integer_pushes_raise_where_the_fraction_oracles_do():
+    raised = set()
+    for f in _instances(181, 10):
+        b = f.target
+        for n in _all_degrees(b):
+            w = b.dim(n)
+            ident = la.identity(w)
+            forms, hb = forms_modulo_exact(b, n), homology(b, n)
+            free = quotient_presentation(ident, (), w)
+            for src, dst in ((forms, free), (forms, hb), (hb, free), (free, forms)):
+                got = _result(hom.induced_on_quotients, ident, src, dst)
+                assert got == _result(fraction_induced_on_quotients, ident, src, dst)
+                raised.add("ok" if got[0] == "ok" else got[1:])
+    assert raised == {
+        "ok",
+        (ValueError, "relations do not map into relations"),
+        (ValueError, "vector is not a cycle of this presentation"),
+    }
+
+
+def test_structure_map_off_the_cycles_raises_as_the_oracle_does():
+    # B_0 -> B_-1 is the identity, so f_0 = 1 is no chain map and sends
+    # the cycle of A_0 to a vector that is not a cycle of B_0
+    b = ChainComplex({0: 1, -1: 1}, {0: ((1,),)})
+    bad = ChainMap(LINE, b, {0: ((1,),)}, check=False)
+    for fn in (modified_maps, fraction_modified_maps):
+        with pytest.raises(AssertionError, match="structure map must land in the cycle space"):
+            fn(bad, 0)
+    # one bumped entry of a seeded map, where the oracle says either
+    outcomes = set()
+    for f in _instances(191, 12):
+        for n in sorted(f.maps):
+            g = ChainMap(f.source, f.target, {**f.maps, n: _bump(f.maps[n], 0, 0)}, check=False)
+            got = _result(lambda: modified_maps(g, n).to_form_cycle)
+            assert got == _result(lambda: fraction_modified_maps(g, n)[2])
+            outcomes.add(got[0])
+    assert outcomes == {"ok", "raises"}
+
+
 def _bump(m: la.Mat, i: int, j: int) -> la.Mat:
     """m with 1 added to the entry (i, j)."""
     rows = [list(row) for row in m]
@@ -332,22 +475,13 @@ def _per_node_oracle(f) -> list[tuple[str, bool]]:
     cn = cone(f)
     out = []
     for n in range(degrees[0] - 1, degrees[-1] + 2):
-        ha_n, ha_next = homology(a, n), homology(a, n + 1)
+        ha_n = homology(a, n)
         mm = hom._modified_maps(f, n, ha_n)
-        hat, forms = mm.hat, mm.forms
-        hcone_n, hcone_prev = homology(cn, n), homology(cn, n - 1)
-        m1 = hom._cols_to_mat([hat.coords(rep) for rep in hcone_n.reps], hat.dim)
-        m3 = hom._cols_to_mat(
-            [hcone_prev.coords((0,) * a.dim(n - 1) + tuple(z)) for z in mm.cycles_b],
-            hcone_prev.dim,
-        )
+        hcone_n = homology(cn, n)
+        m1, m3, m1b = _fraction_sequence_maps(f, n, cn)
         out.append((f"a-inject n={n}", la.rank(m1) == hcone_n.dim))
         out.append((f"a-exact-hat n={n}", la.is_exact(m1, mm.to_form_cycle)))
         out.append((f"a-exact-forms n={n}", la.is_exact(mm.to_form_cycle, m3)))
-        fm_next = f.map_at(n + 1)
-        m1b = hom._cols_to_mat(
-            [forms.coords(la.matvec(fm_next, rep)) for rep in ha_next.reps], forms.dim
-        )
         out.append((f"b-exact-forms n={n}", la.is_exact(m1b, mm.from_form)))
         out.append((f"b-exact-hat n={n}", la.is_exact(mm.from_form, mm.to_cycle_class)))
         out.append((f"b-surject n={n}", la.rank(mm.to_cycle_class) == ha_n.dim))
@@ -359,6 +493,27 @@ def _per_node_oracle(f) -> list[tuple[str, bool]]:
             )
         )
     return out
+
+
+def _fraction_sequence_maps(f, n, cn):
+    """The maps H_n(s(f)) -> hat H_n, Z(B_n) -> H_{n-1}(s(f)) and
+    H_{n+1}(A) -> B_{n+1} / im d of the two sequences, from the Fraction
+    representatives through coords and la.matvec, as
+    verify_modified_sequences built them before its integer products;
+    cn is the cone of f."""
+    a, b = f.source, f.target
+    hat, forms = modified_homology(f, n), forms_modulo_exact(b, n + 1)
+    hcone_n, hcone_prev = homology(cn, n), homology(cn, n - 1)
+    m1 = hom._cols_to_mat([hat.coords(rep) for rep in hcone_n.reps], hat.dim)
+    m3 = hom._cols_to_mat(
+        [hcone_prev.coords((0,) * a.dim(n - 1) + tuple(z)) for z in homology(b, n).cycles.rows],
+        hcone_prev.dim,
+    )
+    fm_next = f.map_at(n + 1)
+    m1b = hom._cols_to_mat(
+        [forms.coords(la.matvec(fm_next, rep)) for rep in homology(a, n + 1).reps], forms.dim
+    )
+    return m1, m3, m1b
 
 
 def _verdicts_agree(f) -> bool:
@@ -606,8 +761,12 @@ def test_zero_degrees_present_the_zero_group_without_elimination(monkeypatch):
         def refuse(*args):
             raise AssertionError("elimination at a zero degree")
 
-        m.setattr(la, "rref", refuse)
-        m.setattr(la, "nullspace", refuse)
+        # every elimination runs this one loop
+        m.setattr(_qkernels, "_bareiss", refuse)
+        # so a degree with a nonzero differential trips the guard
+        c = next(c for _, c, _ in cases if c.diffs)
+        with pytest.raises(AssertionError, match="elimination at a zero degree"):
+            homology(c, min(c.diffs))
         for f, c, n in cases:
             built.append(homology(c, n))
             built.append(forms_modulo_exact(c, n))
