@@ -2,21 +2,32 @@
 rref_int), rank, det and permanent.
 
 Contract: a matrix is a rectangular list (or tuple) of rows with int or
-Fraction entries. Inputs are never mutated. rref, rref_int, rank, det
-and permanent take matrices with at least one row and one column;
-matmul reads the width of the product from a row of b, so b needs one.
-hermk.linalg answers the other shapes. rank returns an int and rref_int
-integer rows over a positive int; every other result entry is a
-Fraction, and results are exact: the RREF rows are
-the unique reduced echelon form, the determinant and the permanent are
-the exact values.
+Fraction entries. The entries of an input are never changed; a
+hermk.linalg.Mat input may gain its integer form (below). rref,
+rref_int, rank, det and permanent take matrices with at least one row
+and one column; matmul reads the width of the product from a row of b,
+so b needs one. hermk.linalg answers the other shapes. rank returns an
+int and rref_int integer rows over a positive int. matmul and rref
+return their rows as tuples of Fractions together with those rows'
+integer form, and det and permanent a Fraction. Results are exact: the
+RREF rows are the unique reduced echelon form, the determinant and the
+permanent are the exact values.
 
-Each kernel first clears denominators (_clear): one lcm over the
-distinct denominators of the input, and no rescale when that is 1. So
-the inner loops run on Python ints. Fraction arithmetic pays a gcd on
-every operation; integer arithmetic does not, and the one division by
-the common denominator happens when the result is built. A result
-gets one Fraction per distinct value (_Fractions, which linalg,
+Each kernel first clears denominators (_clear), so the inner loops run
+on Python ints. Fraction arithmetic pays a gcd on every operation;
+integer arithmetic does not, and the one division by the common
+denominator happens when the result is built. _clear is the one place
+where a matrix of Fractions becomes integers: its integer form is the
+integer rows over the least common denominator, the lcm of the
+distinct entry denominators. A Mat keeps that form as its _form once it
+is computed, so no Mat is cleared twice. Results that are built from
+integers carry their form from the start: matmul and rref hand it out
+(_built divides out the factor the integers share with their
+denominator, _least, so the form is the one _clear would compute), and
+hermk.linalg attaches it to the Mats it builds. A form is two nested
+tuples and an int, and _clear hands out its rows in a fresh list, so
+_bareiss can exchange and replace rows without touching the form. A
+result gets one Fraction per distinct value (_Fractions, which linalg,
 homology and multilinear use too): Fractions are immutable, so equal
 entries can share one.
 
@@ -43,18 +54,39 @@ rref builds its Fractions.
 
 from fractions import Fraction
 from itertools import chain
-from math import lcm
+from math import gcd, lcm
 
 
 def _clear(a):
-    """Return (integer rows, common denominator den) with a == rows / den;
-    den is the least one, the lcm of the distinct entry denominators."""
-    # int and Fraction both give (numerator, denominator) in one call
-    pairs = [[x.as_integer_ratio() for x in row] for row in a]
-    den = lcm(*{d for row in pairs for _, d in row})
-    if den == 1:
-        return [[n for n, _ in row] for row in pairs], 1
-    return [[n * (den // d) for n, d in row] for row in pairs], den
+    """Return (rows, den) with a == rows / den: integer row tuples in a
+    fresh list, over the least common denominator den (the lcm of the
+    distinct entry denominators).
+
+    A matrix that takes attributes (a linalg.Mat) keeps the pair as its
+    _form, so it is cleared once and every later call reads _form. A
+    transpose of a Mat that had a form carries that form as _tform and
+    gets its own by transposing those integers. Lists and tuples of rows
+    are cleared on every call.
+    """
+    form = getattr(a, "_form", None)
+    if form is None:
+        tform = getattr(a, "_tform", None)
+        if tform is not None:
+            form = tuple(zip(*tform[0])), tform[1]
+        else:
+            # int and Fraction both give (numerator, denominator) in one call
+            pairs = [[x.as_integer_ratio() for x in row] for row in a]
+            den = lcm(*{d for row in pairs for _, d in row})
+            if den == 1:
+                form = tuple([tuple([n for n, _ in row]) for row in pairs]), 1
+            else:
+                form = tuple([tuple([n * (den // d) for n, d in row]) for row in pairs]), den
+        try:
+            a._form = form
+        except AttributeError:
+            pass
+    rows, den = form
+    return list(rows), den
 
 
 class _Fractions(dict):
@@ -71,14 +103,33 @@ class _Fractions(dict):
 
 
 def matmul(a, b):
-    """Exact product of an r x m and an m x c matrix."""
+    """Exact product of an r x m and an m x c matrix, as (rows, form):
+    the rows as tuples of Fractions, and form what _clear gives for
+    them, the integer rows over their least common denominator."""
     m, nc = len(b), len(b[0])
     if any(len(row) != m for row in a):
         raise ValueError("matmul shape mismatch")
     ai, da = _clear(a)
     bi, db = _clear(b)
-    frac = _Fractions(da * db).__getitem__
-    return [list(map(frac, row)) for row in _matmul_int(ai, bi, nc)]
+    return _built(_matmul_int(ai, bi, nc), da * db)
+
+
+def _least(rows, den):
+    """Integer rows over den as (row tuples, den) over the least common
+    denominator: both divided by the factor common to den and every
+    entry. This is the form _clear gives for rows / den."""
+    g = gcd(den, *chain.from_iterable(rows)) if den != 1 else 1
+    if g == 1:
+        return tuple(map(tuple, rows)), den
+    return tuple([tuple([x // g for x in row]) for row in rows]), den // g
+
+
+def _built(rows, den):
+    """(Fraction rows, form) of a result held as integer rows over den:
+    the rows as tuples of Fractions and their form, _least(rows, den)."""
+    form = _least(rows, den)
+    frac = _Fractions(form[1]).__getitem__
+    return tuple([tuple(map(frac, row)) for row in form[0]]), form
 
 
 def _matmul_int(ai, bi, nc):
@@ -165,12 +216,13 @@ def rref_int(a):
 def rref(a):
     """Reduced row echelon form.
 
-    Returns (rows, pivots): the nonzero rows of the unique RREF and the
-    pivot column indices. len(rows) == len(pivots) == rank.
+    Returns (rows, pivots, form): the nonzero rows of the unique RREF as
+    tuples of Fractions, the pivot column indices, and the rows' form
+    as _clear gives it. len(rows) == len(pivots) == rank.
     """
     rows, den, pivots = rref_int(a)
-    frac = _Fractions(den).__getitem__
-    return [list(map(frac, row)) for row in rows], pivots
+    rows, form = _built(rows, den)
+    return rows, pivots, form
 
 
 def rank(a):

@@ -16,6 +16,18 @@ that could have none (a product with no inner dimension, the rref and
 rank of a matrix without a nonzero entry, det and permanent of 0 x 0)
 are answered here. Everything is exact.
 
+A Mat also remembers its integer form: its rows as integers over the
+least common denominator of its entries, which every kernel works on.
+_qkernels._clear computes it the first time a kernel meets the Mat and
+keeps it there. The results that are built from integers get theirs
+when they are built: a product (matmul), an RREF (rref), a kernel
+basis (nullspace), the identity and the rows of an EchelonBasis. A
+transpose is given its source's form and transposes it on first use.
+kron's result gets none: keeping its integers next to its Fractions
+made the Koszul tower slower and larger. A form is set once and is made
+of tuples, so Mats that share one cannot disturb each other; see the
+Mat docstring.
+
 EchelonBasis, the span type, keeps the kernel's integer RREF rather
 than Fractions: its rows are integers over one positive common
 denominator, and membership, reduction, coordinates and growth run in
@@ -50,7 +62,18 @@ class Mat(tuple):
     any. mat() is the constructor for raw input. Indexing, iteration,
     == and hash are the tuple's, so two matrices without rows compare
     equal whatever their widths.
+
+    _form, when set, is the matrix's integer form (int_rows, den): a
+    tuple of int row tuples and the least common denominator, with
+    the matrix equal to int_rows / den. _tform is the form of the
+    transpose, set by transpose() until _qkernels._clear derives _form
+    from it. Both are tuples, so nothing can write into them and a form
+    can be shared between Mats (a transpose of a transpose has its
+    source's). They are private and left out of pickles and copies,
+    which rebuild them when needed: a Mat's value is its rows.
     """
+
+    _form = _tform = None
 
     def __new__(cls, rows, ncols: int):
         m = tuple.__new__(cls, rows)
@@ -60,6 +83,9 @@ class Mat(tuple):
 
     def __getnewargs__(self):
         return tuple(self), self.ncols
+
+    def __getstate__(self):
+        return None
 
     @property
     def ncols(self) -> int:
@@ -112,12 +138,21 @@ def zeros(r: int, c: int) -> Mat:
 
 
 def identity(n: int) -> Mat:
-    return Mat(tuple(tuple(_ONE if i == j else _ZERO for j in range(n)) for i in range(n)), n)
+    m = Mat(tuple((_ZERO,) * i + (_ONE,) + (_ZERO,) * (n - 1 - i) for i in range(n)), n)
+    m._form = tuple((0,) * i + (1,) + (0,) * (n - 1 - i) for i in range(n)), 1
+    return m
 
 
 def transpose(a: Mat) -> Mat:
     # zip sees no columns when a has no rows
-    return Mat(tuple(zip(*a)) or ((),) * a.ncols, len(a))
+    t = Mat(tuple(zip(*a)) or ((),) * a.ncols, len(a))
+    # a's form is t's transposed, and a's transposed form is t's own; a
+    # form without rows has no columns to transpose into t's rows
+    if a._form is not None and a:
+        t._tform = a._form
+    if a._tform is not None:
+        t._form = a._tform
+    return t
 
 
 def is_zero(a: Mat) -> bool:
@@ -149,7 +184,10 @@ def matmul(a: Mat, b: Mat) -> Mat:
     if not (ra and rb and cb):
         # no entry, or every entry an empty sum
         return zeros(ra, cb)
-    return Mat(tuple(map(tuple, _qkernels.matmul(a, b))), cb)
+    rows, form = _qkernels.matmul(a, b)
+    m = Mat(rows, cb)
+    m._form = form
+    return m
 
 
 def matvec(a: Mat, v: Vec) -> Vec:
@@ -181,13 +219,14 @@ def bilinear(g: Mat, u: Vec, v: Vec) -> Fraction:
 
 
 def kron(a: Mat, b: Mat) -> Mat:
-    """Kronecker product; row/col index = (i_a * rows_b + i_b, ...).
+    """Kronecker product: entry (i_a * rows_b + i_b, j_a * cols_b + j_b)
+    is a[i_a][j_a] * b[i_b][j_b].
 
-    The products are taken in integers over the two common denominators
-    (_qkernels._clear), and each distinct product becomes one Fraction
-    (_qkernels._Fractions).
-    A zero entry of a contributes one shared block of zeros instead of
-    a row of b's worth of products."""
+    The products are taken in integers, from the integer forms of a and
+    b (_qkernels._clear), and each distinct product becomes one Fraction
+    (_qkernels._Fractions). A zero entry of a contributes one shared
+    block of zeros instead of a row of b's worth of products. The
+    result keeps no integer form: it is cleared if a kernel needs it."""
     cb = b.ncols
     ai, da = _qkernels._clear(a)
     bi, db = _qkernels._clear(b)
@@ -267,8 +306,10 @@ def rref(a: Mat) -> tuple[Mat, tuple[int, ...]]:
     a's width, plus pivot columns."""
     if is_zero(a):
         return Mat((), a.ncols), ()
-    rows, pivots = _qkernels.rref(a)
-    return Mat(tuple(map(tuple, rows)), a.ncols), tuple(pivots)
+    rows, pivots, form = _qkernels.rref(a)
+    m = Mat(rows, a.ncols)
+    m._form = form
+    return m, tuple(pivots)
 
 
 def rank(a: Mat) -> int:
@@ -316,14 +357,22 @@ def nullspace_free(a: Mat) -> tuple[Mat, tuple[int, ...]]:
     rows, pivots = rref(a)
     pivset = set(pivots)
     free = tuple(f for f in range(c) if f not in pivset)
+    # rref's form is over its least den, and the basis has den at each
+    # free column and minus the rows' entries at the free columns
+    # elsewhere, so den is the basis' least denominator too
+    ints, den = _qkernels._clear(rows)
     out = []
     for f in free:
-        v = [_ZERO] * c
-        v[f] = _ONE
-        for i, p in enumerate(pivots):
-            v[p] = -rows[i][f]
+        v = [0] * c
+        v[f] = den
+        for row, p in zip(ints, pivots):
+            v[p] = -row[f]
         out.append(tuple(v))
-    return Mat(tuple(out), c), free
+    frac = _qkernels._Fractions(den).__getitem__
+    m = Mat(tuple([tuple(map(frac, v)) for v in out]), c)
+    if out:
+        m._form = tuple(out), den
+    return m, free
 
 
 def solve(a: Mat, b: Mat) -> Mat | None:
@@ -478,12 +527,7 @@ class EchelonBasis:
     def _set(self, rows, den: int, pivots: tuple) -> None:
         """Adopt integer RREF rows over den > 0, divided by their common
         factor with den."""
-        g = gcd(den, *(x for row in rows for x in row))
-        if g != 1:
-            rows = [[x // g for x in row] for row in rows]
-            den //= g
-        self.int_rows = tuple(map(tuple, rows))
-        self.den = den
+        self.int_rows, self.den = _qkernels._least(rows, den)
         self.pivots = pivots
 
     @property
@@ -492,6 +536,7 @@ class EchelonBasis:
         if self._rows is None:
             frac = _qkernels._Fractions(self.den).__getitem__
             self._rows = Mat(tuple(tuple(map(frac, row)) for row in self.int_rows), self.width)
+            self._rows._form = self.int_rows, self.den
         return self._rows
 
     def _cleared(self, v: Vec) -> tuple[list[int], int]:

@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import dataclasses
 import hashlib
+import inspect
 import json
 import re
 from fractions import Fraction
@@ -352,6 +353,23 @@ def test_split_claims_catch_a_constant_splitting_test(monkeypatch, verdict, clai
     assert failing
 
 
+@pytest.mark.parametrize(
+    "verdict, claims",
+    [
+        (True, {"non-orthogonal-control"}),
+        (False, {"direct-sum-cube-splits", "associated-sum-cube-splits", "rescaled-koszul-cube-splits"}),
+    ],
+)
+def test_split_cube_claims_catch_a_constant_splitting_test(monkeypatch, verdict, claims):
+    cfg = SuiteConfig("split-cubes", max_dim=3, max_k=3, max_n=2, trials=2)
+    honest = run_suite(cfg)
+    assert honest.failed == 0
+    monkeypatch.setattr(cubes, "is_hermitian_split", lambda ses: verdict)
+    failing = {(c.claim_ref, c.instance) for c in run_suite(cfg).checks if not c.ok}
+    assert failing == {(c.claim_ref, c.instance) for c in honest.checks if c.claim_ref in claims}
+    assert {ref for ref, _ in failing} == claims
+
+
 def test_split_suite_builds_each_kernel_sequence_once(monkeypatch):
     # a complex and its rescaling share one kernel per map and one
     # exactness check per sequence, and no coordinate is solved for
@@ -547,3 +565,49 @@ def test_quasi_iso_claim_catches_a_map_that_kills_homology(monkeypatch):
         inst, "random_quasi_iso", lambda rng, a: inst._homotopy_built_map(rng, a, a, Fraction(0))
     )
     assert _modified_failures() == {"modified-quasi-iso-invariance"}
+
+
+# claim -> the test above whose doctored input makes verify fail it
+CONTROLS = {
+    "newton-power-sum-identity": "test_symfun_catches_a_doctored_newton_coefficient",
+    "complete-by-compositions-identity": "test_symfun_catches_a_flipped_composition_sign",
+    "secondary-euler-symfun-identity": "test_symfun_catches_a_doctored_euler_coefficient",
+    "chern-character-adams-commute": "test_gs_commute_claims_catch_a_wrong_degree_two_power",
+    "graded-adams-multiplicative": "test_gs_commute_claims_catch_a_wrong_degree_two_power",
+    "koszul-complex-exact": "test_koszul_exactness_claim_catches_a_doctored_section",
+    "koszul-section-identity": "test_koszul_exactness_claim_catches_a_doctored_section",
+    "rescaled-koszul-splits-orthogonally": "test_split_claims_catch_a_constant_splitting_test",
+    "unrescaled-koszul-not-split": "test_split_claims_catch_a_constant_splitting_test",
+    "direct-sum-cube-splits": "test_split_cube_claims_catch_a_constant_splitting_test",
+    "associated-sum-cube-splits": "test_split_cube_claims_catch_a_constant_splitting_test",
+    "rescaled-koszul-cube-splits": "test_split_cube_claims_catch_a_constant_splitting_test",
+    "non-orthogonal-control": "test_split_cube_claims_catch_a_constant_splitting_test",
+    "koszul-sum-isometry": "test_sum_isometry_claim_catches_a_perturbed_gram",
+    "cube-differential-squares-zero": "test_squares_zero_claim_catches_a_dropped_direction_sign",
+    "cub-chain-property": "test_squares_zero_claim_catches_a_dropped_direction_sign",
+    "cub-face-relations": "test_face_and_degeneracy_claims_catch_swapped_degeneracy_kinds",
+    "cub-degeneracy-relations": "test_face_and_degeneracy_claims_catch_swapped_degeneracy_kinds",
+    "modified-sequences-exact": "test_sequences_claim_catches_a_zeroed_cycle_class_map",
+    "modified-homology-two-routes": "test_two_routes_claim_catches_a_flipped_cone_sign",
+    "cone-long-exact": "test_cone_sequence_claim_catches_a_doctored_induced_map",
+    "truncated-cone-three-regimes": "test_truncated_cone_claim_catches_an_off_by_one_truncation",
+    "modified-quasi-iso-invariance": "test_quasi_iso_claim_catches_a_map_that_kills_homology",
+}
+# claims that no doctored input in this file fails yet
+WITHOUT_CONTROL = {
+    "degenerate-cube-differential-residue",
+    "paired-faces-agree",
+    "filtration-homotopy-identity",
+}
+
+
+def test_every_claim_has_a_control_or_is_listed_without_one():
+    # a new claim fails here until a control names it or it joins
+    # WITHOUT_CONTROL
+    claims = {c.claim_ref for suite in SUITE_NAMES for c in run_suite(_small(suite)).checks}
+    assert not set(CONTROLS) & WITHOUT_CONTROL
+    assert claims == set(CONTROLS) | WITHOUT_CONTROL
+    for claim, name in CONTROLS.items():
+        test = globals()[name]
+        # the control asserts which claims fail, so it names this one
+        assert claim in inspect.getsource(test), (claim, name)

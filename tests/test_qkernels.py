@@ -14,6 +14,7 @@ from __future__ import annotations
 import copy
 import random
 from fractions import Fraction
+from math import lcm
 
 from hermk import _qkernels, core
 from hermk import linalg as la
@@ -51,7 +52,8 @@ def test_permanent_fixed():
 
 
 def test_rref_fixed():
-    rows, pivots = _qkernels.rref([[2, 4, 1, 3], [1, 2, 0, 1], [3, 6, 2, 5]])
+    rows, pivots, form = _qkernels.rref([[2, 4, 1, 3], [1, 2, 0, 1], [3, 6, 2, 5]])
+    assert form == (((1, 2, 0, 1), (0, 0, 1, 1)), 1)
     assert [list(map(Fraction, r)) for r in rows] == [
         [1, 2, 0, 1],
         [0, 0, 1, 1],
@@ -72,12 +74,16 @@ def test_rref_int_fixed():
 
 
 def test_matmul_fixed():
-    got = _qkernels.matmul([[1, 2], [3, 4], [5, 6]], [[1, 0, 2], [0, 1, 3]])
+    got, form = _qkernels.matmul([[1, 2], [3, 4], [5, 6]], [[1, 0, 2], [0, 1, 3]])
     assert [list(map(Fraction, r)) for r in got] == [
         [1, 2, 8],
         [3, 4, 18],
         [5, 6, 28],
     ]
+    assert form == (((1, 2, 8), (3, 4, 18), (5, 6, 28)), 1)
+    # 1/2 * 2/3 + 1/6 * 1: the form's den is the least one, 2, not 6 * 3
+    got, form = _qkernels.matmul([[Fraction(1, 2), Fraction(1, 6)]], [[Fraction(2, 3)], [1]])
+    assert got == ((Fraction(1, 2),),) and form == (((1,),), 2)
 
 
 # -- oracle: plain Fraction Gaussian elimination ----------------------
@@ -146,6 +152,12 @@ def oracle_det(a):
                 f = rows[i][c] * inv
                 rows[i] = [x - f * y for x, y in zip(rows[i], rows[c])]
     return d if sign > 0 else -d
+
+
+def oracle_form(a):
+    """a's integer rows over the lcm of its entry denominators."""
+    den = lcm(*(Fraction(x).denominator for row in a for x in row))
+    return tuple(tuple(int(x * den) for x in row) for row in a), den
 
 
 def oracle_permanent(a):
@@ -253,11 +265,13 @@ def mismatches(cases) -> list[tuple[str, int]]:
     """(kernel, case index) for every result that differs from the oracle."""
     bad = []
     for n, (a, b, sq) in enumerate(cases):
-        if not _same_rows(_qkernels.matmul(a, b), oracle_matmul(a, b)):
+        rows, form = _qkernels.matmul(a, b)
+        product = oracle_matmul(a, b)
+        if not _same_rows(rows, product) or form != oracle_form(product):
             bad.append(("matmul", n))
-        rows, pivots = _qkernels.rref(a)
+        rows, pivots, form = _qkernels.rref(a)
         orows, opivots = oracle_rref(a)
-        if list(pivots) != opivots or not _same_rows(rows, orows):
+        if list(pivots) != opivots or not _same_rows(rows, orows) or form != oracle_form(orows):
             bad.append(("rref", n))
         irows, den, ipivots = _qkernels.rref_int(a)
         if (
@@ -339,7 +353,9 @@ def test_clear_gives_the_least_denominator_and_exact_integers():
     ]
     for a, rows, den in cases:
         got_rows, got_den = _qkernels._clear(a)
-        assert (got_rows, got_den) == (rows, den)
+        assert ([list(row) for row in got_rows], got_den) == (rows, den)
+        # row tuples in a list of their own, so no caller can write into a form
+        assert type(got_rows) is list and all(type(row) is tuple for row in got_rows)
         assert all(type(x) is int for row in got_rows for x in row)
 
 
@@ -347,11 +363,11 @@ def test_every_result_entry_is_a_fraction():
     # int-only input whose product, echelon rows, det and permanent hold zeros
     ints = [[1, 0, 2], [0, 0, 0], [3, 0, 6]]
     b = [[0, 1], [0, 0], [2, 0]]
-    assert _qkernels.matmul(ints, b)[1] == [0, 0] and _qkernels.rref(ints)[0] == [[1, 0, 2]]
+    assert _qkernels.matmul(ints, b)[0][1] == (0, 0) and _qkernels.rref(ints)[0] == ((1, 0, 2),)
     assert _qkernels.det(ints) == _qkernels.permanent(ints) == 0
     for a, b, sq in [(ints, b, ints)] + _cases(count=24):
-        rows, _ = _qkernels.rref(a)
-        entries = [x for row in _qkernels.matmul(a, b) + rows for x in row]
+        rows = _qkernels.rref(a)[0]
+        entries = [x for row in [*_qkernels.matmul(a, b)[0], *rows] for x in row]
         entries += [_qkernels.det(sq), _qkernels.permanent(sq)]
         assert all(type(x) is Fraction for x in entries)
 
@@ -366,6 +382,122 @@ def test_oracle_comparison_catches_a_result_built_without_its_denominator(monkey
     bad = {kernel for kernel, _ in mismatches(_cases())}
     # det and permanent divide by their denominator themselves
     assert {"matmul", "rref"} <= bad
+
+
+# -- the integer form a Mat remembers ----------------------------------
+
+
+def _fresh(m):
+    """A Mat of m's entries that carries no form."""
+    return la.Mat(tuple(m), m.ncols)
+
+
+def _produced(seed):
+    """(producer, Mat) for every producer that hands out a Mat with its
+    form (or, for a transpose, its transposed form) attached, and for a
+    Mat cleared once, on random Fraction matrices with zero rows and
+    rank defects; also the number of products whose least denominator
+    is below the product of their factors' denominators."""
+    rng = random.Random(seed)
+    out, reduced = [], 0
+    for _ in range(60):
+        r, m, c = (rng.randrange(1, 6) for _ in range(3))
+        a = la.mat(_degrade(rng, _matrix(rng, r, m, MIXED)))
+        b = la.mat(_matrix(rng, m, c, MIXED))
+        cleared = la.mat(_matrix(rng, r, c, MIXED))
+        _qkernels._clear(cleared)
+        p = la.matmul(a, b)
+        t = la.transpose(p)
+        out += [
+            ("cleared", cleared),
+            ("matmul", p),
+            ("transpose", t),
+            ("transpose of a transpose", la.transpose(t)),
+            ("rref", la.rref(a)[0]),
+            ("nullspace", la.nullspace(a)),
+            ("identity", la.identity(r)),
+            ("EchelonBasis.rows", la.EchelonBasis(a, m).rows),
+            ("EchelonBasis.kernel", la.EchelonBasis.kernel(a).rows),
+        ]
+        reduced += p._form[1] < _qkernels._clear(a)[1] * _qkernels._clear(b)[1]
+    return out, reduced
+
+
+def form_mismatches(seed=20261019) -> set:
+    """The producers whose Mat hands _clear other integers than a fresh
+    Mat of the same entries gets, or an other denominator, or that
+    carry no form at all."""
+    bad = set()
+    for name, m in _produced(seed)[0]:
+        # a Mat without rows never reaches a kernel
+        if not m:
+            continue
+        if m._form is None and m._tform is None:
+            bad.add(name)
+            continue
+        got, want = _qkernels._clear(m), _qkernels._clear(_fresh(m))
+        if got != want or (tuple(want[0]), want[1]) != oracle_form(m):
+            bad.add(name)
+    return bad
+
+
+def test_remembered_forms_equal_a_fresh_clear():
+    produced, reduced = _produced(20261019)
+    assert {name for name, m in produced if m} == {
+        "cleared",
+        "matmul",
+        "transpose",
+        "transpose of a transpose",
+        "rref",
+        "nullspace",
+        "identity",
+        "EchelonBasis.rows",
+        "EchelonBasis.kernel",
+    }
+    # the products' common factors are divided out, not only carried
+    assert reduced >= 5
+    assert form_mismatches() == set()
+
+
+def test_form_comparison_catches_a_form_over_a_larger_denominator(monkeypatch):
+    monkeypatch.setattr(_qkernels, "_least", lambda rows, den: (tuple(map(tuple, rows)), den))
+    assert {"matmul", "transpose", "rref"} <= form_mismatches()
+
+
+def test_a_remembered_form_is_never_written_into():
+    rng = random.Random(20261020)
+    for _ in range(60):
+        r, m = rng.randrange(1, 6), rng.randrange(1, 6)
+        a = la.mat(_degrade(rng, _matrix(rng, r, m, MIXED)))
+        for x in (la.matmul(a, la.transpose(a)), la.transpose(la.matmul(a, la.identity(m)))):
+            _qkernels._clear(x)
+            before = copy.deepcopy((x._form, x._tform))
+            runs = [
+                (
+                    _qkernels.rref_int(x),
+                    _qkernels._bareiss(_qkernels._clear(x)[0], False),
+                    _qkernels._bareiss(_qkernels._clear(x)[0], True),
+                )
+                for _ in range(2)
+            ]
+            assert runs[0] == runs[1]
+            assert runs[0][0] == _qkernels.rref_int(_fresh(x))
+            assert (x._form, x._tform) == before
+            # and the kernels read the forms to the Fraction oracles' values
+            rows, pivots = la.rref(x)
+            orows, opivots = oracle_rref(x)
+            assert list(pivots) == opivots and _same_rows(rows, orows)
+            assert la.rank(x) == len(opivots)
+            if len(x) == x.ncols:
+                assert _same(la.det(x), oracle_det(x))
+
+
+def test_a_transpose_without_rows_gets_its_rows_back():
+    z = la.zeros(0, 3)
+    assert _qkernels._clear(z) == ([], 1)
+    # a form with no rows has no columns to transpose: t clears itself
+    assert _qkernels._clear(la.transpose(z)) == ([(), (), ()], 1)
+    assert la.shape(la.kron(la.transpose(z), la.identity(2))) == (6, 0)
 
 
 # -- the one elimination loop ---------------------------------------------
