@@ -1,35 +1,28 @@
-"""Exact rational kernels: matmul, rref (and its integer form
-rref_int), rank, det and permanent.
+"""Exact rational kernels: matmul, rref, rank, det and permanent.
 
-Contract: a matrix is a rectangular list (or tuple) of rows with int or
-Fraction entries. The entries of an input are never changed; a
-hermk.linalg.Mat input may gain its integer form (below). rref,
-rref_int, rank, det and permanent take matrices with at least one row
-and one column; matmul reads the width of the product from a row of b,
-so b needs one. hermk.linalg answers the other shapes. rank returns an
-int and rref_int integer rows over a positive int. matmul and rref
-return their rows as tuples of Fractions together with those rows'
-integer form, and det and permanent a Fraction. Results are exact: the
+Integers in, integers out. A matrix is a rectangular list (or tuple) of
+rows with int or Fraction entries; the entries of an input are never
+changed, and a hermk.linalg.Mat input may gain its integer form
+(below). rref, rank, det and permanent take matrices with at least one
+row and one column; matmul reads the width of the product from a row
+of b, so b needs one. hermk.linalg answers the other shapes. matmul
+returns integer rows over a positive int denominator, rref the same
+plus the pivot columns, and rank an int; hermk.linalg turns integer
+rows into a Mat (linalg._int_mat). det and permanent return a scalar,
+which is the only Fraction a kernel builds. Results are exact: the
 RREF rows are the unique reduced echelon form, the determinant and the
 permanent are the exact values.
 
 Each kernel first clears denominators (_clear), so the inner loops run
 on Python ints. Fraction arithmetic pays a gcd on every operation;
-integer arithmetic does not, and the one division by the common
-denominator happens when the result is built. _clear is the one place
-where a matrix of Fractions becomes integers: its integer form is the
-integer rows over the least common denominator, the lcm of the
-distinct entry denominators. A Mat keeps that form as its _form once it
-is computed, so no Mat is cleared twice. Results that are built from
-integers carry their form from the start: matmul and rref hand it out
-(_built divides out the factor the integers share with their
-denominator, _least, so the form is the one _clear would compute), and
-hermk.linalg attaches it to the Mats it builds. A form is two nested
+integer arithmetic does not. _clear is the one place where a matrix of
+Fractions becomes integers: its integer form is the integer rows over
+the least common denominator, the lcm of the distinct entry
+denominators. A Mat keeps that form as its _form once it is computed,
+so no Mat is cleared twice, and the Mats hermk.linalg builds from a
+kernel's integers carry theirs from the start. A form is two nested
 tuples and an int, and _clear hands out its rows in a fresh list, so
-_bareiss can exchange and replace rows without touching the form. A
-result gets one Fraction per distinct value (_Fractions, which linalg,
-homology and multilinear use too): Fractions are immutable, so equal
-entries can share one.
+_bareiss can exchange and replace rows without touching the form.
 
 There is one elimination, _bareiss: the one-step fraction-free scheme
 of Bareiss (Math. Comp. 22, 1968). Every division is exact, so entries
@@ -37,7 +30,7 @@ stay integral and grow only as fast as the minors they are. Its
 forward form eliminates below each pivot and stops at echelon form;
 the rank, the determinant and the positive-definiteness test of
 hermk.core are read from it:
-- rank is the number of pivots, and builds no Fraction;
+- rank is the number of pivots;
 - det is the last pivot, signed by the number of row exchanges, over
   den^n when the rank is n, and 0 otherwise;
 - with no row exchange, the k-th pivot is the leading (k+1)-minor, so
@@ -47,14 +40,13 @@ them; no caller reads them from the forward form. Its full form runs
 the same step on the rows above the pivot too (fraction-free
 Gauss-Jordan). That leaves the last pivot d in the pivot
 column of every echelon row and zeros elsewhere in the pivot columns,
-so the RREF is those rows over d, with no Fraction back-substitution.
-rref_int hands out exactly that integer form, with d made positive, and
-rref builds its Fractions.
+so the RREF is those rows over d, with no Fraction back-substitution;
+rref hands out exactly that, with d made positive.
 """
 
 from fractions import Fraction
 from itertools import chain
-from math import gcd, lcm
+from math import lcm
 
 
 def _clear(a):
@@ -89,47 +81,17 @@ def _clear(a):
     return list(rows), den
 
 
-class _Fractions(dict):
-    """int v -> Fraction(v, den), each built on its first lookup: one
-    Fraction per distinct value."""
-
-    def __init__(self, den):
-        super().__init__()
-        self.den = den
-
-    def __missing__(self, v):
-        f = self[v] = Fraction(v, self.den)
-        return f
-
-
 def matmul(a, b):
-    """Exact product of an r x m and an m x c matrix, as (rows, form):
-    the rows as tuples of Fractions, and form what _clear gives for
-    them, the integer rows over their least common denominator."""
+    """Exact product of an r x m and an m x c matrix, as (rows, den):
+    integer rows whose quotients by den > 0 are the product's rows. den
+    is the product of the factors' denominators; it need not be the
+    least one."""
     m, nc = len(b), len(b[0])
     if any(len(row) != m for row in a):
         raise ValueError("matmul shape mismatch")
     ai, da = _clear(a)
     bi, db = _clear(b)
-    return _built(_matmul_int(ai, bi, nc), da * db)
-
-
-def _least(rows, den):
-    """Integer rows over den as (row tuples, den) over the least common
-    denominator: both divided by the factor common to den and every
-    entry. This is the form _clear gives for rows / den."""
-    g = gcd(den, *chain.from_iterable(rows)) if den != 1 else 1
-    if g == 1:
-        return tuple(map(tuple, rows)), den
-    return tuple([tuple([x // g for x in row]) for row in rows]), den // g
-
-
-def _built(rows, den):
-    """(Fraction rows, form) of a result held as integer rows over den:
-    the rows as tuples of Fractions and their form, _least(rows, den)."""
-    form = _least(rows, den)
-    frac = _Fractions(form[1]).__getitem__
-    return tuple([tuple(map(frac, row)) for row in form[0]]), form
+    return _matmul_int(ai, bi, nc), da * db
 
 
 def _matmul_int(ai, bi, nc):
@@ -195,7 +157,7 @@ def _bareiss(rows, full):
     return r, pivots, swaps, prev
 
 
-def rref_int(a):
+def rref(a):
     """Reduced row echelon form in integers.
 
     Returns (rows, den, pivots): integer rows whose quotients by den > 0
@@ -211,18 +173,6 @@ def rref_int(a):
         rows = [[-x for x in row] for row in rows]
         prev = -prev
     return rows, prev, pivots
-
-
-def rref(a):
-    """Reduced row echelon form.
-
-    Returns (rows, pivots, form): the nonzero rows of the unique RREF as
-    tuples of Fractions, the pivot column indices, and the rows' form
-    as _clear gives it. len(rows) == len(pivots) == rank.
-    """
-    rows, den, pivots = rref_int(a)
-    rows, form = _built(rows, den)
-    return rows, pivots, form
 
 
 def rank(a):

@@ -126,11 +126,6 @@ class ScaledMatrix:
         m = self.entries
         return la.scale(la.matmul(la.matmul(la.transpose(m), gram), m), self.scale_sq)
 
-    def image_norm_sq(self, gram: Mat, v: Vec) -> Fraction:
-        """Norm^2 of the image of v, measured by gram on the codomain."""
-        w = la.matvec(self.entries, v)
-        return self.scale_sq * la.bilinear(gram, w, w)
-
 
 def _is_positive_definite(g: Mat) -> bool:
     """Exact PD test of a symmetric matrix by Sylvester's criterion:
@@ -195,9 +190,6 @@ class MetrizedSpace:
 
     def norm_sq(self, v: Vec) -> Fraction:
         return la.bilinear(self.gram, v, v)
-
-    def basis_vector(self, i: int) -> Vec:
-        return tuple(Fraction(1 if j == i else 0) for j in range(self.dim))
 
 
 ZERO_SPACE = MetrizedSpace((), ())
@@ -276,11 +268,7 @@ class SpaceMap:
 
     def is_isometry(self) -> bool:
         """Bijective and scale_sq * M^T G_cod M == G_dom exactly."""
-        if self.domain.dim != self.codomain.dim:
-            return False
-        if self.rank() != self.domain.dim:
-            return False
-        return self.matrix.pullback(self.codomain.gram) == self.domain.gram
+        return self.domain.dim == self.codomain.dim and self.is_isometry_onto_image()
 
     def is_isometry_onto_image(self) -> bool:
         """Injective with the codomain metric restricting to the domain one."""
@@ -433,19 +421,10 @@ def dsum_injection(parts, tag) -> SpaceMap:
 
 
 def dsum_projection(parts, tag) -> SpaceMap:
-    total = direct_sum_space(parts)
-    parts = tuple(parts)
-    offset = 0
-    for t, s in parts:
-        if t == tag:
-            block = la.hstack(
-                la.zeros(s.dim, offset),
-                la.identity(s.dim),
-                la.zeros(s.dim, total.dim - offset - s.dim),
-            )
-            return SpaceMap(total, s, block)
-        offset += s.dim
-    raise KeyError(tag)
+    """The orthogonal projection onto the summand tag: the transpose of
+    its injection."""
+    inject = dsum_injection(parts, tag)
+    return SpaceMap(inject.codomain, inject.domain, la.transpose(inject.matrix.entries))
 
 
 class ShortExactMetrized:

@@ -759,8 +759,8 @@ def _summand_matching_map(src_parts, src_space, dst_parts, dst_space) -> SpaceMa
     same summand, 0 elsewhere."""
     cols = [(tag, r) for tag, s in src_parts for r in range(s.dim)]
     rows = [(tag, r) for tag, s in dst_parts for r in range(s.dim)]
-    entries = tuple(tuple(Fraction(x == y) for x in cols) for y in rows)
-    return SpaceMap(src_space, dst_space, la.Mat(entries, len(cols)))
+    entries = [[int(x == y) for x in cols] for y in rows]
+    return SpaceMap(src_space, dst_space, la._int_mat(entries, 1, len(cols)))
 
 
 def associated_sum_cube(c: Cube) -> Cube:

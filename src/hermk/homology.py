@@ -312,7 +312,7 @@ class PresentedQuotient:
 
     def normal_form(self, v: la.Vec) -> la.Vec:
         w, d = self.cycles._cleared(v)
-        frac = _qkernels._Fractions(self.boundaries.den * d)
+        frac = la._Fractions(self.boundaries.den * d)
         return tuple(map(frac.__getitem__, self._normal_int(w)))
 
     def same_class(self, u: la.Vec, v: la.Vec) -> bool:
@@ -328,7 +328,7 @@ class PresentedQuotient:
         # pivot, so it is the sum of the reps weighted by its entries at
         # their pivots, where each rep is 1 and the others are 0
         n = self._normal_int(w)
-        frac = _qkernels._Fractions(self.boundaries.den * d)
+        frac = la._Fractions(self.boundaries.den * d)
         return tuple(frac[n[p]] for p in self.pivots)
 
 

@@ -16,12 +16,14 @@ sorted(e + x):
     phi_p(s, e) = sum_i (-1)^i (sorted(s + e_i), e without e_i)
     psi_p(s, e) = (1/k) sum_x m_s(x) (-1)^t (s - x, sorted(e + x))
 
-The complex is exact, and koszul_complex certifies it so on basis
-words: phi_{p+1} phi_p = 0 and phi_{p-1} psi_{p-1} + psi_p phi_p = id,
-composed from the same two rules in integers (k psi has integer
-coefficients), with no rank or matrix product. Every other complex
-flagged acyclic is checked by ranks (la.is_exact); that check, rerun on
-a certified complex, is the oracle in the tests.
+The coefficients of phi and of k psi are integers, so both rules yield
+integers (_psi_images gives k psi) and word_map builds phi over 1 and
+psi over k. The complex is exact, and koszul_complex certifies it so on
+basis words: phi_{p+1} phi_p = 0 and phi_{p-1} psi_{p-1} + psi_p phi_p
+= id, composed from the same two rules in integers, with no rank or
+matrix product. Every other complex flagged acyclic is checked by ranks
+(la.is_exact); that check, rerun on a certified complex, is the oracle
+in the tests.
 
 This module also builds: the rational section of phi_p; the 1/sqrt(k)
 rescale; the canonical kernel sequences mu^j with induced metrics and
@@ -38,6 +40,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
+from . import _qkernels
 from . import linalg as la
 from .core import (
     KernelObject,
@@ -177,13 +180,14 @@ def _phi_images(label):
         yield (sym, ext), -1 if i % 2 else 1
 
 
-def _psi_images(label, k: int):
-    """psi_p on one basis word (s, e) of the degree-k complex."""
+def _psi_images(label):
+    """k psi_p on one basis word (s, e) of the degree-k complex: its
+    coefficients are integers, and k does not enter them."""
     s, e = label
     for x in set(s.indices) - set(e.indices):
         i, ext = s.indices.index(x), tuple(sorted(e.indices + (x,)))
         sym = PowerBasisWord("sym", s.indices[:i] + s.indices[i + 1 :])
-        coeff = Fraction(s.indices.count(x) * (-1) ** ext.index(x), k)
+        coeff = s.indices.count(x) * (-1) ** ext.index(x)
         yield (sym, PowerBasisWord("ext", ext)), coeff
 
 
@@ -202,24 +206,14 @@ def koszul_complex(v: MetrizedSpace, k: int) -> HermitianComplex:
     syms, exts = power_tower(v, "sym", k), power_tower(v, "ext", k)
     objects = [tensor_of_spaces(syms[p].space, exts[k - p].space) for p in range(k + 1)]
     phis = [{lab: tuple(_phi_images(lab)) for lab in a.labels} for a in objects[:-1]]
-    psis = [
-        {lab: tuple((t, _times(c, k)) for t, c in _psi_images(lab, k)) for lab in b.labels}
-        for b in objects[1:]
-    ]
+    psis = [{lab: tuple(_psi_images(lab)) for lab in b.labels} for b in objects[1:]]
     if k:
         _certify(objects, phis, psis, k)
     maps = [
-        SpaceMap(a, b, word_map(a, b, phi.__getitem__))
+        SpaceMap(a, b, word_map(a, b, phi.__getitem__, 1))
         for a, b, phi in zip(objects, objects[1:], phis)
     ]
     return HermitianComplex(objects, maps, acyclic=k >= 1, check=False)
-
-
-def _times(c, k: int):
-    """k c, as an int when it is one: every coefficient of psi lies in
-    Z / k, so k psi is integral."""
-    kc = Fraction(c) * k
-    return kc.numerator if kc.denominator == 1 else kc
 
 
 def _certify(objects, phis, psis, k: int) -> None:
@@ -255,7 +249,7 @@ def koszul_section(v: MetrizedSpace, k: int, p: int) -> SpaceMap:
     if not 0 <= p <= k - 1:
         raise ValueError("need 0 <= p <= k-1")
     src, dst = koszul_object(v, k, p + 1), koszul_object(v, k, p)
-    return SpaceMap(src, dst, word_map(src, dst, lambda label: _psi_images(label, k)))
+    return SpaceMap(src, dst, word_map(src, dst, _psi_images, k))
 
 
 def lambda_rescale(c: HermitianComplex, k: int) -> HermitianComplex:
@@ -316,7 +310,8 @@ def _kernel_sequences(c: HermitianComplex) -> list[ShortExactMetrized]:
 
     The coordinates of f^j over ker f^{j+1} are the rows of f^j at the
     free columns of that kernel, where its inclusion is the identity;
-    one exact product certifies that they reproduce f^j.
+    one exact product certifies that they reproduce f^j. They are taken
+    from the integer form of f^j, so they keep its integers.
     """
     kernels = [kernel_object(f) for f in c.maps]
     kernels.append(KernelObject.whole(c.objects[-1]))
@@ -324,7 +319,8 @@ def _kernel_sequences(c: HermitianComplex) -> list[ShortExactMetrized]:
     for f, (_, inject), kernel in zip(c.maps, kernels, kernels[1:]):
         knext, kincl = kernel
         m = f.matrix.entries
-        coords = la.Mat(tuple(m[i] for i in kernel.free), m.ncols)
+        rows, den = _qkernels._clear(m)
+        coords = la._int_mat([rows[i] for i in kernel.free], den, m.ncols)
         if la.matmul(kincl.matrix.entries, coords) != m:
             raise AssertionError("image must land in the next kernel")
         project = SpaceMap(f.domain, knext, ScaledMatrix(coords, f.matrix.scale_sq))
@@ -808,7 +804,7 @@ def _swap_map(v: MetrizedSpace, k: int, p: int) -> SpaceMap:
     """The factor-swap isometry S^p (x) Lambda^(k-p) -> Lambda^(k-p) (x) S^p."""
     sspace, espace = sym_power(v, p).space, ext_power(v, k - p).space
     src, dst = tensor_of_spaces(sspace, espace), tensor_of_spaces(espace, sspace)
-    return SpaceMap(src, dst, word_map(src, dst, lambda lab: ((lab[::-1], 1),)))
+    return SpaceMap(src, dst, word_map(src, dst, lambda lab: ((lab[::-1], 1),), 1))
 
 
 def _swapped_phi_images(label):
@@ -826,7 +822,8 @@ def transposed_koszul(v: MetrizedSpace, k: int):
     swaps = [_swap_map(v, k, p) for p in range(k + 1)]
     objects = [s.codomain for s in swaps]
     maps = [
-        SpaceMap(a, b, word_map(a, b, _swapped_phi_images)) for a, b in zip(objects, objects[1:])
+        SpaceMap(a, b, word_map(a, b, _swapped_phi_images, 1))
+        for a, b in zip(objects, objects[1:])
     ]
     return HermitianComplex(objects, maps, acyclic=True), swaps
 

@@ -14,19 +14,23 @@ The heavy kernels are delegated to hermk._qkernels, one fraction-free
 plain-Python implementation that needs at least one row; the calls
 that could have none (a product with no inner dimension, the rref and
 rank of a matrix without a nonzero entry, det and permanent of 0 x 0)
-are answered here. Everything is exact.
+are answered here. The kernels take matrices in and hand integers
+back. Everything is exact.
 
 A Mat also remembers its integer form: its rows as integers over the
 least common denominator of its entries, which every kernel works on.
-_qkernels._clear computes it the first time a kernel meets the Mat and
-keeps it there. The results that are built from integers get theirs
-when they are built: a product (matmul), an RREF (rref), a kernel
-basis (nullspace), the identity and the rows of an EchelonBasis. A
-transpose is given its source's form and transposes it on first use.
-kron's result gets none: keeping its integers next to its Fractions
-made the Koszul tower slower and larger. A form is set once and is made
-of tuples, so Mats that share one cannot disturb each other; see the
-Mat docstring.
+A form is set in three places. _qkernels._clear computes it the first
+time a kernel meets a Mat that has none. _int_mat, the one builder of a
+Mat from integer rows over a denominator, divides them down to the
+least denominator (_least), builds one Fraction per distinct value
+(_Fractions) and attaches the form: products, RREFs, kernel bases,
+the identity, the rows of an EchelonBasis, and outside this module the
+power Grams of hermk.multilinear, the maps word_map builds and the
+Koszul coordinates, all come from it. transpose gives the result its
+source's form, transposed on first use. kron's result gets none:
+keeping its integers next to its Fractions made the Koszul tower slower
+and larger. A form is set once and is made of tuples, so Mats that
+share one cannot disturb each other; see the Mat docstring.
 
 EchelonBasis, the span type, keeps the kernel's integer RREF rather
 than Fractions: its rows are integers over one positive common
@@ -42,6 +46,7 @@ from __future__ import annotations
 
 import bisect
 from fractions import Fraction
+from itertools import chain
 from math import gcd, lcm
 from typing import Iterable, Sequence
 
@@ -65,12 +70,14 @@ class Mat(tuple):
 
     _form, when set, is the matrix's integer form (int_rows, den): a
     tuple of int row tuples and the least common denominator, with
-    the matrix equal to int_rows / den. _tform is the form of the
-    transpose, set by transpose() until _qkernels._clear derives _form
-    from it. Both are tuples, so nothing can write into them and a form
-    can be shared between Mats (a transpose of a transpose has its
-    source's). They are private and left out of pickles and copies,
-    which rebuild them when needed: a Mat's value is its rows.
+    the matrix equal to int_rows / den. It is set by _int_mat when the
+    Mat is built from integers, by transpose(), or by _qkernels._clear
+    on first use. _tform is the form of the transpose, set by
+    transpose() until _qkernels._clear derives _form from it. Both are
+    tuples, so nothing can write into them and a form can be shared
+    between Mats (a transpose of a transpose has its source's). They
+    are private and left out of pickles and copies, which rebuild them
+    when needed: a Mat's value is its rows.
     """
 
     _form = _tform = None
@@ -90,6 +97,39 @@ class Mat(tuple):
     @property
     def ncols(self) -> int:
         return len(self[0]) if self else self._ncols
+
+
+class _Fractions(dict):
+    """int v -> Fraction(v, den), each built on its first lookup: one
+    Fraction per distinct value."""
+
+    def __init__(self, den):
+        super().__init__()
+        self.den = den
+
+    def __missing__(self, v):
+        f = self[v] = Fraction(v, self.den)
+        return f
+
+
+def _least(rows, den: int) -> tuple[tuple[tuple[int, ...], ...], int]:
+    """Integer rows over den > 0 as (row tuples, den) over the least
+    common denominator: both divided by the factor common to den and
+    every entry. This is the form _qkernels._clear gives for rows / den."""
+    g = gcd(den, *chain.from_iterable(rows)) if den != 1 else 1
+    if g == 1:
+        return tuple(map(tuple, rows)), den
+    return tuple([tuple([x // g for x in row]) for row in rows]), den // g
+
+
+def _int_mat(rows, den: int, ncols: int) -> Mat:
+    """The Mat rows / den of width ncols, for integer rows over den > 0,
+    with its integer form _least(rows, den) attached."""
+    form = _least(rows, den)
+    frac = _Fractions(form[1]).__getitem__
+    m = Mat(tuple([tuple(map(frac, row)) for row in form[0]]), ncols)
+    m._form = form
+    return m
 
 
 def q(x) -> Fraction:
@@ -130,7 +170,7 @@ def shape(a: Mat) -> tuple[int, int]:
     return (len(a), a.ncols)
 
 
-_ZERO, _ONE = Fraction(0), Fraction(1)
+_ZERO = Fraction(0)
 
 
 def zeros(r: int, c: int) -> Mat:
@@ -138,9 +178,7 @@ def zeros(r: int, c: int) -> Mat:
 
 
 def identity(n: int) -> Mat:
-    m = Mat(tuple((_ZERO,) * i + (_ONE,) + (_ZERO,) * (n - 1 - i) for i in range(n)), n)
-    m._form = tuple((0,) * i + (1,) + (0,) * (n - 1 - i) for i in range(n)), 1
-    return m
+    return _int_mat([(0,) * i + (1,) + (0,) * (n - 1 - i) for i in range(n)], 1, n)
 
 
 def transpose(a: Mat) -> Mat:
@@ -184,10 +222,7 @@ def matmul(a: Mat, b: Mat) -> Mat:
     if not (ra and rb and cb):
         # no entry, or every entry an empty sum
         return zeros(ra, cb)
-    rows, form = _qkernels.matmul(a, b)
-    m = Mat(rows, cb)
-    m._form = form
-    return m
+    return _int_mat(*_qkernels.matmul(a, b), cb)
 
 
 def matvec(a: Mat, v: Vec) -> Vec:
@@ -224,13 +259,13 @@ def kron(a: Mat, b: Mat) -> Mat:
 
     The products are taken in integers, from the integer forms of a and
     b (_qkernels._clear), and each distinct product becomes one Fraction
-    (_qkernels._Fractions). A zero entry of a contributes one shared
-    block of zeros instead of a row of b's worth of products. The
-    result keeps no integer form: it is cleared if a kernel needs it."""
+    (_Fractions). A zero entry of a contributes one shared block of
+    zeros instead of a row of b's worth of products. The result keeps
+    no integer form: it is cleared if a kernel needs it."""
     cb = b.ncols
     ai, da = _qkernels._clear(a)
     bi, db = _qkernels._clear(b)
-    frac = _qkernels._Fractions(da * db)
+    frac = _Fractions(da * db)
     zero = (Fraction(0),) * cb
     out = []
     for arow in ai:
@@ -304,12 +339,8 @@ def block_matrix(row_dims: Sequence[int], col_dims: Sequence[int], blocks) -> Ma
 def rref(a: Mat) -> tuple[Mat, tuple[int, ...]]:
     """Nonzero rows of the unique reduced row echelon form, as a Mat of
     a's width, plus pivot columns."""
-    if is_zero(a):
-        return Mat((), a.ncols), ()
-    rows, pivots, form = _qkernels.rref(a)
-    m = Mat(rows, a.ncols)
-    m._form = form
-    return m, tuple(pivots)
+    rows, den, pivots = ((), 1, ()) if is_zero(a) else _qkernels.rref(a)
+    return _int_mat(rows, den, a.ncols), tuple(pivots)
 
 
 def rank(a: Mat) -> int:
@@ -351,28 +382,23 @@ def nullspace_free(a: Mat) -> tuple[Mat, tuple[int, ...]]:
     """nullspace(a) and its free columns, from one elimination.
 
     Restricted to the free columns the basis is the identity, so the
-    coordinates of a kernel vector over it are its entries there.
+    coordinates of a kernel vector over it are its entries there. With
+    the integer RREF rows over den, the basis vector of free column f
+    is den there and minus the rows' entries at f at their pivots, over
+    den.
     """
     c = a.ncols
-    rows, pivots = rref(a)
+    rows, den, pivots = ((), 1, ()) if is_zero(a) else _qkernels.rref(a)
     pivset = set(pivots)
     free = tuple(f for f in range(c) if f not in pivset)
-    # rref's form is over its least den, and the basis has den at each
-    # free column and minus the rows' entries at the free columns
-    # elsewhere, so den is the basis' least denominator too
-    ints, den = _qkernels._clear(rows)
     out = []
     for f in free:
         v = [0] * c
         v[f] = den
-        for row, p in zip(ints, pivots):
+        for row, p in zip(rows, pivots):
             v[p] = -row[f]
-        out.append(tuple(v))
-    frac = _qkernels._Fractions(den).__getitem__
-    m = Mat(tuple([tuple(map(frac, v)) for v in out]), c)
-    if out:
-        m._form = tuple(out), den
-    return m, free
+        out.append(v)
+    return _int_mat(out, den, c), free
 
 
 def solve(a: Mat, b: Mat) -> Mat | None:
@@ -477,7 +503,7 @@ class EchelonBasis:
         self.width = width
         self._rows = None
         if a and width:
-            rows, den, pivots = _qkernels.rref_int(a)
+            rows, den, pivots = _qkernels.rref(a)
             self._set(rows, den, tuple(pivots))
         else:
             self.int_rows, self.den, self.pivots = (), 1, ()
@@ -507,7 +533,7 @@ class EchelonBasis:
         if is_zero(a):
             rows, den, pivots = (), 1, ()
         else:
-            rows, den, pivots = _qkernels.rref_int([row[::-1] for row in a])
+            rows, den, pivots = _qkernels.rref([row[::-1] for row in a])
         # each echelon row (indexed from a's last column) and its pivot in a's order
         held = [(c - 1 - p, row) for p, row in zip(pivots, rows)]
         taken = {p for p, _ in held}
@@ -527,16 +553,14 @@ class EchelonBasis:
     def _set(self, rows, den: int, pivots: tuple) -> None:
         """Adopt integer RREF rows over den > 0, divided by their common
         factor with den."""
-        self.int_rows, self.den = _qkernels._least(rows, den)
+        self.int_rows, self.den = _least(rows, den)
         self.pivots = pivots
 
     @property
     def rows(self) -> Mat:
         """The RREF rows as a Mat of Fractions."""
         if self._rows is None:
-            frac = _qkernels._Fractions(self.den).__getitem__
-            self._rows = Mat(tuple(tuple(map(frac, row)) for row in self.int_rows), self.width)
-            self._rows._form = self.int_rows, self.den
+            self._rows = _int_mat(self.int_rows, self.den, self.width)
         return self._rows
 
     def _cleared(self, v: Vec) -> tuple[list[int], int]:
@@ -564,7 +588,7 @@ class EchelonBasis:
         """v minus sum_i v[pivots[i]] * rows[i]: zero at every pivot, and
         zero everywhere exactly when v is in the span."""
         w, d = self._cleared(v)
-        return tuple(map(_qkernels._Fractions(self.den * d).__getitem__, self._residue(w)))
+        return tuple(map(_Fractions(self.den * d).__getitem__, self._residue(w)))
 
     def contains(self, v: Vec) -> bool:
         w, _ = self._cleared(v)

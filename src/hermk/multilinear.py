@@ -11,7 +11,8 @@ determinant, of the submatrices G[I, J] of the underlying Gram. For an
 orthonormal underlying basis the symmetric Gram is diagonal with entry
 prod_i m_i! (m_i = multiplicity of i in the word) and the exterior
 basis is orthonormal. Maps given by their values on basis words, here
-and in koszul, are built by word_map.
+and in koszul, are built by word_map, from integer coefficients over a
+denominator the caller gives.
 
 No permanent or determinant is computed one minor at a time. The Grams
 of S^d and Lambda^d come from those of degree d - 1 by expansion along
@@ -24,7 +25,8 @@ J with first letter i_1 of I,
 (J - j drops one copy of j, c runs over the positions of J). So
 power_tower builds every degree 0..d of one kind in one pass, in
 integers over den^d where den clears the denominators of G, skipping the
-zero entries G[i_1, j]; sym_power and ext_power read its top level.
+zero entries G[i_1, j], and la._int_mat turns each level into its Gram
+with that integer form; sym_power and ext_power read its top level.
 """
 
 from __future__ import annotations
@@ -118,8 +120,7 @@ def _powers(v: MetrizedSpace, kind: str, top: int, low: int) -> tuple[PowerSpace
             if not words:
                 space = ZERO_SPACE
             else:
-                frac = _qkernels._Fractions(den**d).__getitem__
-                rows = la.Mat(tuple(tuple(map(frac, row)) for row in gram), len(words))
+                rows = la._int_mat(gram, den**d, len(words))
                 space = MetrizedSpace(_labels(kind, words), rows, check=False)
             out.append(PowerSpace(v, d, kind, space))
     return tuple(out)
@@ -164,18 +165,20 @@ def _perm_sign(word) -> int:
     return -1 if inv & 1 else 1
 
 
-def word_map(src: MetrizedSpace, dst: MetrizedSpace, images) -> la.Mat:
-    """The matrix of the linear map src -> dst given on basis labels.
+def word_map(src: MetrizedSpace, dst: MetrizedSpace, images, den: int) -> la.Mat:
+    """The matrix of the linear map src -> dst given on basis labels,
+    over the positive int den.
 
-    images(label) yields (dst label, coeff) pairs for one src label;
-    repeated targets add up.
+    images(label) yields (dst label, coeff) pairs for one src label,
+    with int coeffs; repeated targets add up, and the entry is the sum
+    over den. The map is built with its integer form (la._int_mat).
     """
     index = {lab: i for i, lab in enumerate(dst.labels)}
-    rows = [[Fraction(0)] * src.dim for _ in range(dst.dim)]
+    rows = [[0] * src.dim for _ in range(dst.dim)]
     for c, lab in enumerate(src.labels):
         for target, coeff in images(lab):
             rows[index[target]][c] += coeff
-    return la.Mat(tuple(map(tuple, rows)), src.dim)
+    return la._int_mat(rows, den, src.dim)
 
 
 def iota_map(v: MetrizedSpace, p: int, normalized: bool = False) -> SpaceMap:
@@ -193,7 +196,7 @@ def iota_map(v: MetrizedSpace, p: int, normalized: bool = False) -> SpaceMap:
             yield PowerBasisWord("tensor", t), 1
 
     scale = Fraction(1, factorial(p)) if normalized else Fraction(1)
-    return SpaceMap(sp, tp, word_map(sp, tp, images), scale_sq=scale)
+    return SpaceMap(sp, tp, word_map(sp, tp, images, 1), scale_sq=scale)
 
 
 def j_map(v: MetrizedSpace, p: int, normalized: bool = False) -> SpaceMap:
@@ -205,7 +208,7 @@ def j_map(v: MetrizedSpace, p: int, normalized: bool = False) -> SpaceMap:
             yield PowerBasisWord("tensor", t), _perm_sign(t)
 
     scale = Fraction(1, factorial(p)) if normalized else Fraction(1)
-    return SpaceMap(ep, tp, word_map(ep, tp, images), scale_sq=scale)
+    return SpaceMap(ep, tp, word_map(ep, tp, images, 1), scale_sq=scale)
 
 
 def pi_map(v: MetrizedSpace, p: int) -> SpaceMap:
@@ -215,7 +218,7 @@ def pi_map(v: MetrizedSpace, p: int) -> SpaceMap:
     def images(w):
         yield PowerBasisWord("sym", tuple(sorted(w.indices))), 1
 
-    return SpaceMap(tp, sp, word_map(tp, sp, images))
+    return SpaceMap(tp, sp, word_map(tp, sp, images, 1))
 
 
 def rho_map(v: MetrizedSpace, p: int) -> SpaceMap:
@@ -226,7 +229,7 @@ def rho_map(v: MetrizedSpace, p: int) -> SpaceMap:
         if len(set(w.indices)) == len(w.indices):
             yield PowerBasisWord("ext", tuple(sorted(w.indices))), _perm_sign(w.indices)
 
-    return SpaceMap(tp, ep, word_map(tp, ep, images))
+    return SpaceMap(tp, ep, word_map(tp, ep, images, 1))
 
 
 def tensor_of_spaces(v: MetrizedSpace, w: MetrizedSpace) -> MetrizedSpace:

@@ -332,9 +332,7 @@ def test_koszul_exactness_claim_catches_a_doctored_section(monkeypatch):
     # certifies itself with that rule, so the suite stops at construction
     monkeypatch.setattr(cli, "koszul_section", honest)
     rule = koszul._psi_images
-    monkeypatch.setattr(
-        koszul, "_psi_images", lambda lab, k: ((t, abs(c)) for t, c in rule(lab, k))
-    )
+    monkeypatch.setattr(koszul, "_psi_images", lambda lab: ((t, abs(c)) for t, c in rule(lab)))
     with pytest.raises(ValueError, match="not the identity"):
         run_suite(cfg)
 

@@ -326,6 +326,26 @@ def test_direct_sum_space_layout():
     assert prj.compose(inj).is_zero()
 
 
+def test_dsum_projections_are_the_transposed_injections():
+    parts = [
+        ("a", standard_space(2, tag="a")),
+        ("z", ZERO_SPACE),
+        ("s", MetrizedSpace((("s", 0), ("s", 1)), SKEW)),
+        ("b", MetrizedSpace((("b", 0),), ((F(4),),))),
+    ]
+    total = direct_sum_space(parts)
+    for tag, space in parts:
+        inj, prj = dsum_injection(parts, tag), dsum_projection(parts, tag)
+        assert (prj.domain, prj.codomain) == (total, space)
+        assert prj.matrix == ScaledMatrix(la.transpose(inj.matrix.entries), 1)
+        assert la.shape(prj.matrix.entries) == (space.dim, total.dim)
+        assert prj.compose(inj) == identity_map(space)
+    with pytest.raises(KeyError):
+        dsum_projection(parts, "c")
+    with pytest.raises(KeyError):
+        dsum_injection(parts, "c")
+
+
 def test_short_exact_validation_and_split():
     plane = standard_space(2, tag="t")
     sub = standard_space(1, tag="s")

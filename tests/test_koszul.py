@@ -219,9 +219,7 @@ def test_oracle_comparison_catches_doctored_rules(monkeypatch):
         with pytest.raises(ValueError, match="not the identity at degree 0"):
             koszul_complex(v, k)
     # phi and psi both negated: still certified, so only the oracle can tell
-    monkeypatch.setattr(
-        koszul, "_psi_images", lambda lab, k: ((t, -c) for t, c in psi_rule(lab, k))
-    )
+    monkeypatch.setattr(koszul, "_psi_images", lambda lab: ((t, -c) for t, c in psi_rule(lab)))
     assert koszul_complex(v, 3).acyclic
     bad = _oracle_mismatches([v], (1, 2, 3))
     assert {(m, k, p) for m, _, k, p, _ in bad} == {
@@ -237,9 +235,7 @@ def test_oracle_comparison_catches_doctored_rules(monkeypatch):
     # the certificate refuses it; koszul_section has no check of its
     # own, and the oracle catches it there
     monkeypatch.setattr(koszul, "_phi_images", phi_rule)
-    monkeypatch.setattr(
-        koszul, "_psi_images", lambda lab, k: ((t, abs(c)) for t, c in psi_rule(lab, k))
-    )
+    monkeypatch.setattr(koszul, "_psi_images", lambda lab: ((t, abs(c)) for t, c in psi_rule(lab)))
     assert koszul_complex(v, 1).acyclic
     for k in (2, 3):
         with pytest.raises(ValueError, match="not the identity"):

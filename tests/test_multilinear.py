@@ -202,25 +202,29 @@ def test_word_map_adds_repeated_targets():
     a, b = standard_space(2, tag="a"), standard_space(3, tag="b")
 
     def images(label):
+        yield ("b", 0), 2
         yield ("b", 0), 1
-        yield ("b", 0), F(1, 2)
-        yield ("b", label[1] + 1), -1
+        yield ("b", label[1] + 1), -2
 
-    m = word_map(a, b, images)
+    # integer coefficients over the given denominator
+    m = word_map(a, b, images, 2)
     assert m == ((F(3, 2), F(3, 2)), (-1, 0), (0, -1))
     assert m.ncols == 2
     assert all(type(x) is Fraction for row in m for x in row)
+    assert m._form == (((3, 3), (-2, 0), (0, -2)), 2)
+    # the form is over the least denominator: 2 / 2 is 1 / 1
+    assert word_map(a, b, lambda label: ((("b", label[1]), 2),), 2)._form[1] == 1
 
 
 def test_word_map_keeps_the_shape_of_empty_spaces():
     b = standard_space(3, tag="b")
-    into = word_map(ZERO_SPACE, b, lambda label: ())
+    into = word_map(ZERO_SPACE, b, lambda label: (), 1)
     assert (len(into), into.ncols) == (3, 0)
-    out = word_map(b, ZERO_SPACE, lambda label: ())
+    out = word_map(b, ZERO_SPACE, lambda label: (), 1)
     assert (len(out), out.ncols) == (0, 3)
 
 
 def test_word_map_rejects_targets_outside_the_codomain():
     a = standard_space(1, tag="a")
     with pytest.raises(KeyError):
-        word_map(a, a, lambda label: ((("z", 0), 1),))
+        word_map(a, a, lambda label: ((("z", 0), 1),), 1)

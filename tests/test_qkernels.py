@@ -2,9 +2,12 @@
 
 Fixed expected values below are hand-computed (cofactor and Ryser
 expansions) and cross-checked with sympy. The oracle is plain Fraction
-Gaussian elimination, the reference the fraction-free kernels replaced;
-every kernel must agree with it exactly, entry types included, and
-the rank kernel with the oracle's pivot count. The last tests pin the
+Gaussian elimination, the reference the fraction-free kernels replaced.
+matmul and rref hand back integer rows over a positive int den, and
+rows / den must equal the oracle exactly; det and permanent must equal
+it entry types included, and the rank kernel must agree with the
+oracle's pivot count. The Mats hermk.linalg builds from those integers
+must equal the oracle with Fraction entries. The last tests pin the
 one elimination loop, _bareiss: its pivot columns against an in-order
 prefix-rank oracle, and which of its forms each caller runs.
 """
@@ -16,9 +19,11 @@ import random
 from fractions import Fraction
 from math import lcm
 
-from hermk import _qkernels, core
+from hermk import _qkernels, core, koszul
 from hermk import linalg as la
+from hermk.core import MetrizedSpace
 from hermk.homology import quotient_presentation
+from hermk.multilinear import power_tower
 
 INT_M = [[1, 2, 3], [4, 5, 6], [7, 8, 10]]
 FRAC_M = [
@@ -51,39 +56,49 @@ def test_permanent_fixed():
     assert _qkernels.permanent(FRAC_M) == Fraction(11, 60)
 
 
+def _over(rows, den):
+    """Integer rows over den as lists of Fractions."""
+    return [[Fraction(x, den) for x in row] for row in rows]
+
+
 def test_rref_fixed():
-    rows, pivots, form = _qkernels.rref([[2, 4, 1, 3], [1, 2, 0, 1], [3, 6, 2, 5]])
-    assert form == (((1, 2, 0, 1), (0, 0, 1, 1)), 1)
-    assert [list(map(Fraction, r)) for r in rows] == [
+    rows, den, pivots = _qkernels.rref([[2, 4, 1, 3], [1, 2, 0, 1], [3, 6, 2, 5]])
+    assert _over(rows, den) == [
         [1, 2, 0, 1],
         [0, 0, 1, 1],
     ]
     assert list(pivots) == [0, 2]
+    # the Mat linalg builds from them, over the least denominator
+    m, mpivots = la.rref(la.mat([[2, 4, 1, 3], [1, 2, 0, 1], [3, 6, 2, 5]]))
+    assert m == ((1, 2, 0, 1), (0, 0, 1, 1)) and mpivots == (0, 2)
+    assert m._form == (((1, 2, 0, 1), (0, 0, 1, 1)), 1)
 
 
 def test_rref_int_fixed():
-    assert _qkernels.rref_int([[2, 4, 1, 3], [1, 2, 0, 1], [3, 6, 2, 5]]) == (
+    assert _qkernels.rref([[2, 4, 1, 3], [1, 2, 0, 1], [3, 6, 2, 5]]) == (
         [[1, 2, 0, 1], [0, 0, 1, 1]],
         1,
         [0, 2],
     )
     # a negative last pivot (-3, then -2) is made positive with its rows
-    assert _qkernels.rref_int([[0, -3]]) == ([[0, 3]], 3, [1])
-    assert _qkernels.rref_int([[1, 1], [1, -1]]) == ([[2, 0], [0, 2]], 2, [0, 1])
-    assert _qkernels.rref_int([[0, 0], [0, 0]]) == ([], 1, [])
+    assert _qkernels.rref([[0, -3]]) == ([[0, 3]], 3, [1])
+    assert _qkernels.rref([[1, 1], [1, -1]]) == ([[2, 0], [0, 2]], 2, [0, 1])
+    assert _qkernels.rref([[0, 0], [0, 0]]) == ([], 1, [])
 
 
 def test_matmul_fixed():
-    got, form = _qkernels.matmul([[1, 2], [3, 4], [5, 6]], [[1, 0, 2], [0, 1, 3]])
-    assert [list(map(Fraction, r)) for r in got] == [
+    got, den = _qkernels.matmul([[1, 2], [3, 4], [5, 6]], [[1, 0, 2], [0, 1, 3]])
+    assert _over(got, den) == [
         [1, 2, 8],
         [3, 4, 18],
         [5, 6, 28],
     ]
-    assert form == (((1, 2, 8), (3, 4, 18), (5, 6, 28)), 1)
-    # 1/2 * 2/3 + 1/6 * 1: the form's den is the least one, 2, not 6 * 3
-    got, form = _qkernels.matmul([[Fraction(1, 2), Fraction(1, 6)]], [[Fraction(2, 3)], [1]])
-    assert got == ((Fraction(1, 2),),) and form == (((1,),), 2)
+    # 1/2 * 2/3 + 1/6 * 1 = 6 / 18: the kernel's den is the product of
+    # the factors' dens, and the Mat's form is over the least one, 2
+    a, b = [[Fraction(1, 2), Fraction(1, 6)]], [[Fraction(2, 3)], [1]]
+    assert _qkernels.matmul(a, b) == ([[9]], 18)
+    m = la.matmul(la.mat(a), la.mat(b))
+    assert m == ((Fraction(1, 2),),) and m._form == (((1,),), 2)
 
 
 # -- oracle: plain Fraction Gaussian elimination ----------------------
@@ -261,27 +276,32 @@ def _same_rows(xs, ys) -> bool:
     )
 
 
+def _int_result(rows, den) -> bool:
+    """Are rows sequences of ints over a positive int den?"""
+    return type(den) is int and den > 0 and all(type(x) is int for row in rows for x in row)
+
+
 def mismatches(cases) -> list[tuple[str, int]]:
-    """(kernel, case index) for every result that differs from the oracle."""
+    """(kernel, case index) for every result that differs from the
+    oracle: the kernels' integers over their den, and the Mats linalg
+    builds from them, Fraction entries and least-denominator form
+    included."""
     bad = []
     for n, (a, b, sq) in enumerate(cases):
-        rows, form = _qkernels.matmul(a, b)
+        rows, den = _qkernels.matmul(a, b)
         product = oracle_matmul(a, b)
-        if not _same_rows(rows, product) or form != oracle_form(product):
+        if not _int_result(rows, den) or _over(rows, den) != product:
             bad.append(("matmul", n))
-        rows, pivots, form = _qkernels.rref(a)
+        m = la.matmul(la.mat(a), la.mat(b))
+        if not _same_rows(m, product) or m._form != oracle_form(product):
+            bad.append(("la.matmul", n))
+        rows, den, pivots = _qkernels.rref(a)
         orows, opivots = oracle_rref(a)
-        if list(pivots) != opivots or not _same_rows(rows, orows) or form != oracle_form(orows):
+        if pivots != opivots or not _int_result(rows, den) or _over(rows, den) != orows:
             bad.append(("rref", n))
-        irows, den, ipivots = _qkernels.rref_int(a)
-        if (
-            ipivots != opivots
-            or type(den) is not int
-            or den <= 0
-            or any(type(x) is not int for row in irows for x in row)
-            or [[Fraction(x, den) for x in row] for row in irows] != orows
-        ):
-            bad.append(("rref_int", n))
+        m, mpivots = la.rref(la.mat(a))
+        if list(mpivots) != opivots or not _same_rows(m, orows) or m._form != oracle_form(orows):
+            bad.append(("la.rref", n))
         if not _same(_qkernels.det(sq), oracle_det(sq)):
             bad.append(("det", n))
         if not _same(_qkernels.permanent(sq), oracle_permanent(sq)):
@@ -315,7 +335,6 @@ def test_inputs_are_not_mutated():
         before = copy.deepcopy((a, b, sq))
         _qkernels.matmul(a, b)
         _qkernels.rref(a)
-        _qkernels.rref_int(a)
         _qkernels.rank(a)
         _qkernels.rank(sq)
         _qkernels.det(sq)
@@ -332,8 +351,9 @@ def test_oracle_comparison_catches_a_dropped_denominator(monkeypatch):
 
     monkeypatch.setattr(_qkernels, "_clear", drop_denominator)
     bad = {kernel for kernel, _ in mismatches(_cases())}
-    # rref and rank ignore the common scale, so only the other three must break
-    assert {"matmul", "det", "permanent"} <= bad
+    # rref and rank ignore the common scale, so only the products, det
+    # and permanent must break
+    assert {"matmul", "la.matmul", "det", "permanent"} <= bad
 
 
 # -- the int/Fraction boundary ----------------------------------------
@@ -363,25 +383,32 @@ def test_every_result_entry_is_a_fraction():
     # int-only input whose product, echelon rows, det and permanent hold zeros
     ints = [[1, 0, 2], [0, 0, 0], [3, 0, 6]]
     b = [[0, 1], [0, 0], [2, 0]]
-    assert _qkernels.matmul(ints, b)[0][1] == (0, 0) and _qkernels.rref(ints)[0] == ((1, 0, 2),)
-    assert _qkernels.det(ints) == _qkernels.permanent(ints) == 0
+    assert la.matmul(la.mat(ints), la.mat(b))[1] == (0, 0)
+    assert la.rref(la.mat(ints))[0] == ((1, 0, 2),)
+    assert la.det(la.mat(ints)) == la.permanent(la.mat(ints)) == 0
     for a, b, sq in [(ints, b, ints)] + _cases(count=24):
-        rows = _qkernels.rref(a)[0]
-        entries = [x for row in [*_qkernels.matmul(a, b)[0], *rows] for x in row]
-        entries += [_qkernels.det(sq), _qkernels.permanent(sq)]
+        a, b, sq = la.mat(a), la.mat(b), la.mat(sq)
+        mats = [la.matmul(a, b), la.rref(a)[0], la.nullspace(a), la.EchelonBasis(a, a.ncols).rows]
+        entries = [x for m in mats for row in m for x in row]
+        entries += [la.det(sq), la.permanent(sq)]
         assert all(type(x) is Fraction for x in entries)
+        # the kernels hand out ints; det and permanent are the only
+        # Fractions a kernel builds
+        assert _int_result(*_qkernels.matmul(a, b))
+        assert _int_result(*_qkernels.rref(a)[:2])
 
 
 def test_oracle_comparison_catches_a_result_built_without_its_denominator(monkeypatch):
-    fractions = _qkernels._Fractions
+    fractions = la._Fractions
 
     def ignore_denominator(den):
         return fractions(1)
 
-    monkeypatch.setattr(_qkernels, "_Fractions", ignore_denominator)
+    monkeypatch.setattr(la, "_Fractions", ignore_denominator)
     bad = {kernel for kernel, _ in mismatches(_cases())}
-    # det and permanent divide by their denominator themselves
-    assert {"matmul", "rref"} <= bad
+    # the kernels hand out their den, and det and permanent divide by
+    # theirs themselves: only the Mats linalg builds must break
+    assert bad == {"la.matmul", "la.rref"}
 
 
 # -- the integer form a Mat remembers ----------------------------------
@@ -420,7 +447,34 @@ def _produced(seed):
             ("EchelonBasis.kernel", la.EchelonBasis.kernel(a).rows),
         ]
         reduced += p._form[1] < _qkernels._clear(a)[1] * _qkernels._clear(b)[1]
+    for dim in (1, 2, 3):
+        out += _koszul_produced(_fraction_space(rng, dim))
     return out, reduced
+
+
+def _fraction_space(rng, dim) -> MetrizedSpace:
+    """A space whose Gram m^T m + 1 has Fraction entries."""
+    m = la.mat(_matrix(rng, dim, dim, MIXED))
+    gram = la.add(la.matmul(la.transpose(m), m), la.identity(dim))
+    return MetrizedSpace(tuple(range(dim)), la.Mat(tuple(gram), dim))
+
+
+def _koszul_produced(v):
+    """(producer, Mat) for the Mats hermk.multilinear and hermk.koszul
+    build from integers: the power Grams, phi, k psi over k, the factor
+    swaps, the transposed maps and the mu_decompose coordinates."""
+    out = []
+    for kind in ("sym", "ext"):
+        out += [("power_tower", p.space.gram) for p in power_tower(v, kind, 3)]
+    for k in (1, 2, 3):
+        c = koszul.koszul_complex(v, k)
+        out += [("phi", f.matrix.entries) for f in c.maps]
+        out += [("psi", koszul.koszul_section(v, k, p).matrix.entries) for p in range(k)]
+        t, swaps = koszul.transposed_koszul(v, k)
+        out += [("swap", s.matrix.entries) for s in swaps]
+        out += [("transposed phi", f.matrix.entries) for f in t.maps]
+        out += [("mu_decompose", ses.project.matrix.entries) for _, ses in koszul.mu_decompose(c)]
+    return out
 
 
 def form_mismatches(seed=20261019) -> set:
@@ -453,15 +507,28 @@ def test_remembered_forms_equal_a_fresh_clear():
         "identity",
         "EchelonBasis.rows",
         "EchelonBasis.kernel",
+        "power_tower",
+        "phi",
+        "psi",
+        "swap",
+        "transposed phi",
+        "mu_decompose",
     }
     # the products' common factors are divided out, not only carried
     assert reduced >= 5
+    # psi over k and the Grams over powers of their space's den, divided
+    # down; phi has integer entries, and so do the coordinates read off it
+    dens = {"psi": set(), "power_tower": set()}
+    for name, m in produced:
+        if name in dens and m:
+            dens[name].add(m._form[1])
+    assert dens["psi"] == {1, 2, 3} and len(dens["power_tower"]) > 3
     assert form_mismatches() == set()
 
 
 def test_form_comparison_catches_a_form_over_a_larger_denominator(monkeypatch):
-    monkeypatch.setattr(_qkernels, "_least", lambda rows, den: (tuple(map(tuple, rows)), den))
-    assert {"matmul", "transpose", "rref"} <= form_mismatches()
+    monkeypatch.setattr(la, "_least", lambda rows, den: (tuple(map(tuple, rows)), den))
+    assert {"matmul", "transpose", "rref", "psi", "power_tower"} <= form_mismatches()
 
 
 def test_a_remembered_form_is_never_written_into():
@@ -474,14 +541,14 @@ def test_a_remembered_form_is_never_written_into():
             before = copy.deepcopy((x._form, x._tform))
             runs = [
                 (
-                    _qkernels.rref_int(x),
+                    _qkernels.rref(x),
                     _qkernels._bareiss(_qkernels._clear(x)[0], False),
                     _qkernels._bareiss(_qkernels._clear(x)[0], True),
                 )
                 for _ in range(2)
             ]
             assert runs[0] == runs[1]
-            assert runs[0][0] == _qkernels.rref_int(_fresh(x))
+            assert runs[0][0] == _qkernels.rref(_fresh(x))
             assert (x._form, x._tform) == before
             # and the kernels read the forms to the Fraction oracles' values
             rows, pivots = la.rref(x)
