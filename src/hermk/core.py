@@ -22,7 +22,6 @@ from __future__ import annotations
 
 from fractions import Fraction
 
-from . import _qkernels
 from . import linalg as la
 from .linalg import Mat, Vec
 
@@ -127,19 +126,6 @@ class ScaledMatrix:
         return la.scale(la.matmul(la.matmul(la.transpose(m), gram), m), self.scale_sq)
 
 
-def _is_positive_definite(g: Mat) -> bool:
-    """Exact PD test of a symmetric matrix by Sylvester's criterion:
-    every leading principal minor is positive. One lcm clears g to
-    integers, which scales the k-th minor by den^k > 0 and keeps its
-    sign. When the forward elimination (_qkernels._bareiss) reaches
-    full rank with no row exchange, its k-th pivot rows[k][k] is the
-    leading (k+1)-minor; a zero leading minor forces an exchange or
-    leaves a column without a pivot."""
-    rows, _ = _qkernels._clear(g)
-    r, _, swaps, _ = _qkernels._bareiss(rows, False)
-    return r == len(rows) and not swaps and all(rows[k][k] > 0 for k in range(r))
-
-
 class MetrizedSpace:
     """A based rational inner-product space.
 
@@ -162,7 +148,7 @@ class MetrizedSpace:
         if check:
             if self.gram != la.transpose(self.gram):
                 raise ValueError("gram must be symmetric")
-            if not _is_positive_definite(self.gram):
+            if not la.is_positive_definite(self.gram):
                 raise ValueError("gram must be positive definite")
 
     @property

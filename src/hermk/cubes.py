@@ -398,7 +398,7 @@ class Flag:
 
     __slots__ = ("ambient", "bases", "_cubes")
 
-    def __init__(self, ambient: MetrizedSpace, chain, check: bool = True):
+    def __init__(self, ambient: MetrizedSpace, chain):
         self.ambient = ambient
         self._cubes: dict = {}
         bases = (
@@ -406,10 +406,9 @@ class Flag:
             for b in chain
         )
         self.bases = tuple(b if b.int_rows else _zero_basis(self) for b in bases)
-        if check:
-            for small, big in zip(self.bases, self.bases[1:]):
-                if not all(big.contains(row) for row in small.rows):
-                    raise ValueError("flag entries must be nested")
+        for small, big in zip(self.bases, self.bases[1:]):
+            if not all(big.contains(row) for row in small.rows):
+                raise ValueError("flag entries must be nested")
 
     def _derive(self, bases: tuple) -> "Flag":
         """The flag of nested bases in this flag's family."""

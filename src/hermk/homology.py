@@ -27,7 +27,6 @@ from __future__ import annotations
 import functools
 from dataclasses import dataclass
 
-from . import _qkernels
 from . import linalg as la
 
 __all__ = [
@@ -429,7 +428,7 @@ def _modified_maps(f: ChainMap, n: int, ha: PresentedQuotient) -> ModifiedMaps:
     cols_zeta = [ha._coords_int(w[:wa], hat.cycles.den) for w in hat._int_reps]
     # (a, b) |-> f(a) - d(b) is the matrix [f_n | -d_{n+1}]
     rho = la.hstack(f.map_at(n), la.scale(b.diff(n + 1), -1))
-    images, den = _images(rho, hat._int_reps)
+    images, den = la._images(rho, hat._int_reps)
     den *= hat.cycles.den
     cols_rho = []
     for w in images:
@@ -445,14 +444,6 @@ def _modified_maps(f: ChainMap, n: int, ha: PresentedQuotient) -> ModifiedMaps:
         _cols_to_mat(cols_zeta, ha.dim),
         _cols_to_mat(cols_rho, len(zb.pivots)),
     )
-
-
-def _images(m: la.Mat, rows) -> tuple[list[list[int]], int]:
-    """(images, den): m @ (row / e) == image / (den * e) for each integer
-    row and its image, whatever e is. m is cleared once and the products
-    stay in integers."""
-    mt, den = _qkernels._clear(la.transpose(m))
-    return _qkernels._matmul_int(rows, mt, len(m)), den
 
 
 def _cols_to_mat(cols, height: int) -> la.Mat:
@@ -515,7 +506,7 @@ def verify_modified_sequences(f: ChainMap) -> list[tuple[str, bool]]:
         zero_in = la.zeros(hcone_n.dim, 0)
         out.append(_sequence_verdict("a", n, zero_in, m1, mm.to_form_cycle, m3))
 
-        images, den = _images(f.map_at(n + 1), ha_next._int_reps)
+        images, den = la._images(f.map_at(n + 1), ha_next._int_reps)
         den *= ha_next.cycles.den
         m1b = _cols_to_mat([forms._coords_int(w, den) for w in images], forms.dim)
         zero_out = la.zeros(0, ha_n.dim)
@@ -557,7 +548,7 @@ def induced_on_quotients(
     if la.shape(m) != (dst.width, src.width):
         raise ValueError(f"a {la.shape(m)} matrix between widths {src.width} and {dst.width}")
     bounds = src.boundaries.int_rows
-    images, den = _images(m, bounds + src._int_reps)
+    images, den = la._images(m, bounds + src._int_reps)
     # membership is scale-free, so the integer boundary rows serve
     if any(any(dst._normal_int(w)) for w in images[: len(bounds)]):
         raise ValueError("relations do not map into relations")

@@ -138,16 +138,11 @@ def _homotopy_built_map(
     return ChainMap(a, b, maps)
 
 
-def random_chain_map(
-    rng: random.Random,
-    a: ChainComplex,
-    b: ChainComplex,
-    allow_identity: bool = True,
-) -> ChainMap:
-    """Random chain map a -> b, built as d h + h d for random h (plus an
-    optional scalar multiple of the identity when a is b)."""
+def random_chain_map(rng: random.Random, a: ChainComplex, b: ChainComplex) -> ChainMap:
+    """Random chain map a -> b, built as d h + h d for random h (plus,
+    half the time when a is b, a random multiple of the identity)."""
     ident = Fraction(0)
-    if allow_identity and a is b and rng.random() < 0.5:
+    if a is b and rng.random() < 0.5:
         ident = random_entry(rng)
     return _homotopy_built_map(rng, a, b, ident)
 

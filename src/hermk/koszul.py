@@ -40,7 +40,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
-from . import _qkernels
 from . import linalg as la
 from .core import (
     KernelObject,
@@ -319,7 +318,7 @@ def _kernel_sequences(c: HermitianComplex) -> list[ShortExactMetrized]:
     for f, (_, inject), kernel in zip(c.maps, kernels, kernels[1:]):
         knext, kincl = kernel
         m = f.matrix.entries
-        rows, den = _qkernels._clear(m)
+        rows, den = la._int_form(m)
         coords = la._int_mat([rows[i] for i in kernel.free], den, m.ncols)
         if la.matmul(kincl.matrix.entries, coords) != m:
             raise AssertionError("image must land in the next kernel")

@@ -11,26 +11,29 @@ hand a Mat back as it is, and every function here builds its results
 as Mats directly, so a built matrix is never coerced again.
 
 The heavy kernels are delegated to hermk._qkernels, one fraction-free
-plain-Python implementation that needs at least one row; the calls
-that could have none (a product with no inner dimension, the rref and
-rank of a matrix without a nonzero entry, det and permanent of 0 x 0)
-are answered here. The kernels take matrices in and hand integers
-back. Everything is exact.
+plain-Python implementation on integers, and this module is its only
+caller. The kernels need at least one row; the calls that could have
+none (a product with no inner dimension, the rref and rank of a matrix
+without a nonzero entry, det, permanent and the PD test of 0 x 0) are
+answered here. Everything is exact.
 
 A Mat also remembers its integer form: its rows as integers over the
-least common denominator of its entries, which every kernel works on.
-A form is set in three places. _qkernels._clear computes it the first
-time a kernel meets a Mat that has none. _int_mat, the one builder of a
-Mat from integer rows over a denominator, divides them down to the
-least denominator (_least), builds one Fraction per distinct value
-(_Fractions) and attaches the form: products, RREFs, kernel bases,
-the identity, the rows of an EchelonBasis, and outside this module the
-power Grams of hermk.multilinear, the maps word_map builds and the
-Koszul coordinates, all come from it. transpose gives the result its
-source's form, transposed on first use. kron's result gets none:
-keeping its integers next to its Fractions made the Koszul tower slower
-and larger. A form is set once and is made of tuples, so Mats that
-share one cannot disturb each other; see the Mat docstring.
+least common denominator of its entries, which is what the kernels
+are handed. This module is the only one that reads or writes a form,
+and _int_form is its one accessor. A form is set in three places.
+_int_form computes it from the Fractions the first time a Mat without
+one needs it; that is the one conversion from Fractions to integers.
+_int_mat, the one builder of a Mat from integer rows over a
+denominator, divides them down to the least denominator (_least),
+builds one Fraction per distinct value (_Fractions) and attaches the
+form: products, RREFs, kernel bases, the identity, the rows of an
+EchelonBasis, and outside this module the power Grams of
+hermk.multilinear, the maps word_map builds and the Koszul
+coordinates, all come from it. transpose gives the result its source's
+form, transposed. kron's result gets none: keeping its integers next
+to its Fractions made the Koszul tower slower and larger. A form is
+set once and is made of tuples, so Mats that share one cannot disturb
+each other; see the Mat docstring.
 
 EchelonBasis, the span type, keeps the kernel's integer RREF rather
 than Fractions: its rows are integers over one positive common
@@ -71,16 +74,14 @@ class Mat(tuple):
     _form, when set, is the matrix's integer form (int_rows, den): a
     tuple of int row tuples and the least common denominator, with
     the matrix equal to int_rows / den. It is set by _int_mat when the
-    Mat is built from integers, by transpose(), or by _qkernels._clear
-    on first use. _tform is the form of the transpose, set by
-    transpose() until _qkernels._clear derives _form from it. Both are
-    tuples, so nothing can write into them and a form can be shared
-    between Mats (a transpose of a transpose has its source's). They
-    are private and left out of pickles and copies, which rebuild them
-    when needed: a Mat's value is its rows.
+    Mat is built from integers, by transpose() from its source's, or by
+    _int_form on first use; read it through _int_form. It is made of
+    tuples, so nothing can write into it and it can be shared between
+    Mats. It is private and left out of pickles and copies, which
+    rebuild it when needed: a Mat's value is its rows.
     """
 
-    _form = _tform = None
+    _form = None
 
     def __new__(cls, rows, ncols: int):
         m = tuple.__new__(cls, rows)
@@ -99,12 +100,15 @@ class Mat(tuple):
         return len(self[0]) if self else self._ncols
 
 
+_ZERO = Fraction(0)
+
+
 class _Fractions(dict):
     """int v -> Fraction(v, den), each built on its first lookup: one
-    Fraction per distinct value."""
+    Fraction per distinct value, and the shared _ZERO for 0."""
 
     def __init__(self, den):
-        super().__init__()
+        super().__init__(((0, _ZERO),))
         self.den = den
 
     def __missing__(self, v):
@@ -115,7 +119,7 @@ class _Fractions(dict):
 def _least(rows, den: int) -> tuple[tuple[tuple[int, ...], ...], int]:
     """Integer rows over den > 0 as (row tuples, den) over the least
     common denominator: both divided by the factor common to den and
-    every entry. This is the form _qkernels._clear gives for rows / den."""
+    every entry. This is the form _int_form gives for rows / den."""
     g = gcd(den, *chain.from_iterable(rows)) if den != 1 else 1
     if g == 1:
         return tuple(map(tuple, rows)), den
@@ -130,6 +134,24 @@ def _int_mat(rows, den: int, ncols: int) -> Mat:
     m = Mat(tuple([tuple(map(frac, row)) for row in form[0]]), ncols)
     m._form = form
     return m
+
+
+def _int_form(a: Mat) -> tuple[tuple[tuple[int, ...], ...], int]:
+    """a's integer form (int_rows, den), computed from its entries and
+    kept as a._form when a has none yet: the rows as integers over the
+    least common denominator den (the lcm of the distinct entry
+    denominators)."""
+    form = a._form
+    if form is None:
+        # int and Fraction both give (numerator, denominator) in one call
+        pairs = [[x.as_integer_ratio() for x in row] for row in a]
+        den = lcm(*{d for row in pairs for _, d in row})
+        if den == 1:
+            form = tuple([tuple([n for n, _ in row]) for row in pairs]), 1
+        else:
+            form = tuple([tuple([n * (den // d) for n, d in row]) for row in pairs]), den
+        a._form = form
+    return form
 
 
 def q(x) -> Fraction:
@@ -170,9 +192,6 @@ def shape(a: Mat) -> tuple[int, int]:
     return (len(a), a.ncols)
 
 
-_ZERO = Fraction(0)
-
-
 def zeros(r: int, c: int) -> Mat:
     return Mat(((_ZERO,) * c,) * r, c)
 
@@ -184,12 +203,9 @@ def identity(n: int) -> Mat:
 def transpose(a: Mat) -> Mat:
     # zip sees no columns when a has no rows
     t = Mat(tuple(zip(*a)) or ((),) * a.ncols, len(a))
-    # a's form is t's transposed, and a's transposed form is t's own; a
-    # form without rows has no columns to transpose into t's rows
-    if a._form is not None and a:
-        t._tform = a._form
-    if a._tform is not None:
-        t._form = a._tform
+    if a._form is not None:
+        rows, den = a._form
+        t._form = tuple(zip(*rows)) or ((),) * a.ncols, den
     return t
 
 
@@ -222,13 +238,15 @@ def matmul(a: Mat, b: Mat) -> Mat:
     if not (ra and rb and cb):
         # no entry, or every entry an empty sum
         return zeros(ra, cb)
-    return _int_mat(*_qkernels.matmul(a, b), cb)
+    ai, da = _int_form(a)
+    bi, db = _int_form(b)
+    return _int_mat(_qkernels.matmul(ai, bi), da * db, cb)
 
 
 def matvec(a: Mat, v: Vec) -> Vec:
     if len(v) != a.ncols:
         raise ValueError("matvec shape mismatch")
-    return tuple(sum((x * y for x, y in zip(row, v) if x and y), Fraction(0)) for row in a)
+    return tuple(sum((x * y for x, y in zip(row, v) if x and y), _ZERO) for row in a)
 
 
 def add_vec(u: Vec, v: Vec) -> Vec:
@@ -245,7 +263,7 @@ def scale_vec(v: Vec, s) -> Vec:
 def dot(u: Vec, v: Vec) -> Fraction:
     if len(u) != len(v):
         raise ValueError("dot shape mismatch")
-    return sum((x * y for x, y in zip(u, v) if x and y), Fraction(0))
+    return sum((x * y for x, y in zip(u, v) if x and y), _ZERO)
 
 
 def bilinear(g: Mat, u: Vec, v: Vec) -> Fraction:
@@ -258,15 +276,15 @@ def kron(a: Mat, b: Mat) -> Mat:
     is a[i_a][j_a] * b[i_b][j_b].
 
     The products are taken in integers, from the integer forms of a and
-    b (_qkernels._clear), and each distinct product becomes one Fraction
+    b (_int_form), and each distinct product becomes one Fraction
     (_Fractions). A zero entry of a contributes one shared block of
     zeros instead of a row of b's worth of products. The result keeps
-    no integer form: it is cleared if a kernel needs it."""
+    no integer form: _int_form computes it if a kernel needs it."""
     cb = b.ncols
-    ai, da = _qkernels._clear(a)
-    bi, db = _qkernels._clear(b)
+    ai, da = _int_form(a)
+    bi, db = _int_form(b)
     frac = _Fractions(da * db)
-    zero = (Fraction(0),) * cb
+    zero = (_ZERO,) * cb
     out = []
     for arow in ai:
         for brow in bi:
@@ -294,12 +312,11 @@ def vstack(*ms: Mat) -> Mat:
 
 def block_diag(*ms: Mat) -> Mat:
     total = sum(m.ncols for m in ms)
-    zero = Fraction(0)
     out = []
     left = 0
     for m in ms:
         right = total - left - m.ncols
-        out.extend((zero,) * left + row + (zero,) * right for row in m)
+        out.extend((_ZERO,) * left + row + (_ZERO,) * right for row in m)
         left += m.ncols
     return Mat(tuple(out), total)
 
@@ -314,11 +331,10 @@ def block_matrix(row_dims: Sequence[int], col_dims: Sequence[int], blocks) -> Ma
     blocks maps (i, j) to a row_dims[i] x col_dims[j] matrix; missing
     entries are zero.
     """
-    zero = Fraction(0)
     total_c = sum(col_dims)
     out = []
     for i, rd in enumerate(row_dims):
-        rows = [[zero] * total_c for _ in range(rd)]
+        rows = [[_ZERO] * total_c for _ in range(rd)]
         off = 0
         for j, cd in enumerate(col_dims):
             blk = blocks.get((i, j))
@@ -339,32 +355,44 @@ def block_matrix(row_dims: Sequence[int], col_dims: Sequence[int], blocks) -> Ma
 def rref(a: Mat) -> tuple[Mat, tuple[int, ...]]:
     """Nonzero rows of the unique reduced row echelon form, as a Mat of
     a's width, plus pivot columns."""
-    rows, den, pivots = ((), 1, ()) if is_zero(a) else _qkernels.rref(a)
+    rows, den, pivots = ((), 1, ()) if is_zero(a) else _qkernels.rref(_int_form(a)[0])
     return _int_mat(rows, den, a.ncols), tuple(pivots)
 
 
 def rank(a: Mat) -> int:
     if is_zero(a):
         return 0
-    return _qkernels.rank(a)
+    return _qkernels.rank(_int_form(a)[0])
 
 
 def det(a: Mat) -> Fraction:
+    """The kernel's determinant of the integer form, over den^n."""
     r, c = shape(a)
     if r != c:
         raise ValueError("det needs a square matrix")
     if r == 0:
         return Fraction(1)
-    return _qkernels.det(a)
+    rows, den = _int_form(a)
+    return Fraction(_qkernels.det(rows), den**r)
 
 
 def permanent(a: Mat) -> Fraction:
+    """The kernel's permanent of the integer form, over den^n."""
     r, c = shape(a)
     if r != c:
         raise ValueError("permanent needs a square matrix")
     if r == 0:
         return Fraction(1)
-    return _qkernels.permanent(a)
+    rows, den = _int_form(a)
+    return Fraction(_qkernels.permanent(rows), den**r)
+
+
+def is_positive_definite(a: Mat) -> bool:
+    """Is the symmetric matrix a positive definite? Clearing a to its
+    integer form scales the k-th leading minor by den^k > 0, so the
+    kernel's Sylvester test on the integers decides it. A 0 x 0 matrix
+    is positive definite."""
+    return not a or _qkernels.positive_definite(_int_form(a)[0])
 
 
 def nullspace(a: Mat) -> Mat:
@@ -388,7 +416,7 @@ def nullspace_free(a: Mat) -> tuple[Mat, tuple[int, ...]]:
     den.
     """
     c = a.ncols
-    rows, den, pivots = ((), 1, ()) if is_zero(a) else _qkernels.rref(a)
+    rows, den, pivots = ((), 1, ()) if is_zero(a) else _qkernels.rref(_int_form(a)[0])
     pivset = set(pivots)
     free = tuple(f for f in range(c) if f not in pivset)
     out = []
@@ -417,8 +445,7 @@ def solve(a: Mat, b: Mat) -> Mat | None:
     rows, pivots = rref(hstack(a, b))
     if any(p >= ca for p in pivots):
         return None
-    zero = Fraction(0)
-    x = [[zero] * cb for _ in range(ca)]
+    x = [[_ZERO] * cb for _ in range(ca)]
     for i, p in enumerate(pivots):
         for j in range(cb):
             x[p][j] = rows[i][ca + j]
@@ -455,6 +482,17 @@ def exactness_defect(*mats: Mat) -> tuple[int, str] | None:
     ranks = [rank(m) for m in mats]
     bad = [i for i, (f, r, s) in enumerate(zip(mats, ranks, ranks[1:]), 1) if r + s != len(f)]
     return (bad[0], "ranks") if bad else None
+
+
+def _images(m: Mat, rows) -> tuple[list[list[int]], int]:
+    """(images, den): m @ (row / e) == image / (den * e) for each integer
+    row of m's width and its image, whatever e is. The products are
+    taken in integers, against m's integer form."""
+    form, den = _int_form(m)
+    if not (rows and form and m.ncols):
+        # no row, or every entry of every image an empty sum
+        return [[0] * len(m) for _ in rows], den
+    return _qkernels.matmul(rows, list(zip(*form))), den
 
 
 def _numerators(v) -> tuple[list[int], int]:
@@ -503,7 +541,7 @@ class EchelonBasis:
         self.width = width
         self._rows = None
         if a and width:
-            rows, den, pivots = _qkernels.rref(a)
+            rows, den, pivots = _qkernels.rref(_int_form(a)[0])
             self._set(rows, den, tuple(pivots))
         else:
             self.int_rows, self.den, self.pivots = (), 1, ()
@@ -517,8 +555,8 @@ class EchelonBasis:
 
     @classmethod
     def kernel(cls, a: Mat) -> "EchelonBasis":
-        """Basis of {v : a v = 0}, from one elimination of a with its
-        columns reversed.
+        """Basis of {v : a v = 0}, from one elimination of a's integer
+        form with its columns reversed.
 
         Reversed, each echelon row's pivot is its rightmost nonzero in
         a's column order. So the kernel vector of a free column f, den
@@ -533,7 +571,7 @@ class EchelonBasis:
         if is_zero(a):
             rows, den, pivots = (), 1, ()
         else:
-            rows, den, pivots = _qkernels.rref([row[::-1] for row in a])
+            rows, den, pivots = _qkernels.rref([row[::-1] for row in _int_form(a)[0]])
         # each echelon row (indexed from a's last column) and its pivot in a's order
         held = [(c - 1 - p, row) for p, row in zip(pivots, rows)]
         taken = {p for p, _ in held}

@@ -37,7 +37,6 @@ from fractions import Fraction
 from functools import reduce
 from math import factorial
 
-from . import _qkernels
 from . import linalg as la
 from .core import MetrizedSpace, SpaceMap, ZERO_SPACE
 
@@ -109,7 +108,7 @@ def _powers(v: MetrizedSpace, kind: str, top: int, low: int) -> tuple[PowerSpace
         raise ValueError("power degree must be >= 0")
     if kind not in _WORDS:
         raise ValueError(f"unknown power kind {kind!r}")
-    h, den = _qkernels._clear(v.gram)
+    h, den = la._int_form(v.gram)
     out = []
     index, gram = {(): 0}, [[1]]
     for d in range(top + 1):

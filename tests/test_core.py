@@ -115,7 +115,7 @@ def test_integer_pd_test_agrees_with_the_fraction_pivot_oracle():
     for t in range(240):
         kind = kinds[t % 4]
         g = _random_symmetric(rng, rng.randrange(1, 6), kind)
-        got = core._is_positive_definite(g)
+        got = la.is_positive_definite(g)
         assert got == _fraction_pivot_pd(g), (kind, g)
         if kind != "pd":
             # singular and indefinite Grams are never positive definite
@@ -125,7 +125,7 @@ def test_integer_pd_test_agrees_with_the_fraction_pivot_oracle():
 
 
 def test_integer_pd_test_edge_cases():
-    pd = core._is_positive_definite
+    pd = la.is_positive_definite
     assert pd(la.zeros(0, 0)) and _fraction_pivot_pd(la.zeros(0, 0))
     assert not pd(la.mat([[-1]])) and not pd(la.mat([[0]]))
     assert pd(la.mat([[F(1, 6)]]))

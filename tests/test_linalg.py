@@ -276,7 +276,18 @@ def test_degenerate_products_and_solves_skip_the_kernels(monkeypatch):
         (_ones(2, 3), la.Mat(((),) * 3, 0)),
         (la.zeros(0, 0), la.zeros(0, 4)),
     ]
-    kernel = [la._int_mat(*_qkernels.matmul(a, b), b.ncols) for a, b in products[:2]]
+    def kernel_product(a, b):
+        (ai, da), (bi, db) = la._int_form(a), la._int_form(b)
+        return la._int_mat(_qkernels.matmul(ai, bi), da * db, b.ncols)
+
+    kernel = [kernel_product(a, b) for a, b in products[:2]]
+    # the integer images of rows through m: no row, a matrix without
+    # rows, and one without columns (whose images are zero)
+    images = [
+        (_ones(2, 3), (), ([], 1)),
+        (la.zeros(0, 3), [(1, 2, 3)], ([[]], 1)),
+        (la.Mat(((),) * 2, 0), [()], ([[0, 0]], 1)),
+    ]
     # no right-hand side: rref(a | b) has its pivots inside a, so the
     # kernel path returned a's width of empty rows
     solves = [
@@ -291,9 +302,14 @@ def test_degenerate_products_and_solves_skip_the_kernels(monkeypatch):
     monkeypatch.setattr(_qkernels, "matmul", refuse)
     monkeypatch.setattr(_qkernels, "rref", refuse)
     monkeypatch.setattr(_qkernels, "rank", refuse)
+    monkeypatch.setattr(_qkernels, "positive_definite", refuse)
     got = [la.matmul(a, b) for a, b in products]
     assert got[:2] == kernel and got[2] == la.zeros(0, 4)
     assert [la.shape(m) for m in got] == [(0, 2), (2, 0), (0, 4)]
+    for m, rows, want in images:
+        assert la._images(m, rows) == want
+    # the empty Gram of the zero space is positive definite
+    assert la.is_positive_definite(la.zeros(0, 0))
     for a, b in solves:
         x = la.solve(a, b)
         assert x == la.Mat(((),) * a.ncols, 0) and la.shape(x) == (a.ncols, 0)

@@ -3,23 +3,29 @@
 Fixed expected values below are hand-computed (cofactor and Ryser
 expansions) and cross-checked with sympy. The oracle is plain Fraction
 Gaussian elimination, the reference the fraction-free kernels replaced.
-matmul and rref hand back integer rows over a positive int den, and
-rows / den must equal the oracle exactly; det and permanent must equal
-it entry types included, and the rank kernel must agree with the
-oracle's pivot count. The Mats hermk.linalg builds from those integers
-must equal the oracle with Fraction entries. The last tests pin the
-one elimination loop, _bareiss: its pivot columns against an in-order
-prefix-rank oracle, and which of its forms each caller runs.
+The kernels take integer rows (here a matrix's rows over the lcm of
+its denominators, oracle_form) and hand back integers: matmul's rows
+over the product of the factors' dens, and rref's rows over its
+positive int den, must equal the oracle exactly; det and permanent are
+ints, the oracle's value times den^n, and the rank kernel must agree
+with the oracle's pivot count. The Fractions and Mats hermk.linalg
+builds from those integers must equal the oracle, entry types
+included. Then come the integer form a Mat remembers, the one
+elimination loop, _bareiss (its pivot columns against an in-order
+prefix-rank oracle, and which of its forms each caller runs), and the
+boundary that keeps linalg the kernels' only caller.
 """
 
 from __future__ import annotations
 
+import ast
 import copy
+import pathlib
 import random
 from fractions import Fraction
 from math import lcm
 
-from hermk import _qkernels, core, koszul
+from hermk import _qkernels, koszul
 from hermk import linalg as la
 from hermk.core import MetrizedSpace
 from hermk.homology import quotient_presentation
@@ -34,26 +40,32 @@ FRAC_M = [
 
 def test_det_fixed():
     assert _qkernels.det(INT_M) == -3
-    assert _qkernels.det(FRAC_M) == Fraction(1, 60)
+    # FRAC_M is [[30, 20], [15, 12]] over 60: det 60 = 1/60 * 60^2
+    assert _qkernels.det(oracle_form(FRAC_M)[0]) == 60
+    assert la.det(la.mat(FRAC_M)) == Fraction(1, 60)
     f = Fraction
     odd = [[0, 2, 0], [3, 0, 0], [0, 0, 1]]
     even = [[0, 2, 0], [0, 0, f(1, 2)], [3, 0, 0]]
     # exchanges before a zero column in the middle, full rank after it
     zero_col = [[0, 1, 0, 2], [1, 0, 0, 3], [4, 5, 0, 6], [7, 8, 0, f(9, 7)]]
     assert (_swaps(odd), _swaps(even)) == (1, 2) and _swaps(zero_col) >= 1
-    assert _qkernels.rank(zero_col) == 3
+    assert _qkernels.rank(oracle_form(zero_col)[0]) == 3
     for m, value in ((odd, -6), (even, 3), (zero_col, 0), ([[1, 0, 2], [3, 0, 4], [5, 0, 6]], 0)):
-        assert _same(_qkernels.det(m), oracle_det(m)) and _qkernels.det(m) == value
+        rows, den = oracle_form(m)
+        assert _qkernels.det(rows) == value * den ** len(m)
+        assert _same(la.det(la.mat(m)), oracle_det(m)) and la.det(la.mat(m)) == value
 
 
 def _swaps(m) -> int:
     """The number of row exchanges of the forward elimination of m."""
-    return _qkernels._bareiss(_qkernels._clear(m)[0], False)[2]
+    return _qkernels._bareiss(list(oracle_form(m)[0]), False)[2]
 
 
 def test_permanent_fixed():
     assert _qkernels.permanent(INT_M) == 463
-    assert _qkernels.permanent(FRAC_M) == Fraction(11, 60)
+    # over 60: 30 * 12 + 20 * 15 = 660 = 11/60 * 60^2
+    assert _qkernels.permanent(oracle_form(FRAC_M)[0]) == 660
+    assert la.permanent(la.mat(FRAC_M)) == Fraction(11, 60)
 
 
 def _over(rows, den):
@@ -87,16 +99,17 @@ def test_rref_int_fixed():
 
 
 def test_matmul_fixed():
-    got, den = _qkernels.matmul([[1, 2], [3, 4], [5, 6]], [[1, 0, 2], [0, 1, 3]])
-    assert _over(got, den) == [
+    assert _qkernels.matmul([[1, 2], [3, 4], [5, 6]], [[1, 0, 2], [0, 1, 3]]) == [
         [1, 2, 8],
         [3, 4, 18],
         [5, 6, 28],
     ]
-    # 1/2 * 2/3 + 1/6 * 1 = 6 / 18: the kernel's den is the product of
-    # the factors' dens, and the Mat's form is over the least one, 2
+    # 1/2 * 2/3 + 1/6 * 1 = 9 / 18: the integer rows (3, 1) over 6 and
+    # (2, 3) over 3 give 9 over the product of the dens, and the Mat's
+    # form is over the least denominator, 2
     a, b = [[Fraction(1, 2), Fraction(1, 6)]], [[Fraction(2, 3)], [1]]
-    assert _qkernels.matmul(a, b) == ([[9]], 18)
+    assert (oracle_form(a), oracle_form(b)) == ((((3, 1),), 6), (((2,), (3,)), 3))
+    assert _qkernels.matmul(oracle_form(a)[0], oracle_form(b)[0]) == [[9]]
     m = la.matmul(la.mat(a), la.mat(b))
     assert m == ((Fraction(1, 2),),) and m._form == (((1,),), 2)
 
@@ -283,33 +296,43 @@ def _int_result(rows, den) -> bool:
 
 def mismatches(cases) -> list[tuple[str, int]]:
     """(kernel, case index) for every result that differs from the
-    oracle: the kernels' integers over their den, and the Mats linalg
-    builds from them, Fraction entries and least-denominator form
-    included."""
+    oracle: the kernels' integers, on the cases' integer forms, over
+    the dens they imply, and the Fractions and Mats linalg builds from
+    them, Fraction entries and least-denominator form included."""
     bad = []
     for n, (a, b, sq) in enumerate(cases):
-        rows, den = _qkernels.matmul(a, b)
+        (ai, da), (bi, db), (si, ds) = oracle_form(a), oracle_form(b), oracle_form(sq)
+        rows = _qkernels.matmul(ai, bi)
         product = oracle_matmul(a, b)
-        if not _int_result(rows, den) or _over(rows, den) != product:
+        if not _int_result(rows, da * db) or _over(rows, da * db) != product:
             bad.append(("matmul", n))
         m = la.matmul(la.mat(a), la.mat(b))
         if not _same_rows(m, product) or m._form != oracle_form(product):
             bad.append(("la.matmul", n))
-        rows, den, pivots = _qkernels.rref(a)
+        rows, den, pivots = _qkernels.rref(ai)
         orows, opivots = oracle_rref(a)
         if pivots != opivots or not _int_result(rows, den) or _over(rows, den) != orows:
             bad.append(("rref", n))
         m, mpivots = la.rref(la.mat(a))
         if list(mpivots) != opivots or not _same_rows(m, orows) or m._form != oracle_form(orows):
             bad.append(("la.rref", n))
-        if not _same(_qkernels.det(sq), oracle_det(sq)):
+        scale = ds ** len(sq)
+        got = _qkernels.det(si)
+        if type(got) is not int or got != oracle_det(sq) * scale:
             bad.append(("det", n))
-        if not _same(_qkernels.permanent(sq), oracle_permanent(sq)):
+        if not _same(la.det(la.mat(sq)), oracle_det(sq)):
+            bad.append(("la.det", n))
+        got = _qkernels.permanent(si)
+        if type(got) is not int or got != oracle_permanent(sq) * scale:
             bad.append(("permanent", n))
-        for m in (a, sq):
-            got = _qkernels.rank(m)
+        if not _same(la.permanent(la.mat(sq)), oracle_permanent(sq)):
+            bad.append(("la.permanent", n))
+        for m, mi in ((a, ai), (sq, si)):
+            got = _qkernels.rank(mi)
             if type(got) is not int or got != len(oracle_rref(m)[1]):
                 bad.append(("rank", n))
+            if la.rank(la.mat(m)) != len(oracle_rref(m)[1]):
+                bad.append(("la.rank", n))
     return bad
 
 
@@ -332,6 +355,8 @@ def test_kernels_match_the_oracle():
 
 def test_inputs_are_not_mutated():
     for a, b, sq in _cases(count=12):
+        # integer rows as lists, which a careless kernel could write into
+        a, b, sq = ([list(row) for row in oracle_form(m)[0]] for m in (a, b, sq))
         before = copy.deepcopy((a, b, sq))
         _qkernels.matmul(a, b)
         _qkernels.rref(a)
@@ -339,21 +364,24 @@ def test_inputs_are_not_mutated():
         _qkernels.rank(sq)
         _qkernels.det(sq)
         _qkernels.permanent(sq)
+        _qkernels.positive_definite(sq)
         assert (a, b, sq) == before
 
 
 def test_oracle_comparison_catches_a_dropped_denominator(monkeypatch):
-    clear = _qkernels._clear
+    int_form = la._int_form
 
     def drop_denominator(a):
-        rows, _ = clear(a)
+        rows, _ = int_form(a)
         return rows, 1
 
-    monkeypatch.setattr(_qkernels, "_clear", drop_denominator)
+    monkeypatch.setattr(la, "_int_form", drop_denominator)
     bad = {kernel for kernel, _ in mismatches(_cases())}
-    # rref and rank ignore the common scale, so only the products, det
-    # and permanent must break
-    assert {"matmul", "la.matmul", "det", "permanent"} <= bad
+    # rref and rank ignore the common scale, and the kernels are handed
+    # the oracle's forms, so only linalg's products, det and permanent
+    # must break
+    assert {"la.matmul", "la.det", "la.permanent"} <= bad
+    assert not bad & {"matmul", "rref", "det", "permanent", "rank", "la.rref", "la.rank"}
 
 
 # -- the int/Fraction boundary ----------------------------------------
@@ -372,11 +400,15 @@ def test_clear_gives_the_least_denominator_and_exact_integers():
         ([[0, 1, 2], [3, f(1, 7), 0]], [[0, 7, 14], [21, 1, 0]], 7),
     ]
     for a, rows, den in cases:
-        got_rows, got_den = _qkernels._clear(a)
+        m = la.mat(a)
+        form = la._int_form(m)
+        got_rows, got_den = form
         assert ([list(row) for row in got_rows], got_den) == (rows, den)
-        # row tuples in a list of their own, so no caller can write into a form
-        assert type(got_rows) is list and all(type(row) is tuple for row in got_rows)
+        # tuples of row tuples, so no caller can write into a form
+        assert type(got_rows) is tuple and all(type(row) is tuple for row in got_rows)
         assert all(type(x) is int for row in got_rows for x in row)
+        # kept by the Mat, so it is computed once
+        assert m._form is form and la._int_form(m) is form
 
 
 def test_every_result_entry_is_a_fraction():
@@ -392,10 +424,11 @@ def test_every_result_entry_is_a_fraction():
         entries = [x for m in mats for row in m for x in row]
         entries += [la.det(sq), la.permanent(sq)]
         assert all(type(x) is Fraction for x in entries)
-        # the kernels hand out ints; det and permanent are the only
-        # Fractions a kernel builds
-        assert _int_result(*_qkernels.matmul(a, b))
-        assert _int_result(*_qkernels.rref(a)[:2])
+        # the kernels hand out ints and build no Fraction
+        (ai, _), (bi, _), (si, _) = (la._int_form(m) for m in (a, b, sq))
+        assert _int_result(_qkernels.matmul(ai, bi), 1)
+        assert _int_result(*_qkernels.rref(ai)[:2])
+        assert type(_qkernels.det(si)) is type(_qkernels.permanent(si)) is int
 
 
 def test_oracle_comparison_catches_a_result_built_without_its_denominator(monkeypatch):
@@ -406,8 +439,8 @@ def test_oracle_comparison_catches_a_result_built_without_its_denominator(monkey
 
     monkeypatch.setattr(la, "_Fractions", ignore_denominator)
     bad = {kernel for kernel, _ in mismatches(_cases())}
-    # the kernels hand out their den, and det and permanent divide by
-    # theirs themselves: only the Mats linalg builds must break
+    # det and permanent divide by den^n themselves: only the Mats linalg
+    # builds must break
     assert bad == {"la.matmul", "la.rref"}
 
 
@@ -421,8 +454,8 @@ def _fresh(m):
 
 def _produced(seed):
     """(producer, Mat) for every producer that hands out a Mat with its
-    form (or, for a transpose, its transposed form) attached, and for a
-    Mat cleared once, on random Fraction matrices with zero rows and
+    form attached, and for a Mat whose form _int_form computed once, on
+    random Fraction matrices with zero rows and
     rank defects; also the number of products whose least denominator
     is below the product of their factors' denominators."""
     rng = random.Random(seed)
@@ -432,7 +465,7 @@ def _produced(seed):
         a = la.mat(_degrade(rng, _matrix(rng, r, m, MIXED)))
         b = la.mat(_matrix(rng, m, c, MIXED))
         cleared = la.mat(_matrix(rng, r, c, MIXED))
-        _qkernels._clear(cleared)
+        la._int_form(cleared)
         p = la.matmul(a, b)
         t = la.transpose(p)
         out += [
@@ -446,7 +479,7 @@ def _produced(seed):
             ("EchelonBasis.rows", la.EchelonBasis(a, m).rows),
             ("EchelonBasis.kernel", la.EchelonBasis.kernel(a).rows),
         ]
-        reduced += p._form[1] < _qkernels._clear(a)[1] * _qkernels._clear(b)[1]
+        reduced += p._form[1] < la._int_form(a)[1] * la._int_form(b)[1]
     for dim in (1, 2, 3):
         out += _koszul_produced(_fraction_space(rng, dim))
     return out, reduced
@@ -478,19 +511,19 @@ def _koszul_produced(v):
 
 
 def form_mismatches(seed=20261019) -> set:
-    """The producers whose Mat hands _clear other integers than a fresh
-    Mat of the same entries gets, or an other denominator, or that
-    carry no form at all."""
+    """The producers whose Mat carries another form than _int_form
+    computes for a fresh Mat of the same entries, or than the oracle's,
+    or that carry no form at all."""
     bad = set()
     for name, m in _produced(seed)[0]:
         # a Mat without rows never reaches a kernel
         if not m:
             continue
-        if m._form is None and m._tform is None:
+        if m._form is None:
             bad.add(name)
             continue
-        got, want = _qkernels._clear(m), _qkernels._clear(_fresh(m))
-        if got != want or (tuple(want[0]), want[1]) != oracle_form(m):
+        got, want = la._int_form(m), la._int_form(_fresh(m))
+        if got != want or want != oracle_form(m):
             bad.add(name)
     return bad
 
@@ -537,19 +570,23 @@ def test_a_remembered_form_is_never_written_into():
         r, m = rng.randrange(1, 6), rng.randrange(1, 6)
         a = la.mat(_degrade(rng, _matrix(rng, r, m, MIXED)))
         for x in (la.matmul(a, la.transpose(a)), la.transpose(la.matmul(a, la.identity(m)))):
-            _qkernels._clear(x)
-            before = copy.deepcopy((x._form, x._tform))
+            rows = la._int_form(x)[0]
+            before = copy.deepcopy(x._form)
             runs = [
                 (
-                    _qkernels.rref(x),
-                    _qkernels._bareiss(_qkernels._clear(x)[0], False),
-                    _qkernels._bareiss(_qkernels._clear(x)[0], True),
+                    _qkernels.rref(rows),
+                    _qkernels.rank(rows),
+                    _qkernels.matmul(rows, list(zip(*rows))),
+                    _qkernels._bareiss(list(rows), False),
+                    _qkernels._bareiss(list(rows), True),
                 )
                 for _ in range(2)
             ]
+            if len(x) == x.ncols:
+                runs.append((_qkernels.det(rows), _qkernels.positive_definite(rows)))
             assert runs[0] == runs[1]
-            assert runs[0][0] == _qkernels.rref(_fresh(x))
-            assert (x._form, x._tform) == before
+            assert runs[0][0] == _qkernels.rref(la._int_form(_fresh(x))[0])
+            assert x._form == before
             # and the kernels read the forms to the Fraction oracles' values
             rows, pivots = la.rref(x)
             orows, opivots = oracle_rref(x)
@@ -561,9 +598,11 @@ def test_a_remembered_form_is_never_written_into():
 
 def test_a_transpose_without_rows_gets_its_rows_back():
     z = la.zeros(0, 3)
-    assert _qkernels._clear(z) == ([], 1)
-    # a form with no rows has no columns to transpose: t clears itself
-    assert _qkernels._clear(la.transpose(z)) == ([(), (), ()], 1)
+    assert la._int_form(z) == ((), 1)
+    # a form with no rows has no columns to transpose into t's rows
+    t = la.transpose(z)
+    assert t._form == (((), (), ()), 1) and la.shape(t) == (3, 0)
+    assert la._int_form(la.transpose(t)) == ((), 1)
     assert la.shape(la.kron(la.transpose(z), la.identity(2))) == (6, 0)
 
 
@@ -602,8 +641,8 @@ def test_pivot_columns_pick_the_vectors_independent_of_the_ones_before():
                 kind, v = "random", [_entry(rng, MIXED) for _ in range(width)]
             vectors.append(v)
             kinds.append(kind)
-        columns, _ = _qkernels._clear([list(c) for c in zip(*vectors)])
-        _, pivots, _, _ = _qkernels._bareiss(columns, False)
+        columns, _ = oracle_form([list(c) for c in zip(*vectors)])
+        _, pivots, _, _ = _qkernels._bareiss(list(columns), False)
         expected = _prefix_rank_picks(vectors)
         assert pivots == expected, vectors
         for i, kind in enumerate(kinds):
@@ -626,7 +665,7 @@ def test_every_elimination_runs_through_the_one_bareiss_loop(monkeypatch):
     runs = {
         "rank": (lambda: la.rank(g), 2, [False]),
         "det": (lambda: la.det(g), 3, [False]),
-        "pd": (lambda: core._is_positive_definite(g), True, [False]),
+        "pd": (lambda: la.is_positive_definite(g), True, [False]),
         "rref": (lambda: la.rref(g)[1], (0, 1), [True]),
         # the cycle and boundary bases, and nothing else
         "presentation": (
@@ -644,3 +683,76 @@ def test_every_elimination_runs_through_the_one_bareiss_loop(monkeypatch):
         calls.clear()
         assert run() == value, name
         assert calls == forms, name
+
+
+# -- linalg, the kernels' only caller -------------------------------------
+
+SRC = pathlib.Path(la.__file__).parent
+
+
+def _imported(tree) -> set[str]:
+    """Every module name an import in tree names, relative ones with
+    their leading dots: `from . import x` names "." and ".x"."""
+    out = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            out.update(alias.name for alias in node.names)
+        elif isinstance(node, ast.ImportFrom):
+            base = "." * node.level + (node.module or "")
+            out.add(base)
+            sep = "" if base.endswith(".") else "."
+            out.update(base + sep + alias.name for alias in node.names)
+    return out
+
+
+def _writes_form(tree) -> bool:
+    """Does tree assign a _form attribute, directly or through setattr?"""
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Attribute) and node.attr == "_form":
+            if isinstance(node.ctx, ast.Store):
+                return True
+        if isinstance(node, ast.Call) and getattr(node.func, "id", None) == "setattr":
+            if any(isinstance(x, ast.Constant) and x.value == "_form" for x in node.args[1:2]):
+                return True
+    return False
+
+
+def kernel_boundary_breaches(sources: dict) -> set:
+    """(module, breach) for module name -> source text: a module other
+    than linalg that imports _qkernels or assigns a _form, and a
+    _qkernels that imports fractions or any hermk module."""
+    bad = set()
+    for name, text in sources.items():
+        tree = ast.parse(text)
+        names = _imported(tree)
+        if name != "linalg":
+            if any("_qkernels" in n.split(".") for n in names):
+                bad.add((name, "imports _qkernels"))
+            if _writes_form(tree):
+                bad.add((name, "assigns _form"))
+        if name == "_qkernels":
+            if any(n.split(".")[0] == "fractions" for n in names):
+                bad.add((name, "imports fractions"))
+            if any(n.startswith(".") or n.split(".")[0] == "hermk" for n in names):
+                bad.add((name, "imports hermk"))
+    return bad
+
+
+def test_only_linalg_calls_the_kernels():
+    sources = {p.stem: p.read_text() for p in sorted(SRC.glob("*.py"))}
+    assert {"linalg", "_qkernels", "homology", "koszul"} <= set(sources)
+    assert kernel_boundary_breaches(sources) == set()
+    # linalg does both, so the checks can see them
+    assert _writes_form(ast.parse(sources["linalg"]))
+    assert any("_qkernels" in n.split(".") for n in _imported(ast.parse(sources["linalg"])))
+    # controls: one doctored module each
+    doctored = {
+        ("homology", "imports _qkernels"): ("homology", "from . import _qkernels\n"),
+        ("cubes", "imports _qkernels"): ("cubes", "from hermk._qkernels import rref\n"),
+        ("koszul", "assigns _form"): ("koszul", "m._form = ((), 1)\n"),
+        ("core", "assigns _form"): ("core", "setattr(m, '_form', ((), 1))\n"),
+        ("_qkernels", "imports fractions"): ("_qkernels", "from fractions import Fraction\n"),
+        ("_qkernels", "imports hermk"): ("_qkernels", "from . import linalg\n"),
+    }
+    for breach, (name, line) in doctored.items():
+        assert kernel_boundary_breaches({**sources, name: sources[name] + line}) == {breach}
