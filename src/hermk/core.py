@@ -419,9 +419,13 @@ class ShortExactMetrized:
     Construction validates exactness at all three terms by one
     la.is_exact call on the chain with its zero ends; a failure names
     the term and the test (product or ranks) that fails there.
+
+    _split holds, once is_hermitian_split has run, the part of its test
+    that does not read project's scale_sq (_split_parts); the sequences
+    _rescaled derives from this one share it.
     """
 
-    __slots__ = ("inject", "project")
+    __slots__ = ("inject", "project", "_split")
 
     def __init__(self, inject: SpaceMap, project: SpaceMap):
         if inject.codomain != project.domain:
@@ -434,6 +438,7 @@ class ShortExactMetrized:
             raise ValueError(f"sequence is not exact at {term}: the {why} test fails")
         self.inject = inject
         self.project = project
+        self._split = []
 
     def _rescaled(self, scale_sq) -> "ShortExactMetrized":
         """This sequence with project's scale_sq replaced, unchecked.
@@ -441,7 +446,8 @@ class ShortExactMetrized:
         Exactness reads only the entries of inject and project, and a
         ScaledMatrix has scale_sq > 0, so the result is exact because
         this one is. Only mu_decompose uses this: a rescaled complex
-        shares its checked kernel sequences.
+        shares its checked kernel sequences. The result shares _split:
+        a rescaling changes no input of _split_parts.
         """
         p = self.project
         if scale_sq == p.matrix.scale_sq:
@@ -449,6 +455,7 @@ class ShortExactMetrized:
         out = object.__new__(ShortExactMetrized)
         out.inject = self.inject
         out.project = SpaceMap(p.domain, p.codomain, ScaledMatrix(p.matrix.entries, scale_sq))
+        out._split = self._split
         return out
 
     @property
@@ -484,20 +491,45 @@ def is_hermitian_split(ses: ShortExactMetrized) -> bool:
     """Does the sequence split orthogonally, metrics and all?
 
     True iff (a) inject is an isometry onto its image and (b) project,
-    restricted to the orthogonal complement of that image, is an
-    isometry onto quot. The restriction is automatically bijective
-    (the complement misses ker project), so (b) is one Gram equation.
+    restricted to the orthogonal complement C of that image (as
+    columns), is an isometry onto quot. The restriction is
+    automatically bijective (the complement misses ker project), so (b)
+    is one Gram equation: scale_sq (P C)^T H (P C) == C^T G C, for
+    project = sqrt(scale_sq) P and the Grams G of total and H of quot.
+    All of it but the scale is computed once per sequence and its
+    rescalings (_split_parts), so a later call makes one scale and one
+    comparison.
     """
-    if ses.inject.matrix.pullback(ses.total.gram) != ses.sub.gram:
+    if not ses._split:
+        ses._split.append(_split_parts(ses))
+    parts = ses._split[0]
+    if parts is None:
         return False
-    image = la.transpose(ses.inject.matrix.entries)
-    cols = la.transpose(orthogonal_complement(ses.total, image))
-    if cols.ncols != ses.quot.dim:
+    pgp, cgc = parts
+    return la.scale(pgp, ses.project.matrix.scale_sq) == cgc
+
+
+def _split_parts(ses: ShortExactMetrized) -> tuple[Mat, Mat] | None:
+    """None when test (a) of is_hermitian_split fails, else the two
+    sides (P C)^T H (P C) and C^T G C of test (b) before the scale.
+
+    Both tests read one product, K G with K the image rows of inject:
+    (a) is s K G K^T == the Gram of sub, for inject = sqrt(s) K^T, and
+    the complement is the nullspace of K G. This is
+    orthogonal_complement without its independence rank, as
+    _span_metric is induced_subspace_metric without its own: the
+    sequence was checked exact, so inject is injective.
+    """
+    m = ses.inject.matrix
+    kg = la.matmul(la.transpose(m.entries), ses.total.gram)
+    if la.scale(la.matmul(kg, m.entries), m.scale_sq) != ses.sub.gram:
+        return None
+    comp = la.nullspace(kg)
+    if len(comp) != ses.quot.dim:
         raise AssertionError("complement dimension must match the quotient")
+    cols = la.transpose(comp)
     pc = la.matmul(ses.project.matrix.entries, cols)
-    lhs = la.scale(
+    return (
         la.matmul(la.matmul(la.transpose(pc), ses.quot.gram), pc),
-        ses.project.matrix.scale_sq,
+        la.matmul(la.matmul(comp, ses.total.gram), cols),
     )
-    rhs = la.matmul(la.matmul(la.transpose(cols), ses.total.gram), cols)
-    return lhs == rhs

@@ -778,21 +778,16 @@ def koszul_sum_isometry(
         except KeyError:
             # a candidate rhs may simply not carry the matching labels
             return False
-        for a in range(lo.dim):
-            for bcol in range(lo.dim):
-                if lo.gram[a][bcol] != ro.gram[perm[a]][perm[bcol]]:
-                    return False
+        if not la.is_permuted(lo.gram, ro.gram, perm, perm):
+            return False
         perms.append(perm)
     for p in range(k):
         fl = lhs.maps[p].matrix
         fr = rhs.maps[p].matrix
         if fl.scale_sq != fr.scale_sq:
             return False
-        pm, pn = perms[p + 1], perms[p]
-        for r in range(lhs.objects[p + 1].dim):
-            for ccol in range(lhs.objects[p].dim):
-                if fl.entries[r][ccol] != fr.entries[pm[r]][pn[ccol]]:
-                    return False
+        if not la.is_permuted(fl.entries, fr.entries, perms[p + 1], perms[p]):
+            return False
     return True
 
 

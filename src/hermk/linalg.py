@@ -26,14 +26,16 @@ one needs it; that is the one conversion from Fractions to integers.
 _int_mat, the one builder of a Mat from integer rows over a
 denominator, divides them down to the least denominator (_least),
 builds one Fraction per distinct value (_Fractions) and attaches the
-form: products, RREFs, kernel bases, the identity, the rows of an
-EchelonBasis, and outside this module the power Grams of
-hermk.multilinear, the maps word_map builds and the Koszul
-coordinates, all come from it. transpose gives the result its source's
-form, transposed. kron's result gets none: keeping its integers next
-to its Fractions made the Koszul tower slower and larger. A form is
-set once and is made of tuples, so Mats that share one cannot disturb
-each other; see the Mat docstring.
+form: products, scalings (scale multiplies the form by the scalar's
+numerator and its den by the denominator), RREFs, kernel bases, the
+identity, the rows of an EchelonBasis, and outside this module the
+power Grams of hermk.multilinear, the maps word_map builds and the
+Koszul coordinates, all come from it. transpose gives the result its
+source's form, transposed. kron's result gets none: keeping its
+integers next to its Fractions made the Koszul tower slower and
+larger. A form is set once and is made of tuples, so Mats that share
+one cannot disturb each other, and a form is unique, so Mats that
+both have one are compared by it; see the Mat docstring.
 
 EchelonBasis, the span type, keeps the kernel's integer RREF rather
 than Fractions: its rows are integers over one positive common
@@ -67,9 +69,13 @@ class Mat(tuple):
 
     Mat(rows, ncols) adopts a tuple of row tuples as it is, without
     looking at the entries; ncols is read from the rows when there are
-    any. mat() is the constructor for raw input. Indexing, iteration,
-    == and hash are the tuple's, so two matrices without rows compare
-    equal whatever their widths.
+    any. mat() is the constructor for raw input. Indexing, iteration
+    and hash are the tuple's. == and != compare the integer forms when
+    both Mats have one: a form is over the least common denominator, so
+    it is unique, and equal forms mean equal matrices. Otherwise they
+    are the tuple's comparison, which also serves a plain tuple on
+    either side. Either way two matrices without rows compare equal
+    whatever their widths: their forms are both ((), 1).
 
     _form, when set, is the matrix's integer form (int_rows, den): a
     tuple of int row tuples and the least common denominator, with
@@ -88,6 +94,18 @@ class Mat(tuple):
         if not m:
             m._ncols = ncols
         return m
+
+    def __eq__(self, other):
+        if isinstance(other, Mat) and self._form is not None and other._form is not None:
+            return self._form == other._form
+        return tuple.__eq__(self, other)
+
+    def __ne__(self, other):
+        eq = self.__eq__(other)
+        return eq if eq is NotImplemented else not eq
+
+    # defining __eq__ would otherwise leave Mats unhashable
+    __hash__ = tuple.__hash__
 
     def __getnewargs__(self):
         return tuple(self), self.ncols
@@ -226,8 +244,25 @@ def sub(a: Mat, b: Mat) -> Mat:
 
 
 def scale(a: Mat, s) -> Mat:
+    """s * a, in integers: a's integer form times s's numerator, over
+    its den times s's denominator, built by _int_mat. s = 1 gives a."""
     s = q(s)
-    return Mat(tuple(tuple(s * x for x in row) for row in a), a.ncols)
+    n, d = s.numerator, s.denominator
+    if n == d:
+        return a
+    rows, den = _int_form(a)
+    return _int_mat([[n * x for x in row] for row in rows], den * d, a.ncols)
+
+
+def is_permuted(a: Mat, b: Mat, rows: Sequence[int], cols: Sequence[int]) -> bool:
+    """Is a[i][j] == b[rows[i]][cols[j]] for every i, j, for rows and
+    cols permutations of b's row and column indices? Decided on the
+    integer forms: permuting b keeps its least denominator."""
+    ai, da = _int_form(a)
+    bi, db = _int_form(b)
+    if da != db:
+        return False
+    return all(ra == tuple([rb[j] for j in cols]) for ra, rb in zip(ai, [bi[i] for i in rows]))
 
 
 def matmul(a: Mat, b: Mat) -> Mat:

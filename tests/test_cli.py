@@ -469,6 +469,38 @@ def test_face_and_degeneracy_claims_catch_swapped_degeneracy_kinds(monkeypatch):
     )
 
 
+def test_degeneracy_claims_catch_a_flag_degeneracy_off_by_one(monkeypatch):
+    honest = cubes.Flag.degeneracy
+
+    def off_by_one(flag, i):
+        # repeats entry i + 1 where the flag has one, instead of entry i
+        if 1 <= i < flag.length:
+            return flag._derive(flag.bases[:i] + (flag.bases[i],) + flag.bases[i:])
+        return honest(flag, i)
+
+    monkeypatch.setattr(cubes.Flag, "degeneracy", off_by_one)
+    failing, every = {}, {}
+    for suite in ("cubsdeg", "homotopy", "cub-relations"):
+        checks = run_suite(SuiteConfig(suite, seed=1)).checks
+        every[suite] = {c.instance for c in checks}
+        failing[suite] = {(c.claim_ref, c.instance) for c in checks if not c.ok}
+    # the residue and the homotopy identity are wrong only at i = 1 of
+    # a three-step flag; every paired-faces and degeneracy relation is
+    first3 = {i for i in every["cubsdeg"] if i.endswith("n=3 i=1")}
+    assert failing["cubsdeg"] == (
+        {("degenerate-cube-differential-residue", i) for i in first3}
+        | {("paired-faces-agree", i) for i in every["cubsdeg"]}
+    )
+    assert len(first3) == 4 and len(every["cubsdeg"]) == 12
+    first3 = {i for i in every["homotopy"] if i.endswith("n=3 i=1")}
+    assert failing["homotopy"] == {("filtration-homotopy-identity", i) for i in first3}
+    assert len(first3) == 4 and len(every["homotopy"]) == 12
+    assert failing["cub-relations"] == {
+        ("cub-degeneracy-relations", i) for i in every["cub-relations"]
+    }
+    assert len(every["cub-relations"]) == 8
+
+
 # The modified-homology claims: each doctored input below must fail
 # exactly its own claim, so that presentations shared through the
 # per-object tables cannot make a checker vacuous.
@@ -590,13 +622,12 @@ CONTROLS = {
     "cone-long-exact": "test_cone_sequence_claim_catches_a_doctored_induced_map",
     "truncated-cone-three-regimes": "test_truncated_cone_claim_catches_an_off_by_one_truncation",
     "modified-quasi-iso-invariance": "test_quasi_iso_claim_catches_a_map_that_kills_homology",
+    "degenerate-cube-differential-residue": "test_degeneracy_claims_catch_a_flag_degeneracy_off_by_one",
+    "paired-faces-agree": "test_degeneracy_claims_catch_a_flag_degeneracy_off_by_one",
+    "filtration-homotopy-identity": "test_degeneracy_claims_catch_a_flag_degeneracy_off_by_one",
 }
 # claims that no doctored input in this file fails yet
-WITHOUT_CONTROL = {
-    "degenerate-cube-differential-residue",
-    "paired-faces-agree",
-    "filtration-homotopy-identity",
-}
+WITHOUT_CONTROL = set()
 
 
 def test_every_claim_has_a_control_or_is_listed_without_one():

@@ -18,8 +18,9 @@ from fractions import Fraction
 
 import pytest
 
-from hermk import koszul
+from hermk import cubes, koszul
 from hermk import linalg as la
+from hermk.cli import SuiteConfig, run_suite
 from hermk.core import (
     MetrizedSpace,
     ScaledMatrix,
@@ -29,6 +30,7 @@ from hermk.core import (
     identity_map,
     is_hermitian_split,
     kernel_object,
+    orthogonal_complement,
     standard_space,
     zero_map,
 )
@@ -406,6 +408,72 @@ def test_shared_sequences_match_the_from_scratch_oracle(rescaled_first):
                 assert ShortExactMetrized(ses.inject, ses.project) == ses
 
 
+def _split_oracle(ses: ShortExactMetrized) -> bool:
+    """is_hermitian_split as it was before its scale-free parts were
+    kept with the sequence, the oracle: every product afresh, the
+    complement with its independence rank, scales and comparisons on
+    Fraction entries."""
+
+    def scaled(m, s):
+        return tuple(tuple(s * x for x in row) for row in m)
+
+    inject = ses.inject.matrix
+    pulled = la.matmul(la.matmul(la.transpose(inject.entries), ses.total.gram), inject.entries)
+    if scaled(pulled, inject.scale_sq) != tuple(ses.sub.gram):
+        return False
+    image = la.transpose(inject.entries)
+    cols = la.transpose(orthogonal_complement(ses.total, image))
+    assert cols.ncols == ses.quot.dim
+    pc = la.matmul(ses.project.matrix.entries, cols)
+    lhs = scaled(la.matmul(la.matmul(la.transpose(pc), ses.quot.gram), pc), ses.project.matrix.scale_sq)
+    rhs = la.matmul(la.matmul(la.transpose(cols), ses.total.gram), cols)
+    return lhs == tuple(rhs)
+
+
+@pytest.mark.parametrize("rescaled_first", [True, False])
+def test_split_test_matches_the_oracle_on_koszul_sequences(rescaled_first):
+    # the first complex decomposed computes the scale-free parts that
+    # the other one's sequences then share
+    rng = random.Random(53)
+    verdicts = Counter()
+    for dim in (1, 2, 3):
+        for v in (standard_space(dim), _random_space(rng, dim)):
+            for k in (1, 2, 3, 4):
+                plain = koszul_complex(v, k)
+                scaled = lambda_rescale(plain, k)
+                for c in (scaled, plain) if rescaled_first else (plain, scaled):
+                    for _, ses in mu_decompose(c):
+                        got = is_hermitian_split(ses)
+                        assert got == _split_oracle(ses)
+                        verdicts[got] += 1
+    assert verdicts[True] and verdicts[False]
+
+
+def test_split_test_matches_the_oracle_on_split_cube_triples(monkeypatch):
+    verdicts = Counter()
+
+    def compared(ses):
+        got = is_hermitian_split(ses)
+        assert got == _split_oracle(ses)
+        verdicts[got] += 1
+        return got
+
+    monkeypatch.setattr(cubes, "is_hermitian_split", compared)
+    cfg = SuiteConfig("split-cubes", max_dim=3, max_k=3, max_n=2, trials=2)
+    assert run_suite(cfg).failed == 0
+    assert verdicts[True] and verdicts[False]
+
+
+def test_split_test_matches_the_oracle_on_a_non_isometric_inject():
+    sub, plane, quo = (standard_space(d, tag=t) for d, t in ((1, "s"), (2, "t"), (1, "q")))
+    project = SpaceMap(plane, quo, ((F(0), F(1)),))
+    # e0 sent to 2 e1: an isometry onto its image at scale 1/4 only
+    for scale_sq, splits in ((1, False), (F(1, 4), True)):
+        inject = SpaceMap(sub, plane, ScaledMatrix(((F(2),), (F(0),)), scale_sq))
+        ses = ShortExactMetrized(inject, project)
+        assert is_hermitian_split(ses) is splits is _split_oracle(ses)
+
+
 def test_an_image_outside_the_next_kernel_is_refused():
     # flagged acyclic unchecked: g f is not zero, so the image of f
     # misses ker g, and the coordinates read at its free column fail
@@ -436,6 +504,32 @@ def test_sum_isometry_rejects_doctored_candidate():
     v, w = standard_space(1), standard_space(2)
     # swapping the summands permutes labels the matching cannot find
     assert not koszul_sum_isometry(v, w, 2, rhs=koszul_sum_rhs(w, v, 2))
+
+
+def _with_map(c: HermitianComplex, p: int, matrix: ScaledMatrix) -> HermitianComplex:
+    """c with the matrix of map p replaced, unchecked."""
+    maps = list(c.maps)
+    maps[p] = SpaceMap(maps[p].domain, maps[p].codomain, matrix)
+    return HermitianComplex(c.objects, maps, acyclic=c.acyclic, check=False)
+
+
+def test_sum_isometry_rejects_a_negated_entry_and_a_changed_scale():
+    # candidates that carry the matching labels, so the comparisons of
+    # the maps decide
+    rng = random.Random(59)
+    v, w = standard_space(1), _random_space(rng, 2)
+    for k in (2, 3):
+        honest = koszul_sum_rhs(v, w, k)
+        assert koszul_sum_isometry(v, w, k, rhs=honest)
+        for p, f in enumerate(honest.maps):
+            m = f.matrix
+            rows = [list(row) for row in m.entries]
+            r, c = next((r, c) for r, row in enumerate(rows) for c, x in enumerate(row) if x)
+            rows[r][c] = -rows[r][c]
+            negated = _with_map(honest, p, ScaledMatrix(la.mat(rows), m.scale_sq))
+            assert not koszul_sum_isometry(v, w, k, rhs=negated)
+            rescaled = _with_map(honest, p, ScaledMatrix(m.entries, 2 * m.scale_sq))
+            assert not koszul_sum_isometry(v, w, k, rhs=rescaled)
 
 
 def test_secondary_euler_rank_is_dimension():

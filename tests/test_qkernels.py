@@ -25,6 +25,8 @@ import random
 from fractions import Fraction
 from math import lcm
 
+import pytest
+
 from hermk import _qkernels, koszul
 from hermk import linalg as la
 from hermk.core import MetrizedSpace
@@ -223,6 +225,8 @@ def oracle_permanent(a):
 
 INT_ONLY = (1,)
 MIXED = (1, 1, 2, 3, 4, 7)
+# 0, a sign, and scalars whose denominators can cancel against MIXED's
+SCALARS = (Fraction(0), Fraction(-1), Fraction(3, 2), Fraction(-2, 7))
 
 
 def _entry(rng, dens):
@@ -478,6 +482,7 @@ def _produced(seed):
             ("identity", la.identity(r)),
             ("EchelonBasis.rows", la.EchelonBasis(a, m).rows),
             ("EchelonBasis.kernel", la.EchelonBasis.kernel(a).rows),
+            ("scale", la.scale(a, rng.choice(SCALARS[1:]))),
         ]
         reduced += p._form[1] < la._int_form(a)[1] * la._int_form(b)[1]
     for dim in (1, 2, 3):
@@ -540,6 +545,7 @@ def test_remembered_forms_equal_a_fresh_clear():
         "identity",
         "EchelonBasis.rows",
         "EchelonBasis.kernel",
+        "scale",
         "power_tower",
         "phi",
         "psi",
@@ -561,7 +567,68 @@ def test_remembered_forms_equal_a_fresh_clear():
 
 def test_form_comparison_catches_a_form_over_a_larger_denominator(monkeypatch):
     monkeypatch.setattr(la, "_least", lambda rows, den: (tuple(map(tuple, rows)), den))
-    assert {"matmul", "transpose", "rref", "psi", "power_tower"} <= form_mismatches()
+    assert {"matmul", "transpose", "rref", "scale", "psi", "power_tower"} <= form_mismatches()
+
+
+def test_scale_equals_the_entrywise_products():
+    rng = random.Random(20261021)
+    shapes = [(0, 0), (0, 3), (3, 0)] + [(rng.randrange(1, 6), rng.randrange(1, 6)) for _ in range(40)]
+    for r, c in shapes:
+        a = la.mat(_degrade(rng, _matrix(rng, r, c, MIXED))) if r and c else la.zeros(r, c)
+        for fresh in (True, False):
+            x = _fresh(a) if fresh else a
+            for s in SCALARS + (1, 3, "-5/4"):
+                got = la.scale(x, s)
+                want = tuple(tuple(Fraction(s) * y for y in row) for row in a)
+                assert tuple(got) == want and la.shape(got) == (r, c)
+                assert all(type(y) is Fraction for row in got for y in row)
+    with pytest.raises(TypeError):
+        la.scale(la.identity(2), 0.5)
+
+
+def _equality_pool(rng, r, c):
+    """Mats of one size with and without a form, some of equal entries,
+    their transposes, plain tuples of them, and Mats without rows or
+    columns of other widths."""
+    a = la.mat(_matrix(rng, r, c, MIXED))
+    b = la.mat(_matrix(rng, c, c, MIXED))
+    p = la.matmul(a, b)
+    cleared = _fresh(p)
+    la._int_form(cleared)
+    pool = [a, _fresh(a), p, _fresh(p), cleared, la.mat(_matrix(rng, r, c, MIXED))]
+    pool += [la.transpose(m) for m in pool[:5]]
+    pool += [la.scale(p, -1), la.scale(_fresh(p), Fraction(1, 3))]
+    pool += [tuple(p), tuple(la.transpose(p))]
+    for w in (0, 1, 3):
+        pool += [la.zeros(0, w), la.zeros(w, 0), la.scale(la.zeros(0, w), 2), la.scale(la.zeros(w, 0), 2)]
+    return pool
+
+
+def equality_mismatches(seed=20261021) -> list:
+    """Pairs (x, y) from _equality_pool where == or != disagree with the
+    comparison of plain tuples, or that compare equal with unequal
+    hashes."""
+    rng = random.Random(seed)
+    bad = []
+    for _ in range(30):
+        pool = _equality_pool(rng, rng.randrange(1, 5), rng.randrange(1, 5))
+        for x in pool:
+            for y in pool:
+                want = tuple(x) == tuple(y)
+                if (x == y) is not want or (x != y) is want or (want and hash(x) != hash(y)):
+                    bad.append((x, y))
+    return bad
+
+
+def test_mat_equality_is_tuple_equality():
+    assert equality_mismatches() == []
+
+
+def test_equality_comparison_catches_forms_over_a_larger_denominator(monkeypatch):
+    # a product's form left over the product of its factors' dens no
+    # longer matches the form cleared from the same entries
+    monkeypatch.setattr(la, "_least", lambda rows, den: (tuple(map(tuple, rows)), den))
+    assert equality_mismatches()
 
 
 def test_a_remembered_form_is_never_written_into():
