@@ -544,7 +544,7 @@ def _parse_config_file(path: str) -> dict:
     try:
         with open(path, encoding="utf-8") as fh:
             text = fh.read()
-    except OSError as e:
+    except (OSError, UnicodeDecodeError) as e:
         raise UsageError(f"cannot read config file: {e}") from e
     settings = {}
     for lineno, raw in enumerate(text.splitlines(), start=1):

@@ -57,10 +57,6 @@ class ScaledMatrix:
             raise ValueError("scale_sq must be positive")
 
     @property
-    def nrows(self) -> int:
-        return len(self.entries)
-
-    @property
     def ncols(self) -> int:
         return self.entries.ncols
 
@@ -108,14 +104,6 @@ class ScaledMatrix:
         return ScaledMatrix(
             la.matmul(self.entries, other.entries), self.scale_sq * other.scale_sq
         )
-
-    def add(self, other: "ScaledMatrix") -> "ScaledMatrix":
-        """Sum; defined only when both scales agree (after canonicalizing)."""
-        a, b = self.canonical(), other.canonical()
-        if a.scale_sq != b.scale_sq and not la.is_zero(a.entries) and not la.is_zero(b.entries):
-            raise ValueError("cannot add scaled matrices with different scales")
-        s = a.scale_sq if not la.is_zero(a.entries) else b.scale_sq
-        return ScaledMatrix(la.add(a.entries, b.entries), s)
 
     def is_zero(self) -> bool:
         return la.is_zero(self.entries)
@@ -170,9 +158,6 @@ class MetrizedSpace:
 
     def __repr__(self):
         return f"MetrizedSpace(dim={self.dim})"
-
-    def inner(self, u: Vec, v: Vec) -> Fraction:
-        return la.bilinear(self.gram, u, v)
 
     def norm_sq(self, v: Vec) -> Fraction:
         return la.bilinear(self.gram, v, v)
@@ -384,25 +369,21 @@ def direct_sum_space(parts) -> MetrizedSpace:
     if len(set(tags)) != len(tags):
         raise ValueError("direct sum tags must be distinct")
     labels = tuple((t, lab) for t, s in parts for lab in s.labels)
-    gram = la.block_diag(*(s.gram for _, s in parts))
     if not labels:
         return ZERO_SPACE
+    dims = [s.dim for _, s in parts]
+    gram = la.block_matrix(dims, dims, {(i, i): s.gram for i, (_, s) in enumerate(parts)})
     return MetrizedSpace(labels, gram, check=False)
 
 
 def dsum_injection(parts, tag) -> SpaceMap:
-    total = direct_sum_space(parts)
+    """The inclusion of the summand tag: the identity at its row block."""
     parts = tuple(parts)
-    offset = 0
-    for t, s in parts:
+    total = direct_sum_space(parts)
+    dims = [s.dim for _, s in parts]
+    for i, (t, s) in enumerate(parts):
         if t == tag:
-            block = la.vstack(
-                la.zeros(offset, s.dim),
-                la.identity(s.dim),
-                la.zeros(total.dim - offset - s.dim, s.dim),
-            )
-            return SpaceMap(s, total, block)
-        offset += s.dim
+            return SpaceMap(s, total, la.block_matrix(dims, [s.dim], {(i, 0): la.identity(s.dim)}))
     raise KeyError(tag)
 
 

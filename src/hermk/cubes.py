@@ -170,9 +170,6 @@ class Cube:
     def vertex(self, j) -> MetrizedSpace:
         return self.vertices[tuple(j)]
 
-    def arrow(self, src, dst) -> SpaceMap:
-        return self.arrows[(tuple(src), tuple(dst))]
-
     def triple(self, i: int, bj) -> ShortExactMetrized:
         """The direction-i short exact sequence over a complementary index."""
         bj = tuple(bj)
@@ -339,15 +336,6 @@ class CubeSum:
     def coefficient(self, cube: Cube) -> int:
         entry = self._terms.get(cube)
         return entry[0] if entry else 0
-
-    def add(self, other: "CubeSum") -> "CubeSum":
-        out = CubeSum(self.n, self.summands())
-        for coeff, cube in other.summands():
-            out._add(coeff, cube)
-        return out
-
-    def sub(self, other: "CubeSum") -> "CubeSum":
-        return self.add(other.scaled(-1))
 
     def scaled(self, s: int) -> "CubeSum":
         if not s:
@@ -754,12 +742,12 @@ def direct_sum_cube(parts) -> Cube:
 
 
 def _summand_matching_map(src_parts, src_space, dst_parts, dst_space) -> SpaceMap:
-    """1 where a row and a column stand for the same coordinate of the
-    same summand, 0 elsewhere."""
-    cols = [(tag, r) for tag, s in src_parts for r in range(s.dim)]
-    rows = [(tag, r) for tag, s in dst_parts for r in range(s.dim)]
-    entries = [[int(x == y) for x in cols] for y in rows]
-    return SpaceMap(src_space, dst_space, la._int_mat(entries, 1, len(cols)))
+    """The identity block where a source and a target summand share a
+    tag, zero elsewhere."""
+    col = {tag: j for j, (tag, _) in enumerate(src_parts)}
+    blocks = {(i, col[t]): la.identity(s.dim) for i, (t, s) in enumerate(dst_parts) if t in col}
+    entries = la.block_matrix([s.dim for _, s in dst_parts], [s.dim for _, s in src_parts], blocks)
+    return SpaceMap(src_space, dst_space, entries)
 
 
 def associated_sum_cube(c: Cube) -> Cube:

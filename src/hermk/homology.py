@@ -377,7 +377,9 @@ def modified_homology(f: ChainMap, n: int) -> PresentedQuotient:
     if not width:
         return _zero_presentation()
     # pairs with d a = 0: the kernel of [d_n | 0]
-    cycles = la.EchelonBasis.kernel(la.hstack(a.diff(n), la.zeros(a.dim(n - 1), wb)))
+    cycles = la.EchelonBasis.kernel(
+        la.block_matrix((a.dim(n - 1),), (wa, wb), {(0, 0): a.diff(n)})
+    )
     # (d a', f a') for each basis vector a' of A_{n+1}, then (0, d b')
     rel = la.transpose(
         la.block_matrix(
@@ -427,7 +429,11 @@ def _modified_maps(f: ChainMap, n: int, ha: PresentedQuotient) -> ModifiedMaps:
     ]
     cols_zeta = [ha._coords_int(w[:wa], hat.cycles.den) for w in hat._int_reps]
     # (a, b) |-> f(a) - d(b) is the matrix [f_n | -d_{n+1}]
-    rho = la.hstack(f.map_at(n), la.scale(b.diff(n + 1), -1))
+    rho = la.block_matrix(
+        (b.dim(n),),
+        (wa, b.dim(n + 1)),
+        {(0, 0): f.map_at(n), (0, 1): la.scale(b.diff(n + 1), -1)},
+    )
     images, den = la._images(rho, hat._int_reps)
     den *= hat.cycles.den
     cols_rho = []

@@ -42,9 +42,15 @@ than Fractions: its rows are integers over one positive common
 denominator, and membership, reduction, coordinates and growth run in
 integers, building a Fraction only for a value they hand out. Vectors
 passed to it need int or Fraction entries; floats raise TypeError, as
-they do in q(). EchelonBasis.kernel builds the basis of a kernel from
-one elimination; nullspace stays for callers that need the canonical
-basis as a matrix.
+they do in q(). One loop, _kernel_int, reads kernel vectors off an
+integer RREF: EchelonBasis.kernel takes them as an echelon basis, and
+nullspace, for callers that need the canonical basis as a matrix,
+through _int_mat.
+
+block_matrix is the one block assembler: direct sums and their
+injections, [a | b] layouts and the matching maps of direct-sum cubes
+all build through it. It keeps the blocks' Fractions and gives its
+result no integer form.
 """
 
 from __future__ import annotations
@@ -237,12 +243,6 @@ def add(a: Mat, b: Mat) -> Mat:
     return Mat(tuple(tuple(x + y for x, y in zip(ra, rb)) for ra, rb in zip(a, b)), a.ncols)
 
 
-def sub(a: Mat, b: Mat) -> Mat:
-    if shape(a) != shape(b):
-        raise ValueError("sub shape mismatch")
-    return Mat(tuple(tuple(x - y for x, y in zip(ra, rb)) for ra, rb in zip(a, b)), a.ncols)
-
-
 def scale(a: Mat, s) -> Mat:
     """s * a, in integers: a's integer form times s's numerator, over
     its den times s's denominator, built by _int_mat. s = 1 gives a."""
@@ -333,38 +333,16 @@ def kron(a: Mat, b: Mat) -> Mat:
     return Mat(tuple(out), a.ncols * cb)
 
 
-def hstack(*ms: Mat) -> Mat:
-    if len({len(m) for m in ms}) != 1:
-        raise ValueError("hstack row mismatch")
-    return Mat(tuple(sum(rows, ()) for rows in zip(*ms)), sum(m.ncols for m in ms))
-
-
-def vstack(*ms: Mat) -> Mat:
-    if len({m.ncols for m in ms}) != 1:
-        raise ValueError("vstack column mismatch")
-    return Mat(tuple(row for m in ms for row in m), ms[0].ncols)
-
-
-def block_diag(*ms: Mat) -> Mat:
-    total = sum(m.ncols for m in ms)
-    out = []
-    left = 0
-    for m in ms:
-        right = total - left - m.ncols
-        out.extend((_ZERO,) * left + row + (_ZERO,) * right for row in m)
-        left += m.ncols
-    return Mat(tuple(out), total)
-
-
 def submatrix(a: Mat, rows: Sequence[int], cols: Sequence[int]) -> Mat:
     return Mat(tuple(tuple(a[i][j] for j in cols) for i in rows), len(cols))
 
 
 def block_matrix(row_dims: Sequence[int], col_dims: Sequence[int], blocks) -> Mat:
-    """Assemble a matrix from blocks.
+    """Assemble a matrix from blocks; the one block assembler.
 
     blocks maps (i, j) to a row_dims[i] x col_dims[j] matrix; missing
-    entries are zero.
+    entries are zero. Each block row is copied in as one slice, so the
+    result holds the blocks' own Fractions and builds none.
     """
     total_c = sum(col_dims)
     out = []
@@ -376,14 +354,10 @@ def block_matrix(row_dims: Sequence[int], col_dims: Sequence[int], blocks) -> Ma
             if blk is not None:
                 if shape(blk) != (rd, cd):
                     raise ValueError(f"block ({i},{j}) is {shape(blk)}, need {(rd, cd)}")
-                for r in range(rd):
-                    brow = blk[r]
-                    row = rows[r]
-                    for c in range(cd):
-                        if brow[c]:
-                            row[off + c] = brow[c]
+                for row, brow in zip(rows, blk):
+                    row[off : off + cd] = brow
             off += cd
-        out.extend(tuple(r) for r in rows)
+        out.extend(map(tuple, rows))
     return Mat(tuple(out), total_c)
 
 
@@ -445,23 +419,43 @@ def nullspace_free(a: Mat) -> tuple[Mat, tuple[int, ...]]:
     """nullspace(a) and its free columns, from one elimination.
 
     Restricted to the free columns the basis is the identity, so the
-    coordinates of a kernel vector over it are its entries there. With
-    the integer RREF rows over den, the basis vector of free column f
-    is den there and minus the rows' entries at f at their pivots, over
-    den.
+    coordinates of a kernel vector over it are its entries there.
+    """
+    out, den, free = _kernel_int(a, False)
+    return _int_mat(out, den, a.ncols), free
+
+
+def _kernel_int(a: Mat, reverse: bool) -> tuple[list[list[int]], int, tuple[int, ...]]:
+    """A basis of {v : a v = 0} in integers, from one elimination of a's
+    integer form: (vectors, den, free), one vector over den per free
+    column f, den at f and minus each echelon row's entry at f at that
+    row's pivot. This is the one loop that reads kernel vectors off an
+    RREF.
+
+    reverse eliminates a's columns in reverse order; pivots and entries
+    are then read at c - 1 - j, so every index is in a's column order.
+    Unreversed the vectors are nullspace(a); reversed, see
+    EchelonBasis.kernel. A matrix without a nonzero entry has the
+    identity as its kernel, with no integer form and no elimination.
     """
     c = a.ncols
-    rows, den, pivots = ((), 1, ()) if is_zero(a) else _qkernels.rref(_int_form(a)[0])
-    pivset = set(pivots)
-    free = tuple(f for f in range(c) if f not in pivset)
+    if is_zero(a):
+        rows, den, pivots = (), 1, ()
+    else:
+        rows = _int_form(a)[0]
+        rows, den, pivots = _qkernels.rref([row[::-1] for row in rows] if reverse else rows)
+    held = [(c - 1 - p if reverse else p, row) for p, row in zip(pivots, rows)]
+    taken = {p for p, _ in held}
+    free = tuple(f for f in range(c) if f not in taken)
     out = []
     for f in free:
         v = [0] * c
         v[f] = den
-        for row, p in zip(rows, pivots):
-            v[p] = -row[f]
+        at = c - 1 - f if reverse else f
+        for p, row in held:
+            v[p] = -row[at]
         out.append(v)
-    return _int_mat(out, den, c), free
+    return out, den, free
 
 
 def solve(a: Mat, b: Mat) -> Mat | None:
@@ -477,7 +471,7 @@ def solve(a: Mat, b: Mat) -> Mat | None:
     if not cb:
         # no right-hand side: the empty x solves it, whatever a is
         return zeros(ca, 0)
-    rows, pivots = rref(hstack(a, b))
+    rows, pivots = rref(block_matrix((ra,), (ca, cb), {(0, 0): a, (0, 1): b}))
     if any(p >= ca for p in pivots):
         return None
     x = [[_ZERO] * cb for _ in range(ca)]
@@ -590,36 +584,20 @@ class EchelonBasis:
 
     @classmethod
     def kernel(cls, a: Mat) -> "EchelonBasis":
-        """Basis of {v : a v = 0}, from one elimination of a's integer
-        form with its columns reversed.
+        """Basis of {v : a v = 0}: _kernel_int(a, True), from one
+        elimination of a's integer form with its columns reversed.
 
         Reversed, each echelon row's pivot is its rightmost nonzero in
-        a's column order. So the kernel vector of a free column f, den
-        there and minus the row's entry at f at each row's pivot, is
+        a's column order. So the kernel vector of a free column f is
         zero left of f and at every other free column: these vectors are
         the kernel's RREF over den, pivoted at the free columns, and
         equal EchelonBasis(nullspace(a), a.ncols). A matrix without a
         nonzero entry has the identity as its kernel, with no
         elimination.
         """
-        c = a.ncols
-        if is_zero(a):
-            rows, den, pivots = (), 1, ()
-        else:
-            rows, den, pivots = _qkernels.rref([row[::-1] for row in _int_form(a)[0]])
-        # each echelon row (indexed from a's last column) and its pivot in a's order
-        held = [(c - 1 - p, row) for p, row in zip(pivots, rows)]
-        taken = {p for p, _ in held}
-        free = tuple(f for f in range(c) if f not in taken)
-        out = []
-        for f in free:
-            v = [0] * c
-            v[f] = den
-            for p, row in held:
-                v[p] = -row[c - 1 - f]
-            out.append(v)
+        out, den, free = _kernel_int(a, True)
         b = object.__new__(cls)
-        b.width, b._rows = c, None
+        b.width, b._rows = a.ncols, None
         b._set(out, den, free)
         return b
 

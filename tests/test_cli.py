@@ -221,6 +221,19 @@ def test_main_exit_codes(tmp_path, capsys, monkeypatch):
     assert "HERMK_SEED" in capsys.readouterr().err
 
 
+def test_unreadable_config_files_exit_two(tmp_path, capsys):
+    bad = tmp_path / "bad.cfg"
+    bad.write_bytes(b"\xff\xfe max_dim=2\n")
+    nul = tmp_path / "nul.cfg"
+    nul.write_bytes(b"max_dim=2\0\n")
+    for path in (bad, tmp_path, nul):
+        assert main(["symfun", "--config", str(path)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("verify: ")
+        # a NUL byte reads, and its value is refused
+        assert ("cannot read config file" in err) == (path != nul)
+
+
 def test_main_reports_failures_with_exit_one(monkeypatch, capsys):
     def broken(run):
         run.add("claim-broken", "instance-0", False)

@@ -32,7 +32,7 @@ from hermk.core import (
     subspace_object,
     zero_map,
 )
-from test_linalg import _canon_span
+from test_linalg import _canon_span, _same_mat, _vstack
 
 F = Fraction
 
@@ -344,6 +344,46 @@ def test_dsum_projections_are_the_transposed_injections():
         dsum_projection(parts, "c")
     with pytest.raises(KeyError):
         dsum_injection(parts, "c")
+
+
+def _stacked_dsum_injection(parts, tag) -> SpaceMap:
+    """dsum_injection as a vstack of zeros, the identity and zeros."""
+    parts = tuple(parts)
+    total = direct_sum_space(parts)
+    offset = 0
+    for t, s in parts:
+        if t == tag:
+            below = total.dim - offset - s.dim
+            block = _vstack(la.zeros(offset, s.dim), la.identity(s.dim), la.zeros(below, s.dim))
+            return SpaceMap(s, total, block)
+        offset += s.dim
+    raise KeyError(tag)
+
+
+def test_dsum_injections_match_the_stacked_construction_from_any_iterable():
+    rng = random.Random(257)
+    for _ in range(20):
+        parts = [
+            (t, standard_space(rng.randrange(0, 3), tag=t) if rng.random() < 0.8 else ZERO_SPACE)
+            for t in "abcd"[: rng.randrange(1, 5)]
+        ]
+        total = direct_sum_space(iter(parts))
+        assert total == direct_sum_space(parts)
+        for tag, _ in parts:
+            want = _stacked_dsum_injection(parts, tag)
+            inj = dsum_injection(parts, tag)
+            assert _same_mat(inj.matrix.entries, want.matrix.entries)
+            # an iterator is read once, like a list
+            for got, ref in (
+                (dsum_injection(iter(parts), tag), inj),
+                (dsum_projection(iter(parts), tag), dsum_projection(parts, tag)),
+            ):
+                assert (got.domain, got.codomain) == (ref.domain, ref.codomain)
+                assert _same_mat(got.matrix.entries, ref.matrix.entries)
+        with pytest.raises(KeyError):
+            dsum_injection(iter(parts), "z")
+        with pytest.raises(KeyError):
+            dsum_projection(iter(parts), "z")
 
 
 def test_short_exact_validation_and_split():

@@ -21,6 +21,7 @@ from hermk.core import (
     ScaledMatrix,
     SpaceMap,
     ZERO_SPACE,
+    direct_sum_space,
     identity_map,
     standard_space,
     zero_map,
@@ -48,8 +49,10 @@ from hermk.cubes import (
     ses_as_cube,
     tau_symmetric,
 )
+from hermk.cli import _random_sum_parts
 from hermk.instances import random_flag, random_spd_gram, random_vector
 from hermk.koszul import koszul_complex, lambda_rescale, mu_decompose
+from test_linalg import _same_mat
 
 F = Fraction
 
@@ -288,6 +291,47 @@ def test_direct_sum_cubes_split():
         {j: ZERO_SPACE for j in ((0, 0), (0, 2), (2, 0), (2, 2))}
     )
     assert allzero.is_zero()
+
+
+def _entrywise_direct_sum_cube(parts) -> Cube:
+    """direct_sum_cube with each arrow's entries set one by one: 1 where
+    a row and a column stand for the same coordinate of the same
+    summand, 0 elsewhere."""
+    n = len(next(iter(parts)))
+
+    def summands(j):
+        ones = [k for k, v in enumerate(j) if v == 1]
+        out = []
+        for m in product((0, 2), repeat=len(ones)):
+            tag = list(j)
+            for k, v in zip(ones, m):
+                tag[k] = v
+            out.append((tuple(tag), parts[tuple(tag)]))
+        return out
+
+    sums = {j: summands(j) for j in product((0, 1, 2), repeat=n)}
+    spaces = {j: ss[0][1] if len(ss) == 1 else direct_sum_space(ss) for j, ss in sums.items()}
+    arrows = {}
+    for j, ss in sums.items():
+        for i in range(n):
+            if j[i] < 2:
+                d = j[:i] + (j[i] + 1,) + j[i + 1 :]
+                cols = [(tag, r) for tag, p in ss for r in range(p.dim)]
+                rows = [(tag, r) for tag, p in sums[d] for r in range(p.dim)]
+                entries = la.stack([[int(x == y) for x in cols] for y in rows], len(cols))
+                arrows[(j, d)] = SpaceMap(spaces[j], spaces[d], entries)
+    return Cube(n, spaces, arrows)
+
+
+def test_direct_sum_cubes_match_the_entrywise_construction():
+    rng = random.Random(263)
+    for trial in range(12):
+        parts = _random_sum_parts(rng, 1 + trial % 3)
+        got = direct_sum_cube(parts)
+        want = _entrywise_direct_sum_cube(parts)
+        assert got == want
+        for key, arrow in got.arrows.items():
+            assert _same_mat(arrow.matrix.entries, want.arrows[key].matrix.entries)
 
 
 def test_associated_sum_cube_of_any_cube_splits():

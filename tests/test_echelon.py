@@ -38,7 +38,7 @@ from hermk.homology import (
     quotient_presentation,
 )
 from hermk.instances import random_chain_map, random_complex, random_vector
-from test_linalg import _canon_span
+from test_linalg import _block_diag, _canon_span
 
 # -- oracles -------------------------------------------------------------
 
@@ -637,6 +637,40 @@ def test_kernel_basis_matches_the_nullspace_oracle_on_rational_matrices():
     assert bad == []
 
 
+def _rref_nullspace(a: la.Mat) -> la.Mat:
+    """The canonical nullspace read off the Fraction RREF: for each free
+    column f, 1 there and minus the RREF rows' entries at f at their
+    pivots."""
+    rows, pivots = la.rref(a)
+    out = []
+    for f in (f for f in range(a.ncols) if f not in pivots):
+        v = [Fraction(0)] * a.ncols
+        v[f] = Fraction(1)
+        for row, p in zip(rows, pivots):
+            v[p] = -row[f]
+        out.append(tuple(v))
+    return la.Mat(tuple(out), a.ncols)
+
+
+def test_nullspace_is_the_rref_basis_and_both_kernels_share_one_loop(monkeypatch):
+    mats = list(_rational_matrices(191, 200))
+    for a in mats:
+        got = la.nullspace(a)
+        assert got == _rref_nullspace(a) and la.shape(got) == (a.ncols - la.rank(a), a.ncols)
+    calls = []
+    loop = la._kernel_int
+
+    def spy(a, reverse):
+        calls.append(reverse)
+        return loop(a, reverse)
+
+    monkeypatch.setattr(la, "_kernel_int", spy)
+    a = mats[0]
+    la.nullspace_free(a)
+    la.EchelonBasis.kernel(a)
+    assert calls == [False, True]
+
+
 def test_kernel_basis_matches_the_nullspace_oracle_on_complexes():
     rng = random.Random(167)
     count = 0
@@ -662,7 +696,7 @@ def test_presentation_cycles_equal_their_nullspace_oracles():
         for n in range(degrees[0] - 1, degrees[-1] + 2):
             wa, wb = a.dim(n), b.dim(n + 1)
             # the cycles of the modified presentation: block_diag(nullspace, I)
-            oracle = la.block_diag(la.nullspace(a.diff(n)), la.identity(wb))
+            oracle = _block_diag(la.nullspace(a.diff(n)), la.identity(wb))
             want = la.EchelonBasis(oracle, wa + wb)
             assert _same_basis(modified_homology(f, n).cycles, want)
             # and of C_n / im d: all of C_n

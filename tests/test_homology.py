@@ -40,7 +40,7 @@ from hermk.homology import (
     zero_chain_map,
 )
 from hermk.instances import random_chain_map, random_complex, random_quasi_iso
-from test_linalg import _span_exact
+from test_linalg import _block_diag, _span_exact
 
 LINE = ChainComplex({0: 1}, {})
 PLANE = ChainComplex({0: 2}, {})
@@ -385,7 +385,7 @@ def test_integer_pushes_equal_the_fraction_oracles(monkeypatch):
             rho2 = compose_chain_maps(f, u)
             hat1, hat2 = modified_homology(rho2, n), modified_homology(f, n)
             got = induced_modified_map(u, identity_chain_map(b), rho2, f, n, hat1, hat2)
-            blk = la.block_diag(u.map_at(n), la.identity(b.dim(n + 1)))
+            blk = _block_diag(u.map_at(n), la.identity(b.dim(n + 1)))
             assert got == fraction_induced_on_quotients(blk, hat1, hat2)
             nonzero += not la.is_zero(got) and not la.is_zero(mm.to_form_cycle)
     assert nonzero >= 10

@@ -167,6 +167,120 @@ def test_block_matrix_layout():
     assert m == la.mat([[5, 0, 0], [6, 0, 0], [0, 7, 8]])
 
 
+# The block constructions linalg had before block_matrix became its one
+# assembler, kept as oracles for it.
+
+
+def _hstack(*ms: la.Mat) -> la.Mat:
+    if len({len(m) for m in ms}) != 1:
+        raise ValueError("hstack row mismatch")
+    return la.Mat(tuple(sum(rows, ()) for rows in zip(*ms)), sum(m.ncols for m in ms))
+
+
+def _vstack(*ms: la.Mat) -> la.Mat:
+    if len({m.ncols for m in ms}) != 1:
+        raise ValueError("vstack column mismatch")
+    return la.Mat(tuple(row for m in ms for row in m), ms[0].ncols)
+
+
+def _block_diag(*ms: la.Mat) -> la.Mat:
+    total = sum(m.ncols for m in ms)
+    out = []
+    left = 0
+    for m in ms:
+        right = total - left - m.ncols
+        out.extend((F(0),) * left + row + (F(0),) * right for row in m)
+        left += m.ncols
+    return la.Mat(tuple(out), total)
+
+
+def _cell_block_matrix(row_dims, col_dims, blocks) -> la.Mat:
+    """block_matrix filled cell by cell."""
+    total_c = sum(col_dims)
+    out = []
+    for i, rd in enumerate(row_dims):
+        rows = [[F(0)] * total_c for _ in range(rd)]
+        off = 0
+        for j, cd in enumerate(col_dims):
+            blk = blocks.get((i, j))
+            if blk is not None:
+                if la.shape(blk) != (rd, cd):
+                    raise ValueError(f"block ({i},{j}) is {la.shape(blk)}, need {(rd, cd)}")
+                for r in range(rd):
+                    for c in range(cd):
+                        if blk[r][c]:
+                            rows[r][off + c] = blk[r][c]
+            off += cd
+        out.extend(tuple(r) for r in rows)
+    return la.Mat(tuple(out), total_c)
+
+
+def _same_mat(got: la.Mat, want: la.Mat) -> bool:
+    """Equal entries and equal shapes: Mats without rows compare equal
+    whatever their widths."""
+    return got == want and la.shape(got) == la.shape(want)
+
+
+def _rational_block(rng: random.Random, r: int, c: int) -> la.Mat:
+    """An r x c Mat with entries of denominators 1 to 3, a third of them 0."""
+
+    def entry():
+        return F(rng.randrange(-4, 5), rng.randrange(1, 4)) if rng.random() < 0.67 else F(0)
+
+    return la.Mat(tuple(tuple(entry() for _ in range(c)) for _ in range(r)), c)
+
+
+def test_block_matrix_matches_the_cell_loop_on_seeded_blocks():
+    rng = random.Random(241)
+    zero_rows = zero_cols = missing = False
+    for _ in range(200):
+        row_dims = [rng.randrange(0, 4) for _ in range(rng.randrange(1, 4))]
+        col_dims = [rng.randrange(0, 4) for _ in range(rng.randrange(1, 4))]
+        blocks = {
+            (i, j): _rational_block(rng, rd, cd)
+            for i, rd in enumerate(row_dims)
+            for j, cd in enumerate(col_dims)
+            if rng.random() < 0.6
+        }
+        got = la.block_matrix(row_dims, col_dims, blocks)
+        assert _same_mat(got, _cell_block_matrix(row_dims, col_dims, blocks))
+        assert all(type(x) is F for row in got for x in row)
+        # each placed entry is the block's own Fraction
+        for (i, j), blk in blocks.items():
+            r0, c0 = sum(row_dims[:i]), sum(col_dims[:j])
+            assert all(
+                got[r0 + r][c0 + c] is x for r, brow in enumerate(blk) for c, x in enumerate(brow)
+            )
+        zero_rows |= 0 in row_dims
+        zero_cols |= 0 in col_dims
+        missing |= len(blocks) < len(row_dims) * len(col_dims)
+    assert zero_rows and zero_cols and missing
+
+
+def test_block_matrix_builds_every_caller_layout_as_the_old_constructions():
+    rng = random.Random(251)
+    for _ in range(60):
+        r, c, k = rng.randrange(0, 4), rng.randrange(0, 4), rng.randrange(0, 4)
+        a, b = _rational_block(rng, r, c), _rational_block(rng, r, k)
+        # la.solve, [a | b], and rho of homology._modified_maps, [f | -d]
+        got = la.block_matrix((r,), (c, k), {(0, 0): a, (0, 1): b})
+        assert _same_mat(got, _hstack(a, b))
+        # homology.modified_homology, the kernel of [d | 0]
+        got = la.block_matrix((r,), (c, k), {(0, 0): a})
+        assert _same_mat(got, _hstack(a, la.zeros(r, k)))
+        # core.direct_sum_space, the diagonal Gram
+        grams = [_rational_block(rng, d, d) for d in (r, c, k)]
+        dims = [r, c, k]
+        got = la.block_matrix(dims, dims, {(i, i): g for i, g in enumerate(grams)})
+        assert _same_mat(got, _block_diag(*grams))
+        # core.dsum_injection, an identity at the tag's row block
+        for i, d in enumerate(dims):
+            got = la.block_matrix(dims, [d], {(i, 0): la.identity(d)})
+            above, below = sum(dims[:i]), sum(dims[i + 1 :])
+            want = _vstack(la.zeros(above, d), la.identity(d), la.zeros(below, d))
+            assert _same_mat(got, want)
+
+
 def test_kron_fixed():
     got = la.kron(la.mat([[1, 2]]), la.mat([[3], [4]]))
     assert got == la.mat([[3, 6], [4, 8]])
@@ -229,9 +343,13 @@ def test_degenerate_shapes():
         assert la.shape(rows) == (0, c) and pivots == ()
         assert la.shape(la.solve(z, la.zeros(r, 3))) == (c, 3)
         assert la.shape(la.solve(z, la.zeros(r, 0))) == (c, 0)
-        assert la.shape(la.hstack(z, _ones(r, 2))) == (r, c + 2)
-        assert la.shape(la.vstack(z, _ones(2, c))) == (r + 2, c)
-        assert la.shape(la.block_diag(z, _ones(2, 1), z)) == (2 * r + 2, 2 * c + 1)
+        hs = la.block_matrix((r,), (c, 2), {(0, 0): z, (0, 1): _ones(r, 2)})
+        assert la.shape(hs) == (r, c + 2) and _same_mat(hs, _hstack(z, _ones(r, 2)))
+        vs = la.block_matrix((r, 2), (c,), {(0, 0): z, (1, 0): _ones(2, c)})
+        assert la.shape(vs) == (r + 2, c) and _same_mat(vs, _vstack(z, _ones(2, c)))
+        dg = la.block_matrix((r, 2, r), (c, 1, c), {(0, 0): z, (1, 1): _ones(2, 1), (2, 2): z})
+        assert la.shape(dg) == (2 * r + 2, 2 * c + 1)
+        assert _same_mat(dg, _block_diag(z, _ones(2, 1), z))
         assert la.shape(la.block_matrix((r, 1), (c, 2), {(0, 0): z})) == (r + 1, c + 2)
         for r2, c2 in itertools.product(DIMS, DIMS):
             assert la.shape(la.kron(z, _ones(r2, c2))) == (r * r2, c * c2)
@@ -256,10 +374,16 @@ def test_shape_mismatch_raises_for_empty_operands():
         la.matmul(la.zeros(0, 2), la.zeros(3, 0))
     with pytest.raises(ValueError):
         la.matvec(la.zeros(0, 2), la.vec([1, 2, 3]))
+    # blocks stacked in one block column with different widths, and
+    # side by side in one block row with different heights
     with pytest.raises(ValueError):
-        la.vstack(la.zeros(0, 2), la.zeros(0, 3))
+        la.block_matrix((0, 0), (2,), {(0, 0): la.zeros(0, 2), (1, 0): la.zeros(0, 3)})
     with pytest.raises(ValueError):
-        la.hstack(la.zeros(2, 0), la.zeros(3, 0))
+        la.block_matrix((2,), (0, 0), {(0, 0): la.zeros(2, 0), (0, 1): la.zeros(3, 0)})
+    with pytest.raises(ValueError):
+        _vstack(la.zeros(0, 2), la.zeros(0, 3))
+    with pytest.raises(ValueError):
+        _hstack(la.zeros(2, 0), la.zeros(3, 0))
     with pytest.raises(ValueError):
         la.block_matrix((1,), (2,), {(0, 0): la.zeros(0, 2)})
     with pytest.raises(ValueError):
