@@ -3,10 +3,10 @@ and the positive-definiteness test.
 
 Integers in, integers out. A matrix is a rectangular list (or tuple)
 of integer rows; the kernels never change an input, its rows
-included. hermk.linalg is the only caller: it hands each kernel a
-Mat's integer form (the Mat's rows over their least common
-denominator, linalg._int_form) and turns the integers that come back
-into Fractions and Mats. rref, rank, det, permanent and
+included. hermk.linalg is the only caller: a Mat is its integer form
+(its rows over their least common denominator, Mat.int_rows), and
+linalg hands each kernel those rows and builds Mats from the integers
+that come back without a Fraction. rref, rank, det, permanent and
 positive_definite take matrices with at least one row and one column;
 matmul reads the width of the product from a row of b, so b needs
 one. hermk.linalg answers the other shapes. matmul returns the integer

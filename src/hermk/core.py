@@ -376,24 +376,6 @@ def direct_sum_space(parts) -> MetrizedSpace:
     return MetrizedSpace(labels, gram, check=False)
 
 
-def dsum_injection(parts, tag) -> SpaceMap:
-    """The inclusion of the summand tag: the identity at its row block."""
-    parts = tuple(parts)
-    total = direct_sum_space(parts)
-    dims = [s.dim for _, s in parts]
-    for i, (t, s) in enumerate(parts):
-        if t == tag:
-            return SpaceMap(s, total, la.block_matrix(dims, [s.dim], {(i, 0): la.identity(s.dim)}))
-    raise KeyError(tag)
-
-
-def dsum_projection(parts, tag) -> SpaceMap:
-    """The orthogonal projection onto the summand tag: the transpose of
-    its injection."""
-    inject = dsum_injection(parts, tag)
-    return SpaceMap(inject.codomain, inject.domain, la.transpose(inject.matrix.entries))
-
-
 class ShortExactMetrized:
     """0 -> sub -> total -> quot -> 0 with metrized terms.
 

@@ -319,16 +319,24 @@ class PresentedQuotient:
 
     def coords(self, v: la.Vec) -> la.Vec:
         """Coefficients of the class of v over the representatives."""
-        return self._coords_int(*self.cycles._cleared(v))
+        w, d = self.cycles._cleared(v)
+        frac = la._Fractions(self.boundaries.den * d)
+        return tuple(map(frac.__getitem__, self._coords_int(w)))
 
-    def _coords_int(self, w, d: int) -> la.Vec:
-        """coords(w / d) for an integer vector w of the width."""
+    def _coords_int(self, w) -> list[int]:
+        """The numerators of coords(w / d) over boundaries.den * d, for
+        an integer vector w of the width, whatever d is."""
         # the normal form is a cycle that is zero at every boundary
         # pivot, so it is the sum of the reps weighted by its entries at
         # their pivots, where each rep is 1 and the others are 0
         n = self._normal_int(w)
-        frac = la._Fractions(self.boundaries.den * d)
-        return tuple(frac[n[p]] for p in self.pivots)
+        return [n[p] for p in self.pivots]
+
+    def _coords_mat(self, ws, d: int) -> la.Mat:
+        """The matrix whose columns are coords(w / d), for integer
+        vectors w of the width."""
+        cols = [self._coords_int(w) for w in ws]
+        return _cols_to_mat(cols, self.boundaries.den * d, self.dim)
 
 
 def _zero_presentation() -> PresentedQuotient:
@@ -424,10 +432,9 @@ def _modified_maps(f: ChainMap, n: int, ha: PresentedQuotient) -> ModifiedMaps:
     zb = b.homology(n).cycles
 
     pad = [0] * wa
-    cols_from_form = [
-        hat._coords_int(pad + [-x for x in t], forms.cycles.den) for t in forms._int_reps
-    ]
-    cols_zeta = [ha._coords_int(w[:wa], hat.cycles.den) for w in hat._int_reps]
+    neg_forms = [pad + [-x for x in t] for t in forms._int_reps]
+    from_form = hat._coords_mat(neg_forms, forms.cycles.den)
+    zeta = ha._coords_mat([w[:wa] for w in hat._int_reps], hat.cycles.den)
     # (a, b) |-> f(a) - d(b) is the matrix [f_n | -d_{n+1}]
     rho = la.block_matrix(
         (b.dim(n),),
@@ -439,23 +446,23 @@ def _modified_maps(f: ChainMap, n: int, ha: PresentedQuotient) -> ModifiedMaps:
     cols_rho = []
     for w in images:
         try:
-            cols_rho.append(zb._coords_int(w, den))
+            cols_rho.append(zb._coords_int(w))
         except ValueError:
             raise AssertionError("structure map must land in the cycle space") from None
     return ModifiedMaps(
         hat,
         forms,
         zb.rows,
-        _cols_to_mat(cols_from_form, hat.dim),
-        _cols_to_mat(cols_zeta, ha.dim),
-        _cols_to_mat(cols_rho, len(zb.pivots)),
+        from_form,
+        zeta,
+        _cols_to_mat(cols_rho, den, len(zb.pivots)),
     )
 
 
-def _cols_to_mat(cols, height: int) -> la.Mat:
-    """The matrix with the given columns, coordinate vectors of length
-    height."""
-    return la.transpose(la.Mat(tuple(cols), height))
+def _cols_to_mat(cols, den: int, height: int) -> la.Mat:
+    """The matrix whose columns are the integer vectors cols, each of
+    length height, over den."""
+    return la._int_mat(list(zip(*cols)) or [()] * height, den, len(cols))
 
 
 # the inner nodes of the two sequences, in chain order
@@ -503,18 +510,16 @@ def verify_modified_sequences(f: ChainMap) -> list[tuple[str, bool]]:
         hcone_n = cn.homology(n)
         hcone_prev = cn.homology(n - 1)
 
-        den = hcone_n.cycles.den
-        m1 = _cols_to_mat([hat._coords_int(w, den) for w in hcone_n._int_reps], hat.dim)
+        m1 = hat._coords_mat(hcone_n._int_reps, hcone_n.cycles.den)
         # Z(B_n) -> H_{n-1}(s(f)), z |-> [(0, z)]
         pad, zb = [0] * a.dim(n - 1), b.homology(n).cycles
-        cols_m3 = [hcone_prev._coords_int(pad + list(z), zb.den) for z in zb.int_rows]
-        m3 = _cols_to_mat(cols_m3, hcone_prev.dim)
+        m3 = hcone_prev._coords_mat([pad + list(z) for z in zb.int_rows], zb.den)
         zero_in = la.zeros(hcone_n.dim, 0)
         out.append(_sequence_verdict("a", n, zero_in, m1, mm.to_form_cycle, m3))
 
         images, den = la._images(f.map_at(n + 1), ha_next._int_reps)
         den *= ha_next.cycles.den
-        m1b = _cols_to_mat([forms._coords_int(w, den) for w in images], forms.dim)
+        m1b = forms._coords_mat(images, den)
         zero_out = la.zeros(0, ha_n.dim)
         out.append(
             _sequence_verdict("b", n, m1b, mm.from_form, mm.to_cycle_class, zero_out)
@@ -559,8 +564,7 @@ def induced_on_quotients(
     if any(any(dst._normal_int(w)) for w in images[: len(bounds)]):
         raise ValueError("relations do not map into relations")
     den *= src.cycles.den
-    cols = [dst._coords_int(w, den) for w in images[len(bounds) :]]
-    return _cols_to_mat(cols, dst.dim)
+    return dst._coords_mat(images[len(bounds) :], den)
 
 
 def induced_modified_map(
@@ -619,9 +623,8 @@ def cone_les_check(f: ChainMap) -> bool:
         wa = a.dim(n)
 
         # H_{n+1}(B) -> H_n(s(f)), [b] |-> [(0, b)]
-        pad, den = [0] * wa, hb_next.cycles.den
-        cols_in = [hc._coords_int(pad + list(w), den) for w in hb_next._int_reps]
-        m_in = _cols_to_mat(cols_in, hc.dim)
+        pad = [0] * wa
+        m_in = hc._coords_mat([pad + list(w) for w in hb_next._int_reps], hb_next.cycles.den)
         m_proj = induced_on_quotients(
             la.block_matrix([wa], [wa, b.dim(n + 1)], {(0, 0): la.identity(wa)}),
             hc,

@@ -318,8 +318,7 @@ def _kernel_sequences(c: HermitianComplex) -> list[ShortExactMetrized]:
     for f, (_, inject), kernel in zip(c.maps, kernels, kernels[1:]):
         knext, kincl = kernel
         m = f.matrix.entries
-        rows, den = la._int_form(m)
-        coords = la._int_mat([rows[i] for i in kernel.free], den, m.ncols)
+        coords = la._int_mat([m.int_rows[i] for i in kernel.free], m.den, m.ncols)
         if la.matmul(kincl.matrix.entries, coords) != m:
             raise AssertionError("image must land in the next kernel")
         project = SpaceMap(f.domain, knext, ScaledMatrix(coords, f.matrix.scale_sq))

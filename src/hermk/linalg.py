@@ -1,56 +1,46 @@
 """Exact linear algebra over the rationals.
 
-A matrix is a Mat: an immutable tuple of row tuples with Fraction
-entries that also knows its column count, so a matrix with no rows or
-no columns keeps its exact shape and callers need no special case for
-empty matrices. Vectors are plain tuples of Fractions.
+A matrix is a Mat, and a Mat is its integer form: its rows as integers
+over the least common denominator of its entries, plus its column
+count, so a matrix with no rows or no columns keeps its exact shape
+and callers need no special case for empty matrices. Read as a
+sequence, a Mat is a tuple of row tuples of Fractions; those are built
+from the form where an entry is first read, and nowhere else. Vectors
+are plain tuples of Fractions.
 
 Raw input is coerced once: by mat() for a matrix, by stack() for
 vectors of a known length, by vec() for one vector. mat() and stack()
-hand a Mat back as it is, and every function here builds its results
-as Mats directly, so a built matrix is never coerced again.
+hand a Mat back as it is and end in Mat(rows, ncols), the one
+conversion of a matrix from Fractions to integers. _int_mat, the one
+builder of a Mat from integer rows over a denominator, divides them
+down to the least denominator (_least) and builds no Fraction. Every
+function here works on the forms and builds its results through
+_int_mat: products, sums, scalings, transposes, Kronecker products,
+submatrices, block layouts, RREFs, kernel bases, solutions, the
+identity and the rows of an EchelonBasis; outside this module so do
+the power Grams of hermk.multilinear, the maps word_map builds, the
+Koszul coordinates and the coordinate matrices of hermk.homology. This
+module is the only one that writes a Mat's form.
 
 The heavy kernels are delegated to hermk._qkernels, one fraction-free
 plain-Python implementation on integers, and this module is its only
-caller. The kernels need at least one row; the calls that could have
-none (a product with no inner dimension, the rref and rank of a matrix
-without a nonzero entry, det, permanent and the PD test of 0 x 0) are
-answered here. Everything is exact.
+caller: it hands them the forms. The kernels need at least one row;
+the calls that could have none (a product with no inner dimension, the
+rref and rank of a matrix without a nonzero entry, det, permanent and
+the PD test of 0 x 0) are answered here. Everything is exact.
 
-A Mat also remembers its integer form: its rows as integers over the
-least common denominator of its entries, which is what the kernels
-are handed. This module is the only one that reads or writes a form,
-and _int_form is its one accessor. A form is set in three places.
-_int_form computes it from the Fractions the first time a Mat without
-one needs it; that is the one conversion from Fractions to integers.
-_int_mat, the one builder of a Mat from integer rows over a
-denominator, divides them down to the least denominator (_least),
-builds one Fraction per distinct value (_Fractions) and attaches the
-form: products, scalings (scale multiplies the form by the scalar's
-numerator and its den by the denominator), RREFs, kernel bases, the
-identity, the rows of an EchelonBasis, and outside this module the
-power Grams of hermk.multilinear, the maps word_map builds and the
-Koszul coordinates, all come from it. transpose gives the result its
-source's form, transposed. kron's result gets none: keeping its
-integers next to its Fractions made the Koszul tower slower and
-larger. A form is set once and is made of tuples, so Mats that share
-one cannot disturb each other, and a form is unique, so Mats that
-both have one are compared by it; see the Mat docstring.
-
-EchelonBasis, the span type, keeps the kernel's integer RREF rather
-than Fractions: its rows are integers over one positive common
-denominator, and membership, reduction, coordinates and growth run in
-integers, building a Fraction only for a value they hand out. Vectors
-passed to it need int or Fraction entries; floats raise TypeError, as
-they do in q(). One loop, _kernel_int, reads kernel vectors off an
-integer RREF: EchelonBasis.kernel takes them as an echelon basis, and
-nullspace, for callers that need the canonical basis as a matrix,
-through _int_mat.
+EchelonBasis, the span type, keeps the kernel's integer RREF: its rows
+are integers over one positive common denominator, and membership,
+reduction, coordinates and growth run in integers, building a Fraction
+only for a value they hand out. Vectors passed to it need int or
+Fraction entries; floats raise TypeError, as they do in q(). One loop,
+_kernel_int, reads kernel vectors off an integer RREF: EchelonBasis.kernel
+takes them as an echelon basis, and nullspace, for callers that need
+the canonical basis as a matrix, through _int_mat.
 
 block_matrix is the one block assembler: direct sums and their
 injections, [a | b] layouts and the matching maps of direct-sum cubes
-all build through it. It keeps the blocks' Fractions and gives its
-result no integer form.
+all build through it, over the lcm of the blocks' denominators.
 """
 
 from __future__ import annotations
@@ -69,59 +59,73 @@ Vec = tuple  # tuple[Fraction, ...]
 BACKEND = "pure"
 
 
-class Mat(tuple):
-    """An r x c matrix: a tuple of r row tuples of Fractions that also
-    knows c when r is 0.
+class Mat:
+    """An r x c rational matrix, held as its integer form: int_rows, r
+    row tuples of c ints, over den > 0, the least common denominator of
+    the entries, so that the matrix is int_rows / den; and ncols, c,
+    which stays known when r is 0.
 
-    Mat(rows, ncols) adopts a tuple of row tuples as it is, without
-    looking at the entries; ncols is read from the rows when there are
-    any. mat() is the constructor for raw input. Indexing, iteration
-    and hash are the tuple's. == and != compare the integer forms when
-    both Mats have one: a form is over the least common denominator, so
-    it is unique, and equal forms mean equal matrices. Otherwise they
-    are the tuple's comparison, which also serves a plain tuple on
-    either side. Either way two matrices without rows compare equal
-    whatever their widths: their forms are both ((), 1).
+    Mat(rows, ncols) computes the form of rows of ints or Fractions; it
+    is the one conversion of a matrix from Fractions to integers, and
+    ncols is read from the rows when there are any. mat() is the
+    constructor for raw input, _int_mat the builder from integers. The
+    form is unique, so == between Mats compares forms; against a tuple
+    it compares the rows. Two matrices without rows are equal whatever
+    their widths: both forms are ((), 1).
 
-    _form, when set, is the matrix's integer form (int_rows, den): a
-    tuple of int row tuples and the least common denominator, with
-    the matrix equal to int_rows / den. It is set by _int_mat when the
-    Mat is built from integers, by transpose() from its source's, or by
-    _int_form on first use; read it through _int_form. It is made of
-    tuples, so nothing can write into it and it can be shared between
-    Mats. It is private and left out of pickles and copies, which
-    rebuild it when needed: a Mat's value is its rows.
+    Read as a sequence, by index or iteration, a Mat is a tuple of row
+    tuples of Fractions. That view is built from the form on the first
+    read and then kept; hash and repr are the view's. len and truth
+    count the rows and build nothing. Nothing writes into a form, and
+    pickles and copies carry it.
     """
 
-    _form = None
+    __slots__ = ("int_rows", "den", "ncols", "_rows")
 
-    def __new__(cls, rows, ncols: int):
-        m = tuple.__new__(cls, rows)
-        if not m:
-            m._ncols = ncols
-        return m
+    def __init__(self, rows, ncols: int):
+        # int and Fraction both give (numerator, denominator) in one call
+        pairs = [[x.as_integer_ratio() for x in row] for row in rows]
+        den = lcm(*{d for row in pairs for _, d in row})
+        if den == 1:
+            self.int_rows = tuple([tuple([n for n, _ in row]) for row in pairs])
+        else:
+            self.int_rows = tuple([tuple([n * (den // d) for n, d in row]) for row in pairs])
+        self.den = den
+        self.ncols = len(pairs[0]) if pairs else ncols
+        self._rows = None
+
+    def _view(self) -> tuple:
+        """The rows as tuples of Fractions, built on the first read."""
+        rows = self._rows
+        if rows is None:
+            frac = _Fractions(self.den).__getitem__
+            rows = self._rows = tuple([tuple(map(frac, row)) for row in self.int_rows])
+        return rows
+
+    def __getitem__(self, i):
+        return self._view()[i]
+
+    def __iter__(self):
+        return iter(self._view())
+
+    def __len__(self) -> int:
+        return len(self.int_rows)
 
     def __eq__(self, other):
-        if isinstance(other, Mat) and self._form is not None and other._form is not None:
-            return self._form == other._form
-        return tuple.__eq__(self, other)
+        if isinstance(other, Mat):
+            return self.den == other.den and self.int_rows == other.int_rows
+        if isinstance(other, tuple):
+            return self._view() == other
+        return NotImplemented
 
-    def __ne__(self, other):
-        eq = self.__eq__(other)
-        return eq if eq is NotImplemented else not eq
+    def __hash__(self):
+        return hash(self._view())
 
-    # defining __eq__ would otherwise leave Mats unhashable
-    __hash__ = tuple.__hash__
+    def __repr__(self) -> str:
+        return repr(self._view())
 
-    def __getnewargs__(self):
-        return tuple(self), self.ncols
-
-    def __getstate__(self):
-        return None
-
-    @property
-    def ncols(self) -> int:
-        return len(self[0]) if self else self._ncols
+    def __reduce__(self):
+        return _int_mat, (self.int_rows, self.den, self.ncols)
 
 
 _ZERO = Fraction(0)
@@ -143,7 +147,7 @@ class _Fractions(dict):
 def _least(rows, den: int) -> tuple[tuple[tuple[int, ...], ...], int]:
     """Integer rows over den > 0 as (row tuples, den) over the least
     common denominator: both divided by the factor common to den and
-    every entry. This is the form _int_form gives for rows / den."""
+    every entry. This is the form Mat gives rows / den."""
     g = gcd(den, *chain.from_iterable(rows)) if den != 1 else 1
     if g == 1:
         return tuple(map(tuple, rows)), den
@@ -152,30 +156,12 @@ def _least(rows, den: int) -> tuple[tuple[tuple[int, ...], ...], int]:
 
 def _int_mat(rows, den: int, ncols: int) -> Mat:
     """The Mat rows / den of width ncols, for integer rows over den > 0,
-    with its integer form _least(rows, den) attached."""
-    form = _least(rows, den)
-    frac = _Fractions(form[1]).__getitem__
-    m = Mat(tuple([tuple(map(frac, row)) for row in form[0]]), ncols)
-    m._form = form
+    with the form _least(rows, den). It builds no Fraction."""
+    m = object.__new__(Mat)
+    m.int_rows, m.den = _least(rows, den)
+    m.ncols = ncols
+    m._rows = None
     return m
-
-
-def _int_form(a: Mat) -> tuple[tuple[tuple[int, ...], ...], int]:
-    """a's integer form (int_rows, den), computed from its entries and
-    kept as a._form when a has none yet: the rows as integers over the
-    least common denominator den (the lcm of the distinct entry
-    denominators)."""
-    form = a._form
-    if form is None:
-        # int and Fraction both give (numerator, denominator) in one call
-        pairs = [[x.as_integer_ratio() for x in row] for row in a]
-        den = lcm(*{d for row in pairs for _, d in row})
-        if den == 1:
-            form = tuple([tuple([n for n, _ in row]) for row in pairs]), 1
-        else:
-            form = tuple([tuple([n * (den // d) for n, d in row]) for row in pairs]), den
-        a._form = form
-    return form
 
 
 def q(x) -> Fraction:
@@ -207,17 +193,17 @@ def stack(vectors: Sequence, width: int) -> Mat:
     width; unlike mat() this keeps the width when there are no vectors.
     A Mat is taken as it is, raw vectors are coerced."""
     m = vectors if isinstance(vectors, Mat) else Mat(tuple(map(vec, vectors)), width)
-    if m.ncols != width or any(len(row) != width for row in m):
+    if m.ncols != width or any(len(row) != width for row in m.int_rows):
         raise ValueError(f"vectors of length other than {width}")
     return m
 
 
 def shape(a: Mat) -> tuple[int, int]:
-    return (len(a), a.ncols)
+    return (len(a.int_rows), a.ncols)
 
 
 def zeros(r: int, c: int) -> Mat:
-    return Mat(((_ZERO,) * c,) * r, c)
+    return _int_mat(((0,) * c,) * r, 1, c)
 
 
 def identity(n: int) -> Mat:
@@ -226,21 +212,21 @@ def identity(n: int) -> Mat:
 
 def transpose(a: Mat) -> Mat:
     # zip sees no columns when a has no rows
-    t = Mat(tuple(zip(*a)) or ((),) * a.ncols, len(a))
-    if a._form is not None:
-        rows, den = a._form
-        t._form = tuple(zip(*rows)) or ((),) * a.ncols, den
-    return t
+    return _int_mat(tuple(zip(*a.int_rows)) or ((),) * a.ncols, a.den, len(a.int_rows))
 
 
 def is_zero(a: Mat) -> bool:
-    return all(not x for row in a for x in row)
+    return not any(map(any, a.int_rows))
 
 
 def add(a: Mat, b: Mat) -> Mat:
+    """a + b, over the lcm of their dens."""
     if shape(a) != shape(b):
         raise ValueError("add shape mismatch")
-    return Mat(tuple(tuple(x + y for x, y in zip(ra, rb)) for ra, rb in zip(a, b)), a.ncols)
+    den = lcm(a.den, b.den)
+    sa, sb = den // a.den, den // b.den
+    rows = [[sa * x + sb * y for x, y in zip(ra, rb)] for ra, rb in zip(a.int_rows, b.int_rows)]
+    return _int_mat(rows, den, a.ncols)
 
 
 def scale(a: Mat, s) -> Mat:
@@ -250,19 +236,17 @@ def scale(a: Mat, s) -> Mat:
     n, d = s.numerator, s.denominator
     if n == d:
         return a
-    rows, den = _int_form(a)
-    return _int_mat([[n * x for x in row] for row in rows], den * d, a.ncols)
+    return _int_mat([[n * x for x in row] for row in a.int_rows], a.den * d, a.ncols)
 
 
 def is_permuted(a: Mat, b: Mat, rows: Sequence[int], cols: Sequence[int]) -> bool:
     """Is a[i][j] == b[rows[i]][cols[j]] for every i, j, for rows and
     cols permutations of b's row and column indices? Decided on the
     integer forms: permuting b keeps its least denominator."""
-    ai, da = _int_form(a)
-    bi, db = _int_form(b)
-    if da != db:
+    if a.den != b.den:
         return False
-    return all(ra == tuple([rb[j] for j in cols]) for ra, rb in zip(ai, [bi[i] for i in rows]))
+    bi = b.int_rows
+    return all(ra == tuple([rb[j] for j in cols]) for ra, rb in zip(a.int_rows, [bi[i] for i in rows]))
 
 
 def matmul(a: Mat, b: Mat) -> Mat:
@@ -273,9 +257,7 @@ def matmul(a: Mat, b: Mat) -> Mat:
     if not (ra and rb and cb):
         # no entry, or every entry an empty sum
         return zeros(ra, cb)
-    ai, da = _int_form(a)
-    bi, db = _int_form(b)
-    return _int_mat(_qkernels.matmul(ai, bi), da * db, cb)
+    return _int_mat(_qkernels.matmul(a.int_rows, b.int_rows), a.den * b.den, cb)
 
 
 def matvec(a: Mat, v: Vec) -> Vec:
@@ -308,70 +290,71 @@ def bilinear(g: Mat, u: Vec, v: Vec) -> Fraction:
 
 def kron(a: Mat, b: Mat) -> Mat:
     """Kronecker product: entry (i_a * rows_b + i_b, j_a * cols_b + j_b)
-    is a[i_a][j_a] * b[i_b][j_b].
-
-    The products are taken in integers, from the integer forms of a and
-    b (_int_form), and each distinct product becomes one Fraction
-    (_Fractions). A zero entry of a contributes one shared block of
-    zeros instead of a row of b's worth of products. The result keeps
-    no integer form: _int_form computes it if a kernel needs it."""
+    is a[i_a][j_a] * b[i_b][j_b], taken in integers over a.den * b.den.
+    A zero entry of a contributes one shared block of zeros instead of
+    a row of b's worth of products."""
     cb = b.ncols
-    ai, da = _int_form(a)
-    bi, db = _int_form(b)
-    frac = _Fractions(da * db)
-    zero = (_ZERO,) * cb
+    zero = (0,) * cb
     out = []
-    for arow in ai:
-        for brow in bi:
+    for arow in a.int_rows:
+        for brow in b.int_rows:
             row = []
             for x in arow:
                 if x:
-                    row.extend([frac[x * y] for y in brow])
+                    row.extend([x * y for y in brow])
                 else:
                     row.extend(zero)
-            out.append(tuple(row))
-    return Mat(tuple(out), a.ncols * cb)
+            out.append(row)
+    return _int_mat(out, a.den * b.den, a.ncols * cb)
 
 
 def submatrix(a: Mat, rows: Sequence[int], cols: Sequence[int]) -> Mat:
-    return Mat(tuple(tuple(a[i][j] for j in cols) for i in rows), len(cols))
+    src = a.int_rows
+    return _int_mat([[src[i][j] for j in cols] for i in rows], a.den, len(cols))
 
 
 def block_matrix(row_dims: Sequence[int], col_dims: Sequence[int], blocks) -> Mat:
     """Assemble a matrix from blocks; the one block assembler.
 
-    blocks maps (i, j) to a row_dims[i] x col_dims[j] matrix; missing
-    entries are zero. Each block row is copied in as one slice, so the
-    result holds the blocks' own Fractions and builds none.
+    blocks maps (i, j), a cell of the grid, to a row_dims[i] x
+    col_dims[j] matrix; missing cells are zero, and a key outside the
+    grid raises ValueError. The blocks are brought to the lcm of their
+    dens, and each block row is copied in as one slice.
     """
+    for key in blocks:
+        i, j = key
+        if not (0 <= i < len(row_dims) and 0 <= j < len(col_dims)):
+            raise ValueError(f"block {key} lies outside the {len(row_dims)} x {len(col_dims)} grid")
+    den = lcm(*(blk.den for blk in blocks.values()))
     total_c = sum(col_dims)
     out = []
     for i, rd in enumerate(row_dims):
-        rows = [[_ZERO] * total_c for _ in range(rd)]
+        rows = [[0] * total_c for _ in range(rd)]
         off = 0
         for j, cd in enumerate(col_dims):
             blk = blocks.get((i, j))
             if blk is not None:
                 if shape(blk) != (rd, cd):
                     raise ValueError(f"block ({i},{j}) is {shape(blk)}, need {(rd, cd)}")
-                for row, brow in zip(rows, blk):
-                    row[off : off + cd] = brow
+                s = den // blk.den
+                for row, brow in zip(rows, blk.int_rows):
+                    row[off : off + cd] = brow if s == 1 else [s * x for x in brow]
             off += cd
-        out.extend(map(tuple, rows))
-    return Mat(tuple(out), total_c)
+        out.extend(rows)
+    return _int_mat(out, den, total_c)
 
 
 def rref(a: Mat) -> tuple[Mat, tuple[int, ...]]:
     """Nonzero rows of the unique reduced row echelon form, as a Mat of
     a's width, plus pivot columns."""
-    rows, den, pivots = ((), 1, ()) if is_zero(a) else _qkernels.rref(_int_form(a)[0])
+    rows, den, pivots = ((), 1, ()) if is_zero(a) else _qkernels.rref(a.int_rows)
     return _int_mat(rows, den, a.ncols), tuple(pivots)
 
 
 def rank(a: Mat) -> int:
     if is_zero(a):
         return 0
-    return _qkernels.rank(_int_form(a)[0])
+    return _qkernels.rank(a.int_rows)
 
 
 def det(a: Mat) -> Fraction:
@@ -381,8 +364,7 @@ def det(a: Mat) -> Fraction:
         raise ValueError("det needs a square matrix")
     if r == 0:
         return Fraction(1)
-    rows, den = _int_form(a)
-    return Fraction(_qkernels.det(rows), den**r)
+    return Fraction(_qkernels.det(a.int_rows), a.den**r)
 
 
 def permanent(a: Mat) -> Fraction:
@@ -392,8 +374,7 @@ def permanent(a: Mat) -> Fraction:
         raise ValueError("permanent needs a square matrix")
     if r == 0:
         return Fraction(1)
-    rows, den = _int_form(a)
-    return Fraction(_qkernels.permanent(rows), den**r)
+    return Fraction(_qkernels.permanent(a.int_rows), a.den**r)
 
 
 def is_positive_definite(a: Mat) -> bool:
@@ -401,7 +382,7 @@ def is_positive_definite(a: Mat) -> bool:
     integer form scales the k-th leading minor by den^k > 0, so the
     kernel's Sylvester test on the integers decides it. A 0 x 0 matrix
     is positive definite."""
-    return not a or _qkernels.positive_definite(_int_form(a)[0])
+    return not a or _qkernels.positive_definite(a.int_rows)
 
 
 def nullspace(a: Mat) -> Mat:
@@ -436,13 +417,13 @@ def _kernel_int(a: Mat, reverse: bool) -> tuple[list[list[int]], int, tuple[int,
     are then read at c - 1 - j, so every index is in a's column order.
     Unreversed the vectors are nullspace(a); reversed, see
     EchelonBasis.kernel. A matrix without a nonzero entry has the
-    identity as its kernel, with no integer form and no elimination.
+    identity as its kernel, with no elimination.
     """
     c = a.ncols
     if is_zero(a):
         rows, den, pivots = (), 1, ()
     else:
-        rows = _int_form(a)[0]
+        rows = a.int_rows
         rows, den, pivots = _qkernels.rref([row[::-1] for row in rows] if reverse else rows)
     held = [(c - 1 - p if reverse else p, row) for p, row in zip(pivots, rows)]
     taken = {p for p, _ in held}
@@ -471,18 +452,18 @@ def solve(a: Mat, b: Mat) -> Mat | None:
     if not cb:
         # no right-hand side: the empty x solves it, whatever a is
         return zeros(ca, 0)
-    rows, pivots = rref(block_matrix((ra,), (ca, cb), {(0, 0): a, (0, 1): b}))
+    m, pivots = rref(block_matrix((ra,), (ca, cb), {(0, 0): a, (0, 1): b}))
     if any(p >= ca for p in pivots):
         return None
-    x = [[_ZERO] * cb for _ in range(ca)]
-    for i, p in enumerate(pivots):
-        for j in range(cb):
-            x[p][j] = rows[i][ca + j]
-    return Mat(tuple(map(tuple, x)), cb)
+    x = [[0] * cb for _ in range(ca)]
+    for p, row in zip(pivots, m.int_rows):
+        x[p] = row[ca:]
+    return _int_mat(x, m.den, cb)
 
 
 def solve_vec(a: Mat, v: Vec) -> Vec | None:
-    x = solve(a, Mat(tuple((y,) for y in v), 1))
+    w, d = _numerators(v)
+    x = solve(a, _int_mat([(y,) for y in w], d, 1))
     return None if x is None else tuple(row[0] for row in x)
 
 
@@ -517,7 +498,7 @@ def _images(m: Mat, rows) -> tuple[list[list[int]], int]:
     """(images, den): m @ (row / e) == image / (den * e) for each integer
     row of m's width and its image, whatever e is. The products are
     taken in integers, against m's integer form."""
-    form, den = _int_form(m)
+    form, den = m.int_rows, m.den
     if not (rows and form and m.ncols):
         # no row, or every entry of every image an empty sum
         return [[0] * len(m) for _ in rows], den
@@ -570,7 +551,7 @@ class EchelonBasis:
         self.width = width
         self._rows = None
         if a and width:
-            rows, den, pivots = _qkernels.rref(_int_form(a)[0])
+            rows, den, pivots = _qkernels.rref(a.int_rows)
             self._set(rows, den, tuple(pivots))
         else:
             self.int_rows, self.den, self.pivots = (), 1, ()
@@ -647,13 +628,15 @@ class EchelonBasis:
 
     def coords(self, v: Vec) -> Vec:
         """Coefficients of v over rows; ValueError when v is not in the span."""
-        return self._coords_int(*self._cleared(v))
+        w, d = self._cleared(v)
+        return tuple(Fraction(x, d) for x in self._coords_int(w))
 
-    def _coords_int(self, w: Sequence[int], d: int) -> Vec:
-        """coords(w / d) for an integer vector w of the basis' width."""
+    def _coords_int(self, w: Sequence[int]) -> list[int]:
+        """The numerators of coords(w / d) over d, for an integer vector
+        w of the basis' width, whatever d is: w at the pivots."""
         if not self._contains_int(w):
             raise ValueError("vector is not in the span")
-        return tuple(Fraction(w[p], d) for p in self.pivots)
+        return [w[p] for p in self.pivots]
 
     def add(self, v: Vec) -> bool:
         """Grow the span by v. Returns whether it grew; when it did not,

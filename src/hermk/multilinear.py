@@ -26,7 +26,7 @@ J with first letter i_1 of I,
 power_tower builds every degree 0..d of one kind in one pass, in
 integers over den^d where den clears the denominators of G, skipping the
 zero entries G[i_1, j], and la._int_mat turns each level into its Gram
-with that integer form; sym_power and ext_power read its top level.
+without building a Fraction; sym_power and ext_power read its top level.
 """
 
 from __future__ import annotations
@@ -108,7 +108,7 @@ def _powers(v: MetrizedSpace, kind: str, top: int, low: int) -> tuple[PowerSpace
         raise ValueError("power degree must be >= 0")
     if kind not in _WORDS:
         raise ValueError(f"unknown power kind {kind!r}")
-    h, den = la._int_form(v.gram)
+    h, den = v.gram.int_rows, v.gram.den
     out = []
     index, gram = {(): 0}, [[1]]
     for d in range(top + 1):
@@ -170,7 +170,7 @@ def word_map(src: MetrizedSpace, dst: MetrizedSpace, images, den: int) -> la.Mat
 
     images(label) yields (dst label, coeff) pairs for one src label,
     with int coeffs; repeated targets add up, and the entry is the sum
-    over den. The map is built with its integer form (la._int_mat).
+    over den. The map is built from those integers (la._int_mat).
     """
     index = {lab: i for i, lab in enumerate(dst.labels)}
     rows = [[0] * src.dim for _ in range(dst.dim)]

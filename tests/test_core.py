@@ -20,8 +20,6 @@ from hermk.core import (
     ShortExactMetrized,
     SpaceMap,
     direct_sum_space,
-    dsum_injection,
-    dsum_projection,
     identity_map,
     induced_subspace_metric,
     is_hermitian_split,
@@ -32,7 +30,7 @@ from hermk.core import (
     subspace_object,
     zero_map,
 )
-from test_linalg import _canon_span, _same_mat, _vstack
+from test_linalg import _canon_span
 
 F = Fraction
 
@@ -320,70 +318,6 @@ def test_direct_sum_space_layout():
     s = direct_sum_space([(0, a), (1, b)])
     assert s.labels == ((0, ("a", 0)), (1, ("b", 0)))
     assert s.gram == la.mat([[1, 0], [0, 4]])
-    inj = dsum_injection([(0, a), (1, b)], 1)
-    prj = dsum_projection([(0, a), (1, b)], 0)
-    assert inj.is_isometry_onto_image()
-    assert prj.compose(inj).is_zero()
-
-
-def test_dsum_projections_are_the_transposed_injections():
-    parts = [
-        ("a", standard_space(2, tag="a")),
-        ("z", ZERO_SPACE),
-        ("s", MetrizedSpace((("s", 0), ("s", 1)), SKEW)),
-        ("b", MetrizedSpace((("b", 0),), ((F(4),),))),
-    ]
-    total = direct_sum_space(parts)
-    for tag, space in parts:
-        inj, prj = dsum_injection(parts, tag), dsum_projection(parts, tag)
-        assert (prj.domain, prj.codomain) == (total, space)
-        assert prj.matrix == ScaledMatrix(la.transpose(inj.matrix.entries), 1)
-        assert la.shape(prj.matrix.entries) == (space.dim, total.dim)
-        assert prj.compose(inj) == identity_map(space)
-    with pytest.raises(KeyError):
-        dsum_projection(parts, "c")
-    with pytest.raises(KeyError):
-        dsum_injection(parts, "c")
-
-
-def _stacked_dsum_injection(parts, tag) -> SpaceMap:
-    """dsum_injection as a vstack of zeros, the identity and zeros."""
-    parts = tuple(parts)
-    total = direct_sum_space(parts)
-    offset = 0
-    for t, s in parts:
-        if t == tag:
-            below = total.dim - offset - s.dim
-            block = _vstack(la.zeros(offset, s.dim), la.identity(s.dim), la.zeros(below, s.dim))
-            return SpaceMap(s, total, block)
-        offset += s.dim
-    raise KeyError(tag)
-
-
-def test_dsum_injections_match_the_stacked_construction_from_any_iterable():
-    rng = random.Random(257)
-    for _ in range(20):
-        parts = [
-            (t, standard_space(rng.randrange(0, 3), tag=t) if rng.random() < 0.8 else ZERO_SPACE)
-            for t in "abcd"[: rng.randrange(1, 5)]
-        ]
-        total = direct_sum_space(iter(parts))
-        assert total == direct_sum_space(parts)
-        for tag, _ in parts:
-            want = _stacked_dsum_injection(parts, tag)
-            inj = dsum_injection(parts, tag)
-            assert _same_mat(inj.matrix.entries, want.matrix.entries)
-            # an iterator is read once, like a list
-            for got, ref in (
-                (dsum_injection(iter(parts), tag), inj),
-                (dsum_projection(iter(parts), tag), dsum_projection(parts, tag)),
-            ):
-                assert (got.domain, got.codomain) == (ref.domain, ref.codomain)
-                assert _same_mat(got.matrix.entries, ref.matrix.entries)
-        with pytest.raises(KeyError):
-            dsum_injection(iter(parts), "z")
-        with pytest.raises(KeyError):
-            dsum_projection(iter(parts), "z")
 
 
 def test_short_exact_validation_and_split():

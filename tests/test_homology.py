@@ -287,6 +287,13 @@ def test_induced_map_checks_presentation_widths():
         induced_modified_map(ida, idb, rho, rho, 0, hat, wrong)
 
 
+def _cols_to_mat(cols, height: int) -> la.Mat:
+    """The oracle for the integer columns of hermk.homology: the matrix
+    with the given Fraction columns, coordinate vectors of length
+    height."""
+    return la.transpose(la.Mat(tuple(cols), height))
+
+
 def fraction_induced_on_quotients(m, src, dst):
     """induced_on_quotients as it was before its integer products: each
     boundary row and each Fraction representative pushed through
@@ -295,7 +302,7 @@ def fraction_induced_on_quotients(m, src, dst):
         if any(dst.normal_form(la.matvec(m, row))):
             raise ValueError("relations do not map into relations")
     cols = [dst.coords(la.matvec(m, rep)) for rep in src.reps]
-    return hom._cols_to_mat(cols, dst.dim)
+    return _cols_to_mat(cols, dst.dim)
 
 
 def fraction_modified_maps(f, n):
@@ -320,9 +327,9 @@ def fraction_modified_maps(f, n):
         except ValueError:
             raise AssertionError("structure map must land in the cycle space") from None
     return (
-        hom._cols_to_mat(from_form, hat.dim),
-        hom._cols_to_mat(zeta, ha.dim),
-        hom._cols_to_mat(rho, len(zb.pivots)),
+        _cols_to_mat(from_form, hat.dim),
+        _cols_to_mat(zeta, ha.dim),
+        _cols_to_mat(rho, len(zb.pivots)),
     )
 
 
@@ -371,7 +378,7 @@ def test_integer_pushes_equal_the_fraction_oracles(monkeypatch):
             proj = la.block_matrix([wa], [wa, b.dim(n + 1)], {(0, 0): la.identity(wa)})
             assert m_proj == fraction_induced_on_quotients(proj, hc, ha_n)
             cols = [hc.coords((0,) * wa + tuple(rep)) for rep in hb_next.reps]
-            assert m_in == hom._cols_to_mat(cols, hc.dim)
+            assert m_in == _cols_to_mat(cols, hc.dim)
         for n in degrees:
             ha, hb = homology(a, n), homology(b, n)
             got = hom.induced_on_quotients(f.map_at(n), ha, hb)
@@ -504,13 +511,13 @@ def _fraction_sequence_maps(f, n, cn):
     a, b = f.source, f.target
     hat, forms = modified_homology(f, n), forms_modulo_exact(b, n + 1)
     hcone_n, hcone_prev = homology(cn, n), homology(cn, n - 1)
-    m1 = hom._cols_to_mat([hat.coords(rep) for rep in hcone_n.reps], hat.dim)
-    m3 = hom._cols_to_mat(
+    m1 = _cols_to_mat([hat.coords(rep) for rep in hcone_n.reps], hat.dim)
+    m3 = _cols_to_mat(
         [hcone_prev.coords((0,) * a.dim(n - 1) + tuple(z)) for z in homology(b, n).cycles.rows],
         hcone_prev.dim,
     )
     fm_next = f.map_at(n + 1)
-    m1b = hom._cols_to_mat(
+    m1b = _cols_to_mat(
         [forms.coords(la.matvec(fm_next, rep)) for rep in homology(a, n + 1).reps], forms.dim
     )
     return m1, m3, m1b
@@ -571,7 +578,7 @@ def _corrupted_form_cycle(seed: int):
         for n in _all_degrees(f.source, f.target):
             mm = modified_maps(f, n)
             hcone = homology(cn, n)
-            m1 = hom._cols_to_mat([mm.hat.coords(r) for r in hcone.reps], mm.hat.dim)
+            m1 = _cols_to_mat([mm.hat.coords(r) for r in hcone.reps], mm.hat.dim)
             rows = [j for j, row in enumerate(m1) if any(row)]
             if rows and mm.to_form_cycle:
                 return f, n, rows[0]

@@ -13,11 +13,13 @@ import copy
 import itertools
 import pickle
 import random
+import re
 from fractions import Fraction
 
 import pytest
 
 from hermk import linalg as la
+from test_qkernels import oracle_form
 
 F = Fraction
 
@@ -243,18 +245,30 @@ def test_block_matrix_matches_the_cell_loop_on_seeded_blocks():
             if rng.random() < 0.6
         }
         got = la.block_matrix(row_dims, col_dims, blocks)
-        assert _same_mat(got, _cell_block_matrix(row_dims, col_dims, blocks))
+        want = _cell_block_matrix(row_dims, col_dims, blocks)
+        assert _same_mat(got, want) and tuple(got) == tuple(want)
         assert all(type(x) is F for row in got for x in row)
-        # each placed entry is the block's own Fraction
-        for (i, j), blk in blocks.items():
-            r0, c0 = sum(row_dims[:i]), sum(col_dims[:j])
-            assert all(
-                got[r0 + r][c0 + c] is x for r, brow in enumerate(blk) for c, x in enumerate(brow)
-            )
+        # the blocks are brought to one least denominator
+        assert (got.int_rows, got.den) == oracle_form(tuple(got))
         zero_rows |= 0 in row_dims
         zero_cols |= 0 in col_dims
         missing |= len(blocks) < len(row_dims) * len(col_dims)
     assert zero_rows and zero_cols and missing
+
+
+def test_block_matrix_rejects_a_block_outside_its_grid():
+    outside = [
+        ((1,), (1,), (1, 0), la.identity(1)),
+        ((1,), (1,), (-1, 0), la.identity(1)),
+        ((2, 2), (2, 2), (0, 3), la.identity(5)),
+    ]
+    for row_dims, col_dims, key, blk in outside:
+        with pytest.raises(ValueError, match=re.escape(f"block {key} lies outside")):
+            la.block_matrix(row_dims, col_dims, {key: blk})
+    # every cell of a valid layout still assembles
+    blocks = {(0, 0): la.mat([[1, 2]]), (0, 1): la.mat([[5]]), (1, 1): la.mat([[3], [4]])}
+    got = la.block_matrix((1, 2), (2, 1), blocks)
+    assert got == la.mat([[1, 2, 5], [0, 0, 3], [0, 0, 4]])
 
 
 def test_block_matrix_builds_every_caller_layout_as_the_old_constructions():
@@ -273,7 +287,8 @@ def test_block_matrix_builds_every_caller_layout_as_the_old_constructions():
         dims = [r, c, k]
         got = la.block_matrix(dims, dims, {(i, i): g for i, g in enumerate(grams)})
         assert _same_mat(got, _block_diag(*grams))
-        # core.dsum_injection, an identity at the tag's row block
+        # the injection of a summand into a direct sum, an identity at
+        # its row block
         for i, d in enumerate(dims):
             got = la.block_matrix(dims, [d], {(i, 0): la.identity(d)})
             above, below = sum(dims[:i]), sum(dims[i + 1 :])
@@ -401,7 +416,7 @@ def test_degenerate_products_and_solves_skip_the_kernels(monkeypatch):
         (la.zeros(0, 0), la.zeros(0, 4)),
     ]
     def kernel_product(a, b):
-        (ai, da), (bi, db) = la._int_form(a), la._int_form(b)
+        (ai, da), (bi, db) = (a.int_rows, a.den), (b.int_rows, b.den)
         return la._int_mat(_qkernels.matmul(ai, bi), da * db, b.ncols)
 
     kernel = [kernel_product(a, b) for a, b in products[:2]]

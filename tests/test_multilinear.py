@@ -211,9 +211,9 @@ def test_word_map_adds_repeated_targets():
     assert m == ((F(3, 2), F(3, 2)), (-1, 0), (0, -1))
     assert m.ncols == 2
     assert all(type(x) is Fraction for row in m for x in row)
-    assert m._form == (((3, 3), (-2, 0), (0, -2)), 2)
+    assert (m.int_rows, m.den) == (((3, 3), (-2, 0), (0, -2)), 2)
     # the form is over the least denominator: 2 / 2 is 1 / 1
-    assert word_map(a, b, lambda label: ((("b", label[1]), 2),), 2)._form[1] == 1
+    assert word_map(a, b, lambda label: ((("b", label[1]), 2),), 2).den == 1
 
 
 def test_word_map_keeps_the_shape_of_empty_spaces():

@@ -10,10 +10,12 @@ positive int den, must equal the oracle exactly; det and permanent are
 ints, the oracle's value times den^n, and the rank kernel must agree
 with the oracle's pivot count. The Fractions and Mats hermk.linalg
 builds from those integers must equal the oracle, entry types
-included. Then come the integer form a Mat remembers, the one
-elimination loop, _bareiss (its pivot columns against an in-order
-prefix-rank oracle, and which of its forms each caller runs), and the
-boundary that keeps linalg the kernels' only caller.
+included. Then comes the integer form a Mat is: every Mat linalg hands
+out holds the oracle's form, and no Fraction is built before an entry
+is read. Last come the one elimination loop, _bareiss (its pivot
+columns against an in-order prefix-rank oracle, and which of its forms
+each caller runs), and the boundary that keeps linalg the kernels'
+only caller and the only writer of a Mat's form.
 """
 
 from __future__ import annotations
@@ -21,6 +23,7 @@ from __future__ import annotations
 import ast
 import copy
 import pathlib
+import pickle
 import random
 from fractions import Fraction
 from math import lcm
@@ -85,7 +88,7 @@ def test_rref_fixed():
     # the Mat linalg builds from them, over the least denominator
     m, mpivots = la.rref(la.mat([[2, 4, 1, 3], [1, 2, 0, 1], [3, 6, 2, 5]]))
     assert m == ((1, 2, 0, 1), (0, 0, 1, 1)) and mpivots == (0, 2)
-    assert m._form == (((1, 2, 0, 1), (0, 0, 1, 1)), 1)
+    assert form_of(m) == (((1, 2, 0, 1), (0, 0, 1, 1)), 1)
 
 
 def test_rref_int_fixed():
@@ -113,7 +116,7 @@ def test_matmul_fixed():
     assert (oracle_form(a), oracle_form(b)) == ((((3, 1),), 6), (((2,), (3,)), 3))
     assert _qkernels.matmul(oracle_form(a)[0], oracle_form(b)[0]) == [[9]]
     m = la.matmul(la.mat(a), la.mat(b))
-    assert m == ((Fraction(1, 2),),) and m._form == (((1,),), 2)
+    assert m == ((Fraction(1, 2),),) and form_of(m) == (((1,),), 2)
 
 
 # -- oracle: plain Fraction Gaussian elimination ----------------------
@@ -188,6 +191,11 @@ def oracle_form(a):
     """a's integer rows over the lcm of its entry denominators."""
     den = lcm(*(Fraction(x).denominator for row in a for x in row))
     return tuple(tuple(int(x * den) for x in row) for row in a), den
+
+
+def form_of(m):
+    """The integer form a Mat holds."""
+    return m.int_rows, m.den
 
 
 def oracle_permanent(a):
@@ -311,14 +319,14 @@ def mismatches(cases) -> list[tuple[str, int]]:
         if not _int_result(rows, da * db) or _over(rows, da * db) != product:
             bad.append(("matmul", n))
         m = la.matmul(la.mat(a), la.mat(b))
-        if not _same_rows(m, product) or m._form != oracle_form(product):
+        if not _same_rows(m, product) or form_of(m) != oracle_form(product):
             bad.append(("la.matmul", n))
         rows, den, pivots = _qkernels.rref(ai)
         orows, opivots = oracle_rref(a)
         if pivots != opivots or not _int_result(rows, den) or _over(rows, den) != orows:
             bad.append(("rref", n))
         m, mpivots = la.rref(la.mat(a))
-        if list(mpivots) != opivots or not _same_rows(m, orows) or m._form != oracle_form(orows):
+        if list(mpivots) != opivots or not _same_rows(m, orows) or form_of(m) != oracle_form(orows):
             bad.append(("la.rref", n))
         scale = ds ** len(sq)
         got = _qkernels.det(si)
@@ -373,13 +381,13 @@ def test_inputs_are_not_mutated():
 
 
 def test_oracle_comparison_catches_a_dropped_denominator(monkeypatch):
-    int_form = la._int_form
+    honest = la.Mat.__init__
 
-    def drop_denominator(a):
-        rows, _ = int_form(a)
-        return rows, 1
+    def drop_denominator(self, rows, ncols):
+        honest(self, rows, ncols)
+        self.den = 1
 
-    monkeypatch.setattr(la, "_int_form", drop_denominator)
+    monkeypatch.setattr(la.Mat, "__init__", drop_denominator)
     bad = {kernel for kernel, _ in mismatches(_cases())}
     # rref and rank ignore the common scale, and the kernels are handed
     # the oracle's forms, so only linalg's products, det and permanent
@@ -405,14 +413,16 @@ def test_clear_gives_the_least_denominator_and_exact_integers():
     ]
     for a, rows, den in cases:
         m = la.mat(a)
-        form = la._int_form(m)
-        got_rows, got_den = form
+        got_rows, got_den = form = form_of(m)
         assert ([list(row) for row in got_rows], got_den) == (rows, den)
+        assert form == oracle_form(a)
         # tuples of row tuples, so no caller can write into a form
         assert type(got_rows) is tuple and all(type(row) is tuple for row in got_rows)
         assert all(type(x) is int for row in got_rows for x in row)
-        # kept by the Mat, so it is computed once
-        assert m._form is form and la._int_form(m) is form
+        # reading the entries leaves the form as it was, and converting
+        # them again gives it back
+        assert tuple(m) == tuple(tuple(Fraction(x) for x in row) for row in a)
+        assert form_of(m) == form == form_of(la.Mat(tuple(m), m.ncols))
 
 
 def test_every_result_entry_is_a_fraction():
@@ -429,7 +439,7 @@ def test_every_result_entry_is_a_fraction():
         entries += [la.det(sq), la.permanent(sq)]
         assert all(type(x) is Fraction for x in entries)
         # the kernels hand out ints and build no Fraction
-        (ai, _), (bi, _), (si, _) = (la._int_form(m) for m in (a, b, sq))
+        ai, bi, si = a.int_rows, b.int_rows, sq.int_rows
         assert _int_result(_qkernels.matmul(ai, bi), 1)
         assert _int_result(*_qkernels.rref(ai)[:2])
         assert type(_qkernels.det(si)) is type(_qkernels.permanent(si)) is int
@@ -448,20 +458,19 @@ def test_oracle_comparison_catches_a_result_built_without_its_denominator(monkey
     assert bad == {"la.matmul", "la.rref"}
 
 
-# -- the integer form a Mat remembers ----------------------------------
+# -- the integer form a Mat is ---------------------------------------------
 
 
 def _fresh(m):
-    """A Mat of m's entries that carries no form."""
+    """A Mat converted from m's Fractions."""
     return la.Mat(tuple(m), m.ncols)
 
 
 def _produced(seed):
-    """(producer, Mat) for every producer that hands out a Mat with its
-    form attached, and for a Mat whose form _int_form computed once, on
-    random Fraction matrices with zero rows and
-    rank defects; also the number of products whose least denominator
-    is below the product of their factors' denominators."""
+    """(producer, Mat) for the Mats linalg hands out, and for one
+    converted from Fractions, on random Fraction matrices with zero rows
+    and rank defects; also the number of products whose least
+    denominator is below the product of their factors' denominators."""
     rng = random.Random(seed)
     out, reduced = [], 0
     for _ in range(60):
@@ -469,9 +478,9 @@ def _produced(seed):
         a = la.mat(_degrade(rng, _matrix(rng, r, m, MIXED)))
         b = la.mat(_matrix(rng, m, c, MIXED))
         cleared = la.mat(_matrix(rng, r, c, MIXED))
-        la._int_form(cleared)
         p = la.matmul(a, b)
         t = la.transpose(p)
+        keep = sorted(rng.sample(range(m), rng.randrange(0, m + 1)))
         out += [
             ("cleared", cleared),
             ("matmul", p),
@@ -480,11 +489,17 @@ def _produced(seed):
             ("rref", la.rref(a)[0]),
             ("nullspace", la.nullspace(a)),
             ("identity", la.identity(r)),
+            ("zeros", la.zeros(r, c)),
             ("EchelonBasis.rows", la.EchelonBasis(a, m).rows),
             ("EchelonBasis.kernel", la.EchelonBasis.kernel(a).rows),
             ("scale", la.scale(a, rng.choice(SCALARS[1:]))),
+            ("add", la.add(p, cleared)),
+            ("kron", la.kron(a, b)),
+            ("submatrix", la.submatrix(a, range(r - 1, -1, -1), keep)),
+            ("block_matrix", la.block_matrix((r, m), (m, c), {(0, 0): a, (0, 1): p, (1, 1): b})),
+            ("solve", la.solve(a, p)),
         ]
-        reduced += p._form[1] < la._int_form(a)[1] * la._int_form(b)[1]
+        reduced += p.den < a.den * b.den
     for dim in (1, 2, 3):
         out += _koszul_produced(_fraction_space(rng, dim))
     return out, reduced
@@ -516,18 +531,11 @@ def _koszul_produced(v):
 
 
 def form_mismatches(seed=20261019) -> set:
-    """The producers whose Mat carries another form than _int_form
-    computes for a fresh Mat of the same entries, or than the oracle's,
-    or that carry no form at all."""
+    """The producers whose Mat holds another form than Mat(rows, ncols)
+    computes from its entries, or than the oracle's."""
     bad = set()
     for name, m in _produced(seed)[0]:
-        # a Mat without rows never reaches a kernel
-        if not m:
-            continue
-        if m._form is None:
-            bad.add(name)
-            continue
-        got, want = la._int_form(m), la._int_form(_fresh(m))
+        got, want = form_of(m), form_of(_fresh(m))
         if got != want or want != oracle_form(m):
             bad.add(name)
     return bad
@@ -543,9 +551,15 @@ def test_remembered_forms_equal_a_fresh_clear():
         "rref",
         "nullspace",
         "identity",
+        "zeros",
         "EchelonBasis.rows",
         "EchelonBasis.kernel",
         "scale",
+        "add",
+        "kron",
+        "submatrix",
+        "block_matrix",
+        "solve",
         "power_tower",
         "phi",
         "psi",
@@ -560,14 +574,57 @@ def test_remembered_forms_equal_a_fresh_clear():
     dens = {"psi": set(), "power_tower": set()}
     for name, m in produced:
         if name in dens and m:
-            dens[name].add(m._form[1])
+            dens[name].add(m.den)
     assert dens["psi"] == {1, 2, 3} and len(dens["power_tower"]) > 3
     assert form_mismatches() == set()
 
 
 def test_form_comparison_catches_a_form_over_a_larger_denominator(monkeypatch):
     monkeypatch.setattr(la, "_least", lambda rows, den: (tuple(map(tuple, rows)), den))
-    assert {"matmul", "transpose", "rref", "scale", "psi", "power_tower"} <= form_mismatches()
+    assert {"matmul", "transpose", "rref", "scale", "kron", "psi", "power_tower"} <= form_mismatches()
+
+
+def test_reading_the_rows_moves_neither_equality_nor_hash():
+    for name, m in _produced(20261023)[0]:
+        # a copy carries the form alone, with no rows read
+        twin = pickle.loads(pickle.dumps(m))
+        assert twin == m and twin is not m, name
+        rows = tuple(twin)
+        assert form_of(twin) == form_of(m) == oracle_form(rows), name
+        assert twin == m and m == rows and twin == rows, name
+        assert hash(twin) == hash(m) == hash(rows), name
+        assert all(type(x) is Fraction for row in rows for x in row), name
+
+
+def test_builders_build_no_fraction_until_an_entry_is_read(monkeypatch):
+    rng = random.Random(20261025)
+    a = la.mat(_matrix(rng, 3, 4, MIXED))
+    b = la.mat(_matrix(rng, 4, 2, MIXED))
+    built = []
+
+    class Counting(la._Fractions):
+        def __missing__(self, v):
+            built.append(v)
+            return super().__missing__(v)
+
+    monkeypatch.setattr(la, "_Fractions", Counting)
+    results = {
+        "matmul": la.matmul(a, b),
+        "kron": la.kron(a, b),
+        "block_matrix": la.block_matrix((3, 4), (4, 2), {(0, 0): a, (1, 1): b}),
+        "add": la.add(a, la.scale(a, 2)),
+        "transpose": la.transpose(a),
+        "solve": la.solve(a, la.matmul(a, b)),
+        "rref": la.rref(a)[0],
+    }
+    assert built == []
+    # control: the first read of an entry builds the view's Fractions,
+    # and later reads build none
+    for name, m in results.items():
+        built.clear()
+        assert type(m[0][0]) is Fraction and built, name
+        count = len(built)
+        assert tuple(m) == tuple(m) and len(built) == count, name
 
 
 def test_scale_equals_the_entrywise_products():
@@ -587,14 +644,15 @@ def test_scale_equals_the_entrywise_products():
 
 
 def _equality_pool(rng, r, c):
-    """Mats of one size with and without a form, some of equal entries,
-    their transposes, plain tuples of them, and Mats without rows or
-    columns of other widths."""
+    """Mats of one size, converted from Fractions or built from
+    integers, with their rows read or not, some of equal entries, their
+    transposes, plain tuples of them, and Mats without rows or columns
+    of other widths."""
     a = la.mat(_matrix(rng, r, c, MIXED))
     b = la.mat(_matrix(rng, c, c, MIXED))
     p = la.matmul(a, b)
     cleared = _fresh(p)
-    la._int_form(cleared)
+    tuple(cleared)
     pool = [a, _fresh(a), p, _fresh(p), cleared, la.mat(_matrix(rng, r, c, MIXED))]
     pool += [la.transpose(m) for m in pool[:5]]
     pool += [la.scale(p, -1), la.scale(_fresh(p), Fraction(1, 3))]
@@ -637,8 +695,8 @@ def test_a_remembered_form_is_never_written_into():
         r, m = rng.randrange(1, 6), rng.randrange(1, 6)
         a = la.mat(_degrade(rng, _matrix(rng, r, m, MIXED)))
         for x in (la.matmul(a, la.transpose(a)), la.transpose(la.matmul(a, la.identity(m)))):
-            rows = la._int_form(x)[0]
-            before = copy.deepcopy(x._form)
+            rows = x.int_rows
+            before = copy.deepcopy(form_of(x))
             runs = [
                 (
                     _qkernels.rref(rows),
@@ -652,8 +710,8 @@ def test_a_remembered_form_is_never_written_into():
             if len(x) == x.ncols:
                 runs.append((_qkernels.det(rows), _qkernels.positive_definite(rows)))
             assert runs[0] == runs[1]
-            assert runs[0][0] == _qkernels.rref(la._int_form(_fresh(x))[0])
-            assert x._form == before
+            assert runs[0][0] == _qkernels.rref(_fresh(x).int_rows)
+            assert form_of(x) == before
             # and the kernels read the forms to the Fraction oracles' values
             rows, pivots = la.rref(x)
             orows, opivots = oracle_rref(x)
@@ -665,11 +723,11 @@ def test_a_remembered_form_is_never_written_into():
 
 def test_a_transpose_without_rows_gets_its_rows_back():
     z = la.zeros(0, 3)
-    assert la._int_form(z) == ((), 1)
+    assert form_of(z) == ((), 1)
     # a form with no rows has no columns to transpose into t's rows
     t = la.transpose(z)
-    assert t._form == (((), (), ()), 1) and la.shape(t) == (3, 0)
-    assert la._int_form(la.transpose(t)) == ((), 1)
+    assert form_of(t) == (((), (), ()), 1) and la.shape(t) == (3, 0)
+    assert form_of(la.transpose(t)) == ((), 1)
     assert la.shape(la.kron(la.transpose(z), la.identity(2))) == (6, 0)
 
 
@@ -772,21 +830,28 @@ def _imported(tree) -> set[str]:
     return out
 
 
+# a Mat's form and its view of Fractions
+MAT_SLOTS = {"int_rows", "den", "_rows"}
+
+
 def _writes_form(tree) -> bool:
-    """Does tree assign a _form attribute, directly or through setattr?"""
+    """Does tree assign an attribute named like a Mat's form or view,
+    directly or through setattr or __setattr__?"""
     for node in ast.walk(tree):
-        if isinstance(node, ast.Attribute) and node.attr == "_form":
+        if isinstance(node, ast.Attribute) and node.attr in MAT_SLOTS:
             if isinstance(node.ctx, ast.Store):
                 return True
-        if isinstance(node, ast.Call) and getattr(node.func, "id", None) == "setattr":
-            if any(isinstance(x, ast.Constant) and x.value == "_form" for x in node.args[1:2]):
-                return True
+        if isinstance(node, ast.Call):
+            func = node.func
+            if getattr(func, "id", None) == "setattr" or getattr(func, "attr", None) == "__setattr__":
+                if any(isinstance(x, ast.Constant) and x.value in MAT_SLOTS for x in node.args[1:2]):
+                    return True
     return False
 
 
 def kernel_boundary_breaches(sources: dict) -> set:
     """(module, breach) for module name -> source text: a module other
-    than linalg that imports _qkernels or assigns a _form, and a
+    than linalg that imports _qkernels or assigns a Mat's form, and a
     _qkernels that imports fractions or any hermk module."""
     bad = set()
     for name, text in sources.items():
@@ -796,7 +861,7 @@ def kernel_boundary_breaches(sources: dict) -> set:
             if any("_qkernels" in n.split(".") for n in names):
                 bad.add((name, "imports _qkernels"))
             if _writes_form(tree):
-                bad.add((name, "assigns _form"))
+                bad.add((name, "assigns a form"))
         if name == "_qkernels":
             if any(n.split(".")[0] == "fractions" for n in names):
                 bad.add((name, "imports fractions"))
@@ -816,8 +881,10 @@ def test_only_linalg_calls_the_kernels():
     doctored = {
         ("homology", "imports _qkernels"): ("homology", "from . import _qkernels\n"),
         ("cubes", "imports _qkernels"): ("cubes", "from hermk._qkernels import rref\n"),
-        ("koszul", "assigns _form"): ("koszul", "m._form = ((), 1)\n"),
-        ("core", "assigns _form"): ("core", "setattr(m, '_form', ((), 1))\n"),
+        ("koszul", "assigns a form"): ("koszul", "m.den = 1\n"),
+        ("core", "assigns a form"): ("core", "setattr(m, 'int_rows', ())\n"),
+        ("cubes", "assigns a form"): ("cubes", "object.__setattr__(m, '_rows', None)\n"),
+        ("multilinear", "assigns a form"): ("multilinear", "m.int_rows, m.den = (), 1\n"),
         ("_qkernels", "imports fractions"): ("_qkernels", "from fractions import Fraction\n"),
         ("_qkernels", "imports hermk"): ("_qkernels", "from . import linalg\n"),
     }
