@@ -314,14 +314,8 @@ def _quasi_iso_invariance(f: ChainMap, rng, n: int) -> bool:
 def _same_presentation(direct: PresentedQuotient, via: PresentedQuotient) -> bool:
     """Both routes present the group on A_n (+) B_{n+1}: equal cycle and
     boundary spans make the identity induce the isomorphism. The spans
-    are compared in their canonical integer form (primitive RREF rows
-    over the least denominator), which is unique, as the Fraction rows
-    are."""
-    return (
-        (direct.cycles.int_rows, direct.cycles.den) == (via.cycles.int_rows, via.cycles.den)
-        and (direct.boundaries.int_rows, direct.boundaries.den)
-        == (via.boundaries.int_rows, via.boundaries.den)
-    )
+    are compared by their RREF Mats, which are unique."""
+    return direct.cycles.rows == via.cycles.rows and direct.boundaries.rows == via.boundaries.rows
 
 
 def _modified_checks(run: _SuiteRun, desc: str, f: ChainMap, rng) -> None:

@@ -367,10 +367,12 @@ def cube_differential(x) -> CubeSum:
 class Flag:
     """A chain of nested subspaces 0 <= E_1 <= ... <= E_n inside a
     metrized ambient space; repeated entries are allowed. Each entry is
-    held as its EchelonBasis (built once: faces and degeneracies pass
-    the bases along), so equal subspace chains give equal flags, and
-    nesting is checked by containment of each entry's rows in the next
-    entry's basis. chain reads the entries' rows.
+    held as its EchelonBasis, its RREF rows as a Mat plus pivots (built
+    once: faces and degeneracies pass the bases along), so equal
+    subspace chains give equal flags. Nesting is checked by one
+    containment call of each entry's rows in the next entry's basis,
+    and an entry without rows is the zero subspace. chain reads the
+    entries' rows.
 
     A constructed flag starts a family with a fresh private table
     (_cubes); face and degeneracy hand the same table to the flags they
@@ -381,8 +383,9 @@ class Flag:
     its flag's bases). Those identity keys are sound because a flag
     never grows its bases (EchelonBasis.add is not called on them), so
     one basis object stands for one subspace for as long as the table
-    holds it. Complements are interned by their integer form, so a span
-    reached two ways is one object."""
+    holds it. Complements are interned by the integer form of their
+    rows (a Mat hashes its Fraction view, so the form is the key), so a
+    span reached two ways is one object."""
 
     __slots__ = ("ambient", "bases", "_cubes")
 
@@ -393,9 +396,9 @@ class Flag:
             b if isinstance(b, la.EchelonBasis) else la.EchelonBasis(b, ambient.dim)
             for b in chain
         )
-        self.bases = tuple(b if b.int_rows else _zero_basis(self) for b in bases)
+        self.bases = tuple(b if b.rows else _zero_basis(self) for b in bases)
         for small, big in zip(self.bases, self.bases[1:]):
-            if not all(big.contains(row) for row in small.rows):
+            if not big.contains(small.rows):
                 raise ValueError("flag entries must be nested")
 
     def _derive(self, bases: tuple) -> "Flag":
@@ -470,7 +473,8 @@ def _memo(table: dict, key, build):
 def _interned(f: Flag, basis: la.EchelonBasis) -> la.EchelonBasis:
     """The family's one basis object for span(basis), by its unique
     integer form; basis itself when the family has none yet."""
-    return _memo(f._cubes, ("span", basis.int_rows, basis.den), lambda: basis)
+    rows = basis.rows
+    return _memo(f._cubes, ("span", rows.int_rows, rows.den), lambda: basis)
 
 
 def _zero_basis(f: Flag) -> la.EchelonBasis:
@@ -525,8 +529,7 @@ def _inclusion_map(sub, sup, sub_space, sup_space) -> SpaceMap:
     """The inclusion of span(sub) into span(sup), echelon bases with
     sub inside sup: column j holds the coordinates of sub's row j over
     sup's rows, read at sup's pivots."""
-    cols = la.Mat(tuple(sup.coords(row) for row in sub.rows), len(sup.rows))
-    return SpaceMap(sub_space, sup_space, la.transpose(cols))
+    return SpaceMap(sub_space, sup_space, sup.coords(sub.rows))
 
 
 def _orthoprojection_map(src, dst, src_space, dst_space, gram) -> SpaceMap:

@@ -2,13 +2,17 @@
 
 Complexes are homological: the differential lowers degree. Groups are
 presented as Q-vector spaces with deterministic reduced-row-echelon
-representatives. The modified homology of a chain map rho: A -> B in
-degree n is the space of pairs (a, b) with a an n-cycle of A and b in
-B_{n+1} taken modulo the relations (0, d b') and (d a', rho a'); it is
-computed both from that presentation and as H_n of the cone of rho
-followed by the truncation that kills degrees <= n. The cone sign is
-fixed as d(a, b) = (d a, rho(a) - d b), the choice under which the two
-standard exact sequences below come out exact.
+representatives: a PresentedQuotient is the echelon bases of its cycles
+and boundaries (each an RREF Mat plus pivots), its representatives are
+a Mat, and its normal forms and coordinates take and return Mats, so
+the induced and structure maps below are products, block layouts and
+one coordinate call each. The modified homology of a chain map
+rho: A -> B in degree n is the space of pairs (a, b) with a an n-cycle
+of A and b in B_{n+1} taken modulo the relations (0, d b') and
+(d a', rho a'); it is computed both from that presentation and as H_n
+of the cone of rho followed by the truncation that kills degrees <= n.
+The cone sign is fixed as d(a, b) = (d a, rho(a) - d b), the choice
+under which the two standard exact sequences below come out exact.
 
 Each presentation is built once per object. A ChainComplex keeps its
 H_n and its C_n / im d in per-degree tables, and a ChainMap keeps its
@@ -268,16 +272,16 @@ class PresentedQuotient:
     quotient. Classes are canonicalized by clearing the boundary pivots,
     and a class's coordinates over the representatives are its normal
     form at their pivots, so membership, normal forms and coordinates
-    need no further elimination. All of them run on the integer rows of
-    the bases, and only the values handed out become Fractions; vectors
-    with float entries raise TypeError."""
+    need no further elimination. normal_form and coords take vectors as
+    the rows of a Mat and return a Mat; vectors with float entries
+    raise TypeError."""
 
     cycles: la.EchelonBasis
     boundaries: la.EchelonBasis
 
     @property
     def width(self) -> int:
-        return self.cycles.width
+        return self.cycles.rows.ncols
 
     @functools.cached_property
     def pivots(self) -> tuple:
@@ -286,57 +290,35 @@ class PresentedQuotient:
         return tuple(p for p in self.cycles.pivots if p not in bound)
 
     @functools.cached_property
-    def reps(self) -> tuple:
+    def reps(self) -> la.Mat:
         """The cycle echelon rows at pivots."""
         keep = set(self.pivots)
-        return tuple(r for r, p in zip(self.cycles.rows, self.cycles.pivots) if p in keep)
-
-    @functools.cached_property
-    def _int_reps(self) -> tuple:
-        """reps in integers: the rows of cycles.int_rows at pivots, over
-        cycles.den."""
-        keep = set(self.pivots)
-        return tuple(r for r, p in zip(self.cycles.int_rows, self.cycles.pivots) if p in keep)
+        at = [i for i, p in enumerate(self.cycles.pivots) if p in keep]
+        return la.submatrix(self.cycles.rows, at, range(self.width))
 
     @property
     def dim(self) -> int:
         return len(self.pivots)
 
-    def _normal_int(self, w) -> list[int]:
-        """The numerators of normal_form(w) over boundaries.den, for an
-        integer vector w of the width."""
-        if not self.cycles._contains_int(w):
+    def normal_form(self, vectors) -> la.Mat:
+        """Row j is the normal form of row j of vectors; ValueError when
+        a row is not a cycle."""
+        m = la.stack(vectors, self.width)
+        if not self.cycles.contains(m):
             raise ValueError("vector is not a cycle of this presentation")
-        return self.boundaries._residue(w)
-
-    def normal_form(self, v: la.Vec) -> la.Vec:
-        w, d = self.cycles._cleared(v)
-        frac = la._Fractions(self.boundaries.den * d)
-        return tuple(map(frac.__getitem__, self._normal_int(w)))
+        return self.boundaries.reduce(m)
 
     def same_class(self, u: la.Vec, v: la.Vec) -> bool:
-        return self.normal_form(u) == self.normal_form(v)
+        nu, nv = self.normal_form((u, v))
+        return nu == nv
 
-    def coords(self, v: la.Vec) -> la.Vec:
-        """Coefficients of the class of v over the representatives."""
-        w, d = self.cycles._cleared(v)
-        frac = la._Fractions(self.boundaries.den * d)
-        return tuple(map(frac.__getitem__, self._coords_int(w)))
-
-    def _coords_int(self, w) -> list[int]:
-        """The numerators of coords(w / d) over boundaries.den * d, for
-        an integer vector w of the width, whatever d is."""
+    def coords(self, vectors) -> la.Mat:
+        """The matrix whose column j holds the coefficients of the class
+        of row j of vectors over the representatives."""
         # the normal form is a cycle that is zero at every boundary
         # pivot, so it is the sum of the reps weighted by its entries at
         # their pivots, where each rep is 1 and the others are 0
-        n = self._normal_int(w)
-        return [n[p] for p in self.pivots]
-
-    def _coords_mat(self, ws, d: int) -> la.Mat:
-        """The matrix whose columns are coords(w / d), for integer
-        vectors w of the width."""
-        cols = [self._coords_int(w) for w in ws]
-        return _cols_to_mat(cols, self.boundaries.den * d, self.dim)
+        return la.columns(self.normal_form(vectors), self.pivots)
 
 
 def _zero_presentation() -> PresentedQuotient:
@@ -351,10 +333,10 @@ def quotient_presentation(cycles, boundary_rows, width: int) -> PresentedQuotien
     is an EchelonBasis of that width, taken as it is, or rows."""
     if not isinstance(cycles, la.EchelonBasis):
         cycles = la.EchelonBasis(cycles, width)
-    elif cycles.width != width:
-        raise ValueError(f"cycles of width {cycles.width} in Q^{width}")
+    elif cycles.rows.ncols != width:
+        raise ValueError(f"cycles of width {cycles.rows.ncols} in Q^{width}")
     boundaries = la.EchelonBasis(boundary_rows, width)
-    if not all(map(cycles._contains_int, boundaries.int_rows)):
+    if not cycles.contains(boundaries.rows):
         raise ValueError("boundaries must lie inside cycles")
     return PresentedQuotient(cycles, boundaries)
 
@@ -413,7 +395,7 @@ class ModifiedMaps:
 
     hat: PresentedQuotient
     forms: PresentedQuotient  # B_{n+1} / im d
-    cycles_b: tuple  # basis rows of Z(B_n)
+    cycles_b: la.Mat  # basis rows of Z(B_n)
     from_form: la.Mat  # forms -> hat, b |-> [(0, -b)]
     to_cycle_class: la.Mat  # hat -> H_n(A), [(a, b)] |-> [a]
     to_form_cycle: la.Mat  # hat -> Z(B_n), [(a, b)] |-> f(a) - d(b)
@@ -431,38 +413,29 @@ def _modified_maps(f: ChainMap, n: int, ha: PresentedQuotient) -> ModifiedMaps:
     forms = b.forms_modulo_exact(n + 1)
     zb = b.homology(n).cycles
 
-    pad = [0] * wa
-    neg_forms = [pad + [-x for x in t] for t in forms._int_reps]
-    from_form = hat._coords_mat(neg_forms, forms.cycles.den)
-    zeta = ha._coords_mat([w[:wa] for w in hat._int_reps], hat.cycles.den)
+    from_form = hat.coords(_padded(wa, la.scale(forms.reps, -1)))
+    zeta = ha.coords(la.submatrix(hat.reps, range(hat.dim), range(wa)))
     # (a, b) |-> f(a) - d(b) is the matrix [f_n | -d_{n+1}]
     rho = la.block_matrix(
         (b.dim(n),),
         (wa, b.dim(n + 1)),
         {(0, 0): f.map_at(n), (0, 1): la.scale(b.diff(n + 1), -1)},
     )
-    images, den = la._images(rho, hat._int_reps)
-    den *= hat.cycles.den
-    cols_rho = []
-    for w in images:
-        try:
-            cols_rho.append(zb._coords_int(w))
-        except ValueError:
-            raise AssertionError("structure map must land in the cycle space") from None
-    return ModifiedMaps(
-        hat,
-        forms,
-        zb.rows,
-        from_form,
-        zeta,
-        _cols_to_mat(cols_rho, den, len(zb.pivots)),
-    )
+    try:
+        to_form_cycle = zb.coords(_images(rho, hat.reps))
+    except ValueError:
+        raise AssertionError("structure map must land in the cycle space") from None
+    return ModifiedMaps(hat, forms, zb.rows, from_form, zeta, to_form_cycle)
 
 
-def _cols_to_mat(cols, den: int, height: int) -> la.Mat:
-    """The matrix whose columns are the integer vectors cols, each of
-    length height, over den."""
-    return la._int_mat(list(zip(*cols)) or [()] * height, den, len(cols))
+def _padded(width: int, rows: la.Mat) -> la.Mat:
+    """The rows (0, r) of Q^width (+) Q^rows.ncols, for r the rows."""
+    return la.block_matrix((len(rows),), (width, rows.ncols), {(0, 1): rows})
+
+
+def _images(m: la.Mat, rows: la.Mat) -> la.Mat:
+    """The rows m r, for r the rows."""
+    return la.matmul(rows, la.transpose(m))
 
 
 # the inner nodes of the two sequences, in chain order
@@ -510,16 +483,13 @@ def verify_modified_sequences(f: ChainMap) -> list[tuple[str, bool]]:
         hcone_n = cn.homology(n)
         hcone_prev = cn.homology(n - 1)
 
-        m1 = hat._coords_mat(hcone_n._int_reps, hcone_n.cycles.den)
+        m1 = hat.coords(hcone_n.reps)
         # Z(B_n) -> H_{n-1}(s(f)), z |-> [(0, z)]
-        pad, zb = [0] * a.dim(n - 1), b.homology(n).cycles
-        m3 = hcone_prev._coords_mat([pad + list(z) for z in zb.int_rows], zb.den)
+        m3 = hcone_prev.coords(_padded(a.dim(n - 1), b.homology(n).cycles.rows))
         zero_in = la.zeros(hcone_n.dim, 0)
         out.append(_sequence_verdict("a", n, zero_in, m1, mm.to_form_cycle, m3))
 
-        images, den = la._images(f.map_at(n + 1), ha_next._int_reps)
-        den *= ha_next.cycles.den
-        m1b = forms._coords_mat(images, den)
+        m1b = forms.coords(_images(f.map_at(n + 1), ha_next.reps))
         zero_out = la.zeros(0, ha_n.dim)
         out.append(
             _sequence_verdict("b", n, m1b, mm.from_form, mm.to_cycle_class, zero_out)
@@ -553,18 +523,13 @@ def induced_on_quotients(
     m: la.Mat, src: PresentedQuotient, dst: PresentedQuotient
 ) -> la.Mat:
     """Matrix of the map induced by m on presented subquotients.
-    Raises when m is not well defined on the classes. The integer
-    boundary and representative rows of src go through m in one integer
-    product, and only the coordinates handed out become Fractions."""
+    Raises when m is not well defined on the classes."""
     if la.shape(m) != (dst.width, src.width):
         raise ValueError(f"a {la.shape(m)} matrix between widths {src.width} and {dst.width}")
-    bounds = src.boundaries.int_rows
-    images, den = la._images(m, bounds + src._int_reps)
-    # membership is scale-free, so the integer boundary rows serve
-    if any(any(dst._normal_int(w)) for w in images[: len(bounds)]):
+    mt = la.transpose(m)
+    if not dst.boundaries.contains(la.matmul(src.boundaries.rows, mt)):
         raise ValueError("relations do not map into relations")
-    den *= src.cycles.den
-    return dst._coords_mat(images[len(bounds) :], den)
+    return dst.coords(la.matmul(src.reps, mt))
 
 
 def induced_modified_map(
@@ -623,8 +588,7 @@ def cone_les_check(f: ChainMap) -> bool:
         wa = a.dim(n)
 
         # H_{n+1}(B) -> H_n(s(f)), [b] |-> [(0, b)]
-        pad = [0] * wa
-        m_in = hc._coords_mat([pad + list(w) for w in hb_next._int_reps], hb_next.cycles.den)
+        m_in = hc.coords(_padded(wa, hb_next.reps))
         m_proj = induced_on_quotients(
             la.block_matrix([wa], [wa, b.dim(n + 1)], {(0, 0): la.identity(wa)}),
             hc,

@@ -318,7 +318,7 @@ def _kernel_sequences(c: HermitianComplex) -> list[ShortExactMetrized]:
     for f, (_, inject), kernel in zip(c.maps, kernels, kernels[1:]):
         knext, kincl = kernel
         m = f.matrix.entries
-        coords = la._int_mat([m.int_rows[i] for i in kernel.free], m.den, m.ncols)
+        coords = la.submatrix(m, kernel.free, range(m.ncols))
         if la.matmul(kincl.matrix.entries, coords) != m:
             raise AssertionError("image must land in the next kernel")
         project = SpaceMap(f.domain, knext, ScaledMatrix(coords, f.matrix.scale_sq))

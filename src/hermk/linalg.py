@@ -16,11 +16,11 @@ builder of a Mat from integer rows over a denominator, divides them
 down to the least denominator (_least) and builds no Fraction. Every
 function here works on the forms and builds its results through
 _int_mat: products, sums, scalings, transposes, Kronecker products,
-submatrices, block layouts, RREFs, kernel bases, solutions, the
-identity and the rows of an EchelonBasis; outside this module so do
-the power Grams of hermk.multilinear, the maps word_map builds, the
-Koszul coordinates and the coordinate matrices of hermk.homology. This
-module is the only one that writes a Mat's form.
+submatrices, column reads, block layouts, RREFs, kernel bases,
+solutions, the identity, and the rows, reductions and coordinates of
+an EchelonBasis; outside this module only hermk.multilinear does, for
+its power Grams and the maps word_map builds. This module is the only
+one that writes a Mat's form.
 
 The heavy kernels are delegated to hermk._qkernels, one fraction-free
 plain-Python implementation on integers, and this module is its only
@@ -29,14 +29,14 @@ the calls that could have none (a product with no inner dimension, the
 rref and rank of a matrix without a nonzero entry, det, permanent and
 the PD test of 0 x 0) are answered here. Everything is exact.
 
-EchelonBasis, the span type, keeps the kernel's integer RREF: its rows
-are integers over one positive common denominator, and membership,
-reduction, coordinates and growth run in integers, building a Fraction
-only for a value they hand out. Vectors passed to it need int or
-Fraction entries; floats raise TypeError, as they do in q(). One loop,
-_kernel_int, reads kernel vectors off an integer RREF: EchelonBasis.kernel
-takes them as an echelon basis, and nullspace, for callers that need
-the canonical basis as a matrix, through _int_mat.
+EchelonBasis, the span type, is its RREF rows, one Mat, plus their
+pivot columns. Membership, reduction and coordinates take vectors as
+the rows of a Mat, and the last two return a Mat; they and growth run
+on the integer forms and build no Fraction. Entries must be int or
+Fraction; floats raise TypeError, as they do in q() and Mat(). One
+loop, _kernel_int, reads kernel vectors off an integer RREF:
+EchelonBasis.kernel takes them as an echelon basis, and nullspace, for
+callers that need the canonical basis as a matrix, through _int_mat.
 
 block_matrix is the one block assembler: direct sums and their
 injections, [a | b] layouts and the matching maps of direct-sum cubes
@@ -65,13 +65,14 @@ class Mat:
     the entries, so that the matrix is int_rows / den; and ncols, c,
     which stays known when r is 0.
 
-    Mat(rows, ncols) computes the form of rows of ints or Fractions; it
-    is the one conversion of a matrix from Fractions to integers, and
-    ncols is read from the rows when there are any. mat() is the
-    constructor for raw input, _int_mat the builder from integers. The
-    form is unique, so == between Mats compares forms; against a tuple
-    it compares the rows. Two matrices without rows are equal whatever
-    their widths: both forms are ((), 1).
+    Mat(rows, ncols) computes the form of rows of ints or Fractions (a
+    float raises TypeError); it is the one conversion of a matrix from
+    Fractions to integers, and ncols is read from the rows when there
+    are any. mat() is the constructor for raw input, _int_mat the
+    builder from integers. The form is unique, so == between Mats
+    compares forms; against a tuple it compares the rows. Two matrices
+    without rows are equal whatever their widths: both forms are
+    ((), 1).
 
     Read as a sequence, by index or iteration, a Mat is a tuple of row
     tuples of Fractions. That view is built from the form on the first
@@ -83,6 +84,8 @@ class Mat:
     __slots__ = ("int_rows", "den", "ncols", "_rows")
 
     def __init__(self, rows, ncols: int):
+        if float in {type(x) for row in rows for x in row}:
+            raise TypeError("floats are not exact; pass Fraction or int")
         # int and Fraction both give (numerator, denominator) in one call
         pairs = [[x.as_integer_ratio() for x in row] for row in rows]
         den = lcm(*{d for row in pairs for _, d in row})
@@ -193,7 +196,8 @@ def stack(vectors: Sequence, width: int) -> Mat:
     width; unlike mat() this keeps the width when there are no vectors.
     A Mat is taken as it is, raw vectors are coerced."""
     m = vectors if isinstance(vectors, Mat) else Mat(tuple(map(vec, vectors)), width)
-    if m.ncols != width or any(len(row) != width for row in m.int_rows):
+    # a Mat's rows all have its ncols entries; raw rows need not
+    if m.ncols != width or (m is not vectors and any(len(row) != width for row in m.int_rows)):
         raise ValueError(f"vectors of length other than {width}")
     return m
 
@@ -311,6 +315,13 @@ def kron(a: Mat, b: Mat) -> Mat:
 def submatrix(a: Mat, rows: Sequence[int], cols: Sequence[int]) -> Mat:
     src = a.int_rows
     return _int_mat([[src[i][j] for j in cols] for i in rows], a.den, len(cols))
+
+
+def columns(a: Mat, cols: Sequence[int]) -> Mat:
+    """The columns cols of a as the rows of a Mat of width len(a):
+    transpose(submatrix(a, range(len(a)), cols)), in one pass."""
+    src = a.int_rows
+    return _int_mat([[row[j] for row in src] for j in cols], a.den, len(src))
 
 
 def block_matrix(row_dims: Sequence[int], col_dims: Sequence[int], blocks) -> Mat:
@@ -462,8 +473,7 @@ def solve(a: Mat, b: Mat) -> Mat | None:
 
 
 def solve_vec(a: Mat, v: Vec) -> Vec | None:
-    w, d = _numerators(v)
-    x = solve(a, _int_mat([(y,) for y in w], d, 1))
+    x = solve(a, transpose(stack((v,), len(v))))
     return None if x is None else tuple(row[0] for row in x)
 
 
@@ -494,73 +504,40 @@ def exactness_defect(*mats: Mat) -> tuple[int, str] | None:
     return (bad[0], "ranks") if bad else None
 
 
-def _images(m: Mat, rows) -> tuple[list[list[int]], int]:
-    """(images, den): m @ (row / e) == image / (den * e) for each integer
-    row of m's width and its image, whatever e is. The products are
-    taken in integers, against m's integer form."""
-    form, den = m.int_rows, m.den
-    if not (rows and form and m.ncols):
-        # no row, or every entry of every image an empty sum
-        return [[0] * len(m) for _ in rows], den
-    return _qkernels.matmul(rows, list(zip(*form))), den
-
-
-def _numerators(v) -> tuple[list[int], int]:
-    """(w, d) with v == w / d: d the least common denominator of the
-    entries and w their integer numerators over it. Entries must be int
-    or Fraction; a float (which has no numerator) raises TypeError."""
-    try:
-        den = lcm(*{x.denominator for x in v})
-        if den == 1:
-            return [x.numerator for x in v], 1
-        return [x.numerator * (den // x.denominator) for x in v], den
-    except AttributeError:
-        raise TypeError("entries must be int or Fraction; floats are not exact") from None
-
-
 class EchelonBasis:
-    """A subspace of Q^width held as the nonzero rows of its unique
-    reduced row echelon form, plus their pivot columns.
-
-    The rows are kept in integers: int_rows over one positive common
-    denominator den, with no factor common to den and every entry, so
-    this form is unique as well and den is the least common denominator
-    of the RREF. rows, the same rows as a Mat of Fractions, is built
-    from it on first use.
+    """A subspace of Q^n held as rows, the Mat of the nonzero rows of its
+    unique reduced row echelon form (n = rows.ncols), plus pivots, their
+    pivot columns. rows is built by _int_mat, so its integer form is
+    unique too: equal spans have equal rows.
 
     Because every pivot column is zero outside its own row, a vector v
     lies in the span exactly when v - sum_i v[pivots[i]] * rows[i] is
     zero, and the v[pivots[i]] are then its coordinates over rows. So
-    membership and coordinates cost one pass over the rows and no
-    elimination. With v = w / d in integers that pass is den * w -
-    sum_i w[pivots[i]] * int_rows[i], over den * d: no Fraction is
-    built unless a result is handed out. add() keeps the form reduced
-    and primitive as the span grows. Vectors handed in must have int or
-    Fraction entries; floats raise TypeError.
+    membership, reduction and coordinates cost one pass over the rows
+    and no elimination. contains, reduce and coords take the vectors as
+    the rows of a Mat (raw rows are coerced once by stack) and answer
+    for all of them from one integer loop, _residues; add() grows the
+    span by one vector and keeps the form reduced. Entries must be int
+    or Fraction; floats raise TypeError.
 
-    This is the one representation of a canonical span: equal spans
-    have equal rows, so a span is built once and passed along, and
-    callers that need the basis as a matrix read rows.
+    This is the one representation of a canonical span: a span is built
+    once and passed along, and callers that need the basis as a matrix
+    read rows.
     """
 
-    __slots__ = ("width", "pivots", "int_rows", "den", "_rows")
+    __slots__ = ("rows", "pivots")
 
     def __init__(self, vectors: Sequence[Vec], width: int):
         """Basis of the span of arbitrary vectors: one integer rref."""
         a = stack(vectors, width)
-        self.width = width
-        self._rows = None
-        if a and width:
-            rows, den, pivots = _qkernels.rref(a.int_rows)
-            self._set(rows, den, tuple(pivots))
-        else:
-            self.int_rows, self.den, self.pivots = (), 1, ()
+        rows, den, pivots = _qkernels.rref(a.int_rows) if a and width else ((), 1, ())
+        self.rows, self.pivots = _int_mat(rows, den, width), tuple(pivots)
 
     @classmethod
     def zero(cls, width: int) -> "EchelonBasis":
         """The zero subspace of Q^width, with no elimination."""
         b = object.__new__(cls)
-        b.width, b.int_rows, b.den, b.pivots, b._rows = width, (), 1, (), None
+        b.rows, b.pivots = zeros(0, width), ()
         return b
 
     @classmethod
@@ -578,71 +555,49 @@ class EchelonBasis:
         """
         out, den, free = _kernel_int(a, True)
         b = object.__new__(cls)
-        b.width, b._rows = a.ncols, None
-        b._set(out, den, free)
+        b.rows, b.pivots = _int_mat(out, den, a.ncols), free
         return b
 
-    def _set(self, rows, den: int, pivots: tuple) -> None:
-        """Adopt integer RREF rows over den > 0, divided by their common
-        factor with den."""
-        self.int_rows, self.den = _least(rows, den)
-        self.pivots = pivots
-
-    @property
-    def rows(self) -> Mat:
-        """The RREF rows as a Mat of Fractions."""
-        if self._rows is None:
-            self._rows = _int_mat(self.int_rows, self.den, self.width)
-        return self._rows
-
-    def _cleared(self, v: Vec) -> tuple[list[int], int]:
-        """_numerators(v), for a v of the basis' width."""
-        if len(v) != self.width:
-            raise ValueError(f"vector of length {len(v)} against a basis of width {self.width}")
-        return _numerators(v)
-
-    def _residue(self, w: Sequence[int]) -> list[int]:
-        """den * w - sum_i w[pivots[i]] * int_rows[i] for an integer w:
-        the numerators of reduce(w / d) over den * d."""
-        den = self.den
-        out = list(w) if den == 1 else [den * x for x in w]
-        for row, p in zip(self.int_rows, self.pivots):
-            c = w[p]
-            if c:
-                out = [x - c * y for x, y in zip(out, row)]
+    def _residues(self, m: Mat) -> list[list[int]]:
+        """For each integer row w of m, den * w - sum_i w[pivots[i]] *
+        R_i, where R over den is the integer form of rows: the
+        numerators of the rows of reduce(m) over den * m.den."""
+        den = self.rows.den
+        held = list(zip(self.pivots, self.rows.int_rows))
+        out = []
+        for w in m.int_rows:
+            r = list(w) if den == 1 else [den * x for x in w]
+            for p, row in held:
+                c = w[p]
+                if c:
+                    r = [x - c * y for x, y in zip(r, row)]
+            out.append(r)
         return out
 
-    def _contains_int(self, w: Sequence[int]) -> bool:
-        """Is the integer vector w in the span?"""
-        return not any(self._residue(w))
+    def reduce(self, vectors) -> Mat:
+        """Row j is row j of vectors minus sum_i v[pivots[i]] * rows[i]:
+        zero at every pivot, and zero everywhere exactly when that
+        vector is in the span."""
+        m = stack(vectors, self.rows.ncols)
+        return _int_mat(self._residues(m), self.rows.den * m.den, m.ncols)
 
-    def reduce(self, v: Vec) -> Vec:
-        """v minus sum_i v[pivots[i]] * rows[i]: zero at every pivot, and
-        zero everywhere exactly when v is in the span."""
-        w, d = self._cleared(v)
-        return tuple(map(_Fractions(self.den * d).__getitem__, self._residue(w)))
+    def contains(self, vectors) -> bool:
+        """Does the span hold every row of vectors?"""
+        return not any(map(any, self._residues(stack(vectors, self.rows.ncols))))
 
-    def contains(self, v: Vec) -> bool:
-        w, _ = self._cleared(v)
-        return self._contains_int(w)
-
-    def coords(self, v: Vec) -> Vec:
-        """Coefficients of v over rows; ValueError when v is not in the span."""
-        w, d = self._cleared(v)
-        return tuple(Fraction(x, d) for x in self._coords_int(w))
-
-    def _coords_int(self, w: Sequence[int]) -> list[int]:
-        """The numerators of coords(w / d) over d, for an integer vector
-        w of the basis' width, whatever d is: w at the pivots."""
-        if not self._contains_int(w):
+    def coords(self, vectors) -> Mat:
+        """The matrix whose column j holds the coefficients of row j of
+        vectors over rows: its entries at the pivots. ValueError when a
+        row is not in the span."""
+        m = stack(vectors, self.rows.ncols)
+        if not self.contains(m):
             raise ValueError("vector is not in the span")
-        return [w[p] for p in self.pivots]
+        return columns(m, self.pivots)
 
     def add(self, v: Vec) -> bool:
         """Grow the span by v. Returns whether it grew; when it did not,
         nothing changes."""
-        w, _ = self._cleared(v)
-        r = self._residue(w)
+        (r,) = self._residues(stack((v,), self.rows.ncols))
         p = next((i for i, x in enumerate(r) if x), None)
         if p is None:
             return False
@@ -650,9 +605,9 @@ class EchelonBasis:
         r = [x // g for x in r]
         # over den * e, the new row r / e is den * r, and each row R
         # loses R[p] / e times r to clear the new pivot column
-        e, den = r[p], self.den
+        e, den = r[p], self.rows.den
         rows = []
-        for row in self.int_rows:
+        for row in self.rows.int_rows:
             c = row[p]
             if c:
                 rows.append([e * x - c * y for x, y in zip(row, r)])
@@ -660,12 +615,12 @@ class EchelonBasis:
                 rows.append(row if e == 1 else [e * x for x in row])
         k = bisect.bisect(self.pivots, p)
         rows.insert(k, r if den == 1 else [den * x for x in r])
-        self._set(rows, den * e, self.pivots[:k] + (p,) + self.pivots[k:])
-        self._rows = None
+        self.rows = _int_mat(rows, den * e, self.rows.ncols)
+        self.pivots = self.pivots[:k] + (p,) + self.pivots[k:]
         return True
 
 
 def in_span(vectors: Sequence[Vec], v: Vec) -> bool:
     """Is v in the span of the given row vectors?"""
-    w, _ = _numerators(v)
-    return not any(w) or EchelonBasis(vectors, len(v))._contains_int(w)
+    w = stack((v,), len(v))
+    return is_zero(w) or EchelonBasis(vectors, len(v)).contains(w)

@@ -1,17 +1,21 @@
 """EchelonBasis and the presentations built on it, against the
 constructions they replaced.
 
-Two generations of oracles are kept. The solve-based ones: span
+Three generations of oracles are kept. The solve-based ones: span
 membership by solving a linear system, presentation representatives
 re-tested for being a basis of the quotient on a growing spanning list,
 normal forms by scanning for each boundary pivot, and class coordinates
-by one solve per vector. And the Fraction EchelonBasis and
+by one solve per vector. The Fraction EchelonBasis and
 quotient_presentation, which held and reduced their rows in Fractions
 before both moved to integer rows over a common denominator, and whose
 coordinates come from an elimination of [reps | I]. Both pick as
 representatives the cycle echelon rows whose pivots are not boundary
-pivots. Every comparison is exact equality, including which calls
-raise.
+pivots. And the per-vector integer loops the two ran before their
+methods took the vectors as the rows of a Mat. Every comparison is
+exact equality, including which calls raise.
+
+The methods under test take a Mat of row vectors; _one reads one
+vector's answer back in the per-vector shape the older oracles give.
 """
 
 from __future__ import annotations
@@ -197,6 +201,76 @@ def fraction_quotient_presentation(cycle_rows, boundary_rows, width):
     return FractionPresentation(cycle_basis, boundary_basis, reduced)
 
 
+def int_residue(basis, w):
+    """den * w - sum_i w[pivots[i]] * R_i, for an integer vector w and R
+    over den the integer form of basis.rows: the numerators of the
+    reduction of w / d over den * d, whatever d is. The per-vector
+    integer loop of EchelonBasis before its methods took Mats."""
+    den = basis.rows.den
+    out = [den * x for x in w]
+    for row, p in zip(basis.rows.int_rows, basis.pivots):
+        c = w[p]
+        if c:
+            out = [x - c * y for x, y in zip(out, row)]
+    return out
+
+
+def int_coords(basis, w):
+    """The numerators of the coordinates of w / d over basis.rows, over
+    d: w at the pivots; ValueError off the span."""
+    if any(int_residue(basis, w)):
+        raise ValueError("vector is not in the span")
+    return [w[p] for p in basis.pivots]
+
+
+def int_normal(q, w):
+    """The numerators of the normal form of w / d in q over
+    q.boundaries.rows.den * d; ValueError off the cycles."""
+    if any(int_residue(q.cycles, w)):
+        raise ValueError("vector is not a cycle of this presentation")
+    return int_residue(q.boundaries, w)
+
+
+def int_oracle(obj, name, vectors, width):
+    """obj.name(vectors) assembled from the per-vector integer loops, one
+    vector at a time, each cleared to its own least denominator: a bool
+    for contains, the rows of reduce and normal_form, and the columns
+    of coords."""
+    rows = []
+    for v in vectors:
+        form = la.stack([v], width)
+        w, d = form.int_rows[0], form.den
+        if name == "contains":
+            rows.append(not any(int_residue(obj, w)))
+        elif name == "reduce":
+            rows.append([Fraction(x, obj.rows.den * d) for x in int_residue(obj, w)])
+        elif name == "normal_form":
+            rows.append([Fraction(x, obj.boundaries.rows.den * d) for x in int_normal(obj, w)])
+        elif name == "coords" and isinstance(obj, la.EchelonBasis):
+            rows.append([Fraction(x, d) for x in int_coords(obj, w)])
+        else:
+            nf = int_normal(obj, w)
+            rows.append([Fraction(nf[p], obj.boundaries.rows.den * d) for p in obj.pivots])
+    if name == "contains":
+        return all(rows)
+    if name == "coords":
+        height = len(obj.pivots)
+        return la.transpose(la.Mat(tuple(map(tuple, rows)), height))
+    return la.Mat(tuple(map(tuple, rows)), width)
+
+
+def _one(obj, name, v):
+    """obj.name([v]), read back in the per-vector shape: a bool, the one
+    row of a reduction or normal form, or the one column of
+    coordinates."""
+    out = getattr(obj, name)([v])
+    if name == "contains":
+        return out
+    if name == "coords":
+        return tuple(row[0] for row in out)
+    return out[0]
+
+
 def oracle_coords_over(basis_rows, v):
     """Coefficients of v over independent rows, or None."""
     if not basis_rows:
@@ -278,17 +352,20 @@ def _rational_combination(rng, rows, width):
 
 
 def _integer_form_faults(b) -> list:
-    """How b's integer rows break their contract: over a positive den,
-    primitive, den in every pivot, and equal to rows."""
+    """How the integer form of b's rows breaks its contract: over a
+    positive den, primitive, den in every pivot, and the form Mat
+    computes from the rows' Fractions."""
     bad = []
-    flat = [x for row in b.int_rows for x in row]
-    if type(b.den) is not int or b.den <= 0 or any(type(x) is not int for x in flat):
+    rows = b.rows
+    flat = [x for row in rows.int_rows for x in row]
+    if type(rows.den) is not int or rows.den <= 0 or any(type(x) is not int for x in flat):
         bad.append("types")
-    if gcd(b.den, *flat) != 1:
+    if gcd(rows.den, *flat) != 1:
         bad.append("not primitive")
-    if any(row[p] != b.den for row, p in zip(b.int_rows, b.pivots)):
+    if any(row[p] != rows.den for row, p in zip(rows.int_rows, b.pivots)):
         bad.append("pivot")
-    if [[Fraction(x, b.den) for x in row] for row in b.int_rows] != [list(r) for r in b.rows]:
+    fresh = la.Mat(tuple(rows), rows.ncols)
+    if (fresh.int_rows, fresh.den, fresh.ncols) != (rows.int_rows, rows.den, rows.ncols):
         bad.append("rows")
     return bad
 
@@ -310,7 +387,7 @@ def _rational_mismatches(seed: int, trials: int) -> list:
         probes += _rational_vectors(rng, width, 2) + [(Fraction(0),) * width]
         for v in probes:
             for name in ("reduce", "contains", "coords"):
-                got = _outcome(getattr(basis, name), v)
+                got = _outcome(_one, basis, name, v)
                 if got != _outcome(getattr(oracle, name), v):
                     bad.append((t, name, vecs, v))
         grown, ograwn = la.EchelonBasis.zero(width), FractionEchelonBasis((), width)
@@ -345,7 +422,7 @@ def _rational_mismatches(seed: int, trials: int) -> list:
         probes += _rational_vectors(rng, width, 2) + list(q.reps) + bounds
         for v in probes:
             for name in ("normal_form", "coords"):
-                if _outcome(getattr(q, name), v) != _outcome(getattr(oq, name), v):
+                if _outcome(_one, q, name, v) != _outcome(getattr(oq, name), v):
                     bad.append((t, name, cycles, bounds, v))
     return bad
 
@@ -361,14 +438,14 @@ def _span_mismatches(seed: int, trials: int) -> list:
         basis = la.EchelonBasis(vecs, width)
         for v in _probes(rng, vecs, width):
             want = oracle_in_span(vecs, v)
-            if la.in_span(vecs, v) != want or basis.contains(v) != want:
+            if la.in_span(vecs, v) != want or _one(basis, "contains", v) != want:
                 bad.append((t, "contains", vecs, v))
             coords = oracle_coords_over(basis.rows, v)
             want_coords = ("raises", None) if coords is None else ("ok", coords)
-            if _outcome(basis.coords, v) != want_coords:
+            if _outcome(_one, basis, "coords", v) != want_coords:
                 bad.append((t, "coords", vecs, v))
         u = _random_vectors(rng, width, rng.randrange(0, 4)) + [_combination(rng, vecs, width)]
-        if all(basis.contains(x) for x in u) != all(oracle_in_span(vecs, x) for x in u):
+        if basis.contains(u) != all(oracle_in_span(vecs, x) for x in u):
             bad.append((t, "containment", u, vecs))
         grown = la.EchelonBasis((), width)
         for i, v in enumerate(vecs):
@@ -380,6 +457,52 @@ def _span_mismatches(seed: int, trials: int) -> list:
                 bad.append((t, "add changed rows", vecs, i))
             if (grown.rows, grown.pivots) != la.rref(la.mat(vecs[: i + 1])):
                 bad.append((t, "add rows", vecs, i))
+    return bad
+
+
+def _shaped_outcome(fn, *args):
+    """_outcome, with the shape of a Mat answer: Mats without rows are
+    equal whatever their widths."""
+    got = _outcome(fn, *args)
+    return got + (la.shape(got[1]),) if isinstance(got[1], la.Mat) else got
+
+
+def _mat_method_mismatches(seed: int, trials: int, tally: dict | None = None) -> list:
+    """Every disagreement between the Mat-taking contains, reduce and
+    coords of EchelonBasis, and normal_form and coords of
+    PresentedQuotient, and int_oracle, on seeded random spans and
+    presentations of widths 0-5. Each call takes a block of 0-4
+    rational vectors: members only, members and one random vector, and
+    none. tally, when given, counts the widths, block sizes and
+    outcomes seen (for contains, its answers)."""
+    rng = random.Random(seed)
+    tally = {} if tally is None else tally
+    bad = []
+
+    def compare(obj, names, block, width):
+        for name in names:
+            got = _shaped_outcome(getattr(obj, name), block)
+            if got != _shaped_outcome(int_oracle, obj, name, block, width):
+                bad.append((t, name, width, block))
+            seen = got[1] if name == "contains" else got[0]
+            for key in (("width", width), ("rows", len(block)), (name, seen)):
+                tally[key] = tally.get(key, 0) + 1
+
+    for t in range(trials):
+        width = rng.randrange(0, 6)
+        vecs = _rational_vectors(rng, width, rng.randrange(0, width + 2))
+        basis = la.EchelonBasis(vecs, width)
+        members = [_rational_combination(rng, vecs, width) for _ in range(rng.randrange(0, 4))]
+        for block in (members, members + _rational_vectors(rng, width, 1), []):
+            compare(basis, ("contains", "reduce", "coords"), block, width)
+        bounds = [_rational_combination(rng, vecs, width) for _ in range(rng.randrange(0, 3))]
+        made, q = _outcome(quotient_presentation, vecs, bounds, width)
+        if made != "ok":
+            bad.append((t, "presentation", width, vecs, bounds))
+            continue
+        cyc = [_rational_combination(rng, vecs, width) for _ in range(rng.randrange(0, 4))]
+        for block in (cyc + bounds, cyc + _rational_vectors(rng, width, 1), []):
+            compare(q, ("normal_form", "coords"), block, width)
     return bad
 
 
@@ -395,9 +518,9 @@ def _presentation_mismatches(q, rng) -> list:
     probes += [tuple(Fraction(0) for _ in range(q.width))]
     probes += list(q.reps) + list(rows.boundaries)
     for v in probes:
-        if _outcome(q.normal_form, v) != _outcome(oracle_normal_form, rows, v):
+        if _outcome(_one, q, "normal_form", v) != _outcome(oracle_normal_form, rows, v):
             bad.append(("normal_form", q, v))
-        if _outcome(q.coords, v) != _outcome(oracle_coords, rows, v):
+        if _outcome(_one, q, "coords", v) != _outcome(oracle_coords, rows, v):
             bad.append(("coords", q, v))
     return bad
 
@@ -440,6 +563,18 @@ def test_integer_echelon_matches_fraction_oracle_on_rational_entries():
     assert _rational_mismatches(seed=83, trials=120) == []
 
 
+def test_mat_methods_match_the_per_vector_integer_loops():
+    tally = {}
+    assert _mat_method_mismatches(seed=89, trials=150, tally=tally) == []
+    # width 0, blocks without rows, and rows off the span, which coords
+    # and normal_form refuse and contains and reduce answer
+    assert tally[("width", 0)] >= 50 and tally[("rows", 0)] >= 300
+    for name in ("coords", "normal_form"):
+        assert tally[(name, "ok")] >= 100 and tally[(name, "raises")] >= 20, name
+    assert tally[("contains", True)] >= 200 and tally[("contains", False)] >= 50
+    assert tally[("reduce", "ok")] >= 300 and ("reduce", "raises") not in tally
+
+
 def test_presentations_match_oracle_on_random_complexes():
     assert _homology_mismatches(seed=73, trials=12) == []
 
@@ -448,23 +583,24 @@ def test_degenerate_inputs_match_oracle():
     # width 0, empty bases, zero vectors and all-zero input rows
     empty = la.EchelonBasis((), 0)
     assert empty.rows == () and empty.pivots == ()
-    assert empty.contains(()) and empty.coords(()) == ()
+    assert empty.contains([()]) and _one(empty, "coords", ()) == ()
+    assert la.shape(empty.coords([(), ()])) == (0, 2)
     assert not empty.add(())
     assert la.EchelonBasis([(), ()], 0).rows == ()
     zeros = [la.vec([0, 0, 0])] * 2
     b = la.EchelonBasis(zeros, 3)
-    assert b.rows == () and b.contains(la.vec([0, 0, 0]))
-    assert b.contains(la.vec([0, 1, 0])) is oracle_in_span(zeros, la.vec([0, 1, 0])) is False
+    assert b.rows == () and b.contains([la.vec([0, 0, 0])])
+    assert b.contains([la.vec([0, 1, 0])]) is oracle_in_span(zeros, la.vec([0, 1, 0])) is False
     assert la.in_span((), la.vec([0, 0])) is oracle_in_span((), la.vec([0, 0])) is True
     assert la.in_span((), la.vec([1, 0])) is oracle_in_span((), la.vec([1, 0])) is False
     # containment in the zero span
-    assert all(la.EchelonBasis((), 3).contains(v) for v in zeros)
-    assert not la.EchelonBasis((), 3).contains(la.vec([0, 0, 1]))
+    assert la.EchelonBasis((), 3).contains(zeros)
+    assert not la.EchelonBasis((), 3).contains([la.vec([0, 0, 1])])
     q = quotient_presentation((), (), 0)
-    assert q.dim == 0 and q.coords(()) == oracle_coords(_rows_view(q), ()) == ()
+    assert q.dim == 0 and _one(q, "coords", ()) == oracle_coords(_rows_view(q), ()) == ()
     q = quotient_presentation(zeros, zeros, 3)
     assert q.reps == oracle_reps(zeros, zeros, 3) == ()
-    assert q.normal_form(la.vec([0, 0, 0])) == (0, 0, 0)
+    assert q.normal_form([la.vec([0, 0, 0])]) == ((0, 0, 0),)
 
 
 def test_zero_and_repeated_residues_match_oracle():
@@ -496,7 +632,7 @@ def test_zero_and_repeated_residues_match_oracle():
         assert q.reps == tuple(map(la.vec, want)), (cycles, boundaries)
         assert q.dim == len(want)
         for v in list(q.cycles.rows) + list(q.boundaries.rows) + list(q.reps):
-            assert q.coords(v) == oracle.coords(v) == oracle_coords(_rows_view(q), v)
+            assert _one(q, "coords", v) == oracle.coords(v) == oracle_coords(_rows_view(q), v)
 
 
 # -- negative controls ---------------------------------------------------
@@ -505,14 +641,16 @@ def test_zero_and_repeated_residues_match_oracle():
 def test_non_cycles_raise():
     q = quotient_presentation(((1, 0, 0), (0, 1, 1)), ((0, 1, 1),), 3)
     assert q.dim == 1
-    assert q.coords((2, 3, 3)) == (2,)
+    assert q.coords([(2, 3, 3)]) == ((2,),)
     for v in ((0, 0, 1), (1, 1, 0)):
-        with pytest.raises(ValueError):
-            q.normal_form(v)
-        with pytest.raises(ValueError):
-            q.coords(v)
+        # alone, and after a cycle: one row off the cycles fails the call
+        for rows in ([v], [(2, 3, 3), v]):
+            with pytest.raises(ValueError):
+                q.normal_form(rows)
+            with pytest.raises(ValueError):
+                q.coords(rows)
     with pytest.raises(ValueError):
-        la.EchelonBasis([(1, 0)], 2).coords((0, 1))
+        la.EchelonBasis([(1, 0)], 2).coords([(0, 1)])
 
 
 def test_add_of_member_changes_nothing():
@@ -537,43 +675,45 @@ def test_boundary_outside_cycles_raises():
 
 
 def test_oracle_comparison_catches_an_always_yes_checker(monkeypatch):
-    monkeypatch.setattr(la.EchelonBasis, "contains", lambda self, v: True)
+    monkeypatch.setattr(la.EchelonBasis, "contains", lambda self, vectors: True)
     assert _span_mismatches(seed=71, trials=40)
-    monkeypatch.undo()
-    # presentations test membership on integer numerators, below contains
-    monkeypatch.setattr(la.EchelonBasis, "_contains_int", lambda self, w: True)
-    assert _span_mismatches(seed=71, trials=40)
+    # presentations test membership through contains as well
     assert _homology_mismatches(seed=73, trials=3)
 
 
 def _doctored_residue(scale_by_den: bool, den_sign: int):
-    """EchelonBasis._residue with one fault: v left unscaled by the
-    basis denominator, or that denominator's sign flipped."""
+    """EchelonBasis._residues with one fault: the vectors left unscaled
+    by the basis denominator, or that denominator's sign flipped."""
 
-    def residue(self, w):
-        den = den_sign * self.den
-        out = [den * x for x in w] if scale_by_den else list(w)
-        for row, p in zip(self.int_rows, self.pivots):
-            c = w[p]
-            if c:
-                out = [x - c * y for x, y in zip(out, row)]
+    def residues(self, m):
+        den = den_sign * self.rows.den
+        out = []
+        for w in m.int_rows:
+            r = [den * x for x in w] if scale_by_den else list(w)
+            for row, p in zip(self.rows.int_rows, self.pivots):
+                c = w[p]
+                if c:
+                    r = [x - c * y for x, y in zip(r, row)]
+            out.append(r)
         return out
 
-    return residue
+    return residues
 
 
 @pytest.mark.parametrize(
     "scale_by_den, den_sign", [(False, 1), (True, -1)], ids=["unscaled", "sign-flipped"]
 )
 def test_oracle_comparison_catches_a_doctored_integer_reduce(monkeypatch, scale_by_den, den_sign):
-    monkeypatch.setattr(la.EchelonBasis, "_residue", _doctored_residue(scale_by_den, den_sign))
+    monkeypatch.setattr(la.EchelonBasis, "_residues", _doctored_residue(scale_by_den, den_sign))
     assert _rational_mismatches(seed=83, trials=40)
+    assert _mat_method_mismatches(seed=89, trials=40)
 
 
 def test_doctored_residue_is_honest_when_undoctored(monkeypatch):
-    # the doctoring above differs from the real _residue in its fault only
-    monkeypatch.setattr(la.EchelonBasis, "_residue", _doctored_residue(True, 1))
+    # the doctoring above differs from the real _residues in its fault only
+    monkeypatch.setattr(la.EchelonBasis, "_residues", _doctored_residue(True, 1))
     assert _rational_mismatches(seed=83, trials=40) == []
+    assert _mat_method_mismatches(seed=89, trials=40) == []
 
 
 def test_oracle_comparison_catches_a_kept_boundary_pivot(monkeypatch):
@@ -598,7 +738,8 @@ def test_oracle_comparison_catches_a_kept_boundary_pivot(monkeypatch):
 
 
 def _same_basis(p, q) -> bool:
-    return (p.width, p.int_rows, p.den, p.pivots) == (q.width, q.int_rows, q.den, q.pivots)
+    a, b = p.rows, q.rows
+    return (a.ncols, a.int_rows, a.den, p.pivots) == (b.ncols, b.int_rows, b.den, q.pivots)
 
 
 def _kernel_faults(a) -> list:
@@ -715,7 +856,7 @@ def test_kernel_basis_of_a_zero_matrix_needs_no_elimination(monkeypatch):
     for r, c in ((0, 0), (0, 3), (2, 0), (2, 3)):
         k = la.EchelonBasis.kernel(la.zeros(r, c))
         assert k.rows == la.identity(c) and k.rows.ncols == c
-        assert k.den == 1 and k.pivots == tuple(range(c))
+        assert k.rows.den == 1 and k.pivots == tuple(range(c))
     with pytest.raises(AssertionError):
         la.EchelonBasis.kernel(la.mat([[1, 2]]))
 
@@ -735,9 +876,11 @@ def test_quotient_presentation_takes_a_ready_cycle_basis():
 def test_float_entries_raise_type_error():
     b = la.EchelonBasis([(1, 2, 0), (0, 1, 1)], 3)
     rows = b.rows
-    for method in (b.reduce, b.contains, b.coords, b.add):
+    for method in (b.reduce, b.contains, b.coords):
         with pytest.raises(TypeError):
-            method((0.5, 1, 0))
+            method([(1, 2, 0), (0.5, 1, 0)])
+    with pytest.raises(TypeError):
+        b.add((0.5, 1, 0))
     assert b.rows is rows
     for v in ((0.5, 0), (0.0, 0)):
         with pytest.raises(TypeError):
@@ -745,7 +888,14 @@ def test_float_entries_raise_type_error():
     q = quotient_presentation([(1, 0), (0, 1)], [(1, 0)], 2)
     for method in (q.normal_form, q.coords):
         with pytest.raises(TypeError):
-            method((0.5, 0.25))
+            method([(0.5, 0.25)])
+    # Mat itself refuses them, as mat, stack and vec do
+    for rows in ([[0.5, 1]], [[1, 2], [3, 0.0]]):
+        with pytest.raises(TypeError):
+            la.Mat(rows, 2)
+        with pytest.raises(TypeError):
+            la.stack(rows, 2)
     # exact entries of every accepted kind still work
-    assert q.coords((Fraction(1, 2), 3)) == (3,)
-    assert b.coords((1, Fraction(5, 2), Fraction(1, 2))) == (1, Fraction(5, 2))
+    assert q.coords([(Fraction(1, 2), 3)]) == ((3,),)
+    assert b.coords([(1, Fraction(5, 2), Fraction(1, 2))]) == ((1,), (Fraction(5, 2),))
+    assert la.Mat([[Fraction(1, 2), 1]], 2) == ((Fraction(1, 2), 1),)

@@ -89,12 +89,12 @@ def test_chain_map_validation():
 def test_presented_quotient_normal_forms():
     q = quotient_presentation(la.identity(2), (((1, 0)),), 2)
     assert q.dim == 1
-    assert q.normal_form((1, 1)) == (0, 1)
-    assert q.same_class((1, 1), (0, 1))
-    assert q.coords((3, 2)) == (2,)
+    assert q.normal_form([(1, 1)]) == ((0, 1),)
+    assert q.same_class((1, 1), (0, 1)) and not q.same_class((1, 1), (1, 0))
+    assert q.coords([(3, 2), (0, 1), (5, 0)]) == ((2, 1, 0),)
     narrow = quotient_presentation(((1, 0),), (), 2)
     with pytest.raises(ValueError):
-        narrow.normal_form((0, 1))  # not a cycle
+        narrow.normal_form([(0, 1)])  # not a cycle
     with pytest.raises(ValueError):
         quotient_presentation(((1, 0),), ((0, 1),), 2)  # boundary outside
 
@@ -288,20 +288,27 @@ def test_induced_map_checks_presentation_widths():
 
 
 def _cols_to_mat(cols, height: int) -> la.Mat:
-    """The oracle for the integer columns of hermk.homology: the matrix
-    with the given Fraction columns, coordinate vectors of length
-    height."""
+    """The oracle for the coordinate matrices of hermk.homology: the
+    matrix with the given Fraction columns, coordinate vectors of
+    length height."""
     return la.transpose(la.Mat(tuple(cols), height))
 
 
+def _coords(q, v):
+    """The coordinates of the class of the one vector v in q, as a
+    tuple: the one column of q.coords([v])."""
+    return tuple(row[0] for row in q.coords([v]))
+
+
 def fraction_induced_on_quotients(m, src, dst):
-    """induced_on_quotients as it was before its integer products: each
+    """induced_on_quotients as it was before its products of Mats: each
     boundary row and each Fraction representative pushed through
-    la.matvec, then normal forms and coords."""
-    for row in src.boundaries.int_rows:
-        if any(dst.normal_form(la.matvec(m, row))):
+    la.matvec, then boundary membership and coords, one vector at a
+    time."""
+    for row in src.boundaries.rows:
+        if not dst.boundaries.contains([la.matvec(m, row)]):
             raise ValueError("relations do not map into relations")
-    cols = [dst.coords(la.matvec(m, rep)) for rep in src.reps]
+    cols = [_coords(dst, la.matvec(m, rep)) for rep in src.reps]
     return _cols_to_mat(cols, dst.dim)
 
 
@@ -314,8 +321,8 @@ def fraction_modified_maps(f, n):
     wa = a.dim(n)
     hat, forms, ha = modified_homology(f, n), forms_modulo_exact(b, n + 1), homology(a, n)
     zb = homology(b, n).cycles
-    from_form = [hat.coords((0,) * wa + tuple(-x for x in t)) for t in forms.reps]
-    zeta = [ha.coords(rep[:wa]) for rep in hat.reps]
+    from_form = [_coords(hat, (0,) * wa + tuple(-x for x in t)) for t in forms.reps]
+    zeta = [_coords(ha, rep[:wa]) for rep in hat.reps]
     rho = []
     for rep in hat.reps:
         val = la.add_vec(
@@ -323,7 +330,7 @@ def fraction_modified_maps(f, n):
             la.scale_vec(la.matvec(b.diff(n + 1), rep[wa:]), -1),
         )
         try:
-            rho.append(zb.coords(val))
+            rho.append(tuple(row[0] for row in zb.coords([val])))
         except ValueError:
             raise AssertionError("structure map must land in the cycle space") from None
     return (
@@ -377,7 +384,7 @@ def test_integer_pushes_equal_the_fraction_oracles(monkeypatch):
             wa = a.dim(n)
             proj = la.block_matrix([wa], [wa, b.dim(n + 1)], {(0, 0): la.identity(wa)})
             assert m_proj == fraction_induced_on_quotients(proj, hc, ha_n)
-            cols = [hc.coords((0,) * wa + tuple(rep)) for rep in hb_next.reps]
+            cols = [_coords(hc, (0,) * wa + tuple(rep)) for rep in hb_next.reps]
             assert m_in == _cols_to_mat(cols, hc.dim)
         for n in degrees:
             ha, hb = homology(a, n), homology(b, n)
@@ -511,14 +518,14 @@ def _fraction_sequence_maps(f, n, cn):
     a, b = f.source, f.target
     hat, forms = modified_homology(f, n), forms_modulo_exact(b, n + 1)
     hcone_n, hcone_prev = homology(cn, n), homology(cn, n - 1)
-    m1 = _cols_to_mat([hat.coords(rep) for rep in hcone_n.reps], hat.dim)
+    m1 = _cols_to_mat([_coords(hat, rep) for rep in hcone_n.reps], hat.dim)
     m3 = _cols_to_mat(
-        [hcone_prev.coords((0,) * a.dim(n - 1) + tuple(z)) for z in homology(b, n).cycles.rows],
+        [_coords(hcone_prev, (0,) * a.dim(n - 1) + tuple(z)) for z in homology(b, n).cycles.rows],
         hcone_prev.dim,
     )
     fm_next = f.map_at(n + 1)
     m1b = _cols_to_mat(
-        [forms.coords(la.matvec(fm_next, rep)) for rep in homology(a, n + 1).reps], forms.dim
+        [_coords(forms, la.matvec(fm_next, rep)) for rep in homology(a, n + 1).reps], forms.dim
     )
     return m1, m3, m1b
 
@@ -578,7 +585,7 @@ def _corrupted_form_cycle(seed: int):
         for n in _all_degrees(f.source, f.target):
             mm = modified_maps(f, n)
             hcone = homology(cn, n)
-            m1 = _cols_to_mat([mm.hat.coords(r) for r in hcone.reps], mm.hat.dim)
+            m1 = _cols_to_mat([_coords(mm.hat, r) for r in hcone.reps], mm.hat.dim)
             rows = [j for j, row in enumerate(m1) if any(row)]
             if rows and mm.to_form_cycle:
                 return f, n, rows[0]
@@ -783,13 +790,13 @@ def test_zero_degrees_present_the_zero_group_without_elimination(monkeypatch):
     cyc, bnd = scratch[0]
     assert all(x.rows == cyc.rows and y.rows == bnd.rows for x, y in scratch)
     for p in built:
-        assert p.width == p.cycles.width == p.boundaries.width == 0
+        assert p.width == p.cycles.rows.ncols == p.boundaries.rows.ncols == 0
         assert p.cycles.rows == cyc.rows and p.cycles.rows.ncols == 0
         assert p.boundaries.rows == bnd.rows and p.boundaries.rows.ncols == 0
         assert p.cycles.pivots == cyc.pivots == p.boundaries.pivots == ()
         assert p.reps == () and p.dim == 0
         assert p.cycles is not p.boundaries
-        assert p.normal_form(()) == () and p.coords(()) == ()
+        assert p.normal_form([()]) == ((),) and la.shape(p.coords([()])) == (0, 1)
     # the cycles and boundaries of distinct presentations are never shared
     assert len({id(p.cycles) for p in built}) == len(built)
     with pytest.raises(ValueError):

@@ -93,9 +93,10 @@ def test_in_span_and_span_le():
     assert la.in_span(basis, la.vec([2, 3, 2]))
     assert not la.in_span(basis, la.vec([1, 0, 0]))
     # containment of spans: every row of one is in the other's basis
-    assert la.EchelonBasis(basis, 3).contains(la.vec([1, 1, 1]))
+    assert la.EchelonBasis(basis, 3).contains([la.vec([1, 1, 1])])
     line = la.EchelonBasis((la.vec([1, 1, 1]),), 3)
-    assert not all(line.contains(v) for v in basis)
+    assert not line.contains(basis)
+    assert line.contains([la.vec([2, 2, 2]), la.vec([-1, -1, -1])])
 
 
 def _span_exact(*mats) -> bool:
@@ -352,6 +353,7 @@ def test_degenerate_shapes():
         assert la.shape(la.scale(z, 2)) == (r, c)
         assert la.shape(la.add(z, z)) == (r, c)
         assert la.shape(la.submatrix(z, range(r), range(c))) == (r, c)
+        assert la.shape(la.columns(z, range(c))) == (c, r)
         assert la.shape(la.nullspace(z)) == (c, c)
         assert la.nullspace(z) == la.identity(c)
         rows, pivots = la.rref(z)
@@ -420,13 +422,6 @@ def test_degenerate_products_and_solves_skip_the_kernels(monkeypatch):
         return la._int_mat(_qkernels.matmul(ai, bi), da * db, b.ncols)
 
     kernel = [kernel_product(a, b) for a, b in products[:2]]
-    # the integer images of rows through m: no row, a matrix without
-    # rows, and one without columns (whose images are zero)
-    images = [
-        (_ones(2, 3), (), ([], 1)),
-        (la.zeros(0, 3), [(1, 2, 3)], ([[]], 1)),
-        (la.Mat(((),) * 2, 0), [()], ([[0, 0]], 1)),
-    ]
     # no right-hand side: rref(a | b) has its pivots inside a, so the
     # kernel path returned a's width of empty rows
     solves = [
@@ -445,8 +440,6 @@ def test_degenerate_products_and_solves_skip_the_kernels(monkeypatch):
     got = [la.matmul(a, b) for a, b in products]
     assert got[:2] == kernel and got[2] == la.zeros(0, 4)
     assert [la.shape(m) for m in got] == [(0, 2), (2, 0), (0, 4)]
-    for m, rows, want in images:
-        assert la._images(m, rows) == want
     # the empty Gram of the zero space is positive definite
     assert la.is_positive_definite(la.zeros(0, 0))
     for a, b in solves:
@@ -491,6 +484,11 @@ def test_bilinear_and_transpose():
     g = la.mat([[2, 1], [1, 3]])
     assert la.bilinear(g, la.vec([1, 1]), la.vec([1, 0])) == 3
     assert la.transpose(la.mat([[1, 2, 3]])) == la.mat([[1], [2], [3]])
+    # columns reads columns as rows, in the order asked, over the least den
+    a = la.mat([[1, Fraction(1, 2), 3], [4, 5, Fraction(3, 2)]])
+    assert la.columns(a, (2, 0)) == ((3, Fraction(3, 2)), (1, 4))
+    assert la.columns(a, (0,)).den == 1
+    assert la.columns(a, (1, 2)) == la.submatrix(la.transpose(a), (1, 2), range(2))
 
 
 def test_rref_idempotent_random():

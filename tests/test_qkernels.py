@@ -33,7 +33,7 @@ import pytest
 from hermk import _qkernels, koszul
 from hermk import linalg as la
 from hermk.core import MetrizedSpace
-from hermk.homology import quotient_presentation
+from hermk.homology import PresentedQuotient, quotient_presentation
 from hermk.multilinear import power_tower
 
 INT_M = [[1, 2, 3], [4, 5, 6], [7, 8, 10]]
@@ -496,6 +496,9 @@ def _produced(seed):
             ("add", la.add(p, cleared)),
             ("kron", la.kron(a, b)),
             ("submatrix", la.submatrix(a, range(r - 1, -1, -1), keep)),
+            ("columns", la.columns(a, keep)),
+            ("EchelonBasis.reduce", la.EchelonBasis(la.transpose(b), m).reduce(a)),
+            ("EchelonBasis.coords", la.EchelonBasis(la.transpose(b), m).coords(la.transpose(b))),
             ("block_matrix", la.block_matrix((r, m), (m, c), {(0, 0): a, (0, 1): p, (1, 1): b})),
             ("solve", la.solve(a, p)),
         ]
@@ -558,6 +561,9 @@ def test_remembered_forms_equal_a_fresh_clear():
         "add",
         "kron",
         "submatrix",
+        "columns",
+        "EchelonBasis.reduce",
+        "EchelonBasis.coords",
         "block_matrix",
         "solve",
         "power_tower",
@@ -799,8 +805,8 @@ def test_every_elimination_runs_through_the_one_bareiss_loop(monkeypatch):
             [True, True],
         ),
         "coords": (
-            lambda: quotient_presentation(la.identity(3), [(1, 1, 0)], 3).coords((1, 2, 3)),
-            (1, 3),
+            lambda: quotient_presentation(la.identity(3), [(1, 1, 0)], 3).coords([(1, 2, 3)]),
+            ((1,), (3,)),
             [True, True],
         ),
     }
@@ -849,9 +855,50 @@ def _writes_form(tree) -> bool:
     return False
 
 
+# the private members of the span and presentation types
+SPAN_PRIVATE = {
+    n
+    for cls in (la.EchelonBasis, PresentedQuotient)
+    for n in vars(cls)
+    if n.startswith("_") and not n.startswith("__")
+}
+
+
+def _private_linalg_names(tree) -> bool:
+    """Does tree name a private member of hermk.linalg: import one from
+    it, or read one off a name linalg is bound to?"""
+    aliases = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom):
+            home = (node.module or "").split(".")
+            for alias in node.names:
+                if home[-1:] == ["linalg"] and alias.name.startswith("_"):
+                    return True
+                if alias.name == "linalg":
+                    aliases.add(alias.asname or alias.name)
+        elif isinstance(node, ast.Import):
+            aliases.update(a.asname for a in node.names if a.name.endswith(".linalg") and a.asname)
+    return any(
+        isinstance(node, ast.Attribute)
+        and isinstance(node.value, ast.Name)
+        and node.value.id in aliases
+        and node.attr.startswith("_")
+        for node in ast.walk(tree)
+    )
+
+
+def _private_span_names(tree) -> bool:
+    """Does tree name a private member of EchelonBasis or
+    PresentedQuotient?"""
+    return any(isinstance(node, ast.Attribute) and node.attr in SPAN_PRIVATE for node in ast.walk(tree))
+
+
 def kernel_boundary_breaches(sources: dict) -> set:
     """(module, breach) for module name -> source text: a module other
-    than linalg that imports _qkernels or assigns a Mat's form, and a
+    than linalg that imports _qkernels, assigns a Mat's form or names a
+    private member of EchelonBasis or PresentedQuotient; a module other
+    than linalg and multilinear (which builds its power Grams and word
+    maps through la._int_mat) that names a private linalg member; and a
     _qkernels that imports fractions or any hermk module."""
     bad = set()
     for name, text in sources.items():
@@ -862,6 +909,10 @@ def kernel_boundary_breaches(sources: dict) -> set:
                 bad.add((name, "imports _qkernels"))
             if _writes_form(tree):
                 bad.add((name, "assigns a form"))
+            if _private_span_names(tree):
+                bad.add((name, "names a private span member"))
+            if name != "multilinear" and _private_linalg_names(tree):
+                bad.add((name, "names a private linalg member"))
         if name == "_qkernels":
             if any(n.split(".")[0] == "fractions" for n in names):
                 bad.add((name, "imports fractions"))
@@ -877,6 +928,9 @@ def test_only_linalg_calls_the_kernels():
     # linalg does both, so the checks can see them
     assert _writes_form(ast.parse(sources["linalg"]))
     assert any("_qkernels" in n.split(".") for n in _imported(ast.parse(sources["linalg"])))
+    # and so are the private names: linalg's own, and multilinear's one
+    assert SPAN_PRIVATE and _private_span_names(ast.parse(sources["linalg"]))
+    assert _private_linalg_names(ast.parse(sources["multilinear"]))
     # controls: one doctored module each
     doctored = {
         ("homology", "imports _qkernels"): ("homology", "from . import _qkernels\n"),
@@ -885,6 +939,13 @@ def test_only_linalg_calls_the_kernels():
         ("core", "assigns a form"): ("core", "setattr(m, 'int_rows', ())\n"),
         ("cubes", "assigns a form"): ("cubes", "object.__setattr__(m, '_rows', None)\n"),
         ("multilinear", "assigns a form"): ("multilinear", "m.int_rows, m.den = (), 1\n"),
+        ("homology", "names a private linalg member"): ("homology", "la._int_mat((), 1, 0)\n"),
+        ("homology", "names a private span member"): ("homology", "q.cycles._residues(m)\n"),
+        ("cubes", "names a private linalg member"): ("cubes", "la._least(rows, den)\n"),
+        ("cubes", "names a private span member"): ("cubes", "sup._residues(sub.rows)\n"),
+        ("cli", "names a private linalg member"): ("cli", "from .linalg import _Fractions\n"),
+        ("koszul", "names a private linalg member"): ("koszul", "import hermk.linalg as hl\nhl._kernel_int\n"),
+        ("multilinear", "names a private span member"): ("multilinear", "b._residues(m)\n"),
         ("_qkernels", "imports fractions"): ("_qkernels", "from fractions import Fraction\n"),
         ("_qkernels", "imports hermk"): ("_qkernels", "from . import linalg\n"),
     }
