@@ -383,14 +383,21 @@ class ShortExactMetrized:
     la.is_exact call on the chain with its zero ends; a failure names
     the term and the test (product or ranks) that fails there.
 
+    complement, when given, is called with no arguments when the split
+    test first runs and returns a candidate C for the orthogonal
+    complement of the image of inject, as columns with P C = I for
+    project = sqrt(s) P (a Koszul kernel sequence passes its section's,
+    see mu_decompose); _split_parts certifies it. Without one the
+    complement comes from a nullspace (_nullspace_complement).
+
     _split holds, once is_hermitian_split has run, the part of its test
     that does not read project's scale_sq (_split_parts); the sequences
-    _rescaled derives from this one share it.
+    _rescaled derives from this one share it, and the complement.
     """
 
-    __slots__ = ("inject", "project", "_split")
+    __slots__ = ("inject", "project", "_split", "_complement")
 
-    def __init__(self, inject: SpaceMap, project: SpaceMap):
+    def __init__(self, inject: SpaceMap, project: SpaceMap, complement=None):
         if inject.codomain != project.domain:
             raise ValueError("inject and project must share the middle space")
         a, c = inject.domain.dim, project.codomain.dim
@@ -402,6 +409,7 @@ class ShortExactMetrized:
         self.inject = inject
         self.project = project
         self._split = []
+        self._complement = complement
 
     def _rescaled(self, scale_sq) -> "ShortExactMetrized":
         """This sequence with project's scale_sq replaced, unchecked.
@@ -409,8 +417,9 @@ class ShortExactMetrized:
         Exactness reads only the entries of inject and project, and a
         ScaledMatrix has scale_sq > 0, so the result is exact because
         this one is. Only mu_decompose uses this: a rescaled complex
-        shares its checked kernel sequences. The result shares _split:
-        a rescaling changes no input of _split_parts.
+        shares its checked kernel sequences. The result shares _split
+        and the complement: a rescaling changes no input of
+        _split_parts.
         """
         p = self.project
         if scale_sq == p.matrix.scale_sq:
@@ -419,6 +428,7 @@ class ShortExactMetrized:
         out.inject = self.inject
         out.project = SpaceMap(p.domain, p.codomain, ScaledMatrix(p.matrix.entries, scale_sq))
         out._split = self._split
+        out._complement = self._complement
         return out
 
     @property
@@ -454,45 +464,64 @@ def is_hermitian_split(ses: ShortExactMetrized) -> bool:
     """Does the sequence split orthogonally, metrics and all?
 
     True iff (a) inject is an isometry onto its image and (b) project,
-    restricted to the orthogonal complement C of that image (as
-    columns), is an isometry onto quot. The restriction is
-    automatically bijective (the complement misses ker project), so (b)
-    is one Gram equation: scale_sq (P C)^T H (P C) == C^T G C, for
-    project = sqrt(scale_sq) P and the Grams G of total and H of quot.
-    All of it but the scale is computed once per sequence and its
-    rescalings (_split_parts), so a later call makes one scale and one
-    comparison.
+    restricted to the orthogonal complement of that image, is an
+    isometry onto quot. The restriction is bijective (the complement
+    misses ker project), so for a basis C of the complement (as
+    columns) with P C = I, project = sqrt(scale_sq) P, (b) is one Gram
+    equation: scale_sq H == C^T G C, for the Grams G of total and H of
+    quot. All of it but the scale is computed once per sequence and
+    its rescalings (_split_parts), so a later call makes one scale and
+    one comparison.
     """
     if not ses._split:
         ses._split.append(_split_parts(ses))
-    parts = ses._split[0]
-    if parts is None:
-        return False
-    pgp, cgc = parts
-    return la.scale(pgp, ses.project.matrix.scale_sq) == cgc
+    cgc = ses._split[0]
+    return cgc is not None and la.scale(ses.quot.gram, ses.project.matrix.scale_sq) == cgc
 
 
-def _split_parts(ses: ShortExactMetrized) -> tuple[Mat, Mat] | None:
-    """None when test (a) of is_hermitian_split fails, else the two
-    sides (P C)^T H (P C) and C^T G C of test (b) before the scale.
+def certify_complement(kg: Mat, project: Mat, cols: Mat, target: Mat) -> Mat:
+    """cols, once two products show that its columns are orthogonal to
+    the rows of kg (K G for the Gram G and rows K spanning ker project)
+    and that project cols == target; AssertionError otherwise: a fault
+    of the code that made the candidate, never a verdict. With target
+    the identity, cols is then a basis of the orthogonal complement.
+    """
+    if not la.is_zero(la.matmul(kg, cols)):
+        raise AssertionError("the complement candidate is not orthogonal to the kernel")
+    if la.matmul(project, cols) != target:
+        raise AssertionError("the complement candidate is not a section of the projection")
+    return cols
+
+
+def _split_parts(ses: ShortExactMetrized) -> Mat | None:
+    """None when test (a) of is_hermitian_split fails, else C^T G C of
+    test (b) before the scale, for the complement basis C with P C = I.
 
     Both tests read one product, K G with K the image rows of inject:
     (a) is s K G K^T == the Gram of sub, for inject = sqrt(s) K^T, and
-    the complement is the nullspace of K G. This is
-    orthogonal_complement without its independence rank, as
-    _span_metric is induced_subspace_metric without its own: the
-    sequence was checked exact, so inject is injective.
+    K G certifies C. C is the sequence's own complement candidate if it
+    was given one, else _nullspace_complement; either way
+    certify_complement checks K G C == 0 and P C == I before C is read.
     """
     m = ses.inject.matrix
     kg = la.matmul(la.transpose(m.entries), ses.total.gram)
     if la.scale(la.matmul(kg, m.entries), m.scale_sq) != ses.sub.gram:
         return None
-    comp = la.nullspace(kg)
-    if len(comp) != ses.quot.dim:
+    p = ses.project.matrix.entries
+    cols = ses._complement() if ses._complement else _nullspace_complement(kg, p)
+    certify_complement(kg, p, cols, la.identity(ses.quot.dim))
+    return la.matmul(la.matmul(la.transpose(cols), ses.total.gram), cols)
+
+
+def _nullspace_complement(kg: Mat, p: Mat) -> Mat:
+    """The complement for a sequence without a candidate: the nullspace
+    N of K G (orthogonal_complement without its independence rank; the
+    sequence was checked exact, so inject is injective), as columns,
+    times the inverse of P N, so that P C = I."""
+    cols = la.transpose(la.nullspace(kg))
+    if cols.ncols != len(p):
         raise AssertionError("complement dimension must match the quotient")
-    cols = la.transpose(comp)
-    pc = la.matmul(ses.project.matrix.entries, cols)
-    return (
-        la.matmul(la.matmul(la.transpose(pc), ses.quot.gram), pc),
-        la.matmul(la.matmul(comp, ses.total.gram), cols),
-    )
+    x = la.solve(la.matmul(p, cols), la.identity(len(p)))
+    if x is None:
+        raise AssertionError("the complement must map onto the quotient")
+    return la.matmul(cols, x)

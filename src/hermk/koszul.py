@@ -25,6 +25,11 @@ matrix product. Every other complex flagged acyclic is checked by ranks
 (la.is_exact); that check, rerun on a certified complex, is the oracle
 in the tests.
 
+A transform complex keeps its sections (_Sections). The image of psi_j
+is the orthogonal complement of ker phi_j, so the split test of the
+kernel sequences and the quotient norms of the norm ratios read it off
+psi_j, certified by core.certify_complement, with no elimination.
+
 This module also builds: the rational section of phi_p; the 1/sqrt(k)
 rescale; the canonical kernel sequences mu^j with induced metrics and
 their hermitian-splitting test; formal integer combinations of metrized
@@ -39,6 +44,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import partial
 
 from . import linalg as la
 from .core import (
@@ -48,11 +54,11 @@ from .core import (
     ShortExactMetrized,
     SpaceMap,
     ZERO_SPACE,
+    certify_complement,
     direct_sum_space,
     identity_map,
     is_hermitian_split,
     kernel_object,
-    orthogonal_complement,
     zero_map,
 )
 from .multilinear import (
@@ -108,16 +114,19 @@ class HermitianComplex:
 
     _sequences is the table of checked kernel sequences that
     mu_decompose fills on first use and lambda_rescale shares, so
-    objects and maps must not change after construction.
+    objects and maps must not change after construction. _sections,
+    None unless koszul_complex built c, is its _Sections table, which
+    lambda_rescale shares too.
     """
 
-    __slots__ = ("objects", "maps", "acyclic", "_sequences")
+    __slots__ = ("objects", "maps", "acyclic", "_sequences", "_sections")
 
     def __init__(self, objects, maps, acyclic: bool = False, check: bool = True):
         self.objects = tuple(objects)
         self.maps = tuple(maps)
         self.acyclic = acyclic
         self._sequences: list[ShortExactMetrized] = []
+        self._sections: _Sections | None = None
         if not self.objects:
             raise ValueError("a complex needs at least one object")
         if len(self.maps) != len(self.objects) - 1:
@@ -212,7 +221,25 @@ def koszul_complex(v: MetrizedSpace, k: int) -> HermitianComplex:
         SpaceMap(a, b, word_map(a, b, phi.__getitem__, 1))
         for a, b, phi in zip(objects, objects[1:], phis)
     ]
-    return HermitianComplex(objects, maps, acyclic=k >= 1, check=False)
+    c = HermitianComplex(objects, maps, acyclic=k >= 1, check=False)
+    c._sections = _Sections(objects, psis, k)
+    return c
+
+
+class _Sections(dict):
+    """p -> the matrix of psi_p: A^{p+1} -> A^p of a degree-k transform
+    complex, built by word_map from the images psis[p] of k psi_p (so
+    over k) on its first lookup and then kept. The images are those
+    _certify proved phi psi + psi phi = id with."""
+
+    def __init__(self, objects, psis, k: int):
+        super().__init__()
+        self.objects, self.psis, self.k = objects, psis, k
+
+    def __missing__(self, p):
+        src, dst = self.objects[p + 1], self.objects[p]
+        m = self[p] = word_map(src, dst, self.psis[p].__getitem__, self.k)
+        return m
 
 
 def _certify(objects, phis, psis, k: int) -> None:
@@ -255,8 +282,9 @@ def lambda_rescale(c: HermitianComplex, k: int) -> HermitianComplex:
     """Divide every map's scale_sq by k; objects untouched.
 
     The result has the objects and map entries of c, so it shares the
-    kernel sequence table of c (see mu_decompose): whichever of the two
-    is decomposed first builds the sequences for both. k = 1 returns c.
+    kernel sequence table and the sections of c (see mu_decompose):
+    whichever of the two is decomposed first builds the sequences for
+    both. k = 1 returns c.
     """
     if k < 1:
         raise ValueError("rescale degree must be >= 1")
@@ -272,6 +300,7 @@ def lambda_rescale(c: HermitianComplex, k: int) -> HermitianComplex:
     ]
     out = HermitianComplex(c.objects, maps, acyclic=c.acyclic, check=False)
     out._sequences = c._sequences
+    out._sections = c._sections
     return out
 
 
@@ -311,19 +340,33 @@ def _kernel_sequences(c: HermitianComplex) -> list[ShortExactMetrized]:
     free columns of that kernel, where its inclusion is the identity;
     one exact product certifies that they reproduce f^j. They are taken
     from the integer form of f^j, so they keep its integers.
+
+    When c has sections, sequence j gets the complement candidate
+    psi_j Kincl_{j+1}, Kincl_{j+1} the inclusion of ker f^{j+1}: the
+    image of psi_j is orthogonal to ker f^j, and f^j psi_j is the
+    identity on ker f^{j+1} (phi psi + psi phi = id), so P C = I. It is
+    built only when the split test asks for it, which certifies it.
     """
     kernels = [kernel_object(f) for f in c.maps]
     kernels.append(KernelObject.whole(c.objects[-1]))
     out = []
-    for f, (_, inject), kernel in zip(c.maps, kernels, kernels[1:]):
+    for j, (f, (_, inject), kernel) in enumerate(zip(c.maps, kernels, kernels[1:])):
         knext, kincl = kernel
         m = f.matrix.entries
         coords = la.submatrix(m, kernel.free, range(m.ncols))
         if la.matmul(kincl.matrix.entries, coords) != m:
             raise AssertionError("image must land in the next kernel")
         project = SpaceMap(f.domain, knext, ScaledMatrix(coords, f.matrix.scale_sq))
-        out.append(ShortExactMetrized(inject, project))
+        complement = None
+        if c._sections is not None:
+            complement = partial(_section_complement, c._sections, j, kincl.matrix.entries)
+        out.append(ShortExactMetrized(inject, project, complement))
     return out
+
+
+def _section_complement(sections: _Sections, j: int, kincl: la.Mat) -> la.Mat:
+    """psi_j Kincl_{j+1}: the complement candidate of kernel sequence j."""
+    return la.matmul(sections[j], kincl)
 
 
 def koszul_norms(v: MetrizedSpace, k: int, p: int, e: la.Vec) -> tuple[Fraction, Fraction]:
@@ -339,13 +382,8 @@ def koszul_norms(v: MetrizedSpace, k: int, p: int, e: la.Vec) -> tuple[Fraction,
     if not any(w):
         raise ValueError("e lies in the kernel; the ratio is undefined")
     i_sq = c.objects[p + 1].norm_sq(w)
-    comp = orthogonal_complement(c.objects[p], f.kernel_basis())
-    cols = la.transpose(comp)
-    x = la.solve_vec(la.matmul(f.matrix.entries, cols), w)
-    if x is None:
-        raise AssertionError("image vector must be reachable from the complement")
-    u = la.matvec(cols, x)
-    return i_sq, c.objects[p].norm_sq(u)
+    u = _complement_preimages(c, p, la.transpose(la.stack((w,), len(w))))
+    return i_sq, c.objects[p].norm_sq(tuple(row[0] for row in u))
 
 
 def norm_ratio(v: MetrizedSpace, k: int, p: int, e: la.Vec) -> Fraction:
@@ -356,16 +394,10 @@ def norm_ratio(v: MetrizedSpace, k: int, p: int, e: la.Vec) -> Fraction:
 
 def norm_ratio_all(v: MetrizedSpace, k: int, p: int):
     """(basis index, i-norm^2, q-norm^2) for every basis vector not in
-    ker phi_p, with one shared elimination for the quotient norms."""
+    ker phi_p, with one product for the quotient norms."""
     c = koszul_complex(v, k)
-    f = c.maps[p]
-    m = f.matrix.entries
-    comp = orthogonal_complement(c.objects[p], f.kernel_basis())
-    cols = la.transpose(comp)
-    x = la.solve(la.matmul(m, cols), m)
-    if x is None:
-        raise AssertionError("every image vector is reachable from the complement")
-    u = la.matmul(cols, x)
+    m = c.maps[p].matrix.entries
+    u = _complement_preimages(c, p, m)
     g_next, g_here = c.objects[p + 1].gram, c.objects[p].gram
     out = []
     for idx in range(c.objects[p].dim):
@@ -377,6 +409,22 @@ def norm_ratio_all(v: MetrizedSpace, k: int, p: int):
             (idx, la.bilinear(g_next, w, w), la.bilinear(g_here, uvec, uvec))
         )
     return out
+
+
+def _complement_preimages(c: HermitianComplex, p: int, m: la.Mat) -> la.Mat:
+    """psi_p m, for a transform complex c and columns of m in the image
+    of phi_p: their preimages under phi_p in the orthogonal complement
+    of ker phi_p, whose norms are the quotient norms.
+
+    phi_p psi_p is the identity on the image of phi_p, and the image of
+    psi_p is orthogonal to ker phi_p, which is the image of phi_{p-1}
+    (c is exact) and 0 for p = 0. certify_complement checks both on
+    the result, with the columns of phi_{p-1} as the kernel's rows.
+    """
+    a, f = c.objects[p], c.maps[p].matrix.entries
+    kernel = la.transpose(c.maps[p - 1].matrix.entries) if p else la.zeros(0, a.dim)
+    u = la.matmul(c._sections[p], m)
+    return certify_complement(la.matmul(kernel, a.gram), f, u, m)
 
 
 class FormalObjectSum:

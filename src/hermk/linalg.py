@@ -168,7 +168,10 @@ def _int_mat(rows, den: int, ncols: int) -> Mat:
 
 
 def q(x) -> Fraction:
-    """Coerce an int, string, or Fraction to Fraction. Floats are refused."""
+    """Coerce an int, string, or Fraction to Fraction. Floats are refused.
+    A Fraction is immutable, so it is returned as it is."""
+    if type(x) is Fraction:
+        return x
     if isinstance(x, float):
         raise TypeError("floats are not exact; pass Fraction, int, or string")
     return Fraction(x)

@@ -18,7 +18,7 @@ from fractions import Fraction
 
 import pytest
 
-from hermk import cubes, koszul
+from hermk import core, cubes, koszul
 from hermk import linalg as la
 from hermk.cli import SuiteConfig, run_suite
 from hermk.core import (
@@ -34,12 +34,13 @@ from hermk.core import (
     standard_space,
     zero_map,
 )
-from hermk.instances import random_spd_gram
+from hermk.instances import instance_rng, random_space, random_spd_gram
 from hermk.koszul import (
     HermitianComplex,
     alternating_object_sum,
     koszul_complex,
     koszul_iterated,
+    koszul_norms,
     koszul_object,
     koszul_section,
     koszul_sum_isometry,
@@ -472,6 +473,181 @@ def test_split_test_matches_the_oracle_on_a_non_isometric_inject():
         inject = SpaceMap(sub, plane, ScaledMatrix(((F(2),), (F(0),)), scale_sq))
         ses = ShortExactMetrized(inject, project)
         assert is_hermitian_split(ses) is splits is _split_oracle(ses)
+
+
+def _nullspace_split_parts(ses: ShortExactMetrized):
+    """_split_parts as it was before the complement came from the
+    section, the oracle: None when test (a) fails, else (P N)^T H (P N)
+    and N^T G N for N the nullspace of K G (as columns), before the
+    scale."""
+    m = ses.inject.matrix
+    kg = la.matmul(la.transpose(m.entries), ses.total.gram)
+    if la.scale(la.matmul(kg, m.entries), m.scale_sq) != ses.sub.gram:
+        return None
+    comp = la.nullspace(kg)
+    assert len(comp) == ses.quot.dim
+    cols = la.transpose(comp)
+    pc = la.matmul(ses.project.matrix.entries, cols)
+    return (
+        la.matmul(la.matmul(la.transpose(pc), ses.quot.gram), pc),
+        la.matmul(la.matmul(comp, ses.total.gram), cols),
+    )
+
+
+def _split_instances():
+    """(dim, k, metric, complex) for every dim <= 4 and k <= 4, each
+    metric standard and random, plain and rescaled."""
+    for dim in range(1, 5):
+        for k in range(1, 5):
+            for metric in ("standard", "random"):
+                v = standard_space(dim) if metric == "standard" else random_space(instance_rng(dim, k), dim)
+                plain = koszul_complex(v, k)
+                yield dim, k, metric, plain
+                yield dim, k, f"{metric} rescaled", lambda_rescale(plain, k)
+
+
+def test_section_complement_matches_the_nullspace_oracle():
+    # the section's complement is the nullspace complement brought to
+    # P C = I, so the oracle's two parts, moved to that basis by
+    # X = (P N)^-1, are H and the new C^T G C, and the verdicts agree
+    verdicts = Counter()
+    for dim, k, metric, c in _split_instances():
+        for j, (_, ses) in enumerate(mu_decompose(c)):
+            where = (dim, k, metric, j)
+            assert ses._complement is not None, where
+            got = core._split_parts(ses)
+            oracle = _nullspace_split_parts(ses)
+            assert (got is None) == (oracle is None), where
+            if oracle is None:
+                continue
+            pgp, cgc = oracle
+            n = la.transpose(la.nullspace(la.matmul(la.transpose(ses.inject.matrix.entries), ses.total.gram)))
+            x = la.solve(la.matmul(ses.project.matrix.entries, n), la.identity(ses.quot.dim))
+            assert ses._complement() == la.matmul(n, x), where
+            assert la.matmul(la.matmul(la.transpose(x), pgp), x) == ses.quot.gram, where
+            assert la.matmul(la.matmul(la.transpose(x), cgc), x) == got, where
+            splits = is_hermitian_split(ses)
+            assert splits == (la.scale(pgp, ses.project.matrix.scale_sq) == cgc), where
+            verdicts[splits] += 1
+    assert verdicts[True] and verdicts[False]
+
+
+def _kernel_vector_added(c: la.Mat, kernel: la.Mat, col: int = 0) -> la.Mat:
+    """c with the first column of kernel added to its column col."""
+    rows = [list(row) for row in c]
+    for row, kv in zip(rows, kernel, strict=True):
+        row[col] += kv[0]
+    return la.mat(rows)
+
+
+def _column_scaled(c: la.Mat, kernel: la.Mat, col: int = 0) -> la.Mat:
+    """c with its column col doubled."""
+    rows = [list(row) for row in c]
+    for row in rows:
+        row[col] *= 2
+    return la.mat(rows)
+
+
+@pytest.mark.parametrize(
+    "doctor, message",
+    [(_kernel_vector_added, "not orthogonal"), (_column_scaled, "not a section")],
+)
+def test_a_doctored_complement_candidate_is_an_error(doctor, message):
+    c = koszul_complex(random_space(instance_rng(1, 0), 3), 3)
+    scaled = lambda_rescale(c, 3)
+    doctored = 0
+    for (_, ses), (_, twin) in zip(mu_decompose(c), mu_decompose(scaled)):
+        if not (ses.sub.dim and ses.quot.dim):
+            continue
+        bad = doctor(ses._complement(), ses.inject.matrix.entries)
+        for s in (ses, twin):
+            fresh = ShortExactMetrized(s.inject, s.project, lambda: bad)
+            with pytest.raises(AssertionError, match=message):
+                is_hermitian_split(fresh)
+        doctored += 1
+    assert doctored
+
+
+@pytest.mark.parametrize(
+    "doctor, message",
+    [(_kernel_vector_added, "not orthogonal"), (_column_scaled, "not a section")],
+)
+def test_doctored_sections_fail_the_norm_certificate(monkeypatch, doctor, message):
+    v = standard_space(3)
+    honest = koszul._Sections.__missing__
+
+    def doctored(self, p):
+        # a kernel vector of phi_p is a column of phi_{p-1}; the column
+        # doctored is one that the image of phi_p reaches
+        c = koszul_complex(v, self.k)
+        col = next(i for i, row in enumerate(c.maps[p].matrix.entries) if any(row))
+        m = self[p] = doctor(honest(self, p), c.maps[p - 1].matrix.entries, col)
+        return m
+
+    assert norm_ratio_all(v, 3, 1)
+    monkeypatch.setattr(koszul._Sections, "__missing__", doctored)
+    with pytest.raises(AssertionError, match=message):
+        norm_ratio_all(v, 3, 1)
+    with pytest.raises(AssertionError, match=message):
+        norm_ratio(v, 3, 1, (1,) + (0,) * (koszul_object(v, 3, 1).dim - 1))
+
+
+def test_the_split_test_of_a_transform_complex_takes_no_nullspace(monkeypatch):
+    calls = Counter()
+    honest = la.nullspace
+
+    def counted(a):
+        calls["nullspace"] += 1
+        return honest(a)
+
+    monkeypatch.setattr(la, "nullspace", counted)
+    v = random_space(instance_rng(1, 0), 3)
+    c = koszul_complex(v, 4)
+    scaled = lambda_rescale(c, 4)
+    parts = mu_decompose(c) + mu_decompose(scaled)
+    # the candidates are built only when the split test asks for them
+    assert not c._sections
+    assert [is_hermitian_split(s) for _, s in parts].count(False)
+    assert len(c._sections) == len(c.maps)
+    assert calls["nullspace"] == 0
+    # the control: the same complex without its sections falls back to
+    # one nullspace per sequence
+    bare = koszul_complex(v, 4)
+    bare._sections = None
+    assert [is_hermitian_split(s) for _, s in mu_decompose(bare)]
+    assert calls["nullspace"] == len(bare.maps)
+
+
+def _norms_oracle(v: MetrizedSpace, k: int, p: int):
+    """norm_ratio_all as it was before it read the section, the oracle:
+    the orthogonal complement of ker phi_p by a nullspace, and the
+    preimages by la.solve."""
+    c = koszul_complex(v, k)
+    f = c.maps[p]
+    m = f.matrix.entries
+    cols = la.transpose(orthogonal_complement(c.objects[p], f.kernel_basis()))
+    u = la.matmul(cols, la.solve(la.matmul(m, cols), m))
+    out = []
+    for idx in range(c.objects[p].dim):
+        w = tuple(row[idx] for row in m)
+        if any(w):
+            uvec = tuple(row[idx] for row in u)
+            out.append((idx, c.objects[p + 1].norm_sq(w), c.objects[p].norm_sq(uvec)))
+    return out
+
+
+def test_norms_match_the_complement_oracle_on_random_metrics():
+    rng = random.Random(61)
+    for dim in (1, 2, 3):
+        for v in (standard_space(dim), _random_space(rng, dim), SKEW):
+            for k in (1, 2, 3):
+                for p in range(k):
+                    rows = norm_ratio_all(v, k, p)
+                    assert rows == _norms_oracle(v, k, p)
+                    for idx, i_sq, q_sq in rows:
+                        e = tuple(int(i == idx) for i in range(koszul_object(v, k, p).dim))
+                        assert koszul_norms(v, k, p, e) == (i_sq, q_sq)
+                        assert i_sq == k * q_sq
 
 
 def test_an_image_outside_the_next_kernel_is_refused():

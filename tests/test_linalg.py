@@ -453,6 +453,17 @@ def test_degenerate_products_and_solves_skip_the_kernels(monkeypatch):
     assert not la.is_exact(la.zeros(3, 0), la.zeros(0, 3))
 
 
+def test_q_hands_a_fraction_back_as_it_is():
+    f = Fraction(3, 4)
+    assert la.q(f) is f
+    for raw, want in ((2, Fraction(2)), ("1/2", Fraction(1, 2)), (True, Fraction(1))):
+        got = la.q(raw)
+        assert type(got) is Fraction and got == want
+    for bad in (0.5, 2.0, float("inf")):
+        with pytest.raises(TypeError):
+            la.q(bad)
+
+
 def test_mat_coerces_raw_rows_once():
     m = la.mat([[1, "1/2"], [Fraction(2, 3), 0]])
     assert all(type(x) is Fraction for row in m for x in row)
