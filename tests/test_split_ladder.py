@@ -13,8 +13,8 @@ from hermk import core
 TOOL = pathlib.Path(__file__).resolve().parent.parent / "tools" / "split_ladder.py"
 
 
-def _ladder():
-    spec = importlib.util.spec_from_file_location("split_ladder", TOOL)
+def _ladder(path=TOOL):
+    spec = importlib.util.spec_from_file_location("split_ladder", path)
     mod = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(mod)
     return mod
@@ -22,7 +22,7 @@ def _ladder():
 
 def test_each_rung_runs_in_a_fresh_process_and_records_its_cost(tmp_path, capsys):
     out = tmp_path / "ladder.json"
-    assert _ladder().main(["--rungs", "2x2", "3x2", "--cap", "60", "--save", str(out)]) == 0
+    assert _ladder().main(["--rungs", "2x2", "3x2", "--save", str(out)]) == 0
     records = json.loads(out.read_text())
     printed = [json.loads(line) for line in capsys.readouterr().out.splitlines()]
     assert printed == records
@@ -31,7 +31,7 @@ def test_each_rung_runs_in_a_fresh_process_and_records_its_cost(tmp_path, capsys
     ]
     for r in records:
         assert r["correct"] and r["rescaled_split"] and not r["plain_split"]
-        assert not r["timed_out"] and r["cap_s"] == 60
+        assert not r["timed_out"] and r["cap_s"] == 120
         assert r["cpu_s"] >= 0 and r["peak_rss_mb"] > 0
     assert records[0]["seed_stream"] is None
     assert records[1]["seed_stream"] == "random_space(instance_rng(1, 0), dim)"
@@ -45,8 +45,35 @@ def test_a_constant_split_test_makes_a_rung_incorrect(monkeypatch, verdict):
     assert not ladder.run_rung(2, 2, "random")["correct"]
 
 
-def test_a_rung_over_its_cap_is_killed_and_fails_the_run(capsys):
+def test_a_rung_over_its_cap_is_killed_and_fails_the_run(monkeypatch, capsys):
     ladder = _ladder()
     rec = ladder.spawn_rung(2, 2, "standard", 0.001)
     assert rec["timed_out"] and not rec["correct"]
-    assert ladder.main(["--rungs", "2x2", "--metrics", "standard", "--cap", "0.001"]) == 1
+    monkeypatch.setattr(ladder, "CAP_S", 0.001)
+    assert ladder.main(["--rungs", "2x2"]) == 1
+
+
+def test_a_rung_whose_certificate_raises_is_recorded_and_fails_the_run(tmp_path, capsys):
+    # A copy of the tool whose child doubles every section candidate, so
+    # that P C = 2 I and certify_complement raises in the child process.
+    src = TOOL.read_text()
+    root_line = "ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))\n"
+    imports = "    from hermk.koszul import koszul_complex, lambda_rescale, mu_decompose\n"
+    assert src.count(root_line) == 1 and src.count(imports) == 1
+    doctored = tmp_path / "split_ladder.py"
+    doctored.write_text(
+        src.replace(root_line, f"ROOT = {str(TOOL.parent.parent)!r}\n").replace(
+            imports,
+            imports
+            + "    import hermk.koszul as hk, hermk.linalg as la\n"
+            + "    hk._section_complement = lambda s, j, m: la.scale(la.matmul(s[j], m), 2)\n",
+        )
+    )
+    ladder = _ladder(doctored)
+    rec = ladder.spawn_rung(2, 2, "random", 60)
+    assert not rec["correct"] and not rec["timed_out"] and rec["returncode"] != 0
+    assert "not a section of the projection" in rec["stderr_tail"][-1]
+    out = tmp_path / "ladder.json"
+    assert ladder.main(["--rungs", "2x2", "3x2", "--save", str(out)]) == 1
+    records = json.loads(out.read_text())
+    assert len(records) == 4 and not any(r["correct"] for r in records)

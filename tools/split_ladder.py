@@ -1,7 +1,7 @@
 """The Koszul split ladder: the koszul-split claim at growing size.
 
     python3 tools/split_ladder.py                      # the default rungs
-    python3 tools/split_ladder.py --rungs 4x4 --cap 120 --save out.json
+    python3 tools/split_ladder.py --rungs 4x4 --save out.json
 
 Run from the repository root; hermk is imported from src/. A rung is a
 (dim, k) pair and a metric on V = Q^dim: "standard" (orthonormal) or
@@ -9,14 +9,17 @@ Run from the repository root; hermk is imported from src/. A rung is a
 koszul_complex(V, k), then lambda_rescale, then is_hermitian_split on
 every sequence of mu_decompose of the plain and of the rescaled
 complex, as the koszul-split suite of `verify` does for one instance.
+Every rung runs under both metrics.
 
 Each rung runs in a fresh process and prints one JSON line: the process
 CPU seconds of the work (user + system, the interpreter start left
 out), the peak resident set of that process, the seed stream, the cap,
 and the verdicts. A rung is correct when every rescaled sequence splits
 and, for k >= 2, some plain one does not. A rung that overruns the cap
-is killed and recorded as timed out. The exit status is 1 when any rung
-is incorrect or timed out.
+of CAP_S seconds is killed and recorded as timed out; a rung whose
+process exits non-zero (a complement candidate that fails its
+certificate raises) is recorded as incorrect with the tail of its
+stderr. The exit status is 1 when any rung is incorrect.
 """
 
 from __future__ import annotations
@@ -32,6 +35,7 @@ import time
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 DEFAULT_RUNGS = ("4x4", "5x4", "5x5", "6x5")
 METRICS = ("standard", "random")
+CAP_S = 120.0
 SEED_STREAM = {"standard": None, "random": "random_space(instance_rng(1, 0), dim)"}
 
 
@@ -64,7 +68,11 @@ def run_rung(dim: int, k: int, metric: str) -> dict:
 
 
 def spawn_rung(dim: int, k: int, metric: str, cap: float) -> dict:
-    """The rung in a fresh process, killed after cap seconds."""
+    """The rung in a fresh process, killed after cap seconds.
+
+    A timeout or a non-zero exit is a record with correct False, never
+    an exception, so the rungs after it still run and are saved.
+    """
     out = {"dim": dim, "k": k, "metric": metric, "seed_stream": SEED_STREAM[metric], "cap_s": cap}
     cmd = [sys.executable, os.path.abspath(__file__), "--one", f"{dim}x{k}", metric]
     start = time.perf_counter()
@@ -72,6 +80,10 @@ def spawn_rung(dim: int, k: int, metric: str, cap: float) -> dict:
         done = subprocess.run(cmd, capture_output=True, text=True, timeout=cap, check=True)
     except subprocess.TimeoutExpired:
         out.update(timed_out=True, correct=False, wall_s=round(time.perf_counter() - start, 1))
+        return out
+    except subprocess.CalledProcessError as err:
+        out.update(timed_out=False, correct=False, returncode=err.returncode,
+                   stderr_tail=err.stderr.strip().splitlines()[-5:])
         return out
     out.update(json.loads(done.stdout.splitlines()[-1]), timed_out=False)
     return out
@@ -86,8 +98,6 @@ def main(argv=None) -> int:
     ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     ap.add_argument("--rungs", nargs="+", type=_rung, default=[_rung(r) for r in DEFAULT_RUNGS],
                     help="(dim)x(k) pairs, e.g. 4x4 5x5")
-    ap.add_argument("--metrics", nargs="+", choices=METRICS, default=list(METRICS))
-    ap.add_argument("--cap", type=float, default=120.0, help="seconds before a rung is killed")
     ap.add_argument("--save", help="also write the rung records to this JSON file")
     ap.add_argument("--one", nargs=2, metavar=("DIMxK", "METRIC"), help=argparse.SUPPRESS)
     args = ap.parse_args(argv)
@@ -96,8 +106,8 @@ def main(argv=None) -> int:
         return 0
     records = []
     for dim, k in args.rungs:
-        for metric in args.metrics:
-            rec = spawn_rung(dim, k, metric, args.cap)
+        for metric in METRICS:
+            rec = spawn_rung(dim, k, metric, CAP_S)
             print(json.dumps(rec), flush=True)
             records.append(rec)
     if args.save:
