@@ -23,7 +23,9 @@ are the oracle the tables are tested against). A table lives and dies
 with its object, so one verification trial shares its presentations
 and the next starts empty. The tables rely on one contract: a complex
 or map is not mutated after construction; only the constructors assign
-dims, diffs, source, target and maps.
+dims, diffs, source, target and maps. A degree without a stored matrix
+needs no table: its differential or component is the shared la.zeros
+of its shape.
 """
 
 from __future__ import annotations
@@ -74,10 +76,11 @@ class ChainComplex:
     coerced to Mats.
 
     homology(n) and forms_modulo_exact(n) are built once per degree and
-    kept, as is the zero diff(n) of a degree without a stored matrix, so
-    dims and diffs must not change after construction."""
+    kept, so dims and diffs must not change after construction. diff(n)
+    of a degree without a stored matrix is the shared la.zeros of its
+    shape."""
 
-    __slots__ = ("dims", "diffs", "_homology", "_forms", "_zeros")
+    __slots__ = ("dims", "diffs", "_homology", "_forms")
 
     def __init__(self, dims, diffs, check: bool = True):
         self.dims = {n: d for n, d in dict(dims).items() if d}
@@ -96,7 +99,6 @@ class ChainComplex:
                         raise ValueError(f"d.d != 0 at degree {n + 1}")
         self._homology: dict[int, PresentedQuotient] = {}
         self._forms: dict[int, PresentedQuotient] = {}
-        self._zeros: dict[int, la.Mat] = {}
 
     def homology(self, n: int) -> PresentedQuotient:
         """H_n, built by the module-level homology on first use."""
@@ -114,10 +116,7 @@ class ChainComplex:
         m = self.diffs.get(n)
         if m is not None:
             return m
-        return _kept(self._zeros, n, lambda: la.zeros(self.dim(n - 1), self.dim(n)))
-
-    def support(self):
-        return sorted(self.dims)
+        return la.zeros(self.dim(n - 1), self.dim(n))
 
     def is_zero(self) -> bool:
         return not self.dims
@@ -131,10 +130,11 @@ class ChainMap:
     components are coerced to Mats.
 
     cone(), truncated_map(n) and modified_homology(n) are built once and
-    kept, as is the zero map_at(n) of a degree without a stored matrix,
-    so source, target and maps must not change after construction."""
+    kept, so source, target and maps must not change after
+    construction. map_at(n) of a degree without a stored matrix is the
+    shared la.zeros of its shape."""
 
-    __slots__ = ("source", "target", "maps", "_cone", "_truncated", "_modified", "_zeros")
+    __slots__ = ("source", "target", "maps", "_cone", "_truncated", "_modified")
 
     def __init__(self, source, target, maps, check: bool = True):
         self.source = source
@@ -144,7 +144,6 @@ class ChainMap:
             for n, m in dict(maps).items()
             if source.dim(n) and target.dim(n)
         }
-        self._zeros: dict[int, la.Mat] = {}
         if check:
             for n, m in self.maps.items():
                 if la.shape(m) != (target.dim(n), source.dim(n)):
@@ -179,7 +178,7 @@ class ChainMap:
         m = self.maps.get(n)
         if m is not None:
             return m
-        return _kept(self._zeros, n, lambda: la.zeros(self.target.dim(n), self.source.dim(n)))
+        return la.zeros(self.target.dim(n), self.source.dim(n))
 
 
 def zero_chain_map(a: ChainComplex, b: ChainComplex) -> ChainMap:
@@ -306,11 +305,10 @@ class PresentedQuotient:
         m = la.stack(vectors, self.width)
         if not self.cycles.contains(m):
             raise ValueError("vector is not a cycle of this presentation")
+        if not self.pivots:
+            # the cycles are all boundaries: every class is zero
+            return la.zeros(len(m), self.width)
         return self.boundaries.reduce(m)
-
-    def same_class(self, u: la.Vec, v: la.Vec) -> bool:
-        nu, nv = self.normal_form((u, v))
-        return nu == nv
 
     def coords(self, vectors) -> la.Mat:
         """The matrix whose column j holds the coefficients of the class

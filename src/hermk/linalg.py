@@ -22,6 +22,11 @@ an EchelonBasis; outside this module only hermk.multilinear does, for
 its power Grams and the maps word_map builds. This module is the only
 one that writes a Mat's form.
 
+A Mat is never written into, so zeros(r, c) and identity(n) are one
+shared Mat per shape, and _int_mat hands back zeros(r, c) for every
+result with no rows or no columns: a shape-only result costs no
+arithmetic, and no caller a special case.
+
 The heavy kernels are delegated to hermk._qkernels, one fraction-free
 plain-Python implementation on integers, and this module is its only
 caller: it hands them the forms. The kernels need at least one row;
@@ -78,7 +83,9 @@ class Mat:
     tuples of Fractions. That view is built from the form on the first
     read and then kept; hash and repr are the view's. len and truth
     count the rows and build nothing. Nothing writes into a form, and
-    pickles and copies carry it.
+    pickles and copies carry it. zeros(r, c) and identity(n) are one
+    shared Mat per shape, as is every Mat with no rows or no columns
+    that _int_mat builds, pickles and copies included.
     """
 
     __slots__ = ("int_rows", "den", "ncols", "_rows")
@@ -159,7 +166,10 @@ def _least(rows, den: int) -> tuple[tuple[tuple[int, ...], ...], int]:
 
 def _int_mat(rows, den: int, ncols: int) -> Mat:
     """The Mat rows / den of width ncols, for integer rows over den > 0,
-    with the form _least(rows, den). It builds no Fraction."""
+    with the form _least(rows, den). It builds no Fraction. A result
+    with no rows or no columns is the shared zeros(len(rows), ncols)."""
+    if not (rows and ncols):
+        return zeros(len(rows), ncols)
     m = object.__new__(Mat)
     m.int_rows, m.den = _least(rows, den)
     m.ncols = ncols
@@ -209,12 +219,26 @@ def shape(a: Mat) -> tuple[int, int]:
     return (len(a.int_rows), a.ncols)
 
 
+# the shared zeros(r, c) and identity(n), by shape
+_ZEROS: dict[tuple[int, int], Mat] = {}
+_IDENTITIES: dict[int, Mat] = {}
+
+
 def zeros(r: int, c: int) -> Mat:
-    return _int_mat(((0,) * c,) * r, 1, c)
+    """The r x c zero matrix, one shared Mat per shape."""
+    m = _ZEROS.get((r, c))
+    if m is None:
+        m = _ZEROS[r, c] = object.__new__(Mat)
+        m.int_rows, m.den, m.ncols, m._rows = ((0,) * c,) * r, 1, c, None
+    return m
 
 
 def identity(n: int) -> Mat:
-    return _int_mat([(0,) * i + (1,) + (0,) * (n - 1 - i) for i in range(n)], 1, n)
+    """The n x n identity, one shared Mat per size."""
+    m = _IDENTITIES.get(n)
+    if m is None:
+        m = _IDENTITIES[n] = _int_mat([(0,) * i + (1,) + (0,) * (n - 1 - i) for i in range(n)], 1, n)
+    return m
 
 
 def transpose(a: Mat) -> Mat:
@@ -332,15 +356,19 @@ def block_matrix(row_dims: Sequence[int], col_dims: Sequence[int], blocks) -> Ma
 
     blocks maps (i, j), a cell of the grid, to a row_dims[i] x
     col_dims[j] matrix; missing cells are zero, and a key outside the
-    grid raises ValueError. The blocks are brought to the lcm of their
-    dens, and each block row is copied in as one slice.
+    grid or a block of another shape raises ValueError. The blocks are
+    brought to the lcm of their dens, and each block row is copied in
+    as one slice; a layout with no rows or no columns is zeros.
     """
-    for key in blocks:
-        i, j = key
+    for (i, j), blk in blocks.items():
         if not (0 <= i < len(row_dims) and 0 <= j < len(col_dims)):
-            raise ValueError(f"block {key} lies outside the {len(row_dims)} x {len(col_dims)} grid")
+            raise ValueError(f"block {(i, j)} lies outside the {len(row_dims)} x {len(col_dims)} grid")
+        if shape(blk) != (row_dims[i], col_dims[j]):
+            raise ValueError(f"block ({i},{j}) is {shape(blk)}, need {(row_dims[i], col_dims[j])}")
+    total_r, total_c = sum(row_dims), sum(col_dims)
+    if not (total_r and total_c):
+        return zeros(total_r, total_c)
     den = lcm(*(blk.den for blk in blocks.values()))
-    total_c = sum(col_dims)
     out = []
     for i, rd in enumerate(row_dims):
         rows = [[0] * total_c for _ in range(rd)]
@@ -348,8 +376,6 @@ def block_matrix(row_dims: Sequence[int], col_dims: Sequence[int], blocks) -> Ma
         for j, cd in enumerate(col_dims):
             blk = blocks.get((i, j))
             if blk is not None:
-                if shape(blk) != (rd, cd):
-                    raise ValueError(f"block ({i},{j}) is {shape(blk)}, need {(rd, cd)}")
                 s = den // blk.den
                 for row, brow in zip(rows, blk.int_rows):
                     row[off : off + cd] = brow if s == 1 else [s * x for x in brow]
@@ -582,11 +608,18 @@ class EchelonBasis:
         zero at every pivot, and zero everywhere exactly when that
         vector is in the span."""
         m = stack(vectors, self.rows.ncols)
+        if not (m and self.pivots):
+            # nothing to reduce, or nothing to reduce by
+            return m
         return _int_mat(self._residues(m), self.rows.den * m.den, m.ncols)
 
     def contains(self, vectors) -> bool:
         """Does the span hold every row of vectors?"""
-        return not any(map(any, self._residues(stack(vectors, self.rows.ncols))))
+        m = stack(vectors, self.rows.ncols)
+        if not (m and self.pivots):
+            # no rows, or the zero span
+            return is_zero(m)
+        return not any(map(any, self._residues(m)))
 
     def coords(self, vectors) -> Mat:
         """The matrix whose column j holds the coefficients of row j of

@@ -63,7 +63,7 @@ def test_chain_complex_validation():
         # d.d != 0: degree 2 -> 1 -> 0 both identities
         ChainComplex({0: 1, 1: 1, 2: 1}, {1: ((1,),), 2: ((1,),)})
     c = ChainComplex({0: 0, 1: 0}, {})
-    assert c.is_zero() and c.support() == []
+    assert c.is_zero() and sorted(c.dims) == []
 
 
 def test_raw_matrices_are_coerced_at_construction():
@@ -90,13 +90,42 @@ def test_presented_quotient_normal_forms():
     q = quotient_presentation(la.identity(2), (((1, 0)),), 2)
     assert q.dim == 1
     assert q.normal_form([(1, 1)]) == ((0, 1),)
-    assert q.same_class((1, 1), (0, 1)) and not q.same_class((1, 1), (1, 0))
+    # (1, 1) and (0, 1) differ by a boundary, (1, 1) and (1, 0) do not
+    nf = q.normal_form([(1, 1), (0, 1), (1, 0)])
+    assert nf[0] == nf[1] and nf[0] != nf[2]
     assert q.coords([(3, 2), (0, 1), (5, 0)]) == ((2, 1, 0),)
     narrow = quotient_presentation(((1, 0),), (), 2)
     with pytest.raises(ValueError):
         narrow.normal_form([(0, 1)])  # not a cycle
     with pytest.raises(ValueError):
         quotient_presentation(((1, 0),), ((0, 1),), 2)  # boundary outside
+
+
+def test_the_zero_group_answers_without_a_boundary_reduction(monkeypatch):
+    # cycles and boundaries both span (1, 1, 0): a presentation with no pivots
+    q = quotient_presentation([(1, 1, 0)], [(2, 2, 0)], 3)
+    rows = la.mat([(1, 1, 0), (-3, -3, 0)])
+    assert q.dim == 0 and q.boundaries.reduce(rows) == la.zeros(2, 3)
+
+    def refuse(self, vectors):
+        raise AssertionError("the zero group reduced by its boundaries")
+
+    monkeypatch.setattr(la.EchelonBasis, "reduce", refuse)
+    assert q.normal_form(rows) is la.zeros(2, 3)
+    assert q.coords(rows) is la.zeros(0, 2)
+    assert q.coords(la.zeros(0, 3)) is la.zeros(0, 0)
+    # control: the cycle test still runs
+    with pytest.raises(ValueError, match="not a cycle"):
+        q.coords([(1, 1, 0), (1, 0, 0)])
+    with pytest.raises(ValueError, match="not a cycle"):
+        q.normal_form([(0, 0, 1)])
+
+
+def test_a_degree_without_a_stored_matrix_reads_the_shared_zeros():
+    c = ChainComplex({0: 2, 1: 3}, {})
+    assert c.diff(1) is la.zeros(2, 3) and c.diff(5) is la.zeros(0, 0)
+    f = zero_chain_map(c, c)
+    assert f.map_at(1) is la.zeros(3, 3) and f.map_at(2) is la.zeros(0, 0)
 
 
 def test_homology_of_small_complexes():

@@ -453,6 +453,54 @@ def test_degenerate_products_and_solves_skip_the_kernels(monkeypatch):
     assert not la.is_exact(la.zeros(3, 0), la.zeros(0, 3))
 
 
+def test_shape_only_results_are_the_shared_zeros(monkeypatch):
+    assert la.zeros(2, 3) is la.zeros(2, 3) and la.identity(3) is la.identity(3)
+    assert la.matmul(la.zeros(2, 0), la.zeros(0, 3)) is la.zeros(2, 3)
+    assert la._int_mat([], 1, 4) is la.zeros(0, 4)
+    assert la._int_mat([(), ()], 5, 0) is la.zeros(2, 0)
+    a = la.mat([[1, 2, 3], [2, 4, 6]])
+    span = la.EchelonBasis(a, 3)
+
+    def refuse(*args):
+        raise AssertionError("a shape-only result paid for arithmetic")
+
+    # no result without rows or columns reaches _least or _residues
+    monkeypatch.setattr(la, "_least", refuse)
+    monkeypatch.setattr(la.EchelonBasis, "_residues", refuse)
+    results = {
+        "transpose": (la.transpose(la.zeros(0, 3)), (3, 0)),
+        "submatrix": (la.submatrix(a, (), range(3)), (0, 3)),
+        "columns": (la.columns(a, ()), (0, 2)),
+        "scale": (la.scale(la.zeros(2, 0), 3), (2, 0)),
+        "kron": (la.kron(a, la.zeros(2, 0)), (4, 0)),
+        "rref": (la.rref(la.zeros(2, 3))[0], (0, 3)),
+        "nullspace": (la.nullspace(la.identity(3)), (0, 3)),
+        "reduce": (span.reduce(la.zeros(0, 3)), (0, 3)),
+        "coords": (span.coords(la.zeros(0, 3)), (1, 0)),
+        "block_matrix": (la.block_matrix((2, 0), (0,), {(0, 0): la.zeros(2, 0)}), (2, 0)),
+        "solve": (la.solve(a, la.zeros(2, 0)), (3, 0)),
+    }
+    for name, (m, shape) in results.items():
+        assert m is la.zeros(*shape), name
+    # a basis with no pivots reduces nothing and holds only zero rows
+    zero = la.EchelonBasis.zero(3)
+    assert zero.reduce(a) is a and zero.contains(la.zeros(2, 3)) and not zero.contains(a)
+    assert span.contains(la.zeros(0, 3))
+
+
+def test_a_layout_with_no_rows_or_columns_still_checks_its_blocks():
+    assert la.block_matrix((0,), (2,), {(0, 0): la.zeros(0, 2)}) is la.zeros(0, 2)
+    # controls: a block of the wrong shape, and a key outside the grid
+    with pytest.raises(ValueError, match=re.escape("block (0,0) is (1, 2), need (0, 2)")):
+        la.block_matrix((0,), (2,), {(0, 0): la.zeros(1, 2)})
+    with pytest.raises(ValueError, match=re.escape("block (0,1) is (3, 0), need (2, 0)")):
+        la.block_matrix((2,), (0, 0), {(0, 1): la.zeros(3, 0)})
+    with pytest.raises(ValueError, match=re.escape("block (1, 0) lies outside")):
+        la.block_matrix((0,), (2,), {(1, 0): la.zeros(0, 2)})
+    with pytest.raises(ValueError, match=re.escape("block (0, -1) lies outside")):
+        la.block_matrix((3,), (0,), {(0, -1): la.zeros(3, 0)})
+
+
 def test_q_hands_a_fraction_back_as_it_is():
     f = Fraction(3, 4)
     assert la.q(f) is f

@@ -592,9 +592,11 @@ def test_form_comparison_catches_a_form_over_a_larger_denominator(monkeypatch):
 
 def test_reading_the_rows_moves_neither_equality_nor_hash():
     for name, m in _produced(20261023)[0]:
-        # a copy carries the form alone, with no rows read
+        # a copy carries the form alone, with no rows read; one without
+        # rows or columns comes back as the shared zeros of its shape
         twin = pickle.loads(pickle.dumps(m))
-        assert twin == m and twin is not m, name
+        r, c = la.shape(m)
+        assert twin == m and (twin is la.zeros(r, c) if not (r and c) else twin is not m), name
         rows = tuple(twin)
         assert form_of(twin) == form_of(m) == oracle_form(rows), name
         assert twin == m and m == rows and twin == rows, name
@@ -836,23 +838,87 @@ def _imported(tree) -> set[str]:
     return out
 
 
-# a Mat's form and its view of Fractions
-MAT_SLOTS = {"int_rows", "den", "_rows"}
+# a Mat's form, its width and its view of Fractions
+MAT_SLOTS = {"int_rows", "den", "ncols", "_rows"}
+
+
+def _assigned_slot(node) -> str | None:
+    """The Mat slot name node assigns, directly or through setattr or
+    __setattr__, if any."""
+    if isinstance(node, ast.Attribute) and node.attr in MAT_SLOTS and isinstance(node.ctx, ast.Store):
+        return node.attr
+    if isinstance(node, ast.Call):
+        func = node.func
+        if getattr(func, "id", None) == "setattr" or getattr(func, "attr", None) == "__setattr__":
+            # setattr(m, name, v), object.__setattr__(m, name, v) and
+            # m.__setattr__(name, v)
+            for x in node.args[:2]:
+                if isinstance(x, ast.Constant) and x.value in MAT_SLOTS:
+                    return x.value
+    return None
+
+
+def _form_writes(tree) -> set[tuple[str, str]]:
+    """(function, slot) for every assignment in tree of an attribute
+    named like a Mat slot, with the dotted name of the function or class
+    that makes it ("" at module level)."""
+    out = set()
+
+    def visit(node, scope):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+                visit(child, f"{scope}.{child.name}" if scope else child.name)
+                continue
+            slot = _assigned_slot(child)
+            if slot:
+                out.add((scope, slot))
+            visit(child, scope)
+
+    visit(tree, "")
+    return out
 
 
 def _writes_form(tree) -> bool:
-    """Does tree assign an attribute named like a Mat's form or view,
-    directly or through setattr or __setattr__?"""
-    for node in ast.walk(tree):
-        if isinstance(node, ast.Attribute) and node.attr in MAT_SLOTS:
-            if isinstance(node.ctx, ast.Store):
-                return True
-        if isinstance(node, ast.Call):
-            func = node.func
-            if getattr(func, "id", None) == "setattr" or getattr(func, "attr", None) == "__setattr__":
-                if any(isinstance(x, ast.Constant) and x.value in MAT_SLOTS for x in node.args[1:2]):
-                    return True
-    return False
+    """Does tree assign an attribute named like a Mat slot?"""
+    return bool(_form_writes(tree))
+
+
+# The functions of linalg that may assign those slots, and which. A
+# shared zeros Mat written once would be corrupted for every caller.
+LINALG_FORM_WRITERS = {
+    "Mat.__init__": MAT_SLOTS,
+    "_int_mat": MAT_SLOTS,
+    "zeros": MAT_SLOTS,
+    # the view is built from the form on the first read, the same for
+    # every reader
+    "Mat._view": {"_rows"},
+    # a _Fractions table's own den, not a Mat's
+    "_Fractions.__init__": {"den"},
+}
+
+
+def stray_form_writes(text: str) -> set[tuple[str, str]]:
+    """(function, slot) for the assignments in the linalg source text
+    that LINALG_FORM_WRITERS does not allow."""
+    return {(fn, slot) for fn, slot in _form_writes(ast.parse(text)) if slot not in LINALG_FORM_WRITERS.get(fn, ())}
+
+
+def test_only_the_builders_write_a_mat():
+    text = (SRC / "linalg.py").read_text()
+    assert stray_form_writes(text) == set()
+    # every allowed writer is seen writing
+    assert {fn for fn, _ in _form_writes(ast.parse(text))} == set(LINALG_FORM_WRITERS)
+    # controls: one doctored function each
+    doctored = {
+        ("transpose", "_rows"): ("def transpose(a: Mat) -> Mat:\n", "    a._rows = None\n"),
+        ("EchelonBasis.add", "den"): ("        self.pivots = self.pivots[:k]", "        self.rows.den = 1\n"),
+        ("block_matrix", "int_rows"): ("    total_r, total_c = sum(", "    setattr(blocks[0, 0], 'int_rows', ())\n"),
+        ("Mat._view", "ncols"): ("        rows = self._rows\n", "        self.ncols = 0\n"),
+        ("identity", "ncols"): ("    m = _IDENTITIES.get(n)\n", "    _ZEROS[0, 0].__setattr__('ncols', n)\n"),
+    }
+    for breach, (anchor, line) in doctored.items():
+        assert text.count(anchor) == 1, anchor
+        assert stray_form_writes(text.replace(anchor, anchor + line if anchor.endswith("\n") else line + anchor)) == {breach}
 
 
 # the private members of the span and presentation types

@@ -19,7 +19,9 @@ and, for k >= 2, some plain one does not. A rung that overruns the cap
 of CAP_S seconds is killed and recorded as timed out; a rung whose
 process exits non-zero (a complement candidate that fails its
 certificate raises) is recorded as incorrect with the tail of its
-stderr. The exit status is 1 when any rung is incorrect.
+stderr. The exit status is 1 when any rung is incorrect. The spawn,
+the cost record and the ladder loop here serve tools/complex_ladder.py
+too.
 """
 
 from __future__ import annotations
@@ -39,7 +41,8 @@ CAP_S = 120.0
 SEED_STREAM = {"standard": None, "random": "random_space(instance_rng(1, 0), dim)"}
 
 
-def _cpu_s() -> float:
+def cpu_s() -> float:
+    """User plus system CPU seconds of this process so far."""
     r = resource.getrusage(resource.RUSAGE_SELF)
     return r.ru_utime + r.ru_stime
 
@@ -51,16 +54,14 @@ def run_rung(dim: int, k: int, metric: str) -> dict:
     from hermk.instances import instance_rng, random_space
     from hermk.koszul import koszul_complex, lambda_rescale, mu_decompose
 
-    start = _cpu_s()
+    start = cpu_s()
     v = standard_space(dim) if metric == "standard" else random_space(instance_rng(1, 0), dim)
     plain = koszul_complex(v, k)
     scaled = lambda_rescale(plain, k)
     rescaled_split = all(is_hermitian_split(s) for _, s in mu_decompose(scaled))
     plain_split = all(is_hermitian_split(s) for _, s in mu_decompose(plain))
-    cpu = _cpu_s() - start
     return {
-        "cpu_s": round(cpu, 3),
-        "peak_rss_mb": round(resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024, 1),
+        **cost(start),
         "rescaled_split": rescaled_split,
         "plain_split": plain_split,
         "correct": rescaled_split and (k < 2 or not plain_split),
@@ -68,13 +69,20 @@ def run_rung(dim: int, k: int, metric: str) -> dict:
 
 
 def spawn_rung(dim: int, k: int, metric: str, cap: float) -> dict:
-    """The rung in a fresh process, killed after cap seconds.
+    """The rung in a fresh process, killed after cap seconds."""
+    out = {"dim": dim, "k": k, "metric": metric, "seed_stream": SEED_STREAM[metric], "cap_s": cap}
+    return spawn(__file__, [f"{dim}x{k}", metric], out, cap)
+
+
+def spawn(script: str, args: list[str], out: dict, cap: float) -> dict:
+    """out, updated with the JSON record that `script --one *args`
+    prints as its last line in a fresh process, killed after cap
+    seconds; the spawn and cap of every ladder in tools/.
 
     A timeout or a non-zero exit is a record with correct False, never
     an exception, so the rungs after it still run and are saved.
     """
-    out = {"dim": dim, "k": k, "metric": metric, "seed_stream": SEED_STREAM[metric], "cap_s": cap}
-    cmd = [sys.executable, os.path.abspath(__file__), "--one", f"{dim}x{k}", metric]
+    cmd = [sys.executable, os.path.abspath(script), "--one", *args]
     start = time.perf_counter()
     try:
         done = subprocess.run(cmd, capture_output=True, text=True, timeout=cap, check=True)
@@ -89,31 +97,48 @@ def spawn_rung(dim: int, k: int, metric: str, cap: float) -> dict:
     return out
 
 
-def _rung(text: str) -> tuple[int, int]:
-    dim, k = text.split("x")
-    return int(dim), int(k)
+def cost(start_cpu_s: float) -> dict:
+    """The CPU seconds of this process since start_cpu_s and its peak
+    resident set, as a rung records them."""
+    return {
+        "cpu_s": round(cpu_s() - start_cpu_s, 3),
+        "peak_rss_mb": round(resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024, 1),
+    }
+
+
+def run_ladder(rungs, spawn_one, save: str | None) -> int:
+    """The record spawn_one(rung) of each rung, printed as one JSON line
+    as it lands and, with save, written to that file as a JSON list.
+    The exit status is 1 when any record is incorrect."""
+    records = []
+    for rung in rungs:
+        rec = spawn_one(rung)
+        print(json.dumps(rec), flush=True)
+        records.append(rec)
+    if save:
+        with open(save, "w") as fh:
+            json.dump(records, fh, indent=1)
+    return 0 if all(r["correct"] for r in records) else 1
+
+
+def parse_pair(text: str) -> tuple[int, int]:
+    """The pair "4x5" as (4, 5)."""
+    a, b = text.split("x")
+    return int(a), int(b)
 
 
 def main(argv=None) -> int:
     ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
-    ap.add_argument("--rungs", nargs="+", type=_rung, default=[_rung(r) for r in DEFAULT_RUNGS],
+    ap.add_argument("--rungs", nargs="+", type=parse_pair, default=[parse_pair(r) for r in DEFAULT_RUNGS],
                     help="(dim)x(k) pairs, e.g. 4x4 5x5")
     ap.add_argument("--save", help="also write the rung records to this JSON file")
     ap.add_argument("--one", nargs=2, metavar=("DIMxK", "METRIC"), help=argparse.SUPPRESS)
     args = ap.parse_args(argv)
     if args.one:
-        print(json.dumps(run_rung(*_rung(args.one[0]), args.one[1])))
+        print(json.dumps(run_rung(*parse_pair(args.one[0]), args.one[1])))
         return 0
-    records = []
-    for dim, k in args.rungs:
-        for metric in METRICS:
-            rec = spawn_rung(dim, k, metric, CAP_S)
-            print(json.dumps(rec), flush=True)
-            records.append(rec)
-    if args.save:
-        with open(args.save, "w") as fh:
-            json.dump(records, fh, indent=1)
-    return 0 if all(r["correct"] for r in records) else 1
+    rungs = [(dim, k, metric) for dim, k in args.rungs for metric in METRICS]
+    return run_ladder(rungs, lambda rung: spawn_rung(*rung, CAP_S), args.save)
 
 
 if __name__ == "__main__":
