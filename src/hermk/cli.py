@@ -216,7 +216,7 @@ def _suite_koszul_section(run: _SuiteRun) -> None:
             for metric, v in _spaces_for(run, dim):
                 desc = f"dim={dim} k={k} metric={metric}"
                 c = koszul_complex(v, k)
-                psis = [koszul_section(v, k, p) for p in range(k)]
+                psis = [koszul_section(c, p) for p in range(k)]
                 run.add("koszul-complex-exact", desc, _contracted(c, psis))
                 ok = all(
                     phi.compose(psi).compose(phi).matrix == phi.matrix
@@ -305,7 +305,7 @@ def _quasi_iso_invariance(f: ChainMap, rng, n: int) -> bool:
             return False
         rho2 = compose_chain_maps(f, f1)
         h1 = rho2.modified_homology(n)
-        m = induced_modified_map(f1, idb, rho2, f, n, h1, h2)
+        m = induced_modified_map(f1, idb, rho2, f, n)
         if h1.dim != h2.dim or la.rank(m) != h1.dim:
             return False
     return True

@@ -333,10 +333,6 @@ class CubeSum:
     def summands(self):
         return tuple(self._terms.values())
 
-    def coefficient(self, cube: Cube) -> int:
-        entry = self._terms.get(cube)
-        return entry[0] if entry else 0
-
     def scaled(self, s: int) -> "CubeSum":
         if not s:
             return CubeSum(self.n)

@@ -400,14 +400,11 @@ class ModifiedMaps:
 
 
 def modified_maps(f: ChainMap, n: int) -> ModifiedMaps:
-    return _modified_maps(f, n, f.source.homology(n))
-
-
-def _modified_maps(f: ChainMap, n: int, ha: PresentedQuotient) -> ModifiedMaps:
-    """modified_maps, given ha = H_n(A)."""
+    """The structure maps of hat H_n(f), over the presentations the
+    tables of f and its complexes keep."""
     a, b = f.source, f.target
     wa = a.dim(n)
-    hat = f.modified_homology(n)
+    hat, ha = f.modified_homology(n), a.homology(n)
     forms = b.forms_modulo_exact(n + 1)
     zb = b.homology(n).cycles
 
@@ -476,7 +473,7 @@ def verify_modified_sequences(f: ChainMap) -> list[tuple[str, bool]]:
     for n in range(degrees[0] - 1, degrees[-1] + 2):
         ha_n = a.homology(n)
         ha_next = a.homology(n + 1)
-        mm = _modified_maps(f, n, ha_n)
+        mm = modified_maps(f, n)
         hat, forms = mm.hat, mm.forms
         hcone_n = cn.homology(n)
         hcone_prev = cn.homology(n - 1)
@@ -536,13 +533,10 @@ def induced_modified_map(
     rho: ChainMap,
     rho2: ChainMap,
     n: int,
-    hat1: PresentedQuotient,
-    hat2: PresentedQuotient,
 ) -> la.Mat:
     """The map hat H_n(rho) -> hat H_n(rho2) induced by a commuting
-    square (f1 on sources, f2 on targets): [(a, b)] -> [(f1 a, f2 b)].
-    hat1 and hat2 are the presentations modified_homology(rho, n) and
-    modified_homology(rho2, n), which the caller has built."""
+    square (f1 on sources, f2 on targets): [(a, b)] -> [(f1 a, f2 b)],
+    between the presentations the tables of rho and rho2 keep."""
     if f1.source is not rho.source and f1.source.dims != rho.source.dims:
         raise ValueError("f1 must start at the source of rho")
     degrees = set(rho.source.dims) | set(rho.target.dims) | set(rho2.source.dims)
@@ -553,10 +547,8 @@ def induced_modified_map(
             raise ValueError(f"square does not commute at degree {r}")
     dims1 = [rho.source.dim(n), rho.target.dim(n + 1)]
     dims2 = [rho2.source.dim(n), rho2.target.dim(n + 1)]
-    if hat1.width != sum(dims1) or hat2.width != sum(dims2):
-        raise ValueError("a presentation is not on A_n (+) B_{n+1} of its map")
     blk = la.block_matrix(dims2, dims1, {(0, 0): f1.map_at(n), (1, 1): f2.map_at(n + 1)})
-    return induced_on_quotients(blk, hat1, hat2)
+    return induced_on_quotients(blk, rho.modified_homology(n), rho2.modified_homology(n))
 
 
 def is_quasi_iso(f: ChainMap) -> bool:

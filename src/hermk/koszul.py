@@ -25,19 +25,20 @@ matrix product. Every other complex flagged acyclic is checked by ranks
 (la.is_exact); that check, rerun on a certified complex, is the oracle
 in the tests.
 
-A transform complex keeps its sections (_Sections). The image of psi_j
-is the orthogonal complement of ker phi_j, so the split test of the
-kernel sequences and the quotient norms of the norm ratios read it off
-psi_j, certified by core.certify_complement, with no elimination.
+A transform complex keeps its sections (_Sections), the one builder of
+psi_p; koszul_section reads them from there. The image of psi_j is the
+orthogonal complement of ker phi_j, so the split test of the kernel
+sequences and the quotient norms of the norm ratios read it off psi_j,
+certified by core.certify_complement, with no elimination.
 
-This module also builds: the rational section of phi_p; the 1/sqrt(k)
-rescale; the canonical kernel sequences mu^j with induced metrics and
-their hermitian-splitting test; formal integer combinations of metrized
-objects and the secondary Euler characteristic; two-dimensional
-(commuting) complexes with their total complex and the refinement of
-the secondary Euler characteristic that accounts for direct sums; the
-direct-sum decomposition isometry for V (+) W; and the recursion trace
-relating the additive and multiplicative descriptions of the transform.
+This module also builds: the 1/sqrt(k) rescale; the canonical kernel
+sequences mu^j with induced metrics and their hermitian-splitting test;
+formal integer combinations of metrized objects and the secondary Euler
+characteristic; two-dimensional (commuting) complexes with their total
+complex and the refinement of the secondary Euler characteristic that
+accounts for direct sums; the direct-sum decomposition isometry for
+V (+) W; and the recursion trace relating the additive and
+multiplicative descriptions of the transform.
 """
 
 from __future__ import annotations
@@ -174,11 +175,6 @@ class HermitianComplex:
         return f"HermitianComplex(dims={[o.dim for o in self.objects]})"
 
 
-def koszul_object(v: MetrizedSpace, k: int, p: int) -> MetrizedSpace:
-    """S^p V (x) Lambda^(k-p) V with the induced metric."""
-    return tensor_of_spaces(sym_power(v, p).space, ext_power(v, k - p).space)
-
-
 def _phi_images(label):
     """phi_p on one basis word (s, e)."""
     s, e = label
@@ -270,12 +266,17 @@ def _certify(objects, phis, psis, k: int) -> None:
                 raise ValueError(f"phi psi + psi phi is not the identity at degree {p}")
 
 
-def koszul_section(v: MetrizedSpace, k: int, p: int) -> SpaceMap:
-    """The rational section psi_p of phi_p: phi_p psi_p phi_p = phi_p."""
-    if not 0 <= p <= k - 1:
-        raise ValueError("need 0 <= p <= k-1")
-    src, dst = koszul_object(v, k, p + 1), koszul_object(v, k, p)
-    return SpaceMap(src, dst, word_map(src, dst, _psi_images, k))
+def koszul_section(c: HermitianComplex, p: int) -> SpaceMap:
+    """The rational section psi_p: A^{p+1} -> A^p of phi_p, read from
+    the sections of the transform complex c: phi_p psi_p phi_p = phi_p.
+    Its scale_sq is the inverse of phi_p's, so the identity holds on a
+    rescaling of c (lambda_rescale) too."""
+    if c._sections is None:
+        raise ValueError("the complex keeps no sections")
+    if not 0 <= p < c.top:
+        raise ValueError("need 0 <= p <= top-1")
+    scale_sq = 1 / c.maps[p].matrix.scale_sq
+    return SpaceMap(c.objects[p + 1], c.objects[p], ScaledMatrix(c._sections[p], scale_sq))
 
 
 def lambda_rescale(c: HermitianComplex, k: int) -> HermitianComplex:
@@ -450,10 +451,6 @@ class FormalObjectSum:
 
     def items(self):
         return tuple((c, s) for c, s in self._terms.values())
-
-    def coefficient(self, space: MetrizedSpace) -> int:
-        entry = self._terms.get(space.key())
-        return entry[0] if entry else 0
 
     def is_zero(self) -> bool:
         return not self._terms

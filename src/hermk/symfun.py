@@ -6,9 +6,9 @@ the expansion in the monomial symmetric basis m_lam (PartitionPoly):
 a symmetric polynomial is fixed by its coefficients at the partitions
 lam, and products of generators keep integer coordinates there. The
 Chern-character part carries non-symmetric root data and stays on
-exponent vectors (MonoPoly). The classical recurrences convert
-between the bases; the alternating composition expansion rewrites h_k
-in elementary terms; and the signed sum matching the secondary Euler
+exponent vectors (MonoPoly). Newton's recurrence writes p_k in the
+elementary basis; the alternating composition expansion writes h_k in
+elementary terms; and the signed sum matching the secondary Euler
 characteristic of the degree-k transform complex reproduces the k-th
 power sum. Graded elements model classes that Adams operations scale
 by k^p in degree p, and formal Chern characters over symbolic roots
@@ -27,7 +27,6 @@ __all__ = [
     "PartitionPoly",
     "SymPoly",
     "sym_gen",
-    "sym_one",
     "compositions",
     "newton_power_sum",
     "complete_from_compositions",
@@ -36,7 +35,6 @@ __all__ = [
     "graded_adams",
     "graded_mul",
     "ChernRootBundle",
-    "plain_roots",
     "scale_roots",
     "formal_chern_character",
     "adams_chern_commute",
@@ -231,7 +229,7 @@ class SymPoly:
 
     def add(self, other: "SymPoly") -> "SymPoly":
         if self.basis != other.basis:
-            raise ValueError("mixed-basis addition needs a rewrite first")
+            raise ValueError(f"addition: the bases {self.basis} and {other.basis} differ")
         acc = self.term_dict()
         for degs, coeff in other.terms:
             acc[degs] = acc.get(degs, Fraction(0)) + coeff
@@ -239,7 +237,7 @@ class SymPoly:
 
     def mul(self, other: "SymPoly") -> "SymPoly":
         if self.basis != other.basis:
-            raise ValueError("mixed-basis product needs a rewrite first")
+            raise ValueError(f"product: the bases {self.basis} and {other.basis} differ")
         acc: dict = {}
         for da, ca in self.terms:
             for db, cb in other.terms:
@@ -266,20 +264,6 @@ class SymPoly:
             out = out.add(prods[degs].scaled(coeff))
         return out
 
-    def rewrite(self, target: str) -> "SymPoly":
-        """Express the same symmetric function in another basis."""
-        if target not in _BASES:
-            raise ValueError(f"unknown basis {target!r}")
-        if target == self.basis:
-            return self
-        out = sym_one(target).scaled(0)
-        for degs, coeff in self.terms:
-            prod = sym_one(target)
-            for d in degs:
-                prod = prod.mul(_gen_rewrite(self.basis, d, target))
-            out = out.add(prod.scaled(coeff))
-        return out
-
     def is_zero(self) -> bool:
         return not self.terms
 
@@ -291,21 +275,6 @@ def sym_gen(basis: str, k: int) -> SymPoly:
     return SymPoly.make(basis, {(k,): Fraction(1)})
 
 
-def sym_one(basis: str) -> SymPoly:
-    return SymPoly.make(basis, {(): Fraction(1)})
-
-
-@lru_cache(maxsize=None)
-def _h_in_e(k: int) -> SymPoly:
-    # h_k = sum_{i=1..k} (-1)^(i-1) e_i h_{k-i}
-    if k == 0:
-        return sym_one("e")
-    out = sym_one("e").scaled(0)
-    for i in range(1, k + 1):
-        out = out.add(sym_gen("e", i).mul(_h_in_e(k - i)).scaled((-1) ** (i - 1)))
-    return out
-
-
 @lru_cache(maxsize=None)
 def _p_in_e(k: int) -> SymPoly:
     # p_k = sum_{i=1..k-1} (-1)^(i-1) e_i p_{k-i} + (-1)^(k-1) k e_k
@@ -313,35 +282,6 @@ def _p_in_e(k: int) -> SymPoly:
     for i in range(1, k):
         out = out.add(sym_gen("e", i).mul(_p_in_e(k - i)).scaled((-1) ** (i - 1)))
     return out
-
-
-@lru_cache(maxsize=None)
-def _e_in_h(k: int) -> SymPoly:
-    # e_k = sum_{i=1..k} (-1)^(i-1) h_i e_{k-i}
-    if k == 0:
-        return sym_one("h")
-    out = sym_one("h").scaled(0)
-    for i in range(1, k + 1):
-        out = out.add(sym_gen("h", i).mul(_e_in_h(k - i)).scaled((-1) ** (i - 1)))
-    return out
-
-
-@lru_cache(maxsize=None)
-def _e_in_p(k: int) -> SymPoly:
-    # k e_k = sum_{i=1..k} (-1)^(i-1) p_i e_{k-i}
-    if k == 0:
-        return sym_one("p")
-    out = sym_one("p").scaled(0)
-    for i in range(1, k + 1):
-        out = out.add(sym_gen("p", i).mul(_e_in_p(k - i)).scaled((-1) ** (i - 1)))
-    return out.scaled(Fraction(1, k))
-
-
-def _gen_rewrite(basis: str, k: int, target: str) -> SymPoly:
-    if basis == "e":
-        return {"h": _e_in_h, "p": _e_in_p}[target](k)
-    via_e = {"h": _h_in_e, "p": _p_in_e}[basis](k)
-    return via_e if target == "e" else via_e.rewrite(target)
 
 
 def compositions(k: int) -> list[tuple[int, ...]]:
@@ -396,19 +336,14 @@ def _euler_coeff(k: int, p: int) -> int:
 # -- graded classes and the Chern character --------------------------------
 
 
-def _coeff_zero(c) -> bool:
-    return c.is_zero() if isinstance(c, MonoPoly) else not c
-
-
 class GradedElement:
-    """Finitely supported map degree -> coefficient. Coefficients are
-    rationals, or monomial polynomials when the element carries
-    symbolic root data."""
+    """Finitely supported map degree -> coefficient, each coefficient a
+    MonoPoly in the symbolic roots."""
 
     __slots__ = ("parts",)
 
     def __init__(self, parts=()):
-        self.parts = {p: c for p, c in dict(parts).items() if not _coeff_zero(c)}
+        self.parts = {p: c for p, c in dict(parts).items() if not c.is_zero()}
 
     def degrees(self):
         return sorted(self.parts)
@@ -429,12 +364,7 @@ def graded_adams(x: GradedElement, k: int) -> GradedElement:
     """Scale the degree-p part by k^p."""
     if k < 0:
         raise ValueError("graded operations need k >= 0")
-    return GradedElement(
-        {
-            p: c.scaled(Fraction(k) ** p) if isinstance(c, MonoPoly) else c * k**p
-            for p, c in x.parts.items()
-        }
-    )
+    return GradedElement({p: c.scaled(Fraction(k) ** p) for p, c in x.parts.items()})
 
 
 def graded_mul(x: GradedElement, y: GradedElement) -> GradedElement:
@@ -442,12 +372,8 @@ def graded_mul(x: GradedElement, y: GradedElement) -> GradedElement:
     acc: dict = {}
     for p, cx in x.parts.items():
         for q, cy in y.parts.items():
-            prod = cx.mul(cy) if isinstance(cx, MonoPoly) else cx * cy
-            if p + q in acc:
-                prev = acc[p + q]
-                acc[p + q] = prev.add(prod) if isinstance(prev, MonoPoly) else prev + prod
-            else:
-                acc[p + q] = prod
+            prod = cx.mul(cy)
+            acc[p + q] = acc[p + q].add(prod) if p + q in acc else prod
     return GradedElement(acc)
 
 
@@ -475,10 +401,6 @@ class ChernRootBundle:
             key = _expo(n, ((i, m),))
             terms[key] = terms.get(key, Fraction(0)) + Fraction(s) ** m
         return MonoPoly(n, terms)
-
-
-def plain_roots(n: int, truncation: int) -> ChernRootBundle:
-    return ChernRootBundle((Fraction(1),) * n, truncation)
 
 
 def scale_roots(b: ChernRootBundle, k: int) -> ChernRootBundle:

@@ -303,7 +303,7 @@ def test_gs_commute_claims_catch_a_wrong_degree_two_power(monkeypatch):
         parts = dict(honest(x, k).parts)
         if 2 in parts:
             c = parts[2]
-            parts[2] = c.scaled(Fraction(k)) if isinstance(c, symfun.MonoPoly) else c * k
+            parts[2] = c.scaled(Fraction(k))
         return symfun.GradedElement(parts)
 
     monkeypatch.setattr(symfun, "graded_adams", doctored)
@@ -327,8 +327,8 @@ def test_koszul_exactness_claim_catches_a_doctored_section(monkeypatch):
     assert run_suite(cfg).failed == 0
     honest = cli.koszul_section
 
-    def unsigned(v, k, p):
-        s = honest(v, k, p)
+    def unsigned(c, p):
+        s = honest(c, p)
         rows = tuple(tuple(abs(x) for x in row) for row in s.matrix.entries)
         return SpaceMap(s.domain, s.codomain, la.Mat(rows, s.matrix.entries.ncols))
 
@@ -525,15 +525,15 @@ def _modified_failures() -> set:
 
 
 def test_sequences_claim_catches_a_zeroed_cycle_class_map(monkeypatch):
-    honest = hom._modified_maps
+    honest = hom.modified_maps
 
-    def doctored(f, n, ha):
+    def doctored(f, n):
         # hat H_n -> H_n(A) sent to zero: sequence (b) is then not onto
         # wherever H_n(A) is nonzero
-        mm = honest(f, n, ha)
+        mm = honest(f, n)
         return dataclasses.replace(mm, to_cycle_class=la.zeros(*la.shape(mm.to_cycle_class)))
 
-    monkeypatch.setattr(hom, "_modified_maps", doctored)
+    monkeypatch.setattr(hom, "modified_maps", doctored)
     assert _modified_failures() == {"modified-sequences-exact"}
 
 

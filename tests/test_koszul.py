@@ -36,12 +36,12 @@ from hermk.core import (
 )
 from hermk.instances import instance_rng, random_space, random_spd_gram
 from hermk.koszul import (
+    FormalObjectSum,
     HermitianComplex,
     alternating_object_sum,
     koszul_complex,
     koszul_iterated,
     koszul_norms,
-    koszul_object,
     koszul_section,
     koszul_sum_isometry,
     koszul_sum_rhs,
@@ -56,7 +56,15 @@ from hermk.koszul import (
     total_complex,
     transposed_koszul,
 )
-from hermk.multilinear import iota_map, j_map, pi_map, rho_map
+from hermk.multilinear import (
+    ext_power,
+    iota_map,
+    j_map,
+    pi_map,
+    rho_map,
+    sym_power,
+    tensor_of_spaces,
+)
 
 F = Fraction
 
@@ -66,6 +74,12 @@ SKEW = MetrizedSpace(("x", "y"), la.mat([[1, F(1, 2)], [F(1, 2), 1]]))
 def _random_space(rng: random.Random, dim: int) -> MetrizedSpace:
     labels = tuple(f"v{i}" for i in range(dim))
     return MetrizedSpace(labels, random_spd_gram(rng, dim))
+
+
+def _koszul_object(v: MetrizedSpace, k: int, p: int) -> MetrizedSpace:
+    """S^p V (x) Lambda^(k-p) V with the induced metric, built apart
+    from koszul_complex for the oracles."""
+    return tensor_of_spaces(sym_power(v, p).space, ext_power(v, k - p).space)
 
 
 def test_line_complex_is_frozen():
@@ -140,17 +154,19 @@ def test_acyclic_flag_is_checked_by_exactness():
 
 
 def test_section_identity():
+    # on the complex and on its rescaling, whose sections scale by k
     rng = random.Random(37)
     for dim in (1, 2, 3):
         for v in (standard_space(dim), _random_space(rng, dim)):
             for k in (1, 2, 3):
-                c = koszul_complex(v, k)
-                for p in range(k):
-                    phi = c.maps[p]
-                    psi = koszul_section(v, k, p)
-                    assert psi.domain == c.objects[p + 1]
-                    assert psi.codomain == c.objects[p]
-                    assert phi.compose(psi).compose(phi).matrix == phi.matrix
+                plain = koszul_complex(v, k)
+                for c in (plain, lambda_rescale(plain, k)):
+                    for p in range(k):
+                        phi, psi = c.maps[p], koszul_section(c, p)
+                        assert psi.domain == c.objects[p + 1]
+                        assert psi.codomain == c.objects[p]
+                        assert psi.matrix.scale_sq == 1 / phi.matrix.scale_sq
+                        assert phi.compose(psi).compose(phi).matrix == phi.matrix
 
 
 def _through_tensor_power(v, k, q, r) -> la.Mat:
@@ -164,14 +180,14 @@ def _oracle_phi(v, k, p) -> SpaceMap:
     """phi_p by its defining composite through T^k."""
     entries = _through_tensor_power(v, k, p + 1, p)
     scale = F(1, math.factorial(p) * math.factorial(k - p - 1))
-    return SpaceMap(koszul_object(v, k, p), koszul_object(v, k, p + 1), la.scale(entries, scale))
+    return SpaceMap(_koszul_object(v, k, p), _koszul_object(v, k, p + 1), la.scale(entries, scale))
 
 
 def _oracle_psi(v, k, p) -> SpaceMap:
     """psi_p by its defining composite through T^k."""
     entries = _through_tensor_power(v, k, p, p + 1)
     scale = F(1, k * math.factorial(p) * math.factorial(k - p - 1))
-    return SpaceMap(koszul_object(v, k, p + 1), koszul_object(v, k, p), la.scale(entries, scale))
+    return SpaceMap(_koszul_object(v, k, p + 1), _koszul_object(v, k, p), la.scale(entries, scale))
 
 
 def _differences(got: SpaceMap, want: SpaceMap) -> list[str]:
@@ -199,7 +215,7 @@ def _oracle_mismatches(spaces, degrees) -> list[tuple]:
             for p in range(k):
                 for name, got, want in (
                     ("phi", c.maps[p], _oracle_phi(v, k, p)),
-                    ("psi", koszul_section(v, k, p), _oracle_psi(v, k, p)),
+                    ("psi", koszul_section(c, p), _oracle_psi(v, k, p)),
                 ):
                     out += [(name, v.dim, k, p, d) for d in _differences(got, want)]
     return out
@@ -235,20 +251,27 @@ def test_oracle_comparison_catches_doctored_rules(monkeypatch):
     with pytest.raises(ValueError, match="maps 0, 1 do not compose to zero"):
         koszul_complex(v, 2)
     # the sign dropped from psi: it only shows from two letters on, where
-    # the certificate refuses it; koszul_section has no check of its
-    # own, and the oracle catches it there
+    # the certificate refuses it
     monkeypatch.setattr(koszul, "_phi_images", phi_rule)
-    monkeypatch.setattr(koszul, "_psi_images", lambda lab: ((t, abs(c)) for t, c in psi_rule(lab)))
+
+    def unsigned(lab):
+        return ((t, abs(c)) for t, c in psi_rule(lab))
+
+    monkeypatch.setattr(koszul, "_psi_images", unsigned)
     assert koszul_complex(v, 1).acyclic
     for k in (2, 3):
         with pytest.raises(ValueError, match="not the identity"):
             koszul_complex(v, k)
-    bad = [
-        (k, p, d)
-        for k in (1, 2, 3)
-        for p in range(k)
-        for d in _differences(koszul_section(v, k, p), _oracle_psi(v, k, p))
-    ]
+    # sections swapped in behind the certificate: koszul_section reads
+    # them as they are, and the oracle catches them there
+    monkeypatch.setattr(koszul, "_psi_images", psi_rule)
+    bad = []
+    for k in (1, 2, 3):
+        c = koszul_complex(v, k)
+        psis = [{lab: tuple(unsigned(lab)) for lab in b.labels} for b in c.objects[1:]]
+        c._sections = koszul._Sections(c.objects, psis, k)
+        for p in range(k):
+            bad += [(k, p, d) for d in _differences(koszul_section(c, p), _oracle_psi(v, k, p))]
     assert bad and {d for *_, d in bad} == {"entries"}
     assert {k for k, _, _ in bad} == {2, 3}
 
@@ -274,15 +297,25 @@ def test_dim4_degree5_is_exact_with_sections():
     assert [o.dim for o in c.objects] == [0, 4, 40, 120, 140, 56]
     for p in range(5):
         phi = c.maps[p]
-        assert phi.compose(koszul_section(v, 5, p)).compose(phi).matrix == phi.matrix
+        assert phi.compose(koszul_section(c, p)).compose(phi).matrix == phi.matrix
 
 
 def test_section_degree_bounds():
+    c = koszul_complex(standard_space(2), 2)
+    with pytest.raises(ValueError, match="top-1"):
+        koszul_section(c, 2)
+    with pytest.raises(ValueError, match="top-1"):
+        koszul_section(c, -1)
+
+
+def test_section_needs_a_complex_that_keeps_sections():
     v = standard_space(2)
-    with pytest.raises(ValueError):
-        koszul_section(v, 2, 2)
-    with pytest.raises(ValueError):
-        koszul_section(v, 2, -1)
+    transposed, _ = transposed_koszul(v, 2)
+    plain = koszul_complex(v, 2)
+    rebuilt = HermitianComplex(plain.objects, plain.maps, acyclic=True)
+    for c in (transposed, rebuilt, lambda_rescale(transposed, 2)):
+        with pytest.raises(ValueError, match="keeps no sections"):
+            koszul_section(c, 0)
 
 
 def _closed_form_norm(label, k: int, p: int) -> Fraction:
@@ -589,7 +622,7 @@ def test_doctored_sections_fail_the_norm_certificate(monkeypatch, doctor, messag
     with pytest.raises(AssertionError, match=message):
         norm_ratio_all(v, 3, 1)
     with pytest.raises(AssertionError, match=message):
-        norm_ratio(v, 3, 1, (1,) + (0,) * (koszul_object(v, 3, 1).dim - 1))
+        norm_ratio(v, 3, 1, (1,) + (0,) * (_koszul_object(v, 3, 1).dim - 1))
 
 
 def test_the_split_test_of_a_transform_complex_takes_no_nullspace(monkeypatch):
@@ -645,7 +678,7 @@ def test_norms_match_the_complement_oracle_on_random_metrics():
                     rows = norm_ratio_all(v, k, p)
                     assert rows == _norms_oracle(v, k, p)
                     for idx, i_sq, q_sq in rows:
-                        e = tuple(int(i == idx) for i in range(koszul_object(v, k, p).dim))
+                        e = tuple(int(i == idx) for i in range(_koszul_object(v, k, p).dim))
                         assert koszul_norms(v, k, p, e) == (i_sq, q_sq)
                         assert i_sq == k * q_sq
 
@@ -732,7 +765,7 @@ def test_formal_sum_drops_zero_terms_and_adds():
     s = secondary_euler(koszul_complex(v, 2))
     assert (s - s).is_zero()
     assert s.scaled(3).rank() == 3 * s.rank()
-    assert s.coefficient(ZERO_SPACE) == 0
+    assert s + FormalObjectSum([(1, ZERO_SPACE)]) == s
 
 
 def test_iterated_pair_identity():

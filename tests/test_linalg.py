@@ -277,7 +277,7 @@ def test_block_matrix_builds_every_caller_layout_as_the_old_constructions():
     for _ in range(60):
         r, c, k = rng.randrange(0, 4), rng.randrange(0, 4), rng.randrange(0, 4)
         a, b = _rational_block(rng, r, c), _rational_block(rng, r, k)
-        # la.solve, [a | b], and rho of homology._modified_maps, [f | -d]
+        # la.solve, [a | b], and rho of homology.modified_maps, [f | -d]
         got = la.block_matrix((r,), (c, k), {(0, 0): a, (0, 1): b})
         assert _same_mat(got, _hstack(a, b))
         # homology.modified_homology, the kernel of [d | 0]

@@ -525,7 +525,7 @@ def _koszul_produced(v):
     for k in (1, 2, 3):
         c = koszul.koszul_complex(v, k)
         out += [("phi", f.matrix.entries) for f in c.maps]
-        out += [("psi", koszul.koszul_section(v, k, p).matrix.entries) for p in range(k)]
+        out += [("psi", koszul.koszul_section(c, p).matrix.entries) for p in range(k)]
         t, swaps = koszul.transposed_koszul(v, k)
         out += [("swap", s.matrix.entries) for s in swaps]
         out += [("transposed phi", f.matrix.entries) for f in t.maps]

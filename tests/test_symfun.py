@@ -1,8 +1,9 @@
 """Symmetric-function identities and the graded operations they shadow.
 
-Frozen rewrites (p2, p3, h2, h3 in the elementary basis) are the
-classical Newton expansions, cross-checked against a computer-algebra
-expansion before freezing. Identity tests compare expansions in the
+The frozen left-hand sides (p2, p3 by Newton's recurrence and h2, h3
+by compositions, both in the elementary basis) are the classical
+expansions, cross-checked against a computer-algebra expansion before
+freezing. Identity tests compare expansions in the
 monomial symmetric basis (PartitionPoly), the module's equality test.
 
 The oracle for those expansions is the full expansion over every
@@ -35,10 +36,8 @@ from hermk.symfun import (
     graded_mul,
     koszul_euler_identity,
     newton_power_sum,
-    plain_roots,
     scale_roots,
     sym_gen,
-    sym_one,
 )
 
 F = Fraction
@@ -139,7 +138,7 @@ def test_generator_coordinates_in_the_monomial_symmetric_basis():
     assert sym_gen("h", 3).expand(2).coeffs == {(3,): 1, (2, 1): 1}
     assert sym_gen("p", 3).expand(2).coeffs == {(3,): 1}
     assert sym_gen("e", 3).expand(2) == PartitionPoly(2)
-    assert sym_one("p").expand(4).coeffs == {(): 1}
+    assert SymPoly.make("p", {(): F(1)}).expand(4).coeffs == {(): 1}
 
 
 def test_partition_keys_must_be_partitions_within_nvars():
@@ -163,7 +162,6 @@ def test_identity_sides_match_monomial_oracle():
                 sym_gen("p", k),
                 complete_from_compositions(k),
                 sym_gen("h", k),
-                sym_gen("p", k).rewrite("h"),
             ):
                 assert side.expand(n) == restricted(monomial_expand(side, n))
             assert koszul_euler_identity(k, n) == monomial_euler_identity(k, n)
@@ -188,49 +186,32 @@ def test_sorted_alpha_product_is_caught_by_the_oracle(monkeypatch):
 
 
 def test_newton_rewrites_are_frozen():
-    assert sym_gen("p", 2).rewrite("e").term_dict() == {(1, 1): F(1), (2,): F(-2)}
-    assert sym_gen("p", 3).rewrite("e").term_dict() == {
+    assert newton_power_sum(2).term_dict() == {(1, 1): F(1), (2,): F(-2)}
+    assert newton_power_sum(3).term_dict() == {
         (1, 1, 1): F(1),
         (1, 2): F(-3),
         (3,): F(3),
     }
-    assert sym_gen("h", 2).rewrite("e").term_dict() == {(1, 1): F(1), (2,): F(-1)}
-    assert sym_gen("h", 3).rewrite("e").term_dict() == {
+    assert complete_from_compositions(2).term_dict() == {(1, 1): F(1), (2,): F(-1)}
+    assert complete_from_compositions(3).term_dict() == {
         (1, 1, 1): F(1),
         (1, 2): F(-2),
         (3,): F(1),
     }
 
 
-def test_rewrites_preserve_expansion():
-    n = 6
-    for basis in ("e", "h", "p"):
-        for target in ("e", "h", "p"):
-            for k in range(1, 6):
-                g = sym_gen(basis, k)
-                assert g.rewrite(target).expand(n) == g.expand(n)
-
-
-def test_rewrites_round_trip():
-    for basis in ("e", "h", "p"):
-        for target in ("e", "h", "p"):
-            for k in range(1, 5):
-                g = sym_gen(basis, k)
-                assert g.rewrite(target).rewrite(basis) == g
-
-
 def test_sympoly_arithmetic_and_validation():
     a = sym_gen("e", 1)
     assert a.mul(a).term_dict() == {(1, 1): F(1)}
     assert a.add(a.scaled(-1)).is_zero()
-    assert sym_one("e").term_dict() == {(): F(1)}
+    assert SymPoly.make("e", {(): F(1)}).term_dict() == {(): F(1)}
     with pytest.raises(ValueError):
         sym_gen("e", 0)
     with pytest.raises(ValueError):
         SymPoly.make("q", {})
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="bases e and h differ"):
         a.add(sym_gen("h", 1))
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="bases e and p differ"):
         a.mul(sym_gen("p", 1))
 
 
@@ -267,26 +248,39 @@ def test_koszul_euler_identity_holds_in_range():
         koszul_euler_identity(3, 2)
 
 
+def _constant(c) -> MonoPoly:
+    return MonoPoly(1, {(0,): F(c)})
+
+
+def _graded(parts: dict) -> GradedElement:
+    return GradedElement({p: _constant(c) for p, c in parts.items()})
+
+
 def test_graded_adams_scales_by_degree_powers():
-    x = GradedElement({0: F(1), 1: F(2), 3: F(1, 3)})
+    x = _graded({0: 1, 1: 2, 3: F(1, 3)})
     y = graded_adams(x, 3)
-    assert y.parts == {0: F(1), 1: F(6), 3: F(9)}
-    assert graded_adams(x, 0).parts == {0: F(1)}
+    assert y == _graded({0: 1, 1: 6, 3: 9})
+    assert graded_adams(x, 0) == _graded({0: 1})
+    assert _graded({0: 1, 2: 0}).degrees() == [0]
     with pytest.raises(ValueError):
         graded_adams(x, -1)
 
 
 def test_graded_adams_is_multiplicative():
-    x = GradedElement({0: F(1), 1: F(1, 2), 2: F(3)})
-    y = GradedElement({1: F(2), 2: F(-1)})
+    x = _graded({0: 1, 1: F(1, 2), 2: 3})
+    y = _graded({1: 2, 2: -1})
     for k in range(5):
         lhs = graded_adams(graded_mul(x, y), k)
         rhs = graded_mul(graded_adams(x, k), graded_adams(y, k))
         assert lhs == rhs
 
 
+def _plain_roots(n: int, truncation: int) -> ChernRootBundle:
+    return ChernRootBundle((F(1),) * n, truncation)
+
+
 def test_chern_character_of_one_plain_root():
-    ch = formal_chern_character(plain_roots(1, 3))
+    ch = formal_chern_character(_plain_roots(1, 3))
     assert ch.parts[0] == MonoPoly.unit(1)
     assert ch.parts[1].terms == {(1,): F(1)}
     assert ch.parts[2].terms == {(2,): F(1, 2)}
@@ -296,7 +290,7 @@ def test_chern_character_of_one_plain_root():
 def test_adams_commutes_with_chern_character():
     for nroots in range(1, 5):
         for trunc in range(7):
-            b = plain_roots(nroots, trunc)
+            b = _plain_roots(nroots, trunc)
             for k in range(5):
                 assert adams_chern_commute(b, k)
 
@@ -310,7 +304,7 @@ def test_adams_commutes_for_scaled_roots():
 
 def test_chern_character_multiplicativity_shadow():
     # ch respects the graded product degreewise, so adams distributes
-    b = plain_roots(2, 4)
+    b = _plain_roots(2, 4)
     x = formal_chern_character(b)
     for k in range(4):
         assert graded_adams(graded_mul(x, x), k) == graded_mul(
@@ -323,4 +317,4 @@ def test_truncation_window_is_validated():
         ChernRootBundle((F(1),), 9)
     with pytest.raises(ValueError):
         ChernRootBundle((F(1),), -1)
-    assert plain_roots(2, 8).truncation == 8
+    assert _plain_roots(2, 8).truncation == 8
