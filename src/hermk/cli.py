@@ -275,15 +275,19 @@ def _suite_gs_commute(run: _SuiteRun) -> None:
     truncation = min(cfg.max_n + 3, 8)
     for k in range(1, cfg.max_k + 1):
         for roots in range(1, cfg.max_dim + 1):
-            rng = run.rng()
-            b = _random_root_bundle(rng, roots, truncation)
-            desc = f"k={k} roots={roots} truncation={truncation}"
-            run.add("chern-character-adams-commute", desc, adams_chern_commute(b, k))
-            b2 = _random_root_bundle(rng, roots, truncation)
-            x, y = formal_chern_character(b), formal_chern_character(b2)
-            lhs = graded_adams(graded_mul(x, y), k)
-            rhs = graded_mul(graded_adams(x, k), graded_adams(y, k))
-            run.add("graded-adams-multiplicative", desc, lhs == rhs)
+            _gs_checks(run, run.rng(), k, roots, truncation)
+
+
+def _gs_checks(run: _SuiteRun, rng, k: int, roots: int, truncation: int) -> None:
+    """The two gs-commute checks on two root bundles drawn from rng."""
+    b = _random_root_bundle(rng, roots, truncation)
+    desc = f"k={k} roots={roots} truncation={truncation}"
+    run.add("chern-character-adams-commute", desc, adams_chern_commute(b, k))
+    b2 = _random_root_bundle(rng, roots, truncation)
+    x, y = formal_chern_character(b), formal_chern_character(b2)
+    lhs = graded_adams(graded_mul(x, y), k)
+    rhs = graded_mul(graded_adams(x, k), graded_adams(y, k))
+    run.add("graded-adams-multiplicative", desc, lhs == rhs)
 
 
 def _sampled_degrees(f: ChainMap, rng) -> list[int]:

@@ -6,13 +6,20 @@ the expansion in the monomial symmetric basis m_lam (PartitionPoly):
 a symmetric polynomial is fixed by its coefficients at the partitions
 lam, and products of generators keep integer coordinates there. The
 Chern-character part carries non-symmetric root data and stays on
-exponent vectors (MonoPoly). Newton's recurrence writes p_k in the
-elementary basis; the alternating composition expansion writes h_k in
-elementary terms; and the signed sum matching the secondary Euler
-characteristic of the degree-k transform complex reproduces the k-th
-power sum. Graded elements model classes that Adams operations scale
-by k^p in degree p, and formal Chern characters over symbolic roots
-verify that the operations commute with ch.
+exponent vectors (MonoPoly). A MonoPoly is its integer form, int
+numerators over one least common denominator, so the Chern-character
+checks do their arithmetic in integers and compare forms. Newton's
+recurrence writes p_k in the elementary basis; the alternating
+composition expansion writes h_k in elementary terms; and the signed
+sum matching the secondary Euler characteristic of the degree-k
+transform complex reproduces the k-th power sum. Graded elements model
+classes that Adams operations scale by k^p in degree p, and formal
+Chern characters over symbolic roots verify that the operations
+commute with ch.
+
+Every coefficient, scalar and root scale is an int or a Fraction; a
+float raises TypeError, as it does for a linalg Mat, since
+Fraction(0.1) is a binary approximation of 0.1.
 """
 
 from __future__ import annotations
@@ -21,6 +28,8 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from itertools import product
+from math import gcd, lcm
+import operator
 
 __all__ = [
     "MonoPoly",
@@ -43,52 +52,133 @@ __all__ = [
 
 class MonoPoly:
     """Polynomial over Q in nvars commuting variables, keyed by
-    exponent tuples: the coefficients of the formal Chern character."""
+    exponent tuples: the coefficients of the formal Chern character.
 
-    __slots__ = ("nvars", "terms")
+    A MonoPoly is its integer form, as a linalg Mat is: nums maps each
+    exponent tuple to a nonzero int numerator, and denom > 0 is the
+    least common denominator of the coefficients, so the polynomial is
+    nums / denom. MonoPoly(nvars, terms) is the one conversion from int
+    or Fraction coefficients (a float raises TypeError, and every key
+    must have nvars exponents); _poly is the builder from integers, and
+    add, mul and scaled work on forms. The form is unique, so == and
+    hash compare forms. terms, the coefficients as Fractions, is built
+    on its first read and then kept. add and mul refuse operands with
+    different nvars.
+    """
+
+    __slots__ = ("nvars", "nums", "denom", "_terms")
 
     def __init__(self, nvars: int, terms=()):
+        terms = dict(terms)
+        if any(len(expo) != nvars for expo in terms):
+            raise ValueError(f"every exponent tuple must have {nvars} entries")
+        pairs = {expo: _ratio(c) for expo, c in terms.items()}
+        denom = lcm(*{d for _, d in pairs.values()})
         self.nvars = nvars
-        acc: dict = {}
-        for expo, coeff in dict(terms).items():
-            if coeff:
-                acc[expo] = acc.get(expo, Fraction(0)) + coeff
-        self.terms = {e: c for e, c in acc.items() if c}
+        self.nums, self.denom = _least({e: n * (denom // d) for e, (n, d) in pairs.items()}, denom)
+        self._terms = None
 
     @classmethod
     def unit(cls, nvars: int) -> "MonoPoly":
-        return cls(nvars, {(0,) * nvars: Fraction(1)})
+        return _poly(nvars, {(0,) * nvars: 1}, 1)
+
+    @property
+    def terms(self) -> dict:
+        """The coefficients as Fractions, keyed by exponent tuple."""
+        if self._terms is None:
+            d = self.denom
+            self._terms = {e: Fraction(c, d) for e, c in self.nums.items()}
+        return self._terms
 
     def is_zero(self) -> bool:
-        return not self.terms
+        return not self.nums
 
     def add(self, other: "MonoPoly") -> "MonoPoly":
-        acc = dict(self.terms)
-        for expo, coeff in other.terms.items():
-            acc[expo] = acc.get(expo, Fraction(0)) + coeff
-        return MonoPoly(self.nvars, acc)
+        return _sum((self, other))
 
     def mul(self, other: "MonoPoly") -> "MonoPoly":
+        """The product: numerators multiplied over the product of the
+        denominators, reduced once."""
+        _same_nvars(self, other, "product")
         acc: dict = {}
-        for ea, ca in self.terms.items():
-            for eb, cb in other.terms.items():
-                key = tuple(x + y for x, y in zip(ea, eb))
-                acc[key] = acc.get(key, Fraction(0)) + ca * cb
-        return MonoPoly(self.nvars, acc)
+        get, plus = acc.get, operator.add
+        for ea, ca in self.nums.items():
+            for eb, cb in other.nums.items():
+                key = tuple(map(plus, ea, eb))
+                acc[key] = get(key, 0) + ca * cb
+        return _poly(self.nvars, acc, self.denom * other.denom)
 
     def scaled(self, c) -> "MonoPoly":
-        return MonoPoly(self.nvars, {e: c * v for e, v in self.terms.items()})
+        """c times self, for an int or Fraction c (a float raises
+        TypeError)."""
+        n, d = _ratio(c)
+        if n == d:
+            return self
+        return _poly(self.nvars, {e: v * n for e, v in self.nums.items()}, self.denom * d)
 
     def __eq__(self, other):
         if not isinstance(other, MonoPoly):
             return NotImplemented
-        return self.nvars == other.nvars and self.terms == other.terms
+        return self.nvars == other.nvars and self.denom == other.denom and self.nums == other.nums
 
     def __hash__(self):
-        return hash((self.nvars, frozenset(self.terms.items())))
+        return hash((self.nvars, self.denom, frozenset(self.nums.items())))
 
     def __repr__(self):
-        return f"MonoPoly(nvars={self.nvars}, terms={len(self.terms)})"
+        return f"MonoPoly(nvars={self.nvars}, terms={len(self.nums)})"
+
+
+_NO_FLOATS = "floats are not exact; pass Fraction or int"
+
+
+def _ratio(x) -> tuple[int, int]:
+    """An exact coefficient as (numerator, denominator > 0). Floats are
+    refused: Fraction(0.1) is a binary approximation of 0.1."""
+    if isinstance(x, float):
+        raise TypeError(_NO_FLOATS)
+    return (x if isinstance(x, (int, Fraction)) else Fraction(x)).as_integer_ratio()
+
+
+def _least(nums: dict, denom: int) -> tuple[dict, int]:
+    """Int numerators over denom > 0 as (nums, denom) over the least
+    common denominator: zero numerators dropped, and the rest and denom
+    divided by their common factor. This is the form of a MonoPoly."""
+    if 0 in nums.values():
+        nums = {e: c for e, c in nums.items() if c}
+    g = gcd(denom, *nums.values()) if denom != 1 else 1
+    if g == 1:
+        return nums, denom
+    return {e: c // g for e, c in nums.items()}, denom // g
+
+
+def _poly(nvars: int, nums: dict, denom: int) -> MonoPoly:
+    """The MonoPoly nums / denom, for int numerators over denom > 0,
+    with the form _least(nums, denom). It builds no Fraction."""
+    p = object.__new__(MonoPoly)
+    p.nvars = nvars
+    p.nums, p.denom = _least(nums, denom)
+    p._terms = None
+    return p
+
+
+def _same_nvars(a: MonoPoly, b: MonoPoly, what: str) -> None:
+    if a.nvars != b.nvars:
+        raise ValueError(f"{what}: the variable counts {a.nvars} and {b.nvars} differ")
+
+
+def _sum(polys) -> MonoPoly:
+    """The sum of MonoPolys in one variable count, added over the lcm
+    of their denominators and reduced once."""
+    first = polys[0]
+    denom = lcm(*{p.denom for p in polys})
+    acc: dict = {}
+    get = acc.get
+    for p in polys:
+        _same_nvars(first, p, "sum")
+        f = denom // p.denom
+        for e, c in p.nums.items():
+            acc[e] = get(e, 0) + c * f
+    return _poly(first.nvars, acc, denom)
 
 
 def _expo(nvars: int, pairs) -> tuple:
@@ -144,6 +234,8 @@ class PartitionPoly:
     def __init__(self, nvars: int, coeffs=()):
         self.nvars = nvars
         self.coeffs = {lam: c for lam, c in dict(coeffs).items() if c}
+        if float in map(type, self.coeffs.values()):
+            raise TypeError(_NO_FLOATS)
         for lam in self.coeffs:
             if len(lam) > nvars or any(x < y for x, y in zip(lam, lam[1:])) or 0 in lam:
                 raise ValueError(f"{lam} is not a partition with at most {nvars} parts")
@@ -220,6 +312,8 @@ class SymPoly:
             key = tuple(sorted(degs))
             if any(d < 1 for d in key):
                 raise ValueError("generator degrees must be >= 1")
+            if isinstance(coeff, float):
+                raise TypeError(_NO_FLOATS)
             acc[key] = acc.get(key, Fraction(0)) + coeff
         pruned = tuple(sorted((k, c) for k, c in acc.items() if c))
         return SymPoly(basis, pruned)
@@ -364,23 +458,24 @@ def graded_adams(x: GradedElement, k: int) -> GradedElement:
     """Scale the degree-p part by k^p."""
     if k < 0:
         raise ValueError("graded operations need k >= 0")
-    return GradedElement({p: c.scaled(Fraction(k) ** p) for p, c in x.parts.items()})
+    return GradedElement({p: c.scaled(k**p) for p, c in x.parts.items()})
 
 
 def graded_mul(x: GradedElement, y: GradedElement) -> GradedElement:
-    """Degree-additive product."""
+    """Degree-additive product: the products that land in one degree
+    are added over one common denominator and reduced once."""
     acc: dict = {}
     for p, cx in x.parts.items():
         for q, cy in y.parts.items():
-            prod = cx.mul(cy)
-            acc[p + q] = acc[p + q].add(prod) if p + q in acc else prod
-    return GradedElement(acc)
+            acc.setdefault(p + q, []).append(cx.mul(cy))
+    return GradedElement({d: ps[0] if len(ps) == 1 else _sum(ps) for d, ps in acc.items()})
 
 
 @dataclass(frozen=True)
 class ChernRootBundle:
-    """Formal roots s_i * x_i (x_i symbolic, s_i rational multipliers)
-    with expansions truncated beyond degree truncation."""
+    """Formal roots s_i * x_i (x_i symbolic, s_i rational multipliers,
+    int or Fraction; a float raises TypeError) with expansions
+    truncated beyond degree truncation."""
 
     root_scales: tuple
     truncation: int
@@ -388,6 +483,8 @@ class ChernRootBundle:
     def __post_init__(self):
         if self.truncation < 0 or self.truncation > 8:
             raise ValueError("truncation degree must be in 0..8")
+        for s in self.root_scales:
+            _ratio(s)
 
     @property
     def nroots(self) -> int:
@@ -396,15 +493,17 @@ class ChernRootBundle:
     def power_sum(self, m: int) -> MonoPoly:
         """p_m of the roots as a polynomial in the symbolic generators."""
         n = self.nroots
-        terms: dict = {}
-        for i, s in enumerate(self.root_scales):
+        ratios = [_ratio(s) for s in self.root_scales]
+        denom = lcm(*{d**m for _, d in ratios})
+        nums: dict = {}
+        for i, (a, d) in enumerate(ratios):
             key = _expo(n, ((i, m),))
-            terms[key] = terms.get(key, Fraction(0)) + Fraction(s) ** m
-        return MonoPoly(n, terms)
+            nums[key] = nums.get(key, 0) + a**m * (denom // d**m)
+        return _poly(n, nums, denom)
 
 
 def scale_roots(b: ChernRootBundle, k: int) -> ChernRootBundle:
-    return ChernRootBundle(tuple(Fraction(k) * s for s in b.root_scales), b.truncation)
+    return ChernRootBundle(tuple(k * s for s in b.root_scales), b.truncation)
 
 
 def formal_chern_character(b: ChernRootBundle) -> GradedElement:
@@ -414,7 +513,8 @@ def formal_chern_character(b: ChernRootBundle) -> GradedElement:
     for m in range(b.truncation + 1):
         if m:
             fact *= m
-        parts[m] = b.power_sum(m).scaled(Fraction(1, fact))
+        p_m = b.power_sum(m)
+        parts[m] = _poly(p_m.nvars, p_m.nums, p_m.denom * fact)
     return GradedElement(parts)
 
 

@@ -11,10 +11,13 @@ exponent vector of n variables (MonoPoly products of e_monomials,
 h_monomials and p_monomials below, the module's former construction):
 restricted to descending exponent vectors, it must give the same
 coordinates for every generator product and identity side, n <= 5.
+MonoPoly, an integer form, is in turn checked against the Fraction-dict
+class it replaced (OracleMonoPoly below).
 """
 
 from __future__ import annotations
 
+import random
 from fractions import Fraction
 from functools import lru_cache
 from itertools import combinations, combinations_with_replacement, product
@@ -310,6 +313,195 @@ def test_chern_character_multiplicativity_shadow():
         assert graded_adams(graded_mul(x, x), k) == graded_mul(
             graded_adams(x, k), graded_adams(x, k)
         )
+
+
+# -- MonoPoly against the Fraction-dict class it replaced ------------------
+
+
+class OracleMonoPoly:
+    """The former MonoPoly: a dict of Fraction coefficients, every sum
+    and product through Fraction arithmetic. The oracle of MonoPoly."""
+
+    __slots__ = ("nvars", "terms")
+
+    def __init__(self, nvars: int, terms=()):
+        self.nvars = nvars
+        acc: dict = {}
+        for expo, coeff in dict(terms).items():
+            if coeff:
+                acc[expo] = acc.get(expo, Fraction(0)) + coeff
+        self.terms = {e: c for e, c in acc.items() if c}
+
+    @classmethod
+    def unit(cls, nvars: int) -> "OracleMonoPoly":
+        return cls(nvars, {(0,) * nvars: Fraction(1)})
+
+    def is_zero(self) -> bool:
+        return not self.terms
+
+    def add(self, other: "OracleMonoPoly") -> "OracleMonoPoly":
+        acc = dict(self.terms)
+        for expo, coeff in other.terms.items():
+            acc[expo] = acc.get(expo, Fraction(0)) + coeff
+        return OracleMonoPoly(self.nvars, acc)
+
+    def mul(self, other: "OracleMonoPoly") -> "OracleMonoPoly":
+        acc: dict = {}
+        for ea, ca in self.terms.items():
+            for eb, cb in other.terms.items():
+                key = tuple(x + y for x, y in zip(ea, eb))
+                acc[key] = acc.get(key, Fraction(0)) + ca * cb
+        return OracleMonoPoly(self.nvars, acc)
+
+    def scaled(self, c) -> "OracleMonoPoly":
+        return OracleMonoPoly(self.nvars, {e: c * v for e, v in self.terms.items()})
+
+    def __eq__(self, other):
+        if not isinstance(other, OracleMonoPoly):
+            return NotImplemented
+        return self.nvars == other.nvars and self.terms == other.terms
+
+    def __hash__(self):
+        return hash((self.nvars, frozenset(self.terms.items())))
+
+
+def _random_terms(rng, nvars: int) -> dict:
+    """A few terms of low degree; coefficients are ints, or Fractions
+    built from negative and non-unit denominators, sometimes 0."""
+    terms = {}
+    for _ in range(rng.randrange(5)):
+        expo = tuple(rng.randrange(3) for _ in range(nvars))
+        num = rng.randrange(-4, 5)
+        terms[expo] = num if rng.random() < 0.3 else F(num, rng.choice((1, -1, 2, -2, 3, 4, -6)))
+    return terms
+
+
+def _scalar(rng):
+    return rng.choice((0, 1, -1, 2, F(1, 2), F(-3, 4), F(6, -9), F(5, 3)))
+
+
+def _routes(rng, nvars: int, make) -> list:
+    """Polynomials built by make (MonoPoly or OracleMonoPoly) along
+    fixed routes from one random draw: the same draw gives the same
+    routes for both classes, and several routes reach one polynomial."""
+    a = make(nvars, _random_terms(rng, nvars))
+    b = make(nvars, _random_terms(rng, nvars))
+    c, half = _scalar(rng), F(1, 2)
+    x = make(nvars, {(1,) + (0,) * (nvars - 1): 1})
+    return [
+        a,
+        b,
+        a.add(b),
+        b.add(a),
+        a.mul(b),
+        b.mul(a),
+        a.scaled(c),
+        a.scaled(c).scaled(F(1) / c) if c else a.scaled(0),
+        a.add(a.scaled(-1)),  # cancels to zero
+        a.mul(b).add(a.mul(b.scaled(-1))),  # cancels to zero
+        a.add(b).mul(a.add(b.scaled(-1))),  # (a + b)(a - b)
+        a.mul(a).add(b.mul(b).scaled(-1)),  # a^2 - b^2, the same
+        x.scaled(half).scaled(2),  # (x/2) 2, equal to x
+        x.scaled(half).add(x.scaled(half)),  # x/2 + x/2, equal to x
+        x,
+        make(nvars),
+        make(nvars, {(0,) * nvars: F(3, 6)}).mul(make(nvars, {(0,) * nvars: 2})),
+        make.unit(nvars),
+    ]
+
+
+def oracle_mismatches(trials: int, seed: int = 20261021) -> list:
+    """(trial, route, what) wherever MonoPoly and the oracle disagree
+    on a route's terms or zero test, or on == or hash between two
+    routes (a route against itself too)."""
+    rng = random.Random(seed)
+    out = []
+    for trial in range(trials):
+        nvars = rng.randrange(1, 4)
+        state = rng.getstate()
+        fast = _routes(rng, nvars, MonoPoly)
+        rng.setstate(state)
+        slow = _routes(rng, nvars, OracleMonoPoly)
+        for i, (f, o) in enumerate(zip(fast, slow)):
+            if f.terms != o.terms or f.is_zero() != o.is_zero() or f.nvars != o.nvars:
+                out.append((trial, i, "terms"))
+            for j in range(i, len(fast)):
+                if (f == fast[j]) != (o == slow[j]):
+                    out.append((trial, (i, j), "=="))
+                elif f == fast[j] and hash(f) != hash(fast[j]):
+                    out.append((trial, (i, j), "hash"))
+    return out
+
+
+def test_monopoly_matches_the_fraction_dict_oracle():
+    assert oracle_mismatches(300) == []
+
+
+def test_a_reduction_without_the_gcd_step_is_caught_by_the_oracle(monkeypatch):
+    # the doctored form drops zeros but keeps the common factor, so
+    # (x/2) 2 is 2x/2 while x is x/1: the terms agree, == does not
+    def no_gcd(nums, denom):
+        return {e: c for e, c in nums.items() if c}, denom
+
+    monkeypatch.setattr(symfun, "_least", no_gcd)
+    found = oracle_mismatches(30)
+    assert found and {what for *_, what in found} == {"=="}
+
+
+def test_monopoly_holds_its_least_integer_form():
+    x = MonoPoly(2, {(1, 0): F(1, 2), (0, 1): F(-3, 4), (1, 1): 0})
+    assert (x.nums, x.denom) == ({(1, 0): 2, (0, 1): -3}, 4)
+    assert x.terms == {(1, 0): F(1, 2), (0, 1): F(-3, 4)}
+    assert x.terms is x.terms  # built once
+    y = x.scaled(4)
+    assert (y.nums, y.denom) == ({(1, 0): 2, (0, 1): -3}, 1)
+    assert all(type(c) is int for c in y.nums.values())
+    zero = x.add(x.scaled(-1))
+    assert zero.is_zero() and (zero.nums, zero.denom) == ({}, 1) and zero == MonoPoly(2)
+    assert hash(x.scaled(F(1, 3)).scaled(3)) == hash(x)
+    assert MonoPoly(1, {(0,): F(2, -4)}).denom == 2  # a positive denominator
+
+
+def test_monopoly_refuses_mixed_variable_counts():
+    a, b = MonoPoly.unit(2), MonoPoly.unit(3)
+    with pytest.raises(ValueError, match="product: the variable counts 2 and 3 differ"):
+        a.mul(b)
+    with pytest.raises(ValueError, match="sum: the variable counts 2 and 3 differ"):
+        a.add(b)
+    with pytest.raises(ValueError, match="every exponent tuple must have 2 entries"):
+        MonoPoly(2, {(1, 0, 0): 1})
+    x = formal_chern_character(_plain_roots(2, 3))
+    with pytest.raises(ValueError, match="variable counts 2 and 3 differ"):
+        graded_mul(x, formal_chern_character(_plain_roots(3, 3)))
+
+
+@pytest.mark.parametrize(
+    "build",
+    [
+        lambda: MonoPoly(1, {(0,): 0.5}),
+        lambda: MonoPoly.unit(1).scaled(0.5),
+        lambda: ChernRootBundle((F(1), 0.1), 2),
+        lambda: graded_adams(formal_chern_character(_plain_roots(1, 2)), 2.0),
+        lambda: PartitionPoly(2, {(1,): 0.5}),
+        lambda: sym_gen("e", 2).expand(2).scaled(0.5),
+        lambda: SymPoly.make("e", {(1,): 0.5}),
+        lambda: sym_gen("e", 1).scaled(0.5),
+    ],
+    ids=[
+        "MonoPoly",
+        "MonoPoly.scaled",
+        "ChernRootBundle",
+        "graded_adams",
+        "PartitionPoly",
+        "PartitionPoly.scaled",
+        "SymPoly.make",
+        "SymPoly.scaled",
+    ],
+)
+def test_floats_are_refused(build):
+    # Fraction(0.1) would be the binary approximation 3602879701896397/2^55
+    with pytest.raises(TypeError, match="floats are not exact"):
+        build()
 
 
 def test_truncation_window_is_validated():
