@@ -64,9 +64,7 @@ from .core import (
 )
 from .multilinear import (
     PowerBasisWord,
-    ext_power,
     power_tower,
-    sym_power,
     tensor_of_maps,
     tensor_of_spaces,
     word_map,
@@ -208,7 +206,7 @@ def koszul_complex(v: MetrizedSpace, k: int) -> HermitianComplex:
     if k < 0:
         raise ValueError("degree must be >= 0")
     syms, exts = power_tower(v, "sym", k), power_tower(v, "ext", k)
-    objects = [tensor_of_spaces(syms[p].space, exts[k - p].space) for p in range(k + 1)]
+    objects = [tensor_of_spaces(syms[p], exts[k - p]) for p in range(k + 1)]
     phis = [{lab: tuple(_phi_images(lab)) for lab in a.labels} for a in objects[:-1]]
     psis = [{lab: tuple(_psi_images(lab)) for lab in b.labels} for b in objects[1:]]
     if k:
@@ -838,9 +836,9 @@ def koszul_sum_isometry(
 # -- transposed complexes and the recursion trace -------------------------
 
 
-def _swap_map(v: MetrizedSpace, k: int, p: int) -> SpaceMap:
-    """The factor-swap isometry S^p (x) Lambda^(k-p) -> Lambda^(k-p) (x) S^p."""
-    sspace, espace = sym_power(v, p).space, ext_power(v, k - p).space
+def _swap_map(sspace: MetrizedSpace, espace: MetrizedSpace) -> SpaceMap:
+    """The factor-swap isometry S^p (x) Lambda^(k-p) -> Lambda^(k-p) (x) S^p,
+    for sspace = S^p v and espace = Lambda^(k-p) v."""
     src, dst = tensor_of_spaces(sspace, espace), tensor_of_spaces(espace, sspace)
     return SpaceMap(src, dst, word_map(src, dst, lambda lab: ((lab[::-1], 1),), 1))
 
@@ -857,7 +855,13 @@ def transposed_koszul(v: MetrizedSpace, k: int):
     Returns (complex, swaps): swaps[p] is the isometry conjugating
     degree p; the new maps are swap_{p+1} . phi_p . swap_p^{-1}.
     """
-    swaps = [_swap_map(v, k, p) for p in range(k + 1)]
+    return _transposed(power_tower(v, "sym", k), power_tower(v, "ext", k), k)
+
+
+def _transposed(syms: tuple, exts: tuple, k: int):
+    """transposed_koszul of degree k, from the power towers syms and
+    exts of v (of top degree k or more)."""
+    swaps = [_swap_map(syms[p], exts[k - p]) for p in range(k + 1)]
     objects = [s.codomain for s in swaps]
     maps = [
         SpaceMap(a, b, word_map(a, b, _swapped_phi_images, 1))
@@ -884,9 +888,10 @@ def _tensor_ses(ctx: MetrizedSpace, s: ShortExactMetrized) -> ShortExactMetrized
     )
 
 
-def _unit_iso(ctx: MetrizedSpace, v: MetrizedSpace) -> SpaceMap:
-    """ctx (x) S^0 -> ctx: strip the one-dimensional unit factor."""
-    src = tensor_of_spaces(ctx, sym_power(v, 0).space)
+def _unit_iso(ctx: MetrizedSpace, unit: MetrizedSpace) -> SpaceMap:
+    """ctx (x) S^0 -> ctx, for unit = S^0 v: strip the one-dimensional
+    unit factor."""
+    src = tensor_of_spaces(ctx, unit)
     return SpaceMap(src, ctx, la.identity(ctx.dim))
 
 
@@ -902,7 +907,8 @@ def psicomp_tree(k: int, v: MetrizedSpace | None = None) -> list[TraceNode]:
     where the recursion bottoms out. k = 1 has nothing to witness.
     Every sequence is validated exact and every isomorphism is checked
     to be an isometry on the concrete v (default: orthonormal of
-    dimension max(2, k)).
+    dimension max(2, k)). Every S^p and Lambda^q comes from one
+    power_tower per kind.
     """
     if k < 1:
         raise ValueError("degree must be >= 1")
@@ -911,10 +917,11 @@ def psicomp_tree(k: int, v: MetrizedSpace | None = None) -> list[TraceNode]:
 
         v = standard_space(max(2, k))
     nodes: list[TraceNode] = []
+    syms, exts = power_tower(v, "sym", k), power_tower(v, "ext", k)
 
     transposed: dict[int, HermitianComplex] = {}
     for m in range(2, k + 1):
-        ct, swaps = transposed_koszul(v, m)
+        ct, swaps = _transposed(syms, exts, m)
         transposed[m] = ct
         stage = f"expand-sym m={m}"
         for s in swaps:
@@ -929,7 +936,7 @@ def psicomp_tree(k: int, v: MetrizedSpace | None = None) -> list[TraceNode]:
         for extra in contexts[1:]:
             ctx = tensor_of_spaces(ctx, extra)
         if m == 0:
-            iso = _unit_iso(ctx, v)
+            iso = _unit_iso(ctx, syms[0])
             if not iso.is_isometry():
                 raise AssertionError("unit strip must be an isometry")
             nodes.append(TraceNode(stage, "iso", 1, iso=iso))
@@ -940,12 +947,12 @@ def psicomp_tree(k: int, v: MetrizedSpace | None = None) -> list[TraceNode]:
             if ctx.dim:
                 nodes.append(TraceNode(stage, "ses", sign, ses=_tensor_ses(ctx, ses)))
         for i in range(1, m + 1):
-            expand(m - i, contexts + (ext_power(v, i).space,), stage)
+            expand(m - i, contexts + (exts[i],), stage)
 
     for p in range(1, k):
-        s = _swap_map(v, k, p)
+        s = _swap_map(syms[p], exts[k - p])
         if not s.is_isometry():
             raise AssertionError("factor swap must be an isometry")
         nodes.append(TraceNode(f"peel p={p}", "iso", 1, iso=s))
-        expand(p, (ext_power(v, k - p).space,), f"peel p={p}")
+        expand(p, (exts[k - p],), f"peel p={p}")
     return nodes

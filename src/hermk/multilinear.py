@@ -52,38 +52,25 @@ class PowerBasisWord:
         return f"{self.kind}{list(self.indices)}"
 
 
-@dataclass(frozen=True)
-class PowerSpace:
-    underlying: MetrizedSpace
-    degree: int
-    kind: str
-    space: MetrizedSpace
-
-    @property
-    def words(self) -> tuple[PowerBasisWord, ...]:
-        return self.space.labels
-
-
 def _labels(kind: str, words) -> tuple[PowerBasisWord, ...]:
     return tuple(PowerBasisWord(kind, w) for w in words)
 
 
-def tensor_power(v: MetrizedSpace, k: int) -> PowerSpace:
+def tensor_power(v: MetrizedSpace, k: int) -> MetrizedSpace:
     """T^k v with the k-fold Kronecker power metric."""
     if k < 0:
         raise ValueError("power degree must be >= 0")
     words = list(itertools.product(range(v.dim), repeat=k))
     gram = reduce(la.kron, [v.gram] * k, la.identity(1))
-    space = MetrizedSpace(_labels("tensor", words), gram, check=False)
-    return PowerSpace(v, k, "tensor", space)
+    return MetrizedSpace(_labels("tensor", words), gram, check=False)
 
 
-def sym_power(v: MetrizedSpace, k: int) -> PowerSpace:
+def sym_power(v: MetrizedSpace, k: int) -> MetrizedSpace:
     """S^k v; Gram entry (I, J) = permanent of G[I, J]."""
     return _powers(v, "sym", k, k)[0]
 
 
-def ext_power(v: MetrizedSpace, k: int) -> PowerSpace:
+def ext_power(v: MetrizedSpace, k: int) -> MetrizedSpace:
     """Lambda^k v; Gram entry (I, J) = determinant of G[I, J].
 
     k > dim v yields the zero-dimensional space.
@@ -91,7 +78,7 @@ def ext_power(v: MetrizedSpace, k: int) -> PowerSpace:
     return _powers(v, "ext", k, k)[0]
 
 
-def power_tower(v: MetrizedSpace, kind: str, top: int) -> tuple[PowerSpace, ...]:
+def power_tower(v: MetrizedSpace, kind: str, top: int) -> tuple[MetrizedSpace, ...]:
     """(S^0 v, ..., S^top v) for kind "sym", the exterior powers for
     kind "ext": entry d equals sym_power(v, d), respectively
     ext_power(v, d), and all of them come from one expansion."""
@@ -101,7 +88,7 @@ def power_tower(v: MetrizedSpace, kind: str, top: int) -> tuple[PowerSpace, ...]
 _WORDS = {"sym": itertools.combinations_with_replacement, "ext": itertools.combinations}
 
 
-def _powers(v: MetrizedSpace, kind: str, top: int, low: int) -> tuple[PowerSpace, ...]:
+def _powers(v: MetrizedSpace, kind: str, top: int, low: int) -> tuple[MetrizedSpace, ...]:
     """The power spaces of degrees low..top, built level by level from
     degree 0 by expansion along the first letter."""
     if top < 0:
@@ -117,11 +104,10 @@ def _powers(v: MetrizedSpace, kind: str, top: int, low: int) -> tuple[PowerSpace
         if d >= low:
             words = list(index)
             if not words:
-                space = ZERO_SPACE
+                out.append(ZERO_SPACE)
             else:
                 rows = la._int_mat(gram, den**d, len(words))
-                space = MetrizedSpace(_labels(kind, words), rows, check=False)
-            out.append(PowerSpace(v, d, kind, space))
+                out.append(MetrizedSpace(_labels(kind, words), rows, check=False))
     return tuple(out)
 
 
@@ -188,7 +174,7 @@ def iota_map(v: MetrizedSpace, p: int, normalized: bool = False) -> SpaceMap:
     m_i!) distinct targets. With scale_sq = 1/p! (normalized=True) this
     is an isometry onto its image.
     """
-    sp, tp = sym_power(v, p).space, tensor_power(v, p).space
+    sp, tp = sym_power(v, p), tensor_power(v, p)
 
     def images(w):
         for t in itertools.permutations(w.indices):
@@ -200,7 +186,7 @@ def iota_map(v: MetrizedSpace, p: int, normalized: bool = False) -> SpaceMap:
 
 def j_map(v: MetrizedSpace, p: int, normalized: bool = False) -> SpaceMap:
     """Lambda^p v -> T^p v, the signed sum of permutations."""
-    ep, tp = ext_power(v, p).space, tensor_power(v, p).space
+    ep, tp = ext_power(v, p), tensor_power(v, p)
 
     def images(w):
         for t in itertools.permutations(w.indices):
@@ -212,7 +198,7 @@ def j_map(v: MetrizedSpace, p: int, normalized: bool = False) -> SpaceMap:
 
 def pi_map(v: MetrizedSpace, p: int) -> SpaceMap:
     """T^p v -> S^p v: sort the word, coefficient 1. pi . iota = p! id."""
-    sp, tp = sym_power(v, p).space, tensor_power(v, p).space
+    sp, tp = sym_power(v, p), tensor_power(v, p)
 
     def images(w):
         yield PowerBasisWord("sym", tuple(sorted(w.indices))), 1
@@ -222,7 +208,7 @@ def pi_map(v: MetrizedSpace, p: int) -> SpaceMap:
 
 def rho_map(v: MetrizedSpace, p: int) -> SpaceMap:
     """T^p v -> Lambda^p v: sign of the sorting shuffle, 0 on repeats."""
-    ep, tp = ext_power(v, p).space, tensor_power(v, p).space
+    ep, tp = ext_power(v, p), tensor_power(v, p)
 
     def images(w):
         if len(set(w.indices)) == len(w.indices):

@@ -1,25 +1,28 @@
 """Symmetric-function identities behind the graded Adams operations.
 
 Polynomials in the elementary (e), complete homogeneous (h), and power
-sum (p) generators. Equality in n underlying variables is decided on
-the expansion in the monomial symmetric basis m_lam (PartitionPoly):
-a symmetric polynomial is fixed by its coefficients at the partitions
-lam, and products of generators keep integer coordinates there. The
-Chern-character part carries non-symmetric root data and stays on
-exponent vectors (MonoPoly). A MonoPoly is its integer form, int
-numerators over one least common denominator, so the Chern-character
-checks do their arithmetic in integers and compare forms. Newton's
-recurrence writes p_k in the elementary basis; the alternating
-composition expansion writes h_k in elementary terms; and the signed
-sum matching the secondary Euler characteristic of the degree-k
-transform complex reproduces the k-th power sum. Graded elements model
-classes that Adams operations scale by k^p in degree p, and formal
-Chern characters over symbolic roots verify that the operations
-commute with ch.
+sum (p) generators (SymPoly). Equality in n underlying variables is
+decided on the expansion in the monomial symmetric basis m_lam
+(PartitionPoly): a symmetric polynomial is fixed by its coefficients at
+the partitions lam, and products of generators keep integer coordinates
+there. The Chern-character part carries non-symmetric root data and
+stays on exponent vectors (MonoPoly). Newton's recurrence writes p_k in
+the elementary basis; the alternating composition expansion writes h_k
+in elementary terms; and the signed sum matching the secondary Euler
+characteristic of the degree-k transform complex reproduces the k-th
+power sum. Graded elements model classes that Adams operations scale by
+k^p in degree p, and formal Chern characters over symbolic roots verify
+that the operations commute with ch.
 
-Every coefficient, scalar and root scale is an int or a Fraction; a
-float raises TypeError, as it does for a linalg Mat, since
-Fraction(0.1) is a binary approximation of 0.1.
+The three polynomial classes share one integer form, as a linalg Mat
+is one: int numerators by key over one least common denominator, in
+one ring (a variable count or a generator basis). Conversion, sum,
+scaling, == and hash are those of the form; each class adds only its
+key check and its product, so sums, products and expansions do their
+arithmetic in integers and build no Fraction. Every coefficient,
+scalar and root scale is an int or a Fraction; a float raises
+TypeError, as it does for a linalg Mat, since Fraction(0.1) is a
+binary approximation of 0.1.
 """
 
 from __future__ import annotations
@@ -29,6 +32,7 @@ from fractions import Fraction
 from functools import lru_cache
 from itertools import product
 from math import gcd, lcm
+from numbers import Rational
 import operator
 
 __all__ = [
@@ -50,82 +54,68 @@ __all__ = [
 ]
 
 
-class MonoPoly:
-    """Polynomial over Q in nvars commuting variables, keyed by
-    exponent tuples: the coefficients of the formal Chern character.
+class _IntForm:
+    """A polynomial over Q as its integer form: nums maps each key to a
+    nonzero int numerator, and denom > 0 is the least common
+    denominator of the coefficients, so the polynomial is nums / denom,
+    in the ring _ring. The form is unique, so == and hash compare
+    forms. Calling the class, cls(ring, terms), is the one conversion
+    from int or Fraction coefficients: a float raises TypeError, and
+    every key passes the class's _keys check (keys that it makes equal
+    add up). _form is the builder from integers; add and scaled work on
+    forms and refuse a different ring. terms, the coefficients as
+    Fractions, is built on its first read and then kept."""
 
-    A MonoPoly is its integer form, as a linalg Mat is: nums maps each
-    exponent tuple to a nonzero int numerator, and denom > 0 is the
-    least common denominator of the coefficients, so the polynomial is
-    nums / denom. MonoPoly(nvars, terms) is the one conversion from int
-    or Fraction coefficients (a float raises TypeError, and every key
-    must have nvars exponents); _poly is the builder from integers, and
-    add, mul and scaled work on forms. The form is unique, so == and
-    hash compare forms. terms, the coefficients as Fractions, is built
-    on its first read and then kept. add and mul refuse operands with
-    different nvars.
-    """
+    __slots__ = ("_ring", "nums", "denom", "_terms")
+    _RING = ""  # the ring's attribute name, for repr
+    _RINGS = ""  # how a refusal names two rings
 
-    __slots__ = ("nvars", "nums", "denom", "_terms")
-
-    def __init__(self, nvars: int, terms=()):
+    def __init__(self, ring, terms=()):
         terms = dict(terms)
-        if any(len(expo) != nvars for expo in terms):
-            raise ValueError(f"every exponent tuple must have {nvars} entries")
-        pairs = {expo: _ratio(c) for expo, c in terms.items()}
-        denom = lcm(*{d for _, d in pairs.values()})
-        self.nvars = nvars
-        self.nums, self.denom = _least({e: n * (denom // d) for e, (n, d) in pairs.items()}, denom)
+        keys = self._keys(ring, terms)
+        ratios = [_ratio(c) for c in terms.values()]
+        denom = lcm(*{d for _, d in ratios})
+        acc: dict = {}
+        get = acc.get
+        for key, (n, d) in zip(keys, ratios):
+            acc[key] = get(key, 0) + n * (denom // d)
+        self._ring = ring
+        self.nums, self.denom = _least(acc, denom)
         self._terms = None
-
-    @classmethod
-    def unit(cls, nvars: int) -> "MonoPoly":
-        return _poly(nvars, {(0,) * nvars: 1}, 1)
 
     @property
     def terms(self) -> dict:
-        """The coefficients as Fractions, keyed by exponent tuple."""
+        """The coefficients as Fractions, by key."""
         if self._terms is None:
             d = self.denom
-            self._terms = {e: Fraction(c, d) for e, c in self.nums.items()}
+            self._terms = {key: Fraction(c, d) for key, c in self.nums.items()}
         return self._terms
 
     def is_zero(self) -> bool:
         return not self.nums
 
-    def add(self, other: "MonoPoly") -> "MonoPoly":
+    def add(self, other):
         return _sum((self, other))
 
-    def mul(self, other: "MonoPoly") -> "MonoPoly":
-        """The product: numerators multiplied over the product of the
-        denominators, reduced once."""
-        _same_nvars(self, other, "product")
-        acc: dict = {}
-        get, plus = acc.get, operator.add
-        for ea, ca in self.nums.items():
-            for eb, cb in other.nums.items():
-                key = tuple(map(plus, ea, eb))
-                acc[key] = get(key, 0) + ca * cb
-        return _poly(self.nvars, acc, self.denom * other.denom)
-
-    def scaled(self, c) -> "MonoPoly":
+    def scaled(self, c):
         """c times self, for an int or Fraction c (a float raises
         TypeError)."""
         n, d = _ratio(c)
         if n == d:
             return self
-        return _poly(self.nvars, {e: v * n for e, v in self.nums.items()}, self.denom * d)
+        nums = {key: v * n for key, v in self.nums.items()}
+        return _form(type(self), self._ring, nums, self.denom * d)
 
     def __eq__(self, other):
-        if not isinstance(other, MonoPoly):
+        if type(other) is not type(self):
             return NotImplemented
-        return self.nvars == other.nvars and self.denom == other.denom and self.nums == other.nums
+        return self._ring == other._ring and self.denom == other.denom and self.nums == other.nums
 
     def __hash__(self):
-        return hash((self.nvars, self.denom, frozenset(self.nums.items())))
+        return hash((self._ring, self.denom, frozenset(self.nums.items())))
 
     def __repr__(self):
-        return f"MonoPoly(nvars={self.nvars}, terms={len(self.nums)})"
+        return f"{type(self).__name__}({self._RING}={self._ring!r}, terms={len(self.nums)})"
 
 
 _NO_FLOATS = "floats are not exact; pass Fraction or int"
@@ -136,49 +126,86 @@ def _ratio(x) -> tuple[int, int]:
     refused: Fraction(0.1) is a binary approximation of 0.1."""
     if isinstance(x, float):
         raise TypeError(_NO_FLOATS)
-    return (x if isinstance(x, (int, Fraction)) else Fraction(x)).as_integer_ratio()
+    if isinstance(x, Rational):
+        return x.numerator, x.denominator
+    return Fraction(x).as_integer_ratio()
 
 
 def _least(nums: dict, denom: int) -> tuple[dict, int]:
     """Int numerators over denom > 0 as (nums, denom) over the least
     common denominator: zero numerators dropped, and the rest and denom
-    divided by their common factor. This is the form of a MonoPoly."""
+    divided by their common factor. This is the integer form."""
     if 0 in nums.values():
-        nums = {e: c for e, c in nums.items() if c}
+        nums = {key: c for key, c in nums.items() if c}
     g = gcd(denom, *nums.values()) if denom != 1 else 1
     if g == 1:
         return nums, denom
-    return {e: c // g for e, c in nums.items()}, denom // g
+    return {key: c // g for key, c in nums.items()}, denom // g
 
 
-def _poly(nvars: int, nums: dict, denom: int) -> MonoPoly:
-    """The MonoPoly nums / denom, for int numerators over denom > 0,
-    with the form _least(nums, denom). It builds no Fraction."""
-    p = object.__new__(MonoPoly)
-    p.nvars = nvars
+def _form(cls, ring, nums: dict, denom: int):
+    """The cls polynomial nums / denom in ring, for int numerators over
+    denom > 0, with the form _least(nums, denom). Its keys are not
+    checked, and it builds no Fraction."""
+    p = object.__new__(cls)
+    p._ring = ring
     p.nums, p.denom = _least(nums, denom)
     p._terms = None
     return p
 
 
-def _same_nvars(a: MonoPoly, b: MonoPoly, what: str) -> None:
-    if a.nvars != b.nvars:
-        raise ValueError(f"{what}: the variable counts {a.nvars} and {b.nvars} differ")
+def _same_ring(a: _IntForm, b: _IntForm, what: str) -> None:
+    if type(b) is not type(a):
+        raise TypeError(f"{what}: a {type(a).__name__} and a {type(b).__name__}")
+    if a._ring != b._ring:
+        raise ValueError(f"{what}: the {a._RINGS} {a._ring} and {b._ring} differ")
 
 
-def _sum(polys) -> MonoPoly:
-    """The sum of MonoPolys in one variable count, added over the lcm
+def _sum(polys):
+    """The sum of polynomials of one class and ring, added over the lcm
     of their denominators and reduced once."""
     first = polys[0]
     denom = lcm(*{p.denom for p in polys})
     acc: dict = {}
     get = acc.get
     for p in polys:
-        _same_nvars(first, p, "sum")
+        _same_ring(first, p, "sum")
         f = denom // p.denom
-        for e, c in p.nums.items():
-            acc[e] = get(e, 0) + c * f
-    return _poly(first.nvars, acc, denom)
+        for key, c in p.nums.items():
+            acc[key] = get(key, 0) + c * f
+    return _form(type(first), first._ring, acc, denom)
+
+
+class MonoPoly(_IntForm):
+    """Polynomial over Q in nvars commuting variables, keyed by
+    exponent tuples: the coefficients of the formal Chern character.
+    MonoPoly(nvars, terms) refuses a key without nvars exponents; mul
+    multiplies numerators over the product of the denominators and
+    reduces once."""
+
+    __slots__ = ()
+    _RING, _RINGS = "nvars", "variable counts"
+    nvars = property(operator.attrgetter("_ring"))
+
+    @staticmethod
+    def _keys(nvars: int, keys):
+        if any(len(expo) != nvars for expo in keys):
+            raise ValueError(f"every exponent tuple must have {nvars} entries")
+        return keys
+
+    @classmethod
+    def unit(cls, nvars: int) -> "MonoPoly":
+        return _form(cls, nvars, {(0,) * nvars: 1}, 1)
+
+    def mul(self, other: "MonoPoly") -> "MonoPoly":
+        _same_ring(self, other, "product")
+        acc: dict = {}
+        get, plus = acc.get, operator.add
+        for ea, ca in self.nums.items():
+            for eb, cb in other.nums.items():
+                key = tuple(map(plus, ea, eb))
+                acc[key] = get(key, 0) + ca * cb
+        return _form(MonoPoly, self._ring, acc, self.denom * other.denom)
 
 
 def _expo(nvars: int, pairs) -> tuple:
@@ -220,43 +247,39 @@ def _splits(lam: tuple) -> tuple:
     return tuple((mu, nu, count) for (mu, nu), count in acc.items())
 
 
-class PartitionPoly:
+class PartitionPoly(_IntForm):
     """Symmetric polynomial in nvars variables, held by its coordinates
-    in the monomial symmetric basis: coeffs maps a partition lam (a
-    descending tuple of positive parts, at most nvars of them) to the
-    coefficient of m_lam, which is the coefficient of every monomial
-    whose exponents sort to lam. Equal coordinates mean equal
-    polynomials (Macdonald, Symmetric Functions and Hall Polynomials,
-    ch. I, section 2)."""
+    in the monomial symmetric basis: the key lam (a descending tuple of
+    positive parts, at most nvars of them) carries the coefficient of
+    m_lam, which is the coefficient of every monomial whose exponents
+    sort to lam. Equal coordinates mean equal polynomials (Macdonald,
+    Symmetric Functions and Hall Polynomials, ch. I, section 2).
+    PartitionPoly(nvars, coeffs) refuses a key that is no such
+    partition; products and generators are built from integers without
+    that check."""
 
-    __slots__ = ("nvars", "coeffs")
+    __slots__ = ()
+    _RING, _RINGS = "nvars", "variable counts"
+    nvars = property(operator.attrgetter("_ring"))
 
-    def __init__(self, nvars: int, coeffs=()):
-        self.nvars = nvars
-        self.coeffs = {lam: c for lam, c in dict(coeffs).items() if c}
-        if float in map(type, self.coeffs.values()):
-            raise TypeError(_NO_FLOATS)
-        for lam in self.coeffs:
-            if len(lam) > nvars or any(x < y for x, y in zip(lam, lam[1:])) or 0 in lam:
+    @staticmethod
+    def _keys(nvars: int, keys):
+        for lam in keys:
+            # descending, and down to a last part of at least 1
+            if len(lam) > nvars or any(x < y for x, y in zip(lam, lam[1:] + (1,))):
                 raise ValueError(f"{lam} is not a partition with at most {nvars} parts")
-
-    def add(self, other: "PartitionPoly") -> "PartitionPoly":
-        acc = dict(self.coeffs)
-        for lam, c in other.coeffs.items():
-            acc[lam] = acc.get(lam, 0) + c
-        return PartitionPoly(self.nvars, acc)
-
-    def scaled(self, c) -> "PartitionPoly":
-        return PartitionPoly(self.nvars, {lam: c * v for lam, v in self.coeffs.items()})
+        return keys
 
     def mul(self, other: "PartitionPoly") -> "PartitionPoly":
         """(fg)[lam] = sum over exponent vectors alpha <= lam of
-        f[sort(alpha)] g[sort(lam - alpha)]."""
-        f, g = self.coeffs, other.coeffs
+        f[sort(alpha)] g[sort(lam - alpha)], on the numerators over the
+        product of the denominators."""
+        _same_ring(self, other, "product")
+        f, g = self.nums, other.nums
         degrees = {a + b for a in {sum(mu) for mu in f} for b in {sum(nu) for nu in g}}
         out = {}
         for d in degrees:
-            for lam in _partitions(d, self.nvars):
+            for lam in _partitions(d, self._ring):
                 c = 0
                 for mu, nu, count in _splits(lam):
                     a = f.get(mu)
@@ -265,15 +288,7 @@ class PartitionPoly:
                         if b:
                             c += count * a * b
                 out[lam] = c
-        return PartitionPoly(self.nvars, out)
-
-    def __eq__(self, other):
-        if not isinstance(other, PartitionPoly):
-            return NotImplemented
-        return self.nvars == other.nvars and self.coeffs == other.coeffs
-
-    def __repr__(self):
-        return f"PartitionPoly(nvars={self.nvars}, terms={len(self.coeffs)})"
+        return _form(PartitionPoly, self._ring, out, self.denom * other.denom)
 
 
 def _generator(basis: str, d: int, n: int) -> PartitionPoly:
@@ -285,88 +300,66 @@ def _generator(basis: str, d: int, n: int) -> PartitionPoly:
         lams = _partitions(d, n)
     else:
         lams = [(d,)]
-    return PartitionPoly(n, dict.fromkeys(lams, 1))
+    return _form(PartitionPoly, n, dict.fromkeys(lams, 1), 1)
 
 
 _BASES = ("e", "h", "p")
 
 
-@dataclass(frozen=True)
-class SymPoly:
-    """Polynomial with rational coefficients in one generator family.
+class SymPoly(_IntForm):
+    """Polynomial with rational coefficients in one generator family,
+    the basis "e", "h" or "p". A key is a sorted tuple of generator
+    degrees (a monomial in the generators, e.g. (1, 1, 3) for g1^2 g3);
+    the empty tuple is the constant term. SymPoly(basis, terms) sorts
+    each key, refuses a degree below 1 and refuses an unknown basis,
+    with terms or without."""
 
-    terms maps a sorted tuple of generator degrees (a monomial in the
-    generators, e.g. (1, 1, 3) for g1^2 g3) to its coefficient. The
-    empty tuple is the constant term.
-    """
-
-    basis: str
-    terms: tuple  # tuple of (degrees, Fraction), canonically sorted
+    __slots__ = ()
+    _RING, _RINGS = "basis", "bases"
+    basis = property(operator.attrgetter("_ring"))
 
     @staticmethod
-    def make(basis: str, terms) -> "SymPoly":
+    def _keys(basis: str, keys):
         if basis not in _BASES:
             raise ValueError(f"unknown basis {basis!r}")
-        acc: dict = {}
-        for degs, coeff in dict(terms).items():
-            key = tuple(sorted(degs))
-            if any(d < 1 for d in key):
-                raise ValueError("generator degrees must be >= 1")
-            if isinstance(coeff, float):
-                raise TypeError(_NO_FLOATS)
-            acc[key] = acc.get(key, Fraction(0)) + coeff
-        pruned = tuple(sorted((k, c) for k, c in acc.items() if c))
-        return SymPoly(basis, pruned)
-
-    def term_dict(self) -> dict:
-        return dict(self.terms)
-
-    def add(self, other: "SymPoly") -> "SymPoly":
-        if self.basis != other.basis:
-            raise ValueError(f"addition: the bases {self.basis} and {other.basis} differ")
-        acc = self.term_dict()
-        for degs, coeff in other.terms:
-            acc[degs] = acc.get(degs, Fraction(0)) + coeff
-        return SymPoly.make(self.basis, acc)
+        keys = [tuple(sorted(degs)) for degs in keys]
+        if any(d < 1 for degs in keys for d in degs):
+            raise ValueError("generator degrees must be >= 1")
+        return keys
 
     def mul(self, other: "SymPoly") -> "SymPoly":
-        if self.basis != other.basis:
-            raise ValueError(f"product: the bases {self.basis} and {other.basis} differ")
+        _same_ring(self, other, "product")
         acc: dict = {}
-        for da, ca in self.terms:
-            for db, cb in other.terms:
+        get = acc.get
+        for da, ca in self.nums.items():
+            for db, cb in other.nums.items():
                 key = tuple(sorted(da + db))
-                acc[key] = acc.get(key, Fraction(0)) + ca * cb
-        return SymPoly.make(self.basis, acc)
-
-    def scaled(self, c) -> "SymPoly":
-        return SymPoly.make(self.basis, {d: c * v for d, v in self.terms})
+                acc[key] = get(key, 0) + ca * cb
+        return _form(SymPoly, self._ring, acc, self.denom * other.denom)
 
     def expand(self, n: int) -> PartitionPoly:
         """The symmetric polynomial in n variables, in the monomial
         symmetric basis: equal expansions mean equal polynomials.
-        Products of generators have integer coordinates; each term's
-        coefficient scales its product once, and terms that share a
-        prefix of generator degrees share its product."""
-        prods = {(): PartitionPoly(n, {(): 1})}
-        out = PartitionPoly(n)
-        for degs, coeff in self.terms:
+        Products of generators have integer coordinates (denominator
+        1), so the expansion is the sum of each numerator times its
+        product, over denom; terms that share a prefix of generator degrees share its
+        product."""
+        prods = {(): _form(PartitionPoly, n, {(): 1}, 1)}
+        acc: dict = {}
+        get = acc.get
+        for degs, c in self.nums.items():
             for i, d in enumerate(degs):
                 if degs[: i + 1] not in prods:
-                    gen = _generator(self.basis, d, n)
+                    gen = _generator(self._ring, d, n)
                     prods[degs[: i + 1]] = prods[degs[:i]].mul(gen)
-            out = out.add(prods[degs].scaled(coeff))
-        return out
-
-    def is_zero(self) -> bool:
-        return not self.terms
+            for lam, v in prods[degs].nums.items():
+                acc[lam] = get(lam, 0) + c * v
+        return _form(PartitionPoly, n, acc, self.denom)
 
 
 def sym_gen(basis: str, k: int) -> SymPoly:
     """The single generator of degree k (e_k, h_k, or p_k)."""
-    if k < 1:
-        raise ValueError("generators have degree >= 1")
-    return SymPoly.make(basis, {(k,): Fraction(1)})
+    return SymPoly(basis, {(k,): 1})
 
 
 @lru_cache(maxsize=None)
@@ -404,8 +397,8 @@ def complete_from_compositions(k: int) -> SymPoly:
     acc: dict = {}
     for comp in compositions(k):
         key = tuple(sorted(comp))
-        acc[key] = acc.get(key, Fraction(0)) + (-1) ** (len(comp) + k)
-    return SymPoly.make("e", acc)
+        acc[key] = acc.get(key, 0) + (-1) ** (len(comp) + k)
+    return _form(SymPoly, "e", acc, 1)
 
 
 def koszul_euler_identity(k: int, n: int) -> bool:
@@ -415,11 +408,11 @@ def koszul_euler_identity(k: int, n: int) -> bool:
     computing the k-th Adams operation."""
     if not 1 <= k <= n:
         raise ValueError("need 1 <= k <= n")
-    acc = PartitionPoly(n)
-    for p in range(k):
-        term = _generator("h", p, n).mul(_generator("e", k - p, n))
-        acc = acc.add(term.scaled(_euler_coeff(k, p)))
-    return acc == _generator("p", k, n)
+    terms = [
+        _generator("h", p, n).mul(_generator("e", k - p, n)).scaled(_euler_coeff(k, p))
+        for p in range(k)
+    ]
+    return _sum(terms) == _generator("p", k, n)
 
 
 def _euler_coeff(k: int, p: int) -> int:
@@ -499,7 +492,7 @@ class ChernRootBundle:
         for i, (a, d) in enumerate(ratios):
             key = _expo(n, ((i, m),))
             nums[key] = nums.get(key, 0) + a**m * (denom // d**m)
-        return _poly(n, nums, denom)
+        return _form(MonoPoly, n, nums, denom)
 
 
 def scale_roots(b: ChernRootBundle, k: int) -> ChernRootBundle:
@@ -514,7 +507,7 @@ def formal_chern_character(b: ChernRootBundle) -> GradedElement:
         if m:
             fact *= m
         p_m = b.power_sum(m)
-        parts[m] = _poly(p_m.nvars, p_m.nums, p_m.denom * fact)
+        parts[m] = _form(MonoPoly, p_m.nvars, p_m.nums, p_m.denom * fact)
     return GradedElement(parts)
 
 

@@ -265,10 +265,10 @@ def test_symfun_catches_a_doctored_newton_coefficient(monkeypatch):
     def doctored(k):
         # only the run's top degree: no lower degree the recurrence
         # caches is then built from the doctored one
-        terms = honest(k).term_dict()
+        terms = dict(honest(k).terms)
         if k == 6:
             terms[(6,)] += 1
-        return symfun.SymPoly.make("e", terms)
+        return symfun.SymPoly("e", terms)
 
     monkeypatch.setattr(symfun, "_p_in_e", doctored)
     assert _symfun_failures() == {("newton-power-sum-identity", "k=6 nvars=6")}
@@ -278,10 +278,10 @@ def test_symfun_catches_a_flipped_composition_sign(monkeypatch):
     honest = cli.complete_from_compositions
 
     def doctored(k):
-        terms = honest(k).term_dict()
+        terms = dict(honest(k).terms)
         if k == 5:
             terms[(1, 4)] = -terms[(1, 4)]
-        return symfun.SymPoly.make("e", terms)
+        return symfun.SymPoly("e", terms)
 
     monkeypatch.setattr(cli, "complete_from_compositions", doctored)
     assert _symfun_failures() == {("complete-by-compositions-identity", "k=5 nvars=6")}

@@ -79,7 +79,7 @@ def _random_space(rng: random.Random, dim: int) -> MetrizedSpace:
 def _koszul_object(v: MetrizedSpace, k: int, p: int) -> MetrizedSpace:
     """S^p V (x) Lambda^(k-p) V with the induced metric, built apart
     from koszul_complex for the oracles."""
-    return tensor_of_spaces(sym_power(v, p).space, ext_power(v, k - p).space)
+    return tensor_of_spaces(sym_power(v, p), ext_power(v, k - p))
 
 
 def test_line_complex_is_frozen():

@@ -40,21 +40,21 @@ SKEW = MetrizedSpace(("x", "y"), la.mat([[1, F(1, 2)], [F(1, 2), 1]]))
 def test_dimensions_match_counting():
     v = standard_space(3)
     for k in range(4):
-        assert tensor_power(v, k).space.dim == 3**k
-        assert sym_power(v, k).space.dim == math.comb(3 + k - 1, k)
-        assert ext_power(v, k).space.dim == math.comb(3, k)
+        assert tensor_power(v, k).dim == 3**k
+        assert sym_power(v, k).dim == math.comb(3 + k - 1, k)
+        assert ext_power(v, k).dim == math.comb(3, k)
 
 
 def test_standard_metric_grams():
     v = standard_space(2)
-    assert tensor_power(v, 2).space.gram == la.identity(4)
+    assert tensor_power(v, 2).gram == la.identity(4)
     # basis e0e0, e0e1, e1e1: permanent minors give 2, 1, 2
-    assert sym_power(v, 2).space.gram == la.mat([[2, 0, 0], [0, 1, 0], [0, 0, 2]])
-    assert ext_power(v, 2).space.gram == ((F(1),),)
+    assert sym_power(v, 2).gram == la.mat([[2, 0, 0], [0, 1, 0], [0, 0, 2]])
+    assert ext_power(v, 2).gram == ((F(1),),)
 
 
 def test_skew_metric_grams():
-    s2 = sym_power(SKEW, 2).space
+    s2 = sym_power(SKEW, 2)
     assert s2.gram == la.mat(
         [
             [2, 1, F(1, 2)],
@@ -62,7 +62,7 @@ def test_skew_metric_grams():
             [F(1, 2), 1, 2],
         ]
     )
-    e2 = ext_power(SKEW, 2).space
+    e2 = ext_power(SKEW, 2)
     assert e2.gram == ((F(3, 4),),)
 
 
@@ -95,25 +95,24 @@ def test_towers_equal_the_minor_oracle():
     for v in spaces:
         for kind, words_of, minor, single in KINDS:
             tower = power_tower(v, kind, 5)
-            assert [(p.kind, p.degree, p.underlying) for p in tower] == [
-                (kind, d, v) for d in range(6)
-            ]
+            assert len(tower) == 6
             for d, p in enumerate(tower):
                 words = list(words_of(range(v.dim), d))
-                assert [w.indices for w in p.words] == words
-                assert p.space.gram == _minor_gram(v.gram, words, minor)
-                assert all(type(x) is Fraction for row in p.space.gram for x in row)
+                assert [w.indices for w in p.labels] == words
+                assert all(w.kind == kind for w in p.labels)
+                assert p.gram == _minor_gram(v.gram, words, minor)
+                assert all(type(x) is Fraction for row in p.gram for x in row)
                 assert p == single(v, d)
                 if not words:
                     # Lambda^d for d > dim, S^d of the zero space for d > 0
-                    assert p.space == ZERO_SPACE
+                    assert p == ZERO_SPACE
 
 
 def test_tower_degree_zero_and_bad_arguments():
     for kind, *_ in KINDS:
         (unit,) = power_tower(SKEW, kind, 0)
-        assert unit.space.gram == la.identity(1)
-        assert [w.indices for w in unit.words] == [()]
+        assert unit.gram == la.identity(1)
+        assert [w.indices for w in unit.labels] == [()]
         with pytest.raises(ValueError):
             power_tower(SKEW, kind, -1)
     with pytest.raises(ValueError):
@@ -124,14 +123,14 @@ def test_tower_degree_zero_and_bad_arguments():
 
 def test_word_enumeration_orders():
     v = standard_space(2)
-    assert [w.indices for w in tensor_power(v, 2).words] == [
+    assert [w.indices for w in tensor_power(v, 2).labels] == [
         (0, 0),
         (0, 1),
         (1, 0),
         (1, 1),
     ]
-    assert [w.indices for w in sym_power(v, 2).words] == [(0, 0), (0, 1), (1, 1)]
-    assert [w.indices for w in ext_power(v, 3).words] == []
+    assert [w.indices for w in sym_power(v, 2).labels] == [(0, 0), (0, 1), (1, 1)]
+    assert [w.indices for w in ext_power(v, 3).labels] == []
 
 
 def test_pi_iota_composite_is_factorial():

@@ -44,6 +44,7 @@ TEST_ONLY = {
     "koszul.psicomp_tree": ("claim", "the recursion trace of the transform"),
     "koszul.secondary_euler_pair_identity": ("claim", "the secondary Euler refinement"),
     "koszul.ses_boundary": ("claim", "the K0 face sum of a kernel sequence vanishes"),
+    "koszul.transposed_koszul": ("claim", "the transform complex with exterior factors first"),
     "linalg.add_vec": ("oracle", "vector sums of the Fraction oracles of homology"),
     "linalg.in_span": ("metric", "linalg.in_span.*; reads 0 on every workload"),
     "linalg.scale_vec": ("oracle", "vector scalings of the Fraction oracles of homology"),

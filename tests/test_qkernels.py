@@ -521,7 +521,7 @@ def _koszul_produced(v):
     swaps, the transposed maps and the mu_decompose coordinates."""
     out = []
     for kind in ("sym", "ext"):
-        out += [("power_tower", p.space.gram) for p in power_tower(v, kind, 3)]
+        out += [("power_tower", p.gram) for p in power_tower(v, kind, 3)]
     for k in (1, 2, 3):
         c = koszul.koszul_complex(v, k)
         out += [("phi", f.matrix.entries) for f in c.maps]

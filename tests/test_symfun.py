@@ -11,13 +11,20 @@ exponent vector of n variables (MonoPoly products of e_monomials,
 h_monomials and p_monomials below, the module's former construction):
 restricted to descending exponent vectors, it must give the same
 coordinates for every generator product and identity side, n <= 5.
-MonoPoly, an integer form, is in turn checked against the Fraction-dict
-class it replaced (OracleMonoPoly below).
+
+MonoPoly, PartitionPoly and SymPoly share one integer form, int
+numerators over one least denominator. Each is checked against the
+Fraction class it replaced (OracleMonoPoly, OraclePartitionPoly and
+OracleSymPoly below) on seeded random routes: conversion, sums,
+scalings, products, expansions, == and hash, with cancellation to zero
+and non-unit denominators. A stub in place of symfun's Fraction shows
+that sums, products and expansions build none.
 """
 
 from __future__ import annotations
 
 import random
+from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from itertools import combinations, combinations_with_replacement, product
@@ -85,7 +92,7 @@ _MONOMIALS = {"e": e_monomials, "h": h_monomials, "p": p_monomials}
 def monomial_expand(poly: SymPoly, n: int) -> MonoPoly:
     """Expansion over every exponent vector of n variables."""
     out = MonoPoly(n)
-    for degs, coeff in poly.terms:
+    for degs, coeff in poly.terms.items():
         prod = MonoPoly.unit(n)
         for d in degs:
             prod = prod.mul(_MONOMIALS[poly.basis](d, n))
@@ -136,18 +143,18 @@ def test_generator_monomials_in_two_variables():
 
 
 def test_generator_coordinates_in_the_monomial_symmetric_basis():
-    assert sym_gen("e", 2).expand(3).coeffs == {(1, 1): 1}
-    assert sym_gen("h", 2).expand(2).coeffs == {(2,): 1, (1, 1): 1}
-    assert sym_gen("h", 3).expand(2).coeffs == {(3,): 1, (2, 1): 1}
-    assert sym_gen("p", 3).expand(2).coeffs == {(3,): 1}
+    assert sym_gen("e", 2).expand(3).terms == {(1, 1): 1}
+    assert sym_gen("h", 2).expand(2).terms == {(2,): 1, (1, 1): 1}
+    assert sym_gen("h", 3).expand(2).terms == {(3,): 1, (2, 1): 1}
+    assert sym_gen("p", 3).expand(2).terms == {(3,): 1}
     assert sym_gen("e", 3).expand(2) == PartitionPoly(2)
-    assert SymPoly.make("p", {(): F(1)}).expand(4).coeffs == {(): 1}
+    assert SymPoly("p", {(): F(1)}).expand(4).terms == {(): 1}
 
 
 def test_partition_keys_must_be_partitions_within_nvars():
     # a symmetric polynomial has no coordinate at x_2 alone, and none
     # at a monomial with more parts than variables
-    for key in ((0, 1), (1, 2), (1, 0), (1, 1, 1)):
+    for key in ((0, 1), (1, 2), (1, 0), (1, 1, 1), (1, -1)):
         with pytest.raises(ValueError):
             PartitionPoly(2, {key: 1})
     assert PartitionPoly(2, {(2, 1): 0}) == PartitionPoly(2)
@@ -189,14 +196,14 @@ def test_sorted_alpha_product_is_caught_by_the_oracle(monkeypatch):
 
 
 def test_newton_rewrites_are_frozen():
-    assert newton_power_sum(2).term_dict() == {(1, 1): F(1), (2,): F(-2)}
-    assert newton_power_sum(3).term_dict() == {
+    assert newton_power_sum(2).terms == {(1, 1): F(1), (2,): F(-2)}
+    assert newton_power_sum(3).terms == {
         (1, 1, 1): F(1),
         (1, 2): F(-3),
         (3,): F(3),
     }
-    assert complete_from_compositions(2).term_dict() == {(1, 1): F(1), (2,): F(-1)}
-    assert complete_from_compositions(3).term_dict() == {
+    assert complete_from_compositions(2).terms == {(1, 1): F(1), (2,): F(-1)}
+    assert complete_from_compositions(3).terms == {
         (1, 1, 1): F(1),
         (1, 2): F(-2),
         (3,): F(1),
@@ -205,13 +212,13 @@ def test_newton_rewrites_are_frozen():
 
 def test_sympoly_arithmetic_and_validation():
     a = sym_gen("e", 1)
-    assert a.mul(a).term_dict() == {(1, 1): F(1)}
+    assert a.mul(a).terms == {(1, 1): F(1)}
     assert a.add(a.scaled(-1)).is_zero()
-    assert SymPoly.make("e", {(): F(1)}).term_dict() == {(): F(1)}
+    assert SymPoly("e", {(): F(1)}).terms == {(): F(1)}
     with pytest.raises(ValueError):
         sym_gen("e", 0)
     with pytest.raises(ValueError):
-        SymPoly.make("q", {})
+        SymPoly("q", {})
     with pytest.raises(ValueError, match="bases e and h differ"):
         a.add(sym_gen("h", 1))
     with pytest.raises(ValueError, match="bases e and p differ"):
@@ -315,7 +322,7 @@ def test_chern_character_multiplicativity_shadow():
         )
 
 
-# -- MonoPoly against the Fraction-dict class it replaced ------------------
+# -- the integer forms against the Fraction classes they replaced ----------
 
 
 class OracleMonoPoly:
@@ -331,10 +338,6 @@ class OracleMonoPoly:
             if coeff:
                 acc[expo] = acc.get(expo, Fraction(0)) + coeff
         self.terms = {e: c for e, c in acc.items() if c}
-
-    @classmethod
-    def unit(cls, nvars: int) -> "OracleMonoPoly":
-        return cls(nvars, {(0,) * nvars: Fraction(1)})
 
     def is_zero(self) -> bool:
         return not self.terms
@@ -365,14 +368,176 @@ class OracleMonoPoly:
         return hash((self.nvars, frozenset(self.terms.items())))
 
 
-def _random_terms(rng, nvars: int) -> dict:
-    """A few terms of low degree; coefficients are ints, or Fractions
-    built from negative and non-unit denominators, sometimes 0."""
+class OraclePartitionPoly:
+    """The former PartitionPoly: a dict of int or Fraction coefficients
+    by partition, every result built through the partition check. The
+    oracle of PartitionPoly."""
+
+    __slots__ = ("nvars", "coeffs")
+
+    def __init__(self, nvars: int, coeffs=()):
+        self.nvars = nvars
+        self.coeffs = {lam: c for lam, c in dict(coeffs).items() if c}
+        for lam in self.coeffs:
+            if len(lam) > nvars or any(x < y for x, y in zip(lam, lam[1:])) or 0 in lam:
+                raise ValueError(f"{lam} is not a partition with at most {nvars} parts")
+
+    def is_zero(self) -> bool:
+        return not self.coeffs
+
+    def add(self, other: "OraclePartitionPoly") -> "OraclePartitionPoly":
+        acc = dict(self.coeffs)
+        for lam, c in other.coeffs.items():
+            acc[lam] = acc.get(lam, 0) + c
+        return OraclePartitionPoly(self.nvars, acc)
+
+    def scaled(self, c) -> "OraclePartitionPoly":
+        return OraclePartitionPoly(self.nvars, {lam: c * v for lam, v in self.coeffs.items()})
+
+    def mul(self, other: "OraclePartitionPoly") -> "OraclePartitionPoly":
+        f, g = self.coeffs, other.coeffs
+        degrees = {a + b for a in {sum(mu) for mu in f} for b in {sum(nu) for nu in g}}
+        out = {}
+        for d in degrees:
+            for lam in symfun._partitions(d, self.nvars):
+                c = 0
+                for mu, nu, count in symfun._splits(lam):
+                    a = f.get(mu)
+                    if a:
+                        b = g.get(nu)
+                        if b:
+                            c += count * a * b
+                out[lam] = c
+        return OraclePartitionPoly(self.nvars, out)
+
+    def __eq__(self, other):
+        if not isinstance(other, OraclePartitionPoly):
+            return NotImplemented
+        return self.nvars == other.nvars and self.coeffs == other.coeffs
+
+
+def _oracle_generator(basis: str, d: int, n: int) -> OraclePartitionPoly:
+    if basis == "e":
+        lams = [(1,) * d] if d <= n else []
+    elif basis == "h":
+        lams = symfun._partitions(d, n)
+    else:
+        lams = [(d,)]
+    return OraclePartitionPoly(n, dict.fromkeys(lams, 1))
+
+
+@dataclass(frozen=True)
+class OracleSymPoly:
+    """The former SymPoly: a sorted tuple of (degrees, Fraction) pairs,
+    every sum, product and expansion through Fraction arithmetic. The
+    oracle of SymPoly."""
+
+    basis: str
+    terms: tuple
+
+    @staticmethod
+    def make(basis: str, terms=()) -> "OracleSymPoly":
+        if basis not in ("e", "h", "p"):
+            raise ValueError(f"unknown basis {basis!r}")
+        acc: dict = {}
+        for degs, coeff in dict(terms).items():
+            key = tuple(sorted(degs))
+            if any(d < 1 for d in key):
+                raise ValueError("generator degrees must be >= 1")
+            acc[key] = acc.get(key, Fraction(0)) + coeff
+        return OracleSymPoly(basis, tuple(sorted((k, c) for k, c in acc.items() if c)))
+
+    def term_dict(self) -> dict:
+        return dict(self.terms)
+
+    def is_zero(self) -> bool:
+        return not self.terms
+
+    def add(self, other: "OracleSymPoly") -> "OracleSymPoly":
+        acc = self.term_dict()
+        for degs, coeff in other.terms:
+            acc[degs] = acc.get(degs, Fraction(0)) + coeff
+        return OracleSymPoly.make(self.basis, acc)
+
+    def mul(self, other: "OracleSymPoly") -> "OracleSymPoly":
+        acc: dict = {}
+        for da, ca in self.terms:
+            for db, cb in other.terms:
+                key = tuple(sorted(da + db))
+                acc[key] = acc.get(key, Fraction(0)) + ca * cb
+        return OracleSymPoly.make(self.basis, acc)
+
+    def scaled(self, c) -> "OracleSymPoly":
+        return OracleSymPoly.make(self.basis, {d: c * v for d, v in self.terms})
+
+    def expand(self, n: int) -> OraclePartitionPoly:
+        prods = {(): OraclePartitionPoly(n, {(): 1})}
+        out = OraclePartitionPoly(n)
+        for degs, coeff in self.terms:
+            for i, d in enumerate(degs):
+                if degs[: i + 1] not in prods:
+                    gen = _oracle_generator(self.basis, d, n)
+                    prods[degs[: i + 1]] = prods[degs[:i]].mul(gen)
+            out = out.add(prods[degs].scaled(coeff))
+        return out
+
+
+# A ring draw gives (ring, key draw, the key of one variable, the key
+# of the constants).
+
+
+def _mono_ring(rng):
+    n = rng.randrange(1, 4)
+    return n, lambda r: tuple(r.randrange(3) for _ in range(n)), (1,) + (0,) * (n - 1), (0,) * n
+
+
+def _partition_ring(rng):
+    n = rng.randrange(1, 4)
+    lams = [lam for d in range(5) for lam in symfun._partitions(d, n)]
+    return n, lambda r: r.choice(lams), (1,), ()
+
+
+def _sym_ring(rng):
+    # unsorted degree tuples: conversion sorts them and adds up repeats
+    basis = rng.choice("ehp")
+    return basis, lambda r: tuple(r.randrange(1, 4) for _ in range(r.randrange(4))), (1,), ()
+
+
+# class name -> (class, oracle builder, ring draw, (ring, terms) of a
+# class instance, (ring, terms) of an oracle instance)
+ORACLES = {
+    "MonoPoly": (
+        MonoPoly,
+        OracleMonoPoly,
+        _mono_ring,
+        lambda p: (p.nvars, p.terms),
+        lambda o: (o.nvars, o.terms),
+    ),
+    "PartitionPoly": (
+        PartitionPoly,
+        OraclePartitionPoly,
+        _partition_ring,
+        lambda p: (p.nvars, p.terms),
+        lambda o: (o.nvars, o.coeffs),
+    ),
+    "SymPoly": (
+        SymPoly,
+        OracleSymPoly.make,
+        _sym_ring,
+        lambda p: (p.basis, p.terms),
+        lambda o: (o.basis, o.term_dict()),
+    ),
+}
+
+
+def _random_terms(rng, key) -> dict:
+    """A few terms at keys drawn by key(rng); coefficients are ints, or
+    Fractions built from negative and non-unit denominators, sometimes 0."""
     terms = {}
     for _ in range(rng.randrange(5)):
-        expo = tuple(rng.randrange(3) for _ in range(nvars))
+        k = key(rng)
         num = rng.randrange(-4, 5)
-        terms[expo] = num if rng.random() < 0.3 else F(num, rng.choice((1, -1, 2, -2, 3, 4, -6)))
+        terms[k] = num if rng.random() < 0.3 else F(num, rng.choice((1, -1, 2, -2, 3, 4, -6)))
     return terms
 
 
@@ -380,14 +545,16 @@ def _scalar(rng):
     return rng.choice((0, 1, -1, 2, F(1, 2), F(-3, 4), F(6, -9), F(5, 3)))
 
 
-def _routes(rng, nvars: int, make) -> list:
-    """Polynomials built by make (MonoPoly or OracleMonoPoly) along
-    fixed routes from one random draw: the same draw gives the same
-    routes for both classes, and several routes reach one polynomial."""
-    a = make(nvars, _random_terms(rng, nvars))
-    b = make(nvars, _random_terms(rng, nvars))
+def _routes(rng, make, ring, key, x, one) -> list:
+    """Polynomials built by make (a class or its oracle) along fixed
+    routes from one random draw: the same draw gives the same routes
+    for both classes, and several routes reach one polynomial. x is the
+    key of one variable (generator, partition (1,)), one that of the
+    constants."""
+    a = make(ring, _random_terms(rng, key))
+    b = make(ring, _random_terms(rng, key))
     c, half = _scalar(rng), F(1, 2)
-    x = make(nvars, {(1,) + (0,) * (nvars - 1): 1})
+    xp = make(ring, {x: 1})
     return [
         a,
         b,
@@ -401,40 +568,70 @@ def _routes(rng, nvars: int, make) -> list:
         a.mul(b).add(a.mul(b.scaled(-1))),  # cancels to zero
         a.add(b).mul(a.add(b.scaled(-1))),  # (a + b)(a - b)
         a.mul(a).add(b.mul(b).scaled(-1)),  # a^2 - b^2, the same
-        x.scaled(half).scaled(2),  # (x/2) 2, equal to x
-        x.scaled(half).add(x.scaled(half)),  # x/2 + x/2, equal to x
-        x,
-        make(nvars),
-        make(nvars, {(0,) * nvars: F(3, 6)}).mul(make(nvars, {(0,) * nvars: 2})),
-        make.unit(nvars),
+        xp.scaled(half).scaled(2),  # (x/2) 2, equal to x
+        xp.scaled(half).add(xp.scaled(half)),  # x/2 + x/2, equal to x
+        xp,
+        make(ring),
+        make(ring, {one: F(3, 6)}).mul(make(ring, {one: 2})),
+        make(ring, {one: 1}),
     ]
 
 
-def oracle_mismatches(trials: int, seed: int = 20261021) -> list:
-    """(trial, route, what) wherever MonoPoly and the oracle disagree
-    on a route's terms or zero test, or on == or hash between two
-    routes (a route against itself too)."""
+def _pair_mismatches(fast, slow, view, oracle_view, where, what) -> list:
+    """(where, route, what) wherever fast and slow disagree on a route's
+    ring and terms or zero test, or on == or hash between two routes
+    (a route against itself too)."""
+    out = []
+    for i, (f, o) in enumerate(zip(fast, slow)):
+        if view(f) != oracle_view(o) or f.is_zero() != o.is_zero():
+            out.append((where, i, what))
+        for j in range(i, len(fast)):
+            if (f == fast[j]) != (o == slow[j]):
+                out.append((where, (i, j), what + " =="))
+            elif f == fast[j] and hash(f) != hash(fast[j]):
+                out.append((where, (i, j), what + " hash"))
+    return out
+
+
+def oracle_mismatches(name: str, trials: int, seed: int = 20261021) -> list:
+    """(trial, route, what) wherever the class name and its oracle
+    disagree on the routes of a draw: what is "terms", "terms ==" or
+    "terms hash", and for SymPoly "expand", "expand ==" or
+    "expand hash" on the expansions in 1..3 variables."""
+    cls, oracle, draw, view, oracle_view = ORACLES[name]
+    part_view, part_oracle_view = ORACLES["PartitionPoly"][3:]
     rng = random.Random(seed)
     out = []
     for trial in range(trials):
-        nvars = rng.randrange(1, 4)
+        ring, *keys = draw(rng)
         state = rng.getstate()
-        fast = _routes(rng, nvars, MonoPoly)
+        fast = _routes(rng, cls, ring, *keys)
         rng.setstate(state)
-        slow = _routes(rng, nvars, OracleMonoPoly)
-        for i, (f, o) in enumerate(zip(fast, slow)):
-            if f.terms != o.terms or f.is_zero() != o.is_zero() or f.nvars != o.nvars:
-                out.append((trial, i, "terms"))
-            for j in range(i, len(fast)):
-                if (f == fast[j]) != (o == slow[j]):
-                    out.append((trial, (i, j), "=="))
-                elif f == fast[j] and hash(f) != hash(fast[j]):
-                    out.append((trial, (i, j), "hash"))
+        slow = _routes(rng, oracle, ring, *keys)
+        out += _pair_mismatches(fast, slow, view, oracle_view, trial, "terms")
+        if cls is SymPoly:
+            for n in (1, 2, 3):
+                out += _pair_mismatches(
+                    [f.expand(n) for f in fast],
+                    [o.expand(n) for o in slow],
+                    part_view,
+                    part_oracle_view,
+                    trial,
+                    "expand",
+                )
     return out
 
 
 def test_monopoly_matches_the_fraction_dict_oracle():
-    assert oracle_mismatches(300) == []
+    assert oracle_mismatches("MonoPoly", 300) == []
+
+
+def test_partitionpoly_matches_the_former_class():
+    assert oracle_mismatches("PartitionPoly", 300) == []
+
+
+def test_sympoly_and_its_expansions_match_the_former_class():
+    assert oracle_mismatches("SymPoly", 150) == []
 
 
 def test_a_reduction_without_the_gcd_step_is_caught_by_the_oracle(monkeypatch):
@@ -444,8 +641,16 @@ def test_a_reduction_without_the_gcd_step_is_caught_by_the_oracle(monkeypatch):
         return {e: c for e, c in nums.items() if c}, denom
 
     monkeypatch.setattr(symfun, "_least", no_gcd)
-    found = oracle_mismatches(30)
-    assert found and {what for *_, what in found} == {"=="}
+    for name in ORACLES:
+        found = {what for *_, what in oracle_mismatches(name, 30)}
+        assert "terms ==" in found and not found & {"terms", "expand"}, name
+
+
+def test_an_expansion_without_its_denominator_is_caught_by_the_oracle(monkeypatch):
+    honest = SymPoly.expand
+    monkeypatch.setattr(SymPoly, "expand", lambda self, n: honest(self, n).scaled(self.denom))
+    found = {what for *_, what in oracle_mismatches("SymPoly", 30)}
+    assert "expand" in found and "terms" not in found
 
 
 def test_monopoly_holds_its_least_integer_form():
@@ -460,6 +665,7 @@ def test_monopoly_holds_its_least_integer_form():
     assert zero.is_zero() and (zero.nums, zero.denom) == ({}, 1) and zero == MonoPoly(2)
     assert hash(x.scaled(F(1, 3)).scaled(3)) == hash(x)
     assert MonoPoly(1, {(0,): F(2, -4)}).denom == 2  # a positive denominator
+    assert MonoPoly.unit(2) == MonoPoly(2, {(0, 0): 1})
 
 
 def test_monopoly_refuses_mixed_variable_counts():
@@ -473,6 +679,56 @@ def test_monopoly_refuses_mixed_variable_counts():
     x = formal_chern_character(_plain_roots(2, 3))
     with pytest.raises(ValueError, match="variable counts 2 and 3 differ"):
         graded_mul(x, formal_chern_character(_plain_roots(3, 3)))
+    with pytest.raises(TypeError, match="sum: a MonoPoly and a PartitionPoly"):
+        MonoPoly.unit(1).add(PartitionPoly(1, {(): 1}))
+
+
+def test_partition_sum_refuses_mixed_variable_counts():
+    # the sum once answered {(1,): 2} in 3 variables
+    a, b = PartitionPoly(3, {(1,): 1}), PartitionPoly(2, {(1,): 1})
+    for x, y in ((a, b), (b, a)):
+        with pytest.raises(ValueError, match="sum: the variable counts"):
+            x.add(y)
+
+
+def test_partition_product_refuses_mixed_variable_counts():
+    # the product once answered in the first factor's variable count
+    a, b = sym_gen("e", 1).expand(3), sym_gen("e", 1).expand(2)
+    with pytest.raises(ValueError, match="product: the variable counts 3 and 2 differ"):
+        a.mul(b)
+    with pytest.raises(ValueError, match="product: the variable counts 2 and 3 differ"):
+        b.mul(a)
+
+
+class _NoFraction:
+    """Stands in for symfun's Fraction: building one fails."""
+
+    def __init__(self, *args):
+        raise AssertionError("symfun built a Fraction")
+
+
+def test_sums_products_and_expansions_build_no_fraction(monkeypatch):
+    given = {(2, 1): F(1, 3), (3,): 2, (1, 1): F(-5, 4)}
+    bundles = [ChernRootBundle((2, -1, 0), 4), ChernRootBundle((F(3, 2), F(-1, 2), 1), 4)]
+    monkeypatch.setattr(symfun, "Fraction", _NoFraction)
+    symfun._p_in_e.cache_clear()  # built again under the stub
+    for k in range(1, 6):
+        assert koszul_euler_identity(k, 5)
+        assert newton_power_sum(k).expand(5) == sym_gen("p", k).expand(5)
+        assert complete_from_compositions(k).expand(5) == sym_gen("h", k).expand(5)
+    for b in bundles:  # a gs-commute instance: both of its checks
+        x = formal_chern_character(b)
+        for k in range(4):
+            assert adams_chern_commute(b, k)
+            lhs = graded_adams(graded_mul(x, x), k)
+            assert lhs == graded_mul(graded_adams(x, k), graded_adams(x, k))
+    p = SymPoly("e", given)
+    assert p.mul(p).add(p.scaled(F(2, 3))).expand(4) == PartitionPoly(4).add(
+        p.expand(4).mul(p.expand(4)).add(p.expand(4).scaled(F(2, 3)))
+    )
+    with pytest.raises(AssertionError, match="built a Fraction"):
+        p.terms
+    symfun._p_in_e.cache_clear()
 
 
 @pytest.mark.parametrize(
@@ -484,7 +740,7 @@ def test_monopoly_refuses_mixed_variable_counts():
         lambda: graded_adams(formal_chern_character(_plain_roots(1, 2)), 2.0),
         lambda: PartitionPoly(2, {(1,): 0.5}),
         lambda: sym_gen("e", 2).expand(2).scaled(0.5),
-        lambda: SymPoly.make("e", {(1,): 0.5}),
+        lambda: SymPoly("e", {(1,): 0.5}),
         lambda: sym_gen("e", 1).scaled(0.5),
     ],
     ids=[
@@ -494,7 +750,7 @@ def test_monopoly_refuses_mixed_variable_counts():
         "graded_adams",
         "PartitionPoly",
         "PartitionPoly.scaled",
-        "SymPoly.make",
+        "SymPoly",
         "SymPoly.scaled",
     ],
 )
