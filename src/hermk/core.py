@@ -380,8 +380,8 @@ class ShortExactMetrized:
     """0 -> sub -> total -> quot -> 0 with metrized terms.
 
     Construction validates exactness at all three terms by one
-    la.is_exact call on the chain with its zero ends; a failure names
-    the term and the test (product or ranks) that fails there.
+    la.exactness_defect call on the chain with its zero ends; a failure
+    names the term and the test (product or ranks) that fails there.
 
     complement, when given, is called with no arguments when the split
     test first runs and returns a candidate C for the orthogonal
@@ -402,10 +402,10 @@ class ShortExactMetrized:
             raise ValueError("inject and project must share the middle space")
         a, c = inject.domain.dim, project.codomain.dim
         chain = (la.zeros(a, 0), inject.matrix.entries, project.matrix.entries, la.zeros(0, c))
-        if not la.is_exact(*chain):
-            i, why = la.exactness_defect(*chain)
-            term = ("sub", "total", "quot")[i - 1]
-            raise ValueError(f"sequence is not exact at {term}: the {why} test fails")
+        defect = la.exactness_defect(*chain)
+        if defect is not None:
+            term = ("sub", "total", "quot")[defect[0] - 1]
+            raise ValueError(f"sequence is not exact at {term}: the {defect[1]} test fails")
         self.inject = inject
         self.project = project
         self._split = []

@@ -363,8 +363,8 @@ def cube_differential(x) -> CubeSum:
 class Flag:
     """A chain of nested subspaces 0 <= E_1 <= ... <= E_n inside a
     metrized ambient space; repeated entries are allowed. Each entry is
-    held as its EchelonBasis, its RREF rows as a Mat plus pivots (built
-    once: faces and degeneracies pass the bases along), so equal
+    held as its EchelonBasis (an entry given as a span is taken as it
+    is, and faces and degeneracies pass the bases along), so equal
     subspace chains give equal flags. Nesting is checked by one
     containment call of each entry's rows in the next entry's basis,
     and an entry without rows is the zero subspace. chain reads the
@@ -376,8 +376,8 @@ class Flag:
     degeneracy(0) prepends. cub
     looks its cubes, complements, vertex spaces, arrows and certificates
     up there by the EchelonBasis objects involved (a cube by the tuple of
-    its flag's bases). Those identity keys are sound because a flag
-    never grows its bases (EchelonBasis.add is not called on them), so
+    its flag's bases). Those identity keys are sound because a span is
+    a value: nothing writes into an EchelonBasis after it is built, so
     one basis object stands for one subspace for as long as the table
     holds it. Complements are interned by the integer form of their
     rows (a Mat hashes its Fraction view, so the form is the key), so a

@@ -15,17 +15,18 @@ The cone sign is fixed as d(a, b) = (d a, rho(a) - d b), the choice
 under which the two standard exact sequences below come out exact.
 
 Each presentation is built once per object. A ChainComplex keeps its
-H_n and its C_n / im d in per-degree tables, and a ChainMap keeps its
-cone, its truncations and its direct modified homology groups; the
-methods of the same names read these tables and fill them on a miss
-from the module-level functions, which always build from scratch (and
-are the oracle the tables are tested against). A table lives and dies
-with its object, so one verification trial shares its presentations
-and the next starts empty. The tables rely on one contract: a complex
-or map is not mutated after construction; only the constructors assign
-dims, diffs, source, target and maps. A degree without a stored matrix
-needs no table: its differential or component is the shared la.zeros
-of its shape.
+H_n, and a ChainMap its cone, truncations and direct modified homology
+groups, in tables that the methods of the same names fill on a miss
+from the module-level functions; homology, cone and truncated_map
+build from scratch. Spans are values, so forms_modulo_exact (C_n /
+im d) and modified_homology take the spans of H_n from the tables:
+the first eliminates nothing, the second only its relations. A table
+lives and dies with its object, so one verification trial shares its
+presentations and the next starts empty. The tables rely on one
+contract: a complex or map is not mutated after construction; only the
+constructors assign dims, diffs, source, target and maps. A degree
+without a stored matrix needs no table: its differential or component
+is the shared la.zeros of its shape.
 """
 
 from __future__ import annotations
@@ -75,12 +76,11 @@ class ChainComplex:
     C_n -> C_{n-1}; d composed with d is zero. Raw differentials are
     coerced to Mats.
 
-    homology(n) and forms_modulo_exact(n) are built once per degree and
-    kept, so dims and diffs must not change after construction. diff(n)
-    of a degree without a stored matrix is the shared la.zeros of its
-    shape."""
+    homology(n) is built once per degree and kept, so dims and diffs
+    must not change after construction. diff(n) of a degree without a
+    stored matrix is the shared la.zeros of its shape."""
 
-    __slots__ = ("dims", "diffs", "_homology", "_forms")
+    __slots__ = ("dims", "diffs", "_homology")
 
     def __init__(self, dims, diffs, check: bool = True):
         self.dims = {n: d for n, d in dict(dims).items() if d}
@@ -98,16 +98,10 @@ class ChainComplex:
                     if not la.is_zero(la.matmul(self.diffs[n], self.diffs[n + 1])):
                         raise ValueError(f"d.d != 0 at degree {n + 1}")
         self._homology: dict[int, PresentedQuotient] = {}
-        self._forms: dict[int, PresentedQuotient] = {}
 
     def homology(self, n: int) -> PresentedQuotient:
         """H_n, built by the module-level homology on first use."""
         return _kept(self._homology, n, lambda: homology(self, n))
-
-    def forms_modulo_exact(self, n: int) -> PresentedQuotient:
-        """C_n / im d, built by the module-level forms_modulo_exact on
-        first use."""
-        return _kept(self._forms, n, lambda: forms_modulo_exact(self, n))
 
     def dim(self, n: int) -> int:
         return self.dims.get(n, 0)
@@ -319,11 +313,6 @@ class PresentedQuotient:
         return la.columns(self.normal_form(vectors), self.pivots)
 
 
-def _zero_presentation() -> PresentedQuotient:
-    """The presentation of the zero group, the only subquotient of Q^0."""
-    return PresentedQuotient(la.EchelonBasis.zero(0), la.EchelonBasis.zero(0))
-
-
 def quotient_presentation(cycles, boundary_rows, width: int) -> PresentedQuotient:
     """span(cycles) / span(boundary_rows) in Q^width, with the cycle
     echelon rows at the cycle pivots that are not boundary pivots as
@@ -340,20 +329,20 @@ def quotient_presentation(cycles, boundary_rows, width: int) -> PresentedQuotien
 
 
 def homology(c: ChainComplex, n: int) -> PresentedQuotient:
-    """ker d_n modulo im d_{n+1}."""
+    """ker d_n modulo im d_{n+1}; a zero degree skips the shape-only calls."""
     if not c.dim(n):
-        return _zero_presentation()
+        return PresentedQuotient(la.EchelonBasis.zero(0), la.EchelonBasis.zero(0))
     cycles = la.EchelonBasis.kernel(c.diff(n))
     boundaries = la.transpose(c.diff(n + 1))
     return quotient_presentation(cycles, boundaries, c.dim(n))
 
 
 def forms_modulo_exact(c: ChainComplex, n: int) -> PresentedQuotient:
-    """C_n modulo im d_{n+1} (no cycle condition)."""
-    width = c.dim(n)
+    """C_n modulo im d_{n+1} (no cycle condition): all of C_n over the
+    boundaries of c.homology(n)."""
     # the kernel of a map to Q^0 is all of C_n, with no elimination
-    cycles = la.EchelonBasis.kernel(la.zeros(0, width))
-    return quotient_presentation(cycles, la.transpose(c.diff(n + 1)), width)
+    cycles = la.EchelonBasis.kernel(la.zeros(0, c.dim(n)))
+    return PresentedQuotient(cycles, c.homology(n).boundaries)
 
 
 def modified_homology(f: ChainMap, n: int) -> PresentedQuotient:
@@ -361,13 +350,8 @@ def modified_homology(f: ChainMap, n: int) -> PresentedQuotient:
     with d a = 0; relations are (0, d b') and (d a', f a')."""
     a, b = f.source, f.target
     wa, wb = a.dim(n), b.dim(n + 1)
-    width = wa + wb
-    if not width:
-        return _zero_presentation()
-    # pairs with d a = 0: the kernel of [d_n | 0]
-    cycles = la.EchelonBasis.kernel(
-        la.block_matrix((a.dim(n - 1),), (wa, wb), {(0, 0): a.diff(n)})
-    )
+    # pairs with d a = 0: the cycles of H_n(A) (+) B_{n+1}
+    cycles = a.homology(n).cycles.padded(wb)
     # (d a', f a') for each basis vector a' of A_{n+1}, then (0, d b')
     rel = la.transpose(
         la.block_matrix(
@@ -376,7 +360,7 @@ def modified_homology(f: ChainMap, n: int) -> PresentedQuotient:
             {(0, 0): a.diff(n + 1), (1, 0): f.map_at(n + 1), (1, 1): b.diff(n + 2)},
         )
     )
-    return quotient_presentation(cycles, rel, width)
+    return quotient_presentation(cycles, rel, wa + wb)
 
 
 def modified_homology_via_cone(f: ChainMap, n: int) -> PresentedQuotient:
@@ -405,7 +389,7 @@ def modified_maps(f: ChainMap, n: int) -> ModifiedMaps:
     a, b = f.source, f.target
     wa = a.dim(n)
     hat, ha = f.modified_homology(n), a.homology(n)
-    forms = b.forms_modulo_exact(n + 1)
+    forms = forms_modulo_exact(b, n + 1)
     zb = b.homology(n).cycles
 
     from_form = hat.coords(_padded(wa, la.scale(forms.reps, -1)))
@@ -441,12 +425,12 @@ _NODES = {
 
 
 def _sequence_verdict(seq: str, n: int, *mats: la.Mat) -> tuple[str, bool]:
-    """One la.is_exact call on the chain of sequence seq in degree n;
-    when it fails, the entry names the first failing inner node."""
-    if la.is_exact(*mats):
+    """One la.exactness_defect call on the chain of sequence seq in
+    degree n; a failing entry names the first failing inner node."""
+    defect = la.exactness_defect(*mats)
+    if defect is None:
         return (f"{seq}-exact n={n}", True)
-    node, _ = la.exactness_defect(*mats)
-    return (f"{_NODES[seq][node - 1]} n={n}", False)
+    return (f"{_NODES[seq][defect[0] - 1]} n={n}", False)
 
 
 def verify_modified_sequences(f: ChainMap) -> list[tuple[str, bool]]:
@@ -456,13 +440,13 @@ def verify_modified_sequences(f: ChainMap) -> list[tuple[str, bool]]:
     (a) 0 -> H_n(s(f)) -> hat H_n -> Z(B_n) -> H_{n-1}(s(f))
     (b) H_{n+1}(A) -> B_{n+1}/im d -> hat H_n -> H_n(A) -> 0
 
-    Each sequence is one la.is_exact call on its maps between zero ends.
-    A failing entry is named after the first node where the sequence is
-    not exact (a-inject, a-exact-hat, a-exact-forms; b-exact-forms,
-    b-exact-hat, b-surject). The kernel description H_n(s(f)) =
-    ker(hat H_n -> Z(B_n)) needs no check of its own: exactness of (a)
-    at H_n(s(f)) and at hat H_n gives nullity(hat H_n -> Z(B_n)) =
-    rank(H_n(s(f)) -> hat H_n) = dim H_n(s(f)).
+    Each sequence is one la.exactness_defect call on its maps between
+    zero ends. A failing entry is named after the first node where the
+    sequence is not exact (a-inject, a-exact-hat, a-exact-forms;
+    b-exact-forms, b-exact-hat, b-surject). The kernel description
+    H_n(s(f)) = ker(hat H_n -> Z(B_n)) needs no check of its own:
+    exactness of (a) at H_n(s(f)) and at hat H_n gives nullity(hat H_n
+    -> Z(B_n)) = rank(H_n(s(f)) -> hat H_n) = dim H_n(s(f)).
     """
     a, b = f.source, f.target
     degrees = sorted(set(a.dims) | set(b.dims))

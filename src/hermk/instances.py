@@ -66,19 +66,17 @@ def random_space(rng: random.Random, dim: int, tag: str = "e") -> MetrizedSpace:
 
 
 def random_flag(rng: random.Random, ambient: MetrizedSpace, length: int) -> Flag:
-    """Nested chain of `length` subspaces with distinct dimensions."""
+    """Nested chain of `length` subspaces with distinct dimensions: the
+    stages of one span grown by random vectors, handed to Flag as spans."""
     if length > ambient.dim + 1:
         raise ValueError("flag longer than the ambient dimension allows")
     dims = sorted(rng.sample(range(ambient.dim + 1), length))
     chain = []
-    space: list[la.Vec] = []
     span = la.EchelonBasis.zero(ambient.dim)
     for d in dims:
-        while len(space) < d:
-            v = random_vector(rng, ambient.dim)
-            if span.add(v):  # grows exactly when v is independent of space
-                space.append(v)
-        chain.append(tuple(space))
+        while len(span.pivots) < d:
+            span = span.add(random_vector(rng, ambient.dim))
+        chain.append(span)
     return Flag(ambient, chain)
 
 

@@ -104,12 +104,13 @@ class HermitianComplex:
 
     maps[p] goes from objects[p] to objects[p+1]. Construction checks
     that consecutive maps compose to zero; with acyclic=True it checks
-    exactness everywhere instead, ends included, by one la.is_exact
-    call on the maps between zero ends, whose failure names the pair
-    of maps that does not compose to zero or else the degree where the
-    ranks do not add up. check=False skips revalidation for complexes
-    produced by transformations that preserve the invariants, or
-    certified otherwise, as koszul_complex certifies its own.
+    exactness everywhere instead, ends included, by one
+    la.exactness_defect call on the maps between zero ends, whose
+    failure names the pair of maps that does not compose to zero or
+    else the degree where the ranks do not add up. check=False skips
+    revalidation for complexes produced by transformations that
+    preserve the invariants, or certified otherwise, as koszul_complex
+    certifies its own.
 
     _sequences is the table of checked kernel sequences that
     mu_decompose fills on first use and lambda_rescale shares, so
@@ -138,8 +139,9 @@ class HermitianComplex:
             if acyclic:
                 first, last = self.objects[0].dim, self.objects[-1].dim
                 chain = (la.zeros(first, 0), *entries, la.zeros(0, last))
-                if not la.is_exact(*chain):
-                    i, why = la.exactness_defect(*chain)
+                defect = la.exactness_defect(*chain)
+                if defect is not None:
+                    i, why = defect
                     if why == "product":
                         raise ValueError(f"maps {i - 2}, {i - 1} do not compose to zero")
                     raise ValueError(f"complex flagged acyclic is not exact at degree {i - 1}")
@@ -509,17 +511,19 @@ class TwoIteratedComplex:
 
     vmaps[(a, b)]: B^{a,b} -> B^{a+1,b}; hmaps[(a, b)]: -> B^{a,b+1}.
     Squares commute on the nose; the total complex inserts the signs.
+    The row and column complexes are checked and kept at construction.
     """
 
-    __slots__ = ("vtop", "htop", "objects", "vmaps", "hmaps")
+    __slots__ = ("vtop", "htop", "objects", "vmaps", "hmaps", "_vertical", "_horizontal")
 
     def __init__(self, vtop, htop, objects, vmaps, hmaps):
         self.vtop, self.htop = vtop, htop
         self.objects = dict(objects)
         self.vmaps = dict(vmaps)
         self.hmaps = dict(hmaps)
-        for a in range(vtop + 1):
-            for b in range(htop + 1):
+        rows, cols = range(vtop + 1), range(htop + 1)
+        for a in rows:
+            for b in cols:
                 if (a, b) not in self.objects:
                     raise ValueError(f"missing object {(a, b)}")
         for (a, b), f in self.vmaps.items():
@@ -534,22 +538,21 @@ class TwoIteratedComplex:
                 rhs = self.hmaps[(a + 1, b)].compose(self.vmaps[(a, b)])
                 if lhs != rhs:
                     raise ValueError(f"square at {(a, b)} does not commute")
-        for b in range(htop + 1):
-            self.column(b)
-        for a in range(vtop + 1):
-            self.row(a)
+        self._vertical = tuple(self._line([(a, b) for a in rows], self.vmaps) for b in cols)
+        self._horizontal = tuple(self._line([(a, b) for b in cols], self.hmaps) for a in rows)
+
+    def _line(self, keys: list, maps: dict) -> HermitianComplex:
+        """The acyclic complex of the objects at keys and the maps between them."""
+        objects = [self.objects[k] for k in keys]
+        return HermitianComplex(objects, [maps[k] for k in keys[:-1]], acyclic=True)
 
     def column(self, b: int) -> HermitianComplex:
         """The vertical complex at horizontal position b (acyclic)."""
-        objs = [self.objects[(a, b)] for a in range(self.vtop + 1)]
-        maps = [self.vmaps[(a, b)] for a in range(self.vtop)]
-        return HermitianComplex(objs, maps, acyclic=True)
+        return self._vertical[b]
 
     def row(self, a: int) -> HermitianComplex:
         """The horizontal complex at vertical position a (acyclic)."""
-        objs = [self.objects[(a, b)] for b in range(self.htop + 1)]
-        maps = [self.hmaps[(a, b)] for b in range(self.htop)]
-        return HermitianComplex(objs, maps, acyclic=True)
+        return self._horizontal[a]
 
 
 def koszul_iterated(v: MetrizedSpace, w: MetrizedSpace, i: int, k: int) -> TwoIteratedComplex:

@@ -35,8 +35,9 @@ rref and rank of a matrix without a nonzero entry, det, permanent and
 the PD test of 0 x 0) are answered here. Everything is exact.
 
 EchelonBasis, the span type, is its RREF rows, one Mat, plus their
-pivot columns. Membership, reduction and coordinates take vectors as
-the rows of a Mat, and the last two return a Mat; they and growth run
+pivot columns; like a Mat it is a value, handed on and not eliminated
+again. Membership, reduction and coordinates take vectors as the rows
+of a Mat, and the last two return a Mat; they, growth and padding run
 on the integer forms and build no Fraction. Entries must be int or
 Fraction; floats raise TypeError, as they do in q() and Mat(). One
 loop, _kernel_int, reads kernel vectors off an integer RREF:
@@ -545,13 +546,13 @@ class EchelonBasis:
     membership, reduction and coordinates cost one pass over the rows
     and no elimination. contains, reduce and coords take the vectors as
     the rows of a Mat (raw rows are coerced once by stack) and answer
-    for all of them from one integer loop, _residues; add() grows the
-    span by one vector and keeps the form reduced. Entries must be int
-    or Fraction; floats raise TypeError.
+    for all of them from one integer loop, _residues. Entries must be
+    int or Fraction; floats raise TypeError.
 
-    This is the one representation of a canonical span: a span is built
-    once and passed along, and callers that need the basis as a matrix
-    read rows.
+    A span is a value, as a Mat is: only __init__ and _basis set rows
+    and pivots, and add and padded return a new span, so one object is
+    one subspace for as long as it lives. Callers read rows for the
+    basis as a matrix.
     """
 
     __slots__ = ("rows", "pivots")
@@ -565,9 +566,7 @@ class EchelonBasis:
     @classmethod
     def zero(cls, width: int) -> "EchelonBasis":
         """The zero subspace of Q^width, with no elimination."""
-        b = object.__new__(cls)
-        b.rows, b.pivots = zeros(0, width), ()
-        return b
+        return _basis(zeros(0, width), ())
 
     @classmethod
     def kernel(cls, a: Mat) -> "EchelonBasis":
@@ -583,9 +582,14 @@ class EchelonBasis:
         elimination.
         """
         out, den, free = _kernel_int(a, True)
-        b = object.__new__(cls)
-        b.rows, b.pivots = _int_mat(out, den, a.ncols), free
-        return b
+        return _basis(_int_mat(out, den, a.ncols), free)
+
+    def padded(self, extra: int) -> "EchelonBasis":
+        """The span of (v, 0) for v in this span and (0, e_j) for j < extra,
+        with no elimination: the rows and then the unit rows are its RREF."""
+        r, w = shape(self.rows)
+        rows = block_matrix((r, extra), (w, extra), {(0, 0): self.rows, (1, 1): identity(extra)})
+        return _basis(rows, self.pivots + tuple(range(w, w + extra)))
 
     def _residues(self, m: Mat) -> list[list[int]]:
         """For each integer row w of m, den * w - sum_i w[pivots[i]] *
@@ -630,13 +634,13 @@ class EchelonBasis:
             raise ValueError("vector is not in the span")
         return columns(m, self.pivots)
 
-    def add(self, v: Vec) -> bool:
-        """Grow the span by v. Returns whether it grew; when it did not,
-        nothing changes."""
+    def add(self, v: Vec) -> "EchelonBasis":
+        """The span grown by v: this span itself when v lies in it, else
+        a new one; this span does not change."""
         (r,) = self._residues(stack((v,), self.rows.ncols))
         p = next((i for i, x in enumerate(r) if x), None)
         if p is None:
-            return False
+            return self
         g = gcd(*r) if r[p] > 0 else -gcd(*r)
         r = [x // g for x in r]
         # over den * e, the new row r / e is den * r, and each row R
@@ -651,9 +655,15 @@ class EchelonBasis:
                 rows.append(row if e == 1 else [e * x for x in row])
         k = bisect.bisect(self.pivots, p)
         rows.insert(k, r if den == 1 else [den * x for x in r])
-        self.rows = _int_mat(rows, den * e, self.rows.ncols)
-        self.pivots = self.pivots[:k] + (p,) + self.pivots[k:]
-        return True
+        pivots = self.pivots[:k] + (p,) + self.pivots[k:]
+        return _basis(_int_mat(rows, den * e, self.rows.ncols), pivots)
+
+
+def _basis(rows: Mat, pivots: tuple) -> EchelonBasis:
+    """The span with these RREF rows and pivots, taken as they are."""
+    b = object.__new__(EchelonBasis)
+    b.rows, b.pivots = rows, tuple(pivots)
+    return b
 
 
 def in_span(vectors: Sequence[Vec], v: Vec) -> bool:

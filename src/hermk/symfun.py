@@ -34,6 +34,7 @@ from itertools import product
 from math import gcd, lcm
 from numbers import Rational
 import operator
+from types import MappingProxyType
 
 __all__ = [
     "MonoPoly",
@@ -64,7 +65,7 @@ class _IntForm:
     every key passes the class's _keys check (keys that it makes equal
     add up). _form is the builder from integers; add and scaled work on
     forms and refuse a different ring. terms, the coefficients as
-    Fractions, is built on its first read and then kept."""
+    Fractions, is a read-only view built on its first read and kept."""
 
     __slots__ = ("_ring", "nums", "denom", "_terms")
     _RING = ""  # the ring's attribute name, for repr
@@ -84,11 +85,11 @@ class _IntForm:
         self._terms = None
 
     @property
-    def terms(self) -> dict:
-        """The coefficients as Fractions, by key."""
+    def terms(self) -> MappingProxyType:
+        """The coefficients as Fractions, by key, read-only."""
         if self._terms is None:
             d = self.denom
-            self._terms = {key: Fraction(c, d) for key, c in self.nums.items()}
+            self._terms = MappingProxyType({key: Fraction(c, d) for key, c in self.nums.items()})
         return self._terms
 
     def is_zero(self) -> bool:
@@ -116,6 +117,9 @@ class _IntForm:
 
     def __repr__(self):
         return f"{type(self).__name__}({self._RING}={self._ring!r}, terms={len(self.nums)})"
+
+    def __reduce__(self):  # the terms view does not pickle
+        return _form, (type(self), self._ring, self.nums, self.denom)
 
 
 _NO_FLOATS = "floats are not exact; pass Fraction or int"

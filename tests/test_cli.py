@@ -384,7 +384,7 @@ def test_split_cube_claims_catch_a_constant_splitting_test(monkeypatch, verdict,
 def test_split_suite_builds_each_kernel_sequence_once(monkeypatch):
     # a complex and its rescaling share one kernel per map and one
     # exactness check per sequence, and no coordinate is solved for
-    calls = dict.fromkeys(("kernel_object", "is_exact", "solve"), 0)
+    calls = dict.fromkeys(("kernel_object", "exactness_defect", "solve"), 0)
 
     def count(owner, name):
         honest = getattr(owner, name)
@@ -396,13 +396,13 @@ def test_split_suite_builds_each_kernel_sequence_once(monkeypatch):
         monkeypatch.setattr(owner, name, counted)
 
     count(koszul, "kernel_object")
-    count(la, "is_exact")
+    count(la, "exactness_defect")
     count(la, "solve")
     cfg = SuiteConfig("koszul-split", max_dim=2, max_k=3, max_n=1, trials=1)
     assert run_suite(cfg).failed == 0
     # two metrics per dimension, k maps in the degree-k complex
     maps = 2 * cfg.max_dim * sum(range(1, cfg.max_k + 1))
-    assert calls == {"kernel_object": maps, "is_exact": maps, "solve": 0}
+    assert calls == {"kernel_object": maps, "exactness_defect": maps, "solve": 0}
 
 
 def test_sum_isometry_claim_catches_a_perturbed_gram(monkeypatch):

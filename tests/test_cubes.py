@@ -14,7 +14,7 @@ from itertools import product
 
 import pytest
 
-from hermk import cubes
+from hermk import _qkernels, cubes
 from hermk import linalg as la
 from hermk.core import (
     MetrizedSpace,
@@ -187,6 +187,34 @@ def test_random_flag_draws_as_the_rank_test_did():
                 assert got.chain == want.chain
                 assert [len(b.rows) for b in got.bases] == dims
                 assert mine.getstate() == theirs.getstate()
+
+
+def test_a_flag_takes_the_spans_it_is_given_with_no_elimination(monkeypatch):
+    # random_flag grows one span and hands its stages on; Flag takes
+    # spans as they are, so neither eliminates
+    rng = random.Random(23)
+    ambients = [_ambient(rng, dim) for dim in (3, 5, 6)]
+
+    def refuse(*args):
+        raise AssertionError("elimination")
+
+    with monkeypatch.context() as m:
+        m.setattr(_qkernels, "_bareiss", refuse)
+        flags = [random_flag(rng, amb, length) for amb in ambients for length in (2, 3)]
+        for f in flags:
+            again = Flag(f.ambient, f.bases)
+            assert all(x is y for x, y in zip(again.bases, f.bases) if x.rows)
+            assert again == f
+        # a span that is not in the next one is still refused
+        small, big = flags[-1].bases[-2:]
+        with pytest.raises(ValueError, match="nested"):
+            Flag(flags[-1].ambient, [big, small])
+        # raw vectors are eliminated, which the guard sees
+        with pytest.raises(AssertionError, match="elimination"):
+            Flag(flags[0].ambient, [flags[0].chain[-1]])
+    # the entries are the spans of the raw chains
+    for f in flags:
+        assert Flag(f.ambient, f.chain).chain == f.chain
 
 
 def test_degenerate_flag_relations():

@@ -392,7 +392,8 @@ def _rational_mismatches(seed: int, trials: int) -> list:
                     bad.append((t, name, vecs, v))
         grown, ograwn = la.EchelonBasis.zero(width), FractionEchelonBasis((), width)
         for i, v in enumerate(vecs + probes):
-            if grown.add(v) != ograwn.add(v):
+            before, grown = grown, grown.add(v)
+            if (grown is not before) != ograwn.add(v):
                 bad.append((t, "add", vecs, i))
             if (grown.rows, grown.pivots) != (ograwn.rows, ograwn.pivots):
                 bad.append((t, "add rows", vecs, i))
@@ -449,11 +450,13 @@ def _span_mismatches(seed: int, trials: int) -> list:
             bad.append((t, "containment", u, vecs))
         grown = la.EchelonBasis((), width)
         for i, v in enumerate(vecs):
-            before = (grown.rows, grown.pivots)
-            grew = grown.add(v)
+            before, held = grown, (grown.rows, grown.pivots)
+            grown = before.add(v)
+            grew = grown is not before
             if grew != (not oracle_in_span(vecs[:i], v)):
                 bad.append((t, "add", vecs, i))
-            if not grew and (grown.rows, grown.pivots) != before:
+            # the span added to never changes, grown or not
+            if (before.rows, before.pivots) != held:
                 bad.append((t, "add changed rows", vecs, i))
             if (grown.rows, grown.pivots) != la.rref(la.mat(vecs[: i + 1])):
                 bad.append((t, "add rows", vecs, i))
@@ -585,7 +588,7 @@ def test_degenerate_inputs_match_oracle():
     assert empty.rows == () and empty.pivots == ()
     assert empty.contains([()]) and _one(empty, "coords", ()) == ()
     assert la.shape(empty.coords([(), ()])) == (0, 2)
-    assert not empty.add(())
+    assert empty.add(()) is empty
     assert la.EchelonBasis([(), ()], 0).rows == ()
     zeros = [la.vec([0, 0, 0])] * 2
     b = la.EchelonBasis(zeros, 3)
@@ -656,10 +659,12 @@ def test_non_cycles_raise():
 def test_add_of_member_changes_nothing():
     b = la.EchelonBasis([(1, 2, 0), (0, 1, 1)], 3)
     rows, pivots = b.rows, b.pivots
-    assert not b.add((2, 5, 1))
+    assert b.add((2, 5, 1)) is b
     assert b.rows is rows and b.pivots is pivots
-    assert b.add((0, 0, 5))
-    assert b.rows == la.identity(3) and b.pivots == (0, 1, 2)
+    grown = b.add((0, 0, 5))
+    assert grown.rows == la.identity(3) and grown.pivots == (0, 1, 2)
+    # growing returns a new span and leaves this one as it was
+    assert b.rows is rows and b.pivots is pivots
 
 
 def test_boundary_outside_cycles_raises():

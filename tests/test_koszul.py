@@ -19,6 +19,7 @@ from fractions import Fraction
 import pytest
 
 from hermk import core, cubes, koszul
+from hermk import homology as hom
 from hermk import linalg as la
 from hermk.cli import SuiteConfig, run_suite
 from hermk.core import (
@@ -151,6 +152,35 @@ def test_acyclic_flag_is_checked_by_exactness():
     assert HermitianComplex([ZERO_SPACE], [], acyclic=True).acyclic
     with pytest.raises(ValueError, match="not exact at degree 0"):
         HermitianComplex([line], [], acyclic=True)
+
+
+def test_a_refused_sequence_ranks_each_matrix_once(monkeypatch):
+    # one exactness_defect call decides and names the failure
+    ranked = []
+    honest = la.rank
+
+    def counting(m):
+        ranked.append(m)
+        return honest(m)
+
+    monkeypatch.setattr(la, "rank", counting)
+    line, plane, end = (standard_space(d, tag=t) for d, t in ((1, "a"), (2, "b"), (1, "c")))
+    f = SpaceMap(line, plane, ((F(1),), (F(0),)))
+    zero_g = SpaceMap(plane, end, ((F(0), F(0)),))
+    refusals = [
+        (lambda: HermitianComplex([line, plane, end], [f, zero_g], acyclic=True), "not exact at degree 1"),
+        (lambda: ShortExactMetrized(f, zero_g), "not exact at total: the ranks test fails"),
+    ]
+    for build, message in refusals:
+        ranked.clear()
+        with pytest.raises(ValueError, match=message):
+            build()
+        # the two maps and the two zero ends, each ranked once
+        assert len(ranked) == 4 and len({id(m) for m in ranked}) == 4
+    ranked.clear()
+    mats = (la.zeros(1, 0), f.matrix.entries, zero_g.matrix.entries, la.zeros(0, 1))
+    assert hom._sequence_verdict("b", 0, *mats) == ("b-exact-hat n=0", False)
+    assert len(ranked) == 4 and len({id(m) for m in ranked}) == 4
 
 
 def test_section_identity():
@@ -775,6 +805,31 @@ def test_iterated_pair_identity():
             for i in range(1, k):
                 b = koszul_iterated(v, w, i, k)
                 assert secondary_euler_pair_identity(b, i, k)
+
+
+def test_rows_and_columns_are_the_complexes_checked_at_construction(monkeypatch):
+    v, w = standard_space(2, tag="v"), standard_space(1, tag="w")
+    b = koszul_iterated(v, w, 1, 3)
+    built = []
+    honest = koszul.HermitianComplex.__init__
+
+    def counting(self, objects, maps, acyclic=False, check=True):
+        if check:
+            built.append(tuple(objects))
+        honest(self, objects, maps, acyclic, check)
+
+    monkeypatch.setattr(koszul.HermitianComplex, "__init__", counting)
+    for j in range(b.htop + 1):
+        assert b.column(j) is b.column(j) and b.column(j).acyclic
+        assert [o.dim for o in b.column(j).objects] == [b.objects[(a, j)].dim for a in range(b.vtop + 1)]
+    for j in range(b.vtop + 1):
+        assert b.row(j) is b.row(j) and b.row(j).acyclic
+        assert [o.dim for o in b.row(j).objects] == [b.objects[(j, c)].dim for c in range(b.htop + 1)]
+    assert built == []
+    # the pair identity reads them without building or checking them again
+    assert secondary_euler_pair_identity(b, 1, 3)
+    lines = [b.column(j).objects for j in range(b.htop + 1)] + [b.row(j).objects for j in range(b.vtop + 1)]
+    assert not set(built) & set(lines)
 
 
 def test_transposed_complex_is_exact_with_isometric_swaps():

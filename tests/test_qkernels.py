@@ -842,10 +842,10 @@ def _imported(tree) -> set[str]:
 MAT_SLOTS = {"int_rows", "den", "ncols", "_rows"}
 
 
-def _assigned_slot(node) -> str | None:
-    """The Mat slot name node assigns, directly or through setattr or
-    __setattr__, if any."""
-    if isinstance(node, ast.Attribute) and node.attr in MAT_SLOTS and isinstance(node.ctx, ast.Store):
+def _assigned_slot(node, slots=MAT_SLOTS) -> str | None:
+    """The slot name among slots (a Mat's by default) that node
+    assigns, directly or through setattr or __setattr__, if any."""
+    if isinstance(node, ast.Attribute) and node.attr in slots and isinstance(node.ctx, ast.Store):
         return node.attr
     if isinstance(node, ast.Call):
         func = node.func
@@ -853,15 +853,15 @@ def _assigned_slot(node) -> str | None:
             # setattr(m, name, v), object.__setattr__(m, name, v) and
             # m.__setattr__(name, v)
             for x in node.args[:2]:
-                if isinstance(x, ast.Constant) and x.value in MAT_SLOTS:
+                if isinstance(x, ast.Constant) and x.value in slots:
                     return x.value
     return None
 
 
-def _form_writes(tree) -> set[tuple[str, str]]:
+def _form_writes(tree, slots=MAT_SLOTS) -> set[tuple[str, str]]:
     """(function, slot) for every assignment in tree of an attribute
-    named like a Mat slot, with the dotted name of the function or class
-    that makes it ("" at module level)."""
+    named like one of slots (a Mat's by default), with the dotted name
+    of the function or class that makes it ("" at module level)."""
     out = set()
 
     def visit(node, scope):
@@ -869,7 +869,7 @@ def _form_writes(tree) -> set[tuple[str, str]]:
             if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
                 visit(child, f"{scope}.{child.name}" if scope else child.name)
                 continue
-            slot = _assigned_slot(child)
+            slot = _assigned_slot(child, slots)
             if slot:
                 out.add((scope, slot))
             visit(child, scope)
@@ -911,7 +911,7 @@ def test_only_the_builders_write_a_mat():
     # controls: one doctored function each
     doctored = {
         ("transpose", "_rows"): ("def transpose(a: Mat) -> Mat:\n", "    a._rows = None\n"),
-        ("EchelonBasis.add", "den"): ("        self.pivots = self.pivots[:k]", "        self.rows.den = 1\n"),
+        ("EchelonBasis.add", "den"): ("        pivots = self.pivots[:k]", "        self.rows.den = 1\n"),
         ("block_matrix", "int_rows"): ("    total_r, total_c = sum(", "    setattr(blocks[0, 0], 'int_rows', ())\n"),
         ("Mat._view", "ncols"): ("        rows = self._rows\n", "        self.ncols = 0\n"),
         ("identity", "ncols"): ("    m = _IDENTITIES.get(n)\n", "    _ZEROS[0, 0].__setattr__('ncols', n)\n"),
@@ -919,6 +919,56 @@ def test_only_the_builders_write_a_mat():
     for breach, (anchor, line) in doctored.items():
         assert text.count(anchor) == 1, anchor
         assert stray_form_writes(text.replace(anchor, anchor + line if anchor.endswith("\n") else line + anchor)) == {breach}
+
+
+# An EchelonBasis's slots, and the only functions that may assign them:
+# a span is a value, so one handed on, or used as a key, never changes.
+SPAN_SLOTS = {"rows", "pivots"}
+SPAN_WRITERS = {"EchelonBasis.__init__", "_basis"}
+
+
+def stray_span_writes(sources: dict) -> set[tuple[str, str, str]]:
+    """(module, function, slot) for the assignments of an attribute
+    named like an EchelonBasis slot in sources, module name -> source
+    text, that are not made by linalg's SPAN_WRITERS."""
+    return {
+        (name, fn, slot)
+        for name, text in sources.items()
+        for fn, slot in _form_writes(ast.parse(text), SPAN_SLOTS)
+        if name != "linalg" or fn not in SPAN_WRITERS
+    }
+
+
+def test_only_the_span_builders_write_a_span():
+    sources = {p.stem: p.read_text() for p in sorted(SRC.glob("*.py"))}
+    assert stray_span_writes(sources) == set()
+    # each writer is seen writing both slots
+    writes = _form_writes(ast.parse(sources["linalg"]), SPAN_SLOTS)
+    assert writes == {(fn, slot) for fn in SPAN_WRITERS for slot in SPAN_SLOTS}
+    # controls: one doctored function or module each
+    linalg = {
+        ("EchelonBasis.add", "pivots"): ("        pivots = self.pivots[:k]", "        self.pivots = ()\n"),
+        ("EchelonBasis.zero", "rows"): (
+            '        """The zero subspace of Q^width, with no elimination."""\n',
+            "        b = _basis(zeros(0, width), ())\n        b.rows = zeros(1, width)\n",
+        ),
+        ("EchelonBasis.padded", "rows"): (
+            "        r, w = shape(self.rows)\n",
+            "        object.__setattr__(self, 'rows', zeros(0, w))\n",
+        ),
+    }
+    text = sources["linalg"]
+    for (fn, slot), (anchor, line) in linalg.items():
+        assert text.count(anchor) == 1, anchor
+        doctored = text.replace(anchor, anchor + line if anchor.endswith("\n") else line + anchor)
+        assert stray_span_writes({**sources, "linalg": doctored}) == {("linalg", fn, slot)}
+    others = {
+        ("instances", "", "pivots"): ("instances", "span.pivots = ()\n"),
+        ("cubes", "", "rows"): ("cubes", "setattr(basis, 'rows', None)\n"),
+        ("homology", "", "rows"): ("homology", "q.cycles.rows = la.zeros(0, 0)\n"),
+    }
+    for breach, (name, line) in others.items():
+        assert stray_span_writes({**sources, name: sources[name] + line}) == {breach}
 
 
 # the private members of the span and presentation types

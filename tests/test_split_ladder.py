@@ -5,6 +5,7 @@ from __future__ import annotations
 import importlib.util
 import json
 import pathlib
+import subprocess
 
 import pytest
 
@@ -32,9 +33,65 @@ def test_each_rung_runs_in_a_fresh_process_and_records_its_cost(tmp_path, capsys
     for r in records:
         assert r["correct"] and r["rescaled_split"] and not r["plain_split"]
         assert not r["timed_out"] and r["cap_s"] == 120
-        assert r["cpu_s"] >= 0 and r["peak_rss_mb"] > 0
+        _assert_repeated_cost(r)
     assert records[0]["seed_stream"] is None
     assert records[1]["seed_stream"] == "random_space(instance_rng(1, 0), dim)"
+
+
+def _assert_repeated_cost(r):
+    """A rung's record carries the median CPU seconds of its runs with
+    their min and max, and the largest peak resident set."""
+    assert r["runs"] == 3
+    assert 0 <= r["cpu_s_min"] <= r["cpu_s"] <= r["cpu_s_max"] and r["peak_rss_mb"] > 0
+
+
+def test_a_rung_runs_three_times_and_records_the_median(monkeypatch):
+    ladder = _ladder()
+    assert ladder.REPEATS == 3
+    runs = iter([
+        {"cpu_s": 0.5, "peak_rss_mb": 30.0, "correct": True, "order": 1},
+        {"cpu_s": 0.2, "peak_rss_mb": 32.5, "correct": True, "order": 2},
+        {"cpu_s": 0.9, "peak_rss_mb": 31.0, "correct": True, "order": 3},
+    ])
+    cmds = []
+
+    def fake_run(cmd, **kwargs):
+        cmds.append(cmd)
+        return subprocess.CompletedProcess(cmd, 0, stdout="noise\n" + json.dumps(next(runs)) + "\n")
+
+    monkeypatch.setattr(ladder.subprocess, "run", fake_run)
+    rec = ladder.spawn(str(TOOL), ["2x2", "standard"], {"dim": 2}, 60)
+    assert len(cmds) == 3 and cmds[0] == cmds[1] == cmds[2]
+    assert rec == {
+        "dim": 2, "order": 1, "timed_out": False, "runs": 3, "cpu_s": 0.5,
+        "cpu_s_min": 0.2, "cpu_s_max": 0.9, "peak_rss_mb": 32.5, "correct": True,
+    }
+
+
+@pytest.mark.parametrize("fault", ["incorrect", "timeout", "crash"])
+def test_one_bad_run_spoils_the_rung(monkeypatch, fault):
+    # an incorrect run makes the rung incorrect; a killed or failed run
+    # ends it there, with no further runs
+    ladder = _ladder()
+    cmds = []
+
+    def fake_run(cmd, **kwargs):
+        cmds.append(cmd)
+        if len(cmds) == 2:
+            if fault == "timeout":
+                raise subprocess.TimeoutExpired(cmd, kwargs["timeout"])
+            if fault == "crash":
+                raise subprocess.CalledProcessError(1, cmd, stderr="Traceback\nValueError: boom\n")
+        ok = not (fault == "incorrect" and len(cmds) == 2)
+        return subprocess.CompletedProcess(cmd, 0, stdout=json.dumps({"cpu_s": 0.1, "peak_rss_mb": 1.0, "correct": ok}))
+
+    monkeypatch.setattr(ladder.subprocess, "run", fake_run)
+    rec = ladder.spawn(str(TOOL), ["2x2", "standard"], {}, 60)
+    assert not rec["correct"]
+    assert len(cmds) == (3 if fault == "incorrect" else 2)
+    assert rec["timed_out"] == (fault == "timeout")
+    if fault == "crash":
+        assert rec["returncode"] == 1 and rec["stderr_tail"] == ["Traceback", "ValueError: boom"]
 
 
 @pytest.mark.parametrize("verdict", [True, False])
@@ -101,7 +158,7 @@ def test_each_complex_rung_runs_in_a_fresh_process_and_records_its_cost(tmp_path
     for r in records:
         assert r["correct"] and set(r["checks"]) == FIVE_CHECKS and all(r["checks"].values())
         assert not r["timed_out"] and r["cap_s"] == 120
-        assert r["cpu_s"] >= 0 and r["peak_rss_mb"] > 0
+        _assert_repeated_cost(r)
         assert r["seed_stream"] == f"instance_rng(1, {r['L']})"
     # the rungs draw different complexes
     assert records[0]["dims"] != records[1]["dims"]

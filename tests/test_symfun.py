@@ -23,6 +23,7 @@ that sums, products and expansions build none.
 
 from __future__ import annotations
 
+import pickle
 import random
 from dataclasses import dataclass
 from fractions import Fraction
@@ -766,3 +767,31 @@ def test_truncation_window_is_validated():
     with pytest.raises(ValueError):
         ChernRootBundle((F(1),), -1)
     assert _plain_roots(2, 8).truncation == 8
+
+
+def test_terms_is_a_read_only_view_built_once():
+    cached = symfun._p_in_e(6)
+    before = dict(cached.terms)
+    polys = [
+        MonoPoly(2, {(1, 0): F(1, 2), (0, 2): 3}),
+        PartitionPoly(3, {(2, 1): F(2, 3)}),
+        sym_gen("e", 2).mul(sym_gen("e", 1)).scaled(F(1, 3)),
+        cached,
+    ]
+    for p in polys:
+        view = p.terms
+        assert view is p.terms and view
+        key = next(iter(view))
+        with pytest.raises(TypeError):
+            view[key] = 0
+        with pytest.raises(TypeError):
+            del view[key]
+        with pytest.raises(TypeError):
+            view[()] = 1
+        assert p.terms is view
+        # a polynomial still pickles, though its view does not
+        twin = pickle.loads(pickle.dumps(p))
+        assert twin == p and twin.terms == view
+    # so the lru_cache'd p_6 reads as it did, and equals a fresh build
+    assert symfun._p_in_e(6) is cached and dict(cached.terms) == before
+    assert cached == symfun._p_in_e.__wrapped__(6)

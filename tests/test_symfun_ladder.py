@@ -33,7 +33,8 @@ def test_each_symfun_rung_runs_in_a_fresh_process_and_records_its_cost(tmp_path,
     for r in records:
         assert r["correct"] and r["failed"] == 0
         assert not r["timed_out"] and r["cap_s"] == 120
-        assert r["cpu_s"] >= 0 and r["peak_rss_mb"] > 0
+        assert r["runs"] == 3
+        assert 0 <= r["cpu_s_min"] <= r["cpu_s"] <= r["cpu_s_max"] and r["peak_rss_mb"] > 0
     assert records[0]["seed_stream"] is None
     assert records[2]["seed_stream"] == "instance_rng(1, k)"
 

@@ -11,15 +11,17 @@ runs the five checks of the modified-homology suite of `verify`
 of larger dimensions, and the coefficients of each differential grow
 along the complex, so the boundary eliminations dominate.
 
-Each rung runs in a fresh process and prints one JSON line: the process
-CPU seconds of the draw and the checks (user + system, the interpreter
-start left out), the peak resident set of that process, the seed
-stream, the cap, the dimensions drawn and the verdict of every check. A
-rung is correct when all five checks pass. Spawn, cap and record are
-those of tools/split_ladder.py: a rung that overruns its CAP_S seconds
-is killed and recorded as timed out, a rung whose process exits
-non-zero as incorrect with the tail of its stderr, and the exit status
-is 1 when any rung is incorrect.
+Each rung runs REPEATS times, each time in a fresh process, and prints
+one JSON line: the median process CPU seconds of the draw and the
+checks over the runs (user + system, the interpreter start left out)
+with their min and max, the largest peak resident set, the seed
+stream, the cap, the dimensions drawn and the verdict of every check.
+A rung is correct when all five checks pass in every run. Spawn,
+repeats, cap and record are those of tools/split_ladder.py: a run that
+overruns its CAP_S seconds is killed and the rung recorded as timed
+out, a run whose process exits non-zero ends the rung as incorrect with
+the tail of its stderr, and the exit status is 1 when any rung is
+incorrect.
 """
 
 from __future__ import annotations
@@ -57,7 +59,8 @@ def run_rung(length: int, dim: int) -> dict:
 
 
 def spawn_rung(length: int, dim: int, cap: float) -> dict:
-    """The rung in a fresh process, killed after cap seconds."""
+    """The rung in REPEATS fresh processes, each killed after cap
+    seconds."""
     out = {"L": length, "D": dim, "seed_stream": f"instance_rng(1, {length})", "cap_s": cap}
     return ladder.spawn(__file__, [f"{length}x{dim}"], out, cap)
 

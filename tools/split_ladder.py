@@ -11,17 +11,19 @@ every sequence of mu_decompose of the plain and of the rescaled
 complex, as the koszul-split suite of `verify` does for one instance.
 Every rung runs under both metrics.
 
-Each rung runs in a fresh process and prints one JSON line: the process
-CPU seconds of the work (user + system, the interpreter start left
-out), the peak resident set of that process, the seed stream, the cap,
-and the verdicts. A rung is correct when every rescaled sequence splits
-and, for k >= 2, some plain one does not. A rung that overruns the cap
-of CAP_S seconds is killed and recorded as timed out; a rung whose
-process exits non-zero (a complement candidate that fails its
-certificate raises) is recorded as incorrect with the tail of its
-stderr. The exit status is 1 when any rung is incorrect. The spawn,
-the cost record and the ladder loop here serve tools/complex_ladder.py
-too.
+Each rung runs REPEATS times, each time in a fresh process, and prints
+one JSON line: the median process CPU seconds of the work over the runs
+(user + system, the interpreter start left out) with their min and max,
+the largest peak resident set of those processes, the seed stream, the
+cap, and the verdicts. A rung is correct when every rescaled sequence
+splits and, for k >= 2, some plain one does not, in every run. A run
+that overruns the cap of CAP_S seconds is killed and the rung recorded
+as timed out; a run whose process exits non-zero (a complement
+candidate that fails its certificate raises) ends the rung as incorrect
+with the tail of its stderr. Either way the rung's later runs are not
+made. The exit status is 1 when any rung is incorrect. The spawn, the
+cost record and the ladder loop here serve tools/complex_ladder.py and
+tools/symfun_ladder.py too.
 """
 
 from __future__ import annotations
@@ -30,6 +32,7 @@ import argparse
 import json
 import os
 import resource
+import statistics
 import subprocess
 import sys
 import time
@@ -38,6 +41,9 @@ ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 DEFAULT_RUNGS = ("4x4", "5x4", "5x5", "6x5")
 METRICS = ("standard", "random")
 CAP_S = 120.0
+# runs per rung: one process's CPU seconds on a shared machine spread by
+# a third between rounds, so a rung records the median and the spread
+REPEATS = 3
 SEED_STREAM = {"standard": None, "random": "random_space(instance_rng(1, 0), dim)"}
 
 
@@ -69,31 +75,43 @@ def run_rung(dim: int, k: int, metric: str) -> dict:
 
 
 def spawn_rung(dim: int, k: int, metric: str, cap: float) -> dict:
-    """The rung in a fresh process, killed after cap seconds."""
+    """The rung in REPEATS fresh processes, each killed after cap
+    seconds."""
     out = {"dim": dim, "k": k, "metric": metric, "seed_stream": SEED_STREAM[metric], "cap_s": cap}
     return spawn(__file__, [f"{dim}x{k}", metric], out, cap)
 
 
 def spawn(script: str, args: list[str], out: dict, cap: float) -> dict:
-    """out, updated with the JSON record that `script --one *args`
-    prints as its last line in a fresh process, killed after cap
-    seconds; the spawn and cap of every ladder in tools/.
+    """out, updated with the JSON records that `script --one *args`
+    prints as its last line in REPEATS fresh processes, each killed
+    after cap seconds; the spawn and cap of every ladder in tools/. The
+    record is the first run's, with cpu_s the median over the runs,
+    cpu_s_min and cpu_s_max, peak_rss_mb the largest, and correct only
+    when every run is.
 
-    A timeout or a non-zero exit is a record with correct False, never
-    an exception, so the rungs after it still run and are saved.
+    A timeout or a non-zero exit ends the rung: it is a record with
+    correct False, never an exception, so the rungs after it still run
+    and are saved.
     """
     cmd = [sys.executable, os.path.abspath(script), "--one", *args]
-    start = time.perf_counter()
-    try:
-        done = subprocess.run(cmd, capture_output=True, text=True, timeout=cap, check=True)
-    except subprocess.TimeoutExpired:
-        out.update(timed_out=True, correct=False, wall_s=round(time.perf_counter() - start, 1))
-        return out
-    except subprocess.CalledProcessError as err:
-        out.update(timed_out=False, correct=False, returncode=err.returncode,
-                   stderr_tail=err.stderr.strip().splitlines()[-5:])
-        return out
-    out.update(json.loads(done.stdout.splitlines()[-1]), timed_out=False)
+    runs = []
+    for _ in range(REPEATS):
+        start = time.perf_counter()
+        try:
+            done = subprocess.run(cmd, capture_output=True, text=True, timeout=cap, check=True)
+        except subprocess.TimeoutExpired:
+            out.update(timed_out=True, correct=False, wall_s=round(time.perf_counter() - start, 1))
+            return out
+        except subprocess.CalledProcessError as err:
+            out.update(timed_out=False, correct=False, returncode=err.returncode,
+                       stderr_tail=err.stderr.strip().splitlines()[-5:])
+            return out
+        runs.append(json.loads(done.stdout.splitlines()[-1]))
+    cpu = [r["cpu_s"] for r in runs]
+    out.update(runs[0], timed_out=False, runs=REPEATS, cpu_s=statistics.median(cpu),
+               cpu_s_min=min(cpu), cpu_s_max=max(cpu),
+               peak_rss_mb=max(r["peak_rss_mb"] for r in runs),
+               correct=all(r["correct"] for r in runs))
     return out
 
 

@@ -16,15 +16,16 @@ either a variable count n, written "12", or a root bundle, written
   character, and are multiplicative over graded_mul) for every
   k <= the number of roots, on bundles drawn from instance_rng(1, k).
 
-Each rung runs in a fresh process and prints one JSON line: the process
-CPU seconds of the checks (user + system, the interpreter start left
-out), the peak resident set of that process, the seed stream, the cap,
-the number of checks and the number that failed. A rung is correct
-when it made checks and every one passed. Spawn, cap and record are
-those of tools/split_ladder.py: a rung that overruns its CAP_S seconds
-is killed and recorded as timed out, a rung whose process exits
-non-zero as incorrect with the tail of its stderr, and the exit status
-is 1 when any rung is incorrect.
+Each rung runs REPEATS times, each time in a fresh process, and prints
+one JSON line: the median process CPU seconds of the checks over the
+runs (user + system, the interpreter start left out) with their min and
+max, the largest peak resident set, the seed stream, the cap, the
+number of checks and the number that failed. A rung is correct when it
+made checks and every one passed, in every run. Spawn, repeats, cap
+and record are those of tools/split_ladder.py: a run that overruns its
+CAP_S seconds is killed and the rung recorded as timed out, a run whose
+process exits non-zero ends the rung as incorrect with the tail of its
+stderr, and the exit status is 1 when any rung is incorrect.
 """
 
 from __future__ import annotations
@@ -71,7 +72,8 @@ def run_rung(*rung: int) -> dict:
 
 
 def spawn_rung(rung: tuple[int, ...], cap: float) -> dict:
-    """The rung in a fresh process, killed after cap seconds."""
+    """The rung in REPEATS fresh processes, each killed after cap
+    seconds."""
     if len(rung) == 1:
         out = {"nvars": rung[0], "seed_stream": None}
     else:
