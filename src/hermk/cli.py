@@ -65,6 +65,7 @@ from .homology import (
     zero_chain_map,
 )
 from .koszul import (
+    is_contraction,
     koszul_complex,
     koszul_section,
     koszul_sum_isometry,
@@ -197,15 +198,12 @@ def _suite_koszul_split(run: _SuiteRun) -> None:
 def _contracted(c, sections) -> bool:
     """The homotopy certificate of exactness: phi_{p-1} psi_{p-1} +
     psi_p phi_p = id on every object A^p, with zero maps outside
-    0..top. Every cycle z is then the boundary phi(psi z)."""
-    d0, dk = c.objects[0].dim, c.objects[-1].dim
-    # phis[p] is phi_{p-1} and psis[p] is psi_{p-1}, zero-width at the ends
-    phis = (la.zeros(d0, 0), *(f.matrix.entries for f in c.maps), la.zeros(0, dk))
-    psis = (la.zeros(0, d0), *(s.matrix.entries for s in sections), la.zeros(dk, 0))
-    return all(
-        la.add(la.matmul(phis[p], psis[p]), la.matmul(psis[p + 1], phis[p + 1]))
-        == la.identity(obj.dim)
-        for p, obj in enumerate(c.objects)
+    0..top (is_contraction). Every cycle z is then the boundary
+    phi(psi z)."""
+    return is_contraction(
+        [f.matrix.entries for f in c.maps],
+        [s.matrix.entries for s in sections],
+        [obj.dim for obj in c.objects],
     )
 
 

@@ -276,15 +276,25 @@ def induced_subspace_metric(ambient: MetrizedSpace, basis) -> MetrizedSpace:
         rows = la.stack(basis.rows, ambient.dim)
     else:
         rows = _require_independent(basis, ambient.dim)
-    return _span_metric(ambient, rows)
+    return _span_metric(rows, la.matmul(rows, ambient.gram))
 
 
-def _span_metric(ambient: MetrizedSpace, rows: Mat) -> MetrizedSpace:
-    """induced_subspace_metric of rows already known to be independent."""
+def _span_metric(rows: Mat, bg: Mat) -> MetrizedSpace:
+    """induced_subspace_metric of rows B already known to be independent,
+    from bg = B G for the ambient Gram G: its Gram is B G B^T
+    (_sandwich)."""
     if not rows:
         return ZERO_SPACE
-    gram = la.matmul(la.matmul(rows, ambient.gram), la.transpose(rows))
-    return MetrizedSpace(tuple(rows), gram, check=False)
+    return MetrizedSpace(tuple(rows), _sandwich(rows, bg), check=False)
+
+
+def _sandwich(rows: Mat, rg: Mat) -> Mat:
+    """R G R^T from rg = R G for the rows R and a symmetric G, as R
+    (R G)^T. la.matmul costs one pass over a row of its right factor per
+    nonzero of its left one, and R (a kernel basis, or the columns of a
+    section, on the Koszul path) is sparse where R G is dense, so R goes
+    on the left."""
+    return la.matmul(rows, la.transpose(rg))
 
 
 def subspace_object(ambient: MetrizedSpace, basis) -> tuple[MetrizedSpace, SpaceMap]:
@@ -327,20 +337,25 @@ def quotient_metric(f: SpaceMap) -> MetrizedSpace:
 
 
 class KernelObject(tuple):
-    """The pair (ker f, its inclusion) that kernel_object returns, which
+    """The pair (ker f, its inclusion) that kernel_object returns. It
     also keeps the free columns of the elimination that built the
-    kernel, one per basis vector: the inclusion's rows at them form the
-    identity, so a vector of ker f has its coordinates there."""
+    kernel, one per basis vector (the inclusion's rows at them form the
+    identity, so a vector of ker f has its coordinates there), and bg,
+    the product B G of the basis rows B with the domain's Gram G that
+    the kernel's Gram B G B^T was made from. The split test of a kernel
+    sequence reads its K G from bg (core._split_parts); bg lives as long
+    as this object."""
 
-    def __new__(cls, sub: MetrizedSpace, incl: SpaceMap, free):
+    def __new__(cls, sub: MetrizedSpace, incl: SpaceMap, free, bg: Mat):
         pair = super().__new__(cls, (sub, incl))
         pair.free = tuple(free)
+        pair.bg = bg
         return pair
 
     @classmethod
     def whole(cls, space: MetrizedSpace) -> "KernelObject":
         """The space as its own kernel, included by the identity."""
-        return cls(space, identity_map(space), range(space.dim))
+        return cls(space, identity_map(space), range(space.dim), space.gram)
 
 
 def kernel_object(f: SpaceMap) -> tuple[MetrizedSpace, SpaceMap]:
@@ -355,8 +370,9 @@ def kernel_object(f: SpaceMap) -> tuple[MetrizedSpace, SpaceMap]:
         return KernelObject.whole(f.domain)
     basis, free = la.nullspace_free(f.matrix.entries)
     # independent without a rank: its rows at free are the identity
-    sub = _span_metric(f.domain, basis)
-    return KernelObject(sub, SpaceMap(sub, f.domain, la.transpose(basis)), free)
+    bg = la.matmul(basis, f.domain.gram)
+    sub = _span_metric(basis, bg)
+    return KernelObject(sub, SpaceMap(sub, f.domain, la.transpose(basis)), free, bg)
 
 
 def direct_sum_space(parts) -> MetrizedSpace:
@@ -382,6 +398,10 @@ class ShortExactMetrized:
     Construction validates exactness at all three terms by one
     la.exactness_defect call on the chain with its zero ends; a failure
     names the term and the test (product or ranks) that fails there.
+    Cube triples, ses_as_cube and hand-built sequences take that path.
+    The kernel sequences of an acyclic complex do not: their builder,
+    koszul._kernel_sequences, has the facts that make them exact and
+    hands the sequence over through _certified, with no rank.
 
     complement, when given, is called with no arguments when the split
     test first runs and returns a candidate C for the orthogonal
@@ -393,9 +413,12 @@ class ShortExactMetrized:
     _split holds, once is_hermitian_split has run, the part of its test
     that does not read project's scale_sq (_split_parts); the sequences
     _rescaled derives from this one share it, and the complement.
+    _kernel is the KernelObject whose inclusion inject is, for a
+    sequence made by _certified, else None; its bg is the K G of the
+    split test.
     """
 
-    __slots__ = ("inject", "project", "_split", "_complement")
+    __slots__ = ("inject", "project", "_split", "_complement", "_kernel")
 
     def __init__(self, inject: SpaceMap, project: SpaceMap, complement=None):
         if inject.codomain != project.domain:
@@ -410,6 +433,21 @@ class ShortExactMetrized:
         self.project = project
         self._split = []
         self._complement = complement
+        self._kernel = None
+
+    @classmethod
+    def _certified(cls, kernel: KernelObject, project: SpaceMap, complement=None):
+        """ker -> total -> quot, with inject the inclusion of kernel, a
+        kernel_object, taken as exact without a check: the caller has
+        proved it so (koszul._kernel_sequences does, from its complex's
+        certificate)."""
+        out = object.__new__(cls)
+        out.inject = kernel[1]
+        out.project = project
+        out._split = []
+        out._complement = complement
+        out._kernel = kernel
+        return out
 
     def _rescaled(self, scale_sq) -> "ShortExactMetrized":
         """This sequence with project's scale_sq replaced, unchecked.
@@ -417,8 +455,8 @@ class ShortExactMetrized:
         Exactness reads only the entries of inject and project, and a
         ScaledMatrix has scale_sq > 0, so the result is exact because
         this one is. Only mu_decompose uses this: a rescaled complex
-        shares its checked kernel sequences. The result shares _split
-        and the complement: a rescaling changes no input of
+        shares its kernel sequences. The result shares _split,
+        the complement and the kernel: a rescaling changes no input of
         _split_parts.
         """
         p = self.project
@@ -429,6 +467,7 @@ class ShortExactMetrized:
         out.project = SpaceMap(p.domain, p.codomain, ScaledMatrix(p.matrix.entries, scale_sq))
         out._split = self._split
         out._complement = self._complement
+        out._kernel = self._kernel
         return out
 
     @property
@@ -486,7 +525,8 @@ def certify_complement(kg: Mat, project: Mat, cols: Mat, target: Mat) -> Mat:
     of the code that made the candidate, never a verdict. With target
     the identity, cols is then a basis of the orthogonal complement.
     """
-    if not la.is_zero(la.matmul(kg, cols)):
+    # (K G C)^T = C^T (K G)^T, with the sparse C^T on the left (_sandwich)
+    if not la.is_zero(la.matmul(la.transpose(cols), la.transpose(kg))):
         raise AssertionError("the complement candidate is not orthogonal to the kernel")
     if la.matmul(project, cols) != target:
         raise AssertionError("the complement candidate is not a section of the projection")
@@ -499,25 +539,34 @@ def _split_parts(ses: ShortExactMetrized) -> Mat | None:
 
     Both tests read one product, K G with K the image rows of inject:
     (a) is s K G K^T == the Gram of sub, for inject = sqrt(s) K^T, and
-    K G certifies C. C is the sequence's own complement candidate if it
+    K G certifies C. When inject is still the scale-1 inclusion of the
+    sequence's kernel object, K G is that object's bg and (a) holds by
+    construction, the Gram of sub being bg K^T; any other inject is
+    tested in full. C is the sequence's own complement candidate if it
     was given one, else _nullspace_complement; either way
     certify_complement checks K G C == 0 and P C == I before C is read.
     """
     m = ses.inject.matrix
-    kg = la.matmul(la.transpose(m.entries), ses.total.gram)
-    if la.scale(la.matmul(kg, m.entries), m.scale_sq) != ses.sub.gram:
-        return None
+    kernel = ses._kernel
+    if kernel is not None and kernel[1] is ses.inject and m.scale_sq == 1:
+        kg = kernel.bg
+    else:
+        k = la.transpose(m.entries)
+        kg = la.matmul(k, ses.total.gram)
+        if la.scale(_sandwich(k, kg), m.scale_sq) != ses.sub.gram:
+            return None
     p = ses.project.matrix.entries
     cols = ses._complement() if ses._complement else _nullspace_complement(kg, p)
     certify_complement(kg, p, cols, la.identity(ses.quot.dim))
-    return la.matmul(la.matmul(la.transpose(cols), ses.total.gram), cols)
+    ct = la.transpose(cols)
+    return _sandwich(ct, la.matmul(ct, ses.total.gram))
 
 
 def _nullspace_complement(kg: Mat, p: Mat) -> Mat:
     """The complement for a sequence without a candidate: the nullspace
     N of K G (orthogonal_complement without its independence rank; the
-    sequence was checked exact, so inject is injective), as columns,
-    times the inverse of P N, so that P C = I."""
+    sequence is exact, so inject is injective), as columns, times the
+    inverse of P N, so that P C = I."""
     cols = la.transpose(la.nullspace(kg))
     if cols.ncols != len(p):
         raise AssertionError("complement dimension must match the quotient")

@@ -21,9 +21,12 @@ integers (_psi_images gives k psi) and word_map builds phi over 1 and
 psi over k. The complex is exact, and koszul_complex certifies it so on
 basis words: phi_{p+1} phi_p = 0 and phi_{p-1} psi_{p-1} + psi_p phi_p
 = id, composed from the same two rules in integers, with no rank or
-matrix product. Every other complex flagged acyclic is checked by ranks
-(la.is_exact); that check, rerun on a certified complex, is the oracle
-in the tests.
+matrix product. Its kernel sequences (mu_decompose) take their
+exactness from that certificate, a tensor product with a transform
+complex from a contracting homotopy made of the sections, and a direct
+sum of complexes from its summands. Every other complex flagged acyclic
+is checked by ranks (la.is_exact); that check, rerun on the certified
+ones, is the oracle in the tests.
 
 A transform complex keeps its sections (_Sections), the one builder of
 psi_p; koszul_section reads them from there. The image of psi_j is the
@@ -90,6 +93,7 @@ __all__ = [
     "secondary_euler_pair",
     "secondary_euler_pair_identity",
     "tensor_of_complexes",
+    "is_contraction",
     "dsum_of_complexes",
     "koszul_sum_rhs",
     "koszul_sum_isometry",
@@ -109,13 +113,16 @@ class HermitianComplex:
     failure names the pair of maps that does not compose to zero or
     else the degree where the ranks do not add up. check=False skips
     revalidation for complexes produced by transformations that
-    preserve the invariants, or certified otherwise, as koszul_complex
-    certifies its own.
+    preserve the invariants (lambda_rescale, dsum_of_complexes), or
+    certified otherwise, as koszul_complex certifies its own on basis
+    words; tensor_of_complexes sets acyclic once a contracting
+    homotopy has proved it. The flag is taken as proved, and
+    mu_decompose builds on it.
 
-    _sequences is the table of checked kernel sequences that
-    mu_decompose fills on first use and lambda_rescale shares, so
-    objects and maps must not change after construction. _sections,
-    None unless koszul_complex built c, is its _Sections table, which
+    _sequences is the table of kernel sequences that mu_decompose
+    fills on first use and lambda_rescale shares, so objects and maps
+    must not change after construction. _sections, None unless
+    koszul_complex built c, is its _Sections table, which
     lambda_rescale shares too.
     """
 
@@ -317,10 +324,9 @@ def mu_decompose(c: HermitianComplex) -> list[tuple[int, ShortExactMetrized]]:
     table c shares with its rescalings (lambda_rescale). Kernels and
     coordinates depend only on the map entries, which a rescaling
     keeps; only the project of sequence j reads the scale_sq of f^j.
-    Exactness depends only on the entries too, and every scale_sq is
-    positive, so the first call checks each sequence in full and later
-    calls, on c or a rescaling, swap their scale into the checked
-    sequence (ShortExactMetrized._rescaled) without checking again.
+    Each sequence is exact because c is (_kernel_sequences), and every
+    scale_sq is positive, so later calls, on c or a rescaling, swap
+    their scale into the built sequence (ShortExactMetrized._rescaled).
     """
     if not c.acyclic:
         raise ValueError("mu decomposition needs an acyclic complex")
@@ -335,12 +341,20 @@ def mu_decompose(c: HermitianComplex) -> list[tuple[int, ShortExactMetrized]]:
 
 
 def _kernel_sequences(c: HermitianComplex) -> list[ShortExactMetrized]:
-    """The checked sequences ker f^j -> A^j -> ker f^{j+1} of c.
+    """The sequences ker f^j -> A^j -> ker f^{j+1} of the acyclic c.
 
-    The coordinates of f^j over ker f^{j+1} are the rows of f^j at the
-    free columns of that kernel, where its inclusion is the identity;
-    one exact product certifies that they reproduce f^j. They are taken
-    from the integer form of f^j, so they keep its integers.
+    The coordinates P of f^j over ker f^{j+1} are the rows of f^j at
+    the free columns of that kernel, where its inclusion Kincl is the
+    identity; one exact product certifies Kincl P = f^j, and
+    AssertionError is raised otherwise. They are taken from the integer
+    form of f^j, so they keep its integers.
+
+    That product and the exactness of c make each sequence exact, so it
+    is handed over with no rank (ShortExactMetrized._certified): inject
+    is the canonical nullspace basis of ker f^j, so it is injective;
+    Kincl is injective, so ker P = ker f^j = im inject; and im f^j =
+    ker f^{j+1}, which _certify proved for a transform complex and the
+    construction of any other acyclic complex checked, so P is onto.
 
     When c has sections, sequence j gets the complement candidate
     psi_j Kincl_{j+1}, Kincl_{j+1} the inclusion of ker f^{j+1}: the
@@ -351,17 +365,17 @@ def _kernel_sequences(c: HermitianComplex) -> list[ShortExactMetrized]:
     kernels = [kernel_object(f) for f in c.maps]
     kernels.append(KernelObject.whole(c.objects[-1]))
     out = []
-    for j, (f, (_, inject), kernel) in enumerate(zip(c.maps, kernels, kernels[1:])):
-        knext, kincl = kernel
+    for j, (f, kernel, knext) in enumerate(zip(c.maps, kernels, kernels[1:])):
+        kincl = knext[1].matrix.entries
         m = f.matrix.entries
-        coords = la.submatrix(m, kernel.free, range(m.ncols))
-        if la.matmul(kincl.matrix.entries, coords) != m:
+        coords = la.submatrix(m, knext.free, range(m.ncols))
+        if la.matmul(kincl, coords) != m:
             raise AssertionError("image must land in the next kernel")
-        project = SpaceMap(f.domain, knext, ScaledMatrix(coords, f.matrix.scale_sq))
+        project = SpaceMap(f.domain, knext[0], ScaledMatrix(coords, f.matrix.scale_sq))
         complement = None
         if c._sections is not None:
-            complement = partial(_section_complement, c._sections, j, kincl.matrix.entries)
-        out.append(ShortExactMetrized(inject, project, complement))
+            complement = partial(_section_complement, c._sections, j, kincl)
+        out.append(ShortExactMetrized._certified(kernel, project, complement))
     return out
 
 
@@ -693,8 +707,25 @@ def secondary_euler_pair_identity(b: TwoIteratedComplex, i: int, k: int) -> bool
 
 def tensor_of_complexes(c: HermitianComplex, d: HermitianComplex) -> HermitianComplex:
     """Tensor product complex; the right differential picks up the sign
-    (-1)^(c.top - a) on the summand (a, b), matching the convention
-    that the left factor contributes its exterior degree."""
+    eps_a = (-1)^(c.top - a) on the summand (a, b), matching the
+    convention that the left factor contributes its exterior degree.
+    The blocks are the factors' entries, so a factor with a map of
+    scale_sq other than 1 is refused (ValueError).
+
+    The product is acyclic when one factor is and the other is not
+    zero. If that factor keeps sections (a transform complex), its
+    exactness is proved by a contracting homotopy made from them: s (x)
+    1 for the sections s of c, else eps_a (1 (x) t) for the sections t
+    of d, so that the cross terms cancel (Weibel, An Introduction to
+    Homological Algebra, 1994, 1.4), certified by products
+    (is_contraction). Otherwise the construction of HermitianComplex
+    checks the product by ranks. The homotopy proves exactness only: it
+    need not be orthogonal to the kernels, so it is no complement
+    candidate and is not kept as sections.
+    """
+    for f in c.maps + d.maps:
+        if f.matrix.scale_sq != 1:
+            raise ValueError("tensor of complexes needs scale-1 maps")
     top = c.top + d.top
     parts = []
     for p in range(top + 1):
@@ -705,30 +736,70 @@ def tensor_of_complexes(c: HermitianComplex, d: HermitianComplex) -> HermitianCo
                 if a <= c.top and p - a <= d.top
             ]
         )
+    acyclic = (c.acyclic and not d.is_zero()) or (d.acyclic and not c.is_zero())
+    left = c.acyclic and not d.is_zero() and c._sections is not None
+    right = not left and d.acyclic and not c.is_zero() and d._sections is not None
     objects = [direct_sum_space(pp) if pp else ZERO_SPACE for pp in parts]
-    maps = []
+    maps, homotopy = [], []
     for p in range(top):
         src, dst = parts[p], parts[p + 1]
+        src_dims, dst_dims = [s.dim for _, s in src], [s.dim for _, s in dst]
         dst_index = {tag: idx for idx, (tag, _) in enumerate(dst)}
-        blocks = {}
+        blocks, hblocks = {}, {}
         for jsrc, ((a, bb), _) in enumerate(src):
             if a < c.top:
-                blk = tensor_of_maps(c.maps[a], identity_map(d.objects[bb]))
-                blocks[(dst_index[(a + 1, bb)], jsrc)] = blk.matrix.entries
+                m = la.kron(c.maps[a].matrix.entries, la.identity(d.objects[bb].dim))
+                blocks[(dst_index[(a + 1, bb)], jsrc)] = m
+                if left:
+                    h = la.kron(c._sections[a], la.identity(d.objects[bb].dim))
+                    hblocks[(jsrc, dst_index[(a + 1, bb)])] = h
             if bb < d.top:
-                blk = tensor_of_maps(identity_map(c.objects[a]), d.maps[bb])
                 sign = (-1) ** (c.top - a)
-                blocks[(dst_index[(a, bb + 1)], jsrc)] = (
-                    blk.matrix.entries if sign > 0 else la.scale(blk.matrix.entries, -1)
-                )
-        entries = la.block_matrix([s.dim for _, s in dst], [s.dim for _, s in src], blocks)
+                m = la.kron(la.identity(c.objects[a].dim), d.maps[bb].matrix.entries)
+                blocks[(dst_index[(a, bb + 1)], jsrc)] = m if sign > 0 else la.scale(m, -1)
+                if right:
+                    h = la.kron(la.identity(c.objects[a].dim), d._sections[bb])
+                    hblocks[(jsrc, dst_index[(a, bb + 1)])] = h if sign > 0 else la.scale(h, -1)
+        entries = la.block_matrix(dst_dims, src_dims, blocks)
         maps.append(SpaceMap(objects[p], objects[p + 1], entries))
-    acyclic = (c.acyclic and not d.is_zero()) or (d.acyclic and not c.is_zero())
-    return HermitianComplex(objects, maps, acyclic=acyclic)
+        if left or right:
+            homotopy.append(la.block_matrix(src_dims, dst_dims, hblocks))
+    if not (left or right):
+        return HermitianComplex(objects, maps, acyclic=acyclic)
+    # the construction checks by products that the maps compose to zero
+    out = HermitianComplex(objects, maps)
+    if not is_contraction([f.matrix.entries for f in maps], homotopy, [o.dim for o in objects]):
+        raise ValueError("the homotopy does not contract the complex")
+    out.acyclic = True
+    return out
+
+
+def is_contraction(maps, homotopy, dims) -> bool:
+    """Is d_{p-1} h_{p-1} + h_p d_p the identity on every degree p, for
+    the matrices maps[p] (degree p to p + 1) and homotopy[p] (degree
+    p + 1 to p) between spaces of the dimensions dims, all of them zero
+    outside 0..top? A complex with such an h is exact: every cycle z is
+    the boundary d(h z)."""
+    d0, dk = dims[0], dims[-1]
+    # ds[p] is d_{p-1} and hs[p] is h_{p-1}, zero-width at the ends
+    ds = (la.zeros(d0, 0), *maps, la.zeros(0, dk))
+    hs = (la.zeros(0, d0), *homotopy, la.zeros(dk, 0))
+    return all(
+        la.add(la.matmul(ds[p], hs[p]), la.matmul(hs[p + 1], ds[p + 1])) == la.identity(n)
+        for p, n in enumerate(dims)
+    )
 
 
 def dsum_of_complexes(tagged) -> HermitianComplex:
-    """Degreewise orthogonal sum of same-length complexes."""
+    """Degreewise orthogonal sum of same-length complexes whose maps
+    share one scale_sq at each degree (ValueError otherwise), which the
+    map of the sum at that degree carries.
+
+    The maps of the sum are block diagonal, so they compose to zero and
+    the sum is exact exactly when every summand is: nothing the
+    summands' construction proved is checked again. The sum is acyclic
+    when every summand is acyclic or zero.
+    """
     tagged = tuple(tagged)
     tops = {c.top for _, c in tagged}
     if len(tops) != 1:
@@ -737,26 +808,25 @@ def dsum_of_complexes(tagged) -> HermitianComplex:
     objects = [
         direct_sum_space([(t, c.objects[p]) for t, c in tagged]) for p in range(top + 1)
     ]
-    any_scaled = {c.maps[0].matrix.scale_sq for _, c in tagged if c.maps} if top else set()
-    if len(any_scaled) > 1:
-        raise ValueError("summand complexes must share map scales")
     maps = []
     for p in range(top):
+        scales = {c.maps[p].matrix.scale_sq for _, c in tagged}
+        if len(scales) > 1:
+            raise ValueError("summand complexes must share map scales")
         blocks = {
             (idx, idx): c.maps[p].matrix.entries for idx, (_, c) in enumerate(tagged)
         }
         dims_dst = [c.objects[p + 1].dim for _, c in tagged]
         dims_src = [c.objects[p].dim for _, c in tagged]
-        scale = next(iter(any_scaled)) if any_scaled else 1
         maps.append(
             SpaceMap(
                 objects[p],
                 objects[p + 1],
-                ScaledMatrix(la.block_matrix(dims_dst, dims_src, blocks), scale),
+                ScaledMatrix(la.block_matrix(dims_dst, dims_src, blocks), scales.pop()),
             )
         )
     acyclic = all(c.acyclic or c.is_zero() for _, c in tagged)
-    return HermitianComplex(objects, maps, acyclic=acyclic)
+    return HermitianComplex(objects, maps, acyclic=acyclic, check=False)
 
 
 def _split_word(word, cut: int):

@@ -40,6 +40,7 @@ from hermk.koszul import (
     FormalObjectSum,
     HermitianComplex,
     alternating_object_sum,
+    dsum_of_complexes,
     koszul_complex,
     koszul_iterated,
     koszul_norms,
@@ -54,6 +55,7 @@ from hermk.koszul import (
     secondary_euler,
     secondary_euler_pair_identity,
     ses_boundary,
+    tensor_of_complexes,
     total_complex,
     transposed_koszul,
 )
@@ -769,6 +771,219 @@ def test_sum_isometry_rejects_a_negated_entry_and_a_changed_scale():
             assert not koszul_sum_isometry(v, w, k, rhs=negated)
             rescaled = _with_map(honest, p, ScaledMatrix(m.entries, 2 * m.scale_sq))
             assert not koszul_sum_isometry(v, w, k, rhs=rescaled)
+
+
+# -- exactness from certificates; the rank paths are the oracles --------
+
+
+def _koszul_instances():
+    """Seeded transform complexes: dim 1-3, k 1-4, standard and random
+    metric."""
+    for dim in (1, 2, 3):
+        for k in (1, 2, 3, 4):
+            yield koszul_complex(standard_space(dim), k)
+            yield koszul_complex(random_space(instance_rng(dim, k), dim), k)
+
+
+def _sum_instances():
+    """koszul_sum_rhs complexes: dim_v and dim_w 1-2, k 1-3, standard
+    and random metrics."""
+    for dv in (1, 2):
+        for dw in (1, 2):
+            for k in (1, 2, 3):
+                rng = instance_rng(10 * dv + dw, k)
+                yield koszul_sum_rhs(standard_space(dv, tag="v"), standard_space(dw, tag="w"), k)
+                yield koszul_sum_rhs(random_space(rng, dv, tag="v"), random_space(rng, dw, tag="w"), k)
+
+
+def _count(monkeypatch, owner, name, calls: Counter):
+    honest = getattr(owner, name)
+
+    def counted(*args):
+        calls[name] += 1
+        return honest(*args)
+
+    monkeypatch.setattr(owner, name, counted)
+
+
+def test_certified_kernel_sequences_pass_the_rank_oracle(monkeypatch):
+    calls = Counter()
+    _count(monkeypatch, la, "rank", calls)
+    sequences = 0
+    for c in [*_koszul_instances(), *_sum_instances()]:
+        before = calls["rank"]
+        parts = mu_decompose(c)
+        # the certificate hands the sequences their exactness
+        assert calls["rank"] == before
+        for _, ses in parts:
+            assert ses._kernel is not None and ses._kernel[1] is ses.inject
+            chain = (
+                la.zeros(ses.sub.dim, 0),
+                ses.inject.matrix.entries,
+                ses.project.matrix.entries,
+                la.zeros(0, ses.quot.dim),
+            )
+            assert la.is_exact(*chain)
+            sequences += 1
+    assert sequences > 100
+
+
+def test_tensor_and_sum_complexes_pass_the_rank_oracle(monkeypatch):
+    calls = Counter()
+    _count(monkeypatch, la, "rank", calls)
+    rng = random.Random(67)
+    built = list(_sum_instances())
+    for v, w in ((standard_space(2, tag="v"), _random_space(rng, 1)), (SKEW, standard_space(1, tag="w"))):
+        # p = 0 leaves only the right factor exact, q = 0 only the left one
+        for p in range(4):
+            for q in range(4):
+                built.append(tensor_of_complexes(koszul_complex(v, p), koszul_complex(w, q)))
+    assert calls["rank"] == 0
+    monkeypatch.undo()
+    for c in built:
+        assert c._sections is None
+        if c.top == 0:
+            assert not c.acyclic
+            continue
+        assert c.acyclic
+        assert HermitianComplex(c.objects, c.maps, acyclic=True).acyclic
+
+
+def test_the_recorded_kernel_gram_agrees_with_the_full_test():
+    verdicts = Counter()
+    for plain in _koszul_instances():
+        for c in (plain, lambda_rescale(plain, plain.top)):
+            for _, ses in mu_decompose(c):
+                inject = ses.inject.matrix
+                kg = la.matmul(la.transpose(inject.entries), ses.total.gram)
+                assert inject.scale_sq == 1 and ses._kernel.bg == kg
+                # the full test (a) passes where the recorded Gram skips it
+                assert la.scale(la.matmul(kg, inject.entries), inject.scale_sq) == ses.sub.gram
+                full = ShortExactMetrized(ses.inject, ses.project, ses._complement)
+                assert core._split_parts(ses) == core._split_parts(full)
+                verdicts[is_hermitian_split(ses)] += 1
+                assert is_hermitian_split(full) == is_hermitian_split(ses)
+    assert verdicts[True] and verdicts[False]
+
+
+def _first_column_doubled(m: la.Mat) -> la.Mat:
+    """m with its first nonzero column doubled."""
+    col = next(j for j in range(m.ncols) if any(row[j] for row in m))
+    return la.mat([[2 * x if j == col else x for j, x in enumerate(row)] for row in m])
+
+
+@pytest.mark.parametrize("where", ["left", "right", "sum"])
+def test_a_doctored_homotopy_is_refused(monkeypatch, where):
+    v, w = standard_space(2, tag="v"), _random_space(random.Random(71), 2)
+    build = {
+        "left": lambda: tensor_of_complexes(koszul_complex(v, 2), koszul_complex(w, 0)),
+        "right": lambda: tensor_of_complexes(koszul_complex(v, 0), koszul_complex(w, 2)),
+        "sum": lambda: koszul_sum_rhs(v, w, 2),
+    }[where]
+    assert build().acyclic
+    honest = koszul._Sections.__missing__
+
+    def doctored(self, p):
+        m = self[p] = _first_column_doubled(honest(self, p))
+        return m
+
+    monkeypatch.setattr(koszul._Sections, "__missing__", doctored)
+    with pytest.raises(ValueError, match="the homotopy does not contract the complex"):
+        build()
+    if where == "sum":
+        with pytest.raises(ValueError, match="the homotopy does not contract the complex"):
+            run_suite(SuiteConfig("koszul-sum", max_dim=2, max_k=2, max_n=1, trials=1))
+
+
+def test_a_doctored_coordinate_product_is_an_error(monkeypatch):
+    honest = koszul.kernel_object
+
+    def rotated(f):
+        # the free columns turned by one, so the coordinates are read
+        # off the wrong rows of the map
+        ko = honest(f)
+        return core.KernelObject(ko[0], ko[1], ko.free[1:] + ko.free[:1], ko.bg)
+
+    c = koszul_complex(random_space(instance_rng(1, 0), 3), 3)
+    assert mu_decompose(koszul_complex(random_space(instance_rng(1, 0), 3), 3))
+    monkeypatch.setattr(koszul, "kernel_object", rotated)
+    with pytest.raises(AssertionError, match="image must land in the next kernel"):
+        mu_decompose(c)
+
+
+def _with_inject(ses: ShortExactMetrized, inject: SpaceMap) -> ShortExactMetrized:
+    """ses with inject replaced and no split test run yet; the kernel
+    record and the complement stay."""
+    out = object.__new__(ShortExactMetrized)
+    for slot in ShortExactMetrized.__slots__:
+        setattr(out, slot, getattr(ses, slot))
+    out.inject, out._split = inject, []
+    return out
+
+
+def test_a_doctored_inject_takes_the_full_split_test():
+    c = lambda_rescale(koszul_complex(random_space(instance_rng(1, 0), 3), 3), 3)
+    doctored = 0
+    for _, ses in mu_decompose(c):
+        if not ses.sub.dim:
+            continue
+        inj = ses.inject
+        # the builder's own inclusion reads the recorded Gram and splits
+        assert is_hermitian_split(_with_inject(ses, inj))
+        for bad in (
+            SpaceMap(inj.domain, inj.codomain, la.scale(inj.matrix.entries, 2)),
+            SpaceMap(inj.domain, inj.codomain, ScaledMatrix(inj.matrix.entries, 4)),
+        ):
+            twin = _with_inject(ses, bad)
+            assert twin._kernel is ses._kernel
+            assert core._split_parts(twin) is None
+            assert not is_hermitian_split(twin)
+            doctored += 1
+    assert doctored
+
+
+def _with_scales(c: HermitianComplex, scales) -> HermitianComplex:
+    """c with map p carrying scale_sq scales[p], unchecked."""
+    maps = [SpaceMap(f.domain, f.codomain, ScaledMatrix(f.matrix.entries, s)) for f, s in zip(c.maps, scales)]
+    return HermitianComplex(c.objects, maps, acyclic=c.acyclic, check=False)
+
+
+def test_a_sum_keeps_the_scale_of_each_degree():
+    c = _with_scales(koszul_complex(standard_space(2), 2), (1, 3))
+    d = _with_scales(koszul_complex(_random_space(random.Random(73), 1), 2), (1, 3))
+    for tagged in ([(0, c)], [(0, c), (1, d)]):
+        s = dsum_of_complexes(tagged)
+        assert [f.matrix.scale_sq for f in s.maps] == [1, 3]
+        assert s.acyclic and s._sections is None
+    for other in (koszul_complex(standard_space(1), 2), _with_scales(d, (3, 3))):
+        with pytest.raises(ValueError, match="must share map scales"):
+            dsum_of_complexes([(0, c), (1, other)])
+
+
+def test_a_sum_is_acyclic_exactly_when_every_summand_is_exact():
+    line, plane, end = (standard_space(d, tag=t) for d, t in ((1, "a"), (2, "b"), (1, "c")))
+    g = SpaceMap(plane, end, ((F(0), F(1)),))
+    inexact = HermitianComplex([line, plane, end], [zero_map(line, plane), g])
+    zero = HermitianComplex([ZERO_SPACE] * 3, [zero_map(ZERO_SPACE, ZERO_SPACE)] * 2)
+    exact = koszul_complex(standard_space(2), 2)
+    for tagged, acyclic in (
+        ([(0, exact), (1, zero)], True),
+        ([(0, exact), (1, inexact)], False),
+        ([(0, zero), (1, inexact)], False),
+    ):
+        s = dsum_of_complexes(tagged)
+        assert s.acyclic is acyclic
+        # the rank oracle agrees
+        ends = (la.zeros(s.objects[0].dim, 0), la.zeros(0, s.objects[-1].dim))
+        assert la.is_exact(ends[0], *(f.matrix.entries for f in s.maps), ends[1]) is acyclic
+
+
+def test_a_tensor_refuses_a_scaled_factor():
+    v, w = standard_space(2, tag="v"), standard_space(1, tag="w")
+    scaled = lambda_rescale(koszul_complex(v, 2), 2)
+    for c, d in ((scaled, koszul_complex(w, 1)), (koszul_complex(w, 1), scaled)):
+        with pytest.raises(ValueError, match="needs scale-1 maps"):
+            tensor_of_complexes(c, d)
 
 
 def test_secondary_euler_rank_is_dimension():

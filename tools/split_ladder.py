@@ -22,8 +22,8 @@ as timed out; a run whose process exits non-zero (a complement
 candidate that fails its certificate raises) ends the rung as incorrect
 with the tail of its stderr. Either way the rung's later runs are not
 made. The exit status is 1 when any rung is incorrect. The spawn, the
-cost record and the ladder loop here serve tools/complex_ladder.py and
-tools/symfun_ladder.py too.
+cost record and the ladder loop here serve tools/complex_ladder.py,
+tools/symfun_ladder.py and tools/koszul_ladder.py too.
 """
 
 from __future__ import annotations
